@@ -175,7 +175,7 @@ def _hot_workload(oracle, patterns, tau):
     return point, result.as_set()
 
 
-def test_ablation_sharded_engine_comparison(benchmark):
+def test_ablation_sharded_engine_comparison(benchmark, tmp_path):
     dataset = load_airbnb(n=config.AIRBNB_N, d=config.AIRBNB_D)
     space = PatternSpace.for_dataset(dataset)
     patterns = _query_patterns(space)
@@ -183,7 +183,8 @@ def test_ablation_sharded_engine_comparison(benchmark):
         "dense": CoverageOracle(dataset, engine="dense"),
         "packed": CoverageOracle(dataset, engine="packed"),
         "sharded": CoverageOracle(
-            dataset, engine=ShardedEngine(dataset, shards=SHARDS)
+            dataset,
+            engine=ShardedEngine(dataset, shards=SHARDS, spill_dir=str(tmp_path)),
         ),
     }
     tau = oracles["dense"].threshold_from_rate(1e-3)
@@ -248,7 +249,8 @@ def test_ablation_sharded_engine_comparison(benchmark):
     # Repeated point queries must actually hit the hot-mask cache.
     for oracle in oracles.values():
         assert oracle.engine.cache_info()["hits"] >= N_QUERIES
-    # Sharding adds per-shard dispatch overhead but each kernel touches
-    # 1/K of the index; on the smoke workload it must stay within 1.2x of
-    # the unsharded packed engine.
+    oracles["sharded"].engine.close()
+    # Sharding adds per-shard dispatch and mmap streaming overhead; on the
+    # smoke workload it must stay within 1.2x of the unsharded packed
+    # engine.
     assert seconds["sharded"] <= seconds["packed"] * 1.2

@@ -1,21 +1,23 @@
-"""Out-of-core sharded engine: resident-budget sweep × shard fan-out.
+"""Out-of-core sharded engine: resident-budget sweep.
 
 Streams a non-uniform synthetic workload (large distinct-combination
 space, so the multiplicity-weighted counting kernel dominates) through the
-mmap shard store:
+mmap shard store: the same batched workload under an unlimited, a
+half-index, and a quarter-index ``max_resident_bytes`` budget, reporting
+wall clock and the loader's load/eviction/hit instrumentation.  Every
+budget must return byte-identical answers to the unsharded packed engine
+and keep peak residency within its budget.  (Shard fan-out is pinned by
+``bench_distributed.py``.)
 
-* **budget sweep** — the same batched workload under an unlimited, a
-  half-index, and a quarter-index ``max_resident_bytes`` budget, reporting
-  wall clock and the loader's load/eviction/hit instrumentation;
-* **fan-out** — serial vs thread-pool vs process-pool shard evaluation at
-  an unlimited budget.  The process pool attaches to the spill files by
-  path, so only mask windows cross the process boundary; on the smoke
-  workload it must stay within 1.3x of the serial sharded engine (the
-  bound that keeps per-query IPC overhead honest), and all modes must
-  return byte-identical answers to the unsharded packed engine.
+Emits the canonical ``BENCH_outofcore.json`` via the shared writer.  Also
+runnable standalone:
 
-Emits the canonical ``BENCH_outofcore.json`` via the shared writer.
+    python benchmarks/bench_outofcore.py --smoke
 """
+
+import argparse
+import sys
+import tempfile
 
 import numpy as np
 
@@ -31,8 +33,7 @@ N = config.pick(300_000, 2_000_000)
 CARDINALITIES = config.pick((16, 12, 10, 10, 8), (24, 18, 12, 10, 10, 8))
 N_MASKS = config.pick(512, 1024)
 SHARDS = 4
-WORKERS = 3
-REPS = 3
+REPS = 2
 
 
 def _patterns(dataset, k):
@@ -48,7 +49,7 @@ def _patterns(dataset, k):
 
 
 def _best_of(fn, reps=REPS):
-    """Best-of-``reps`` wall clock (excludes pool startup after rep 1)."""
+    """Best-of-``reps`` wall clock."""
     best, result = None, None
     for _ in range(reps):
         result, seconds = timed(fn)
@@ -56,7 +57,7 @@ def _best_of(fn, reps=REPS):
     return result, best
 
 
-def test_bench_outofcore(benchmark, tmp_path):
+def run(root):
     dataset = random_categorical_dataset(
         N, CARDINALITIES, seed=23, skew=0.25
     )
@@ -64,7 +65,6 @@ def test_bench_outofcore(benchmark, tmp_path):
     packed = PackedBitsetEngine(dataset, mask_cache_size=0)
     expected = list(packed.count_many([packed.match_mask(p) for p in patterns]))
 
-    root = str(tmp_path)
     writer = ShardedEngine(dataset, shards=SHARDS, spill_dir=root, mask_cache_size=0)
     # Budgets derive from the full resident footprint (words + counts),
     # which is what the loader actually charges per shard.
@@ -76,15 +76,12 @@ def test_bench_outofcore(benchmark, tmp_path):
         "unique": writer.unique_count,
         "masks": N_MASKS,
         "shards": SHARDS,
-        "workers": WORKERS,
         "index_nbytes": writer.index_nbytes,
         "spilled_nbytes": spilled_nbytes,
         "budgets": {},
-        "fanout": {},
     }
     rows = []
 
-    # --- resident-budget sweep (serial evaluation) --------------------
     # Floor each budget at the largest single shard so the
     # peak_resident_bytes assertion can't trip on the loader's documented
     # over-budget tolerance when shard spans round unevenly.
@@ -110,15 +107,7 @@ def test_bench_outofcore(benchmark, tmp_path):
                 engine.match_mask(pattern)
             return counts
 
-        if label == "unlimited":
-            # The pedantic baseline doubles as the serial fan-out entry.
-            counts, seconds = benchmark.pedantic(
-                lambda: timed(workload), rounds=1, iterations=1
-            )
-            _, second = timed(workload)
-            seconds = min(seconds, second)
-        else:
-            counts, seconds = _best_of(workload, reps=2)
+        counts, seconds = _best_of(workload)
         assert list(counts) == expected
         stats = engine.store.stats()
         if budget is not None:
@@ -142,47 +131,33 @@ def test_bench_outofcore(benchmark, tmp_path):
         )
         engine.close()
 
-    # --- fan-out comparison at unlimited budget -----------------------
-    fanout_engines = {
-        "serial": ShardedEngine.attach(dataset, spill_path, mask_cache_size=0),
-        "thread": ShardedEngine.attach(
-            dataset, spill_path, workers=WORKERS, mask_cache_size=0
-        ),
-        "process": ShardedEngine.attach(
-            dataset,
-            spill_path,
-            workers=WORKERS,
-            workers_mode="process",
-            mask_cache_size=0,
-        ),
-    }
-    seconds = {}
-    for label, engine in fanout_engines.items():
-        masks = [engine.match_mask(p) for p in patterns]
-        counts, best = _best_of(lambda e=engine, m=masks: e.count_many(m))
-        assert list(counts) == expected, label
-        seconds[label] = best
-        payload["fanout"][label] = {
-            "seconds": best,
-            "effective_mode": engine.effective_workers_mode,
-        }
-        rows.append((f"fanout={label}", f"{best:.3f}", "-", "-", "-", "-"))
-    payload["process_over_serial_time_ratio"] = (
-        seconds["process"] / seconds["serial"]
-    )
-    for engine in fanout_engines.values():
-        engine.close()
     writer.close()
 
     emit_bench(
         "outofcore",
-        f"out-of-core sharded engine, budget sweep x fan-out "
+        f"out-of-core sharded engine, resident-budget sweep "
         f"({N_MASKS} batched masks, n={dataset.n} unique={payload['unique']})",
         ["configuration", "seconds", "budget bytes", "loads", "evictions", "hit rate"],
         rows,
         payload,
     )
-    # Process fan-out ships only mask windows (children attach to the mmap
-    # by path); per-query IPC must stay within 1.3x of serial evaluation
-    # even on a single-core smoke machine.
-    assert seconds["process"] <= seconds["serial"] * 1.3
+    return payload
+
+
+def test_bench_outofcore(benchmark, tmp_path):
+    benchmark.pedantic(run, args=(str(tmp_path),), rounds=1, iterations=1)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke", action="store_true", help="smoke sizes (the default)"
+    )
+    parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-ooc-") as root:
+        run(root)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,10 +49,12 @@ def smoke_matrix(spill_root, full=False):
     # traffic) without degenerating into per-query mmap churn, whose I/O
     # jitter would drown the backend comparison this bench pins.
     budget = 256 << 10
-    in_memory = [
+    unbudgeted = [
         EngineConfig(backend="dense", mask_cache_size=0),
         EngineConfig(backend="packed", mask_cache_size=0),
-        EngineConfig(backend="sharded", shards=4, mask_cache_size=0),
+        EngineConfig(
+            backend="sharded", shards=4, spill_dir=spill_root, mask_cache_size=0
+        ),
     ]
     budgeted = [
         EngineConfig(
@@ -65,8 +67,8 @@ def smoke_matrix(spill_root, full=False):
         for shards in (4, 8)
     ]
     return [
-        ("tiny-categorical", tiny, EngineConfig(backend=AUTO, mask_cache_size=0), in_memory),
-        ("medium-skewed", medium, EngineConfig(backend=AUTO, mask_cache_size=0), in_memory),
+        ("tiny-categorical", tiny, EngineConfig(backend=AUTO, mask_cache_size=0), unbudgeted),
+        ("medium-skewed", medium, EngineConfig(backend=AUTO, mask_cache_size=0), unbudgeted),
         (
             "medium-budgeted",
             medium,

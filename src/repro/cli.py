@@ -42,10 +42,8 @@ from repro.core.engine import (
     DEFAULT_ARRAY_CUTOFF,
     DEFAULT_RUN_CUTOFF,
     DEFAULT_SHARDS,
-    DEFAULT_WORKERS_MODE,
     ENGINES,
     KERNEL_TIERS,
-    WORKERS_MODES,
     CoverageEngine,
     EngineConfig,
     engine_name,
@@ -165,13 +163,13 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         choices=sorted(ENGINES) + [AUTO],
         help="coverage-engine backend (default 'auto': a workload-aware "
         "planner inspects the dataset and escalates dense -> packed -> "
-        "sharded -> out-of-core as the projected index grows, detouring "
-        "to 'compressed' on sparse value domains); 'dense' uses unpacked "
-        "boolean vectors (reference), 'packed' uses uint64 bitsets with "
-        "word-level popcount (8x smaller index), 'sharded' partitions the "
-        "packed index row-wise for bounded per-kernel working sets, "
-        "'compressed' stores roaring-style chunked containers whose "
-        "footprint tracks the data's density",
+        "sharded as the projected index grows, detouring to 'compressed' "
+        "on sparse value domains); 'dense' uses unpacked boolean vectors "
+        "(reference), 'packed' uses uint64 bitsets with word-level "
+        "popcount (8x smaller index), 'sharded' partitions the packed "
+        "index row-wise into spilled, mmap-streamed shards, 'compressed' "
+        "stores roaring-style chunked containers whose footprint tracks "
+        "the data's density",
     )
     parser.add_argument(
         "--kernel-tier",
@@ -201,29 +199,18 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker-pool size for --engine sharded shard fan-out "
-        "(default: evaluate shards serially)",
-    )
-    parser.add_argument(
-        "--workers-mode",
-        default=None,
-        choices=sorted(WORKERS_MODES),
-        help="shard fan-out pool (default "
-        f"{DEFAULT_WORKERS_MODE}): 'thread' works in every mode; 'process' "
-        "attaches child processes to the spill files by path (requires "
-        "--spill-dir with --engine sharded; falls back to threads without "
-        "fork support); 'socket' places shards on long-lived worker "
-        "processes over the socket protocol — spawn-local by default, or "
-        "the --worker-endpoints hosts (requires --spill-dir with "
-        "--engine sharded)",
+        help="spawn this many local socket workers for --engine sharded "
+        "shard fan-out; 2 or more fans out (default: evaluate shards "
+        "serially)",
     )
     parser.add_argument(
         "--worker-endpoints",
         nargs="+",
         metavar="HOST:PORT",
         default=None,
-        help="standing `repro-coverage worker` addresses for "
-        "--workers-mode socket (default: spawn --workers local workers)",
+        help="fan --engine sharded shards out to these standing "
+        "`repro-coverage worker` addresses instead of spawning --workers "
+        "local workers",
     )
     parser.add_argument(
         "--delta-spill",
@@ -231,24 +218,23 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="let rebuilds over appended data reuse the spill directory "
         "via delta writes: unchanged shards are hard-linked, only dirty "
-        "shards re-serialize (requires --spill-dir with --engine sharded)",
+        "shards re-serialize",
     )
     parser.add_argument(
         "--spill-dir",
         default=None,
-        help="run out-of-core: serialize shard blocks into a unique "
-        "subdirectory of this path and stream them via mmap (removed when "
-        "the run finishes); with --engine auto this forces the out-of-core "
-        "mode",
+        help="spill root for --engine sharded: shard blocks go into a unique "
+        "subdirectory of this path and stream via mmap (removed when the "
+        "run finishes; default $TMPDIR or /var/tmp); with --engine auto "
+        "this forces the sharded backend",
     )
     parser.add_argument(
         "--max-resident-bytes",
         type=int,
         default=None,
         help="byte budget for resident mmap shard slices (with --engine "
-        "sharded requires --spill-dir; with --engine auto this is the "
-        "planner's memory budget — the planner goes out-of-core when the "
-        "projected index exceeds it)",
+        "auto this is the planner's memory budget — the planner goes "
+        "out-of-core when the projected index exceeds it)",
     )
     parser.add_argument(
         "--array-cutoff",
@@ -911,9 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="run a standalone shard worker: serves per-shard coverage "
         "kernels over the length-prefixed socket protocol for "
-        "coordinators started with --workers-mode socket "
-        "--worker-endpoints HOST:PORT (prints `listening on host:port` "
-        "once bound)",
+        "coordinators started with --engine sharded --worker-endpoints "
+        "HOST:PORT (prints `listening on host:port` once bound)",
     )
     worker.add_argument(
         "--host",

@@ -6,10 +6,11 @@ a declarative
 :class:`~repro.core.engine.config.EngineConfig`, or the name ``"auto"``
 to let the workload-aware planner (:mod:`repro.core.engine.planner`)
 choose — anywhere an ``engine=`` argument or the CLI ``--engine`` flag is
-accepted.  The sharded backend additionally runs out-of-core
-(``spill_dir=`` / ``max_resident_bytes=``) over an mmap-backed
-:class:`~repro.core.engine.mmapped.MmapShardStore`, with thread- or
-process-pool shard fan-out (``workers=`` / ``workers_mode=``).
+accepted.  The sharded backend spills its shards (under ``spill_dir=``
+or the default spill root, within ``max_resident_bytes=``) to an
+mmap-backed :class:`~repro.core.engine.mmapped.MmapShardStore` and fans
+shard kernels out to socket workers (``workers=`` /
+``worker_endpoints=``) or evaluates them serially.
 """
 
 from repro.core.engine.base import (
@@ -46,12 +47,7 @@ from repro.core.engine.mmapped import (
     shard_slice_fingerprint,
 )
 from repro.core.engine.packed import PackedBitsetEngine
-from repro.core.engine.sharded import (
-    DEFAULT_SHARDS,
-    DEFAULT_WORKERS_MODE,
-    WORKERS_MODES,
-    ShardedEngine,
-)
+from repro.core.engine.sharded import DEFAULT_SHARDS, ShardedEngine
 from repro.core.engine.config import AUTO, BUILTIN_BACKENDS, EngineConfig
 from repro.core.engine.kernels import (
     KERNEL_TIERS,
@@ -114,8 +110,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "DEFAULT_MASK_CACHE",
     "DEFAULT_SHARDS",
-    "DEFAULT_WORKERS_MODE",
-    "WORKERS_MODES",
     "EngineSpec",
     "engine_name",
     "register_engine",

@@ -18,15 +18,14 @@ when row identities are needed).  Four backends are registered:
 * ``dense`` — :class:`~repro.core.engine.dense.DenseBoolEngine`, unpacked
   boolean ndarrays (the reference/ablation baseline);
 * ``packed`` — :class:`~repro.core.engine.packed.PackedBitsetEngine`,
-  ``uint64``-packed :class:`~repro.data.bitset.BitVector` words with
-  word-level popcount (8× smaller index, word-at-a-time ANDs);
+  ``uint64`` word arrays with word-level popcount (8× smaller index,
+  word-at-a-time ANDs);
 * ``sharded`` — :class:`~repro.core.engine.sharded.ShardedEngine`, the
-  packed index partitioned row-wise into K shards whose per-shard kernels
-  are reduced (optionally on a worker pool) into global answers; with
-  ``spill_dir=`` the shard blocks live in an mmap-backed spill directory
+  packed index partitioned row-wise into K shards that live in an
+  mmap-backed spill directory
   (:class:`~repro.core.engine.mmapped.MmapShardStore`) behind a
-  byte-budgeted LRU loader, and ``workers_mode="process"`` fans the
-  kernels out over a process pool attached to those files by path;
+  byte-budgeted LRU loader; per-shard kernels run serially or on socket
+  shard workers attached to those files by path, reduced in shard order;
 * ``compressed`` — :class:`~repro.core.engine.compressed.CompressedEngine`,
   roaring-style chunked containers (sorted-array / bitmap / run per 64Ki
   combinations) whose footprint tracks the data's density — the sparse
@@ -43,7 +42,6 @@ for the benchmarks.
 from __future__ import annotations
 
 import threading
-import warnings
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from typing import (
@@ -238,8 +236,8 @@ class CoverageEngine(ABC):
     def copy_mask(self, mask: Mask) -> Mask:
         """A private copy of ``mask`` the caller may mutate.
 
-        Both built-in mask handles (``ndarray``, ``BitVector``) expose
-        ``copy``; backends with composite handles override this.
+        ``ndarray`` masks expose ``copy``; backends with composite handles
+        override this.
         """
         return mask.copy()
 
@@ -278,12 +276,7 @@ class CoverageEngine(ABC):
     @staticmethod
     def _mask_nbytes(mask: Mask) -> int:
         """Approximate heap size of one cached mask."""
-        nbytes = getattr(mask, "nbytes", None)
-        if nbytes is None:
-            # BitVector handles expose their packed words.
-            words = getattr(mask, "words", None)
-            nbytes = words.nbytes if words is not None else 0
-        return int(nbytes)
+        return int(getattr(mask, "nbytes", 0))
 
     # ------------------------------------------------------------------
     # pattern-level queries (shared composition)
@@ -457,34 +450,20 @@ def _build_from_config(config: Any, dataset: Dataset) -> CoverageEngine:
     return ENGINES[config.backend](dataset, **config.engine_options())
 
 
-def resolve_engine(
-    spec: EngineSpec, dataset: Dataset, **options: Any
-) -> CoverageEngine:
+def resolve_engine(spec: EngineSpec, dataset: Dataset) -> CoverageEngine:
     """Build (or pass through) the engine selected by ``spec``.
 
     Accepts an :class:`~repro.core.engine.config.EngineConfig` (the
-    preferred declarative form), a registry name (``"dense"`` /
-    ``"packed"`` / ``"sharded"``, or ``"auto"`` to let the planner choose),
-    an engine class, a dataset-free factory callable (such as an engine's
+    declarative form that carries every engine option), a registry name
+    (``"dense"`` / ``"packed"`` / ``"sharded"`` / ``"compressed"``, or
+    ``"auto"`` to let the planner choose), an engine class, a dataset-free
+    factory callable (such as an engine's
     :meth:`~CoverageEngine.template`), an already-built instance (returned
     as-is), or ``None`` for the default.
-
-    Keyword ``options`` are the legacy configuration style; for the
-    built-in backend names they are validated through ``EngineConfig``
-    (inapplicable combinations raise a clear
-    :class:`~repro.exceptions.EngineError` instead of being silently
-    ignored or crashing in a constructor) and emit a
-    ``DeprecationWarning``.  They cannot be combined with a prebuilt
-    instance or a config, which are already complete.
     """
     if spec is None:
         spec = DEFAULT_ENGINE
     if isinstance(spec, CoverageEngine):
-        if options:
-            raise ReproError(
-                f"engine options {sorted(options)} cannot be applied to the "
-                f"prebuilt instance {spec!r}; pass the engine name or class"
-            )
         if spec.dataset is not dataset:
             raise ReproError(
                 f"engine was built for a different dataset "
@@ -494,47 +473,21 @@ def resolve_engine(
         return spec
     from repro.core.engine.config import BUILTIN_BACKENDS, EngineConfig
 
+    if isinstance(spec, str) and spec in BUILTIN_BACKENDS:
+        spec = EngineConfig(backend=spec)
     if isinstance(spec, EngineConfig):
-        if options:
-            raise ReproError(
-                f"engine options {sorted(options)} cannot be combined with an "
-                f"EngineConfig; use dataclasses.replace on the config instead"
-            )
         return _build_from_config(spec, dataset)
     if isinstance(spec, str):
-        if spec in BUILTIN_BACKENDS:
-            config = EngineConfig.from_options(spec, **options)
-            if options:
-                # Warn only once the options validated — a rejected call
-                # should not be told to migrate options no config accepts —
-                # and spell out the exact equivalent config call.
-                migration = ", ".join(
-                    [f"backend={spec!r}"]
-                    + [
-                        f"{name}={value!r}"
-                        for name, value in sorted(options.items())
-                    ]
-                )
-                warnings.warn(
-                    f"passing engine options as loose keyword arguments is "
-                    f"deprecated; build the equivalent "
-                    f"repro.core.engine.EngineConfig({migration}) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            return _build_from_config(config, dataset)
         if spec not in ENGINES:
             raise ReproError(
                 f"unknown coverage engine {spec!r}; "
                 f"available: {sorted(ENGINES) + ['auto']}"
             )
-        # Custom registered backends define their own constructor options;
-        # forward the kwargs untouched.
         spec = ENGINES[spec]
     if (isinstance(spec, type) and issubclass(spec, CoverageEngine)) or (
         not isinstance(spec, type) and callable(spec)
     ):
-        built = spec(dataset, **options)
+        built = spec(dataset)
         if not isinstance(built, CoverageEngine):
             raise ReproError(
                 f"engine factory {spec!r} returned {built!r}, "

@@ -14,8 +14,8 @@ serializable dataclass:
   built-in backend accepts; unset options (``None``) defer to the
   backend's own defaults;
 * **one validator** — :meth:`validate` holds the cross-field rules the
-  CLI used to hand-roll (sharded-only flags, out-of-core prerequisites,
-  process-pool preconditions), so programmatic callers get the same clear
+  CLI used to hand-roll (sharded-only and compressed-only flags, value
+  ranges, worker endpoints), so programmatic callers get the same clear
   :class:`~repro.exceptions.EngineError` messages as ``--engine`` users;
 * **one serialization** — ``to_dict`` / ``from_dict`` round-trip losslessly
   (manifests, benchmark payloads) and :meth:`from_cli_args` lifts an
@@ -37,8 +37,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.engine.base import DEFAULT_ENGINE, ENGINES, CoverageEngine
 from repro.core.engine.compressed import CHUNK_BITS
+from repro.core.engine.distributed import parse_endpoint
 from repro.core.engine.kernels import KERNEL_TIERS
-from repro.core.engine.sharded import WORKERS_MODES
 from repro.exceptions import EngineError
 
 #: Pseudo-backend name: let the planner choose the real backend.
@@ -53,7 +53,6 @@ BUILTIN_BACKENDS = (AUTO, "dense", "packed", "sharded", "compressed")
 _SHARDED_ONLY = (
     "shards",
     "workers",
-    "workers_mode",
     "spill_dir",
     "max_resident_bytes",
     "worker_endpoints",
@@ -72,15 +71,14 @@ class EngineConfig:
         backend: registry name of the backend, or ``"auto"`` to let the
             workload-aware planner choose one.
         shards: shard count (sharded backend; planner hint under auto).
-        workers: worker-pool size for shard fan-out.
-        workers_mode: ``"thread"`` / ``"process"`` / ``"socket"`` shard
-            fan-out pool.
-        spill_dir: out-of-core spill root (forces the out-of-core mode).
+        workers: spawn-local socket workers for shard fan-out; ``>= 2``
+            fans out, anything else evaluates shards serially.
+        spill_dir: spill root of the sharded backend (unset: the default
+            spill root).
         max_resident_bytes: resident byte budget.  With ``backend="sharded"``
-            this is the mmap loader's LRU budget and requires ``spill_dir``;
-            with ``backend="auto"`` it is the planner's **memory budget** —
-            the planner escalates to out-of-core when the projected packed
-            index exceeds it.
+            this is the mmap loader's LRU budget; with ``backend="auto"`` it
+            is the planner's **memory budget** — the planner escalates to
+            the sharded backend when the projected packed index exceeds it.
         mask_cache_size: hot-mask LRU capacity (``None`` = backend default,
             ``0`` disables caching).
         kernel_tier: compiled-kernel tier for the inner loops —
@@ -94,10 +92,9 @@ class EngineConfig:
         run_cutoff: compressed backend — largest interval count kept as a
             run container (>= 1).
         worker_endpoints: ``host:port`` addresses of standing shard
-            workers (``workers_mode="socket"`` only); unset, socket mode
-            spawns local workers.
+            workers; unset, ``workers >= 2`` spawns local workers.
         delta_spill: let rebuilds over appended data reuse the previous
-            spill directory via delta writes (out-of-core only).
+            spill directory via delta writes.
 
     Every field except ``backend`` defaults to ``None`` (= "backend
     default"); construction validates the combination and raises
@@ -107,7 +104,6 @@ class EngineConfig:
     backend: str = DEFAULT_ENGINE
     shards: Optional[int] = None
     workers: Optional[int] = None
-    workers_mode: Optional[str] = None
     spill_dir: Optional[str] = None
     max_resident_bytes: Optional[int] = None
     mask_cache_size: Optional[int] = None
@@ -231,80 +227,14 @@ class EngineConfig:
                 f"kernel_tier must be one of {KERNEL_TIERS}, "
                 f"got {self.kernel_tier!r}"
             )
-        if self.workers_mode is not None and self.workers_mode not in WORKERS_MODES:
-            raise EngineError(
-                f"workers_mode must be one of {WORKERS_MODES}, "
-                f"got {self.workers_mode!r}"
-            )
-        if self.workers_mode == "process":
-            if self.workers is None or self.workers < 2:
-                raise EngineError(
-                    "workers_mode='process' requires workers >= 2 (the pool "
-                    "size); anything less would silently run serially"
-                )
-            if self.backend == "sharded" and self.spill_dir is None:
-                raise EngineError(
-                    "workers_mode='process' requires the out-of-core mode "
-                    "(pass spill_dir= / --spill-dir): children attach to the "
-                    "shard files by path"
-                )
         if self.worker_endpoints is not None:
             if not self.worker_endpoints:
                 raise EngineError(
                     "worker_endpoints must list at least one host:port "
                     "address (or be unset for spawn-local workers)"
                 )
-            malformed = [
-                endpoint
-                for endpoint in self.worker_endpoints
-                if ":" not in endpoint.strip() or not endpoint.strip()
-            ]
-            if malformed:
-                raise EngineError(
-                    f"worker_endpoints entries must be host:port, "
-                    f"got {malformed}"
-                )
-            if self.workers_mode != "socket":
-                raise EngineError(
-                    "worker_endpoints requires workers_mode='socket' "
-                    "(--workers-mode socket): only the socket pool talks "
-                    "to remote workers"
-                )
-        if self.workers_mode == "socket":
-            if self.worker_endpoints is None and (
-                self.workers is None or self.workers < 2
-            ):
-                raise EngineError(
-                    "workers_mode='socket' without worker_endpoints spawns "
-                    "local workers and requires workers >= 2 (the pool "
-                    "size); pass --worker-endpoints for standing workers"
-                )
-            if self.backend == "sharded" and self.spill_dir is None:
-                raise EngineError(
-                    "workers_mode='socket' requires the out-of-core mode "
-                    "(pass spill_dir= / --spill-dir): workers attach to the "
-                    "shard files by path"
-                )
-        if (
-            self.delta_spill
-            and self.backend == "sharded"
-            and self.spill_dir is None
-        ):
-            raise EngineError(
-                "delta_spill requires the out-of-core mode (pass "
-                "spill_dir= / --spill-dir): delta writes reuse spilled "
-                "shard files"
-            )
-        if (
-            self.backend == "sharded"
-            and self.max_resident_bytes is not None
-            and self.spill_dir is None
-        ):
-            raise EngineError(
-                "max_resident_bytes requires the out-of-core mode "
-                "(pass spill_dir= / --spill-dir) — or --engine auto, where it "
-                "is the planner's memory budget"
-            )
+            for endpoint in self.worker_endpoints:
+                parse_endpoint(endpoint)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -313,10 +243,9 @@ class EngineConfig:
     def from_options(cls, backend: str, **options: Any) -> "EngineConfig":
         """Build a config from a backend name plus constructor-style kwargs.
 
-        The compatibility shim behind the legacy ``resolve_engine(name,
-        **kwargs)`` calling convention; unknown option names raise a clear
-        :class:`EngineError` instead of a constructor ``TypeError`` (or
-        worse, being silently ignored by a permissive factory).
+        Engine constructors and templates validate through this; unknown
+        option names raise a clear :class:`EngineError` instead of a
+        constructor ``TypeError``.
         """
         field_names = {f.name for f in dataclasses.fields(cls)} - {"backend"}
         unknown = sorted(set(options) - field_names)
@@ -344,15 +273,13 @@ class EngineConfig:
         """Lift an ``argparse`` namespace into a validated config.
 
         Reads the CLI's engine flags (``--engine --shards --workers
-        --workers-mode --spill-dir --max-resident-bytes``); absent
-        attributes count as unset, so partial namespaces (tests, embedders)
-        work too.
+        --spill-dir --max-resident-bytes`` …); absent attributes count as
+        unset, so partial namespaces (tests, embedders) work too.
         """
         return cls(
             backend=getattr(args, "engine", None) or AUTO,
             shards=getattr(args, "shards", None),
             workers=getattr(args, "workers", None),
-            workers_mode=getattr(args, "workers_mode", None),
             spill_dir=getattr(args, "spill_dir", None),
             max_resident_bytes=getattr(args, "max_resident_bytes", None),
             mask_cache_size=getattr(args, "mask_cache_size", None),

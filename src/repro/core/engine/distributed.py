@@ -19,7 +19,7 @@ it are replaced by ``{"__nd__": [dtype, shape, offset, nbytes]}`` markers
 pointing into the raw binary tail, so mask windows cross the wire at
 byte cost, not base64 cost.  Only query *payloads* (mask windows, row
 ids) and per-shard partial results ever travel — the index words stay on
-the worker, mmap-warm, exactly like the process-pool path.
+the worker, mmap-warm.
 
 Worker commands: ``attach`` (open a spill dir by path), ``run_batch``
 (execute every shard op the coordinator placed on this worker, in order),
@@ -159,9 +159,14 @@ def recv_message(sock: socket.socket) -> Dict[str, Any]:
         raise WorkerDied(
             f"oversized frame ({header_len + tail_len} bytes) — corrupt stream?"
         )
-    header = json.loads(_recv_exact(sock, header_len).decode("utf-8"))
+    header = _recv_exact(sock, header_len)
     tail = memoryview(_recv_exact(sock, tail_len)) if tail_len else memoryview(b"")
-    return _decode_value(header, tail)
+    try:
+        return _decode_value(json.loads(header.decode("utf-8")), tail)
+    except (ValueError, TypeError) as exc:
+        # Undecodable UTF-8/JSON or a bad ``__nd__`` marker: the stream is
+        # corrupt, so drop the connection like an oversized frame.
+        raise WorkerDied(f"malformed frame: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -301,18 +306,23 @@ def _spawned_worker_main(listener: socket.socket) -> None:
 # ----------------------------------------------------------------------
 # coordinator side
 # ----------------------------------------------------------------------
-def _parse_endpoint(endpoint: str) -> Tuple[str, int]:
-    host, sep, port = endpoint.rpartition(":")
+def parse_endpoint(endpoint: str) -> Tuple[str, int]:
+    """Split a ``host:port`` worker address, or raise :class:`EngineError`.
+
+    The one parser behind both :meth:`EngineConfig.validate` and
+    :meth:`DistributedPool.connect`: the host must be non-empty and the
+    port an integer in 1–65535.
+    """
+    host, sep, port = endpoint.strip().rpartition(":")
     if not sep or not host:
         raise EngineError(
             f"worker endpoint {endpoint!r} is not of the form host:port"
         )
-    try:
-        return host, int(port)
-    except ValueError:
+    if not port.isdigit() or not 1 <= int(port) <= 65535:
         raise EngineError(
-            f"worker endpoint {endpoint!r} has a non-numeric port"
-        ) from None
+            f"worker endpoint {endpoint!r} needs a port in 1-65535"
+        )
+    return host, int(port)
 
 
 def _connect(address: Tuple[str, int]) -> socket.socket:
@@ -417,7 +427,7 @@ class DistributedPool:
 
         The parent binds each listening socket first (so the port is known
         without a handshake) and the forked child inherits it; requires a
-        ``fork`` platform, like the process-pool path.
+        ``fork`` platform.
         """
         workers = max(1, int(workers))
         context = multiprocessing.get_context("fork")
@@ -443,7 +453,7 @@ class DistributedPool:
     @classmethod
     def connect(cls, endpoints: Sequence[str]) -> "DistributedPool":
         """Connect to standing workers at ``host:port`` addresses."""
-        addresses = [_parse_endpoint(endpoint) for endpoint in endpoints]
+        addresses = [parse_endpoint(endpoint) for endpoint in endpoints]
         slots: List[_Worker] = []
         try:
             for address in addresses:

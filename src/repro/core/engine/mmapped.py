@@ -21,11 +21,11 @@ load/evict unit of an out-of-core index:
   small count vectors against the budget instead of the whole shard.
 
 Because the shard files are immutable and addressed by path, they are also
-the substrate for **process-pool fan-out**: a child process attaches to the
-spill directory by path (no pickling of word arrays) and runs the same
-per-shard kernels; :func:`run_shard_op` is the module-level entry point the
-pool executes.  Results reduce in deterministic shard order, so answers are
-bit-for-bit identical to the serial path.
+the substrate for **socket fan-out**: a shard worker process attaches to
+the spill directory by path (no word arrays cross the wire) and runs the
+same per-shard kernels; :func:`run_shard_op` is the module-level entry
+point a worker executes.  Results reduce in deterministic shard order, so
+answers are bit-for-bit identical to the serial path.
 
 Spill directory layout::
 
@@ -158,11 +158,11 @@ def _lex_searchsorted(unique: np.ndarray, key: Sequence[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# pure per-shard kernels (shared by serial, thread, and process paths);
-# the implementations now live in repro.core.engine.kernels — the python
-# tier keeps its old module-level names here, and apply_shard_op
-# dispatches through whichever Kernels tier the caller holds (defaulting
-# to the env-resolved tier in pool children).
+# pure per-shard kernels (shared by the serial and socket paths); the
+# implementations now live in repro.core.engine.kernels — the python tier
+# keeps its old module-level names here, and apply_shard_op dispatches
+# through whichever Kernels tier the caller holds (defaulting to the
+# env-resolved tier in shard workers).
 # ----------------------------------------------------------------------
 and_rows = _py_and_rows
 and_family = _py_and_family
@@ -572,7 +572,8 @@ class MmapShardStore:
     to one resident entry instead of failing) and is counted in
     ``over_budget_loads``.
 
-    Thread-safe: the thread-pool fan-out path loads shards concurrently.
+    Thread-safe: concurrent queries on one engine load shards from several
+    threads.
     Use :meth:`MmapShardStore.open` to attach to an existing directory;
     :class:`ShardStoreWriter` builds new ones.
     """
@@ -822,7 +823,7 @@ class MmapShardStore:
                 self._resident.move_to_end(key)
                 return entry.array
             meta = self._manifest["shards"][shard_id]
-        # The disk opens run outside the lock so pool threads load shards
+        # The disk opens run outside the lock so query threads load shards
         # concurrently; only the LRU bookkeeping below serializes.
         if component == "words":
             array = self._open_array(
@@ -1004,21 +1005,21 @@ def load_spill_dataset(directory):
 
 
 # ----------------------------------------------------------------------
-# process-pool fan-out
+# shard-worker fan-out
 # ----------------------------------------------------------------------
-#: Per-process cache of attached stores, keyed by spill path.  Children
+#: Per-process cache of attached stores, keyed by spill path.  Workers
 #: attach by path — no word arrays ever cross the process boundary.
 _WORKER_STORES: Dict[str, MmapShardStore] = {}
 
 
 def worker_attach(path: str, max_resident_bytes: Optional[int] = None) -> None:
-    """Pool initializer: open the spill directory once per child process.
+    """Open the spill directory once per shard-worker process.
 
-    The resident budget applies per process — each child streams its shards
-    under its own ``max_resident_bytes`` ceiling.  A cached store that was
-    closed, whose directory was replaced, or that was opened under a
-    different budget (e.g. inherited across ``fork`` from an in-process
-    fallback attach) is re-opened rather than served stale.
+    The resident budget applies per process — each worker streams its
+    shards under its own ``max_resident_bytes`` ceiling.  A cached store
+    that was closed, whose directory was replaced, or that was opened under
+    a different budget (e.g. inherited across ``fork`` from an in-process
+    attach) is re-opened rather than served stale.
     """
     existing = _WORKER_STORES.get(path)
     if (
@@ -1065,10 +1066,10 @@ def apply_shard_op(
 ):
     """Dispatch one per-shard kernel over the shard's loaded arrays.
 
-    The single dispatch shared by the serial, thread-pool, and
-    process-pool paths, so the three evaluation modes cannot diverge.
-    ``kernels`` selects the tier (the engine passes its own; pool children
-    default to the env-resolved tier — both tiers are bit-identical).
+    The single dispatch shared by the serial and socket paths, so the two
+    evaluation modes cannot diverge.  ``kernels`` selects the tier (the
+    engine passes its own; shard workers default to the env-resolved tier
+    — both tiers are bit-identical).
     Ops:
 
     * ``"count"`` — payload = mask window → weighted count (int);
@@ -1095,21 +1096,20 @@ def apply_shard_op(
 
 
 def run_shard_op(args: ShardOp):
-    """Execute one per-shard kernel in a pool worker (or in-process).
+    """Execute one per-shard kernel in a shard worker (or in-process).
 
     ``args`` is ``(spill_path, shard_id, op, payload)``; the index words are
     read from the attached store, so only mask windows and row ids are ever
-    pickled.  Pool workers are attached by the :func:`worker_attach`
-    initializer, which carries the engine's per-process resident budget;
-    the lazy attach below is a fallback for in-process callers and opens
-    the store with an unlimited budget.  Ops are dispatched through
-    :func:`apply_shard_op`.
+    shipped.  Shard workers attach through :func:`worker_attach`, which
+    carries the engine's per-process resident budget; the lazy attach below
+    is a fallback for in-process callers and opens the store with an
+    unlimited budget.  Ops are dispatched through :func:`apply_shard_op`.
     """
     path, shard_id, op, payload = args
     store = _WORKER_STORES.get(path)
     if store is None or store.closed:
-        # Unlike the initializer, the fallback states no budget intent, so
-        # it must not clobber a pool-attached store's configured budget.
+        # Unlike worker_attach, the fallback states no budget intent, so it
+        # must not clobber an attached store's configured budget.
         store = _WORKER_STORES[path] = MmapShardStore.open(path)
     # Load only the component the kernel reads: count ops touch the small
     # multiplicity vectors, word ops the membership block — never both.

@@ -1,8 +1,8 @@
 """Packed-bitset coverage engine (Appendix A on ``uint64`` words).
 
-One :class:`~repro.data.bitset.BitVector` per attribute value over the
-unique value combinations; masks are ``BitVector`` handles.  An AND moves
-one word per 64 combinations (8× less traffic than the dense baseline) and
+One row of ``uint64`` words per attribute value over the unique value
+combinations; masks are plain ``uint64`` word arrays.  An AND moves one
+word per 64 combinations (8× less traffic than the dense baseline) and
 coverage is a word-level popcount — weighted by the multiplicity vector
 when the dataset has duplicate rows, a pure ``popcount`` when it does not.
 
@@ -22,10 +22,19 @@ from repro.core.engine.base import (
     CoverageEngine,
     register_engine,
 )
-from repro.data.bitset import BitVector
 from repro.data.dataset import Dataset
 
 _WORD_BITS = 64
+
+
+def full_words(length: int) -> np.ndarray:
+    """``uint64`` words with the first ``length`` bits set, tail bits clear."""
+    words = np.full(
+        -(-length // _WORD_BITS), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64
+    )
+    if length % _WORD_BITS:
+        words[-1] = np.uint64((1 << (length % _WORD_BITS)) - 1)
+    return words
 
 
 @register_engine
@@ -45,51 +54,32 @@ class PackedBitsetEngine(CoverageEngine):
         )
         unique = self._unique
         u = len(unique)
-        # _vectors[i][v] is the BitVector over unique rows with value v on
-        # attribute i; _words[i] stacks the same bits as a (c_i, W) matrix
-        # for the batched kernels.
-        self._vectors: List[List[BitVector]] = []
+        self._full_words = full_words(u)
+        word_count = len(self._full_words)
+        # _words[i] is attribute i's (c_i, W) matrix: row v holds the bits
+        # of the unique rows with value v, packed little-endian.
         self._words: List[np.ndarray] = []
         for i, cardinality in enumerate(dataset.cardinalities):
-            column = unique[:, i] if u else np.zeros(0, dtype=np.int32)
-            words = np.stack(
-                [
-                    BitVector.from_bool_array(column == value).words
-                    for value in range(cardinality)
-                ]
-            )
-            # The stacked matrix is the only copy of the index; the
-            # BitVector handles wrap its rows without copying.
+            words = np.zeros((cardinality, word_count), dtype=np.uint64)
+            if u:
+                column = unique[:, i]
+                row_bytes = words.view(np.uint8)
+                for value in range(cardinality):
+                    packed = np.packbits(column == value, bitorder="little")
+                    row_bytes[value, : len(packed)] = packed
             self._words.append(words)
-            self._vectors.append(
-                [BitVector.from_words(u, words[value]) for value in range(cardinality)]
-            )
-        word_count = self._words[0].shape[1] if self._words else 0
         # Multiplicities padded to the word boundary; padding bits of any
         # mask are zero, so a plain dot gives the weighted count.
         self._counts_padded = np.zeros(word_count * _WORD_BITS, dtype=np.int64)
         self._counts_padded[:u] = self._counts
         # With no duplicate rows every weight is 1 and coverage is a pure
         # popcount — the fast path production data with unique keys hits.
-        self._uniform = bool(u == 0 or self._counts.max(initial=1) == 1)
-
-    # ------------------------------------------------------------------
-    # counting kernels
-    # ------------------------------------------------------------------
-    def _count_word_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Weighted count of each row of a ``(k, W)`` word matrix."""
-        return self._kernels.count_rows(
-            matrix, None if self._uniform else self._counts_padded
-        )
+        uniform = u == 0 or self._counts.max(initial=1) == 1
+        self._weights = None if uniform else self._counts_padded
 
     # ------------------------------------------------------------------
     # packed-representation accessors (the sharded engine builds on these)
     # ------------------------------------------------------------------
-    @property
-    def is_uniform(self) -> bool:
-        """True when every multiplicity is 1 (coverage = pure popcount)."""
-        return self._uniform
-
     @property
     def counts_padded(self) -> np.ndarray:
         """Multiplicities padded to the word boundary (do not mutate)."""
@@ -107,37 +97,35 @@ class PackedBitsetEngine(CoverageEngine):
     def index_nbytes(self) -> int:
         return sum(words.nbytes for words in self._words)
 
-    def full_mask(self) -> BitVector:
-        return BitVector(self.unique_count, fill=True)
+    def full_mask(self) -> np.ndarray:
+        return self._full_words.copy()
 
-    def value_mask(self, attribute: int, value: int) -> BitVector:
-        return self._vectors[attribute][value]
+    def value_mask(self, attribute: int, value: int) -> np.ndarray:
+        return self._words[attribute][value]
 
-    def restrict(self, mask: BitVector, attribute: int, value: int) -> BitVector:
-        return mask & self._vectors[attribute][value]
+    def restrict(self, mask: np.ndarray, attribute: int, value: int) -> np.ndarray:
+        return np.bitwise_and(mask, self._words[attribute][value])
 
-    def restrict_children(self, mask: BitVector, attribute: int) -> List[BitVector]:
-        family = self._kernels.and_family(mask.words, self._words[attribute])
-        u = self.unique_count
-        return [BitVector.from_words(u, row) for row in family]
+    def restrict_children(self, mask: np.ndarray, attribute: int) -> List[np.ndarray]:
+        return list(self._kernels.and_family(mask, self._words[attribute]))
 
-    def count(self, mask: BitVector) -> int:
-        return self._kernels.count(
-            mask.words, None if self._uniform else self._counts_padded
-        )
+    def count(self, mask: np.ndarray) -> int:
+        return self._kernels.count(mask, self._weights)
 
-    def count_many(self, masks: Sequence[BitVector]) -> np.ndarray:
+    def count_many(self, masks: Sequence[np.ndarray]) -> np.ndarray:
         if not len(masks):
             return np.zeros(0, dtype=np.int64)
-        matrix = np.stack([mask.words for mask in masks])
-        return self._count_word_matrix(matrix)
+        return self._kernels.count_rows(np.stack(masks), self._weights)
 
-    def mask_to_bool(self, mask: BitVector) -> np.ndarray:
-        return mask.to_bool_array()
+    def mask_to_bool(self, mask: np.ndarray) -> np.ndarray:
+        bits = np.unpackbits(
+            np.ascontiguousarray(mask).view(np.uint8), bitorder="little"
+        )
+        return bits[: self.unique_count].astype(bool)
 
-    def _compute_match_mask(self, pattern) -> BitVector:
+    def _compute_match_mask(self, pattern) -> np.ndarray:
         # Override the generic chain to AND in place over one buffer.
         mask = self.full_mask()
         for index in pattern.deterministic_indices():
-            mask.iand(self._vectors[index][pattern[index]])
+            np.bitwise_and(mask, self._words[index][pattern[index]], out=mask)
         return mask

@@ -24,26 +24,24 @@ dense index ≤ 256 KiB     ``dense`` — unpacked bools beat packing overhead
 sparse value domain       ``compressed`` — chunked containers, when the
                           index density sits under the sparsity cutoff and
                           the calibrated cost model favours them
-≤ single-index ceiling    ``packed`` — 8× smaller index, word-level popcount
-≤ memory budget           ``sharded`` — bounded per-kernel working sets,
-                          thread fan-out once the index is worth splitting
-> memory budget           ``sharded`` out-of-core — spill + mmap streaming
-                          under ``max_resident_bytes`` = the budget
+≤ memory budget           ``packed`` — 8× smaller index, word-level popcount
+> memory budget           ``sharded`` — spill + mmap streaming under
+                          ``max_resident_bytes`` = the budget; socket
+                          workers once the index dwarfs the budget
 ========================  =====================================================
 
-The packed → sharded boundary is no longer a bare byte constant: it is
-derived from a calibrated cost model (measured fused-kernel scan
-throughput × a per-query latency target), and the packed → compressed
-decision compares the two representations' projected scan work — bytes ×
-relative per-byte cost — instead of adding another hard ceiling.
+The packed → compressed decision compares the two representations'
+projected scan work — bytes × relative per-byte cost — against a
+calibrated single-index ceiling (measured fused-kernel scan throughput ×
+a per-query latency target) instead of adding another hard byte ceiling.
 
 Explicitly requested knobs are **constraints, not suggestions**: ``shards``
-/ ``workers`` / ``workers_mode`` force at least the sharded backend,
-``spill_dir`` forces the out-of-core mode, ``array_cutoff`` /
-``run_cutoff`` force the compressed backend, and ``max_resident_bytes``
-(on ``backend="auto"``) sets the memory budget the escalation compares
-against.  Plans are deterministic functions of ``(stats, requested
-config)``, which the property suite pins.
+/ ``workers`` / ``spill_dir`` / ``worker_endpoints`` / ``delta_spill``
+force the sharded backend, ``array_cutoff`` / ``run_cutoff`` force the
+compressed backend, and ``max_resident_bytes`` (on ``backend="auto"``)
+sets the memory budget the escalation compares against.  Plans are
+deterministic functions of ``(stats, requested config)``, which the
+property suite pins.
 
 Every future backend (network shard placement, incremental spill reuse)
 slots in behind this single decision point.
@@ -53,7 +51,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -62,7 +59,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro.core.engine.compressed import CHUNK_BITS, DEFAULT_ARRAY_CUTOFF
 from repro.core.engine.config import AUTO, EngineConfig
 from repro.core.engine.kernels import resolve_kernel_tier
-from repro.core.engine.sharded import DEFAULT_SHARDS
+from repro.core.engine.sharded import DEFAULT_SHARDS, _default_spill_root
 from repro.data.dataset import Dataset
 from repro.exceptions import EngineError
 
@@ -84,16 +81,14 @@ HIERARCHY_DENSE_MULTIPLE = 16
 #: set conservatively so slower machines still escalate in time.
 PACKED_SCAN_BYTES_PER_SECOND = 4 << 30
 
-#: Per-query latency target one flat index scan should stay under before
-#: sharding pays for its bounded per-kernel working sets.
+#: Per-query latency target one flat index scan should stay under.
 SINGLE_INDEX_TARGET_SECONDS = 0.008
 
-#: Keep a single packed index while one scan of it meets the latency
-#: target.  (Previously a hard-coded 32 MiB byte ceiling; now derived
-#: from the calibrated cost model above — same operating point, but the
-#: knobs are measurable quantities.)  This is the point-shape / python-tier
-#: operating point; :func:`_single_index_ceiling` scales it by the query
-#: shape and the active kernel tier.
+#: Largest index one flat scan covers within the latency target — the
+#: ceiling a compressed index must fit to stand in for packed.  This is
+#: the point-shape / python-tier operating point;
+#: :func:`_single_index_ceiling` scales it by the query shape and the
+#: active kernel tier.
 PACKED_MAX_INDEX_BYTES = int(
     PACKED_SCAN_BYTES_PER_SECOND * SINGLE_INDEX_TARGET_SECONDS
 )
@@ -120,7 +115,7 @@ JIT_SCAN_SPEEDUP = 4.0
 
 #: Latency target for one scan serving a *batch* of queries: a level
 #: sweep answers a whole frontier per scan, so per-scan latency may relax
-#: by the typical frontier amortization before sharding pays off.
+#: by the typical frontier amortization.
 BATCH_LATENCY_TARGET_SECONDS = SINGLE_INDEX_TARGET_SECONDS * 4
 
 #: Latency target for one scan in the amortized threshold-sweep mode: on
@@ -147,9 +142,9 @@ def _single_index_ceiling(query_shape: str, kernel_tier: str) -> int:
     """Largest packed index one flat scan may cover, per shape x tier.
 
     The point-shape / python-tier corner equals
-    :data:`PACKED_MAX_INDEX_BYTES`, so the pre-shape escalation boundaries
-    are unchanged there; jit kernels, batch amortization, and sweep
-    cross-threshold amortization each raise the ceiling multiplicatively.
+    :data:`PACKED_MAX_INDEX_BYTES`; jit kernels, batch amortization, and
+    sweep cross-threshold amortization each raise the ceiling
+    multiplicatively.
     """
     target = _SHAPE_LATENCY_TARGETS[query_shape]
     throughput = PACKED_SCAN_BYTES_PER_SECOND * (
@@ -172,16 +167,13 @@ SPARSE_INDEX_DENSITY = 1 / 32
 #: Target bytes per shard when the planner sizes a sharded index.
 SHARD_TARGET_BYTES = 8 << 20
 
-#: Fan kernels out over workers only once the index amortizes the pool.
-WORKER_MIN_INDEX_BYTES = 64 << 20
-
 #: Planner shard/worker ceilings (requested values are never clamped).
 MAX_PLANNED_SHARDS = 1024
 MAX_PLANNED_WORKERS = 8
 
 #: Socket fan-out rung: once the projected shard bytes exceed this many
-#: times the single-host memory budget, one host's process pool is
-#: assumed saturated and the plan escalates to distributed socket workers.
+#: times the single-host memory budget, serial streaming is assumed
+#: saturated and the plan fans shards out to socket workers.
 SOCKET_BUDGET_MULTIPLE = 4
 
 #: Fraction of available memory the planner budgets for one index.
@@ -189,23 +181,6 @@ MEMORY_BUDGET_FRACTION = 0.5
 
 #: Memory assumed when the platform exposes no measurement at all.
 FALLBACK_MEMORY_BYTES = 4 << 30
-
-
-def _default_spill_root() -> str:
-    """Disk-backed default spill root for planner-chosen out-of-core runs.
-
-    ``tempfile.gettempdir()`` honors ``$TMPDIR`` (explicit user intent),
-    but its ``/tmp`` fallback is a RAM-backed tmpfs on many Linux systems
-    — the worst place to spill an index that, by definition, exceeds the
-    memory budget — so ``/var/tmp`` (persistent and disk-backed per the
-    FHS) is preferred when writable.
-    """
-    if os.environ.get("TMPDIR"):
-        return tempfile.gettempdir()
-    var_tmp = "/var/tmp"
-    if os.path.isdir(var_tmp) and os.access(var_tmp, os.W_OK):
-        return var_tmp
-    return tempfile.gettempdir()
 
 
 def _probe_available_memory() -> int:
@@ -558,9 +533,9 @@ def plan_engine(
             ``"batch"``), usually inferred from the calling algorithm
             (:func:`repro.core.mups.base.algorithm_query_shape`).  Batch
             shapes relax the single-index latency ceiling, so the same
-            dataset may plan packed for an apriori level sweep where a
-            DeepDiver point stream plans sharded.  ``None`` keeps the
-            snapshot's shape (``"point"`` by default).
+            sparse dataset may plan compressed for an apriori level sweep
+            where a DeepDiver point stream plans packed.  ``None`` keeps
+            the snapshot's shape (``"point"`` by default).
 
     Returns:
         An :class:`EnginePlan` whose ``config`` is concrete and valid.
@@ -629,15 +604,14 @@ def plan_engine(
         f"{stats.kernel_tier} kernels -> single-index ceiling "
         f"{_fmt_bytes(ceiling)}"
     )
-    forced_out_of_core = (
-        requested.spill_dir is not None
-        or requested.workers_mode in ("process", "socket")
-        or requested.worker_endpoints is not None
-        or bool(requested.delta_spill)
-    )
-    forced_sharded = forced_out_of_core or any(
+    forced_sharded = bool(requested.delta_spill) or any(
         value is not None
-        for value in (requested.shards, requested.workers, requested.workers_mode)
+        for value in (
+            requested.shards,
+            requested.workers,
+            requested.spill_dir,
+            requested.worker_endpoints,
+        )
     )
     forced_compressed = any(
         value is not None
@@ -650,9 +624,8 @@ def plan_engine(
     compressed_wins = (
         compressed_bytes * COMPRESSED_SCAN_COST_RATIO < packed_bytes
     )
-    # Compressed can also stand in for a *single* flat index where packed
-    # would have to shard: its cost-scaled scan must meet the same
-    # latency-target ceiling the packed index is held to.
+    # Compressed stands in for the single flat packed index only when its
+    # cost-scaled scan meets the latency-target ceiling.
     compressed_single_index = (
         sparse_domain
         and compressed_wins
@@ -682,10 +655,9 @@ def plan_engine(
         )
         return EnginePlan(config=config, stats=stats, rationale=tuple(rationale))
 
-    if packed_bytes > budget or forced_out_of_core:
+    if packed_bytes > budget or forced_sharded:
         if (
-            not forced_out_of_core
-            and not forced_sharded
+            not forced_sharded
             and sparse_domain
             and compressed_wins
             and compressed_bytes <= budget
@@ -718,9 +690,9 @@ def plan_engine(
             max_resident: Optional[int] = budget
         else:
             rationale.append(
-                "out-of-core mode requested explicitly (spill_dir / "
-                "workers_mode='process'/'socket' / worker_endpoints / "
-                "delta_spill) -> sharded with spill"
+                "sharded backend requested explicitly (shards / workers / "
+                "spill_dir / worker_endpoints / delta_spill) -> out-of-core "
+                "sharded"
             )
             max_resident = requested.max_resident_bytes
         spill_dir = requested.spill_dir
@@ -736,61 +708,18 @@ def plan_engine(
         shards = _plan_shards(
             requested, stats, packed_bytes, SHARD_TARGET_BYTES, rationale
         )
-        workers = _plan_workers(requested, stats, packed_bytes, shards, rationale)
-        workers_mode = requested.workers_mode
-        if (
-            workers_mode is None
-            and workers is not None
-            and workers >= 2
-            and packed_bytes > budget * SOCKET_BUDGET_MULTIPLE
-        ):
-            # The rung above the process pool: when the shard bytes dwarf
-            # what one host's budget can stream, place shards on dedicated
-            # socket workers (spawn-local here; point worker_endpoints at
-            # other hosts to actually leave the box).
-            workers_mode = "socket"
-            rationale.append(
-                f"projected shard bytes {_fmt_bytes(packed_bytes)} exceed "
-                f"{SOCKET_BUDGET_MULTIPLE}x the single-host budget "
-                f"{_fmt_bytes(budget)} -> socket fan-out (distributed "
-                f"workers; spawn-local without worker_endpoints)"
-            )
         config = EngineConfig(
             backend="sharded",
             shards=shards,
-            workers=workers,
-            workers_mode=workers_mode,
+            workers=_plan_workers(
+                requested, stats, packed_bytes, shards, rationale
+            ),
             spill_dir=spill_dir,
             max_resident_bytes=max_resident,
             mask_cache_size=requested.mask_cache_size,
             kernel_tier=requested.kernel_tier,
             worker_endpoints=requested.worker_endpoints,
             delta_spill=requested.delta_spill,
-        )
-    elif forced_sharded or (
-        packed_bytes > ceiling and not compressed_single_index
-    ):
-        if forced_sharded:
-            rationale.append(
-                "sharded backend forced by explicit shards/workers request"
-            )
-        else:
-            rationale.append(
-                f"projected packed index {_fmt_bytes(packed_bytes)} exceeds "
-                f"the single-index ceiling {_fmt_bytes(ceiling)} "
-                f"-> sharded (bounded per-kernel working sets)"
-            )
-        shards = _plan_shards(
-            requested, stats, packed_bytes, SHARD_TARGET_BYTES, rationale
-        )
-        workers = _plan_workers(requested, stats, packed_bytes, shards, rationale)
-        config = EngineConfig(
-            backend="sharded",
-            shards=shards,
-            workers=workers,
-            workers_mode=requested.workers_mode,
-            mask_cache_size=requested.mask_cache_size,
-            kernel_tier=requested.kernel_tier,
         )
     elif stats.projected_dense_bytes <= DENSE_MAX_INDEX_BYTES * (
         HIERARCHY_DENSE_MULTIPLE if stats.query_shape == "hierarchy" else 1
@@ -831,9 +760,9 @@ def plan_engine(
         )
     else:
         rationale.append(
-            f"projected packed index {_fmt_bytes(packed_bytes)} fits one "
-            f"index (ceiling {_fmt_bytes(ceiling)}) -> packed "
-            f"(8x smaller than dense, word-level popcount)"
+            f"projected packed index {_fmt_bytes(packed_bytes)} fits the "
+            f"memory budget {_fmt_bytes(budget)} -> packed (8x smaller than "
+            f"dense, word-level popcount)"
         )
         config = EngineConfig(
             backend="packed",
@@ -872,20 +801,32 @@ def _plan_workers(
     shards: int,
     rationale: list,
 ) -> Optional[int]:
-    """Worker-pool size: the caller's, or cores-based once the index pays."""
-    if requested.workers is not None:
-        rationale.append(f"worker pool {requested.workers} requested explicitly")
+    """Spawn-local socket workers: the caller's count, or cores-based once
+    the index dwarfs the memory budget (:data:`SOCKET_BUDGET_MULTIPLE`)."""
+    if requested.worker_endpoints is not None:
+        rationale.append(
+            f"socket fan-out to {len(requested.worker_endpoints)} standing "
+            f"worker(s) at worker_endpoints"
+        )
         return requested.workers
-    if stats.cpu_count >= 2 and packed_bytes >= WORKER_MIN_INDEX_BYTES:
-        workers = min(stats.cpu_count, shards, MAX_PLANNED_WORKERS)
-        if workers >= 2:
-            rationale.append(
-                f"{workers} worker(s): {stats.cpu_count} cores and a "
-                f"{_fmt_bytes(packed_bytes)} index amortize the pool"
-            )
-            return workers
+    if requested.workers is not None:
+        rationale.append(
+            f"{requested.workers} spawn-local socket worker(s) requested "
+            f"explicitly"
+        )
+        return requested.workers
+    budget = stats.memory_budget_bytes
+    workers = min(stats.cpu_count, shards, MAX_PLANNED_WORKERS)
+    if workers >= 2 and packed_bytes > budget * SOCKET_BUDGET_MULTIPLE:
+        rationale.append(
+            f"projected shard bytes {_fmt_bytes(packed_bytes)} exceed "
+            f"{SOCKET_BUDGET_MULTIPLE}x the single-host budget "
+            f"{_fmt_bytes(budget)} -> {workers} spawn-local socket workers "
+            f"(pass worker_endpoints to use other hosts)"
+        )
+        return workers
     rationale.append(
-        "serial shard evaluation (single core or index too small to "
-        "amortize a pool)"
+        "serial shard evaluation (single core, or an index that does not "
+        "dwarf the memory budget)"
     )
     return None

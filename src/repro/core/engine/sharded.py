@@ -1,4 +1,4 @@
-"""Sharded coverage engine (the packed index partitioned K ways).
+"""Sharded coverage engine (the packed index partitioned K ways, spilled).
 
 The dataset's rows are split into K shards by partitioning the sorted
 unique-combination space into contiguous slices: shard ``j`` owns every
@@ -8,29 +8,21 @@ duplicate rows) in exactly one shard — the shard multiplicity vectors
 concatenate to the global one and no work is replicated across shards.
 
 Each shard is indexed by an inner
-:class:`~repro.core.engine.packed.PackedBitsetEngine`; the shard word
-blocks are laid out side by side in one flat ``uint64`` word space, so a
-mask is a single word array in which shard ``j`` owns a contiguous,
-word-aligned slice.  The engine runs in one of two storage modes:
+:class:`~repro.core.engine.packed.PackedBitsetEngine` whose word block is
+serialized to a spill directory as it is built (a fresh subdirectory of
+``spill_dir=``, or of the default spill root) and queried through an
+:class:`~repro.core.engine.mmapped.MmapShardStore` — ``np.memmap``-backed
+shard slices behind a byte-budgeted LRU loader (``max_resident_bytes=``),
+so coverage queries stream over an index the hardware cannot hold at
+once.  A mask is one flat ``uint64`` word array in which shard ``j`` owns
+a contiguous, word-aligned slice; masks stay resident (one bit per unique
+combination), only the index words and multiplicity vectors spill.
 
-* **in-memory** (default): the flat index is resident.  Serial queries run
-  the fused packed kernels over the whole flat array — one ``bitwise_and``
-  / popcount per query family — and with ``workers=`` the same kernels run
-  per shard slice on a thread pool (numpy releases the GIL inside the
-  bitwise/popcount loops), reduced in shard order.
-* **out-of-core** (``spill_dir=``): shard word blocks are serialized to a
-  spill directory as they are built and queried through an
-  :class:`~repro.core.engine.mmapped.MmapShardStore` — ``np.memmap``-backed
-  shard slices behind a byte-budgeted LRU loader (``max_resident_bytes=``),
-  so coverage queries stream over an index the hardware cannot hold at
-  once.  Masks stay resident (one bit per unique combination); only the
-  index words and multiplicity vectors spill.  Because the shard files are
-  immutable and addressed by path, ``workers_mode="process"`` fans the
-  per-shard kernels out over a ``ProcessPoolExecutor`` whose children
-  attach to the mmap files by path (no pickling of word arrays), falling
-  back to threads on platforms without ``fork``.  Results reduce in
-  deterministic shard order in every mode, so answers are bit-for-bit
-  identical.
+Per-shard kernels run serially, or on socket shard workers
+(:mod:`repro.core.engine.distributed`) that attach to the spill files by
+path: standing ``worker_endpoints=``, or ``workers >= 2`` spawn-local
+workers on platforms with ``fork``.  Results reduce in deterministic shard
+order either way, so answers are bit-for-bit identical.
 
 Use :meth:`ShardedEngine.attach` to re-open an existing spill directory
 from its manifest (e.g. after a crash) without re-serializing the index.
@@ -44,9 +36,8 @@ import shutil
 import sys
 import tempfile
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,38 +46,42 @@ from repro.core.engine.base import (
     CoverageEngine,
     register_engine,
 )
+from repro.core.engine.config import EngineConfig
 from repro.core.engine.mmapped import (
     COUNT_ONLY_OPS,
     MmapShardStore,
     ShardStoreWriter,
     apply_shard_op,
-    run_shard_op,
     shard_slice_fingerprint,
-    worker_attach,
 )
-from repro.core.engine.packed import PackedBitsetEngine
-from repro.data.bitset import BitVector
+from repro.core.engine.packed import PackedBitsetEngine, full_words
 from repro.data.dataset import Dataset
 from repro.exceptions import EngineError
 
 #: Default number of shards when none is requested.
 DEFAULT_SHARDS = 4
 
-#: Worker fan-out modes for ``workers=``.  ``"socket"`` fans per-shard ops
-#: out to long-lived worker processes over the length-prefixed socket
-#: protocol in :mod:`repro.core.engine.distributed` — spawn-local workers
-#: by default, remote ``host:port`` endpoints via ``worker_endpoints=``.
-WORKERS_MODES = ("thread", "process", "socket")
-
-#: Default fan-out mode (threads work in every storage mode).
-DEFAULT_WORKERS_MODE = "thread"
-
 _WORD_BITS = 64
-
-_T = TypeVar("_T")
 
 #: A sharded mask: one flat ``uint64`` word array over all shard slices.
 ShardedMask = np.ndarray
+
+
+def _default_spill_root() -> str:
+    """Disk-backed spill root for engines built without ``spill_dir``.
+
+    ``tempfile.gettempdir()`` honors ``$TMPDIR`` (explicit user intent),
+    but its ``/tmp`` fallback is a RAM-backed tmpfs on many Linux systems
+    — the worst place to spill an index that may exceed the memory budget
+    — so ``/var/tmp`` (persistent and disk-backed per the FHS) is
+    preferred when writable.
+    """
+    if os.environ.get("TMPDIR"):
+        return tempfile.gettempdir()
+    var_tmp = "/var/tmp"
+    if os.path.isdir(var_tmp) and os.access(var_tmp, os.W_OK):
+        return var_tmp
+    return tempfile.gettempdir()
 
 
 def _dataset_meta(dataset: Dataset, unique_total: int) -> Dict[str, Any]:
@@ -119,7 +114,10 @@ def _build_shard_block(
     The per-shard serialization unit shared by the engine's spill builder
     and :meth:`ShardStoreWriter.delta_write` (which rebuilds only dirty
     shards): returns ``(words block, padded multiplicities, row count)``
-    for the unique-combination slice ``[unique_start, unique_stop)``.
+    for the unique-combination slice ``[unique_start, unique_stop)``.  The
+    shard's unique rows are, by construction, exactly the global slice, so
+    the shard dataset is primed with it and the inner engine skips its own
+    re-sort.
     """
     if inverse is None:
         inverse = dataset.unique_inverse()
@@ -133,20 +131,19 @@ def _build_shard_block(
     inner = PackedBitsetEngine(
         shard_dataset, mask_cache_size=0, kernel_tier=kernel_tier
     )
-    words = inner.full_mask().words
     if dataset.d:
         block = np.vstack([inner.word_matrix(a) for a in range(dataset.d)])
     else:
-        block = np.zeros((0, len(words)), dtype=np.uint64)
+        block = np.zeros((0, len(inner.full_mask())), dtype=np.uint64)
     return block, inner.counts_padded, len(row_indices)
 
 
 def _fork_available() -> bool:
-    """Whether this platform can safely fork pool workers.
+    """Whether this platform can safely fork spawn-local workers.
 
     Linux only: macOS lists ``fork`` but forking a multithreaded parent is
     documented-unsafe there (CoreFoundation state can crash or hang the
-    children), so it takes the thread fallback along with the platforms
+    children), so it evaluates shards serially along with the platforms
     that have no ``fork`` at all.
     """
     return sys.platform.startswith("linux") and (
@@ -180,35 +177,28 @@ class ShardInfo:
 
 @register_engine
 class ShardedEngine(CoverageEngine):
-    """Coverage queries over K row-shards of packed membership vectors.
+    """Coverage queries over K spilled row-shards of packed membership vectors.
 
     Args:
         dataset: the dataset to index.
         shards: requested shard count; clamped to the number of distinct
             value combinations (an empty dataset keeps one empty shard) so
             over-sharding degrades gracefully instead of crashing.
-        workers: fan the per-shard kernels out over a pool of this size;
-            ``None`` (default) runs the fused serial kernels.  Results are
-            identical either way — shard answers are reduced in shard order.
-        workers_mode: ``"thread"`` (default) runs fan-out on a thread pool;
-            ``"process"`` runs it on a process pool whose children attach
-            to the spill files by path (requires ``spill_dir=``; falls back
-            to threads on platforms without ``fork``); ``"socket"`` runs it
-            on long-lived worker processes speaking the socket protocol —
-            spawn-local by default, or the ``worker_endpoints=`` hosts —
-            with sticky shard placement and retry-with-reattach (requires
-            ``spill_dir=``).
+        workers: spawn this many local socket workers for shard fan-out
+            (``>= 2``, on platforms with ``fork``); ``None`` (default) runs
+            the per-shard kernels serially.  Results are identical either
+            way — shard answers are reduced in shard order.
         mask_cache_size: capacity of the hot-mask LRU cache layered over
             ``match_mask`` (see :class:`CoverageEngine`).
-        spill_dir: enable the out-of-core mode — shard blocks are
-            serialized into a fresh unique subdirectory of this root (owned
-            by the engine and deleted on :meth:`close` / garbage
-            collection) and queried via ``np.memmap``.
+        spill_dir: root under which the shard blocks are serialized, into
+            a fresh unique subdirectory owned by the engine and deleted on
+            :meth:`close` / garbage collection; ``None`` spills under the
+            default spill root.
         max_resident_bytes: byte budget for resident (mmap-opened) shard
-            slices in the out-of-core mode; ``None`` means unlimited.
+            slices; ``None`` means unlimited.
         worker_endpoints: ``"host:port"`` addresses of running
-            ``repro-coverage worker`` processes (``workers_mode="socket"``
-            only); absent, the engine spawns ``workers`` local workers.
+            ``repro-coverage worker`` processes to fan the shards out to
+            instead of spawning local workers.
         delta_spill: let rebuilds over an appended dataset reuse this
             engine's spill directory via
             :meth:`ShardStoreWriter.delta_write` (consulted by
@@ -225,7 +215,6 @@ class ShardedEngine(CoverageEngine):
         mask_cache_size: int = DEFAULT_MASK_CACHE,
         spill_dir: Optional[str] = None,
         max_resident_bytes: Optional[int] = None,
-        workers_mode: str = DEFAULT_WORKERS_MODE,
         kernel_tier: str = None,
         worker_endpoints: Optional[Sequence[str]] = None,
         delta_spill: bool = False,
@@ -242,40 +231,22 @@ class ShardedEngine(CoverageEngine):
         if worker_endpoints is not None:
             worker_endpoints = tuple(str(e) for e in worker_endpoints)
         # One validator holds every cross-field rule (EngineConfig.validate)
-        # so constructor callers and config callers cannot drift; an adopted
-        # store stands in for spill_dir, making attach() pass the same
-        # out-of-core checks.  Imported lazily — the config module imports
-        # this one for its constants.
-        from repro.core.engine.config import EngineConfig
-
+        # so constructor callers and config callers cannot drift.
         EngineConfig.from_options(
             "sharded",
             shards=shards,
             workers=workers,
-            workers_mode=workers_mode,
-            spill_dir=(
-                spill_dir
-                if spill_dir is not None
-                else (
-                    os.fspath(_attach_store.path)
-                    if _attach_store is not None
-                    else None
-                )
-            ),
+            spill_dir=spill_dir,
             max_resident_bytes=max_resident_bytes,
             kernel_tier=kernel_tier,
             worker_endpoints=worker_endpoints,
             delta_spill=delta_spill or None,
         )
-        out_of_core = spill_dir is not None or _attach_store is not None
         self._requested_shards = shards
         self._workers = workers
-        self._workers_mode = workers_mode
         self._worker_endpoints = worker_endpoints
         self._delta_spill = bool(delta_spill)
         self._max_resident_bytes = max_resident_bytes
-        self._store: Optional[MmapShardStore] = None
-        self._spill_path_pending: Optional[str] = None
         self._spill_root = os.fspath(spill_dir) if spill_dir is not None else None
         self._shards: List[ShardInfo] = []
         # Attribute value rows are stacked per shard block; attribute i's
@@ -285,52 +256,28 @@ class ShardedEngine(CoverageEngine):
             self._row_offsets.append(self._row_offsets[-1] + cardinality)
         # With no duplicate rows every weight is 1 and coverage is a pure
         # popcount; known up front from the global multiplicities.
-        unique_total = len(self._unique)
         self._uniform = bool(
-            unique_total == 0 or self._counts.max(initial=1) == 1
+            len(self._unique) == 0 or self._counts.max(initial=1) == 1
         )
 
-        if _attach_store is not None:
-            self._init_from_store(_attach_store)
-        else:
-            try:
-                self._build(dataset, out_of_core)
-            except BaseException:
-                # A failed out-of-core build has no store (and so no GC
-                # finalizer) yet — remove the partial spill directory here
-                # or it leaks forever.
-                if self._store is None and self._spill_path_pending is not None:
-                    shutil.rmtree(self._spill_path_pending, ignore_errors=True)
-                raise
+        if _attach_store is None:
+            _attach_store = self._build(dataset)
+        elif self._spill_root is None:
+            # Rebuilds from an attached engine's template spill siblings.
+            self._spill_root = os.fspath(_attach_store.path.parent)
+        self._init_from_store(_attach_store)
 
-        # The pools are created lazily on the first fan-out query and shut
-        # down when the engine is closed or garbage-collected, so rebuild
-        # churn (e.g. the incremental index) never accumulates idle workers.
-        self._fan_out = (
-            workers is not None and workers > 1 and len(self._shards) > 1
-        )
-        self._use_processes = (
-            self._fan_out
-            and self._store is not None
-            and workers_mode == "process"
+        # Socket fan-out needs remote endpoints, or several shards plus the
+        # ability to fork local workers; everything else runs serially.
+        self._use_socket = worker_endpoints is not None or (
+            workers is not None
+            and workers > 1
+            and len(self._shards) > 1
             and _fork_available()
         )
-        # Socket fan-out needs a spill path for workers to attach by, and
-        # either remote endpoints or the ability to fork local workers;
-        # otherwise it degrades like "process" does (threads, then serial).
-        self._use_socket = (
-            self._store is not None
-            and workers_mode == "socket"
-            and len(self._shards) > 0
-            and (
-                self._worker_endpoints is not None
-                or (self._fan_out and _fork_available())
-            )
-        )
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._finalizer: Optional[weakref.finalize] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._process_finalizer: Optional[weakref.finalize] = None
+        # The pool is created lazily on the first query and shut down when
+        # the engine is closed or garbage-collected, so rebuild churn (e.g.
+        # the incremental index) never accumulates idle workers.
         self._dist_pool = None
         self._dist_finalizer: Optional[weakref.finalize] = None
         #: Set by :meth:`delta_rebuild` — the reuse accounting of the
@@ -340,8 +287,8 @@ class ShardedEngine(CoverageEngine):
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self, dataset: Dataset, out_of_core: bool) -> None:
-        """Index the dataset shard by shard (spilling each block if asked)."""
+    def _build(self, dataset: Dataset) -> MmapShardStore:
+        """Index the dataset shard by shard, spilling each block."""
         unique_total = len(self._unique)
         # Clamp: more shards than distinct combinations would only produce
         # empty shards (the index's unit of work is a unique combination).
@@ -349,61 +296,34 @@ class ShardedEngine(CoverageEngine):
         bounds = np.linspace(0, unique_total, effective + 1).astype(np.int64)
         # Which slice of the (sorted) unique space each row falls in.
         inverse = dataset.unique_inverse()
-
-        writer: Optional[ShardStoreWriter] = None
-        if out_of_core:
-            os.makedirs(self._spill_root, exist_ok=True)
-            spill_path = tempfile.mkdtemp(
-                prefix="repro-shards-", dir=self._spill_root
-            )
-            self._spill_path_pending = spill_path
+        root = self._spill_root or _default_spill_root()
+        os.makedirs(root, exist_ok=True)
+        spill_path = tempfile.mkdtemp(prefix="repro-shards-", dir=root)
+        try:
             writer = ShardStoreWriter(
                 spill_path,
                 cardinalities=dataset.cardinalities,
                 uniform=self._uniform,
                 dataset_meta=_dataset_meta(dataset, unique_total),
             )
-
-        attribute_blocks: List[List[np.ndarray]] = [[] for _ in dataset.cardinalities]
-        count_blocks: List[np.ndarray] = []
-        full_blocks: List[np.ndarray] = []
-        word_offset = 0
-        for shard_id, (unique_start, unique_stop) in enumerate(
-            zip(bounds[:-1], bounds[1:])
-        ):
-            row_indices = np.nonzero(
-                (inverse >= unique_start) & (inverse < unique_stop)
-            )[0]
-            # Each shard is an inner packed engine; its word blocks are
-            # harvested (into the flat layout, or onto disk) and the engine
-            # dropped, so the index exists once.  The shard's unique rows
-            # are, by construction, exactly the global slice — prime the
-            # shard dataset with it so the inner engine skips its own
-            # re-sort.
-            shard_dataset = dataset.take(row_indices)
-            unique_slice = self._unique[unique_start:unique_stop]
-            shard_dataset._prime_unique_cache(
-                unique_slice, self._counts[unique_start:unique_stop]
-            )
-            inner = PackedBitsetEngine(
-                shard_dataset,
-                mask_cache_size=0,
-                kernel_tier=self._requested_kernel_tier,
-            )
-            words = inner.full_mask().words
-            if writer is not None:
-                if dataset.d:
-                    block = np.vstack(
-                        [inner.word_matrix(a) for a in range(dataset.d)]
-                    )
-                else:
-                    block = np.zeros((0, len(words)), dtype=np.uint64)
+            for unique_start, unique_stop in zip(bounds[:-1], bounds[1:]):
+                unique_start, unique_stop = int(unique_start), int(unique_stop)
+                unique_slice = self._unique[unique_start:unique_stop]
+                block, counts_padded, row_count = _build_shard_block(
+                    dataset,
+                    self._unique,
+                    self._counts,
+                    unique_start,
+                    unique_stop,
+                    inverse=inverse,
+                    kernel_tier=self._requested_kernel_tier,
+                )
                 writer.add_shard(
                     block,
-                    None if self._uniform else inner.counts_padded,
-                    unique_start=int(unique_start),
-                    unique_stop=int(unique_stop),
-                    row_count=len(row_indices),
+                    None if self._uniform else counts_padded,
+                    unique_start=unique_start,
+                    unique_stop=unique_stop,
+                    row_count=row_count,
                     fingerprint=shard_slice_fingerprint(
                         unique_slice,
                         None
@@ -416,58 +336,19 @@ class ShardedEngine(CoverageEngine):
                         else None
                     ),
                 )
-            else:
-                for attribute in range(dataset.d):
-                    attribute_blocks[attribute].append(inner.word_matrix(attribute))
-                count_blocks.append(inner.counts_padded)
-            full_blocks.append(words)
-            self._shards.append(
-                ShardInfo(
-                    index=shard_id,
-                    row_count=len(row_indices),
-                    unique_start=int(unique_start),
-                    unique_stop=int(unique_stop),
-                    unique_rows=unique_slice,
-                    counts=self._counts[unique_start:unique_stop],
-                    word_start=word_offset,
-                    word_stop=word_offset + len(words),
-                )
-            )
-            word_offset += len(words)
-
-        if writer is not None:
-            self._store = writer.finish(
+            return writer.finish(
                 max_resident_bytes=self._max_resident_bytes,
                 owns_files=True,
-                dataset_payload=(
-                    self._unique,
-                    self._counts,
-                    dataset.schema.names,
-                ),
+                dataset_payload=(self._unique, self._counts, dataset.schema.names),
             )
-            self._words = None
-            self._counts_padded = None
-        else:
-            # The flat index: per attribute a (cardinality, total_words)
-            # matrix whose column ranges are the shard slices.
-            self._words = [
-                np.ascontiguousarray(np.concatenate(blocks, axis=1))
-                for blocks in attribute_blocks
-            ]
-            self._counts_padded = (
-                np.concatenate(count_blocks)
-                if count_blocks
-                else np.zeros(0, dtype=np.int64)
-            )
-        self._full_words = (
-            np.concatenate(full_blocks)
-            if full_blocks
-            else np.zeros(0, dtype=np.uint64)
-        )
-        self._word_count = word_offset
+        except BaseException:
+            # A failed build has no store (and so no GC finalizer) yet —
+            # remove the partial spill directory here or it leaks forever.
+            shutil.rmtree(spill_path, ignore_errors=True)
+            raise
 
     def _init_from_store(self, store: MmapShardStore) -> None:
-        """Adopt an existing spill directory (no re-serialization)."""
+        """Adopt a finished spill directory (validated, not re-serialized)."""
         meta = store.manifest.get("dataset", {})
         expected = _dataset_meta(self._dataset, len(self._unique))
         for key, value in expected.items():
@@ -489,10 +370,6 @@ class ShardedEngine(CoverageEngine):
                 f"{self._uniform}"
             )
         self._store = store
-        self._words = None
-        self._counts_padded = None
-        if self._spill_root is None:
-            self._spill_root = os.fspath(store.path.parent)
         full_blocks: List[np.ndarray] = []
         previous_unique = 0
         previous_word = 0
@@ -547,7 +424,7 @@ class ShardedEngine(CoverageEngine):
                 word_start=int(entry["word_start"]),
                 word_stop=int(entry["word_stop"]),
             )
-            full_blocks.append(BitVector(info.unique_count, fill=True).words)
+            full_blocks.append(full_words(info.unique_count))
             previous_unique = info.unique_stop
             previous_word = info.word_stop
             self._shards.append(info)
@@ -562,8 +439,6 @@ class ShardedEngine(CoverageEngine):
             if full_blocks
             else np.zeros(0, dtype=np.uint64)
         )
-        self._word_count = previous_word
-        self._requested_shards = len(self._shards)
 
     @classmethod
     def attach(
@@ -572,7 +447,6 @@ class ShardedEngine(CoverageEngine):
         spill_path: str,
         *,
         workers: Optional[int] = None,
-        workers_mode: str = DEFAULT_WORKERS_MODE,
         mask_cache_size: int = DEFAULT_MASK_CACHE,
         max_resident_bytes: Optional[int] = None,
         worker_endpoints: Optional[Sequence[str]] = None,
@@ -595,7 +469,6 @@ class ShardedEngine(CoverageEngine):
                 dataset,
                 shards=store.shard_count,
                 workers=workers,
-                workers_mode=workers_mode,
                 mask_cache_size=mask_cache_size,
                 max_resident_bytes=max_resident_bytes,
                 worker_endpoints=worker_endpoints,
@@ -628,15 +501,10 @@ class ShardedEngine(CoverageEngine):
         their mmap pages stay warm.  The reuse accounting is left on the
         returned engine as ``delta_result``.
         """
-        if previous._store is None:
-            raise EngineError(
-                "delta_rebuild requires an out-of-core previous engine "
-                "(build it with spill_dir=)"
-            )
         previous._check_open()
-        spill_root = previous._spill_root
-        os.makedirs(spill_root, exist_ok=True)
-        new_path = tempfile.mkdtemp(prefix="repro-shards-", dir=spill_root)
+        new_path = tempfile.mkdtemp(
+            prefix="repro-shards-", dir=previous._store.path.parent
+        )
         try:
             result = ShardStoreWriter.delta_write(
                 previous._store,
@@ -655,7 +523,6 @@ class ShardedEngine(CoverageEngine):
                 dataset,
                 shards=store.shard_count,
                 workers=previous._workers,
-                workers_mode=previous._workers_mode,
                 mask_cache_size=previous._mask_cache_size,
                 max_resident_bytes=previous._max_resident_bytes,
                 kernel_tier=previous._requested_kernel_tier,
@@ -719,17 +586,12 @@ class ShardedEngine(CoverageEngine):
 
     @property
     def workers(self) -> Optional[int]:
-        """Pool size for shard fan-out; ``None`` means serial."""
+        """Spawn-local socket worker count; ``None`` means serial."""
         return self._workers
 
     @property
-    def workers_mode(self) -> str:
-        """Requested fan-out mode (``"thread"``/``"process"``/``"socket"``)."""
-        return self._workers_mode
-
-    @property
     def worker_endpoints(self) -> Optional[Sequence[str]]:
-        """Remote worker addresses (``workers_mode="socket"`` only)."""
+        """Addresses of standing socket workers, if any."""
         return self._worker_endpoints
 
     @property
@@ -738,72 +600,38 @@ class ShardedEngine(CoverageEngine):
         return self._delta_spill
 
     @property
-    def effective_workers_mode(self) -> str:
-        """The fan-out mode queries actually use.
-
-        ``"serial"`` when no fan-out is configured; ``"thread"`` when
-        threads serve it (including the fallback from ``"process"`` or
-        ``"socket"`` on platforms without ``fork``); ``"process"`` or
-        ``"socket"`` otherwise.
-        """
-        if self._use_socket:
-            return "socket"
-        if not self._fan_out:
-            return "serial"
-        return "process" if self._use_processes else "thread"
+    def fan_out(self) -> str:
+        """How per-shard kernels run: ``"socket"`` or ``"serial"``."""
+        return "socket" if self._use_socket else "serial"
 
     @property
-    def out_of_core(self) -> bool:
-        """True when the index lives in a spill directory, not RAM."""
-        return self._store is not None
-
-    @property
-    def store(self) -> Optional[MmapShardStore]:
-        """The mmap shard store (``None`` in the in-memory mode)."""
+    def store(self) -> MmapShardStore:
+        """The mmap shard store holding this engine's index."""
         return self._store
 
     @property
-    def spill_path(self) -> Optional[str]:
-        """Directory holding this engine's shard files (out-of-core only)."""
-        return str(self._store.path) if self._store is not None else None
+    def spill_path(self) -> str:
+        """Directory holding this engine's shard files."""
+        return str(self._store.path)
 
     @property
     def max_resident_bytes(self) -> Optional[int]:
-        """Resident-shard byte budget (out-of-core only; None = unlimited)."""
+        """Resident-shard byte budget (``None`` = unlimited)."""
         return self._max_resident_bytes
 
     def close(self) -> None:
-        """Shut worker pools down and release the spill store.
+        """Shut the worker pool down and release the spill store.
 
-        In-memory engines stay usable (a later fan-out query starts a fresh
-        pool).  An out-of-core engine deletes its spill directory when it
-        owns one (i.e. it was not :meth:`attach`-ed), after which queries
-        raise :class:`EngineError`.
+        The engine deletes its spill directory when it owns one (i.e. it
+        was not :meth:`attach`-ed), after which queries raise
+        :class:`EngineError`.
 
-        Every teardown step runs even if an earlier one raises (a shard op
-        that died mid-fan-out can leave a pool broken): the store and its
-        mmap handles are always released, and the first error is re-raised
+        Both teardown steps run even if the first raises (a shard op that
+        died mid-fan-out can leave the pool broken): the store and its mmap
+        handles are always released, and the first error is re-raised
         after the sweep.
         """
         errors: List[BaseException] = []
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._executor is not None:
-            executor, self._executor = self._executor, None
-            try:
-                executor.shutdown(wait=True)
-            except BaseException as exc:  # noqa: BLE001 — resurfaced below
-                errors.append(exc)
-        if self._process_finalizer is not None:
-            self._process_finalizer.detach()
-            self._process_finalizer = None
-        if self._process_pool is not None:
-            pool, self._process_pool = self._process_pool, None
-            try:
-                pool.shutdown(wait=True)
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
         if self._dist_finalizer is not None:
             self._dist_finalizer.detach()
             self._dist_finalizer = None
@@ -811,115 +639,66 @@ class ShardedEngine(CoverageEngine):
             pool, self._dist_pool = self._dist_pool, None
             try:
                 pool.close()
-            except BaseException as exc:  # noqa: BLE001
+            except BaseException as exc:  # noqa: BLE001 — resurfaced below
                 errors.append(exc)
-        if self._store is not None:
-            try:
-                self._store.close()
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-            # Cached masks must not keep answering for released spill files.
-            self.clear_mask_cache()
+        try:
+            self._store.close()
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+        # Cached masks must not keep answering for released spill files.
+        self.clear_mask_cache()
         if errors:
             raise errors[0]
 
     def cache_info(self) -> Dict[str, Any]:
         """Hot-mask cache counters, plus the spill loader's residency split.
 
-        In the out-of-core mode a ``"store"`` entry carries
-        :meth:`MmapShardStore.stats`, including the per-component
-        (words/counts) load counters and resident bytes — the observable
-        proof that count-heavy streams charge only the multiplicity
-        vectors.
+        The ``"store"`` entry carries :meth:`MmapShardStore.stats`,
+        including the per-component (words/counts) load counters and
+        resident bytes — the observable proof that count-heavy streams
+        charge only the multiplicity vectors.
         """
         info = dict(super().cache_info())
-        if self._store is not None:
-            info["store"] = self._store.stats()
+        info["store"] = self._store.stats()
         return info
 
     def _check_open(self) -> None:
-        """Reject queries on a closed out-of-core engine (in every path —
-        including the uniform-count and all-wildcard shortcuts that never
-        touch the store)."""
-        if self._store is not None and self._store.closed:
+        """Reject queries on a closed engine (in every path — including the
+        uniform-count and all-wildcard shortcuts that never touch the
+        store)."""
+        if self._store.closed:
             raise EngineError(
-                f"out-of-core engine is closed (spill directory "
+                f"sharded engine is closed (spill directory "
                 f"{self._store.path} was released)"
             )
 
-    def _map_shards(self, fn: Callable[[ShardInfo], _T]) -> List[_T]:
-        """``[fn(shard_0), …, fn(shard_K-1)]`` on the pool, in shard order.
-
-        Only the worker fan-out paths call this; serial queries use the
-        fused flat kernels instead.
-        """
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(self._workers, len(self._shards)),
-                thread_name_prefix="repro-shard",
-            )
-            self._finalizer = weakref.finalize(
-                self, self._executor.shutdown, wait=False
-            )
-        return list(self._executor.map(fn, self._shards))
-
-    def _map_shards_ooc(self, op: str, payloads: Sequence[Any]) -> List[Any]:
+    def _map_shards(self, op: str, payloads: Sequence[Any]) -> List[Any]:
         """One :func:`apply_shard_op` result per shard, in shard order.
 
-        The single dispatch for every out-of-core query family: the same
-        ``(op, payload)`` pairs run on the process pool, the thread pool,
-        or inline — so the three evaluation modes cannot diverge.
+        The single dispatch for every query family: the same ``(op,
+        payload)`` pairs run on the socket workers or inline, so the two
+        evaluation modes cannot diverge.
         """
         if self._use_socket:
-            return self._map_shards_socket(op, payloads)
-        if self._use_processes:
-            return self._map_shards_process(op, payloads)
-
-        def _local(shard: ShardInfo) -> Any:
+            return self._ensure_dist_pool().run_shard_ops(
+                self.spill_path, op, list(payloads)
+            )
+        results = []
+        for shard in self._shards:
             # Words/counts residency split: load only the component the
             # kernel reads, so count-heavy streams never budget-charge the
             # (much larger) word blocks.
             if op in COUNT_ONLY_OPS:
-                counts = self._store.shard_counts(shard.index)
-                return apply_shard_op(
-                    op, payloads[shard.index], None, counts,
+                words, counts = None, self._store.shard_counts(shard.index)
+            else:
+                words, counts = self._store.shard_words(shard.index), None
+            results.append(
+                apply_shard_op(
+                    op, payloads[shard.index], words, counts,
                     kernels=self._kernels,
                 )
-            words = self._store.shard_words(shard.index)
-            return apply_shard_op(
-                op, payloads[shard.index], words, None, kernels=self._kernels
             )
-
-        if self._fan_out:
-            return self._map_shards(_local)
-        return [_local(shard) for shard in self._shards]
-
-    def _map_shards_process(self, op: str, payloads: Sequence[Any]) -> List[Any]:
-        """Run one shard op per shard on the process pool, in shard order.
-
-        Children attach to the spill directory by path (pool initializer),
-        so only the op payloads — mask windows, row ids — are pickled.
-        """
-        if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=min(self._workers, len(self._shards)),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=worker_attach,
-                initargs=(self.spill_path, self._max_resident_bytes),
-            )
-            self._process_finalizer = weakref.finalize(
-                self, self._process_pool.shutdown, wait=False
-            )
-        path = self.spill_path
-        return list(
-            self._process_pool.map(
-                run_shard_op,
-                [
-                    (path, shard.index, op, payload)
-                    for shard, payload in zip(self._shards, payloads)
-                ],
-            )
-        )
+        return results
 
     def _ensure_dist_pool(self):
         """The socket worker pool, spawning/connecting + attaching lazily.
@@ -937,7 +716,7 @@ class ShardedEngine(CoverageEngine):
                 pool = DistributedPool.connect(self._worker_endpoints)
             else:
                 pool = DistributedPool.spawn_local(
-                    min(self._workers or 1, len(self._shards))
+                    min(self._workers, len(self._shards))
                 )
             try:
                 pool.attach(
@@ -952,24 +731,12 @@ class ShardedEngine(CoverageEngine):
             self._dist_finalizer = weakref.finalize(self, pool.close)
         return self._dist_pool
 
-    def _map_shards_socket(self, op: str, payloads: Sequence[Any]) -> List[Any]:
-        """Run one shard op per shard on the socket worker pool.
-
-        The pool batches the ops per owning worker (placement is sticky:
-        shard ``k`` always lands on the worker holding shard ``k``'s
-        mmap-warm bytes), retries once with a respawned + re-attached
-        worker on connection death, and returns results in shard order.
-        """
-        pool = self._ensure_dist_pool()
-        return pool.run_shard_ops(self.spill_path, op, list(payloads))
-
     def _template_options(self) -> Dict[str, Any]:
         options = super()._template_options()
         options.update(
             shards=self._requested_shards,
             workers=self._workers,
-            workers_mode=self._workers_mode,
-            spill_dir=self._spill_root if self._store is not None else None,
+            spill_dir=self._spill_root,
             max_resident_bytes=self._max_resident_bytes,
         )
         if self._worker_endpoints is not None:
@@ -979,63 +746,35 @@ class ShardedEngine(CoverageEngine):
         return options
 
     # ------------------------------------------------------------------
-    # counting kernels
+    # mask kernel
     # ------------------------------------------------------------------
-    @property
-    def _weights(self) -> Optional[np.ndarray]:
-        """Global padded multiplicities, or ``None`` on uniform data."""
-        return None if self._uniform else self._counts_padded
-
     def _window(self, shard: ShardInfo) -> slice:
         return slice(shard.word_start, shard.word_stop)
 
-    def _shard_weights(self, shard: ShardInfo) -> Optional[np.ndarray]:
-        """The shard's padded multiplicity slice (in-memory mode)."""
-        if self._uniform:
-            return None
-        return self._counts_padded[
-            shard.word_start * _WORD_BITS : shard.word_stop * _WORD_BITS
-        ]
-
-    # ------------------------------------------------------------------
-    # mask kernel
-    # ------------------------------------------------------------------
     @property
     def index_nbytes(self) -> int:
-        # Membership words only in both modes, so cross-engine memory
-        # comparisons stay apples-to-apples (store.data_nbytes adds the
-        # spilled multiplicity vectors for the full on-disk footprint).
-        if self._store is not None:
-            return self._store.words_nbytes
-        return sum(words.nbytes for words in self._words)
+        # Membership words only, so cross-engine memory comparisons stay
+        # apples-to-apples (store.data_nbytes adds the spilled
+        # multiplicity vectors for the full on-disk footprint).
+        return self._store.words_nbytes
 
     def full_mask(self) -> ShardedMask:
         self._check_open()
         return self._full_words.copy()
 
     def value_mask(self, attribute: int, value: int) -> ShardedMask:
-        if self._store is None:
-            return self._words[attribute][value]
         # Index rows have zeroed tail bits, so ANDing with the (tail-masked)
         # full words reproduces the raw row — one op for both queries.
-        return self._ooc_and_row(self._full_words, attribute, value)
+        return self.restrict(self._full_words, attribute, value)
 
     def restrict(
         self, mask: ShardedMask, attribute: int, value: int
     ) -> ShardedMask:
-        if self._store is None:
-            return np.bitwise_and(mask, self._words[attribute][value])
-        return self._ooc_and_row(mask, attribute, value)
-
-    def _ooc_and_row(
-        self, mask: ShardedMask, attribute: int, value: int
-    ) -> ShardedMask:
-        """``mask AND`` one index row, through the shared fan-out dispatch."""
         self._check_open()
         row = self._row_offsets[attribute] + value
-        return self._ooc_chain_rows(mask, [row], np.empty_like(mask))
+        return self._and_rows(mask, [row], np.empty_like(mask))
 
-    def _ooc_chain_rows(
+    def _and_rows(
         self, mask: ShardedMask, rows: Sequence[int], out: ShardedMask
     ) -> ShardedMask:
         """AND the index ``rows`` into each shard window of ``mask``.
@@ -1044,7 +783,7 @@ class ShardedEngine(CoverageEngine):
         ``value_mask`` (one row, fresh output) and ``match_mask`` (chained
         rows, in-place: pass ``out=mask``).
         """
-        windows = self._map_shards_ooc(
+        windows = self._map_shards(
             "match",
             [(mask[self._window(shard)], list(rows)) for shard in self._shards],
         )
@@ -1055,31 +794,11 @@ class ShardedEngine(CoverageEngine):
     def restrict_children(
         self, mask: ShardedMask, attribute: int
     ) -> List[ShardedMask]:
-        if self._store is not None:
-            self._check_open()
-            return self._ooc_restrict_children(mask, attribute)
-        index = self._words[attribute]
-        if not self._fan_out:
-            family = self._kernels.and_family(mask, index)
-        else:
-            family = np.empty_like(index)
-
-            def _and_slice(shard: ShardInfo) -> None:
-                window = self._window(shard)
-                np.bitwise_and(
-                    mask[np.newaxis, window], index[:, window], out=family[:, window]
-                )
-
-            self._map_shards(_and_slice)
-        return list(family)
-
-    def _ooc_restrict_children(
-        self, mask: ShardedMask, attribute: int
-    ) -> List[ShardedMask]:
+        self._check_open()
         row_start = self._row_offsets[attribute]
         row_stop = self._row_offsets[attribute + 1]
         family = np.empty((row_stop - row_start, len(mask)), dtype=np.uint64)
-        blocks = self._map_shards_ooc(
+        blocks = self._map_shards(
             "children",
             [
                 (mask[self._window(shard)], row_start, row_stop)
@@ -1091,24 +810,12 @@ class ShardedEngine(CoverageEngine):
         return list(family)
 
     def count(self, mask: ShardedMask) -> int:
-        if self._store is not None:
-            self._check_open()
-            return self._ooc_count(mask)
-        if not self._fan_out:
-            return self._kernels.count(mask, self._weights)
-        partials = self._map_shards(
-            lambda shard: self._kernels.count(
-                mask[self._window(shard)], self._shard_weights(shard)
-            )
-        )
-        return int(sum(partials))
-
-    def _ooc_count(self, mask: ShardedMask) -> int:
+        self._check_open()
         # Uniform data needs no multiplicities: coverage is a pure popcount
         # of the (resident) mask, with no shard loads at all.
         if self._uniform:
             return self._kernels.count(mask, None)
-        partials = self._map_shards_ooc(
+        partials = self._map_shards(
             "count", [mask[self._window(shard)] for shard in self._shards]
         )
         return int(sum(partials))
@@ -1116,26 +823,11 @@ class ShardedEngine(CoverageEngine):
     def count_many(self, masks: Sequence[ShardedMask]) -> np.ndarray:
         if not len(masks):
             return np.zeros(0, dtype=np.int64)
+        self._check_open()
         matrix = np.stack(masks)
-        if self._store is not None:
-            self._check_open()
-            return self._ooc_count_many(matrix)
-        if not self._fan_out:
-            return self._kernels.count_rows(matrix, self._weights)
-        partials = self._map_shards(
-            lambda shard: self._kernels.count_rows(
-                matrix[:, self._window(shard)], self._shard_weights(shard)
-            )
-        )
-        total = partials[0].copy()
-        for partial in partials[1:]:
-            total += partial
-        return total
-
-    def _ooc_count_many(self, matrix: np.ndarray) -> np.ndarray:
         if self._uniform:
             return self._kernels.count_rows(matrix, None)
-        partials = self._map_shards_ooc(
+        partials = self._map_shards(
             "count_rows",
             [matrix[:, self._window(shard)] for shard in self._shards],
         )
@@ -1160,30 +852,7 @@ class ShardedEngine(CoverageEngine):
     def _compute_match_mask(self, pattern) -> ShardedMask:
         mask = self.full_mask()
         indices = pattern.deterministic_indices()
-        if self._store is not None:
-            self._check_open()
-            return self._ooc_match_mask(mask, pattern, indices)
-        if not self._fan_out or not indices:
-            for index in indices:
-                np.bitwise_and(mask, self._words[index][pattern[index]], out=mask)
-            return mask
-
-        def _chain_slice(shard: ShardInfo) -> None:
-            window = self._window(shard)
-            for index in indices:
-                np.bitwise_and(
-                    mask[window],
-                    self._words[index][pattern[index]][window],
-                    out=mask[window],
-                )
-
-        self._map_shards(_chain_slice)
-        return mask
-
-    def _ooc_match_mask(
-        self, mask: ShardedMask, pattern, indices: Sequence[int]
-    ) -> ShardedMask:
         if not indices:
             return mask
         rows = [self._row_offsets[index] + pattern[index] for index in indices]
-        return self._ooc_chain_rows(mask, rows, mask)
+        return self._and_rows(mask, rows, mask)

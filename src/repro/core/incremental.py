@@ -139,8 +139,8 @@ class IncrementalMupIndex:
     def _delta_rebuild(self, new_dataset: Dataset):
         """A delta-spilled engine over ``new_dataset``, or ``None``.
 
-        Only attempted when the retiring engine is an open out-of-core
-        sharded engine built with ``delta_spill=True``: unchanged shard
+        Only attempted when the retiring engine is an open sharded engine
+        built with ``delta_spill=True``: unchanged shard
         files are hard-linked into the successor spill directory and only
         the shards whose unique-combination slice changed re-serialize, so
         a small delivery re-indexes in O(changed shards).  Any
@@ -152,9 +152,7 @@ class IncrementalMupIndex:
         retired = self._oracle.engine
         if not (
             isinstance(retired, ShardedEngine)
-            and retired.out_of_core
             and retired.delta_spill
-            and retired.store is not None
             and not retired.store.closed
         ):
             return None

@@ -42,11 +42,10 @@ def _projected_resident_bytes(plan: EnginePlan) -> int:
         return stats.projected_dense_bytes
     if backend == "compressed":
         return stats.projected_compressed_bytes
-    if backend == "sharded" and plan.config.spill_dir is not None:
-        # Out-of-core keeps only max_resident_bytes in RAM — but a serving
-        # process must never stream queries off disk, so the *full* packed
-        # footprint is what admission compares against the budget.
-        return stats.projected_packed_bytes
+    # Packed, and sharded too: a sharded engine keeps only
+    # max_resident_bytes in RAM, but a serving process must never stream
+    # queries off disk, so the *full* packed footprint is what admission
+    # compares against the budget.
     return stats.projected_packed_bytes
 
 

@@ -15,10 +15,11 @@ routes through :class:`~repro.core.incremental.IncrementalMupIndex`
 (exception-safe rebuild: the new oracle is fully built before any state
 swaps) and then atomically replaces the snapshot reference, so a
 concurrent reader sees either the old index or the new one, never a
-half-applied state.  Admission control only admits datasets whose planned
-engine is fully resident, so retiring an old engine eagerly (its
-``close()`` is a no-op for in-memory backends) cannot pull spill files out
-from under a reader.
+half-applied state.  Retiring an old engine eagerly is safe for the
+in-memory backends the auto planner admits (their ``close()`` is a
+no-op); a sharded engine's ``close()`` releases its spill files, so a
+reader still holding a retired sharded snapshot gets a clear
+:class:`~repro.exceptions.EngineError` instead of an answer.
 """
 
 from __future__ import annotations
@@ -159,10 +160,7 @@ class EngineRegistry:
         shutdown releases the mmaps without deleting the files.
         """
         from repro.core.engine import load_spill_dataset
-        from repro.core.engine.sharded import (
-            DEFAULT_WORKERS_MODE,
-            ShardedEngine,
-        )
+        from repro.core.engine.sharded import ShardedEngine
 
         dataset = load_spill_dataset(spill_path)
         key = dataset.content_fingerprint()
@@ -173,7 +171,6 @@ class EngineRegistry:
                 return existing, False
         attach_options = dict(
             workers=self._engine.workers,
-            workers_mode=self._engine.workers_mode or DEFAULT_WORKERS_MODE,
             max_resident_bytes=self._engine.max_resident_bytes,
             worker_endpoints=self._engine.worker_endpoints,
             delta_spill=bool(self._engine.delta_spill),
@@ -208,8 +205,8 @@ class EngineRegistry:
 
         The newest entry always survives, so one oversized dataset degrades
         the registry to a single warm engine instead of thrashing.  Evicted
-        engines close inline: admission control only admits fully resident
-        plans, whose ``close()`` is instant.
+        engines close inline: admission control only admits plans whose
+        full index fits the memory budget, so ``close()`` is quick.
         """
         evicted: List[DatasetEntry] = []
         while len(self._entries) > 1 and (

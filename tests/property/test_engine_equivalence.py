@@ -1,8 +1,9 @@
 """Cross-engine observational-equivalence property suite (hypothesis).
 
 Every registered coverage engine — ``dense``, ``packed``, ``sharded`` at
-several shard counts, the out-of-core sharded engine (spilled to a
-temporary directory, with eviction forced by a one-shard resident budget),
+several shard counts (spilled under the default root), the sharded engine
+spilled to a temporary directory with eviction forced by a one-shard
+resident budget,
 whatever the ``auto`` planner emits for the generated dataset, and
 ``compressed`` at stock and adversarial container thresholds
 — with the hot-mask cache both enabled and disabled, must give
@@ -82,8 +83,8 @@ def dataset_and_patterns(draw, max_patterns: int = 6):
 def engine_matrix(dataset, mask_cache_size):
     """One engine per backend configuration under test, dense first.
 
-    The matrix ends with the out-of-core sharded engine — spilled into a
-    temporary directory and starved with ``max_resident_bytes=1`` so every
+    The matrix ends with a sharded engine spilled into a temporary
+    directory and starved with ``max_resident_bytes=1`` so every
     shard load evicts the previous one (a one-shard resident set) — a
     socket-mode engine (spawn-local distributed workers answering over
     length-prefixed frames, falling back to serial scans where ``fork``
@@ -114,7 +115,6 @@ def engine_matrix(dataset, mask_cache_size):
                 dataset,
                 shards=OOC_SHARDS,
                 workers=2,
-                workers_mode="socket",
                 mask_cache_size=mask_cache_size,
                 spill_dir=root,
             )
@@ -304,7 +304,7 @@ def test_reopening_spill_directory_answers_identically(case):
 def test_cached_masks_are_isolated_copies(case):
     """Mutating a handed-out mask must not corrupt the cache."""
     dataset, patterns = case
-    # One engine per mask representation; no spill needed for this test.
+    # One engine per mask representation.
     engines = [
         DenseBoolEngine(dataset, mask_cache_size=64),
         PackedBitsetEngine(dataset, mask_cache_size=64),
@@ -314,11 +314,7 @@ def test_cached_masks_are_isolated_copies(case):
         for pattern in patterns:
             before = engine.coverage(pattern)
             mask = engine.match_mask(pattern)
-            # Clobber the caller's copy in place (ndarray masks for dense
-            # and sharded, BitVector for packed).
+            # Clobber the caller's copy in place (every mask is an ndarray).
             if dataset.d >= 1 and dataset.cardinalities[0] >= 1:
-                if hasattr(mask, "iand"):
-                    mask.iand(engine.value_mask(0, 0))
-                else:
-                    mask &= engine.value_mask(0, 0)
+                mask &= engine.value_mask(0, 0)
             assert engine.coverage(pattern) == before, engine.name

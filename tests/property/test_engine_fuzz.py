@@ -56,9 +56,9 @@ CORPUS_PATH = Path(__file__).parent / "engine_fuzz_corpus.json"
 _JIT_TIER = "jit" if numba_available() else "python"
 
 #: Backend labels under differential test (dense is the reference).
-#: "socket" is the distributed leg: out-of-core sharded with spawn-local
-#: socket workers (degrading to threads on platforms without fork, which
-#: still exercises the mode-selection path).
+#: "socket" is the distributed leg: sharded with spawn-local socket
+#: workers (degrading to serial evaluation on platforms without fork,
+#: which still exercises the mode-selection path).
 BACKENDS = (
     "dense",
     "packed",
@@ -192,7 +192,6 @@ def _build_engines(dataset, mask_cache_size, array_cutoff, run_cutoff, root):
             dataset,
             shards=3,
             workers=2,
-            workers_mode="socket",
             mask_cache_size=mask_cache_size,
             spill_dir=root,
         ),

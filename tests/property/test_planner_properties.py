@@ -47,12 +47,9 @@ def workload_stats(draw):
 def auto_requests(draw):
     shards = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=64)))
     workers = draw(st.one_of(st.none(), st.integers(min_value=2, max_value=8)))
-    workers_mode = draw(st.sampled_from([None, "thread"]))
-    if workers is not None and draw(st.booleans()):
-        workers_mode = "process"
     array_cutoff = None
     run_cutoff = None
-    if shards is None and workers is None and workers_mode is None:
+    if shards is None and workers is None:
         # Container thresholds force the compressed backend; the validator
         # rejects combining them with the sharded-forcing knobs.
         array_cutoff = draw(
@@ -65,7 +62,6 @@ def auto_requests(draw):
         backend=AUTO,
         shards=shards,
         workers=workers,
-        workers_mode=workers_mode,
         max_resident_bytes=draw(
             st.one_of(st.none(), st.integers(min_value=1, max_value=1 << 40))
         ),

@@ -2,10 +2,11 @@
 
 The fixture factory synthesizes a dataset whose packed word space (the
 out-of-core index on disk) deliberately exceeds a tiny
-``max_resident_bytes``, then pins the out-of-core engine against the
-in-memory backends: MUP sets must be identical across ``dense`` /
-``packed`` / ``sharded`` / ``compressed`` / out-of-core for **all five**
-identification algorithms, while the loader instrumentation proves the engine streamed —
+``max_resident_bytes``, then pins the budgeted out-of-core engine against
+the other backends: MUP sets must be identical across ``dense`` /
+``packed`` / unbudgeted ``sharded`` / ``compressed`` / out-of-core for
+**all five** identification algorithms, while the loader instrumentation
+proves the engine streamed —
 resident shard bytes never exceeded the budget and shards were actually
 evicted.  This is the test that keeps "datasets bigger than memory" a
 working scenario instead of an aspiration.
@@ -62,7 +63,7 @@ def make_overflow_case(tmp_path, seed: int = 11, n: int = 900):
 def test_fixture_factory_overflows_the_budget(tmp_path):
     dataset, owner, engine, budget = make_overflow_case(tmp_path)
     try:
-        assert engine.out_of_core
+        assert engine.spill_path == owner.spill_path
         assert engine.store.max_resident_bytes == budget
         assert engine.shard_count == SHARDS
         # The streamed bytes (words + multiplicities) overflow the budget.

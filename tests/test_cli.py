@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.engine import ShardedEngine
 from repro.data.synthetic import random_categorical_dataset
 
 
@@ -281,27 +284,48 @@ class TestOutOfCore:
         assert code == 0
         assert capsys.readouterr().out == reference
 
-    def test_identify_with_process_workers(self, csv_file, tmp_path, capsys):
+    def test_identify_with_socket_workers_matches_in_memory(
+        self, csv_file, tmp_path, capsys
+    ):
+        identify = ["identify", csv_file, "--threshold", "5"]
+        assert main(identify) == 0
+        reference = capsys.readouterr().out
+        spill = tmp_path / "spill"
         code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "sharded",
-                "--shards",
-                "3",
-                "--workers",
-                "2",
-                "--workers-mode",
-                "process",
-                "--spill-dir",
-                str(tmp_path / "spill"),
-            ]
+            identify
+            + ["--engine", "sharded", "--shards", "3", "--workers", "2"]
+            + ["--spill-dir", str(spill)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == reference
+        # The engine closes when the command ends, taking its shards along.
+        assert list(spill.iterdir()) == []
+
+    def test_sharded_without_spill_dir_cleans_the_default_root(
+        self, csv_file, tmp_path, capsys, monkeypatch
+    ):
+        root = tmp_path / "root"
+        root.mkdir()
+        # $TMPDIR names the default spill root (tempfile caches it).
+        monkeypatch.setenv("TMPDIR", str(root))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        closed = []
+        close = ShardedEngine.close
+
+        def recording_close(engine):
+            closed.append(engine.spill_path)
+            close(engine)
+
+        monkeypatch.setattr(ShardedEngine, "close", recording_close)
+        code = main(
+            ["identify", csv_file, "--threshold", "5"]
+            + ["--engine", "sharded", "--workers", "2"]
         )
         assert code == 0
         assert "maximal uncovered pattern" in capsys.readouterr().out
+        assert closed
+        assert all(os.path.dirname(path) == str(root) for path in closed)
+        assert list(root.iterdir()) == []
 
     def test_spill_dir_requires_sharded_engine(self, csv_file, tmp_path, capsys):
         code = main(
@@ -351,42 +375,18 @@ class TestOutOfCore:
         assert code == 2
         assert "--engine sharded" in capsys.readouterr().err
 
-    def test_workers_mode_requires_sharded_engine(self, csv_file, capsys):
-        # The default engine is now "auto" (which accepts sharded knobs as
-        # planner constraints), so the inapplicable combination must name
-        # the backend explicitly.
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "packed",
-                "--workers-mode",
-                "thread",
-            ]
-        )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--engine", "packed", "--delta-spill"],
+            ["--engine", "dense", "--worker-endpoints", "h1:7000"],
+        ],
+        ids=["delta-spill", "worker-endpoints"],
+    )
+    def test_socket_flags_require_sharded_engine(self, csv_file, capsys, flags):
+        code = main(["identify", csv_file, "--threshold", "5"] + flags)
         assert code == 2
         assert "--engine sharded" in capsys.readouterr().err
-
-    def test_process_mode_without_spill_dir_returns_2(self, csv_file, capsys):
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "sharded",
-                "--workers",
-                "2",
-                "--workers-mode",
-                "process",
-            ]
-        )
-        assert code == 2
-        assert "out-of-core" in capsys.readouterr().err
 
 
 class TestAutoPlanner:

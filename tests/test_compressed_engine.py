@@ -278,10 +278,6 @@ class TestThresholdValidation:
         with pytest.raises(EngineError, match="cannot honour both"):
             EngineConfig(backend=AUTO, shards=2, array_cutoff=16)
 
-    def test_legacy_kwargs_validate_cutoffs_too(self, dataset):
-        with pytest.raises(EngineError, match="array_cutoff"):
-            resolve_engine("compressed", dataset, array_cutoff=0)
-
 
 class TestPlannerIntegration:
     def test_sparse_domain_auto_selects_compressed(self):

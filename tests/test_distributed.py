@@ -13,6 +13,8 @@ import os
 import shutil
 import signal
 import socket
+import struct
+import tempfile
 import threading
 import time
 
@@ -72,7 +74,7 @@ def patterns(dataset):
 
 
 def socket_engine(dataset, root, **overrides):
-    options = dict(shards=4, workers=2, workers_mode="socket", spill_dir=root)
+    options = dict(shards=4, workers=2, spill_dir=root)
     options.update(overrides)
     return ShardedEngine(dataset, **options)
 
@@ -123,6 +125,48 @@ class TestFrameCodec:
                 recv_message(right)
         finally:
             right.close()
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7\xf6",  # not UTF-8
+            b"{not json}",
+            b'{"a": {"__nd__": ["<u8", [4], 0, 32]}}',  # tail too short
+            b'{"a": {"__nd__": 5}}',
+        ],
+    )
+    def test_malformed_frames_raise_worker_died(self, header):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(struct.pack(">II", len(header), 0) + header)
+            with pytest.raises(WorkerDied, match="malformed frame"):
+                recv_message(right)
+        finally:
+            left.close()
+            right.close()
+
+    def test_garbage_frame_does_not_stop_a_standing_worker(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        thread = threading.Thread(
+            target=serve_on_socket, args=(listener,), daemon=True
+        )
+        thread.start()
+        garbage = b"\xff" * 10
+        with socket.create_connection(("127.0.0.1", port)) as attacker:
+            attacker.sendall(struct.pack(">II", len(garbage), 0) + garbage)
+            # The worker drops the corrupt connection instead of exiting.
+            assert attacker.recv(1) == b""
+        follower = socket.create_connection(("127.0.0.1", port))
+        try:
+            send_message(follower, {"cmd": "ping", "v": 1})
+            assert recv_message(follower)["ok"]
+            send_message(follower, {"cmd": "shutdown", "v": 1})
+            recv_message(follower)
+        finally:
+            follower.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -191,13 +235,23 @@ class TestWorkerState:
             build.close()
 
     def test_parse_endpoint_rejects_malformed_addresses(self):
-        from repro.core.engine.distributed import _parse_endpoint
+        from repro.core.engine.distributed import parse_endpoint
 
-        assert _parse_endpoint("10.0.0.1:7000") == ("10.0.0.1", 7000)
+        assert parse_endpoint("10.0.0.1:7000") == ("10.0.0.1", 7000)
         with pytest.raises(EngineError, match="host:port"):
-            _parse_endpoint("no-port")
+            parse_endpoint("no-port")
         with pytest.raises(EngineError, match="port"):
-            _parse_endpoint("host:notanumber")
+            parse_endpoint("host:notanumber")
+
+    def test_connect_parses_every_endpoint_before_dialing(self, monkeypatch):
+        import repro.core.engine.distributed as distributed_module
+
+        dialed = []
+        monkeypatch.setattr(distributed_module, "_connect", dialed.append)
+        with pytest.raises(EngineError, match="port"):
+            DistributedPool.connect(["127.0.0.1:7000", "host:65536"])
+        # The bad address fails the pool before the good one is dialed.
+        assert dialed == []
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +394,7 @@ class TestSocketEngine:
         dense = DenseBoolEngine(dataset)
         engine = socket_engine(dataset, str(tmp_path))
         try:
-            assert engine.effective_workers_mode == "socket"
+            assert engine.fan_out == "socket"
             for pattern in patterns:
                 assert engine.coverage(pattern) == dense.coverage(pattern)
             assert list(engine.coverage_many(patterns)) == list(
@@ -424,17 +478,12 @@ class TestSocketEngine:
         engine = socket_engine(dataset, str(tmp_path))
         try:
             template = engine.template()
-            assert template.workers_mode == "socket"
+            assert template.workers == 2
         finally:
             engine.close()
-        rebuilt = ShardedEngine(
-            dataset,
-            shards=4,
-            workers=2,
-            workers_mode="socket",
-            spill_dir=str(tmp_path),
-        )
+        rebuilt = template(dataset)
         try:
+            assert rebuilt.fan_out == "socket"
             assert rebuilt.coverage(Pattern.root(dataset.d)) == dataset.n
         finally:
             rebuilt.close()
@@ -630,49 +679,102 @@ class TestManifestV1Compat:
 # configuration and CLI surface
 # ----------------------------------------------------------------------
 class TestConfigValidation:
-    def test_endpoints_require_socket_mode(self):
-        with pytest.raises(ReproError, match="socket"):
-            EngineConfig(
-                backend="sharded",
-                worker_endpoints=["127.0.0.1:7000"],
-                spill_dir="/tmp/x",
-            ).validate()
+    def test_endpoints_must_look_like_host_port(self, dataset, tmp_path):
+        # The pool's own parser rejects these at construction, before the
+        # engine spills anything — not at the first connect.
+        for endpoint in ("nonsense", ":7000", "host:abc", "host:0", "host:65536"):
+            with pytest.raises(ReproError, match="port"):
+                ShardedEngine(
+                    dataset,
+                    worker_endpoints=[endpoint],
+                    spill_dir=str(tmp_path),
+                )
+        assert os.listdir(tmp_path) == []
 
-    def test_endpoints_must_look_like_host_port(self, tmp_path):
-        with pytest.raises(ReproError, match="host:port"):
-            EngineConfig(
-                backend="sharded",
-                workers_mode="socket",
-                worker_endpoints=["nonsense"],
-                spill_dir=str(tmp_path),
-            ).validate()
+    def test_endpoints_select_socket_fan_out(self, dataset, tmp_path):
+        # Standing workers take even a single shard without a workers
+        # count; the pool connects lazily, so nothing is contacted yet.
+        engine = ShardedEngine(
+            dataset,
+            shards=1,
+            worker_endpoints=["127.0.0.1:7000"],
+            spill_dir=str(tmp_path),
+        )
+        try:
+            assert engine.workers is None
+            assert engine.fan_out == "socket"
+            assert engine._dist_pool is None
+        finally:
+            engine.close()
 
-    def test_spawn_local_socket_requires_two_workers(self, tmp_path):
-        with pytest.raises(ReproError, match="workers"):
-            EngineConfig(
-                backend="sharded",
-                workers_mode="socket",
-                workers=1,
-                spill_dir=str(tmp_path),
-            ).validate()
+    def test_single_worker_evaluates_serially(self, dataset, patterns, tmp_path):
+        engine = ShardedEngine(
+            dataset, shards=3, workers=1, spill_dir=str(tmp_path)
+        )
+        dense = DenseBoolEngine(dataset)
+        try:
+            assert engine.fan_out == "serial"
+            assert list(engine.coverage_many(patterns)) == list(
+                dense.coverage_many(patterns)
+            )
+            assert engine._dist_pool is None
+        finally:
+            engine.close()
 
-    def test_sharded_socket_requires_spill_dir(self):
-        with pytest.raises(ReproError, match="spill"):
-            EngineConfig(
-                backend="sharded", workers_mode="socket", workers=2
-            ).validate()
+    def test_socket_without_spill_dir_uses_default_root(
+        self, dataset, patterns, tmp_path, monkeypatch
+    ):
+        # $TMPDIR names the default spill root (tempfile caches it).
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        engine = ShardedEngine(dataset, shards=4, workers=2)
+        dense = DenseBoolEngine(dataset)
+        try:
+            assert os.path.dirname(engine.spill_path) == str(tmp_path)
+            assert engine.fan_out == (
+                "socket" if _fork_available() else "serial"
+            )
+            assert list(engine.coverage_many(patterns)) == list(
+                dense.coverage_many(patterns)
+            )
+        finally:
+            engine.close()
+        assert os.listdir(tmp_path) == []
 
-    def test_delta_spill_requires_spill_dir(self):
-        with pytest.raises(ReproError, match="spill"):
-            EngineConfig(backend="sharded", delta_spill=True).validate()
+    def test_delta_spill_without_spill_dir_uses_default_root(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        dataset = random_categorical_dataset(80, (3, 2, 2), seed=5, skew=1.3)
+        engine = ShardedEngine(dataset, shards=3, delta_spill=True)
+        unique, _ = dataset.unique_rows()
+        appended = dataset.append_rows(unique[:1].copy())
+        successor = ShardedEngine.delta_rebuild(engine, appended)
+        engine.close()
+        dense = DenseBoolEngine(appended)
+        try:
+            # The successor spills beside its predecessor and reuses the
+            # clean shards it hard-linked there.
+            assert os.path.dirname(successor.spill_path) == str(tmp_path)
+            assert successor.delta_result.reused_shards >= 1
+            probes = [Pattern.root(3), Pattern.of(0, X, 1), Pattern.of(2, 1, X)]
+            assert list(successor.coverage_many(probes)) == list(
+                dense.coverage_many(probes)
+            )
+        finally:
+            successor.close()
+        assert os.listdir(tmp_path) == []
 
     def test_valid_socket_config_passes(self, tmp_path):
         EngineConfig(
             backend="sharded",
-            workers_mode="socket",
             workers=2,
             spill_dir=str(tmp_path),
             delta_spill=True,
+        ).validate()
+        EngineConfig(
+            backend="sharded", worker_endpoints=["h1:7000", "h2:65535"]
         ).validate()
 
     def test_planner_escalates_to_socket_when_starved(self, tmp_path):
@@ -688,8 +790,13 @@ class TestConfigValidation:
                 workers=2,
             ),
         )
-        assert plan.config.workers_mode == "socket"
+        assert plan.config.workers == 2
         assert any("socket" in line for line in plan.rationale)
+        engine = plan.build(dataset)
+        try:
+            assert engine.fan_out == ("socket" if _fork_available() else "serial")
+        finally:
+            engine.close()
 
 
 class TestCliSurface:
@@ -712,8 +819,8 @@ class TestCliSurface:
                 "data.csv",
                 "--threshold",
                 "2",
-                "--workers-mode",
-                "socket",
+                "--engine",
+                "sharded",
                 "--worker-endpoints",
                 "h1:7000",
                 "h2:7001",
@@ -723,7 +830,6 @@ class TestCliSurface:
             ]
         )
         config = EngineConfig.from_cli_args(args)
-        assert config.workers_mode == "socket"
         assert config.worker_endpoints == ("h1:7000", "h2:7001")
         assert config.delta_spill is True
 

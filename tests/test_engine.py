@@ -16,7 +16,6 @@ from repro.core.engine import (
 )
 from repro.core.mups.base import find_mups, resolve_threshold
 from repro.core.pattern import Pattern
-from repro.data.bitset import BitVector
 from repro.data.dataset import Dataset, Schema
 from repro.exceptions import PatternError, ReproError
 
@@ -110,10 +109,47 @@ class TestEngineContract:
 
 
 class TestPackedSpecifics:
-    def test_masks_are_bitvectors(self, example1_dataset):
+    def test_masks_are_word_arrays(self, example1_dataset):
         engine = PackedBitsetEngine(example1_dataset)
-        assert isinstance(engine.full_mask(), BitVector)
-        assert isinstance(engine.match_mask(Pattern.from_string("0XX")), BitVector)
+        full = engine.full_mask()
+        # One word covers the few unique rows; tail bits stay clear.
+        assert full.dtype == np.uint64
+        assert full.tolist() == [(1 << engine.unique_count) - 1]
+        mask = engine.match_mask(Pattern.from_string("0XX"))
+        assert isinstance(mask, np.ndarray) and mask.dtype == np.uint64
+        family = engine.restrict_children(full, 0)
+        assert all(child.dtype == np.uint64 for child in family)
+
+    def test_full_mask_is_a_fresh_copy(self):
+        # 70 unique rows: the second word carries six live bits.
+        dataset = Dataset.from_rows([[a, b] for a in range(7) for b in range(10)])
+        engine = PackedBitsetEngine(dataset)
+        full = engine.full_mask()
+        assert full.tolist() == [(1 << 64) - 1, (1 << 6) - 1]
+        full[:] = 0
+        assert engine.full_mask().tolist() == [(1 << 64) - 1, (1 << 6) - 1]
+        assert engine.coverage(Pattern.root(2)) == dataset.n
+
+    def test_match_masks_leave_the_index_untouched(self):
+        rng = np.random.default_rng(3)
+        dataset = Dataset.from_rows(rng.integers(0, 4, size=(300, 3)).tolist())
+        engine = PackedBitsetEngine(dataset, mask_cache_size=0)
+        before = [engine.word_matrix(i).copy() for i in range(dataset.d)]
+        patterns = [
+            Pattern.of(a, b, c)
+            for a in ("X", 0, 3)
+            for b in ("X", 1)
+            for c in ("X", 2)
+        ]
+        dense = DenseBoolEngine(dataset)
+        # The in-place AND runs over a copy, never over an index row.
+        for pattern in patterns:
+            mask = engine.match_mask(pattern)
+            for i in range(dataset.d):
+                assert not np.shares_memory(mask, engine.word_matrix(i))
+            assert engine.count(mask) == dense.coverage(pattern)
+        for i, words in enumerate(before):
+            assert np.array_equal(engine.word_matrix(i), words)
 
     def test_index_is_packed_smaller(self):
         rng = np.random.default_rng(0)

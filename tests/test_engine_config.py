@@ -1,10 +1,8 @@
-"""EngineConfig: validation, serialization round-trips, legacy shims.
+"""EngineConfig: validation, serialization round-trips, resolution.
 
 The config is the single holder of the cross-field rules the CLI used to
 hand-roll, so programmatic callers must get the same clear ``EngineError``
-for every invalid combination — and ``resolve_engine``'s legacy
-name+kwargs style must route through the same validator instead of
-silently ignoring (or TypeError-ing on) inapplicable options.
+for every invalid combination.
 """
 
 import dataclasses
@@ -39,9 +37,10 @@ class TestValidation:
         [
             {"shards": 2},
             {"workers": 2},
-            {"workers_mode": "thread"},
             {"spill_dir": "/tmp/x"},
             {"max_resident_bytes": 1024},
+            {"worker_endpoints": ("h1:7000",)},
+            {"delta_spill": True},
         ],
     )
     def test_sharded_only_options_rejected_elsewhere(self, backend, options):
@@ -62,37 +61,22 @@ class TestValidation:
         with pytest.raises(EngineError, match="max_resident_bytes"):
             EngineConfig(backend=AUTO, max_resident_bytes=0)
 
-    def test_bad_workers_mode_rejected(self):
-        with pytest.raises(EngineError, match="workers_mode"):
-            EngineConfig(backend="sharded", workers_mode="mpi")
-
-    def test_process_mode_needs_a_real_pool(self):
-        for workers in (None, 1):
-            with pytest.raises(EngineError, match="workers >= 2"):
-                EngineConfig(
-                    backend=AUTO, workers=workers, workers_mode="process"
-                )
-
-    def test_process_mode_on_sharded_needs_spill(self):
-        with pytest.raises(EngineError, match="out-of-core"):
-            EngineConfig(backend="sharded", workers=2, workers_mode="process")
-        # Under auto the planner supplies the spill directory.
-        config = EngineConfig(backend=AUTO, workers=2, workers_mode="process")
-        assert config.is_auto
-
-    def test_sharded_budget_needs_spill(self):
-        with pytest.raises(EngineError, match="out-of-core"):
-            EngineConfig(backend="sharded", max_resident_bytes=1024)
-        # Under auto the budget is the planner's memory budget instead.
-        config = EngineConfig(backend=AUTO, max_resident_bytes=1024)
-        assert config.max_resident_bytes == 1024
+    def test_sharded_options_need_no_spill_dir(self):
+        # Every sharded engine spills, under the default root when no
+        # spill_dir is set, so no option depends on an explicit one.
+        for options in (
+            {"max_resident_bytes": 1024},
+            {"workers": 2},
+            {"delta_spill": True},
+        ):
+            config = EngineConfig(backend="sharded", **options)
+            assert "spill_dir" not in config.engine_options()
 
     def test_valid_out_of_core_combination(self, tmp_path):
         config = EngineConfig(
             backend="sharded",
             shards=3,
             workers=2,
-            workers_mode="process",
             spill_dir=str(tmp_path),
             max_resident_bytes=1 << 20,
         )
@@ -163,8 +147,6 @@ class TestCliArgs:
                 "6",
                 "--workers",
                 "2",
-                "--workers-mode",
-                "thread",
                 "--spill-dir",
                 str(tmp_path),
                 "--max-resident-bytes",
@@ -176,7 +158,6 @@ class TestCliArgs:
             backend="sharded",
             shards=6,
             workers=2,
-            workers_mode="thread",
             spill_dir=str(tmp_path),
             max_resident_bytes=2048,
         )
@@ -250,32 +231,10 @@ class TestResolution:
         # Overrides replace fields, factory-style.
         assert config(dataset, mask_cache_size=0).mask_cache_size == 0
 
-    def test_options_cannot_be_combined_with_config(self, dataset):
-        with pytest.raises(Exception, match="EngineConfig"):
-            resolve_engine(EngineConfig(backend="packed"), dataset, shards=2)
-
     def test_engine_name_of_config(self):
         assert engine_name(EngineConfig(backend="sharded")) == "sharded"
         assert engine_name(EngineConfig(backend=AUTO)) == AUTO
         assert engine_name(AUTO) == AUTO
-
-    def test_legacy_kwargs_route_through_validation(self, dataset):
-        """Satellite bugfix: inapplicable kwargs now raise the same clear
-        EngineError programmatically as the CLI flags do — not a
-        constructor TypeError, and never silent acceptance."""
-        with pytest.raises(EngineError, match="--engine sharded"):
-            resolve_engine("dense", dataset, shards=3)
-        with pytest.raises(EngineError, match="--engine sharded"):
-            resolve_engine("packed", dataset, spill_dir="/tmp/x")
-        with pytest.raises(EngineError, match="out-of-core"):
-            resolve_engine("sharded", dataset, max_resident_bytes=64)
-        with pytest.raises(EngineError, match="unknown engine option"):
-            resolve_engine("packed", dataset, turbo=True)
-
-    def test_legacy_kwargs_warn_but_work(self, dataset):
-        with pytest.warns(DeprecationWarning, match="EngineConfig"):
-            engine = resolve_engine("sharded", dataset, shards=2)
-        assert engine.requested_shards == 2
 
     def test_templates_are_configs_for_registered_backends(self, dataset):
         for engine in (

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.engine import (
     DenseBoolEngine,
+    EngineConfig,
     PackedBitsetEngine,
     ShardedEngine,
     engine_name,
@@ -63,21 +64,18 @@ class TestForeignDataset:
         engine = ShardedEngine(dataset, shards=2)
         assert resolve_engine(engine, dataset) is engine
 
-    def test_options_on_instance_rejected(self, dataset):
-        engine = PackedBitsetEngine(dataset)
-        with pytest.raises(ReproError, match="prebuilt instance"):
-            resolve_engine(engine, dataset, mask_cache_size=0)
-
 
 class TestOptionForwarding:
     def test_options_reach_the_constructor(self, dataset):
-        engine = resolve_engine("sharded", dataset, shards=2, workers=None)
+        engine = resolve_engine(EngineConfig(backend="sharded", shards=2), dataset)
         assert isinstance(engine, ShardedEngine)
         assert engine.shard_count == 2
         assert engine.workers is None
 
     def test_cache_can_be_disabled_by_option(self, dataset):
-        engine = resolve_engine("packed", dataset, mask_cache_size=0)
+        engine = resolve_engine(
+            EngineConfig(backend="packed", mask_cache_size=0), dataset
+        )
         assert engine.mask_cache_size == 0
         from repro.core.pattern import Pattern
 
@@ -91,26 +89,6 @@ class TestOptionForwarding:
         assert isinstance(rebuilt, ShardedEngine)
         assert rebuilt.requested_shards == 3
         assert engine_name(template) == "sharded"
-
-    def test_deprecation_warning_spells_out_the_equivalent_config(
-        self, dataset
-    ):
-        """The legacy-kwargs shim must name the migration target exactly:
-        the EngineConfig(...) call that replaces the deprecated call, not
-        just the parameter style."""
-        with pytest.warns(DeprecationWarning) as caught:
-            resolve_engine("sharded", dataset, shards=2, mask_cache_size=0)
-        message = str(caught[0].message)
-        assert (
-            "repro.core.engine.EngineConfig"
-            "(backend='sharded', mask_cache_size=0, shards=2)"
-        ) in message
-        with pytest.warns(DeprecationWarning) as caught:
-            resolve_engine("packed", dataset, mask_cache_size=4)
-        assert (
-            "EngineConfig(backend='packed', mask_cache_size=4)"
-            in str(caught[0].message)
-        )
 
 
 class TestShardClamping:

@@ -47,13 +47,15 @@ ENGINE_CONFIGS = [
         ),
     ),
     (
-        "out-of-core-process",
+        # Socket workers attach the spill directory under the same
+        # one-byte budget, so every shard op evicts worker-side.
+        "out-of-core-socket",
         lambda dataset, tmp_path: ShardedEngine(
             dataset,
             shards=3,
             workers=2,
-            workers_mode="process",
             spill_dir=str(tmp_path),
+            max_resident_bytes=1,
         ),
     ),
     ("compressed", lambda dataset, tmp_path: "compressed"),

@@ -1,8 +1,12 @@
 """Tests for incremental MUP maintenance, cross-checked against recompute."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+from repro.core.engine import EngineConfig
 from repro.core.incremental import IncrementalMupIndex
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern
@@ -203,6 +207,44 @@ class TestEngineCacheUnderMutation:
         # ...with a cold cache (no state carried over from the old dataset).
         assert rebuilt.dataset is index.dataset
         assert set(index.mups()) == scratch_mups(index.dataset, 2)
+
+
+class TestShardedRebuilds:
+    """Every sharded engine spills, so rebuild churn must release retired
+    spill directories under the default root, and delta-spilled engines
+    must rebuild through delta writes there too."""
+
+    @pytest.fixture
+    def spill_root(self, tmp_path, monkeypatch):
+        # $TMPDIR names the default spill root (tempfile caches it).
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        return tmp_path
+
+    def test_rebuilds_release_retired_spill_dirs(self, spill_root):
+        dataset = random_categorical_dataset(40, (2, 2, 3), seed=13, skew=1.3)
+        index = IncrementalMupIndex(dataset, threshold=3, engine="sharded")
+        index.add_rows([(0, 0, 0), (1, 1, 2)])
+        index.remove_rows([0, 1, 2])
+        live = index._oracle.engine
+        assert os.listdir(spill_root) == [os.path.basename(live.spill_path)]
+        assert set(index.mups()) == scratch_mups(index.dataset, 3)
+        live.close()
+        assert os.listdir(spill_root) == []
+
+    def test_delta_spill_rebuilds_through_delta_writes(self, spill_root):
+        dataset = random_categorical_dataset(80, (3, 2, 2), seed=5, skew=1.3)
+        config = EngineConfig(backend="sharded", shards=3, delta_spill=True)
+        index = IncrementalMupIndex(dataset, threshold=4, engine=config)
+        unique, _ = dataset.unique_rows()
+        index.add_rows([tuple(int(v) for v in unique[0])])
+        assert index.delta_rebuilds == 1
+        live = index._oracle.engine
+        assert live.delta_result.reused_shards >= 1
+        assert os.listdir(spill_root) == [os.path.basename(live.spill_path)]
+        assert set(index.mups()) == scratch_mups(index.dataset, 4)
+        live.close()
+        assert os.listdir(spill_root) == []
 
 
 class FlakyEngineFactory:

@@ -4,19 +4,21 @@ Covers the failure modes that matter once index bytes live on disk: spill
 files must disappear on engine close *and* on garbage collection, a
 corrupted or truncated shard file must raise a clear ``EngineError``
 instead of returning garbage coverage, ``template()`` rebuilds must not
-leak old spill directories, and the process fan-out must be byte-identical
-to the serial path (falling back to threads where ``fork`` is missing).
+leak old spill directories, and engines built without ``spill_dir`` spill
+under the default root.
 """
 
 import gc
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
 import repro.core.engine.sharded as sharded_module
 from repro.core.engine import (
+    EngineConfig,
     MmapShardStore,
     ShardedEngine,
     ShardStoreWriter,
@@ -141,7 +143,6 @@ class TestSpillLifecycle:
             max_resident_bytes=1 << 20,
         )
         rebuilt = engine.template()(dataset)
-        assert rebuilt.out_of_core
         assert rebuilt.max_resident_bytes == 1 << 20
         assert rebuilt.spill_path != engine.spill_path
         # Both live under the same user-specified root...
@@ -152,6 +153,26 @@ class TestSpillLifecycle:
         assert rebuilt.coverage(Pattern.root(3)) == dataset.n
         rebuilt.close()
         assert spill_dirs(tmp_path) == []
+
+    def test_default_root_template_rebuild_follows_the_current_root(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        # $TMPDIR names the default spill root (tempfile caches it).
+        monkeypatch.setenv("TMPDIR", str(first))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        engine = ShardedEngine(dataset, shards=3)
+        monkeypatch.setenv("TMPDIR", str(second))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        rebuilt = engine.template()(dataset)
+        assert os.path.dirname(engine.spill_path) == str(first)
+        assert os.path.dirname(rebuilt.spill_path) == str(second)
+        assert rebuilt.coverage(Pattern.root(3)) == dataset.n
+        engine.close()
+        rebuilt.close()
+        assert spill_dirs(first) == spill_dirs(second) == []
 
     def test_incremental_rebuilds_close_old_spill_dirs(self, dataset, tmp_path):
         engine = ShardedEngine(dataset, shards=2, spill_dir=str(tmp_path))
@@ -490,9 +511,17 @@ class TestBudget:
         engine.close()
         probe.close()
 
-    def test_budget_requires_spill_dir(self, dataset):
-        with pytest.raises(ReproError, match="requires the out-of-core mode"):
-            ShardedEngine(dataset, shards=2, max_resident_bytes=1024)
+    def test_engine_without_spill_dir_uses_default_root(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        # $TMPDIR names the default spill root (tempfile caches it).
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        engine = ShardedEngine(dataset, shards=2, max_resident_bytes=1024)
+        assert os.path.dirname(engine.spill_path) == str(tmp_path)
+        assert engine.coverage(Pattern.root(3)) == dataset.n
+        engine.close()
+        assert spill_dirs(tmp_path) == []
 
     def test_bad_budget_rejected(self, dataset, tmp_path):
         with pytest.raises(ReproError, match="max_resident_bytes"):
@@ -501,75 +530,24 @@ class TestBudget:
             )
 
 
-class TestProcessFanOut:
-    def test_process_results_match_serial(self, dataset, patterns, tmp_path):
-        serial = ShardedEngine(dataset, shards=3)
-        pooled = ShardedEngine(
-            dataset,
-            shards=3,
-            workers=2,
-            workers_mode="process",
-            spill_dir=str(tmp_path),
-        )
-        try:
-            assert pooled.effective_workers_mode == "process"
-            assert list(pooled.coverage_many(patterns)) == list(
-                serial.coverage_many(patterns)
-            )
-            for pattern in patterns:
-                assert pooled.coverage(pattern) == serial.coverage(pattern)
-            family = pooled.restrict_children(pooled.full_mask(), 1)
-            expected = serial.restrict_children(serial.full_mask(), 1)
-            for child, reference in zip(family, expected):
-                assert np.array_equal(
-                    pooled.mask_to_bool(child), serial.mask_to_bool(reference)
-                )
-        finally:
-            pooled.close()
-            serial.close()
-
-    def test_falls_back_to_threads_without_fork(
+class TestFanOut:
+    def test_spawn_local_workers_fall_back_to_serial_without_fork(
         self, dataset, patterns, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(sharded_module, "_fork_available", lambda: False)
         engine = ShardedEngine(
-            dataset,
-            shards=3,
-            workers=2,
-            workers_mode="process",
-            spill_dir=str(tmp_path),
+            dataset, shards=3, workers=2, spill_dir=str(tmp_path)
         )
+        serial = ShardedEngine(dataset, shards=3, spill_dir=str(tmp_path))
         try:
-            assert engine.effective_workers_mode == "thread"
-            serial = ShardedEngine(dataset, shards=3)
+            assert engine.fan_out == "serial"
             assert list(engine.coverage_many(patterns)) == list(
                 serial.coverage_many(patterns)
             )
+            assert engine._dist_pool is None
         finally:
             engine.close()
-
-    def test_process_mode_requires_spill_dir(self, dataset):
-        with pytest.raises(ReproError, match="out-of-core"):
-            ShardedEngine(dataset, shards=2, workers=2, workers_mode="process")
-
-    def test_process_mode_requires_a_real_pool(self, dataset, tmp_path):
-        for workers in (None, 1):
-            with pytest.raises(ReproError, match="requires workers"):
-                ShardedEngine(
-                    dataset,
-                    shards=2,
-                    workers=workers,
-                    workers_mode="process",
-                    spill_dir=str(tmp_path),
-                )
-        # Nothing was spilled by the rejected constructions.
-        assert spill_dirs(tmp_path) == []
-
-    def test_workers_mode_validated(self, dataset, tmp_path):
-        with pytest.raises(ReproError, match="workers_mode"):
-            ShardedEngine(
-                dataset, shards=2, spill_dir=str(tmp_path), workers_mode="mpi"
-            )
+            serial.close()
 
     def test_run_shard_op_kernels_in_process(self, dataset, tmp_path):
         """The pool entry point, exercised in-process for determinism."""
@@ -599,36 +577,35 @@ class TestProcessFanOut:
 class TestResolutionAndTemplates:
     def test_resolve_engine_forwards_out_of_core_options(self, dataset, tmp_path):
         engine = resolve_engine(
-            "sharded",
+            EngineConfig(
+                backend="sharded",
+                shards=3,
+                spill_dir=str(tmp_path),
+                max_resident_bytes=1 << 16,
+            ),
             dataset,
-            shards=3,
-            spill_dir=str(tmp_path),
-            max_resident_bytes=1 << 16,
-            workers_mode="thread",
         )
         assert isinstance(engine, ShardedEngine)
-        assert engine.out_of_core
+        assert os.path.dirname(engine.spill_path) == str(tmp_path)
         assert engine.max_resident_bytes == 1 << 16
         engine.close()
 
-    def test_template_carries_workers_mode(self, dataset, tmp_path):
+    def test_template_carries_fan_out_options(self, dataset, tmp_path):
         engine = ShardedEngine(
-            dataset,
-            shards=3,
-            workers=2,
-            workers_mode="process",
-            spill_dir=str(tmp_path),
+            dataset, shards=3, workers=2, spill_dir=str(tmp_path)
         )
         options = engine._template_options()
-        assert options["workers_mode"] == "process"
+        assert options["workers"] == 2
         assert options["spill_dir"] == str(tmp_path)
         engine.close()
 
-    def test_in_memory_template_has_no_spill(self, dataset):
+    def test_default_root_template_has_no_spill_dir(self, dataset):
+        # The template stays portable: it does not pin this host's root.
         engine = ShardedEngine(dataset, shards=3)
         options = engine._template_options()
         assert options["spill_dir"] is None
         assert options["max_resident_bytes"] is None
+        engine.close()
 
     def test_attach_validation_failure_releases_store(self, dataset, tmp_path):
         owner = ShardedEngine(dataset, shards=2, spill_dir=str(tmp_path))

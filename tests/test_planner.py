@@ -2,10 +2,12 @@
 
 Plans are deterministic functions of ``(WorkloadStats, requested
 EngineConfig)``; these tests pin the escalation boundaries — dense →
-packed → sharded(+workers) → out-of-core — and that explicitly requested
+packed → sharded (+socket workers) — and that explicitly requested
 knobs act as constraints, including the acceptance pin that a projected
 packed index above the memory budget selects the out-of-core mode.
 """
+
+import os
 
 import pytest
 
@@ -87,14 +89,9 @@ class TestEscalation:
         )
         assert plan.config == EngineConfig(backend="packed")
 
-    def test_large_index_plans_sharded(self):
+    def test_large_index_within_budget_plans_packed(self):
         plan = plan_engine(stats_for(PACKED_MAX_INDEX_BYTES + 1))
-        assert plan.config.backend == "sharded"
-        assert plan.config.spill_dir is None
-        # Shards sized near the per-shard target.
-        assert plan.config.shards >= (
-            (PACKED_MAX_INDEX_BYTES + 1) // SHARD_TARGET_BYTES
-        )
+        assert plan.config == EngineConfig(backend="packed")
 
     def test_index_over_budget_plans_out_of_core(self):
         """Acceptance pin: projected packed bytes > memory budget selects
@@ -106,6 +103,8 @@ class TestEscalation:
         assert config.spill_dir is not None
         assert config.max_resident_bytes == budget
         assert any("out-of-core" in line for line in plan.rationale)
+        # Shards sized near the per-shard target.
+        assert config.shards >= (1 << 30) // SHARD_TARGET_BYTES
 
     def test_requested_budget_overrides_probed_memory(self):
         requested = EngineConfig(backend=AUTO, max_resident_bytes=128)
@@ -115,14 +114,16 @@ class TestEscalation:
         assert plan.config.spill_dir is not None
 
     def test_workers_planned_on_multicore_large_indices(self):
-        plan = plan_engine(
-            stats_for(PACKED_MAX_INDEX_BYTES * 4, cpus=8)
-        )
+        # Socket workers only once the index dwarfs the budget.
+        plan = plan_engine(stats_for(1 << 33, budget=1 << 30, cpus=8))
         assert plan.config.backend == "sharded"
         assert plan.config.workers is not None and plan.config.workers >= 2
+        assert any("socket workers" in line for line in plan.rationale)
+        plan = plan_engine(stats_for(1 << 31, budget=1 << 30, cpus=8))
+        assert plan.config.workers is None
 
     def test_serial_on_single_core(self):
-        plan = plan_engine(stats_for(PACKED_MAX_INDEX_BYTES * 4, cpus=1))
+        plan = plan_engine(stats_for(1 << 33, budget=1 << 30, cpus=1))
         assert plan.config.workers is None
 
 
@@ -133,6 +134,7 @@ class TestConstraints:
         )
         assert plan.config.backend == "sharded"
         assert plan.config.shards == 3
+        assert plan.config.spill_dir is not None
 
     def test_explicit_workers_force_sharded(self):
         plan = plan_engine(
@@ -140,6 +142,16 @@ class TestConstraints:
         )
         assert plan.config.backend == "sharded"
         assert plan.config.workers == 2
+        assert plan.config.spill_dir is not None
+
+    def test_explicit_endpoints_force_sharded(self):
+        plan = plan_engine(
+            stats_for(64, dense_bytes=64),
+            EngineConfig(backend=AUTO, worker_endpoints=["h1:7000"]),
+        )
+        assert plan.config.backend == "sharded"
+        assert plan.config.worker_endpoints == ("h1:7000",)
+        assert any("standing worker" in line for line in plan.rationale)
 
     def test_explicit_spill_dir_forces_out_of_core(self, tmp_path):
         plan = plan_engine(
@@ -151,13 +163,15 @@ class TestConstraints:
         # Budget stays unlimited: the index fits, spill was a choice.
         assert plan.config.max_resident_bytes is None
 
-    def test_process_mode_forces_out_of_core(self):
+    def test_explicit_delta_spill_forces_sharded(self):
         plan = plan_engine(
             stats_for(64, dense_bytes=64),
-            EngineConfig(backend=AUTO, workers=2, workers_mode="process"),
+            EngineConfig(backend=AUTO, delta_spill=True),
         )
-        assert plan.config.workers_mode == "process"
+        assert plan.config.backend == "sharded"
+        assert plan.config.delta_spill is True
         assert plan.config.spill_dir is not None
+        assert plan.config.max_resident_bytes is None
 
     def test_mask_cache_size_passes_through(self):
         plan = plan_engine(
@@ -272,13 +286,24 @@ class TestCostModel:
         assert BATCH_LATENCY_TARGET_SECONDS > 0
 
     def test_shapes_plan_differently_on_the_same_stats(self):
-        """Acceptance pin: the same workload, queried point-wise vs in
-        level sweeps, crosses the packed->sharded boundary differently."""
-        stats = stats_for(PACKED_MAX_INDEX_BYTES + 1)
+        """Acceptance pin: the same sparse workload, queried point-wise vs
+        in level sweeps, crosses the packed->compressed boundary
+        differently (the compressed scan must fit the shape's ceiling)."""
+        stats = WorkloadStats(
+            rows=1 << 24,
+            d=3,
+            cardinalities=(64, 64, 64),
+            projected_unique=1 << 24,
+            projected_packed_bytes=1 << 30,
+            projected_dense_bytes=1 << 33,
+            memory_budget_bytes=1 << 31,
+            cpu_count=1,
+            projected_compressed_bytes=PACKED_MAX_INDEX_BYTES,
+        )
         point = plan_engine(stats, query_shape="point")
         batch = plan_engine(stats, query_shape="batch")
-        assert point.config.backend == "sharded"
-        assert batch.config.backend == "packed"
+        assert point.config.backend == "packed"
+        assert batch.config.backend == "compressed"
         assert any("point-heavy" in line for line in point.rationale)
         assert any("batch-heavy" in line for line in batch.rationale)
 
@@ -394,7 +419,7 @@ class TestEndToEnd:
         engine = resolve_engine(config, dataset)
         try:
             assert isinstance(engine, ShardedEngine)
-            assert engine.out_of_core
+            assert os.path.dirname(engine.spill_path) == str(tmp_path)
             assert engine.max_resident_bytes == 16
             reference = PackedBitsetEngine(dataset)
             from repro.core.pattern import Pattern

@@ -156,6 +156,7 @@ class TestHotMaskCache:
         engine.coverage_many(patterns)
         engine.coverage_many(patterns)
         info = engine.cache_info()
+        info.pop("store")  # the spill loader's counters, not the mask cache
         assert info == {
             "hits": 0,
             "misses": 0,
@@ -198,7 +199,7 @@ class TestHotMaskCache:
         pattern = Pattern.of(X, 1, X)
         before = engine.coverage(pattern)
         mask = engine.match_mask(pattern)
-        mask.iand(engine.value_mask(0, 0))
+        mask &= engine.value_mask(0, 0)
         assert engine.coverage(pattern) == before
 
 
@@ -217,5 +218,8 @@ class TestWorkers:
 
     def test_single_shard_never_builds_a_pool(self, dataset):
         engine = ShardedEngine(dataset, shards=1, workers=8)
-        assert engine._executor is None
+        assert engine.fan_out == "serial"
+        assert engine.coverage(Pattern.root(dataset.d)) == dataset.n
+        assert engine._dist_pool is None
         assert engine.workers == 8
+        engine.close()
