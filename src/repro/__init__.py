@@ -27,15 +27,12 @@ from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.core.engine import (
     ENGINES,
-    KERNEL_TIERS,
     CoverageEngine,
     DenseBoolEngine,
     EngineConfig,
     EnginePlan,
     PackedBitsetEngine,
     ShardedEngine,
-    get_kernels,
-    numba_available,
     plan_engine,
     resolve_engine,
 )
@@ -83,9 +80,6 @@ __all__ = [
     "EnginePlan",
     "plan_engine",
     "ENGINES",
-    "KERNEL_TIERS",
-    "get_kernels",
-    "numba_available",
     "resolve_engine",
     "CoverageOracle",
     "coverage_scan",

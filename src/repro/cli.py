@@ -43,7 +43,6 @@ from repro.core.engine import (
     DEFAULT_RUN_CUTOFF,
     DEFAULT_SHARDS,
     ENGINES,
-    KERNEL_TIERS,
     CoverageEngine,
     EngineConfig,
     engine_name,
@@ -57,14 +56,21 @@ from repro.core.mups.base import ALGORITHMS, algorithm_query_shape, find_mups
 from repro.core.pattern_graph import PatternSpace
 from repro.data.compas import load_compas
 from repro.data.dataset import Dataset
-from repro.exceptions import ReproError, ValidationError
+from repro.exceptions import DataError, ReproError, ValidationError
+
+
+def _read_header(reader, path: str) -> List[str]:
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path} is empty; expected a header row")
+    return header
 
 
 def _load_csv(path: str, attributes: Optional[Sequence[str]]) -> Dataset:
     """Read an integer-coded CSV with a header row into a Dataset."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = _read_header(reader, path)
         rows = [[int(cell) for cell in row] for row in reader if row]
     dataset = Dataset.from_rows(rows, names=header)
     if attributes:
@@ -82,7 +88,7 @@ def _load_csv_numeric(
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = _read_header(reader, path)
         if column not in header:
             raise ReproError(f"column {column!r} not in CSV header {header}")
         numeric = header.index(column)
@@ -172,21 +178,10 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "the data's density",
     )
     parser.add_argument(
-        "--kernel-tier",
-        default=None,
-        choices=sorted(KERNEL_TIERS),
-        help="inner-loop kernel tier (default 'auto': numba-jitted kernels "
-        "when numba is importable, bit-identical pure-python/numpy "
-        "otherwise); 'jit' requires numba (pip install '.[jit]') and "
-        "errors without it, 'python' forces the fallback; the REPRO_KERNELS "
-        "environment variable sets the same switch process-wide",
-    )
-    parser.add_argument(
         "--explain-plan",
         action="store_true",
         help="print the engine plan (chosen backend + rationale, including "
-        "the query-shape/kernel-tier cost model) before running the "
-        "command",
+        "the query-shape cost model) before running the command",
     )
     parser.add_argument(
         "--shards",

@@ -49,14 +49,6 @@ from repro.core.engine.mmapped import (
 from repro.core.engine.packed import PackedBitsetEngine
 from repro.core.engine.sharded import DEFAULT_SHARDS, ShardedEngine
 from repro.core.engine.config import AUTO, BUILTIN_BACKENDS, EngineConfig
-from repro.core.engine.kernels import (
-    KERNEL_TIERS,
-    REPRO_KERNELS_ENV,
-    Kernels,
-    get_kernels,
-    numba_available,
-    resolve_kernel_tier,
-)
 from repro.core.engine.planner import (
     QUERY_SHAPES,
     EnginePlan,
@@ -98,12 +90,6 @@ __all__ = [
     "stats_cache_info",
     "invalidate_stats_cache",
     "QUERY_SHAPES",
-    "Kernels",
-    "KERNEL_TIERS",
-    "REPRO_KERNELS_ENV",
-    "get_kernels",
-    "numba_available",
-    "resolve_kernel_tier",
     "AUTO",
     "BUILTIN_BACKENDS",
     "ENGINES",

@@ -58,7 +58,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.engine.kernels import Kernels, get_kernels
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
 from repro.exceptions import PatternError, ReproError
@@ -103,17 +102,11 @@ class CoverageEngine(ABC):
         self,
         dataset: Dataset,
         mask_cache_size: int = DEFAULT_MASK_CACHE,
-        kernel_tier: str = None,
     ) -> None:
         self._dataset = dataset
         unique, counts = dataset.unique_rows()
         self._unique = unique
         self._counts = counts
-        # Tier resolution happens once per engine: the requested value is
-        # kept for template() round-trips, the resolved Kernels namespace
-        # is what the backends call through.
-        self._requested_kernel_tier = kernel_tier
-        self._kernels = get_kernels(kernel_tier)
         self._mask_cache: "OrderedDict[Tuple[int, ...], Mask]" = OrderedDict()
         self._mask_cache_size = max(0, int(mask_cache_size))
         self._mask_cache_nbytes = 0
@@ -147,16 +140,6 @@ class CoverageEngine(ABC):
     def unique_rows(self) -> np.ndarray:
         """The distinct value combinations the masks range over."""
         return self._unique
-
-    @property
-    def kernel_tier(self) -> str:
-        """The resolved kernel tier this engine runs (``"jit"``/``"python"``)."""
-        return self._kernels.tier
-
-    @property
-    def kernels(self) -> Kernels:
-        """The kernel namespace the inner loops dispatch through."""
-        return self._kernels
 
     def _check_pattern(self, pattern: Pattern) -> None:
         if len(pattern) != self._dataset.d:
@@ -387,12 +370,7 @@ class CoverageEngine(ABC):
         Backends with extra constructor parameters (shard count, worker
         pool) extend this dict.
         """
-        options: Dict[str, Any] = {"mask_cache_size": self._mask_cache_size}
-        if self._requested_kernel_tier is not None:
-            # Carry the *requested* tier, not the resolved one, so a
-            # template built under auto stays auto on the next machine.
-            options["kernel_tier"] = self._requested_kernel_tier
-        return options
+        return {"mask_cache_size": self._mask_cache_size}
 
     def template(self) -> "EngineSpec":
         """A dataset-free factory that rebuilds an equivalently configured engine.

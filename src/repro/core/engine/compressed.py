@@ -110,6 +110,37 @@ def _is_full_run(runs: np.ndarray, chunk_len: int) -> bool:
     return len(runs) == 1 and runs[0, 0] == 0 and runs[0, 1] == chunk_len
 
 
+def array_select_bitmap(array: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The members of sorted ``array`` whose bit is set in ``words``."""
+    idx = array.astype(np.int64)
+    bits = (words[idx >> 6] >> (idx & 63).astype(np.uint64)) & np.uint64(1)
+    return array[bits.astype(bool)]
+
+
+def array_select_runs(array: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """The members of sorted ``array`` inside the ``[start, stop)`` runs."""
+    idx = array.astype(np.int64)
+    position = np.searchsorted(runs[:, 0], idx, side="right") - 1
+    inside = (position >= 0) & (idx < runs[np.maximum(position, 0), 1])
+    return array[inside]
+
+
+def intersect_runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Interval intersection of two sorted run lists → ``(k, 2)`` int32."""
+    out: List[tuple] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        start = max(a[i, 0], b[j, 0])
+        stop = min(a[i, 1], b[j, 1])
+        if start < stop:
+            out.append((int(start), int(stop)))
+        if a[i, 1] <= b[j, 1]:
+            i += 1
+        else:
+            j += 1
+    return np.array(out, dtype=np.int32).reshape(-1, 2)
+
+
 class CompressedBitmap:
     """A chunked container bitmap over the unique-combination space.
 
@@ -197,11 +228,8 @@ class CompressedEngine(CoverageEngine):
         mask_cache_size: int = DEFAULT_MASK_CACHE,
         array_cutoff: Optional[int] = None,
         run_cutoff: Optional[int] = None,
-        kernel_tier: str = None,
     ) -> None:
-        super().__init__(
-            dataset, mask_cache_size=mask_cache_size, kernel_tier=kernel_tier
-        )
+        super().__init__(dataset, mask_cache_size=mask_cache_size)
         # One validator for constructor and config callers (lazy import:
         # the config module imports this one for its constants).
         from repro.core.engine.config import EngineConfig
@@ -210,7 +238,6 @@ class CompressedEngine(CoverageEngine):
             "compressed",
             array_cutoff=array_cutoff,
             run_cutoff=run_cutoff,
-            kernel_tier=kernel_tier,
         )
         self._array_cutoff = (
             DEFAULT_ARRAY_CUTOFF if array_cutoff is None else int(array_cutoff)
@@ -347,11 +374,11 @@ class CompressedEngine(CoverageEngine):
         """``array AND other`` without leaving the sorted-array domain."""
         kind, data = other
         if kind == ARRAY:
-            kept = self._kernels.intersect_sorted(array, data)
+            kept = np.intersect1d(array, data, assume_unique=True)
         elif kind == BITMAP:
-            kept = self._kernels.array_select_bitmap(array, data)
+            kept = array_select_bitmap(array, data)
         else:  # RUN
-            kept = self._kernels.array_select_runs(array, data)
+            kept = array_select_runs(array, data)
         if not len(kept):
             return None
         return (ARRAY, kept)
@@ -378,7 +405,7 @@ class CompressedEngine(CoverageEngine):
             )
         if kind_a == RUN and kind_b == RUN:
             return self._normalize_runs(
-                self._kernels.intersect_runs(data_a, data_b), chunk_len
+                intersect_runs(data_a, data_b), chunk_len
             )
         # BITMAP x RUN (either order): clip the bitmap by the intervals.
         words = data_a if kind_a == BITMAP else data_b

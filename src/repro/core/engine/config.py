@@ -38,7 +38,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro.core.engine.base import DEFAULT_ENGINE, ENGINES, CoverageEngine
 from repro.core.engine.compressed import CHUNK_BITS
 from repro.core.engine.distributed import parse_endpoint
-from repro.core.engine.kernels import KERNEL_TIERS
 from repro.exceptions import EngineError
 
 #: Pseudo-backend name: let the planner choose the real backend.
@@ -81,12 +80,6 @@ class EngineConfig:
             the sharded backend when the projected packed index exceeds it.
         mask_cache_size: hot-mask LRU capacity (``None`` = backend default,
             ``0`` disables caching).
-        kernel_tier: compiled-kernel tier for the inner loops —
-            ``"auto"`` / ``"jit"`` / ``"python"`` (``None`` defers to the
-            ``REPRO_KERNELS`` environment variable, then availability).
-            Validation checks the name only; availability of the jit tier
-            is enforced when the engine is built or planned, so configs
-            stay portable across machines with and without numba.
         array_cutoff: compressed backend — largest container cardinality
             kept as a sorted ``uint16`` array (1..65536).
         run_cutoff: compressed backend — largest interval count kept as a
@@ -109,7 +102,6 @@ class EngineConfig:
     mask_cache_size: Optional[int] = None
     array_cutoff: Optional[int] = None
     run_cutoff: Optional[int] = None
-    kernel_tier: Optional[str] = None
     worker_endpoints: Optional[Tuple[str, ...]] = None
     delta_spill: Optional[bool] = None
 
@@ -222,11 +214,6 @@ class EngineConfig:
             raise EngineError(
                 f"max_resident_bytes must be >= 1, got {self.max_resident_bytes}"
             )
-        if self.kernel_tier is not None and self.kernel_tier not in KERNEL_TIERS:
-            raise EngineError(
-                f"kernel_tier must be one of {KERNEL_TIERS}, "
-                f"got {self.kernel_tier!r}"
-            )
         if self.worker_endpoints is not None:
             if not self.worker_endpoints:
                 raise EngineError(
@@ -285,7 +272,6 @@ class EngineConfig:
             mask_cache_size=getattr(args, "mask_cache_size", None),
             array_cutoff=getattr(args, "array_cutoff", None),
             run_cutoff=getattr(args, "run_cutoff", None),
-            kernel_tier=getattr(args, "kernel_tier", None),
             worker_endpoints=getattr(args, "worker_endpoints", None),
             delta_spill=getattr(args, "delta_spill", None),
         )
@@ -315,14 +301,12 @@ class EngineConfig:
         """Constructor kwargs for the configured backend (set fields only).
 
         ``None`` fields are omitted so the backend's own defaults apply;
-        non-sharded backends only ever receive ``mask_cache_size`` and
-        ``kernel_tier`` (the validator already rejected anything else).
+        non-sharded backends only ever receive ``mask_cache_size`` (the
+        validator already rejected anything else).
         """
         options: Dict[str, Any] = {}
         if self.mask_cache_size is not None:
             options["mask_cache_size"] = self.mask_cache_size
-        if self.kernel_tier is not None:
-            options["kernel_tier"] = self.kernel_tier
         if self.backend == "sharded":
             for name in _SHARDED_ONLY:
                 value = getattr(self, name)

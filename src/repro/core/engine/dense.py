@@ -30,11 +30,8 @@ class DenseBoolEngine(CoverageEngine):
         self,
         dataset: Dataset,
         mask_cache_size: int = DEFAULT_MASK_CACHE,
-        kernel_tier: str = None,
     ) -> None:
-        super().__init__(
-            dataset, mask_cache_size=mask_cache_size, kernel_tier=kernel_tier
-        )
+        super().__init__(dataset, mask_cache_size=mask_cache_size)
         # _index[i][v] is the boolean vector over unique rows with value v
         # on attribute i (the inverted index of Appendix A).
         self._index: List[np.ndarray] = []

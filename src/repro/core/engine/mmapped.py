@@ -55,14 +55,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine.kernels import (
-    Kernels,
-    _py_and_family,
-    _py_and_rows,
-    _py_count,
-    _py_count_rows,
-    get_kernels,
-)
+from repro.data.bitset import weighted_count, weighted_count_rows
 from repro.exceptions import EngineError
 
 _WORD_BITS = 64
@@ -105,6 +98,18 @@ _SHARD_ENTRY_KEYS = (
     "words_size",
     "counts_file",
     "counts_shape",
+    "counts_size",
+    "word_start",
+    "word_stop",
+    "unique_start",
+    "unique_stop",
+    "row_count",
+)
+
+#: Per-shard fields that must hold non-negative integers.
+_SHARD_COUNT_KEYS = (
+    "id",
+    "words_size",
     "counts_size",
     "word_start",
     "word_stop",
@@ -158,16 +163,24 @@ def _lex_searchsorted(unique: np.ndarray, key: Sequence[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# pure per-shard kernels (shared by the serial and socket paths); the
-# implementations now live in repro.core.engine.kernels — the python tier
-# keeps its old module-level names here, and apply_shard_op dispatches
-# through whichever Kernels tier the caller holds (defaulting to the
-# env-resolved tier in shard workers).
+# pure per-shard kernels (shared by the serial and socket paths, and by
+# the packed engine's sibling-family probe)
 # ----------------------------------------------------------------------
-and_rows = _py_and_rows
-and_family = _py_and_family
-weighted_count = _py_count
-weighted_count_rows = _py_count_rows
+def and_rows(
+    window: np.ndarray, words: np.ndarray, rows: Sequence[int]
+) -> np.ndarray:
+    """``window AND words[r0] AND words[r1] …`` — a chained restriction."""
+    if not len(rows) or words.shape[1] == 0:
+        return np.array(window, dtype=np.uint64, copy=True)
+    # Fancy indexing copies the selected rows out of the (possibly mmapped)
+    # block, so the reduction runs over plain memory.
+    acc = np.bitwise_and.reduce(words[list(rows)], axis=0)
+    return np.bitwise_and(window, acc)
+
+
+def and_family(window: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``window AND`` every row of ``block`` — one sibling family."""
+    return np.bitwise_and(window[np.newaxis, :], block)
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +419,6 @@ class ShardStoreWriter:
         *,
         max_resident_bytes: Optional[int] = None,
         owns_files: bool = True,
-        kernel_tier: Optional[str] = None,
     ) -> "DeltaWriteResult":
         """Re-spill ``dataset`` into ``directory``, reusing clean shards.
 
@@ -503,7 +515,6 @@ class ShardStoreWriter:
                 start,
                 stop,
                 inverse=inverse,
-                kernel_tier=kernel_tier,
             )
             writer.add_shard(
                 block,
@@ -557,6 +568,117 @@ _COMPONENTS = ("words", "counts")
 
 def _remove_tree(path: str) -> None:
     shutil.rmtree(path, ignore_errors=True)
+
+
+def _is_count(value: Any) -> bool:
+    """A non-negative JSON integer (``bool`` excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_count_list(value: Any) -> bool:
+    return isinstance(value, list) and all(_is_count(v) for v in value)
+
+
+def _is_file_name(value: Any) -> bool:
+    """A bare file name inside the spill directory."""
+    return (
+        isinstance(value, str)
+        and "\x00" not in value
+        and value not in ("", "..")
+        and Path(value).name == value
+    )
+
+
+def _read_manifest(path: Path) -> Dict[str, Any]:
+    """Load and type-check a spill directory's manifest.
+
+    Every field :meth:`MmapShardStore.open` and the engines read is checked
+    here, so a hand-edited, truncated or foreign manifest fails with one
+    :class:`EngineError` instead of a ``KeyError``/``TypeError`` deep in a
+    query.
+    """
+    manifest_path = path / MANIFEST_NAME
+    if not manifest_path.is_file():
+        raise EngineError(
+            f"{path} is not a shard store (no {MANIFEST_NAME}; "
+            f"incomplete spill directories are rejected)"
+        )
+    try:
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError) as error:  # incl. JSON and UTF-8 decoding
+        raise EngineError(
+            f"unreadable shard-store manifest {manifest_path}: {error}"
+        ) from error
+
+    def malformed(reason: str) -> EngineError:
+        return EngineError(
+            f"malformed shard-store manifest {manifest_path}: {reason}"
+        )
+
+    if not isinstance(manifest, dict):
+        raise malformed("the top level must be a JSON object")
+    if manifest.get("format") not in SUPPORTED_MANIFEST_FORMATS:
+        raise EngineError(
+            f"unsupported shard-store format {manifest.get('format')!r} "
+            f"in {manifest_path}; expected one of "
+            f"{list(SUPPORTED_MANIFEST_FORMATS)}"
+        )
+    # Hand-edited or differently-versioned manifests must fail with a
+    # clear error here, not a KeyError deep in a query.
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing or not isinstance(manifest["shards"], list):
+        raise malformed(f"missing or invalid fields {missing or ['shards']}")
+    for key in ("cardinalities", "row_offsets"):
+        if not _is_count_list(manifest[key]):
+            raise malformed(f"{key!r} must be a list of non-negative integers")
+    if not _is_count(manifest["total_words"]):
+        raise malformed("'total_words' must be a non-negative integer")
+    if not isinstance(manifest["dataset"], dict):
+        raise malformed("'dataset' must be a JSON object")
+    required_entry_keys = _SHARD_ENTRY_KEYS
+    if manifest["format"] == MANIFEST_FORMAT:
+        required_entry_keys = _SHARD_ENTRY_KEYS + _SHARD_ENTRY_KEYS_V2
+    for entry in manifest["shards"]:
+        bad = not isinstance(entry, dict) or any(
+            key not in entry for key in required_entry_keys
+        )
+        if bad:
+            raise malformed(f"incomplete shard entry {entry!r}")
+        for key in _SHARD_COUNT_KEYS:
+            if not _is_count(entry[key]):
+                raise malformed(
+                    f"shard field {key!r} must be a non-negative integer, "
+                    f"got {entry[key]!r}"
+                )
+        if not _is_file_name(entry["words_file"]) or not (
+            entry["counts_file"] is None or _is_file_name(entry["counts_file"])
+        ):
+            raise malformed(
+                f"shard {entry['id']} names files outside the spill directory"
+            )
+        if not _is_count_list(entry["words_shape"]) or not (
+            entry["counts_shape"] is None
+            or _is_count_list(entry["counts_shape"])
+        ):
+            raise malformed(
+                f"shard {entry['id']} shapes must be lists of non-negative "
+                f"integers"
+            )
+    return manifest
+
+
+def _check_shard_file(path: Path, filename: str, expected_size: int) -> None:
+    file_path = path / filename
+    try:
+        actual = file_path.stat().st_size
+    except OSError as error:
+        raise EngineError(f"missing shard file {file_path}") from error
+    if actual != expected_size:
+        raise EngineError(
+            f"shard file {file_path} is truncated or corrupted "
+            f"({actual} bytes on disk, manifest records {expected_size})"
+        )
 
 
 class MmapShardStore:
@@ -633,51 +755,7 @@ class MmapShardStore:
         garbage coverage results.
         """
         path = Path(directory)
-        manifest_path = path / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise EngineError(
-                f"{path} is not a shard store (no {MANIFEST_NAME}; "
-                f"incomplete spill directories are rejected)"
-            )
-        try:
-            with open(manifest_path) as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            raise EngineError(
-                f"unreadable shard-store manifest {manifest_path}: {error}"
-            ) from error
-        if manifest.get("format") not in SUPPORTED_MANIFEST_FORMATS:
-            raise EngineError(
-                f"unsupported shard-store format {manifest.get('format')!r} "
-                f"in {manifest_path}; expected one of "
-                f"{list(SUPPORTED_MANIFEST_FORMATS)}"
-            )
-        # Hand-edited or differently-versioned manifests must fail with a
-        # clear error here, not a KeyError deep in a query.
-        missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-        if missing or not isinstance(manifest["shards"], list):
-            raise EngineError(
-                f"malformed shard-store manifest {manifest_path}: "
-                f"missing or invalid fields {missing or ['shards']}"
-            )
-        required_entry_keys = _SHARD_ENTRY_KEYS
-        if manifest["format"] == MANIFEST_FORMAT:
-            required_entry_keys = _SHARD_ENTRY_KEYS + _SHARD_ENTRY_KEYS_V2
-        for entry in manifest["shards"]:
-            bad = not isinstance(entry, dict) or any(
-                key not in entry for key in required_entry_keys
-            )
-            if bad:
-                raise EngineError(
-                    f"malformed shard-store manifest {manifest_path}: "
-                    f"incomplete shard entry {entry!r}"
-                )
-        store = cls(
-            path,
-            manifest,
-            max_resident_bytes=max_resident_bytes,
-            owns_files=owns_files,
-        )
+        manifest = _read_manifest(path)
         rows = sum(manifest["cardinalities"])
         for entry in manifest["shards"]:
             # The block shapes must agree with the word windows the kernels
@@ -700,7 +778,7 @@ class MmapShardStore:
                     f"{entry['words_shape']}, but its manifest word window "
                     f"requires {[rows, width]}"
                 )
-            store._check_file(entry["words_file"], entry["words_size"])
+            _check_shard_file(path, entry["words_file"], entry["words_size"])
             if entry["counts_file"] is not None:
                 if entry["counts_shape"] != [width * _WORD_BITS]:
                     raise EngineError(
@@ -708,20 +786,15 @@ class MmapShardStore:
                         f"{entry['counts_shape']}, but its manifest word "
                         f"window requires {[width * _WORD_BITS]}"
                     )
-                store._check_file(entry["counts_file"], entry["counts_size"])
-        return store
-
-    def _check_file(self, filename: str, expected_size: int) -> None:
-        file_path = self._path / filename
-        try:
-            actual = file_path.stat().st_size
-        except OSError as error:
-            raise EngineError(f"missing shard file {file_path}") from error
-        if actual != expected_size:
-            raise EngineError(
-                f"shard file {file_path} is truncated or corrupted "
-                f"({actual} bytes on disk, manifest records {expected_size})"
-            )
+                _check_shard_file(
+                    path, entry["counts_file"], entry["counts_size"]
+                )
+        return cls(
+            path,
+            manifest,
+            max_resident_bytes=max_resident_bytes,
+            owns_files=owns_files,
+        )
 
     # ------------------------------------------------------------------
     # manifest accessors
@@ -964,14 +1037,7 @@ def load_spill_dataset(directory):
             f"directories written at manifest format {MANIFEST_FORMAT!r} "
             f"can warm-start without the original dataset"
         )
-    manifest_path = path / MANIFEST_NAME
-    try:
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise EngineError(
-            f"unreadable shard-store manifest {manifest_path}: {error}"
-        ) from error
+    manifest = _read_manifest(path)
     try:
         with np.load(payload_path, allow_pickle=False) as payload:
             unique = np.ascontiguousarray(payload["unique"], dtype=np.int32)
@@ -981,7 +1047,7 @@ def load_spill_dataset(directory):
         raise EngineError(
             f"corrupted dataset payload {payload_path}: {error}"
         ) from error
-    cardinalities = [int(c) for c in manifest.get("cardinalities", [])]
+    cardinalities = manifest["cardinalities"]
     if unique.ndim != 2 or unique.shape[1] != len(cardinalities) or len(
         counts
     ) != len(unique):
@@ -1062,15 +1128,11 @@ def apply_shard_op(
     payload: Any,
     words: np.ndarray,
     counts: Optional[np.ndarray],
-    kernels: Optional[Kernels] = None,
 ):
     """Dispatch one per-shard kernel over the shard's loaded arrays.
 
     The single dispatch shared by the serial and socket paths, so the two
-    evaluation modes cannot diverge.  ``kernels`` selects the tier (the
-    engine passes its own; shard workers default to the env-resolved tier
-    — both tiers are bit-identical).
-    Ops:
+    evaluation modes cannot diverge.  Ops:
 
     * ``"count"`` — payload = mask window → weighted count (int);
     * ``"count_rows"`` — payload = ``(k, W_j)`` mask matrix window →
@@ -1080,18 +1142,16 @@ def apply_shard_op(
     * ``"children"`` — payload = ``(mask window, row_start, row_stop)`` →
       the ``(c, W_j)`` sibling-family window.
     """
-    if kernels is None:
-        kernels = get_kernels()
     if op == "count":
-        return kernels.count(payload, counts)
+        return weighted_count(payload, counts)
     if op == "count_rows":
-        return kernels.count_rows(payload, counts)
+        return weighted_count_rows(payload, counts)
     if op == "match":
         window, rows = payload
-        return kernels.and_rows(window, words, rows)
+        return and_rows(window, words, rows)
     if op == "children":
         window, row_start, row_stop = payload
-        return kernels.and_family(window, words[row_start:row_stop])
+        return and_family(window, words[row_start:row_stop])
     raise EngineError(f"unknown shard op {op!r}")
 
 

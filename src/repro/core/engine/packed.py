@@ -22,6 +22,8 @@ from repro.core.engine.base import (
     CoverageEngine,
     register_engine,
 )
+from repro.core.engine.mmapped import and_family
+from repro.data.bitset import weighted_count, weighted_count_rows
 from repro.data.dataset import Dataset
 
 _WORD_BITS = 64
@@ -47,11 +49,8 @@ class PackedBitsetEngine(CoverageEngine):
         self,
         dataset: Dataset,
         mask_cache_size: int = DEFAULT_MASK_CACHE,
-        kernel_tier: str = None,
     ) -> None:
-        super().__init__(
-            dataset, mask_cache_size=mask_cache_size, kernel_tier=kernel_tier
-        )
+        super().__init__(dataset, mask_cache_size=mask_cache_size)
         unique = self._unique
         u = len(unique)
         self._full_words = full_words(u)
@@ -107,15 +106,15 @@ class PackedBitsetEngine(CoverageEngine):
         return np.bitwise_and(mask, self._words[attribute][value])
 
     def restrict_children(self, mask: np.ndarray, attribute: int) -> List[np.ndarray]:
-        return list(self._kernels.and_family(mask, self._words[attribute]))
+        return list(and_family(mask, self._words[attribute]))
 
     def count(self, mask: np.ndarray) -> int:
-        return self._kernels.count(mask, self._weights)
+        return weighted_count(mask, self._weights)
 
     def count_many(self, masks: Sequence[np.ndarray]) -> np.ndarray:
         if not len(masks):
             return np.zeros(0, dtype=np.int64)
-        return self._kernels.count_rows(np.stack(masks), self._weights)
+        return weighted_count_rows(np.stack(masks), self._weights)
 
     def mask_to_bool(self, mask: np.ndarray) -> np.ndarray:
         bits = np.unpackbits(

@@ -58,7 +58,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.core.engine.compressed import CHUNK_BITS, DEFAULT_ARRAY_CUTOFF
 from repro.core.engine.config import AUTO, EngineConfig
-from repro.core.engine.kernels import resolve_kernel_tier
 from repro.core.engine.sharded import DEFAULT_SHARDS, _default_spill_root
 from repro.data.dataset import Dataset
 from repro.exceptions import EngineError
@@ -86,9 +85,8 @@ SINGLE_INDEX_TARGET_SECONDS = 0.008
 
 #: Largest index one flat scan covers within the latency target — the
 #: ceiling a compressed index must fit to stand in for packed.  This is
-#: the point-shape / python-tier operating point;
-#: :func:`_single_index_ceiling` scales it by the query shape and the
-#: active kernel tier.
+#: the point-shape operating point; :func:`_single_index_ceiling` scales
+#: it by the query shape.
 PACKED_MAX_INDEX_BYTES = int(
     PACKED_SCAN_BYTES_PER_SECOND * SINGLE_INDEX_TARGET_SECONDS
 )
@@ -106,12 +104,6 @@ PACKED_MAX_INDEX_BYTES = int(
 #: levels skip counting inside regions a coarser rollup already proved
 #: uncovered, so each remaining scan serves extra classification work.
 QUERY_SHAPES = ("point", "batch", "sweep", "hierarchy")
-
-#: Effective scan-throughput multiplier of the jit kernel tier over the
-#: numpy tier (conservative; bench_kernels.py measures >= 5x on the fused
-#: AND+popcount scan).  A jit-backed index can be this much larger and
-#: still meet the same latency target.
-JIT_SCAN_SPEEDUP = 4.0
 
 #: Latency target for one scan serving a *batch* of queries: a level
 #: sweep answers a whole frontier per scan, so per-scan latency may relax
@@ -138,19 +130,15 @@ _SHAPE_LATENCY_TARGETS = {
 }
 
 
-def _single_index_ceiling(query_shape: str, kernel_tier: str) -> int:
-    """Largest packed index one flat scan may cover, per shape x tier.
+def _single_index_ceiling(query_shape: str) -> int:
+    """Largest packed index one flat scan may cover, per query shape.
 
-    The point-shape / python-tier corner equals
-    :data:`PACKED_MAX_INDEX_BYTES`; jit kernels, batch amortization, and
-    sweep cross-threshold amortization each raise the ceiling
-    multiplicatively.
+    The point shape equals :data:`PACKED_MAX_INDEX_BYTES`; batch
+    amortization and sweep cross-threshold amortization each raise the
+    ceiling multiplicatively.
     """
     target = _SHAPE_LATENCY_TARGETS[query_shape]
-    throughput = PACKED_SCAN_BYTES_PER_SECOND * (
-        JIT_SCAN_SPEEDUP if kernel_tier == "jit" else 1.0
-    )
-    return int(throughput * target)
+    return int(PACKED_SCAN_BYTES_PER_SECOND * target)
 
 #: Per-byte scan cost of the chunked compressed kernels relative to the
 #: fused packed kernels.  benchmarks/bench_compressed.py measures the
@@ -309,10 +297,6 @@ class WorkloadStats:
             latency-bound single-pattern streams (DFS traversals),
             ``"batch"`` for throughput-bound level sweeps.  Defaults to
             the conservative ``"point"``.
-        kernel_tier: the resolved kernel tier the cost model assumes
-            (``"jit"``/``"python"``); ``None`` resolves through
-            :func:`~repro.core.engine.kernels.resolve_kernel_tier` (env,
-            then availability) at construction.
     """
 
     rows: int
@@ -326,7 +310,6 @@ class WorkloadStats:
     index_density: Optional[float] = None
     projected_compressed_bytes: Optional[int] = None
     query_shape: str = "point"
-    kernel_tier: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.rows < 0:
@@ -340,13 +323,6 @@ class WorkloadStats:
                 f"query_shape must be one of {QUERY_SHAPES}, "
                 f"got {self.query_shape!r}"
             )
-        # Resolve the tier to a concrete one ("jit"/"python") so the cost
-        # model never reasons about an unavailable tier: a forced-jit
-        # request without numba raises here, which is also the guarantee
-        # that no plan ever *returns* assuming a tier this process lacks.
-        object.__setattr__(
-            self, "kernel_tier", resolve_kernel_tier(self.kernel_tier)
-        )
         # Derive the sparsity measures when a hand-rolled snapshot (tests,
         # benchmarks) leaves them out, so every snapshot is complete.
         if self.index_density is None:
@@ -374,18 +350,14 @@ class WorkloadStats:
         max_resident_bytes=...)`` budget reaches the planner.
 
         Snapshots are memoized per ``dataset.content_fingerprint()`` (plus
-        the requested budget and the process-default kernel tier), so
+        the requested budget), so
         repeated ``--engine auto`` resolutions — incremental index
         rebuilds, sweep loops — don't redo the arithmetic or the memory
         probe.  :func:`stats_cache_info` exposes the hit/miss counters;
         :func:`invalidate_stats_cache` drops entries when a dataset's
         content changes (the incremental index calls it on delivery).
         """
-        key = (
-            dataset.content_fingerprint(),
-            memory_budget,
-            resolve_kernel_tier(None),
-        )
+        key = (dataset.content_fingerprint(), memory_budget)
         with _STATS_LOCK:
             cached = _STATS_CACHE.get(key)
             if cached is not None:
@@ -439,8 +411,8 @@ class WorkloadStats:
 STATS_CACHE_MAX_ENTRIES = 256
 
 #: Memoized WorkloadStats snapshots, keyed by (content fingerprint,
-#: requested budget, process-default kernel tier); the stats are frozen,
-#: so sharing one instance across planner calls is safe.  Insertion order
+#: requested budget); the stats are frozen, so sharing one instance
+#: across planner calls is safe.  Insertion order
 #: doubles as recency (hits move_to_end) for the LRU bound above.
 _STATS_CACHE: "OrderedDict[Tuple, WorkloadStats]" = OrderedDict()
 _STATS_COUNTERS = {"hits": 0, "misses": 0, "evictions": 0}
@@ -502,9 +474,9 @@ class EnginePlan:
             f"(density {stats.index_density:.4f}), "
             f"memory budget {_fmt_bytes(stats.memory_budget_bytes)}, "
             f"cores={stats.cpu_count}",
-            f"  cost model: query shape '{stats.query_shape}' on "
-            f"{stats.kernel_tier} kernels -> single-index ceiling "
-            f"{_fmt_bytes(_single_index_ceiling(stats.query_shape, stats.kernel_tier))}",
+            f"  cost model: query shape '{stats.query_shape}' -> "
+            f"single-index ceiling "
+            f"{_fmt_bytes(_single_index_ceiling(stats.query_shape))}",
         ]
         lines.extend(f"  - {line}" for line in self.rationale)
         return "\n".join(lines)
@@ -541,18 +513,12 @@ def plan_engine(
         An :class:`EnginePlan` whose ``config`` is concrete and valid.
 
     Raises:
-        EngineError: invalid request — including ``kernel_tier="jit"``
-            when numba is unavailable: the planner refuses to emit a plan
-            whose cost model assumed a tier the process cannot run.
+        EngineError: invalid request.
     """
     if requested is None:
         requested = EngineConfig(backend=AUTO)
     elif isinstance(requested, str):
         requested = EngineConfig(backend=requested)
-    # Resolve the tier once, up front: an explicit config tier beats the
-    # environment, and forcing jit without numba fails here — before any
-    # decision could be made on a throughput the process cannot deliver.
-    tier = resolve_kernel_tier(requested.kernel_tier)
     if isinstance(source, WorkloadStats):
         stats = source
         if requested.is_auto and requested.max_resident_bytes is not None:
@@ -566,14 +532,8 @@ def plan_engine(
                 requested.max_resident_bytes if requested.is_auto else None
             ),
         )
-    if stats.query_shape != (query_shape or stats.query_shape) or (
-        stats.kernel_tier != tier
-    ):
-        stats = replace(
-            stats,
-            query_shape=query_shape or stats.query_shape,
-            kernel_tier=tier,
-        )
+    if query_shape is not None and stats.query_shape != query_shape:
+        stats = replace(stats, query_shape=query_shape)
 
     if not requested.is_auto:
         return EnginePlan(
@@ -589,7 +549,7 @@ def plan_engine(
     budget = stats.memory_budget_bytes
     packed_bytes = stats.projected_packed_bytes
     compressed_bytes = stats.projected_compressed_bytes
-    ceiling = _single_index_ceiling(stats.query_shape, stats.kernel_tier)
+    ceiling = _single_index_ceiling(stats.query_shape)
     shape_reasons = {
         "point": "point-heavy query shape (latency-bound probes)",
         "batch": "batch-heavy query shape (level sweeps amortize scans)",
@@ -600,8 +560,7 @@ def plan_engine(
         ),
     }
     rationale.append(
-        f"{shape_reasons[stats.query_shape]} on "
-        f"{stats.kernel_tier} kernels -> single-index ceiling "
+        f"{shape_reasons[stats.query_shape]} -> single-index ceiling "
         f"{_fmt_bytes(ceiling)}"
     )
     forced_sharded = bool(requested.delta_spill) or any(
@@ -651,7 +610,6 @@ def plan_engine(
             array_cutoff=requested.array_cutoff,
             run_cutoff=requested.run_cutoff,
             mask_cache_size=requested.mask_cache_size,
-            kernel_tier=requested.kernel_tier,
         )
         return EnginePlan(config=config, stats=stats, rationale=tuple(rationale))
 
@@ -676,7 +634,6 @@ def plan_engine(
             config = EngineConfig(
                 backend="compressed",
                 mask_cache_size=requested.mask_cache_size,
-                kernel_tier=requested.kernel_tier,
             )
             return EnginePlan(
                 config=config, stats=stats, rationale=tuple(rationale)
@@ -717,7 +674,6 @@ def plan_engine(
             spill_dir=spill_dir,
             max_resident_bytes=max_resident,
             mask_cache_size=requested.mask_cache_size,
-            kernel_tier=requested.kernel_tier,
             worker_endpoints=requested.worker_endpoints,
             delta_spill=requested.delta_spill,
         )
@@ -743,7 +699,6 @@ def plan_engine(
         config = EngineConfig(
             backend="dense",
             mask_cache_size=requested.mask_cache_size,
-            kernel_tier=requested.kernel_tier,
         )
     elif compressed_single_index:
         rationale.append(
@@ -756,7 +711,6 @@ def plan_engine(
         config = EngineConfig(
             backend="compressed",
             mask_cache_size=requested.mask_cache_size,
-            kernel_tier=requested.kernel_tier,
         )
     else:
         rationale.append(
@@ -767,7 +721,6 @@ def plan_engine(
         config = EngineConfig(
             backend="packed",
             mask_cache_size=requested.mask_cache_size,
-            kernel_tier=requested.kernel_tier,
         )
     return EnginePlan(config=config, stats=stats, rationale=tuple(rationale))
 

@@ -55,6 +55,7 @@ from repro.core.engine.mmapped import (
     shard_slice_fingerprint,
 )
 from repro.core.engine.packed import PackedBitsetEngine, full_words
+from repro.data.bitset import weighted_count, weighted_count_rows
 from repro.data.dataset import Dataset
 from repro.exceptions import EngineError
 
@@ -107,7 +108,6 @@ def _build_shard_block(
     unique_stop: int,
     *,
     inverse: Optional[np.ndarray] = None,
-    kernel_tier: Optional[str] = None,
 ):
     """Pack one shard's stacked membership block from the global aggregation.
 
@@ -128,9 +128,7 @@ def _build_shard_block(
     shard_dataset._prime_unique_cache(
         unique[unique_start:unique_stop], counts[unique_start:unique_stop]
     )
-    inner = PackedBitsetEngine(
-        shard_dataset, mask_cache_size=0, kernel_tier=kernel_tier
-    )
+    inner = PackedBitsetEngine(shard_dataset, mask_cache_size=0)
     if dataset.d:
         block = np.vstack([inner.word_matrix(a) for a in range(dataset.d)])
     else:
@@ -215,14 +213,11 @@ class ShardedEngine(CoverageEngine):
         mask_cache_size: int = DEFAULT_MASK_CACHE,
         spill_dir: Optional[str] = None,
         max_resident_bytes: Optional[int] = None,
-        kernel_tier: str = None,
         worker_endpoints: Optional[Sequence[str]] = None,
         delta_spill: bool = False,
         _attach_store: Optional[MmapShardStore] = None,
     ) -> None:
-        super().__init__(
-            dataset, mask_cache_size=mask_cache_size, kernel_tier=kernel_tier
-        )
+        super().__init__(dataset, mask_cache_size=mask_cache_size)
         shards = int(shards)
         if workers is not None:
             workers = int(workers)
@@ -238,7 +233,6 @@ class ShardedEngine(CoverageEngine):
             workers=workers,
             spill_dir=spill_dir,
             max_resident_bytes=max_resident_bytes,
-            kernel_tier=kernel_tier,
             worker_endpoints=worker_endpoints,
             delta_spill=delta_spill or None,
         )
@@ -316,7 +310,6 @@ class ShardedEngine(CoverageEngine):
                     unique_start,
                     unique_stop,
                     inverse=inverse,
-                    kernel_tier=self._requested_kernel_tier,
                 )
                 writer.add_shard(
                     block,
@@ -451,7 +444,6 @@ class ShardedEngine(CoverageEngine):
         max_resident_bytes: Optional[int] = None,
         worker_endpoints: Optional[Sequence[str]] = None,
         delta_spill: bool = False,
-        kernel_tier: str = None,
     ) -> "ShardedEngine":
         """Re-open a spill directory written by a previous engine.
 
@@ -473,7 +465,6 @@ class ShardedEngine(CoverageEngine):
                 max_resident_bytes=max_resident_bytes,
                 worker_endpoints=worker_endpoints,
                 delta_spill=delta_spill,
-                kernel_tier=kernel_tier,
                 _attach_store=store,
             )
         except BaseException:
@@ -512,7 +503,6 @@ class ShardedEngine(CoverageEngine):
                 new_path,
                 max_resident_bytes=previous._max_resident_bytes,
                 owns_files=True,
-                kernel_tier=previous._requested_kernel_tier,
             )
         except BaseException:
             shutil.rmtree(new_path, ignore_errors=True)
@@ -525,7 +515,6 @@ class ShardedEngine(CoverageEngine):
                 workers=previous._workers,
                 mask_cache_size=previous._mask_cache_size,
                 max_resident_bytes=previous._max_resident_bytes,
-                kernel_tier=previous._requested_kernel_tier,
                 worker_endpoints=previous._worker_endpoints,
                 delta_spill=previous._delta_spill,
                 _attach_store=store,
@@ -693,10 +682,7 @@ class ShardedEngine(CoverageEngine):
             else:
                 words, counts = self._store.shard_words(shard.index), None
             results.append(
-                apply_shard_op(
-                    op, payloads[shard.index], words, counts,
-                    kernels=self._kernels,
-                )
+                apply_shard_op(op, payloads[shard.index], words, counts)
             )
         return results
 
@@ -814,7 +800,7 @@ class ShardedEngine(CoverageEngine):
         # Uniform data needs no multiplicities: coverage is a pure popcount
         # of the (resident) mask, with no shard loads at all.
         if self._uniform:
-            return self._kernels.count(mask, None)
+            return weighted_count(mask, None)
         partials = self._map_shards(
             "count", [mask[self._window(shard)] for shard in self._shards]
         )
@@ -826,7 +812,7 @@ class ShardedEngine(CoverageEngine):
         self._check_open()
         matrix = np.stack(masks)
         if self._uniform:
-            return self._kernels.count_rows(matrix, None)
+            return weighted_count_rows(matrix, None)
         partials = self._map_shards(
             "count_rows",
             [matrix[:, self._window(shard)] for shard in self._shards],

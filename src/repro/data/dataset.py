@@ -18,6 +18,9 @@ import numpy as np
 from repro._util import product_int
 from repro.exceptions import DataError, SchemaError
 
+#: Rows are stored as int32 codes.
+_INT32 = np.iinfo(np.int32)
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -182,7 +185,16 @@ class Dataset:
         are inferred as ``max + 1`` per column (at least 2, so a constant
         binary column stays binary).
         """
-        array = np.asarray(list(rows), dtype=np.int32)
+        try:
+            array = np.asarray(list(rows), dtype=np.int64)
+        except OverflowError as error:
+            raise DataError(f"row values must fit in int32: {error}") from error
+        if array.size and (array.min() < _INT32.min or array.max() > _INT32.max):
+            raise DataError(
+                f"row values must fit in int32, got values in "
+                f"[{array.min()}, {array.max()}]"
+            )
+        array = array.astype(np.int32)
         if array.ndim == 1:
             array = array.reshape(0, 0) if array.size == 0 else array.reshape(1, -1)
         if schema is None:

@@ -26,7 +26,6 @@ from typing import Dict, Optional
 from repro.core.engine.config import EngineConfig
 from repro.core.engine.planner import (
     EnginePlan,
-    JIT_SCAN_SPEEDUP,
     PACKED_SCAN_BYTES_PER_SECOND,
     plan_engine,
 )
@@ -51,10 +50,7 @@ def _projected_resident_bytes(plan: EnginePlan) -> int:
 
 def _projected_scan_seconds(plan: EnginePlan) -> float:
     """One full-index scan under the calibrated throughput model."""
-    throughput = PACKED_SCAN_BYTES_PER_SECOND * (
-        JIT_SCAN_SPEEDUP if plan.stats.kernel_tier == "jit" else 1.0
-    )
-    return _projected_resident_bytes(plan) / throughput
+    return _projected_resident_bytes(plan) / PACKED_SCAN_BYTES_PER_SECOND
 
 
 class AdmissionController:

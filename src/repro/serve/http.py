@@ -97,10 +97,10 @@ class HttpServer:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
+        length = headers.get("content-length", "0")
+        if not length.isdecimal():
             raise ServeError("bad_request", "bad Content-Length header")
+        length = int(length)
         if length > MAX_BODY_BYTES:
             raise ServeError(
                 "payload_too_large",

@@ -174,7 +174,6 @@ class EngineRegistry:
             max_resident_bytes=self._engine.max_resident_bytes,
             worker_endpoints=self._engine.worker_endpoints,
             delta_spill=bool(self._engine.delta_spill),
-            kernel_tier=self._engine.kernel_tier,
         )
         if self._engine.mask_cache_size is not None:
             attach_options["mask_cache_size"] = self._engine.mask_cache_size

@@ -20,6 +20,7 @@ Request lifecycle:
 from __future__ import annotations
 
 import asyncio
+import numbers
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.hierarchy import HierarchyStack, find_mups_hierarchical
@@ -45,11 +46,14 @@ from repro.serve.config import ServeConfig
 from repro.serve.registry import EngineRegistry, Snapshot
 
 
-def _parse_pattern(value: Any, d: int) -> Pattern:
+def _parse_pattern(value: Any, dataset: Dataset) -> Pattern:
     """A wire pattern: compact string (``"1XX0"``) or value list.
 
     Lists use ``null`` (JSON) / ``None`` for the wildcard, supporting
-    cardinalities past 10 where the compact form is ambiguous.
+    cardinalities past 10 where the compact form is ambiguous.  Values are
+    checked against the dataset's cardinalities here, before the pattern
+    is queued: a bad one must fail its own request, not every query that
+    shares its batch.
     """
     try:
         if isinstance(value, str):
@@ -62,16 +66,51 @@ def _parse_pattern(value: Any, d: int) -> Pattern:
                 f"pattern must be a compact string or a value list, "
                 f"got {value!r}",
             )
-    except ReproError as error:
-        if isinstance(error, ServeError):
-            raise
+    except ServeError:
+        raise
+    except (ReproError, TypeError, ValueError) as error:
         raise ServeError("bad_pattern", str(error)) from error
-    if len(pattern) != d:
+    if len(pattern) != dataset.d:
         raise ServeError(
             "bad_pattern",
-            f"pattern {value!r} has {len(pattern)} elements; dataset has {d}",
+            f"pattern {value!r} has {len(pattern)} elements; "
+            f"dataset has {dataset.d}",
         )
+    for element, cardinality in zip(pattern, dataset.cardinalities):
+        if element != X and element >= cardinality:
+            raise ServeError(
+                "bad_pattern",
+                f"pattern {value!r} has value {element} outside "
+                f"[0, {cardinality})",
+            )
     return pattern
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _parse_rows(rows: Any, dataset: Dataset) -> List[List[int]]:
+    """Delivered rows, checked against the served dataset's schema."""
+    if not isinstance(rows, (list, tuple)) or not rows:
+        raise ServeError("bad_request", "rows must be a non-empty list")
+    cardinalities = dataset.cardinalities
+    for row in rows:
+        fits = (
+            isinstance(row, (list, tuple))
+            and len(row) == dataset.d
+            and all(
+                _is_int(v) and 0 <= v < c for v, c in zip(row, cardinalities)
+            )
+        )
+        if not fits:
+            raise ServeError(
+                "bad_request",
+                f"row {row!r} does not fit the dataset's schema: "
+                f"{dataset.d} integers within cardinalities "
+                f"{list(cardinalities)}",
+            )
+    return [[int(v) for v in row] for row in rows]
 
 
 def _pattern_values(pattern: Pattern) -> List[Optional[int]]:
@@ -192,7 +231,9 @@ class CoverageService:
             raise ServeError(
                 "bad_request", "patterns must be a non-empty list"
             )
-        parsed = [_parse_pattern(p, snapshot.dataset.d) for p in patterns]
+        if threshold is not None:
+            threshold = self._check_identify_args(threshold, "deepdiver")
+        parsed = [_parse_pattern(p, snapshot.dataset) for p in patterns]
         if len(parsed) == 1:  # point queries skip the gather machinery
             counts = [await self._cached_coverage(snapshot, parsed[0])]
         else:
@@ -207,7 +248,6 @@ class CoverageService:
             "total": int(snapshot.dataset.n),
         }
         if threshold is not None:
-            threshold = int(threshold)
             body["threshold"] = threshold
             body["covered"] = [bool(c >= threshold) for c in counts]
         return body
@@ -638,8 +678,10 @@ class CoverageService:
     ) -> Dict:
         """Append rows under snapshot semantics; returns the delivery report."""
         entry = self.registry.get(dataset_key)
-        if not isinstance(rows, (list, tuple)) or not rows:
-            raise ServeError("bad_request", "rows must be a non-empty list")
+        threshold = self._check_identify_args(
+            1 if threshold is None else threshold, algorithm
+        )
+        rows = _parse_rows(rows, entry.snapshot.dataset)
         old_fingerprint = entry.snapshot.fingerprint
         loop = asyncio.get_running_loop()
         async with self.admission.heavy():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -54,3 +57,50 @@ def make_random_dataset(
 @pytest.fixture
 def random_dataset_factory():
     return make_random_dataset
+
+
+#: Any JSON value (no NaN/infinity: those are not JSON).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def json_documents(base: dict):
+    """Arbitrary JSON documents, plus ``base`` with one field deleted or
+    replaced by arbitrary JSON — in ``base`` itself or in one element of
+    one of its list-of-object fields (e.g. a manifest's shard entries)."""
+
+    @st.composite
+    def mutated(draw):
+        document = copy.deepcopy(base)
+        target = document
+        nested = [
+            key
+            for key, value in document.items()
+            if isinstance(value, list)
+            and value
+            and all(isinstance(item, dict) for item in value)
+        ]
+        if nested and draw(st.booleans()):
+            items = document[draw(st.sampled_from(sorted(nested)))]
+            target = items[draw(st.integers(0, len(items) - 1))]
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+        return document
+
+    return JSON_VALUES | mutated()
+
+
+@pytest.fixture
+def json_document_strategy():
+    return json_documents

@@ -41,7 +41,6 @@ from repro.core.engine import (
     EngineConfig,
     PackedBitsetEngine,
     ShardedEngine,
-    numba_available,
     resolve_engine,
 )
 from repro.core.pattern import Pattern, X
@@ -50,11 +49,6 @@ from repro.data.scenarios import SCENARIO_FAMILIES, scenario_dataset
 
 CORPUS_PATH = Path(__file__).parent / "engine_fuzz_corpus.json"
 
-#: The packed-jit leg pins the compiled kernel tier bit-identical to the
-#: dense reference.  Without numba it degrades to a second python-tier
-#: packed engine — the leg still runs, exercising the explicit-tier path.
-_JIT_TIER = "jit" if numba_available() else "python"
-
 #: Backend labels under differential test (dense is the reference).
 #: "socket" is the distributed leg: sharded with spawn-local socket
 #: workers (degrading to serial evaluation on platforms without fork,
@@ -62,7 +56,6 @@ _JIT_TIER = "jit" if numba_available() else "python"
 BACKENDS = (
     "dense",
     "packed",
-    "packed-jit",
     "sharded",
     "out-of-core",
     "auto",
@@ -168,9 +161,6 @@ def _build_engines(dataset, mask_cache_size, array_cutoff, run_cutoff, root):
     return {
         "dense": DenseBoolEngine(dataset, mask_cache_size=mask_cache_size),
         "packed": PackedBitsetEngine(dataset, mask_cache_size=mask_cache_size),
-        "packed-jit": PackedBitsetEngine(
-            dataset, mask_cache_size=mask_cache_size, kernel_tier=_JIT_TIER
-        ),
         "sharded": ShardedEngine(
             dataset, shards=3, mask_cache_size=mask_cache_size
         ),

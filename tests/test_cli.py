@@ -178,6 +178,22 @@ class TestErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            (["identify"], ""),
+            (["identify"], "a,b\n3000000000,1\n"),
+            (["bucketsweep", "--column", "a", "--buckets", "2"], ""),
+        ],
+        ids=["empty", "past-int32", "empty-numeric"],
+    )
+    def test_malformed_csv_returns_2(self, command, content, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        code = main([command[0], str(path), *command[1:], "--threshold", "1"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -117,19 +117,6 @@ class TestSerialization:
         config = EngineConfig(backend=AUTO, max_resident_bytes=1 << 20)
         assert json.loads(json.dumps(config.to_dict())) == config.to_dict()
 
-    def test_kernel_tier_round_trip(self):
-        config = EngineConfig(backend="packed", kernel_tier="python")
-        assert EngineConfig.from_dict(config.to_dict()) == config
-        assert "kernel_tier=python" in config.describe()
-
-    def test_kernel_tier_applies_to_every_backend(self):
-        for backend in ("dense", "packed", "sharded", "compressed", AUTO):
-            config = EngineConfig(backend=backend, kernel_tier="auto")
-            assert config.kernel_tier == "auto"
-
-    def test_invalid_kernel_tier_rejected(self):
-        with pytest.raises(EngineError, match="kernel_tier"):
-            EngineConfig(backend="packed", kernel_tier="fortran")
 
 
 class TestCliArgs:
@@ -161,21 +148,6 @@ class TestCliArgs:
             spill_dir=str(tmp_path),
             max_resident_bytes=2048,
         )
-
-    def test_cli_kernel_tier_round_trip(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "identify",
-                "data.csv",
-                "--threshold",
-                "5",
-                "--kernel-tier",
-                "python",
-            ]
-        )
-        config = EngineConfig.from_cli_args(args)
-        assert config == EngineConfig(backend=AUTO, kernel_tier="python")
 
     def test_cli_default_is_auto(self):
         parser = build_parser()

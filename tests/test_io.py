@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core.enhancement.greedy import greedy_cover
 from repro.core.mups import find_mups
@@ -13,6 +14,17 @@ from repro.io import (
     save_enhancement_result,
     save_mup_result,
 )
+
+
+#: A valid saved MUP result, the base the malformed inputs are cut from.
+_MUP_PAYLOAD = {
+    "format": "repro.mup_result",
+    "version": 1,
+    "threshold": 1,
+    "max_level": None,
+    "mups": [[1, -1, -1]],
+    "stats": {"nodes_generated": 3, "seconds": 0.5},
+}
 
 
 class TestMupResultRoundtrip:
@@ -48,9 +60,28 @@ class TestMupResultRoundtrip:
         with pytest.raises(ReproError):
             load_mup_result(path)
 
-    def test_rejects_garbage(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[]",
+            json.dumps(dict(_MUP_PAYLOAD, version="2")),
+            json.dumps(dict(_MUP_PAYLOAD, threshold=None)),
+            json.dumps({k: v for k, v in _MUP_PAYLOAD.items() if k != "mups"}),
+            json.dumps(dict(_MUP_PAYLOAD, mups=[["a"]])),
+        ],
+        ids=[
+            "not-json",
+            "list-root",
+            "string-version",
+            "null-threshold",
+            "missing-mups",
+            "string-value",
+        ],
+    )
+    def test_rejects_garbage(self, tmp_path, text):
         path = tmp_path / "garbage.json"
-        path.write_text("{not json")
+        path.write_text(text)
         with pytest.raises(ReproError):
             load_mup_result(path)
 
@@ -72,3 +103,35 @@ class TestEnhancementResultRoundtrip:
         save_mup_result(result, path)
         with pytest.raises(ReproError):
             load_enhancement_result(path)
+
+
+class TestLoaderFuzz:
+    def test_any_json_document_loads_or_raises(
+        self, tmp_path, example1_dataset, example2_space,
+        example2_level2_targets, json_document_strategy,
+    ):
+        """Fuzz: any JSON document handed to either loader either loads
+        or raises ReproError — never an untyped exception."""
+        mups_path = tmp_path / "mups.json"
+        plan_path = tmp_path / "plan.json"
+        save_mup_result(find_mups(example1_dataset, threshold=1), mups_path)
+        save_enhancement_result(
+            greedy_cover(example2_level2_targets, example2_space), plan_path
+        )
+        cases = [
+            (load_mup_result, json.loads(mups_path.read_text())),
+            (load_enhancement_result, json.loads(plan_path.read_text())),
+        ]
+        path = tmp_path / "fuzz.json"
+        for loader, base in cases:
+
+            @settings(max_examples=100, deadline=None, derandomize=True)
+            @given(document=json_document_strategy(base))
+            def check(document):
+                path.write_text(json.dumps(document))
+                try:
+                    loader(path)
+                except ReproError:
+                    pass
+
+            check()

@@ -1,159 +1,28 @@
-"""The compiled kernel tier: resolution, dispatch, and bit-identity.
+"""The hot-path kernels against brute-force references.
 
-The kernels module registers a numba-jitted and a pure-python/numpy
-implementation per hot-path operation behind one feature flag.  These
-tests pin the flag matrix (argument beats environment beats
-availability), the import fallback when numba is absent, the routing of
-``kernel_tier`` from configs/environment into built engines, and — for
-every available tier — the kernels' exact agreement with brute-force
-references.  The property fuzz harness additionally locks the tiers
-together engine-by-engine.
+Every coverage query bottoms out in a handful of numpy loops: the
+weighted popcount (:mod:`repro.data.bitset`), the chained and
+sibling-family ANDs over packed word blocks
+(:mod:`repro.core.engine.mmapped`), and the per-container-pair
+intersections of the compressed backend
+(:mod:`repro.core.engine.compressed`).  These tests pin each one against
+a brute-force reference on random inputs; the property fuzz harness
+additionally locks the engines built on them together.
 """
 
-import builtins
-import importlib.util
-import sys
-
 import numpy as np
-import pytest
 
-from repro.core.engine import (
-    AUTO,
+from repro.core.engine.compressed import (
+    ARRAY,
+    CHUNK_BITS,
     CompressedEngine,
-    DenseBoolEngine,
-    EngineConfig,
-    PackedBitsetEngine,
-    ShardedEngine,
-    get_kernels,
-    numba_available,
-    resolve_engine,
+    array_select_bitmap,
+    array_select_runs,
+    intersect_runs,
 )
-from repro.core.engine.kernels import (
-    KERNEL_TIERS,
-    PYTHON_KERNELS,
-    REPRO_KERNELS_ENV,
-    resolve_kernel_tier,
-)
+from repro.core.engine.mmapped import and_family, and_rows
+from repro.data.bitset import weighted_count, weighted_count_rows
 from repro.data.synthetic import random_categorical_dataset
-from repro.exceptions import EngineError
-
-#: Every tier runnable in this process; jit only with numba installed.
-TIERS = ["python"] + (["jit"] if numba_available() else [])
-
-
-@pytest.fixture
-def dataset():
-    return random_categorical_dataset(60, (3, 2, 2), seed=11, skew=0.9)
-
-
-class TestResolution:
-    def test_known_tiers(self):
-        assert KERNEL_TIERS == ("auto", "jit", "python")
-        assert resolve_kernel_tier("python") == "python"
-        assert resolve_kernel_tier(None) in ("jit", "python")
-        assert resolve_kernel_tier("auto") == resolve_kernel_tier(None)
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(EngineError, match="kernel_tier"):
-            resolve_kernel_tier("fortran")
-
-    def test_env_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv(REPRO_KERNELS_ENV, "python")
-        assert resolve_kernel_tier(None) == "python"
-        assert resolve_kernel_tier("auto") == "python"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(REPRO_KERNELS_ENV, "python")
-        if numba_available():
-            assert resolve_kernel_tier("jit") == "jit"
-        else:
-            with pytest.raises(EngineError, match="numba"):
-                resolve_kernel_tier("jit")
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(REPRO_KERNELS_ENV, "warp")
-        with pytest.raises(EngineError, match=REPRO_KERNELS_ENV):
-            resolve_kernel_tier(None)
-
-    def test_forced_jit_without_numba_raises(self):
-        if numba_available():
-            pytest.skip("numba installed; refusal unreachable")
-        with pytest.raises(EngineError, match="pip install"):
-            resolve_kernel_tier("jit")
-
-    def test_get_kernels_tiers(self):
-        assert get_kernels("python") is PYTHON_KERNELS
-        assert get_kernels(None).tier in ("jit", "python")
-        if numba_available():
-            assert get_kernels("jit").tier == "jit"
-
-
-class TestImportFallback:
-    def test_module_imports_without_numba(self, monkeypatch):
-        """A fresh import with numba unimportable lands on the python
-        tier instead of crashing."""
-        real_import = builtins.__import__
-
-        def no_numba(name, *args, **kwargs):
-            if name == "numba" or name.startswith("numba."):
-                raise ImportError("numba disabled for this test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.delenv(REPRO_KERNELS_ENV, raising=False)
-        monkeypatch.setattr(builtins, "__import__", no_numba)
-        monkeypatch.delitem(sys.modules, "numba", raising=False)
-        spec = importlib.util.find_spec("repro.core.engine.kernels")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert module.NUMBA_AVAILABLE is False
-        assert module.numba_available() is False
-        assert module.JIT_KERNELS is None
-        assert module.get_kernels("auto").tier == "python"
-        with pytest.raises(EngineError, match="numba"):
-            module.resolve_kernel_tier("jit")
-
-
-class TestEngineRouting:
-    def test_env_python_forces_engines(self, monkeypatch, dataset):
-        monkeypatch.setenv(REPRO_KERNELS_ENV, "python")
-        for cls in (DenseBoolEngine, PackedBitsetEngine, CompressedEngine):
-            engine = cls(dataset)
-            assert engine.kernel_tier == "python"
-            engine.close()
-
-    def test_config_tier_reaches_built_engines(self, dataset):
-        for backend in ("dense", "packed", "sharded", "compressed"):
-            config = EngineConfig(backend=backend, kernel_tier="python")
-            engine = resolve_engine(config, dataset)
-            assert engine.kernel_tier == "python"
-            engine.close()
-
-    def test_template_carries_requested_tier(self, dataset):
-        engine = PackedBitsetEngine(dataset, kernel_tier="python")
-        template = engine.template()
-        assert isinstance(template, EngineConfig)
-        assert template.kernel_tier == "python"
-        rebuilt = template(dataset)
-        assert rebuilt.kernel_tier == "python"
-
-    def test_unset_tier_stays_out_of_templates(self, dataset):
-        assert PackedBitsetEngine(dataset).template().kernel_tier is None
-
-    def test_sharded_inner_engines_inherit_the_tier(self, dataset):
-        engine = ShardedEngine(dataset, shards=2, kernel_tier="python")
-        try:
-            assert engine.kernel_tier == "python"
-        finally:
-            engine.close()
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_jit_engine_matches_python_engine(self, dataset):
-        from repro.core.pattern import Pattern
-
-        jit = PackedBitsetEngine(dataset, kernel_tier="jit")
-        python = PackedBitsetEngine(dataset, kernel_tier="python")
-        space_root = Pattern.root(dataset.d)
-        assert jit.coverage(space_root) == python.coverage(space_root)
 
 
 def _random_words(rng, n):
@@ -167,95 +36,92 @@ def _brute_select_runs(array, runs):
     return np.array(keep, dtype=array.dtype)
 
 
-@pytest.mark.parametrize("tier", TIERS)
 class TestKernelCorrectness:
-    """Each tier against brute-force references on random inputs."""
+    """Each kernel against brute-force references on random inputs."""
 
-    def test_count(self, tier):
+    def test_count(self):
         rng = np.random.default_rng(0)
-        kernels = get_kernels(tier)
         words = _random_words(rng, 37)
         counts = rng.integers(1, 9, size=words.size * 64).astype(np.int64)
         bits = np.unpackbits(
             words.view(np.uint8), bitorder="little"
         ).astype(bool)
-        assert kernels.count(words, None) == int(bits.sum())
-        assert kernels.count(words, counts) == int(counts[bits].sum())
-        assert kernels.count(np.zeros(0, dtype=np.uint64), None) == 0
+        assert weighted_count(words, None) == int(bits.sum())
+        assert weighted_count(words, counts) == int(counts[bits].sum())
+        assert weighted_count(np.zeros(0, dtype=np.uint64), None) == 0
 
-    def test_count_rows(self, tier):
+    def test_count_rows(self):
         rng = np.random.default_rng(1)
-        kernels = get_kernels(tier)
         matrix = _random_words(rng, 6 * 17).reshape(6, 17)
         counts = rng.integers(1, 9, size=17 * 64).astype(np.int64)
-        expected_uniform = [kernels.count(row, None) for row in matrix]
-        expected_weighted = [kernels.count(row, counts) for row in matrix]
-        assert kernels.count_rows(matrix, None).tolist() == expected_uniform
-        assert kernels.count_rows(matrix, counts).tolist() == expected_weighted
-        empty = kernels.count_rows(np.zeros((0, 17), dtype=np.uint64), None)
+        expected_uniform = [weighted_count(row, None) for row in matrix]
+        expected_weighted = [weighted_count(row, counts) for row in matrix]
+        assert weighted_count_rows(matrix, None).tolist() == expected_uniform
+        assert weighted_count_rows(matrix, counts).tolist() == expected_weighted
+        empty = weighted_count_rows(np.zeros((0, 17), dtype=np.uint64), None)
         assert empty.tolist() == []
 
-    def test_and_rows(self, tier):
+    def test_and_rows(self):
         rng = np.random.default_rng(2)
-        kernels = get_kernels(tier)
         window = _random_words(rng, 11)
         words = _random_words(rng, 5 * 11).reshape(5, 11)
         rows = [3, 0, 4]
         expected = window & words[3] & words[0] & words[4]
-        got = kernels.and_rows(window, words, rows)
+        got = and_rows(window, words, rows)
         assert got.dtype == np.uint64
         assert np.array_equal(got, expected)
         # No rows: the window itself, as a fresh copy.
-        untouched = kernels.and_rows(window, words, [])
+        untouched = and_rows(window, words, [])
         assert np.array_equal(untouched, window)
         assert untouched is not window
 
-    def test_and_family(self, tier):
+    def test_and_family(self):
         rng = np.random.default_rng(3)
-        kernels = get_kernels(tier)
         window = _random_words(rng, 9)
         block = _random_words(rng, 4 * 9).reshape(4, 9)
-        got = kernels.and_family(window, block)
+        got = and_family(window, block)
         assert got.shape == block.shape
         for r in range(block.shape[0]):
             assert np.array_equal(got[r], window & block[r])
 
-    def test_intersect_sorted(self, tier):
+    def test_intersect_sorted(self):
+        """Array x array containers intersect by sorted-set intersection."""
         rng = np.random.default_rng(4)
-        kernels = get_kernels(tier)
+        engine = CompressedEngine(
+            random_categorical_dataset(20, (2, 2), seed=4)
+        )
         a = np.unique(rng.integers(0, 5000, size=900)).astype(np.uint16)
         b = np.unique(rng.integers(0, 5000, size=40)).astype(np.uint16)
-        expected = np.intersect1d(a, b)
-        # Both argument orders: galloping skips on the longer side.
-        assert np.array_equal(kernels.intersect_sorted(a, b), expected)
-        assert np.array_equal(kernels.intersect_sorted(b, a), expected)
+        expected = np.array(
+            sorted(set(a.tolist()) & set(b.tolist())), dtype=np.uint16
+        )
+        # Both argument orders.
+        for left, right in ((a, b), (b, a)):
+            kind, kept = engine._filter_array(left, (ARRAY, right), CHUNK_BITS)
+            assert kind == ARRAY
+            assert np.array_equal(kept, expected)
         empty = np.zeros(0, dtype=np.uint16)
-        assert kernels.intersect_sorted(a, empty).size == 0
+        assert engine._filter_array(a, (ARRAY, empty), CHUNK_BITS) is None
 
-    def test_array_select_bitmap(self, tier):
+    def test_array_select_bitmap(self):
         rng = np.random.default_rng(5)
-        kernels = get_kernels(tier)
         words = _random_words(rng, 16)
         array = np.unique(rng.integers(0, 16 * 64, size=300)).astype(np.uint16)
         bits = np.unpackbits(
             words.view(np.uint8), bitorder="little"
         ).astype(bool)
         expected = array[bits[array.astype(np.int64)]]
-        assert np.array_equal(kernels.array_select_bitmap(array, words), expected)
+        assert np.array_equal(array_select_bitmap(array, words), expected)
 
-    def test_array_select_runs(self, tier):
+    def test_array_select_runs(self):
         rng = np.random.default_rng(6)
-        kernels = get_kernels(tier)
         bounds = np.unique(rng.integers(0, 2000, size=14))
         runs = bounds[: (bounds.size // 2) * 2].reshape(-1, 2).astype(np.int32)
         array = np.unique(rng.integers(0, 2000, size=400)).astype(np.uint16)
         expected = _brute_select_runs(array, runs)
-        assert np.array_equal(kernels.array_select_runs(array, runs), expected)
+        assert np.array_equal(array_select_runs(array, runs), expected)
 
-    def test_intersect_runs(self, tier):
-        rng = np.random.default_rng(7)
-        kernels = get_kernels(tier)
-
+    def test_intersect_runs(self):
         def random_runs(seed_offset):
             bounds = np.unique(
                 np.random.default_rng(7 + seed_offset).integers(
@@ -267,7 +133,7 @@ class TestKernelCorrectness:
             )
 
         a, b = random_runs(0), random_runs(1)
-        got = kernels.intersect_runs(a, b)
+        got = intersect_runs(a, b)
         covered_a = {v for s, t in a.tolist() for v in range(s, t)}
         covered_b = {v for s, t in b.tolist() for v in range(s, t)}
         covered_got = {v for s, t in got.tolist() for v in range(s, t)}
@@ -277,4 +143,4 @@ class TestKernelCorrectness:
         assert np.all(flat[1:] >= flat[:-1])
         assert np.all(got[:, 0] < got[:, 1])
         empty = np.zeros((0, 2), dtype=np.int32)
-        assert kernels.intersect_runs(a, empty).shape == (0, 2)
+        assert intersect_runs(a, empty).shape == (0, 2)

@@ -15,6 +15,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import repro.core.engine.sharded as sharded_module
 from repro.core.engine import (
@@ -407,6 +408,68 @@ class TestCorruption:
                 dataset_meta={},
             )
         owner.close()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda manifest: json.dumps([manifest]).encode(),
+            lambda manifest: b"\xff\xfe" + json.dumps(manifest).encode(),
+            lambda manifest: json.dumps(
+                dict(manifest, cardinalities="332")
+            ).encode(),
+            lambda manifest: json.dumps(
+                dict(
+                    manifest,
+                    shards=[dict(manifest["shards"][0], word_stop="1")]
+                    + manifest["shards"][1:],
+                )
+            ).encode(),
+        ],
+        ids=[
+            "list-root",
+            "non-utf8",
+            "string-cardinalities",
+            "string-word-stop",
+        ],
+    )
+    def test_malformed_manifest_raises(self, dataset, tmp_path, corrupt):
+        owner = ShardedEngine(dataset, shards=2, spill_dir=str(tmp_path))
+        path = owner.spill_path
+        manifest_path = os.path.join(path, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        with open(manifest_path, "wb") as handle:
+            handle.write(corrupt(manifest))
+        with pytest.raises(EngineError, match="shard-store manifest"):
+            MmapShardStore.open(path)
+        owner.close()
+
+    def test_any_json_manifest_opens_or_raises(
+        self, dataset, tmp_path, json_document_strategy
+    ):
+        """Fuzz: any JSON document beside real shard files either opens
+        or raises EngineError — never an untyped exception."""
+        owner = ShardedEngine(dataset, shards=2, spill_dir=str(tmp_path))
+        path = owner.spill_path
+        manifest_path = os.path.join(path, "manifest.json")
+        with open(manifest_path) as handle:
+            original = json.load(handle)
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(document=json_document_strategy(original))
+        def check(document):
+            with open(manifest_path, "w") as handle:
+                json.dump(document, handle)
+            try:
+                store = MmapShardStore.open(path)
+            except EngineError:
+                return
+            store.close()
+
+        try:
+            check()
+        finally:
+            owner.close()
 
 
 class TestBudget:

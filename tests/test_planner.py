@@ -20,17 +20,14 @@ from repro.core.engine import (
     WorkloadStats,
     available_memory_bytes,
     invalidate_stats_cache,
-    numba_available,
     plan_engine,
     resolve_engine,
     set_available_memory_bytes,
     stats_cache_info,
 )
-from repro.core.engine.kernels import REPRO_KERNELS_ENV
 from repro.core.engine.planner import (
     BATCH_LATENCY_TARGET_SECONDS,
     DENSE_MAX_INDEX_BYTES,
-    JIT_SCAN_SPEEDUP,
     PACKED_MAX_INDEX_BYTES,
     SHARD_TARGET_BYTES,
     _single_index_ceiling,
@@ -38,20 +35,6 @@ from repro.core.engine.planner import (
 from repro.core.mups.base import find_mups
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import EngineError
-
-
-@pytest.fixture(autouse=True)
-def _pin_python_kernels(monkeypatch):
-    """Deterministic boundaries whether or not numba is installed.
-
-    The escalation pins in this module assume the point/python corner of
-    the cost model (where the ceiling equals ``PACKED_MAX_INDEX_BYTES``);
-    tier-specific tests override the environment themselves.
-    """
-    monkeypatch.setenv(REPRO_KERNELS_ENV, "python")
-    invalidate_stats_cache()
-    yield
-    invalidate_stats_cache()
 
 
 def stats_for(
@@ -271,18 +254,11 @@ class TestStatsCollection:
 
 
 class TestCostModel:
-    def test_point_python_corner_preserves_legacy_boundary(self):
-        assert _single_index_ceiling("point", "python") == PACKED_MAX_INDEX_BYTES
+    def test_point_shape_preserves_legacy_boundary(self):
+        assert _single_index_ceiling("point") == PACKED_MAX_INDEX_BYTES
 
-    def test_batch_and_jit_each_raise_the_ceiling(self):
-        point_py = _single_index_ceiling("point", "python")
-        assert _single_index_ceiling("batch", "python") > point_py
-        assert _single_index_ceiling("point", "jit") > point_py
-        assert _single_index_ceiling("batch", "jit") > max(
-            _single_index_ceiling("batch", "python"),
-            _single_index_ceiling("point", "jit"),
-        )
-        assert JIT_SCAN_SPEEDUP > 1.0
+    def test_batch_raises_the_ceiling(self):
+        assert _single_index_ceiling("batch") > _single_index_ceiling("point")
         assert BATCH_LATENCY_TARGET_SECONDS > 0
 
     def test_shapes_plan_differently_on_the_same_stats(self):
@@ -334,35 +310,11 @@ class TestCostModel:
         with pytest.raises(EngineError, match="query_shape"):
             plan_engine(stats_for(64), query_shape="diagonal")
 
-    def test_jit_request_without_numba_is_refused(self):
-        if numba_available():
-            pytest.skip("numba installed; forced-jit refusal unreachable")
-        with pytest.raises(EngineError, match="jit"):
-            plan_engine(
-                stats_for(64), EngineConfig(backend=AUTO, kernel_tier="jit")
-            )
-
-    def test_plan_never_assumes_an_unavailable_tier(self):
-        plan = plan_engine(stats_for(1 << 20))
-        assert plan.stats.kernel_tier in ("jit", "python")
-        if not numba_available():
-            assert plan.stats.kernel_tier == "python"
-
-    def test_planned_config_carries_requested_tier_verbatim(self):
-        plan = plan_engine(
-            stats_for(64, dense_bytes=64),
-            EngineConfig(backend=AUTO, kernel_tier="python"),
-        )
-        assert plan.config.backend == "dense"
-        assert plan.config.kernel_tier == "python"
-        # ...and an unset tier stays unset, so planned configs stay
-        # portable across machines with different tiers available.
-        assert plan_engine(stats_for(64, dense_bytes=64)).config.kernel_tier is None
-
 
 class TestStatsMemoization:
     def test_stats_of_memoizes_per_fingerprint(self):
         dataset = random_categorical_dataset(50, (3, 2), seed=5, skew=1.0)
+        invalidate_stats_cache(dataset.content_fingerprint())
         before = stats_cache_info()
         first = WorkloadStats.of(dataset)
         second = WorkloadStats.of(dataset)

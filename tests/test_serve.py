@@ -9,6 +9,7 @@ end-to-end pass over a real socket via :class:`BackgroundServer`.
 import asyncio
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -353,6 +354,27 @@ class TestBatching:
 # ----------------------------------------------------------------------
 # admission control
 # ----------------------------------------------------------------------
+    def test_out_of_range_pattern_fails_only_its_own_request(self):
+        """A bad value is rejected before queueing, so the valid query
+        sharing its batch window still gets its count."""
+        dataset = Dataset.from_rows([[0, 1], [1, 0], [0, 0], [1, 1]])
+
+        async def scenario(service):
+            key = await register(service, dataset)
+            return await asyncio.gather(
+                service.label(key, [[0, 1]]),
+                service.label(key, [[0, 5]]),
+                return_exceptions=True,
+            )
+
+        good, bad = run_service(
+            service_config(batch_window_ms=2.0), scenario
+        )
+        assert good["coverage"] == [1]
+        assert isinstance(bad, ServeError)
+        assert (bad.status, bad.code) == (400, "bad_pattern")
+
+
 class TestAdmission:
     def test_over_budget_registration_rejected(self):
         dataset = random_categorical_dataset(
@@ -942,6 +964,58 @@ class TestHttpEndToEnd:
 
             status, body = http_call(server, "GET", "/label")
             assert status == 405 and body["code"] == "method_not_allowed"
+
+    @pytest.mark.parametrize(
+        "route, fields",
+        [
+            ("/label", {"patterns": ["XX"], "threshold": "abc"}),
+            ("/deliver", {"rows": [[0, "a"]]}),
+            ("/deliver", {"rows": [[0, 1, 2]]}),
+            ("/deliver", {"rows": [[0, 7]]}),
+            ("/deliver", {"rows": [[0, 1]], "threshold": "x"}),
+            ("/deliver", {"rows": [[0, 1]], "algorithm": "bogus"}),
+            ("/datasets", {"rows": [[3000000000, 1]]}),
+        ],
+        ids=[
+            "label-threshold",
+            "deliver-string-value",
+            "deliver-long-row",
+            "deliver-out-of-range",
+            "deliver-threshold",
+            "deliver-algorithm",
+            "register-past-int32",
+        ],
+    )
+    def test_client_errors_are_400(self, route, fields):
+        rows = [[0, 1], [1, 0], [0, 0], [1, 1]]
+        with BackgroundServer(service_config()) as server:
+            _, reg = http_call(server, "POST", "/datasets", {"rows": rows})
+            key = reg["dataset"]
+            status, body = http_call(
+                server, "POST", route, {"dataset": key, **fields}
+            )
+            assert status == 400, body
+            assert body["code"] == "bad_request"
+            # A rejected request leaves the served dataset untouched.
+            _, label = http_call(
+                server, "POST", "/label", {"dataset": key, "patterns": ["XX"]}
+            )
+            assert label["total"] == len(rows)
+
+    def test_negative_content_length_is_400(self):
+        with BackgroundServer(service_config()) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as client:
+                client.sendall(
+                    b"POST /label HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: -5\r\n\r\n"
+                )
+                response = b""
+                while chunk := client.recv(4096):
+                    response += chunk
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"bad Content-Length" in response
 
     def test_concurrent_clients_with_deliveries(self):
         dataset = make_random_dataset(23, n=100)
