@@ -107,6 +107,13 @@ class CoverageOracle:
         """The whole sibling family ``mask AND (attribute == v)``, batched."""
         return self._engine.restrict_children(mask, attribute)
 
+    def restrict_children_many(
+        self, masks: Sequence[Mask], attribute: int
+    ) -> List[Mask]:
+        """The sibling families of a whole level's masks at ``attribute``,
+        as one flat mask-major list (``c`` children per mask)."""
+        return self._engine.restrict_children_many(masks, attribute)
+
     def match_mask(self, pattern: Pattern) -> Mask:
         """Mask over unique combinations matching ``pattern``."""
         return self._engine.match_mask(pattern)

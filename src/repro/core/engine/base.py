@@ -8,7 +8,9 @@ owns those vectors for one dataset and answers three families of queries:
 * **incremental** — ``restrict`` one step down the pattern graph, reusing
   a parent's match mask;
 * **batched** — ``count_many`` / ``coverage_many`` / ``restrict_children``
-  answer a whole pattern-graph frontier in one vectorized pass.
+  answer a whole pattern-graph frontier in one vectorized pass, and
+  ``restrict_children_many`` expands a whole level's sibling families at
+  one attribute.
 
 Masks are engine-specific opaque handles: callers obtain them from the
 engine (``full_mask``, ``match_mask``, ``restrict``…), hand them back to
@@ -48,6 +50,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -78,6 +81,23 @@ DEFAULT_MASK_CACHE = 1024
 #: cache dwarf the index it fronts on wide datasets, so eviction also
 #: keeps total cached mask bytes under this ceiling.
 DEFAULT_MASK_CACHE_BYTES = 32 << 20
+
+#: Most child-mask bytes one ``restrict_children_many`` pass builds.  The
+#: array backends split a level into passes under this cap, so no block
+#: (and no shard-worker frame) grows with the level's width.
+CHILDREN_PASS_BYTES = 64 << 20
+
+
+def children_passes(count: int, family_nbytes: int) -> Iterator[slice]:
+    """Slices of a ``count``-long mask list for ``restrict_children_many``.
+
+    ``family_nbytes`` is the size of one mask's sibling family; each slice
+    builds at most :data:`CHILDREN_PASS_BYTES` of children (at least one
+    family).
+    """
+    step = max(1, CHILDREN_PASS_BYTES // max(1, family_nbytes))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 def register_engine(cls: Type["CoverageEngine"]) -> Type["CoverageEngine"]:
@@ -182,6 +202,24 @@ class CoverageEngine(ABC):
         the sibling family a traversal expands when it specializes one
         ``X`` element.
         """
+
+    def restrict_children_many(
+        self, masks: Sequence[Mask], attribute: int
+    ) -> List[Mask]:
+        """The sibling families of many masks at one attribute.
+
+        Returns a flat, mask-major list: the ``c`` children of
+        ``masks[0]`` in value order, then those of ``masks[1]``, and so
+        on.  A level-wise traversal expands a whole level with one call
+        per attribute instead of one :meth:`restrict_children` call per
+        node.  This default loops :meth:`restrict_children`; the array
+        backends override it with one batched AND per
+        :func:`children_passes` slice.
+        """
+        children: List[Mask] = []
+        for mask in masks:
+            children.extend(self.restrict_children(mask, attribute))
+        return children
 
     @abstractmethod
     def count(self, mask: Mask) -> int:

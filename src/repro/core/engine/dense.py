@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.engine.base import (
     DEFAULT_MASK_CACHE,
     CoverageEngine,
+    children_passes,
     register_engine,
 )
 from repro.data.dataset import Dataset
@@ -64,6 +65,17 @@ class DenseBoolEngine(CoverageEngine):
     def restrict_children(self, mask: np.ndarray, attribute: int) -> List[np.ndarray]:
         family = np.logical_and(mask[np.newaxis, :], self._index[attribute])
         return list(family)
+
+    def restrict_children_many(
+        self, masks: Sequence[np.ndarray], attribute: int
+    ) -> List[np.ndarray]:
+        index = self._index[attribute]
+        children: List[np.ndarray] = []
+        for chunk in children_passes(len(masks), index.nbytes):
+            stacked = np.stack(masks[chunk])
+            family = np.logical_and(stacked[:, np.newaxis, :], index)
+            children.extend(family.reshape(len(stacked) * len(index), -1))
+        return children
 
     def count(self, mask: np.ndarray) -> int:
         return int(self._counts[mask].sum())

@@ -179,8 +179,12 @@ def and_rows(
 
 
 def and_family(window: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``window AND`` every row of ``block`` — one sibling family."""
-    return np.bitwise_and(window[np.newaxis, :], block)
+    """``window AND`` every row of ``block`` — one sibling family.
+
+    A ``(W,)`` window gives the ``(c, W)`` family; a ``(k, W)`` stack of
+    windows gives the ``(k, c, W)`` families of all ``k`` at once.
+    """
+    return np.bitwise_and(window[..., np.newaxis, :], block)
 
 
 # ----------------------------------------------------------------------
@@ -1139,8 +1143,9 @@ def apply_shard_op(
       per-row weighted counts;
     * ``"match"`` — payload = ``(start window, index row ids)`` → the
       window after chained AND of the rows;
-    * ``"children"`` — payload = ``(mask window, row_start, row_stop)`` →
-      the ``(c, W_j)`` sibling-family window.
+    * ``"children"`` — payload = ``(k, W_j)`` mask window stack,
+      ``row_start``, ``row_stop`` → the ``(k, c, W_j)`` sibling-family
+      windows.
     """
     if op == "count":
         return weighted_count(payload, counts)

@@ -44,6 +44,7 @@ import numpy as np
 from repro.core.engine.base import (
     DEFAULT_MASK_CACHE,
     CoverageEngine,
+    children_passes,
     register_engine,
 )
 from repro.core.engine.config import EngineConfig
@@ -780,20 +781,36 @@ class ShardedEngine(CoverageEngine):
     def restrict_children(
         self, mask: ShardedMask, attribute: int
     ) -> List[ShardedMask]:
+        return self.restrict_children_many([mask], attribute)
+
+    def restrict_children_many(
+        self, masks: Sequence[ShardedMask], attribute: int
+    ) -> List[ShardedMask]:
         self._check_open()
         row_start = self._row_offsets[attribute]
         row_stop = self._row_offsets[attribute + 1]
-        family = np.empty((row_stop - row_start, len(mask)), dtype=np.uint64)
-        blocks = self._map_shards(
-            "children",
-            [
-                (mask[self._window(shard)], row_start, row_stop)
-                for shard in self._shards
-            ],
-        )
-        for shard, block in zip(self._shards, blocks):
-            family[:, self._window(shard)] = block
-        return list(family)
+        width = row_stop - row_start
+        children: List[ShardedMask] = []
+        for chunk in children_passes(
+            len(masks), width * self._full_words.nbytes
+        ):
+            # One "children" op per shard carries the whole pass as a
+            # (k, W_j) window stack.
+            stacked = np.stack(masks[chunk])
+            family = np.empty(
+                (len(stacked), width, stacked.shape[1]), dtype=np.uint64
+            )
+            blocks = self._map_shards(
+                "children",
+                [
+                    (stacked[:, self._window(shard)], row_start, row_stop)
+                    for shard in self._shards
+                ],
+            )
+            for shard, block in zip(self._shards, blocks):
+                family[:, :, self._window(shard)] = block
+            children.extend(family.reshape(len(stacked) * width, -1))
+        return children
 
     def count(self, mask: ShardedMask) -> int:
         self._check_open()

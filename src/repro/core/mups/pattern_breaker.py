@@ -6,23 +6,29 @@ exactly once — Theorem 3).  A candidate is pruned without evaluation when
 any of its parents was uncovered or itself pruned; an evaluated candidate
 with ``cov < τ`` is a MUP (all its parents are covered by construction).
 
-Coverage is evaluated incrementally and in batch: each frontier node
-carries its match mask over the unique value combinations, a whole level's
-surviving candidates are counted with one ``coverage_of_masks`` pass, and
-the child masks of a covered node are produced one sibling family at a
-time through the engine's vectorized ``restrict_children`` (Appendix A).
+Each level is an integer code array (:mod:`repro.core.lattice`): pruning
+looks every candidate's parents up in the previous level's sorted covered
+codes at once, and Rule-1 children are generated per attribute for the
+whole level.  Coverage is evaluated incrementally and in batch: each
+candidate carries its match mask over the unique value combinations, a
+level's survivors are counted with one ``coverage_of_masks`` pass, and the
+child masks of all covered nodes that specialize one attribute come from
+one ``restrict_children_many`` call (Appendix A).  ``Pattern`` objects are
+built only for the MUPs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import List, Optional
+
+import numpy as np
 
 from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import EngineSpec
-from repro.core.engine.base import Mask
+from repro.core.lattice import PatternLattice, contains
 from repro.core.mups.base import MupResult, register_algorithm
-from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
 
@@ -49,68 +55,64 @@ def pattern_breaker(
         use_masks: thread parent match-masks down the tree (Appendix A
             optimization); disable only for the ablation benchmark.
     """
-    space = PatternSpace.for_dataset(dataset)
+    lattice = PatternLattice(PatternSpace.for_dataset(dataset))
     oracle = oracle or CoverageOracle(dataset, engine=engine)
     stats = SearchStats()
     watch = Stopwatch()
-    depth = space.d if max_level is None else min(max_level, space.d)
+    depth = lattice.d if max_level is None else min(max_level, lattice.d)
 
-    root = space.root()
-    mups = []
-    # Frontier entries: pattern -> match mask (or None when masks are off).
-    frontier: Dict[Pattern, Optional[Mask]] = {
-        root: oracle.full_mask() if use_masks else None
-    }
-    covered_prev: set = set()
+    # The level's candidate codes and, when masks are on, their match masks
+    # (masks[r] belongs to codes[r]).
+    codes = lattice.root()
+    masks: List = [oracle.full_mask()] if use_masks else []
+    covered_prev = codes[:0]
+    mups = [codes[:0]]
 
     for level in range(0, depth + 1):
-        if not frontier:
+        if not len(codes):
             break
-        # Prune candidates whose parents were uncovered or pruned, then
-        # evaluate the whole surviving frontier in one batched pass.
-        survivors: List[Tuple[Pattern, Optional[Mask]]] = []
-        for pattern, mask in frontier.items():
-            stats.nodes_generated += 1
-            if level > 0:
-                pruned = False
-                for parent in pattern.parents():
-                    if parent not in covered_prev:
-                        pruned = True
-                        break
-                if pruned:
-                    stats.pruned += 1
-                    continue
-            survivors.append((pattern, mask))
+        stats.nodes_generated += len(codes)
+        if level > 0:
+            # Prune candidates with a parent that was uncovered or pruned:
+            # exactly the parents missing from the covered set.
+            rows, parents = lattice.parents(codes)
+            alive = np.ones(len(codes), dtype=bool)
+            alive[rows[~contains(covered_prev, parents)]] = False
+            stats.pruned += len(codes) - int(alive.sum())
+            codes = codes[alive]
+            if use_masks:
+                masks = list(compress(masks, alive.tolist()))
+        # Evaluate the whole surviving level in one batched pass.
         if use_masks:
-            counts = oracle.coverage_of_masks([mask for _, mask in survivors])
+            counts = oracle.coverage_of_masks(masks)
         else:
-            counts = oracle.coverage_many([pattern for pattern, _ in survivors])
-        stats.coverage_evaluations += len(survivors)
+            counts = oracle.coverage_many(lattice.decode(codes))
+        stats.coverage_evaluations += len(codes)
 
-        covered_here: set = set()
-        next_frontier: Dict[Pattern, Optional[Mask]] = {}
-        for (pattern, mask), count in zip(survivors, counts):
-            if count < threshold:
-                # Every parent is covered (the prune above guarantees it),
-                # so an uncovered candidate here is maximal by definition.
-                mups.append(pattern)
-                continue
-            covered_here.add(pattern)
-            if level == depth:
-                continue
-            start = pattern.rightmost_deterministic() + 1
-            for index in range(start, space.d):
-                if pattern[index] != X:
-                    continue
-                if use_masks:
-                    family = oracle.restrict_children(mask, index)
-                else:
-                    family = [None] * space.cardinalities[index]
-                for value, child_mask in enumerate(family):
-                    child = pattern.with_value(index, value)
-                    next_frontier[child] = child_mask
-        covered_prev = covered_here
-        frontier = next_frontier
+        # Every parent is covered (the prune above guarantees it), so an
+        # uncovered candidate here is maximal by definition.
+        covered = counts >= threshold
+        mups.append(codes[~covered])
+        codes = codes[covered]
+        if use_masks:
+            masks = list(compress(masks, covered.tolist()))
+        covered_prev = np.sort(codes)
+        if level == depth:
+            break
 
+        child_codes = []
+        child_masks: List = []
+        for attribute, rows, children in lattice.rule1_children(codes):
+            child_codes.append(children.ravel())
+            if use_masks:
+                child_masks.extend(
+                    oracle.restrict_children_many(
+                        [masks[r] for r in rows.tolist()], attribute
+                    )
+                )
+        codes = np.concatenate(child_codes) if child_codes else codes[:0]
+        masks = child_masks
+
+    found = lattice.decode(np.sort(np.concatenate(mups)))
     stats.seconds = watch.elapsed()
-    return MupResult(tuple(mups), threshold, stats, max_level)
+    return MupResult(tuple(found), threshold, stats, max_level)

@@ -8,6 +8,11 @@ its right-most ``X``; any covered child in the family contributes ≥ τ, so
 the parent is covered and the branch is pruned.  MUPs at level ``ℓ`` are the
 uncovered nodes none of whose parents at ``ℓ - 1`` is uncovered.
 
+Each level is a sorted integer code array with its counts
+(:mod:`repro.core.lattice`), so generating parents, summing their sibling
+families and the MUP test are numpy passes over the whole level; only the
+MUPs become ``Pattern`` objects.
+
 The initial level-``d`` sweep enumerates all ``Π c_i`` combinations, which
 is the intrinsic cost of the bottom-up strategy — exactly why Figure 13
 shows it losing on the high-cardinality BlueNile data.
@@ -15,13 +20,15 @@ shows it losing on the high-cardinality BlueNile data.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
+
+import numpy as np
 
 from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import EngineSpec
+from repro.core.lattice import PatternLattice, contains, index_of
 from repro.core.mups.base import MupResult, register_algorithm
-from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
 from repro.exceptions import ReproError
@@ -54,58 +61,51 @@ def pattern_combiner(
             f"bottom level has {space.combination_count()} combinations; "
             f"use pattern_breaker or deepdiver for this schema"
         )
+    lattice = PatternLattice(space)
     stats = SearchStats()
     watch = Stopwatch()
 
-    # Exact counts of the combinations present in the data (one data pass).
+    # Exact counts of every value combination (one data pass); the unique
+    # rows are distinct, so plain assignment fills the grid.
+    grid = np.zeros(space.combination_count(), dtype=np.int64)
     unique, counts = dataset.unique_rows()
-    present: Dict[Pattern, int] = {}
-    for row, count in zip(unique, counts):
-        present[Pattern(row)] = int(count)
+    grid[lattice.combination_index(unique)] = counts
+    stats.nodes_generated += len(grid)
+    stats.coverage_evaluations += len(grid)
 
-    # Level-d seed: every value combination below the threshold.
-    count_map: Dict[Pattern, int] = {}
-    for combo in space.all_combinations():
-        stats.nodes_generated += 1
-        pattern = Pattern(combo)
-        count = present.get(pattern, 0)
-        stats.coverage_evaluations += 1
-        if count < threshold:
-            count_map[pattern] = count
+    # Level-d seed: every value combination below the threshold, as sorted
+    # codes with their counts.
+    uncovered = np.flatnonzero(grid < threshold)
+    codes = lattice.combination_codes(uncovered)
+    level_counts = grid[uncovered]
+    mups = [codes[:0]]
 
-    mups = []
-    if not count_map:
-        stats.seconds = watch.elapsed()
-        return MupResult((), threshold, stats)
+    while len(codes):
+        uncovered_parents = [codes[:0]]
+        parent_counts = [level_counts[:0]]
+        # Rule 2: each node generates exactly the parents whose Rule-2
+        # generator child it is, so no parent is built twice.
+        for pivot, _, parents in lattice.rule2_parents(codes):
+            stats.nodes_generated += len(parents)
+            stats.coverage_evaluations += len(parents)
+            # A sibling missing from the level is covered, so it
+            # contributes >= τ and covers the parent.
+            position = index_of(codes, lattice.family(parents, pivot))
+            present = position >= 0
+            totals = np.where(present, level_counts[position], 0).sum(axis=1)
+            keep = present.all(axis=1) & (totals < threshold)
+            stats.pruned += len(parents) - int(keep.sum())
+            uncovered_parents.append(parents[keep])
+            parent_counts.append(totals[keep])
+        next_codes = np.concatenate(uncovered_parents)
+        order = np.argsort(next_codes)
+        next_codes = next_codes[order]
+        # MUPs: the uncovered nodes with no uncovered parent.
+        rows, candidates = lattice.parents(codes)
+        mups.append(np.delete(codes, rows[contains(next_codes, candidates)]))
+        codes = next_codes
+        level_counts = np.concatenate(parent_counts)[order]
 
-    for _level in range(space.d, -1, -1):
-        next_count: Dict[Pattern, int] = {}
-        for pattern in count_map:
-            # Rule 2: this node generates exactly the parents whose
-            # Rule-2 generator child it is, so no parent is built twice.
-            for parent in space.rule2_parents(pattern):
-                stats.nodes_generated += 1
-                pivot = parent.rightmost_nondeterministic()
-                total = 0
-                covered = False
-                for sibling in space.sibling_family(parent, pivot):
-                    child_count = count_map.get(sibling)
-                    if child_count is None:
-                        # Covered child => contributes >= τ => parent covered.
-                        covered = True
-                        break
-                    total += child_count
-                stats.coverage_evaluations += 1
-                if not covered and total < threshold:
-                    next_count[parent] = total
-                else:
-                    stats.pruned += 1
-        for pattern in count_map:
-            if all(parent not in next_count for parent in pattern.parents()):
-                mups.append(pattern)
-        if not next_count:
-            break
-        count_map = next_count
-
+    found = lattice.decode(np.sort(np.concatenate(mups)))
     stats.seconds = watch.elapsed()
-    return MupResult(tuple(mups), threshold, stats)
+    return MupResult(tuple(found), threshold, stats)

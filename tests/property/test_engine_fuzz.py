@@ -6,7 +6,7 @@ dataset — half the time uniform-random rows, half the time a realistic
 :mod:`repro.data.scenarios` draw (zipf marginals, latent-factor
 correlation) — plus a random sequence of ``coverage`` / ``coverage_many``
 (with and without the sweep's count-reuse memo) / ``coverage_of_masks`` /
-``restrict_children`` / cache-churn /
+``restrict_children`` / ``restrict_children_many`` / cache-churn /
 ``template()``-rebuild calls, and executes the sequence in lockstep on the
 ``dense`` reference and every other backend — ``packed``, ``sharded``,
 the out-of-core sharded engine (one-shard resident budget), whatever the
@@ -125,7 +125,16 @@ def fuzz_cases(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         kind = draw(
             st.sampled_from(
-                ["point", "many", "masks", "memo", "children", "churn", "rebuild"]
+                [
+                    "point",
+                    "many",
+                    "masks",
+                    "memo",
+                    "children",
+                    "children_many",
+                    "churn",
+                    "rebuild",
+                ]
             )
         )
         if kind == "point":
@@ -141,6 +150,18 @@ def fuzz_cases(draw):
                 (
                     "children",
                     draw(_patterns(cardinalities)),
+                    draw(st.integers(min_value=0, max_value=d - 1)),
+                )
+            )
+        elif kind == "children_many":
+            batch = [
+                draw(_patterns(cardinalities))
+                for _ in range(draw(st.integers(min_value=0, max_value=4)))
+            ]
+            ops.append(
+                (
+                    "children_many",
+                    batch,
                     draw(st.integers(min_value=0, max_value=d - 1)),
                 )
             )
@@ -271,6 +292,25 @@ def _apply_op(op, dataset, engines, oracles):
                     engine.mask_to_bool(child), expected
                 ), (name, pattern, attribute)
             assert list(engine.count_many(other)) == expected_counts, name
+    elif kind == "children_many":
+        batch, attribute = op[1], op[2]
+        reference = engines["dense"]
+        family = reference.restrict_children_many(
+            [reference.match_mask(p) for p in batch], attribute
+        )
+        expected_bools = [reference.mask_to_bool(child) for child in family]
+        expected_counts = list(reference.count_many(family))
+        for name in BACKENDS[1:]:
+            engine = engines[name]
+            other = engine.restrict_children_many(
+                [engine.match_mask(p) for p in batch], attribute
+            )
+            assert len(other) == len(family), name
+            for child, expected in zip(other, expected_bools):
+                assert np.array_equal(
+                    engine.mask_to_bool(child), expected
+                ), (name, batch, attribute)
+            assert list(engine.count_many(other)) == expected_counts, name
     elif kind == "churn":
         for engine in engines.values():
             engine.clear_mask_cache()
@@ -345,6 +385,12 @@ def _parse_op(entry):
         return (kind, [_parse_pattern(values) for values in entry[1]])
     if kind == "children":
         return ("children", _parse_pattern(entry[1]), int(entry[2]))
+    if kind == "children_many":
+        return (
+            "children_many",
+            [_parse_pattern(values) for values in entry[1]],
+            int(entry[2]),
+        )
     return (kind,)
 
 
