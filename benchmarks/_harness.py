@@ -77,7 +77,7 @@ def fmt_rate(rate: float) -> str:
 
 
 # ----------------------------------------------------------------------
-# shared engine-benchmark workload (bench_planner / bench_compressed)
+# shared engine-benchmark workload and timing
 # ----------------------------------------------------------------------
 
 #: Calibrate each timed sample to span at least this long, so millisecond

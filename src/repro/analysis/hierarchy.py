@@ -268,8 +268,8 @@ def _levelwise_mups(
 
 
 def _plan_hierarchy_engine(dataset: Dataset, engine: EngineSpec) -> EngineSpec:
-    """Resolve ``None``/``"auto"`` specs with the planner's ``"hierarchy"``
-    shape.
+    """Resolve ``None``/``"auto"`` specs with the planner's hierarchy
+    dense ceiling (``plan_engine(..., hierarchy=True)``).
 
     ``None`` plans instead of falling through to the default backend: the
     default dense engine fronts an eager unique-rows pass, and the search
@@ -281,7 +281,7 @@ def _plan_hierarchy_engine(dataset: Dataset, engine: EngineSpec) -> EngineSpec:
     if isinstance(engine, EngineConfig) and engine.is_auto:
         from repro.core.engine.planner import plan_engine
 
-        return plan_engine(dataset, engine, query_shape="hierarchy").config
+        return plan_engine(dataset, engine, hierarchy=True).config
     return engine
 
 
@@ -389,9 +389,9 @@ def find_mups_hierarchical(
         threshold / threshold_rate: exactly one of absolute τ or a rate.
         max_level: optional pattern-level cap applied at every stack level.
         oracle: optional warm oracle for the *base* dataset.
-        engine: engine spec; ``"auto"`` plans with the ``"hierarchy"``
-            query shape per level.  Prebuilt engine instances apply to the
-            base level only.
+        engine: engine spec; ``"auto"`` plans each level with the
+            hierarchy dense ceiling.  Prebuilt engine instances apply to
+            the base level only.
         remedies: also compute, per finest-level MUP, its most specific
             covered generalization.
         memo: optional shared base-level count memo.

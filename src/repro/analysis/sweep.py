@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
-from repro.core.engine import AUTO, EngineConfig, EngineSpec
+from repro.core.engine import EngineSpec
 from repro.core.mups.base import MupResult
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
@@ -326,17 +326,6 @@ def _normalize_attributes(
     return tuple(attrs)
 
 
-def _plan_sweep_engine(dataset: Dataset, engine: EngineSpec) -> EngineSpec:
-    """Resolve ``"auto"`` specs with the planner's ``"sweep"`` query shape."""
-    if isinstance(engine, str) and engine == AUTO:
-        engine = EngineConfig(backend=AUTO)
-    if isinstance(engine, EngineConfig) and engine.is_auto:
-        from repro.core.engine.planner import plan_engine
-
-        return plan_engine(dataset, engine, query_shape="sweep").config
-    return engine
-
-
 # ----------------------------------------------------------------------
 # the amortized traversal
 # ----------------------------------------------------------------------
@@ -362,7 +351,7 @@ def sweep_mups(
         max_level: only consider patterns at level ≤ this cap.
         oracle: optionally reuse a prebuilt coverage oracle.
         engine: engine selection when no oracle is given (``"auto"``
-            consults the planner with the ``"sweep"`` query shape).
+            consults the planner).
         memo: optional ``pattern.values -> count`` reuse table, shared
             across calls on the *same dataset* (projections, repeated
             sweeps); pass a plain dict and keep it per-dataset.
@@ -377,7 +366,7 @@ def sweep_mups(
     if max_level is not None and max_level < 0:
         raise ReproError(f"max_level must be >= 0, got {max_level}")
     if oracle is None:
-        oracle = CoverageOracle(dataset, _plan_sweep_engine(dataset, engine))
+        oracle = CoverageOracle(dataset, engine)
     if memo is None:
         memo = {}
 

@@ -39,8 +39,6 @@ from repro.analysis.sweep import (
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import (
     AUTO,
-    DEFAULT_ARRAY_CUTOFF,
-    DEFAULT_RUN_CUTOFF,
     DEFAULT_SHARDS,
     ENGINES,
     CoverageEngine,
@@ -52,7 +50,7 @@ from repro.core.engine import (
 from repro.core.enhancement.greedy import greedy_cover
 from repro.core.enhancement.expansion import uncovered_at_level
 from repro.core.enhancement.oracle import ValidationOracle, ValidationRule
-from repro.core.mups.base import ALGORITHMS, algorithm_query_shape, find_mups
+from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.core.pattern_graph import PatternSpace
 from repro.data.compas import load_compas
 from repro.data.dataset import Dataset
@@ -66,12 +64,28 @@ def _read_header(reader, path: str) -> List[str]:
     return header
 
 
+def _data_rows(reader, header: List[str], path: str) -> Iterator[List[str]]:
+    """The non-blank rows after the header, each as wide as the header."""
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}, line {reader.line_num}: {len(row)} field(s) "
+                f"where the header has {len(header)}"
+            )
+        yield row
+
+
 def _load_csv(path: str, attributes: Optional[Sequence[str]]) -> Dataset:
     """Read an integer-coded CSV with a header row into a Dataset."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = _read_header(reader, path)
-        rows = [[int(cell) for cell in row] for row in reader if row]
+        rows = [
+            [int(cell) for cell in row]
+            for row in _data_rows(reader, header, path)
+        ]
     dataset = Dataset.from_rows(rows, names=header)
     if attributes:
         dataset = dataset.project(list(attributes))
@@ -94,9 +108,7 @@ def _load_csv_numeric(
         numeric = header.index(column)
         values: List[float] = []
         rows = []
-        for row in reader:
-            if not row:
-                continue
+        for row in _data_rows(reader, header, path):
             values.append(float(row[numeric]))
             rows.append(
                 [int(cell) for i, cell in enumerate(row) if i != numeric]
@@ -169,19 +181,16 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         choices=sorted(ENGINES) + [AUTO],
         help="coverage-engine backend (default 'auto': a workload-aware "
         "planner inspects the dataset and escalates dense -> packed -> "
-        "sharded as the projected index grows, detouring to 'compressed' "
-        "on sparse value domains); 'dense' uses unpacked boolean vectors "
-        "(reference), 'packed' uses uint64 bitsets with word-level "
-        "popcount (8x smaller index), 'sharded' partitions the packed "
-        "index row-wise into spilled, mmap-streamed shards, 'compressed' "
-        "stores roaring-style chunked containers whose footprint tracks "
-        "the data's density",
+        "sharded as the projected index grows); 'dense' uses unpacked "
+        "boolean vectors (reference), 'packed' uses uint64 bitsets with "
+        "word-level popcount (8x smaller index), 'sharded' partitions the "
+        "packed index row-wise into spilled, mmap-streamed shards",
     )
     parser.add_argument(
         "--explain-plan",
         action="store_true",
-        help="print the engine plan (chosen backend + rationale, including "
-        "the query-shape cost model) before running the command",
+        help="print the engine plan (chosen backend + rationale) before "
+        "running the command",
     )
     parser.add_argument(
         "--shards",
@@ -231,29 +240,10 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "auto this is the planner's memory budget — the planner goes "
         "out-of-core when the projected index exceeds it)",
     )
-    parser.add_argument(
-        "--array-cutoff",
-        type=int,
-        default=None,
-        help="largest container cardinality kept as a sorted uint16 array "
-        "for --engine compressed (1..65536, default "
-        f"{DEFAULT_ARRAY_CUTOFF}); with --engine auto this forces the "
-        "compressed backend",
-    )
-    parser.add_argument(
-        "--run-cutoff",
-        type=int,
-        default=None,
-        help="largest interval count kept as a run container for --engine "
-        f"compressed (default {DEFAULT_RUN_CUTOFF}); with --engine auto "
-        "this forces the compressed backend",
-    )
 
 
 def _build_engine(
-    args: argparse.Namespace,
-    dataset: Dataset,
-    query_shape: Optional[str] = None,
+    args: argparse.Namespace, dataset: Dataset, hierarchy: bool = False
 ) -> CoverageEngine:
     """The engine selected by the CLI flags, built against ``dataset``.
 
@@ -261,19 +251,12 @@ def _build_engine(
     (whose ``validate()`` holds every cross-flag rule — programmatic
     callers constructing configs get identical errors), planned when the
     backend is ``auto``, and built.  ``--explain-plan`` prints the plan's
-    rationale before the command runs.
+    rationale before the command runs.  ``hierarchy`` plans with the
+    hierarchical search's dense ceiling.
     """
-    config = EngineConfig.from_cli_args(args)
-    # The workload fixes how the engine will be queried (DFS point probes
-    # vs level-sweep batches vs a whole amortized τ sweep); plan with that
-    # shape so the cost model's ceiling matches.  Commands that run a
-    # single algorithm derive the shape from it (demo runs deepdiver);
-    # `sweep` passes its shape explicitly.
-    if query_shape is None:
-        query_shape = algorithm_query_shape(
-            getattr(args, "algorithm", "deepdiver")
-        )
-    plan = plan_engine(dataset, config, query_shape=query_shape)
+    plan = plan_engine(
+        dataset, EngineConfig.from_cli_args(args), hierarchy=hierarchy
+    )
     if getattr(args, "explain_plan", False):
         print(plan.describe())
         print()
@@ -285,9 +268,7 @@ def _build_engine(
 
 @contextmanager
 def _engine_scope(
-    args: argparse.Namespace,
-    dataset: Dataset,
-    query_shape: Optional[str] = None,
+    args: argparse.Namespace, dataset: Dataset, hierarchy: bool = False
 ) -> Iterator[CoverageEngine]:
     """Build the CLI-selected engine and close it when the command ends.
 
@@ -295,7 +276,7 @@ def _engine_scope(
     out-of-core spill directories are removed when the run finishes, not
     whenever GC gets around to it.
     """
-    engine = _build_engine(args, dataset, query_shape=query_shape)
+    engine = _build_engine(args, dataset, hierarchy=hierarchy)
     try:
         yield engine
     finally:
@@ -405,7 +386,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         thresholds = parse_tau_range(args.tau_range)
     else:
         thresholds = tuple(args.thresholds)
-    with _engine_scope(args, dataset, query_shape="sweep") as engine:
+    with _engine_scope(args, dataset) as engine:
         oracle = CoverageOracle(dataset, engine=engine)
         report = threshold_sensitivity(
             dataset,
@@ -427,7 +408,7 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
     dataset = _load_csv(args.csv, args.attributes)
     stack = _parse_hierarchy_spec(dataset, args.hierarchy)
-    with _engine_scope(args, dataset, query_shape="hierarchy") as engine:
+    with _engine_scope(args, dataset, hierarchy=True) as engine:
         oracle = CoverageOracle(dataset, engine=engine)
         result = find_mups_hierarchical(
             dataset,
@@ -479,7 +460,7 @@ def _cmd_bucketsweep(args: argparse.Namespace) -> int:
     dataset, values = _load_csv_numeric(args.csv, args.column, args.attributes)
     counts = sorted(set(args.buckets))
     fine = bucketized_dataset(dataset, values, max(counts), name=args.column)
-    with _engine_scope(args, fine, query_shape="hierarchy") as engine:
+    with _engine_scope(args, fine, hierarchy=True) as engine:
         oracle = CoverageOracle(fine, engine=engine)
         result = bucketize_sweep(
             dataset,

@@ -1,8 +1,7 @@
 """Pluggable coverage engines (Appendix A behind one interface).
 
 Importing this package registers every backend; select one by name
-(``"dense"`` / ``"packed"`` / ``"sharded"`` / ``"compressed"``) — or pass
-a declarative
+(``"dense"`` / ``"packed"`` / ``"sharded"``) — or pass a declarative
 :class:`~repro.core.engine.config.EngineConfig`, or the name ``"auto"``
 to let the workload-aware planner (:mod:`repro.core.engine.planner`)
 choose — anywhere an ``engine=`` argument or the CLI ``--engine`` flag is
@@ -22,13 +21,6 @@ from repro.core.engine.base import (
     engine_name,
     register_engine,
     resolve_engine,
-)
-from repro.core.engine.compressed import (
-    CHUNK_BITS,
-    DEFAULT_ARRAY_CUTOFF,
-    DEFAULT_RUN_CUTOFF,
-    CompressedBitmap,
-    CompressedEngine,
 )
 from repro.core.engine.dense import DenseBoolEngine
 from repro.core.engine.distributed import (
@@ -50,7 +42,6 @@ from repro.core.engine.packed import PackedBitsetEngine
 from repro.core.engine.sharded import DEFAULT_SHARDS, ShardedEngine
 from repro.core.engine.config import AUTO, BUILTIN_BACKENDS, EngineConfig
 from repro.core.engine.planner import (
-    QUERY_SHAPES,
     EnginePlan,
     WorkloadStats,
     available_memory_bytes,
@@ -65,11 +56,6 @@ __all__ = [
     "DenseBoolEngine",
     "PackedBitsetEngine",
     "ShardedEngine",
-    "CompressedEngine",
-    "CompressedBitmap",
-    "CHUNK_BITS",
-    "DEFAULT_ARRAY_CUTOFF",
-    "DEFAULT_RUN_CUTOFF",
     "MmapShardStore",
     "ShardStoreWriter",
     "DeltaWriteResult",
@@ -89,7 +75,6 @@ __all__ = [
     "set_available_memory_bytes",
     "stats_cache_info",
     "invalidate_stats_cache",
-    "QUERY_SHAPES",
     "AUTO",
     "BUILTIN_BACKENDS",
     "ENGINES",

@@ -15,7 +15,7 @@ owns those vectors for one dataset and answers three families of queries:
 Masks are engine-specific opaque handles: callers obtain them from the
 engine (``full_mask``, ``match_mask``, ``restrict``…), hand them back to
 the engine, and never inspect them directly (``mask_to_bool`` converts
-when row identities are needed).  Four backends are registered:
+when row identities are needed).  Three backends are registered:
 
 * ``dense`` — :class:`~repro.core.engine.dense.DenseBoolEngine`, unpacked
   boolean ndarrays (the reference/ablation baseline);
@@ -27,11 +27,7 @@ when row identities are needed).  Four backends are registered:
   mmap-backed spill directory
   (:class:`~repro.core.engine.mmapped.MmapShardStore`) behind a
   byte-budgeted LRU loader; per-shard kernels run serially or on socket
-  shard workers attached to those files by path, reduced in shard order;
-* ``compressed`` — :class:`~repro.core.engine.compressed.CompressedEngine`,
-  roaring-style chunked containers (sorted-array / bitmap / run per 64Ki
-  combinations) whose footprint tracks the data's density — the sparse
-  value-domain backend the planner picks on high-cardinality schemas.
+  shard workers attached to those files by path, reduced in shard order.
 
 The base class also layers a **hot-mask LRU cache** over ``match_mask``:
 repeated frontier evaluations (PATTERN-BREAKER re-visits, enhancement
@@ -471,8 +467,8 @@ def resolve_engine(spec: EngineSpec, dataset: Dataset) -> CoverageEngine:
 
     Accepts an :class:`~repro.core.engine.config.EngineConfig` (the
     declarative form that carries every engine option), a registry name
-    (``"dense"`` / ``"packed"`` / ``"sharded"`` / ``"compressed"``, or
-    ``"auto"`` to let the planner choose), an engine class, a dataset-free
+    (``"dense"`` / ``"packed"`` / ``"sharded"``, or ``"auto"`` to let the
+    planner choose), an engine class, a dataset-free
     factory callable (such as an engine's
     :meth:`~CoverageEngine.template`), an already-built instance (returned
     as-is), or ``None`` for the default.

@@ -14,8 +14,8 @@ serializable dataclass:
   built-in backend accepts; unset options (``None``) defer to the
   backend's own defaults;
 * **one validator** — :meth:`validate` holds the cross-field rules the
-  CLI used to hand-roll (sharded-only and compressed-only flags, value
-  ranges, worker endpoints), so programmatic callers get the same clear
+  CLI used to hand-roll (sharded-only flags, value ranges, worker
+  endpoints), so programmatic callers get the same clear
   :class:`~repro.exceptions.EngineError` messages as ``--engine`` users;
 * **one serialization** — ``to_dict`` / ``from_dict`` round-trip losslessly
   (manifests, benchmark payloads) and :meth:`from_cli_args` lifts an
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.engine.base import DEFAULT_ENGINE, ENGINES, CoverageEngine
-from repro.core.engine.compressed import CHUNK_BITS
 from repro.core.engine.distributed import parse_endpoint
 from repro.exceptions import EngineError
 
@@ -46,7 +45,7 @@ AUTO = "auto"
 #: Backend names whose constructor options EngineConfig fully describes.
 #: (Custom registered backends keep their own kwargs and bypass the
 #: config-level option validation.)
-BUILTIN_BACKENDS = (AUTO, "dense", "packed", "sharded", "compressed")
+BUILTIN_BACKENDS = (AUTO, "dense", "packed", "sharded")
 
 #: Options that only the sharded backend (or the auto planner) consumes.
 _SHARDED_ONLY = (
@@ -57,9 +56,6 @@ _SHARDED_ONLY = (
     "worker_endpoints",
     "delta_spill",
 )
-
-#: Options that only the compressed backend (or the auto planner) consumes.
-_COMPRESSED_ONLY = ("array_cutoff", "run_cutoff")
 
 
 @dataclass(frozen=True)
@@ -80,10 +76,6 @@ class EngineConfig:
             the sharded backend when the projected packed index exceeds it.
         mask_cache_size: hot-mask LRU capacity (``None`` = backend default,
             ``0`` disables caching).
-        array_cutoff: compressed backend — largest container cardinality
-            kept as a sorted ``uint16`` array (1..65536).
-        run_cutoff: compressed backend — largest interval count kept as a
-            run container (>= 1).
         worker_endpoints: ``host:port`` addresses of standing shard
             workers; unset, ``workers >= 2`` spawns local workers.
         delta_spill: let rebuilds over appended data reuse the previous
@@ -100,8 +92,6 @@ class EngineConfig:
     spill_dir: Optional[str] = None
     max_resident_bytes: Optional[int] = None
     mask_cache_size: Optional[int] = None
-    array_cutoff: Optional[int] = None
-    run_cutoff: Optional[int] = None
     worker_endpoints: Optional[Tuple[str, ...]] = None
     delta_spill: Optional[bool] = None
 
@@ -112,8 +102,6 @@ class EngineConfig:
             "workers",
             "max_resident_bytes",
             "mask_cache_size",
-            "array_cutoff",
-            "run_cutoff",
         ):
             value = getattr(self, name)
             if value is not None:
@@ -159,49 +147,6 @@ class EngineConfig:
                     f"(--engine sharded) or the auto planner (--engine auto), "
                     f"not {self.backend!r}"
                 )
-        if self.backend not in (AUTO, "compressed"):
-            offending = [
-                name
-                for name in _COMPRESSED_ONLY
-                if getattr(self, name) is not None
-            ]
-            if offending:
-                raise EngineError(
-                    f"{'/'.join(offending)} only apply to the compressed "
-                    f"backend (--engine compressed) or the auto planner "
-                    f"(--engine auto), not {self.backend!r}"
-                )
-        if self.is_auto:
-            # max_resident_bytes is excluded: under auto it is the
-            # planner's memory budget, which constrains any backend.
-            sharded_set = [
-                name
-                for name in _SHARDED_ONLY
-                if name != "max_resident_bytes"
-                and getattr(self, name) is not None
-            ]
-            compressed_set = [
-                name
-                for name in _COMPRESSED_ONLY
-                if getattr(self, name) is not None
-            ]
-            if sharded_set and compressed_set:
-                raise EngineError(
-                    f"{'/'.join(sharded_set)} force the sharded backend but "
-                    f"{'/'.join(compressed_set)} force the compressed one; "
-                    f"an auto plan cannot honour both"
-                )
-        if self.array_cutoff is not None and not (
-            1 <= self.array_cutoff <= CHUNK_BITS
-        ):
-            raise EngineError(
-                f"array_cutoff must be in [1, {CHUNK_BITS}], "
-                f"got {self.array_cutoff}"
-            )
-        if self.run_cutoff is not None and self.run_cutoff < 1:
-            raise EngineError(
-                f"run_cutoff must be >= 1, got {self.run_cutoff}"
-            )
         if self.shards is not None and self.shards < 1:
             raise EngineError(f"shard count must be >= 1, got {self.shards}")
         if self.workers is not None and self.workers < 1:
@@ -270,8 +215,6 @@ class EngineConfig:
             spill_dir=getattr(args, "spill_dir", None),
             max_resident_bytes=getattr(args, "max_resident_bytes", None),
             mask_cache_size=getattr(args, "mask_cache_size", None),
-            array_cutoff=getattr(args, "array_cutoff", None),
-            run_cutoff=getattr(args, "run_cutoff", None),
             worker_endpoints=getattr(args, "worker_endpoints", None),
             delta_spill=getattr(args, "delta_spill", None),
         )
@@ -309,11 +252,6 @@ class EngineConfig:
             options["mask_cache_size"] = self.mask_cache_size
         if self.backend == "sharded":
             for name in _SHARDED_ONLY:
-                value = getattr(self, name)
-                if value is not None:
-                    options[name] = value
-        if self.backend == "compressed":
-            for name in _COMPRESSED_ONLY:
                 value = getattr(self, name)
                 if value is not None:
                     options[name] = value

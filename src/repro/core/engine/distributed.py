@@ -153,7 +153,11 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 def recv_message(sock: socket.socket) -> Dict[str, Any]:
-    """Receive one length-prefixed frame and decode it."""
+    """Receive one length-prefixed frame and decode it.
+
+    Returns the frame's JSON object; anything else the stream carries
+    raises :class:`WorkerDied`.
+    """
     header_len, tail_len = _LEN_STRUCT.unpack(_recv_exact(sock, _LEN_STRUCT.size))
     if header_len + tail_len > _MAX_FRAME_BYTES:
         raise WorkerDied(
@@ -162,11 +166,17 @@ def recv_message(sock: socket.socket) -> Dict[str, Any]:
     header = _recv_exact(sock, header_len)
     tail = memoryview(_recv_exact(sock, tail_len)) if tail_len else memoryview(b"")
     try:
-        return _decode_value(json.loads(header.decode("utf-8")), tail)
-    except (ValueError, TypeError) as exc:
-        # Undecodable UTF-8/JSON or a bad ``__nd__`` marker: the stream is
-        # corrupt, so drop the connection like an oversized frame.
+        message = _decode_value(json.loads(header.decode("utf-8")), tail)
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+        # Undecodable UTF-8/JSON, nesting past the recursion limit, or a
+        # bad ``__nd__`` marker (an Infinity offset overflows ``int``): the
+        # stream is corrupt, so drop the connection like an oversized frame.
         raise WorkerDied(f"malformed frame: {exc}") from exc
+    if not isinstance(message, dict):
+        raise WorkerDied(
+            f"malformed frame: root is {type(message).__name__}, not an object"
+        )
+    return message
 
 
 # ----------------------------------------------------------------------

@@ -18,30 +18,26 @@ rationale (the CLI prints it under ``--explain-plan``).  The escalation
 ladder:
 
 ========================  =====================================================
-projected packed index    chosen backend
+projected index           chosen backend
 ========================  =====================================================
 dense index ≤ 256 KiB     ``dense`` — unpacked bools beat packing overhead
-sparse value domain       ``compressed`` — chunked containers, when the
-                          index density sits under the sparsity cutoff and
-                          the calibrated cost model favours them
-≤ memory budget           ``packed`` — 8× smaller index, word-level popcount
-> memory budget           ``sharded`` — spill + mmap streaming under
+packed ≤ memory budget    ``packed`` — 8× smaller index, word-level popcount
+packed > memory budget    ``sharded`` — spill + mmap streaming under
                           ``max_resident_bytes`` = the budget; socket
                           workers once the index dwarfs the budget
 ========================  =====================================================
 
-The packed → compressed decision compares the two representations'
-projected scan work — bytes × relative per-byte cost — against a
-calibrated single-index ceiling (measured fused-kernel scan throughput ×
-a per-query latency target) instead of adding another hard byte ceiling.
+``hierarchy=True`` (the coarse-to-fine search of
+:mod:`repro.analysis.hierarchy`) raises the dense ceiling by
+:data:`HIERARCHY_DENSE_MULTIPLE`; nothing else about a workload changes
+the plan.
 
 Explicitly requested knobs are **constraints, not suggestions**: ``shards``
 / ``workers`` / ``spill_dir`` / ``worker_endpoints`` / ``delta_spill``
-force the sharded backend, ``array_cutoff`` / ``run_cutoff`` force the
-compressed backend, and ``max_resident_bytes`` (on ``backend="auto"``)
-sets the memory budget the escalation compares against.  Plans are
-deterministic functions of ``(stats, requested config)``, which the
-property suite pins.
+force the sharded backend, and ``max_resident_bytes`` (on
+``backend="auto"``) sets the memory budget the escalation compares
+against.  Plans are deterministic functions of ``(stats, requested
+config)``, which the property suite pins.
 
 Every future backend (network shard placement, incremental spill reuse)
 slots in behind this single decision point.
@@ -56,7 +52,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple, Union
 
-from repro.core.engine.compressed import CHUNK_BITS, DEFAULT_ARRAY_CUTOFF
 from repro.core.engine.config import AUTO, EngineConfig
 from repro.core.engine.sharded import DEFAULT_SHARDS, _default_spill_root
 from repro.data.dataset import Dataset
@@ -67,90 +62,13 @@ _WORD_BITS = 64
 #: Keep the dense reference representation while its bool index fits here.
 DENSE_MAX_INDEX_BYTES = 256 << 10
 
-#: Hierarchy query shape: dense indices up to this multiple of the normal
+#: Hierarchy searches: dense indices up to this multiple of the normal
 #: ceiling still plan dense.  The hierarchical search builds one
 #: short-lived engine per stack level over a pre-aggregated roll-up, so
 #: dense's near-zero build cost and branch-free bool masks beat the
-#: packed/compressed per-query constants that dominate the few hundred
-#: batched counts each level actually issues.
+#: packed per-query constants that dominate the few hundred batched
+#: counts each level actually issues.
 HIERARCHY_DENSE_MULTIPLE = 16
-
-#: Calibrated effective scan throughput of the fused packed kernels
-#: (bytes/second), measured by benchmarks/bench_planner.py smoke runs and
-#: set conservatively so slower machines still escalate in time.
-PACKED_SCAN_BYTES_PER_SECOND = 4 << 30
-
-#: Per-query latency target one flat index scan should stay under.
-SINGLE_INDEX_TARGET_SECONDS = 0.008
-
-#: Largest index one flat scan covers within the latency target — the
-#: ceiling a compressed index must fit to stand in for packed.  This is
-#: the point-shape operating point; :func:`_single_index_ceiling` scales
-#: it by the query shape.
-PACKED_MAX_INDEX_BYTES = int(
-    PACKED_SCAN_BYTES_PER_SECOND * SINGLE_INDEX_TARGET_SECONDS
-)
-
-#: Query shapes the cost model distinguishes.  ``"point"`` — latency-bound
-#: streams of single-pattern probes (DeepDiver's DFS: one mask op per
-#: node); ``"batch"`` — throughput-bound level sweeps (apriori / naive /
-#: pattern-breaker: whole frontiers per call), where a longer single scan
-#: amortizes over the batch and sharding's dispatch overhead hurts more;
-#: ``"sweep"`` — the amortized multi-threshold mode
-#: (:mod:`repro.analysis.sweep`), batch-heavy *and* further amortized
-#: because one counting pass classifies a pattern for every τ at once;
-#: ``"hierarchy"`` — the coarse-to-fine generalization-lattice mode
-#: (:mod:`repro.analysis.hierarchy`), batch-heavy level sweeps whose finer
-#: levels skip counting inside regions a coarser rollup already proved
-#: uncovered, so each remaining scan serves extra classification work.
-QUERY_SHAPES = ("point", "batch", "sweep", "hierarchy")
-
-#: Latency target for one scan serving a *batch* of queries: a level
-#: sweep answers a whole frontier per scan, so per-scan latency may relax
-#: by the typical frontier amortization.
-BATCH_LATENCY_TARGET_SECONDS = SINGLE_INDEX_TARGET_SECONDS * 4
-
-#: Latency target for one scan in the amortized threshold-sweep mode: on
-#: top of the batch amortization, each counted pattern is classified for
-#: the *entire* τ range, so a scan may take this much longer before the
-#: per-(pattern, τ) cost exceeds the point-shape budget.
-SWEEP_LATENCY_TARGET_SECONDS = BATCH_LATENCY_TARGET_SECONDS * 2
-
-#: Latency target for one scan in the hierarchical drill-down mode: level
-#: sweeps over a stack of rollups where coarse tables pre-classify part of
-#: every finer frontier — less amortization than a full τ sweep (each
-#: level still answers a single τ), more than a flat batch.
-HIERARCHY_LATENCY_TARGET_SECONDS = BATCH_LATENCY_TARGET_SECONDS * 1.5
-
-_SHAPE_LATENCY_TARGETS = {
-    "point": SINGLE_INDEX_TARGET_SECONDS,
-    "batch": BATCH_LATENCY_TARGET_SECONDS,
-    "sweep": SWEEP_LATENCY_TARGET_SECONDS,
-    "hierarchy": HIERARCHY_LATENCY_TARGET_SECONDS,
-}
-
-
-def _single_index_ceiling(query_shape: str) -> int:
-    """Largest packed index one flat scan may cover, per query shape.
-
-    The point shape equals :data:`PACKED_MAX_INDEX_BYTES`; batch
-    amortization and sweep cross-threshold amortization each raise the
-    ceiling multiplicatively.
-    """
-    target = _SHAPE_LATENCY_TARGETS[query_shape]
-    return int(PACKED_SCAN_BYTES_PER_SECOND * target)
-
-#: Per-byte scan cost of the chunked compressed kernels relative to the
-#: fused packed kernels.  benchmarks/bench_compressed.py measures the
-#: sparse-end per-byte factor *below* parity (the array kernels touch
-#: only set positions), so this is a safety margin for weighted-count-
-#: heavy shapes near the sparsity cutoff, not a python-dispatch penalty.
-COMPRESSED_SCAN_COST_RATIO = 1.25
-
-#: Index density (``d / Σ c_i`` — the fraction of index bits set) at or
-#: below which a value domain counts as sparse; the measured cutoff the
-#: compressed-vs-packed decision starts from.
-SPARSE_INDEX_DENSITY = 1 / 32
 
 #: Target bytes per shard when the planner sizes a sharded index.
 SHARD_TARGET_BYTES = 8 << 20
@@ -231,30 +149,6 @@ def set_available_memory_bytes(value: Optional[int]) -> None:
     invalidate_stats_cache()
 
 
-def _project_compressed_bytes(
-    cardinalities: Tuple[int, ...], unique: int
-) -> int:
-    """Projected compressed-index bytes from the schema alone.
-
-    Each attribute value's membership vector carries ``~unique/c_i`` set
-    bits; chunks whose expected population fits a sorted array cost two
-    bytes per set bit, denser chunks fall back to bitmap words.  An upper
-    bound like the other projections — run containers only shrink it.
-    """
-    if unique <= 0:
-        return 0
-    chunks = (unique + CHUNK_BITS - 1) // CHUNK_BITS
-    total = 0.0
-    for cardinality in cardinalities:
-        expected_per_chunk = CHUNK_BITS / max(cardinality, 1)
-        if expected_per_chunk <= DEFAULT_ARRAY_CUTOFF:
-            per_row = 2.0 * unique / max(cardinality, 1)
-        else:
-            per_row = chunks * (CHUNK_BITS // 8)
-        total += cardinality * per_row
-    return int(total)
-
-
 def _fmt_bytes(nbytes: int) -> str:
     """Human-readable byte count for rationale lines."""
     value = float(nbytes)
@@ -286,17 +180,6 @@ class WorkloadStats:
             (``Σ c_i × unique``).
         memory_budget_bytes: bytes the plan may keep resident.
         cpu_count: cores available for worker fan-out.
-        index_density: fraction of index bits set, ``d / Σ c_i`` (each
-            unique combination sets exactly one bit per attribute) — the
-            measured sparsity the compressed-vs-packed decision reads.
-            Derived when not supplied.
-        projected_compressed_bytes: projected compressed-index bytes
-            (container arithmetic over the schema).  Derived when not
-            supplied.
-        query_shape: the workload's query shape — ``"point"`` for
-            latency-bound single-pattern streams (DFS traversals),
-            ``"batch"`` for throughput-bound level sweeps.  Defaults to
-            the conservative ``"point"``.
     """
 
     rows: int
@@ -307,9 +190,6 @@ class WorkloadStats:
     projected_dense_bytes: int
     memory_budget_bytes: int
     cpu_count: int
-    index_density: Optional[float] = None
-    projected_compressed_bytes: Optional[int] = None
-    query_shape: str = "point"
 
     def __post_init__(self) -> None:
         if self.rows < 0:
@@ -317,26 +197,6 @@ class WorkloadStats:
         if self.memory_budget_bytes < 1:
             raise EngineError(
                 f"memory budget must be >= 1 byte, got {self.memory_budget_bytes}"
-            )
-        if self.query_shape not in QUERY_SHAPES:
-            raise EngineError(
-                f"query_shape must be one of {QUERY_SHAPES}, "
-                f"got {self.query_shape!r}"
-            )
-        # Derive the sparsity measures when a hand-rolled snapshot (tests,
-        # benchmarks) leaves them out, so every snapshot is complete.
-        if self.index_density is None:
-            total = sum(self.cardinalities)
-            object.__setattr__(
-                self, "index_density", (self.d / total) if total else 1.0
-            )
-        if self.projected_compressed_bytes is None:
-            object.__setattr__(
-                self,
-                "projected_compressed_bytes",
-                _project_compressed_bytes(
-                    self.cardinalities, self.projected_unique
-                ),
             )
 
     @classmethod
@@ -470,13 +330,8 @@ class EnginePlan:
             f"projected_unique={stats.projected_unique}",
             f"  projections: packed index ~{_fmt_bytes(stats.projected_packed_bytes)}, "
             f"dense index ~{_fmt_bytes(stats.projected_dense_bytes)}, "
-            f"compressed index ~{_fmt_bytes(stats.projected_compressed_bytes)} "
-            f"(density {stats.index_density:.4f}), "
             f"memory budget {_fmt_bytes(stats.memory_budget_bytes)}, "
             f"cores={stats.cpu_count}",
-            f"  cost model: query shape '{stats.query_shape}' -> "
-            f"single-index ceiling "
-            f"{_fmt_bytes(_single_index_ceiling(stats.query_shape))}",
         ]
         lines.extend(f"  - {line}" for line in self.rationale)
         return "\n".join(lines)
@@ -489,7 +344,8 @@ class EnginePlan:
 def plan_engine(
     source: Union[Dataset, WorkloadStats],
     requested: Union[EngineConfig, str, None] = None,
-    query_shape: Optional[str] = None,
+    *,
+    hierarchy: bool = False,
 ) -> EnginePlan:
     """Choose an execution strategy for a workload.
 
@@ -501,13 +357,9 @@ def plan_engine(
             A non-``auto`` backend short-circuits to a "hand-picked" plan;
             under ``auto``, set fields constrain the decision as described
             in the module docstring.
-        query_shape: the workload's query shape (``"point"`` /
-            ``"batch"``), usually inferred from the calling algorithm
-            (:func:`repro.core.mups.base.algorithm_query_shape`).  Batch
-            shapes relax the single-index latency ceiling, so the same
-            sparse dataset may plan compressed for an apriori level sweep
-            where a DeepDiver point stream plans packed.  ``None`` keeps
-            the snapshot's shape (``"point"`` by default).
+        hierarchy: plan for the hierarchical search, whose per-level
+            engines keep ``dense`` up to :data:`HIERARCHY_DENSE_MULTIPLE`
+            times the normal dense ceiling.
 
     Returns:
         An :class:`EnginePlan` whose ``config`` is concrete and valid.
@@ -532,8 +384,6 @@ def plan_engine(
                 requested.max_resident_bytes if requested.is_auto else None
             ),
         )
-    if query_shape is not None and stats.query_shape != query_shape:
-        stats = replace(stats, query_shape=query_shape)
 
     if not requested.is_auto:
         return EnginePlan(
@@ -548,21 +398,6 @@ def plan_engine(
     rationale = []
     budget = stats.memory_budget_bytes
     packed_bytes = stats.projected_packed_bytes
-    compressed_bytes = stats.projected_compressed_bytes
-    ceiling = _single_index_ceiling(stats.query_shape)
-    shape_reasons = {
-        "point": "point-heavy query shape (latency-bound probes)",
-        "batch": "batch-heavy query shape (level sweeps amortize scans)",
-        "sweep": "sweep query shape (one counting pass classifies every τ)",
-        "hierarchy": (
-            "hierarchy query shape (coarse rollups pre-classify finer "
-            "frontiers)"
-        ),
-    }
-    rationale.append(
-        f"{shape_reasons[stats.query_shape]} -> single-index ceiling "
-        f"{_fmt_bytes(ceiling)}"
-    )
     forced_sharded = bool(requested.delta_spill) or any(
         value is not None
         for value in (
@@ -572,72 +407,11 @@ def plan_engine(
             requested.worker_endpoints,
         )
     )
-    forced_compressed = any(
-        value is not None
-        for value in (requested.array_cutoff, requested.run_cutoff)
+    dense_ceiling = DENSE_MAX_INDEX_BYTES * (
+        HIERARCHY_DENSE_MULTIPLE if hierarchy else 1
     )
-    # The compressed-vs-packed cost model: the domain must measure sparse,
-    # and the compressed index's projected scan work (bytes x relative
-    # per-byte cost) must undercut the packed scan.
-    sparse_domain = stats.index_density <= SPARSE_INDEX_DENSITY
-    compressed_wins = (
-        compressed_bytes * COMPRESSED_SCAN_COST_RATIO < packed_bytes
-    )
-    # Compressed stands in for the single flat packed index only when its
-    # cost-scaled scan meets the latency-target ceiling.
-    compressed_single_index = (
-        sparse_domain
-        and compressed_wins
-        and compressed_bytes * COMPRESSED_SCAN_COST_RATIO <= ceiling
-    )
-
-    if forced_compressed:
-        rationale.append(
-            "compressed backend forced by explicit container-threshold "
-            "request (array_cutoff / run_cutoff)"
-        )
-        if compressed_bytes > budget:
-            # Constraints are honoured even when they hurt, but never
-            # silently: the over-budget projection is visible in the plan.
-            rationale.append(
-                f"warning: projected compressed index "
-                f"{_fmt_bytes(compressed_bytes)} exceeds the memory budget "
-                f"{_fmt_bytes(budget)}; the explicit container thresholds "
-                f"keep the plan in-RAM compressed anyway"
-            )
-        config = EngineConfig(
-            backend="compressed",
-            array_cutoff=requested.array_cutoff,
-            run_cutoff=requested.run_cutoff,
-            mask_cache_size=requested.mask_cache_size,
-        )
-        return EnginePlan(config=config, stats=stats, rationale=tuple(rationale))
 
     if packed_bytes > budget or forced_sharded:
-        if (
-            not forced_sharded
-            and sparse_domain
-            and compressed_wins
-            and compressed_bytes <= budget
-        ):
-            # Sparse escape hatch: spilling to disk is pointless when the
-            # compressed representation of the same index fits the memory
-            # budget entirely in RAM.  Deliberately *not* gated on the
-            # single-index latency ceiling — a long in-RAM scan still
-            # beats mmap streaming from disk.
-            rationale.append(
-                f"projected packed index {_fmt_bytes(packed_bytes)} exceeds "
-                f"the memory budget {_fmt_bytes(budget)}, but the sparse "
-                f"domain's compressed index {_fmt_bytes(compressed_bytes)} "
-                f"fits it in RAM -> compressed instead of out-of-core spill"
-            )
-            config = EngineConfig(
-                backend="compressed",
-                mask_cache_size=requested.mask_cache_size,
-            )
-            return EnginePlan(
-                config=config, stats=stats, rationale=tuple(rationale)
-            )
         if packed_bytes > budget:
             rationale.append(
                 f"projected packed index {_fmt_bytes(packed_bytes)} exceeds "
@@ -677,14 +451,7 @@ def plan_engine(
             worker_endpoints=requested.worker_endpoints,
             delta_spill=requested.delta_spill,
         )
-    elif stats.projected_dense_bytes <= DENSE_MAX_INDEX_BYTES * (
-        HIERARCHY_DENSE_MULTIPLE if stats.query_shape == "hierarchy" else 1
-    ):
-        dense_ceiling = DENSE_MAX_INDEX_BYTES * (
-            HIERARCHY_DENSE_MULTIPLE
-            if stats.query_shape == "hierarchy"
-            else 1
-        )
+    elif stats.projected_dense_bytes <= dense_ceiling:
         rationale.append(
             f"projected dense index {_fmt_bytes(stats.projected_dense_bytes)} "
             f"fits the dense ceiling {_fmt_bytes(dense_ceiling)} -> "
@@ -692,24 +459,12 @@ def plan_engine(
             + (
                 "; hierarchy shape favors per-level build cost over "
                 "index size)"
-                if stats.query_shape == "hierarchy"
+                if hierarchy
                 else ")"
             )
         )
         config = EngineConfig(
             backend="dense",
-            mask_cache_size=requested.mask_cache_size,
-        )
-    elif compressed_single_index:
-        rationale.append(
-            f"index density {stats.index_density:.4f} <= sparsity cutoff "
-            f"{SPARSE_INDEX_DENSITY:.4f} and projected compressed index "
-            f"{_fmt_bytes(compressed_bytes)} x {COMPRESSED_SCAN_COST_RATIO:g} "
-            f"scan-cost beats packed {_fmt_bytes(packed_bytes)} -> compressed "
-            f"(chunked containers, no dense words for sparse chunks)"
-        )
-        config = EngineConfig(
-            backend="compressed",
             mask_cache_size=requested.mask_cache_size,
         )
     else:

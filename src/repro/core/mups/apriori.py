@@ -43,7 +43,7 @@ def _has_duplicate_attribute(itemset: ItemSet) -> bool:
     return len(set(attributes)) != len(attributes)
 
 
-@register_algorithm("apriori", query_shape="batch")
+@register_algorithm("apriori")
 def apriori_mups(
     dataset: Dataset,
     threshold: int,

@@ -7,7 +7,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._util import SearchStats
 from repro.core.coverage import CoverageOracle, max_covered_level, threshold_from_rate
-from repro.core.engine import AUTO, EngineConfig, EngineSpec
+from repro.core.engine import EngineSpec
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
 from repro.exceptions import ReproError
@@ -69,55 +69,15 @@ AlgorithmFn = Callable[..., MupResult]
 #: Registry used by the facade, CLI, and the benchmark harness.
 ALGORITHMS: Dict[str, AlgorithmFn] = {}
 
-#: Query shape of each registered algorithm — ``"point"`` for DFS-style
-#: traversals dominated by single-pattern probes (latency-bound),
-#: ``"batch"`` for level sweeps that count whole candidate generations at
-#: once (throughput-bound).  Feeds the planner's cost model.
-ALGORITHM_SHAPES: Dict[str, str] = {}
 
-
-def register_algorithm(
-    name: str, query_shape: str = "point"
-) -> Callable[[AlgorithmFn], AlgorithmFn]:
-    """Decorator registering an algorithm under ``name``.
-
-    Args:
-        name: registry key used by the facade, CLI, and benchmarks.
-        query_shape: ``"point"`` or ``"batch"`` — how the algorithm
-            exercises the coverage engine (see :data:`ALGORITHM_SHAPES`).
-    """
+def register_algorithm(name: str) -> Callable[[AlgorithmFn], AlgorithmFn]:
+    """Decorator registering an algorithm under ``name``."""
 
     def decorate(fn: AlgorithmFn) -> AlgorithmFn:
         ALGORITHMS[name] = fn
-        ALGORITHM_SHAPES[name] = query_shape
         return fn
 
     return decorate
-
-
-def algorithm_query_shape(name: str) -> str:
-    """The registered query shape of ``name`` (``"point"`` if unknown)."""
-    return ALGORITHM_SHAPES.get(name, "point")
-
-
-def _plan_auto_engine(
-    dataset: Dataset, engine: EngineSpec, algorithm: str
-) -> EngineSpec:
-    """Resolve ``"auto"`` engine specs with the algorithm's query shape.
-
-    Pre-planning here (instead of letting ``resolve_engine`` plan with the
-    default shape) lets the cost model distinguish DFS point probes from
-    apriori-style batch sweeps.  Non-auto specs pass through untouched.
-    """
-    if isinstance(engine, str) and engine == AUTO:
-        engine = EngineConfig(backend=AUTO)
-    if isinstance(engine, EngineConfig) and engine.is_auto:
-        from repro.core.engine.planner import plan_engine
-
-        return plan_engine(
-            dataset, engine, query_shape=algorithm_query_shape(algorithm)
-        ).config
-    return engine
 
 
 def resolve_threshold(
@@ -176,5 +136,5 @@ def find_mups(
     if oracle is not None:
         kwargs["oracle"] = oracle
     elif engine is not None:
-        kwargs["engine"] = _plan_auto_engine(dataset, engine, algorithm)
+        kwargs["engine"] = engine
     return ALGORITHMS[algorithm](dataset, tau, **kwargs)

@@ -30,7 +30,7 @@ from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
 
 
-@register_algorithm("deepdiver", query_shape="point")
+@register_algorithm("deepdiver")
 def deepdiver(
     dataset: Dataset,
     threshold: int,

@@ -29,7 +29,7 @@ _MAX_PATTERNS = 5_000_000
 _BATCH = 2048
 
 
-@register_algorithm("naive", query_shape="batch")
+@register_algorithm("naive")
 def naive_mups(
     dataset: Dataset,
     threshold: int,

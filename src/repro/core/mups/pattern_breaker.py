@@ -33,7 +33,7 @@ from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
 
 
-@register_algorithm("pattern_breaker", query_shape="batch")
+@register_algorithm("pattern_breaker")
 def pattern_breaker(
     dataset: Dataset,
     threshold: int,

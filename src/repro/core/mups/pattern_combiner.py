@@ -37,7 +37,7 @@ from repro.exceptions import ReproError
 _MAX_COMBINATIONS = 20_000_000
 
 
-@register_algorithm("pattern_combiner", query_shape="batch")
+@register_algorithm("pattern_combiner")
 def pattern_combiner(
     dataset: Dataset,
     threshold: int,

@@ -1,4 +1,4 @@
-"""Admission control driven by the planner's cost model.
+"""Admission control driven by the planner's index projections.
 
 Two gates stand in front of the engines:
 
@@ -24,13 +24,14 @@ import threading
 from typing import Dict, Optional
 
 from repro.core.engine.config import EngineConfig
-from repro.core.engine.planner import (
-    EnginePlan,
-    PACKED_SCAN_BYTES_PER_SECOND,
-    plan_engine,
-)
+from repro.core.engine.planner import EnginePlan, plan_engine
 from repro.data.dataset import Dataset
 from repro.exceptions import AdmissionError
+
+#: Calibrated effective scan throughput of the fused packed kernels
+#: (bytes/second), measured by benchmarks/bench_planner.py smoke runs and
+#: set conservatively so slower machines still reject in time.
+PACKED_SCAN_BYTES_PER_SECOND = 4 << 30
 
 
 def _projected_resident_bytes(plan: EnginePlan) -> int:
@@ -39,8 +40,6 @@ def _projected_resident_bytes(plan: EnginePlan) -> int:
     backend = plan.config.backend
     if backend == "dense":
         return stats.projected_dense_bytes
-    if backend == "compressed":
-        return stats.projected_compressed_bytes
     # Packed, and sharded too: a sharded engine keeps only
     # max_resident_bytes in RAM, but a serving process must never stream
     # queries off disk, so the *full* packed footprint is what admission
@@ -83,15 +82,13 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # budget admission
     # ------------------------------------------------------------------
-    def check_budget(
-        self, dataset: Dataset, query_shape: str = "point"
-    ) -> EnginePlan:
+    def check_budget(self, dataset: Dataset) -> EnginePlan:
         """Plan ``dataset`` and reject projections over budget.
 
         Returns the plan (the caller reuses it for rationale reporting) or
         raises :class:`AdmissionError` with the projections in ``detail``.
         """
-        plan = plan_engine(dataset, self._engine, query_shape=query_shape)
+        plan = plan_engine(dataset, self._engine)
         budget = self._memory_budget
         if budget is None:
             budget = plan.stats.memory_budget_bytes

@@ -3,10 +3,9 @@
 Every registered coverage engine — ``dense``, ``packed``, ``sharded`` at
 several shard counts (spilled under the default root), the sharded engine
 spilled to a temporary directory with eviction forced by a one-shard
-resident budget,
-whatever the ``auto`` planner emits for the generated dataset, and
-``compressed`` at stock and adversarial container thresholds
-— with the hot-mask cache both enabled and disabled, must give
+resident budget, and
+whatever the ``auto`` planner emits for the generated dataset — with
+the hot-mask cache both enabled and disabled, must give
 bit-identical answers on every query family: point coverage, batched
 ``count_many`` / ``coverage_many``, sibling families from
 ``restrict_children`` and ``restrict_children_many``, and whole
@@ -28,7 +27,7 @@ from hypothesis import given, settings
 
 from repro.core.engine import (
     AUTO,
-    CompressedEngine,
+    CoverageEngine,
     DenseBoolEngine,
     EngineConfig,
     PackedBitsetEngine,
@@ -125,21 +124,6 @@ def engine_matrix(dataset, mask_cache_size):
                 dataset,
             )
         )
-        # Compressed at stock thresholds (sorted-array/run containers on
-        # these small domains) and at adversarial ones (array_cutoff=1
-        # forces bitmap containers, run_cutoff=1 rejects multi-run chunks),
-        # so every container pairing is exercised.
-        engines.append(
-            CompressedEngine(dataset, mask_cache_size=mask_cache_size)
-        )
-        engines.append(
-            CompressedEngine(
-                dataset,
-                mask_cache_size=mask_cache_size,
-                array_cutoff=1,
-                run_cutoff=1,
-            )
-        )
         try:
             yield engines
         finally:
@@ -233,6 +217,27 @@ def test_restrict_children_many_concatenates_families(case, cache_size):
                         ), engine.name
                     assert list(engine.count_many(many)) == list(
                         engine.count_many(expected)
+                    ), engine.name
+
+
+@given(dataset_and_patterns(), st.sampled_from([0, 16]))
+@settings(max_examples=25, deadline=None)
+def test_base_restrict_children_many_matches_overrides(case, cache_size):
+    """The base-class loop that ``register_engine`` backends inherit gives
+    the same families as every built-in backend's batched override."""
+    dataset, patterns = case
+    with engine_matrix(dataset, cache_size) as engines:
+        for engine in engines:
+            masks = [engine.match_mask(p) for p in patterns]
+            for attribute in range(dataset.d):
+                looped = CoverageEngine.restrict_children_many(
+                    engine, masks, attribute
+                )
+                batched = engine.restrict_children_many(masks, attribute)
+                assert len(looped) == len(batched), engine.name
+                for a, b in zip(looped, batched):
+                    assert np.array_equal(
+                        engine.mask_to_bool(a), engine.mask_to_bool(b)
                     ), engine.name
 
 

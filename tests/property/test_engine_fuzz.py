@@ -9,9 +9,9 @@ correlation) — plus a random sequence of ``coverage`` / ``coverage_many``
 ``restrict_children`` / ``restrict_children_many`` / cache-churn /
 ``template()``-rebuild calls, and executes the sequence in lockstep on the
 ``dense`` reference and every other backend — ``packed``, ``sharded``,
-the out-of-core sharded engine (one-shard resident budget), whatever the
-``auto`` planner picks, and ``compressed`` at randomized container
-thresholds.  After every step the answers must be bit-identical and the
+the out-of-core sharded engine (one-shard resident budget), the socket
+fan-out leg, and whatever the ``auto`` planner picks.  After every step
+the answers must be bit-identical and the
 hot-mask cache accounting (hits / misses / entries, which the shared base
 class drives identically for every backend) must agree with the
 reference.
@@ -36,7 +36,6 @@ from hypothesis import given, settings
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import (
     AUTO,
-    CompressedEngine,
     DenseBoolEngine,
     EngineConfig,
     PackedBitsetEngine,
@@ -59,7 +58,6 @@ BACKENDS = (
     "sharded",
     "out-of-core",
     "auto",
-    "compressed",
     "socket",
 )
 
@@ -119,8 +117,6 @@ def fuzz_cases(draw):
             for _ in range(n)
         ]
     mask_cache_size = draw(st.sampled_from([0, 2, 64]))
-    array_cutoff = draw(st.sampled_from([None, 1, 4, 4096]))
-    run_cutoff = draw(st.sampled_from([None, 1, 2, 1024]))
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         kind = draw(
@@ -167,18 +163,13 @@ def fuzz_cases(draw):
             )
         else:
             ops.append((kind,))
-    return cardinalities, rows, mask_cache_size, array_cutoff, run_cutoff, ops
+    return cardinalities, rows, mask_cache_size, ops
 
 
 # ----------------------------------------------------------------------
 # lockstep execution
 # ----------------------------------------------------------------------
-def _build_engines(dataset, mask_cache_size, array_cutoff, run_cutoff, root):
-    compressed_options = {}
-    if array_cutoff is not None:
-        compressed_options["array_cutoff"] = array_cutoff
-    if run_cutoff is not None:
-        compressed_options["run_cutoff"] = run_cutoff
+def _build_engines(dataset, mask_cache_size, root):
     return {
         "dense": DenseBoolEngine(dataset, mask_cache_size=mask_cache_size),
         "packed": PackedBitsetEngine(dataset, mask_cache_size=mask_cache_size),
@@ -195,9 +186,6 @@ def _build_engines(dataset, mask_cache_size, array_cutoff, run_cutoff, root):
         "auto": resolve_engine(
             EngineConfig(backend=AUTO, mask_cache_size=mask_cache_size),
             dataset,
-        ),
-        "compressed": CompressedEngine(
-            dataset, mask_cache_size=mask_cache_size, **compressed_options
         ),
         "socket": ShardedEngine(
             dataset,
@@ -326,17 +314,13 @@ def _apply_op(op, dataset, engines, oracles):
         raise AssertionError(f"unknown fuzz op {kind!r}")
 
 
-def _run_case(
-    cardinalities, rows, mask_cache_size, array_cutoff, run_cutoff, ops
-):
+def _run_case(cardinalities, rows, mask_cache_size, ops):
     d = len(cardinalities)
     schema = Schema.of([f"A{i + 1}" for i in range(d)], cardinalities)
     array = np.asarray(rows, dtype=np.int32).reshape(len(rows), d)
     dataset = Dataset(schema, array)
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as root:
-        engines = _build_engines(
-            dataset, mask_cache_size, array_cutoff, run_cutoff, root
-        )
+        engines = _build_engines(dataset, mask_cache_size, root)
         oracles = {
             name: CoverageOracle(dataset, engine=engine)
             for name, engine in engines.items()
@@ -406,7 +390,5 @@ def test_engine_fuzz_corpus_replays(case):
         case["cardinalities"],
         case["rows"],
         case["mask_cache_size"],
-        case.get("array_cutoff"),
-        case.get("run_cutoff"),
         [_parse_op(entry) for entry in case["ops"]],
     )

@@ -47,17 +47,6 @@ def workload_stats(draw):
 def auto_requests(draw):
     shards = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=64)))
     workers = draw(st.one_of(st.none(), st.integers(min_value=2, max_value=8)))
-    array_cutoff = None
-    run_cutoff = None
-    if shards is None and workers is None:
-        # Container thresholds force the compressed backend; the validator
-        # rejects combining them with the sharded-forcing knobs.
-        array_cutoff = draw(
-            st.one_of(st.none(), st.integers(min_value=1, max_value=1 << 16))
-        )
-        run_cutoff = draw(
-            st.one_of(st.none(), st.integers(min_value=1, max_value=1 << 12))
-        )
     return EngineConfig(
         backend=AUTO,
         shards=shards,
@@ -66,24 +55,24 @@ def auto_requests(draw):
             st.one_of(st.none(), st.integers(min_value=1, max_value=1 << 40))
         ),
         mask_cache_size=draw(st.sampled_from([None, 0, 16])),
-        array_cutoff=array_cutoff,
-        run_cutoff=run_cutoff,
     )
 
 
-@given(workload_stats(), auto_requests())
+@given(workload_stats(), auto_requests(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_plans_are_deterministic_for_a_fixed_stats_snapshot(stats, requested):
-    first = plan_engine(stats, requested)
-    second = plan_engine(stats, requested)
+def test_plans_are_deterministic_for_a_fixed_stats_snapshot(
+    stats, requested, hierarchy
+):
+    first = plan_engine(stats, requested, hierarchy=hierarchy)
+    second = plan_engine(stats, requested, hierarchy=hierarchy)
     assert first == second
     assert first.rationale == second.rationale
 
 
-@given(workload_stats(), auto_requests())
+@given(workload_stats(), auto_requests(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_every_emitted_plan_is_concrete_and_valid(stats, requested):
-    plan = plan_engine(stats, requested)
+def test_every_emitted_plan_is_concrete_and_valid(stats, requested, hierarchy):
+    plan = plan_engine(stats, requested, hierarchy=hierarchy)
     config = plan.config
     assert config.backend != AUTO
     config.validate()  # must never raise
@@ -94,27 +83,13 @@ def test_every_emitted_plan_is_concrete_and_valid(stats, requested):
         assert config.workers == requested.workers
     if requested.mask_cache_size is not None:
         assert config.mask_cache_size == requested.mask_cache_size
-    forced_compressed = (
-        requested.array_cutoff is not None or requested.run_cutoff is not None
-    )
-    if forced_compressed:
-        # Container thresholds are constraints: the plan must honour them.
-        assert config.backend == "compressed"
-        assert config.array_cutoff == requested.array_cutoff
-        assert config.run_cutoff == requested.run_cutoff
-        return
-    # The acceptance invariant: over-budget projections go out-of-core —
-    # unless the sparse domain's compressed index fits the budget in RAM,
-    # in which case spilling to disk would be strictly worse.
+    # The acceptance invariant: over-budget projections go out-of-core.
     budget = (
         requested.max_resident_bytes
         if requested.max_resident_bytes is not None
         else stats.memory_budget_bytes
     )
     if stats.projected_packed_bytes > budget:
-        if config.backend == "compressed":
-            assert stats.projected_compressed_bytes <= budget
-        else:
-            assert config.backend == "sharded"
-            assert config.spill_dir is not None
-            assert config.max_resident_bytes == budget
+        assert config.backend == "sharded"
+        assert config.spill_dir is not None
+        assert config.max_resident_bytes == budget

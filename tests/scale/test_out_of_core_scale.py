@@ -4,7 +4,7 @@ The fixture factory synthesizes a dataset whose packed word space (the
 out-of-core index on disk) deliberately exceeds a tiny
 ``max_resident_bytes``, then pins the budgeted out-of-core engine against
 the other backends: MUP sets must be identical across ``dense`` /
-``packed`` / unbudgeted ``sharded`` / ``compressed`` / out-of-core for
+``packed`` / unbudgeted ``sharded`` / out-of-core for
 **all five** identification algorithms, while the loader instrumentation
 proves the engine streamed —
 resident shard bytes never exceeded the budget and shards were actually
@@ -16,12 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import (
-    CompressedEngine,
-    DenseBoolEngine,
-    PackedBitsetEngine,
-    ShardedEngine,
-)
+from repro.core.engine import DenseBoolEngine, PackedBitsetEngine, ShardedEngine
 from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.core.pattern import Pattern
 from repro.data.synthetic import random_categorical_dataset
@@ -87,7 +82,6 @@ def test_mup_sets_identical_across_engines_under_budget(tmp_path, algorithm):
         for engine in (
             PackedBitsetEngine(dataset),
             ShardedEngine(dataset, shards=3),
-            CompressedEngine(dataset),
             out_of_core,
         ):
             result = find_mups(

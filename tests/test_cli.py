@@ -141,12 +141,19 @@ class TestSweep:
             assert f"{expected} maximal uncovered pattern(s) at τ={tau}" in out
 
     def test_sweep_explain_plan_uses_sweep_shape(self, csv_file, capsys):
+        """A sweep plans like any flat search: the plan identify prints."""
         code = main(
             ["sweep", csv_file, "--tau-range", "2:4", "--explain-plan"]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "query shape 'sweep'" in out
+        sweep_plan = capsys.readouterr().out.split("\n\n")[0]
+        code = main(
+            ["identify", csv_file, "--threshold", "2", "--explain-plan"]
+        )
+        assert code == 0
+        identify_plan = capsys.readouterr().out.split("\n\n")[0]
+        assert sweep_plan.startswith("engine plan:")
+        assert sweep_plan == identify_plan
 
     def test_sweep_requires_some_thresholds(self, csv_file, capsys):
         with pytest.raises(SystemExit):
@@ -179,20 +186,40 @@ class TestErrors:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "command, content",
+        "command, content, line",
         [
-            (["identify"], ""),
-            (["identify"], "a,b\n3000000000,1\n"),
-            (["bucketsweep", "--column", "a", "--buckets", "2"], ""),
+            (["identify"], "", None),
+            (["identify"], "a,b\n3000000000,1\n", None),
+            (["bucketsweep", "--column", "a", "--buckets", "2"], "", None),
+            (["identify"], "a,b\n0,1\n1\n", 3),
+            (["identify"], "a,b\n0,1\n1,0\n0,1,1\n", 4),
+            (
+                ["bucketsweep", "--column", "b", "--buckets", "2"],
+                "a,b\n0,1.5\n1\n",
+                3,
+            ),
         ],
-        ids=["empty", "past-int32", "empty-numeric"],
+        ids=[
+            "empty",
+            "past-int32",
+            "empty-numeric",
+            "ragged-short",
+            "ragged-long",
+            "short-numeric",
+        ],
     )
-    def test_malformed_csv_returns_2(self, command, content, tmp_path, capsys):
+    def test_malformed_csv_returns_2(
+        self, command, content, line, tmp_path, capsys
+    ):
         path = tmp_path / "bad.csv"
         path.write_text(content)
         code = main([command[0], str(path), *command[1:], "--threshold", "1"])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if line is not None:
+            # A ragged row is named by file and line, not by numpy.
+            assert f"{path}, line {line}:" in err
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -18,8 +18,10 @@ import tempfile
 import threading
 import time
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.engine import (
     DenseBoolEngine,
@@ -41,6 +43,84 @@ from repro.core.mups.base import find_mups
 from repro.core.pattern import Pattern, X
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import EngineError, ReproError
+
+#: A frame header whose ``__nd__`` offset is JSON ``Infinity``, on which
+#: ``int()`` raises OverflowError.
+INFINITY_FRAME = b'{"a": {"__nd__": ["<u1", [1], Infinity, 1]}}'
+
+#: ``__nd__`` marker fields: values a well-formed frame carries, mixed
+#: with those a corrupt stream can (unknown or zero-size dtypes,
+#: negative, huge and non-finite offsets, wrong types).
+_ND_DTYPES = st.sampled_from(["|u1", "<u8", "<i4", "|b1", "O", "V0", "<U0", "xyz"])
+_ND_NUMBERS = (
+    st.integers(-2, 64)
+    | st.integers(-(1 << 70), 1 << 70)
+    | st.floats()
+    | st.none()
+    | st.text(max_size=3)
+)
+_ND_FIELDS = _ND_DTYPES | st.lists(st.integers(-2, 70), max_size=3) | _ND_NUMBERS
+
+
+@st.composite
+def _nd_markers(draw):
+    if draw(st.booleans()):
+        fields = [
+            draw(_ND_DTYPES | st.text(max_size=4)),
+            draw(st.lists(st.integers(-2, 70), max_size=3) | _ND_NUMBERS),
+            draw(_ND_NUMBERS),
+            draw(_ND_NUMBERS),
+        ]
+    else:
+        fields = draw(st.lists(_ND_FIELDS, max_size=5))
+    return {"__nd__": fields}
+
+
+#: JSON values with ``__nd__`` markers among the leaves (floats include
+#: NaN and infinities, which ``json.dumps`` writes as NaN/Infinity).
+_FRAME_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | _nd_markers(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def _dumps(value):
+    return json.dumps(value).encode("utf-8")
+
+
+@st.composite
+def _frames(draw):
+    """``(header_len, tail_len, header, tail)``: raw bytes, JSON objects
+    with markers, any JSON root, or JSON nested up to 3000 deep; the
+    declared lengths are mostly the true ones.  A frame stays far below
+    the socket buffer, so writing it never blocks."""
+    header = draw(
+        st.binary(max_size=64)
+        | st.builds(
+            _dumps, st.dictionaries(st.text(max_size=6), _FRAME_VALUES, max_size=4)
+        )
+        | st.builds(_dumps, _FRAME_VALUES)
+        | st.builds(
+            lambda depth, value: b"[" * depth + _dumps(value) + b"]" * depth,
+            st.integers(0, 3000),
+            _FRAME_VALUES,
+        )
+    )
+    tail = draw(st.binary(max_size=256))
+    header_len = draw(
+        st.just(len(header))
+        | st.integers(0, len(header) + 8)
+        | st.integers(0, (1 << 32) - 1)
+    )
+    tail_len = draw(
+        st.just(len(tail))
+        | st.integers(0, len(tail) + 8)
+        | st.integers(0, (1 << 32) - 1)
+    )
+    return header_len, tail_len, header, tail
 
 needs_fork = pytest.mark.skipif(
     not _fork_available(), reason="spawn-local workers require os.fork"
@@ -133,6 +213,13 @@ class TestFrameCodec:
             b"{not json}",
             b'{"a": {"__nd__": ["<u8", [4], 0, 32]}}',  # tail too short
             b'{"a": {"__nd__": 5}}',
+            pytest.param(INFINITY_FRAME, id="infinity-offset"),
+            pytest.param(
+                b'{"a": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+                id="nested-past-recursion-limit",
+            ),
+            pytest.param(b"[1, 2]", id="list-root"),
+            pytest.param(b"null", id="null-root"),
         ],
     )
     def test_malformed_frames_raise_worker_died(self, header):
@@ -145,14 +232,41 @@ class TestFrameCodec:
             left.close()
             right.close()
 
-    def test_garbage_frame_does_not_stop_a_standing_worker(self):
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(frame=_frames())
+    def test_any_frame_decodes_or_raises_worker_died(self, frame):
+        """Fuzz: whatever frame arrives before the writer closes,
+        ``recv_message`` returns a dict or raises WorkerDied."""
+        header_len, tail_len, header, tail = frame
+        left, right = socket.socketpair()
+        right.settimeout(10)
+        try:
+            left.sendall(
+                struct.pack(">II", header_len, tail_len) + header + tail
+            )
+            left.close()
+            try:
+                message = recv_message(right)
+            except WorkerDied as exc:
+                # A timeout would mean recv_message waited for bytes a
+                # closed writer can never send.
+                assert not isinstance(exc.__cause__, TimeoutError)
+            else:
+                assert isinstance(message, dict)
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize(
+        "garbage", [b"\xff" * 10, INFINITY_FRAME], ids=["not-utf8", "infinity"]
+    )
+    def test_garbage_frame_does_not_stop_a_standing_worker(self, garbage):
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
         thread = threading.Thread(
             target=serve_on_socket, args=(listener,), daemon=True
         )
         thread.start()
-        garbage = b"\xff" * 10
         with socket.create_connection(("127.0.0.1", port)) as attacker:
             attacker.sendall(struct.pack(">II", len(garbage), 0) + garbage)
             # The worker drops the corrupt connection instead of exiting.

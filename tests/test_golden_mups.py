@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import CompressedEngine, ShardedEngine
+from repro.core.engine import ShardedEngine
 from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.data.dataset import Dataset, Schema
 
@@ -56,15 +56,6 @@ ENGINE_CONFIGS = [
             workers=2,
             spill_dir=str(tmp_path),
             max_resident_bytes=1,
-        ),
-    ),
-    ("compressed", lambda dataset, tmp_path: "compressed"),
-    (
-        # Adversarial container thresholds: bitmap containers everywhere
-        # (array_cutoff=1) and runs limited to single intervals.
-        "compressed-bitmapped",
-        lambda dataset, tmp_path: CompressedEngine(
-            dataset, array_cutoff=1, run_cutoff=1
         ),
     ),
 ]

@@ -26,11 +26,9 @@ from repro.core.engine import (
     stats_cache_info,
 )
 from repro.core.engine.planner import (
-    BATCH_LATENCY_TARGET_SECONDS,
     DENSE_MAX_INDEX_BYTES,
-    PACKED_MAX_INDEX_BYTES,
+    HIERARCHY_DENSE_MULTIPLE,
     SHARD_TARGET_BYTES,
-    _single_index_ceiling,
 )
 from repro.core.mups.base import find_mups
 from repro.data.synthetic import random_categorical_dataset
@@ -73,8 +71,32 @@ class TestEscalation:
         assert plan.config == EngineConfig(backend="packed")
 
     def test_large_index_within_budget_plans_packed(self):
-        plan = plan_engine(stats_for(PACKED_MAX_INDEX_BYTES + 1))
+        plan = plan_engine(stats_for(64 << 20))
         assert plan.config == EngineConfig(backend="packed")
+
+    def test_hierarchy_raises_the_dense_ceiling(self):
+        """The identify-bluenile input (n=116,300, seven attributes): its
+        4,032,000-byte dense index is over the flat dense ceiling but
+        within HIERARCHY_DENSE_MULTIPLE times it."""
+        stats = WorkloadStats(
+            rows=116_300,
+            d=7,
+            cardinalities=(10, 4, 7, 8, 3, 3, 5),
+            projected_unique=100_800,
+            projected_packed_bytes=504_000,
+            projected_dense_bytes=4_032_000,
+            memory_budget_bytes=1 << 30,
+            cpu_count=1,
+        )
+        assert plan_engine(stats).config == EngineConfig(backend="packed")
+        plan = plan_engine(stats, hierarchy=True)
+        assert plan.config == EngineConfig(backend="dense")
+        assert any("hierarchy" in line for line in plan.rationale)
+        ceiling = DENSE_MAX_INDEX_BYTES * HIERARCHY_DENSE_MULTIPLE
+        at_ceiling = stats_for(1 << 20, dense_bytes=ceiling)
+        assert plan_engine(at_ceiling, hierarchy=True).config.backend == "dense"
+        over = stats_for(1 << 20, dense_bytes=ceiling + 1)
+        assert plan_engine(over, hierarchy=True).config.backend == "packed"
 
     def test_index_over_budget_plans_out_of_core(self):
         """Acceptance pin: projected packed bytes > memory budget selects
@@ -251,64 +273,6 @@ class TestStatsCollection:
             stats_for(64, rows=-1)
         with pytest.raises(EngineError, match="memory budget"):
             stats_for(64, budget=0)
-
-
-class TestCostModel:
-    def test_point_shape_preserves_legacy_boundary(self):
-        assert _single_index_ceiling("point") == PACKED_MAX_INDEX_BYTES
-
-    def test_batch_raises_the_ceiling(self):
-        assert _single_index_ceiling("batch") > _single_index_ceiling("point")
-        assert BATCH_LATENCY_TARGET_SECONDS > 0
-
-    def test_shapes_plan_differently_on_the_same_stats(self):
-        """Acceptance pin: the same sparse workload, queried point-wise vs
-        in level sweeps, crosses the packed->compressed boundary
-        differently (the compressed scan must fit the shape's ceiling)."""
-        stats = WorkloadStats(
-            rows=1 << 24,
-            d=3,
-            cardinalities=(64, 64, 64),
-            projected_unique=1 << 24,
-            projected_packed_bytes=1 << 30,
-            projected_dense_bytes=1 << 33,
-            memory_budget_bytes=1 << 31,
-            cpu_count=1,
-            projected_compressed_bytes=PACKED_MAX_INDEX_BYTES,
-        )
-        point = plan_engine(stats, query_shape="point")
-        batch = plan_engine(stats, query_shape="batch")
-        assert point.config.backend == "packed"
-        assert batch.config.backend == "compressed"
-        assert any("point-heavy" in line for line in point.rationale)
-        assert any("batch-heavy" in line for line in batch.rationale)
-
-    def test_algorithm_shapes_reach_describe(self):
-        """deepdiver (point) and apriori (batch) rationales differ on the
-        same dataset."""
-        from repro.core.mups.base import algorithm_query_shape
-
-        assert algorithm_query_shape("deepdiver") == "point"
-        assert algorithm_query_shape("apriori") == "batch"
-        dataset = random_categorical_dataset(80, (3, 3, 2), seed=7, skew=0.8)
-        point = plan_engine(
-            dataset, query_shape=algorithm_query_shape("deepdiver")
-        )
-        batch = plan_engine(
-            dataset, query_shape=algorithm_query_shape("apriori")
-        )
-        assert "query shape 'point'" in point.describe()
-        assert "query shape 'batch'" in batch.describe()
-        assert point.describe() != batch.describe()
-
-    def test_describe_renders_the_cost_model(self):
-        text = plan_engine(stats_for(1 << 20)).describe()
-        assert "cost model:" in text
-        assert "single-index ceiling" in text
-
-    def test_invalid_shape_rejected(self):
-        with pytest.raises(EngineError, match="query_shape"):
-            plan_engine(stats_for(64), query_shape="diagonal")
 
 
 class TestStatsMemoization:
