@@ -4,7 +4,7 @@ Three families of guarantees:
 
 * **Equivalence** — ``sweep_mups(...).mups_at(τ)`` is bit-identical to an
   independent ``find_mups`` run at every τ in the swept range, on every
-  coverage-engine backend (dense / packed / auto), over
+  coverage-engine backend (dense / packed / sharded / auto), over
   scenario-generated datasets (zipf marginals, latent-factor correlation,
   planted MUPs with known ground truth);
 * **Monotonicity** — as τ grows the uncovered space only grows, so every
@@ -33,7 +33,7 @@ from repro.data.scenarios import (
 )
 
 #: Backends the equivalence leg sweeps (the ISSUE's required matrix).
-BACKENDS = ("dense", "packed", "auto")
+BACKENDS = ("dense", "packed", "sharded", "auto")
 
 
 # ----------------------------------------------------------------------

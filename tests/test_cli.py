@@ -293,6 +293,21 @@ class TestEngineSelection:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--engine", "compressed"],
+            ["--array-cutoff", "16"],
+            ["--run-cutoff", "4"],
+        ],
+        ids=["engine-compressed", "array-cutoff", "run-cutoff"],
+    )
+    def test_compressed_options_are_usage_errors(self, csv_file, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["identify", csv_file, "--threshold", "5", *option])
+        assert excinfo.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
     def test_invalid_shard_count_returns_2(self, csv_file, capsys):
         code = main(
             ["identify", csv_file, "--threshold", "5", "--engine", "sharded", "--shards", "0"]
@@ -568,7 +583,61 @@ def numeric_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def mid_size_csv(tmp_path):
+    """10,000 projected combinations of four 10-value attributes plus a
+    numeric column: the dense index is over the flat dense ceiling and
+    within the hierarchy one."""
+    dataset = random_categorical_dataset(
+        12_000, (10, 10, 10, 10), seed=3, skew=0.0
+    )
+    path = tmp_path / "mid.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["a", "b", "c", "d", "price"])
+        for index, row in enumerate(dataset.rows.tolist()):
+            writer.writerow(row + [index % 97])
+    spec = tmp_path / "mid.json"
+    spec.write_text('{"a": [[0, 0, 0, 0, 0, 1, 1, 1, 1, 1]]}')
+    return str(path), str(spec)
+
+
+def _explained_backend(output):
+    """The planned backend from ``--explain-plan`` output."""
+    first = output.splitlines()[0]
+    assert first.startswith("engine plan: backend=")
+    return first.split()[2]
+
+
 class TestHierarchyCommand:
+    def test_explain_plan_uses_the_hierarchy_dense_ceiling(
+        self, mid_size_csv, capsys
+    ):
+        path, spec = mid_size_csv
+        attributes = ["--attributes", "a", "b", "c", "d"]
+        flat = ["identify", path, "--threshold", "1", "--max-level", "1"]
+        assert main([*flat, *attributes, "--explain-plan"]) == 0
+        assert _explained_backend(capsys.readouterr().out) == "backend=packed"
+        code = main(
+            [
+                "hierarchy",
+                path,
+                "--threshold",
+                "1",
+                "--max-level",
+                "1",
+                "--hierarchy",
+                spec,
+                "--no-remedies",
+                "--explain-plan",
+                *attributes,
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert _explained_backend(output) == "backend=dense"
+        assert "hierarchy shape" in output
+
     def test_prints_level_table_and_remedies(self, hierarchy_setup, capsys):
         path, spec = hierarchy_setup
         code = main(
@@ -677,6 +746,32 @@ class TestBucketSweepCommand:
         assert code == 0
         body = json.loads(capsys.readouterr().out)
         assert [point["buckets"] for point in body["points"]] == [2, 4]
+
+    def test_explain_plan_uses_the_hierarchy_dense_ceiling(
+        self, mid_size_csv, capsys
+    ):
+        path, _spec = mid_size_csv
+        code = main(
+            [
+                "bucketsweep",
+                path,
+                "--column",
+                "price",
+                "--buckets",
+                "2",
+                "4",
+                "8",
+                # τ = n: every one-value pattern is a MUP, so the search
+                # stops at level 1.
+                "--threshold",
+                "12000",
+                "--explain-plan",
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert _explained_backend(output) == "backend=dense"
+        assert "hierarchy shape" in output
 
     def test_missing_column_returns_2(self, numeric_csv, capsys):
         code = main(

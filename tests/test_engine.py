@@ -20,10 +20,10 @@ from repro.data.dataset import Dataset, Schema
 from repro.exceptions import PatternError, ReproError
 
 
-@pytest.fixture(params=sorted(ENGINES))
+@pytest.fixture(params=sorted(ENGINES) + ["auto"])
 def engine_of(request):
     def build(dataset):
-        return ENGINES[request.param](dataset)
+        return resolve_engine(request.param, dataset)
 
     build.name = request.param
     return build

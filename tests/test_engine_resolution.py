@@ -141,7 +141,7 @@ class TestBaseContract:
         with pytest.raises(ReproError, match="cannot interpret"):
             engine_name(3.14)
 
-    @pytest.mark.parametrize("engine_spec", ["dense", "packed", "sharded"])
+    @pytest.mark.parametrize("engine_spec", ["dense", "packed", "sharded", "auto"])
     def test_pattern_validation_errors(self, dataset, engine_spec):
         from repro.core.pattern import Pattern, X
         from repro.exceptions import PatternError
@@ -152,7 +152,7 @@ class TestBaseContract:
         with pytest.raises(PatternError, match="out-of-range"):
             engine.coverage(Pattern.of(9, X, X))  # value beyond cardinality
 
-    @pytest.mark.parametrize("engine_spec", ["dense", "packed", "sharded"])
+    @pytest.mark.parametrize("engine_spec", ["dense", "packed", "sharded", "auto"])
     def test_empty_dataset_counts(self, engine_spec):
         from repro.core.pattern import Pattern
 

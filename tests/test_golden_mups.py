@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import ShardedEngine
+from repro.core.engine import EngineConfig, PackedBitsetEngine, ShardedEngine
 from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.data.dataset import Dataset, Schema
 
@@ -28,6 +28,20 @@ with open(FIXTURES / "expected_mups.json") as _handle:
 ENGINE_CONFIGS = [
     ("dense", lambda dataset, tmp_path: "dense"),
     ("packed", lambda dataset, tmp_path: "packed"),
+    (
+        "packed-nocache",
+        lambda dataset, tmp_path: PackedBitsetEngine(dataset, mask_cache_size=0),
+    ),
+    # Whatever the workload-aware planner picks for the fixture.
+    ("auto", lambda dataset, tmp_path: "auto"),
+    (
+        # Built by a declarative config; one shard spans the whole word
+        # space.
+        "sharded-1-config",
+        lambda dataset, tmp_path: EngineConfig(backend="sharded", shards=1)(
+            dataset
+        ),
+    ),
     ("sharded-2", lambda dataset, tmp_path: ShardedEngine(dataset, shards=2)),
     (
         "sharded-7-workers",

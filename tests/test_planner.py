@@ -191,6 +191,109 @@ class TestConstraints:
         assert "hand-picked" in plan.rationale[0]
 
 
+class TestHierarchyShape:
+    """``hierarchy=True`` raises the dense ceiling and changes nothing
+    else: budgets, constraints and hand-picked backends still win."""
+
+    def test_tiny_index_stays_dense_with_the_hierarchy_rationale(self):
+        stats = stats_for(64, dense_bytes=512)
+        flat = plan_engine(stats)
+        plan = plan_engine(stats, hierarchy=True)
+        assert flat.config == plan.config == EngineConfig(backend="dense")
+        assert any("hierarchy shape" in line for line in plan.rationale)
+        assert not any("hierarchy" in line for line in flat.rationale)
+
+    def test_memory_budget_still_wins_over_the_raised_ceiling(self):
+        budget = 1 << 20
+        stats = stats_for(
+            budget + 1, dense_bytes=DENSE_MAX_INDEX_BYTES, budget=budget
+        )
+        plan = plan_engine(stats, hierarchy=True)
+        assert plan.config.backend == "sharded"
+        assert plan.config.spill_dir is not None
+        assert plan.config.max_resident_bytes == budget
+
+    def test_sharded_constraints_still_force_sharded(self):
+        requested = EngineConfig(backend=AUTO, shards=2)
+        plan = plan_engine(
+            stats_for(64, dense_bytes=512), requested, hierarchy=True
+        )
+        assert plan.config.backend == "sharded"
+        assert plan.config.shards == 2
+
+    def test_hand_picked_backend_is_not_replanned(self):
+        stats = stats_for(1 << 20, dense_bytes=DENSE_MAX_INDEX_BYTES + 1)
+        plan = plan_engine(stats, "packed", hierarchy=True)
+        assert plan.config == EngineConfig(backend="packed")
+        assert any("hand-picked" in line for line in plan.rationale)
+
+    def test_hierarchical_search_plans_with_the_raised_ceiling(self):
+        from repro.analysis.hierarchy import _plan_hierarchy_engine
+
+        # 10,000 projected combinations x 40 values: a 400,000-byte dense
+        # index, over the flat ceiling and within the hierarchy one.
+        dataset = random_categorical_dataset(
+            12_000, (10, 10, 10, 10), seed=3, skew=0.0
+        )
+        assert plan_engine(dataset).config.backend == "packed"
+        for spec in (None, AUTO, EngineConfig(backend=AUTO)):
+            assert _plan_hierarchy_engine(dataset, spec) == EngineConfig(
+                backend="dense"
+            )
+        assert _plan_hierarchy_engine(dataset, "packed") == "packed"
+
+
+class TestSparseDomains:
+    """Sparse domains plan like any other: packed within the budget,
+    out-of-core sharded over it."""
+
+    def test_sparse_domain_plans_packed_within_budget(self):
+        sparse = random_categorical_dataset(
+            20_000, (96, 80, 64), seed=5, skew=0.4
+        )
+        plan = plan_engine(sparse)
+        assert plan.config == EngineConfig(backend="packed")
+        assert isinstance(plan.build(sparse), PackedBitsetEngine)
+
+    def test_over_budget_sparse_domain_goes_out_of_core(self):
+        unique = 200_000
+        cardinalities = (96, 80, 64)
+        words = (unique + 63) // 64
+        budget = 2 << 20
+        stats = WorkloadStats(
+            rows=unique,
+            d=3,
+            cardinalities=cardinalities,
+            projected_unique=unique,
+            projected_packed_bytes=sum(cardinalities) * words * 8,
+            projected_dense_bytes=sum(cardinalities) * unique,
+            memory_budget_bytes=budget,
+            cpu_count=2,
+        )
+        assert stats.projected_packed_bytes > budget
+        plan = plan_engine(stats)
+        assert plan.config.backend == "sharded"
+        assert plan.config.spill_dir is not None
+        assert plan.config.max_resident_bytes == budget
+
+    def test_describe_is_the_header_plus_the_rationale(self):
+        sparse = random_categorical_dataset(
+            20_000, (96, 80, 64), seed=5, skew=0.4
+        )
+        plan = plan_engine(sparse)
+        lines = plan.describe().splitlines()
+        assert lines[0] == "engine plan: backend=packed"
+        assert lines[1].startswith("  workload: rows=20000 d=3")
+        assert lines[2].startswith("  projections: packed index ~")
+        assert lines[3:] == [f"  - {line}" for line in plan.rationale]
+
+    def test_auto_mups_on_a_sparse_domain_match_dense(self):
+        sparse = random_categorical_dataset(2_000, (64, 48), seed=7, skew=0.5)
+        auto = find_mups(sparse, threshold=4, engine=AUTO)
+        dense = find_mups(sparse, threshold=4, engine="dense")
+        assert auto.as_set() == dense.as_set()
+
+
 class TestStatsCollection:
     def test_projected_unique_capped_by_rows_and_combinations(self):
         small_space = random_categorical_dataset(500, (2, 2), seed=1, skew=1.0)

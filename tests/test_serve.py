@@ -393,6 +393,53 @@ class TestAdmission:
         assert error.code == "over_budget"
         assert error.payload()["detail"]["budget_bytes"] == 16
 
+    def test_over_latency_registration_rejected(self):
+        dataset = random_categorical_dataset(
+            2_000, (6, 5, 4, 3), seed=3, skew=0.3
+        )
+
+        async def scenario(service):
+            with pytest.raises(AdmissionError) as excinfo:
+                await service.register_dataset(dataset.rows.tolist())
+            return excinfo.value, service.admission.info()
+
+        error, info = run_service(
+            service_config(latency_budget_ms=1e-9), scenario
+        )
+        assert error.status == 413
+        assert error.code == "over_latency"
+        assert error.payload()["detail"]["latency_budget_ms"] == 1e-9
+        assert info["rejected_over_budget"] == 1
+
+    def test_scan_projection_prices_the_planned_index(self):
+        """Admission returns the plan and prices one scan of the planned
+        index at the calibrated packed throughput."""
+        from repro.core.engine import plan_engine
+        from repro.serve.admission import (
+            PACKED_SCAN_BYTES_PER_SECOND,
+            AdmissionController,
+        )
+
+        dataset = random_categorical_dataset(
+            2_000, (6, 5, 4, 3), seed=3, skew=0.3
+        )
+        config = EngineConfig(backend="auto")
+        expected = plan_engine(dataset, config)
+        assert expected.config.backend == "dense"
+        scan_ms = (
+            expected.stats.projected_dense_bytes
+            / PACKED_SCAN_BYTES_PER_SECOND
+            * 1000
+        )
+        admits = AdmissionController(config, None, 1.0, 1, 1)
+        assert admits.check_budget(dataset) == expected
+        rejects = AdmissionController(config, None, scan_ms / 2000, 1, 1)
+        with pytest.raises(AdmissionError) as excinfo:
+            rejects.check_budget(dataset)
+        detail = excinfo.value.payload()["detail"]
+        assert detail["projected_scan_ms"] == pytest.approx(scan_ms)
+        assert detail["backend"] == "dense"
+
     def test_saturation_rejects_beyond_queue(self):
         async def scenario(service):
             release = asyncio.Event()
