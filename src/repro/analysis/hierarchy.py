@@ -10,28 +10,33 @@ analysis:
   :class:`~repro.data.hierarchy.AttributeHierarchy` levels per attribute
   with validated refinement (every finer level must factor through the
   coarser one), plus the rollup / step-map plumbing the searches ride.
+* :func:`parse_hierarchy_spec` — the JSON form of a stack, shared by the
+  CLI and the serving layer.
 * :func:`find_mups_hierarchical` — level-wise search that starts at the
   coarsest rollup and drills down only into uncovered regions.  The key
   monotone fact: rolling up only *pools* rows, so for any pattern ``P`` at
   a finer level, ``cov_fine(P) <= cov_coarse(image(P))``.  A candidate
-  whose coarse image was already recorded below τ is therefore certified
-  uncovered without ever consulting the engine — and because a candidate
-  is only generated when all its (finer) parents are covered, the image's
-  parents were covered too, so the image is always in the coarser level's
-  table.  The per-level MUP sets are *bit-identical* to running
-  :func:`~repro.core.mups.find_mups` on the corresponding
-  :func:`~repro.data.hierarchy.rollup` dataset; the pruning only removes
-  redundant counting.  Each finest-level MUP is reported alongside its
-  most *specific covered generalization* — the "remedy by generalizing"
-  answer (:class:`~repro.core.enhancement.GeneralizationRemedy`).
+  whose coarse image was recorded below τ is therefore certified uncovered
+  without being counted — and because a candidate is only generated when
+  all its (finer) parents are covered, the image's parents were covered
+  too, so the image is always in the coarser search's table.  Every level
+  runs :func:`~repro.core.lattice.walk_levels` over its rolled dataset;
+  the bound maps a level's digits into the coarser level's codes and looks
+  them up in that search's sorted code table.  The per-level MUP sets are
+  *bit-identical* to running :func:`~repro.core.mups.find_mups` on the
+  corresponding :func:`~repro.data.hierarchy.rollup` dataset; the bound
+  only removes redundant counting.  Each finest-level MUP is reported
+  alongside its most *specific covered generalization* — the "remedy by
+  generalizing" answer
+  (:class:`~repro.core.enhancement.GeneralizationRemedy`), found by point
+  queries through one base-dataset oracle.
 * :func:`bucketize_sweep` — τ-coverage as a function of bucket count for a
   numeric column.  Nested equal-width bucketizations form a hierarchy
-  chain (every coarse bucket is a union of fine ones), so the sweep builds
-  *one* engine over the finest bucketization and answers every coarser
-  width by drilling coarse candidates down to fine patterns through the
-  shared ``coverage_many(..., memo=)`` count memo — plus the same
-  coarse-bound pruning between widths.  One sweep beats independent
-  per-width runs without giving up bit-identity.
+  chain (every coarse bucket is a union of fine ones), so the sweep
+  aggregates the finest bucketization once, counts each count's rolled
+  dataset directly, coarsest first, and bounds every count by the finest
+  coarser count it nests into.  Each count's MUP set is bit-identical to
+  independent per-count runs.
 """
 
 from __future__ import annotations
@@ -39,19 +44,20 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
-from repro.core.engine import AUTO, EngineConfig, EngineSpec
+from repro.core.engine import AUTO, EngineSpec
 from repro.core.enhancement.hierarchical import GeneralizationRemedy
+from repro.core.lattice import UNBOUNDED, LevelWalk, index_of, walk_dataset
 from repro.core.mups.base import MupResult, resolve_threshold
 from repro.core.pattern import Pattern, X
 from repro.data.bucketize import bucketize_equal_width, bucketize_quantiles
 from repro.data.dataset import Dataset, Schema
-from repro.data.hierarchy import AttributeHierarchy, Rollup, drill_down, rollup
+from repro.data.hierarchy import AttributeHierarchy, Rollup, rollup
 from repro.exceptions import DataError, SchemaError
 
 __all__ = [
@@ -63,6 +69,7 @@ __all__ = [
     "find_mups_hierarchical",
     "bucketize_sweep",
     "bucketized_dataset",
+    "parse_hierarchy_spec",
 ]
 
 
@@ -169,128 +176,88 @@ class HierarchyStack:
         }
 
 
-# ----------------------------------------------------------------------
-# the shared level-wise traversal
-# ----------------------------------------------------------------------
-def _levelwise_mups(
-    cardinalities: Sequence[int],
-    threshold: int,
-    max_level: Optional[int],
-    evaluate: Callable[[List[Pattern]], Sequence[int]],
-    bound: Optional[Callable[[Tuple[int, ...]], Optional[int]]],
-) -> Tuple[Tuple[Pattern, ...], Dict[Tuple[int, ...], int], int, int, int]:
-    """Apriori-style MUP search with an optional coarse upper bound.
+def parse_hierarchy_spec(source, spec: Any) -> HierarchyStack:
+    """Validate and build a stack against ``source`` (a dataset or schema)
+    from its JSON form, raising :class:`SchemaError` on any other shape.
 
-    ``bound(values)`` returns an upper bound on the candidate's coverage
-    (or ``None``).  A bound below τ certifies the candidate uncovered —
-    since candidates are only generated with all parents covered, such a
-    candidate is a MUP without an engine count.  The returned table maps
-    every generated candidate to its count (or inherited bound), which is
-    itself a valid upper bound one refinement further down.
-
-    Returns:
-        ``(mups, table, nodes_generated, bound_skips, pruned)``.
+    Format: ``{"attr": [level, ...], ...}`` where each level maps the
+    attribute's *base* codes to that level's groups — either a plain list
+    of group codes or ``{"groups": [...], "labels": [...]}``.
     """
-    d = len(cardinalities)
-    root = Pattern.root(d)
-    nodes = 1
-    skips = 0
-    pruned = 0
-    root_cov = int(evaluate([root])[0])
-    table: Dict[Tuple[int, ...], int] = {root.values: root_cov}
-    if root_cov < threshold:
-        return (root,), table, nodes, skips, pruned
-    # The frontier works on plain value tuples; Pattern objects are built
-    # only for the candidates that actually reach the engine.  Each entry
-    # carries its rightmost deterministic attribute so children extend
-    # strictly rightward (each candidate generated exactly once).
-    mups: List[Tuple[int, ...]] = []
-    expandable: List[Tuple[Tuple[int, ...], int]] = [(root.values, -1)]
-    lookup = table.get
-    depth = d if max_level is None else max(0, min(max_level, d))
-    for _ in range(depth):
-        candidates: List[Tuple[Tuple[int, ...], int]] = []
-        for values, start in expandable:
-            # Deterministic indices are shared by every child: the direct
-            # parent (drop the new attribute) is `values` itself, already
-            # known covered, so only these remaining parents need checks.
-            deterministic = [
-                index for index in range(start + 1) if values[index] != X
-            ]
-            for attribute in range(start + 1, d):
-                prefix = values[:attribute]
-                suffix = values[attribute + 1 :]
-                for value in range(cardinalities[attribute]):
-                    child = prefix + (value,) + suffix
-                    nodes += 1
-                    survives = True
-                    for index in deterministic:
-                        coverage = lookup(
-                            child[:index] + (X,) + child[index + 1 :]
-                        )
-                        if coverage is None or coverage < threshold:
-                            survives = False
-                            break
-                    if not survives:
-                        pruned += 1
-                        continue
-                    upper = bound(child) if bound is not None else None
-                    if upper is not None and upper < threshold:
-                        # Certified uncovered by the coarser level; all
-                        # parents are covered, so this is a MUP.  The bound
-                        # stays in the table as the child's (upper-bound)
-                        # coverage for the next refinement.
-                        table[child] = upper
-                        mups.append(child)
-                        skips += 1
-                    else:
-                        candidates.append((child, attribute))
-        if not candidates:
-            break
-        counts = evaluate([Pattern(child) for child, _ in candidates])
-        expandable = []
-        for (child, attribute), coverage in zip(candidates, counts):
-            coverage = int(coverage)
-            table[child] = coverage
-            if coverage < threshold:
-                mups.append(child)
-            else:
-                expandable.append((child, attribute))
-        if not expandable:
-            break
-    return (
-        tuple(sorted(Pattern(values) for values in mups)),
-        table,
-        nodes,
-        skips,
-        pruned,
+    if not isinstance(spec, dict) or not spec:
+        raise SchemaError(
+            "hierarchy spec must be a non-empty JSON object mapping "
+            "attribute names to lists of levels"
+        )
+    chains = {}
+    for name, levels in spec.items():
+        if not isinstance(levels, list):
+            raise SchemaError(f"hierarchy chain for {name!r} must be a list")
+        chain = []
+        for level in levels:
+            groups, labels = (
+                (level.get("groups"), level.get("labels"))
+                if isinstance(level, dict)
+                else (level, None)
+            )
+            if not _all_of(groups, int) or not (
+                labels is None or _all_of(labels, str)
+            ):
+                raise SchemaError(
+                    f"hierarchy level for {name!r} must be a list of group "
+                    f'codes or {{"groups": [...], "labels": [...]}}, got '
+                    f"{level!r}"
+                )
+            chain.append(AttributeHierarchy.of(name, groups, labels))
+        chains[name] = chain
+    return HierarchyStack.of(source, chains)
+
+
+def _all_of(items: Any, kind: type) -> bool:
+    """Whether ``items`` is a JSON list of ``kind`` (booleans are no ints)."""
+    return isinstance(items, list) and all(
+        isinstance(item, kind) and not isinstance(item, bool) for item in items
     )
 
 
-def _plan_hierarchy_engine(dataset: Dataset, engine: EngineSpec) -> EngineSpec:
-    """Resolve ``None``/``"auto"`` specs with the planner's hierarchy
-    dense ceiling (``plan_engine(..., hierarchy=True)``).
+# ----------------------------------------------------------------------
+# the coarse-to-fine bound
+# ----------------------------------------------------------------------
+def _coarse_bound(
+    coarse: LevelWalk, steps: Mapping[int, Sequence[int]]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Upper bounds for a finer search from a finished coarser one.
 
-    ``None`` plans instead of falling through to the default backend: the
-    default dense engine fronts an eager unique-rows pass, and the search
-    builds a fresh engine per stack level over a freshly rolled dataset —
-    paying that pass once per level would dwarf the counting it saves.
+    ``steps`` maps each rolled attribute's finer codes to its coarser
+    codes.  A candidate's image keeps ``X`` and maps every value through
+    its step; the image's count in ``coarse`` (or the bound that certified
+    it there) bounds the candidate's coverage from above.
     """
-    if engine is None or (isinstance(engine, str) and engine == AUTO):
-        engine = EngineConfig(backend=AUTO)
-    if isinstance(engine, EngineConfig) and engine.is_auto:
-        from repro.core.engine.planner import plan_engine
+    order = np.argsort(coarse.codes)
+    codes, counts = coarse.codes[order], coarse.counts[order]
+    # Digit maps: digit 0 (X) stays 0, digit v + 1 becomes group + 1.
+    maps = {
+        index: np.r_[0, np.asarray(groups, dtype=np.int64) + 1]
+        for index, groups in steps.items()
+    }
 
-        return plan_engine(dataset, engine, hierarchy=True).config
-    return engine
+    def bound(digits: np.ndarray) -> np.ndarray:
+        image = digits.copy()
+        for index, digit_map in maps.items():
+            image[:, index] = digit_map[digits[:, index]]
+        position = index_of(codes, coarse.lattice.from_digits(image))
+        return np.where(position >= 0, counts[position], UNBOUNDED)
+
+    return bound
 
 
-def _level_engine_spec(engine: EngineSpec) -> EngineSpec:
-    """Spec reusable for rolled-up datasets; prebuilt instances are bound
-    to the base dataset and cannot be shared with the coarser levels."""
-    if engine is None or isinstance(engine, (str, EngineConfig)):
-        return engine
-    return None
+def _total(stats: Sequence[SearchStats], seconds: float) -> SearchStats:
+    return SearchStats(
+        nodes_generated=sum(s.nodes_generated for s in stats),
+        coverage_evaluations=sum(s.coverage_evaluations for s in stats),
+        pruned=sum(s.pruned for s in stats),
+        seconds=seconds,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -374,12 +341,11 @@ def find_mups_hierarchical(
     oracle: Optional[CoverageOracle] = None,
     engine: EngineSpec = None,
     remedies: bool = True,
-    memo: Optional[Dict[Tuple[int, ...], int]] = None,
 ) -> HierarchicalMupResult:
     """Identify MUPs at every level of a hierarchy stack, coarsest first.
 
     Each level's MUP set is bit-identical to ``find_mups`` on the
-    corresponding rolled-up dataset; the coarser levels' tables only serve
+    corresponding rolled-up dataset; the coarser levels' counts only serve
     as upper bounds that let the finer searches skip counting inside
     regions already known to be uncovered.
 
@@ -388,106 +354,56 @@ def find_mups_hierarchical(
         stack: validated hierarchy stack.
         threshold / threshold_rate: exactly one of absolute τ or a rate.
         max_level: optional pattern-level cap applied at every stack level.
-        oracle: optional warm oracle for the *base* dataset.
-        engine: engine spec; ``"auto"`` plans each level with the
-            hierarchy dense ceiling.  Prebuilt engine instances apply to
-            the base level only.
+        oracle: optional warm oracle for the base dataset, used by the
+            remedies' point queries.
+        engine: engine spec for the remedies' oracle when none is given
+            (``None`` plans one, like ``"auto"``).
         remedies: also compute, per finest-level MUP, its most specific
             covered generalization.
-        memo: optional shared base-level count memo.
     """
     tau = resolve_threshold(dataset, threshold, threshold_rate)
     watch = Stopwatch()
-    base_memo: Dict[Tuple[int, ...], int] = {} if memo is None else memo
-    base_oracle = oracle
-    if base_oracle is None:
-        base_oracle = CoverageOracle(
-            dataset, _plan_hierarchy_engine(dataset, engine)
-        )
-    level_spec = _level_engine_spec(engine)
     # Warm the base aggregation once: every rolled level then derives its
     # unique rows from it (see ``rollup``) instead of re-sorting n rows.
     dataset.unique_rows()
+    cap = None if max_level is None else max(0, max_level)
 
     levels: List[HierarchyLevel] = []
-    coarse_table: Optional[Dict[Tuple[int, ...], int]] = None
-    coarse_steps: Dict[int, AttributeHierarchy] = {}
-    totals = dict(nodes=0, evaluations=0, pruned=0, skips=0)
+    bound = None
     for level in range(stack.depth, -1, -1):
         roll = stack.rollup_to(dataset, level)
-        if level == 0:
-            level_oracle, level_memo, created = base_oracle, base_memo, None
-        else:
-            level_oracle = CoverageOracle(
-                roll.dataset, _plan_hierarchy_engine(roll.dataset, level_spec)
-            )
-            level_memo, created = {}, level_oracle
-
-        bound = None
-        if coarse_table is not None:
-            steps, prev = coarse_steps, coarse_table
-
-            def bound(values, steps=steps, prev=prev):
-                image = tuple(
-                    value
-                    if value == X or index not in steps
-                    else steps[index].groups[value]
-                    for index, value in enumerate(values)
-                )
-                return prev.get(image)
-
-        level_watch = Stopwatch()
-        evaluations_before = level_oracle.evaluations
-
-        def evaluate(patterns, oracle=level_oracle, memo=level_memo):
-            return oracle.coverage_many(patterns, memo=memo)
-
-        try:
-            mups, table, nodes, skips, pruned = _levelwise_mups(
-                roll.dataset.cardinalities, tau, max_level, evaluate, bound
-            )
-            evaluations = level_oracle.evaluations - evaluations_before
-        finally:
-            if created is not None:
-                created.engine.close()
-        stats = SearchStats(
-            nodes_generated=nodes,
-            coverage_evaluations=evaluations,
-            pruned=pruned + skips,
-            seconds=level_watch.elapsed(),
-        )
+        walk = walk_dataset(roll.dataset, tau, cap, bound=bound)
         levels.append(
             HierarchyLevel(
                 level=level,
                 rollup=roll,
-                result=MupResult(mups, tau, stats, max_level=max_level),
+                result=MupResult(
+                    tuple(walk.mups()), tau, walk.stats, max_level=max_level
+                ),
             )
         )
-        totals["nodes"] += nodes
-        totals["evaluations"] += evaluations
-        totals["pruned"] += pruned
-        totals["skips"] += skips
-        coarse_table = table
-        # Step maps translating the next (finer) level's codes into this
-        # level's — how `bound` looks candidates up in `table`.
-        coarse_steps = stack.step_maps(level - 1) if level > 0 else {}
+        if level > 0:
+            # The next (finer) level's codes map into this level's codes.
+            steps = stack.step_maps(level - 1)
+            bound = _coarse_bound(walk, {i: h.groups for i, h in steps.items()})
 
     base_mups = levels[-1].result.mups
     remedy_records: Tuple[GeneralizationRemedy, ...] = ()
-    if remedies:
+    if remedies and base_mups:
+        base_oracle = oracle or CoverageOracle(
+            dataset, AUTO if engine is None else engine
+        )
+        memo: Dict[Tuple[int, ...], int] = {}
         remedy_records = tuple(
-            _most_specific_covered(mup, stack, tau, base_oracle, base_memo)
+            _most_specific_covered(mup, stack, tau, base_oracle, memo)
             for mup in base_mups
         )
     return HierarchicalMupResult(
         threshold=tau,
         levels=tuple(levels),
         remedies=remedy_records,
-        stats=SearchStats(
-            nodes_generated=totals["nodes"],
-            coverage_evaluations=totals["evaluations"],
-            pruned=totals["pruned"] + totals["skips"],
-            seconds=watch.elapsed(),
+        stats=_total(
+            [entry.result.stats for entry in levels], watch.elapsed()
         ),
         max_level=max_level,
     )
@@ -505,9 +421,10 @@ def _most_specific_covered(
     States are per-attribute climb counts; each step coarsens one
     deterministic attribute by one hierarchy level (one past the chain top
     widens it to ``X``).  Coverage of a mixed-level generalization is the
-    pooled coverage of its base-level drill-down, evaluated through the
-    shared memo.  The all-``X`` state is reachable, so the search fails
-    only when the dataset itself is smaller than τ.
+    pooled coverage of its base-level drill-down, counted through the
+    oracle with the search's count memo.  The all-``X`` state is
+    reachable, so the search fails only when the dataset itself is smaller
+    than τ.
     """
     d = len(mup)
     deterministic = mup.deterministic_indices()
@@ -685,19 +602,14 @@ def bucketize_sweep(
     threshold: Optional[int] = None,
     threshold_rate: Optional[float] = None,
     name: str = "bucket",
-    oracle: Optional[CoverageOracle] = None,
-    engine: EngineSpec = None,
-    memo: Optional[Dict[Tuple[int, ...], int]] = None,
 ) -> BucketSweepResult:
     """MUP sets for every equal-width bucket count of a numeric column.
 
     Bucket counts must *nest* (each must divide the largest) so that every
-    coarse bucket is a union of fine ones; the sweep then builds one engine
-    over the finest bucketization and answers each coarser count by
-    drilling its candidates down (:func:`~repro.data.hierarchy.drill_down`)
-    into fine patterns counted through a shared ``coverage_many`` memo —
-    counts flow across widths instead of being recomputed per width.  Each
-    count's MUP set is bit-identical to ``find_mups`` on
+    coarse bucket is a union of fine ones.  The sweep aggregates the
+    finest bucketization once, then walks each count's rolled dataset,
+    coarsest first, bounded by the finest coarser count it nests into.
+    Each count's MUP set is bit-identical to ``find_mups`` on
     :func:`bucketized_dataset` at that count.
 
     Args:
@@ -707,11 +619,6 @@ def bucketize_sweep(
             dividing the maximum).
         threshold / threshold_rate: exactly one of absolute τ or a rate.
         name: attribute name for the bucket column.
-        oracle: optional warm oracle — must be over the *finest*
-            bucketized dataset (as built by ``bucketized_dataset`` at the
-            maximum count); mostly for internal reuse.
-        engine: engine spec for the finest-level engine.
-        memo: optional shared count memo for the finest-level patterns.
     """
     counts = sorted({int(b) for b in bucket_counts})
     if not counts:
@@ -732,15 +639,11 @@ def bucketize_sweep(
     bucket_index = fine_dataset.d - 1
     tau = resolve_threshold(fine_dataset, threshold, threshold_rate)
     watch = Stopwatch()
-    shared_memo: Dict[Tuple[int, ...], int] = {} if memo is None else memo
-    if oracle is None:
-        oracle = CoverageOracle(
-            fine_dataset, _plan_hierarchy_engine(fine_dataset, engine)
-        )
+    # Every count's rollup derives its unique rows from this aggregation.
+    fine_dataset.unique_rows()
 
     points: List[BucketSweepPoint] = []
-    tables: Dict[int, Dict[Tuple[int, ...], int]] = {}
-    totals = dict(nodes=0, evaluations=0, pruned=0, skips=0)
+    walks: Dict[int, LevelWalk] = {}
     for count in counts:  # ascending = coarsest first
         if fine_cardinality == 1:
             groups: Tuple[int, ...] = (0,)
@@ -753,63 +656,27 @@ def bucketize_sweep(
 
         bound = None
         # Bound against the finest previously-swept count this one nests
-        # into (counts ascending ⇒ any divisor already has a table).
-        divisors = [c for c in tables if count % c == 0]
+        # into (counts ascending ⇒ any divisor already has a walk).
+        divisors = [c for c in walks if count % c == 0]
         if divisors:
-            coarser = max(divisors)
-            prev = tables[coarser]
-            ratio = count // coarser
-
-            def bound(candidate, prev=prev, ratio=ratio, i=bucket_index):
-                value = candidate[i]
-                if value != X:
-                    candidate = candidate[:i] + (value // ratio,) + candidate[i + 1 :]
-                return prev.get(candidate)
-
-        def evaluate(patterns, roll=roll):
-            fine_batches = [drill_down(p, roll) for p in patterns]
-            flat = [p for batch in fine_batches for p in batch]
-            fine_counts = oracle.coverage_many(flat, memo=shared_memo)
-            out: List[int] = []
-            offset = 0
-            for batch in fine_batches:
-                out.append(int(sum(fine_counts[offset : offset + len(batch)])))
-                offset += len(batch)
-            return out
-
-        point_watch = Stopwatch()
-        evaluations_before = oracle.evaluations
-        mups, table, nodes, skips, pruned = _levelwise_mups(
-            roll.dataset.cardinalities, tau, None, evaluate, bound
-        )
-        evaluations = oracle.evaluations - evaluations_before
-        stats = SearchStats(
-            nodes_generated=nodes,
-            coverage_evaluations=evaluations,
-            pruned=pruned + skips,
-            seconds=point_watch.elapsed(),
-        )
+            ratio = count // max(divisors)
+            bound = _coarse_bound(
+                walks[max(divisors)],
+                {bucket_index: [b // ratio for b in range(len(labels))]},
+            )
+        walk = walk_dataset(roll.dataset, tau, bound=bound)
+        walks[count] = walk
         points.append(
             BucketSweepPoint(
                 buckets=count,
                 cardinality=len(labels),
                 labels=tuple(labels),
-                result=MupResult(mups, tau, stats),
+                result=MupResult(tuple(walk.mups()), tau, walk.stats),
             )
         )
-        tables[count] = table
-        totals["nodes"] += nodes
-        totals["evaluations"] += evaluations
-        totals["pruned"] += pruned
-        totals["skips"] += skips
     return BucketSweepResult(
         attribute=name,
         threshold=tau,
         points=tuple(points),
-        stats=SearchStats(
-            nodes_generated=totals["nodes"],
-            coverage_evaluations=totals["evaluations"],
-            pruned=totals["pruned"] + totals["skips"],
-            seconds=watch.elapsed(),
-        ),
+        stats=_total([point.result.stats for point in points], watch.elapsed()),
     )

@@ -14,16 +14,16 @@ minimum parent coverage classifies *every* τ at once; the per-pattern
 interval endpoints are the τ* breakpoints where the pattern enters and
 leaves the MUP frontier.
 
-The traversal counts the pattern graph level by level (apriori-style,
-each pattern generated exactly once from its rightmost-deterministic
-parent) and prunes with the *smallest* queried threshold: a pattern whose
-coverage falls below ``τ_min`` is uncovered at every queried τ, so no
-descendant can have all parents covered at any of them — the subtree is
-dead for the whole range.  Each surviving pattern is counted once via the
-batched, memoized :meth:`CoverageOracle.coverage_many
-<repro.core.coverage.CoverageOracle.coverage_many>`, and attribute-subset
-projections reuse the same engine (a projected pattern is just a full-width
-pattern with ``X`` on the excluded attributes) and the same count memo.
+The traversal is PATTERN-BREAKER's level walk
+(:func:`~repro.core.lattice.walk_dataset`, each pattern generated once
+from its rightmost-deterministic parent) pruned with the *smallest*
+queried threshold: a pattern whose coverage falls below ``τ_min`` is
+uncovered at every queried τ, so no descendant can have all parents
+covered at any of them.  Each level is counted by grouping the unique
+rows, and the walk records every candidate's coverage and minimum parent
+count; ``Pattern`` objects are built only for the frontier.  An
+attribute-subset projection walks only those attributes (a projected
+pattern is a full-width pattern with ``X`` elsewhere).
 
 On top of the sweep, :func:`threshold_sensitivity` builds a
 :class:`SensitivityReport`: appear/disappear diffs between consecutive
@@ -34,11 +34,14 @@ support — the fraction of resampled replicates in which each MUP survives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import EngineSpec
+from repro.core.lattice import UNBOUNDED, walk_dataset
 from repro.core.mups.base import MupResult
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
@@ -336,7 +339,6 @@ def sweep_mups(
     max_level: Optional[int] = None,
     oracle: Optional[CoverageOracle] = None,
     engine: EngineSpec = None,
-    memo: Optional[Dict[Tuple[int, ...], int]] = None,
 ) -> SweepResult:
     """One amortized pass classifying every τ in ``[min, max]`` at once.
 
@@ -346,15 +348,11 @@ def sweep_mups(
             the result answers any integer τ between the extremes).
         attributes: optional attribute subset — sweep the pattern graph
             projected onto these attributes (patterns keep full width,
-            with ``X`` on the excluded attributes) while sharing the same
-            engine and count memo as the full-width sweep.
+            with ``X`` on the excluded attributes).
         max_level: only consider patterns at level ≤ this cap.
-        oracle: optionally reuse a prebuilt coverage oracle.
-        engine: engine selection when no oracle is given (``"auto"``
-            consults the planner).
-        memo: optional ``pattern.values -> count`` reuse table, shared
-            across calls on the *same dataset* (projections, repeated
-            sweeps); pass a plain dict and keep it per-dataset.
+        oracle: accepted for interface parity; levels are counted from the
+            aggregated unique rows, not through per-pattern queries.
+        engine: accepted for interface parity, like ``oracle``.
 
     Returns:
         A :class:`SweepResult` whose ``mups_at(τ)`` is bit-identical to
@@ -362,113 +360,38 @@ def sweep_mups(
     """
     thresholds = _normalize_thresholds(thresholds)
     attrs = _normalize_attributes(attributes, dataset.d)
-    active = attrs if attrs is not None else tuple(range(dataset.d))
     if max_level is not None and max_level < 0:
         raise ReproError(f"max_level must be >= 0, got {max_level}")
-    if oracle is None:
-        oracle = CoverageOracle(dataset, engine)
-    if memo is None:
-        memo = {}
 
     watch = Stopwatch()
-    evaluations_before = oracle.evaluations
     tau_min, tau_max = thresholds[0], thresholds[-1]
-    cardinalities = dataset.cardinalities
-    depth = len(active) if max_level is None else min(max_level, len(active))
-
-    frontier: List[SweepPoint] = []
-    nodes_generated = 1  # the root
-    pruned = 0
-
-    root = Pattern.root(dataset.d)
-    root_cov = int(oracle.coverage_many([root], memo=memo)[0])
-    _retain(frontier, root, root_cov, None, tau_min, tau_max)
-
-    # Level tables: pattern.values -> coverage, for every pattern whose
-    # strict ancestors are all covered at τ_min (exactly the candidates
-    # whose MUP interval can intersect the swept range, plus the parent
-    # counts the next level's intervals need).
-    table: Dict[Tuple[int, ...], int] = {root.values: root_cov}
-    # Expandable = in the table AND itself covered at τ_min.
-    expandable: List[Pattern] = [root] if root_cov >= tau_min else []
-
-    for _level in range(depth):
-        if not expandable:
-            break
-        candidates: List[Pattern] = []
-        min_parent: List[int] = []
-        seen: set = set()
-        for pattern in expandable:
-            start = pattern.rightmost_deterministic()
-            for attribute in active:
-                if attribute <= start:
-                    continue
-                for value in range(cardinalities[attribute]):
-                    child = pattern.with_value(attribute, value)
-                    nodes_generated += 1
-                    # Survival: every parent present in the previous
-                    # level's table with coverage ≥ τ_min.  An absent or
-                    # under-covered parent is uncovered at every queried
-                    # τ, killing the child (and its subtree) as a MUP
-                    # candidate for the whole range.
-                    parent_floor: Optional[int] = None
-                    alive = True
-                    for parent in child.parents():
-                        cov = table.get(parent.values)
-                        if cov is None or cov < tau_min:
-                            alive = False
-                            break
-                        if parent_floor is None or cov < parent_floor:
-                            parent_floor = cov
-                    if not alive:
-                        pruned += 1
-                        continue
-                    if child.values in seen:  # pragma: no cover - guard
-                        continue
-                    seen.add(child.values)
-                    candidates.append(child)
-                    min_parent.append(parent_floor)
-        if not candidates:
-            break
-        counts = oracle.coverage_many(candidates, memo=memo)
-        table = {}
-        expandable = []
-        for child, floor, cov in zip(candidates, min_parent, counts):
-            cov = int(cov)
-            table[child.values] = cov
-            _retain(frontier, child, cov, floor, tau_min, tau_max)
-            if cov >= tau_min:
-                expandable.append(child)
-
-    stats = SearchStats(
-        nodes_generated=nodes_generated,
-        coverage_evaluations=oracle.evaluations - evaluations_before,
-        pruned=pruned,
-        seconds=watch.elapsed(),
+    # Pruning with τ_min keeps exactly the candidates whose MUP interval
+    # can meet the swept range, plus the parent counts their intervals
+    # need: a parent below τ_min is uncovered at every queried τ.
+    walk = walk_dataset(dataset, tau_min, max_level, attributes=attrs)
+    # Keep a candidate iff its MUP interval [cov + 1, min parent count]
+    # meets [τ_min, τ_max] (the root's is unbounded above); code order is
+    # pattern order.
+    keep = np.maximum(walk.counts + 1, tau_min) <= np.minimum(walk.min_parent, tau_max)
+    keep = np.flatnonzero(keep)[np.argsort(walk.codes[keep])]
+    frontier = tuple(
+        SweepPoint(pattern, coverage, None if floor == UNBOUNDED else floor)
+        for pattern, coverage, floor in zip(
+            walk.lattice.decode(walk.codes[keep]),
+            walk.counts[keep].tolist(),
+            walk.min_parent[keep].tolist(),
+        )
     )
+    stats = walk.stats
+    stats.seconds = watch.elapsed()
     return SweepResult(
         thresholds=thresholds,
-        frontier=tuple(frontier),
+        frontier=frontier,
         stats=stats,
         d=dataset.d,
         attributes=attrs,
         max_level=max_level,
     )
-
-
-def _retain(
-    frontier: List[SweepPoint],
-    pattern: Pattern,
-    coverage: int,
-    min_parent: Optional[int],
-    tau_min: int,
-    tau_max: int,
-) -> None:
-    """Keep the pattern iff its MUP interval intersects ``[τ_min, τ_max]``."""
-    lo = max(coverage + 1, tau_min)
-    hi = tau_max if min_parent is None else min(min_parent, tau_max)
-    if lo <= hi:
-        frontier.append(SweepPoint(pattern, coverage, min_parent))
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence
 
 from repro._util import format_table
-from repro.analysis.hierarchy import HierarchyStack
+from repro.analysis.hierarchy import parse_hierarchy_spec
 from repro.analysis.nutrition import coverage_label
 from repro.analysis.report import enhancement_report, mup_report
 from repro.analysis.sweep import (
@@ -118,38 +118,6 @@ def _load_csv_numeric(
     if attributes:
         dataset = dataset.project(list(attributes))
     return dataset, values
-
-
-def _parse_hierarchy_spec(dataset: Dataset, path: str) -> HierarchyStack:
-    """Load a hierarchy-stack spec from a JSON file.
-
-    Format: ``{"attr": [level, ...], ...}`` where each level maps the
-    attribute's *base* codes to that level's groups — either a plain list
-    of group codes or ``{"groups": [...], "labels": [...]}``.
-    """
-    from repro.data.hierarchy import AttributeHierarchy
-
-    with open(path) as handle:
-        spec = json.load(handle)
-    if not isinstance(spec, dict) or not spec:
-        raise ReproError(
-            "hierarchy spec must be a JSON object mapping attribute names "
-            "to lists of levels"
-        )
-    chains = {}
-    for name, levels in spec.items():
-        chain = []
-        for level in levels:
-            if isinstance(level, dict):
-                chain.append(
-                    AttributeHierarchy.of(
-                        name, level["groups"], level.get("labels")
-                    )
-                )
-            else:
-                chain.append(AttributeHierarchy.of(name, level))
-        chains[name] = chain
-    return HierarchyStack.of(dataset, chains)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -242,21 +210,16 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_engine(
-    args: argparse.Namespace, dataset: Dataset, hierarchy: bool = False
-) -> CoverageEngine:
+def _build_engine(args: argparse.Namespace, dataset: Dataset) -> CoverageEngine:
     """The engine selected by the CLI flags, built against ``dataset``.
 
     The flags are lifted into one declarative :class:`EngineConfig`
     (whose ``validate()`` holds every cross-flag rule — programmatic
     callers constructing configs get identical errors), planned when the
     backend is ``auto``, and built.  ``--explain-plan`` prints the plan's
-    rationale before the command runs.  ``hierarchy`` plans with the
-    hierarchical search's dense ceiling.
+    rationale before the command runs.
     """
-    plan = plan_engine(
-        dataset, EngineConfig.from_cli_args(args), hierarchy=hierarchy
-    )
+    plan = plan_engine(dataset, EngineConfig.from_cli_args(args))
     if getattr(args, "explain_plan", False):
         print(plan.describe())
         print()
@@ -268,7 +231,7 @@ def _build_engine(
 
 @contextmanager
 def _engine_scope(
-    args: argparse.Namespace, dataset: Dataset, hierarchy: bool = False
+    args: argparse.Namespace, dataset: Dataset
 ) -> Iterator[CoverageEngine]:
     """Build the CLI-selected engine and close it when the command ends.
 
@@ -276,7 +239,7 @@ def _engine_scope(
     out-of-core spill directories are removed when the run finishes, not
     whenever GC gets around to it.
     """
-    engine = _build_engine(args, dataset, hierarchy=hierarchy)
+    engine = _build_engine(args, dataset)
     try:
         yield engine
     finally:
@@ -386,16 +349,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         thresholds = parse_tau_range(args.tau_range)
     else:
         thresholds = tuple(args.thresholds)
-    with _engine_scope(args, dataset) as engine:
-        oracle = CoverageOracle(dataset, engine=engine)
-        report = threshold_sensitivity(
-            dataset,
-            thresholds,
-            max_level=args.max_level,
-            oracle=oracle,
-            bootstrap=args.bootstrap,
-            seed=args.seed,
-        )
+    report = threshold_sensitivity(
+        dataset,
+        thresholds,
+        max_level=args.max_level,
+        bootstrap=args.bootstrap,
+        seed=args.seed,
+    )
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
@@ -407,8 +367,9 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
     from repro.analysis.hierarchy import find_mups_hierarchical
 
     dataset = _load_csv(args.csv, args.attributes)
-    stack = _parse_hierarchy_spec(dataset, args.hierarchy)
-    with _engine_scope(args, dataset, hierarchy=True) as engine:
+    with open(args.hierarchy) as handle:
+        stack = parse_hierarchy_spec(dataset, json.load(handle))
+    with _engine_scope(args, dataset) as engine:
         oracle = CoverageOracle(dataset, engine=engine)
         result = find_mups_hierarchical(
             dataset,
@@ -455,27 +416,23 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_bucketsweep(args: argparse.Namespace) -> int:
-    from repro.analysis.hierarchy import bucketize_sweep, bucketized_dataset
+    from repro.analysis.hierarchy import bucketize_sweep
 
     dataset, values = _load_csv_numeric(args.csv, args.column, args.attributes)
-    counts = sorted(set(args.buckets))
-    fine = bucketized_dataset(dataset, values, max(counts), name=args.column)
-    with _engine_scope(args, fine, hierarchy=True) as engine:
-        oracle = CoverageOracle(fine, engine=engine)
-        result = bucketize_sweep(
-            dataset,
-            values,
-            counts,
-            threshold=args.threshold,
-            name=args.column,
-            oracle=oracle,
-        )
+    result = bucketize_sweep(
+        dataset,
+        values,
+        args.buckets,
+        threshold=args.threshold,
+        name=args.column,
+    )
     if args.json:
         print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
         return 0
     print(
         f"bucketization sweep over {args.column!r}, τ={result.threshold} "
-        f"(one engine over {max(counts)} buckets, counts shared downward):"
+        f"(coarsest count first, each bounded by a coarser count it "
+        f"nests into):"
     )
     rows = [
         [
@@ -773,7 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the sensitivity report as JSON instead of tables",
     )
-    _add_engine_options(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 
     hierarchy = commands.add_parser(
@@ -821,8 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
     bucketsweep = commands.add_parser(
         "bucketsweep",
         help="τ-coverage as a function of equal-width bucket count for a "
-        "numeric column: one engine over the finest bucketization answers "
-        "every coarser count through a shared count memo",
+        "numeric column: each count is counted from the finest "
+        "bucketization's rows, coarsest first, bounded by the coarser "
+        "counts it nests into",
     )
     bucketsweep.add_argument(
         "csv", help="path to a CSV file with one numeric column"
@@ -851,7 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the sweep as JSON instead of tables",
     )
-    _add_engine_options(bucketsweep)
     bucketsweep.set_defaults(handler=_cmd_bucketsweep)
 
     demo = commands.add_parser("demo", help="COMPAS walk-through on bundled data")

@@ -107,13 +107,6 @@ class CoverageOracle:
         """The whole sibling family ``mask AND (attribute == v)``, batched."""
         return self._engine.restrict_children(mask, attribute)
 
-    def restrict_children_many(
-        self, masks: Sequence[Mask], attribute: int
-    ) -> List[Mask]:
-        """The sibling families of a whole level's masks at ``attribute``,
-        as one flat mask-major list (``c`` children per mask)."""
-        return self._engine.restrict_children_many(masks, attribute)
-
     def match_mask(self, pattern: Pattern) -> Mask:
         """Mask over unique combinations matching ``pattern``."""
         return self._engine.match_mask(pattern)
@@ -145,8 +138,7 @@ class CoverageOracle:
         With a ``memo`` (a ``pattern.values -> count`` reuse table, see
         :meth:`CoverageEngine.coverage_many
         <repro.core.engine.base.CoverageEngine.coverage_many>`), only the
-        patterns absent from the table count as evaluations — the sweep
-        engine relies on this to report true amortized work.
+        patterns absent from the table count as evaluations.
         """
         if memo is None:
             self.evaluations += len(patterns)

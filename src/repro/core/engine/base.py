@@ -8,9 +8,7 @@ owns those vectors for one dataset and answers three families of queries:
 * **incremental** — ``restrict`` one step down the pattern graph, reusing
   a parent's match mask;
 * **batched** — ``count_many`` / ``coverage_many`` / ``restrict_children``
-  answer a whole pattern-graph frontier in one vectorized pass, and
-  ``restrict_children_many`` expands a whole level's sibling families at
-  one attribute.
+  answer a whole pattern-graph frontier in one vectorized pass.
 
 Masks are engine-specific opaque handles: callers obtain them from the
 engine (``full_mask``, ``match_mask``, ``restrict``…), hand them back to
@@ -30,8 +28,8 @@ when row identities are needed).  Three backends are registered:
   shard workers attached to those files by path, reduced in shard order.
 
 The base class also layers a **hot-mask LRU cache** over ``match_mask``:
-repeated frontier evaluations (PATTERN-BREAKER re-visits, enhancement
-greedy's repeated target queries, incremental re-runs) hit the cache
+repeated point queries (DEEPDIVER re-visits, enhancement greedy's
+repeated target queries, incremental re-runs) hit the cache
 instead of re-ANDing the index.  Masks handed out are private copies, so
 callers may mutate them freely; ``cache_info`` exposes hit/miss counters
 for the benchmarks.
@@ -46,7 +44,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -77,24 +74,6 @@ DEFAULT_MASK_CACHE = 1024
 #: cache dwarf the index it fronts on wide datasets, so eviction also
 #: keeps total cached mask bytes under this ceiling.
 DEFAULT_MASK_CACHE_BYTES = 32 << 20
-
-#: Most child-mask bytes one ``restrict_children_many`` pass builds.  The
-#: array backends split a level into passes under this cap, so no block
-#: (and no shard-worker frame) grows with the level's width.
-CHILDREN_PASS_BYTES = 64 << 20
-
-
-def children_passes(count: int, family_nbytes: int) -> Iterator[slice]:
-    """Slices of a ``count``-long mask list for ``restrict_children_many``.
-
-    ``family_nbytes`` is the size of one mask's sibling family; each slice
-    builds at most :data:`CHILDREN_PASS_BYTES` of children (at least one
-    family).
-    """
-    step = max(1, CHILDREN_PASS_BYTES // max(1, family_nbytes))
-    for start in range(0, count, step):
-        yield slice(start, start + step)
-
 
 def register_engine(cls: Type["CoverageEngine"]) -> Type["CoverageEngine"]:
     """Class decorator registering an engine backend under ``cls.name``."""
@@ -198,24 +177,6 @@ class CoverageEngine(ABC):
         the sibling family a traversal expands when it specializes one
         ``X`` element.
         """
-
-    def restrict_children_many(
-        self, masks: Sequence[Mask], attribute: int
-    ) -> List[Mask]:
-        """The sibling families of many masks at one attribute.
-
-        Returns a flat, mask-major list: the ``c`` children of
-        ``masks[0]`` in value order, then those of ``masks[1]``, and so
-        on.  A level-wise traversal expands a whole level with one call
-        per attribute instead of one :meth:`restrict_children` call per
-        node.  This default loops :meth:`restrict_children`; the array
-        backends override it with one batched AND per
-        :func:`children_passes` slice.
-        """
-        children: List[Mask] = []
-        for mask in masks:
-            children.extend(self.restrict_children(mask, attribute))
-        return children
 
     @abstractmethod
     def count(self, mask: Mask) -> int:
@@ -363,14 +324,12 @@ class CoverageEngine(ABC):
             memo: optional count-reuse table mapping ``pattern.values`` to
                 a previously computed coverage count.  Patterns present in
                 it skip the index scan entirely and fresh counts are added
-                back, so callers that evaluate overlapping frontiers — the
-                amortized threshold sweep counts each pattern once for an
-                entire τ range, and attribute-subset projections share
-                their wildcarded patterns — pay for each distinct pattern
-                once per engine.  Coverage counts are a pure function of
-                the dataset, never of τ or the backend, which is what
-                makes the table safe to share across sweeps and (for one
-                dataset) across engines.
+                back, so callers that evaluate overlapping frontiers (the
+                hierarchy remedies' drill-downs) pay for each distinct
+                pattern once per engine.  Coverage counts are a pure
+                function of the dataset, never of τ or the backend, which
+                is what makes the table safe to share across calls and
+                (for one dataset) across engines.
         """
         if not patterns:
             return np.zeros(0, dtype=np.int64)

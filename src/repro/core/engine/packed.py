@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.engine.base import (
     DEFAULT_MASK_CACHE,
     CoverageEngine,
-    children_passes,
     register_engine,
 )
 from repro.core.engine.mmapped import and_family
@@ -108,16 +107,6 @@ class PackedBitsetEngine(CoverageEngine):
 
     def restrict_children(self, mask: np.ndarray, attribute: int) -> List[np.ndarray]:
         return list(and_family(mask, self._words[attribute]))
-
-    def restrict_children_many(
-        self, masks: Sequence[np.ndarray], attribute: int
-    ) -> List[np.ndarray]:
-        words = self._words[attribute]
-        children: List[np.ndarray] = []
-        for chunk in children_passes(len(masks), words.nbytes):
-            family = and_family(np.stack(masks[chunk]), words)
-            children.extend(family.reshape(len(family) * len(words), -1))
-        return children
 
     def count(self, mask: np.ndarray) -> int:
         return weighted_count(mask, self._weights)

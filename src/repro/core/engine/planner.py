@@ -27,11 +27,6 @@ packed > memory budget    ``sharded`` — spill + mmap streaming under
                           workers once the index dwarfs the budget
 ========================  =====================================================
 
-``hierarchy=True`` (the coarse-to-fine search of
-:mod:`repro.analysis.hierarchy`) raises the dense ceiling by
-:data:`HIERARCHY_DENSE_MULTIPLE`; nothing else about a workload changes
-the plan.
-
 Explicitly requested knobs are **constraints, not suggestions**: ``shards``
 / ``workers`` / ``spill_dir`` / ``worker_endpoints`` / ``delta_spill``
 force the sharded backend, and ``max_resident_bytes`` (on
@@ -61,14 +56,6 @@ _WORD_BITS = 64
 
 #: Keep the dense reference representation while its bool index fits here.
 DENSE_MAX_INDEX_BYTES = 256 << 10
-
-#: Hierarchy searches: dense indices up to this multiple of the normal
-#: ceiling still plan dense.  The hierarchical search builds one
-#: short-lived engine per stack level over a pre-aggregated roll-up, so
-#: dense's near-zero build cost and branch-free bool masks beat the
-#: packed per-query constants that dominate the few hundred batched
-#: counts each level actually issues.
-HIERARCHY_DENSE_MULTIPLE = 16
 
 #: Target bytes per shard when the planner sizes a sharded index.
 SHARD_TARGET_BYTES = 8 << 20
@@ -344,8 +331,6 @@ class EnginePlan:
 def plan_engine(
     source: Union[Dataset, WorkloadStats],
     requested: Union[EngineConfig, str, None] = None,
-    *,
-    hierarchy: bool = False,
 ) -> EnginePlan:
     """Choose an execution strategy for a workload.
 
@@ -357,9 +342,6 @@ def plan_engine(
             A non-``auto`` backend short-circuits to a "hand-picked" plan;
             under ``auto``, set fields constrain the decision as described
             in the module docstring.
-        hierarchy: plan for the hierarchical search, whose per-level
-            engines keep ``dense`` up to :data:`HIERARCHY_DENSE_MULTIPLE`
-            times the normal dense ceiling.
 
     Returns:
         An :class:`EnginePlan` whose ``config`` is concrete and valid.
@@ -407,9 +389,6 @@ def plan_engine(
             requested.worker_endpoints,
         )
     )
-    dense_ceiling = DENSE_MAX_INDEX_BYTES * (
-        HIERARCHY_DENSE_MULTIPLE if hierarchy else 1
-    )
 
     if packed_bytes > budget or forced_sharded:
         if packed_bytes > budget:
@@ -451,17 +430,11 @@ def plan_engine(
             worker_endpoints=requested.worker_endpoints,
             delta_spill=requested.delta_spill,
         )
-    elif stats.projected_dense_bytes <= dense_ceiling:
+    elif stats.projected_dense_bytes <= DENSE_MAX_INDEX_BYTES:
         rationale.append(
             f"projected dense index {_fmt_bytes(stats.projected_dense_bytes)} "
-            f"fits the dense ceiling {_fmt_bytes(dense_ceiling)} -> "
-            f"dense (no packing overhead on tiny indices"
-            + (
-                "; hierarchy shape favors per-level build cost over "
-                "index size)"
-                if hierarchy
-                else ")"
-            )
+            f"fits the dense ceiling {_fmt_bytes(DENSE_MAX_INDEX_BYTES)} -> "
+            f"dense (no packing overhead on tiny indices)"
         )
         config = EngineConfig(
             backend="dense",

@@ -11,6 +11,14 @@ families and sorted membership are each a few vectorized passes over the
 level instead of one Python object per node; ``Pattern`` objects are built
 only for the answers (:meth:`PatternLattice.decode`).
 
+:func:`walk_levels` is PATTERN-BREAKER's level-wise traversal (§III-C)
+over these codes, shared by PATTERN-BREAKER, the threshold sweep and the
+hierarchy searches, and :class:`GroupCounter` counts its levels: the
+candidates of a level that fix the same attribute subset ``S`` are all
+counted by one group-by of the unique rows on ``S``, the group-by behind
+iceberg-cube computation (Beyer & Ramakrishnan, SIGMOD 1999), with no
+match mask and no engine call.
+
 Codes are ``int64`` while the space has fewer than ``2**63`` nodes and
 Python ints in an ``object`` array beyond that (45 binary attributes
 already need it).  The dtype is fixed once per space and both run the same
@@ -20,15 +28,29 @@ pattern-level version of every move here as the readable reference.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._util import SearchStats, Stopwatch
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
+from repro.data.dataset import Dataset
 
 #: Spaces with at least this many nodes code patterns as Python ints.
 _INT64_NODES = 2**63
+
+#: Minimum over no parents (the root's), and "no bound known".
+UNBOUNDED = np.iinfo(np.int64).max
+
+#: A subset's key space is tallied with ``bincount`` up to this many slots
+#: per unique row (plus a constant); larger ones sort the rows instead.
+_BINCOUNT_SLOTS_PER_ROW = 4
+_BINCOUNT_MIN_SLOTS = 256
+
+#: Most row keys one ``bincount`` pass builds over several subsets.
+_PASS_ENTRIES = 1 << 21
 
 
 class PatternLattice:
@@ -81,6 +103,12 @@ class PatternLattice:
         """The patterns the codes stand for, in array order."""
         return [Pattern(values) for values in (self.digits(codes) - 1).tolist()]
 
+    def from_digits(self, digits: np.ndarray) -> np.ndarray:
+        """The code of each row of a ``(k, d)`` digit matrix."""
+        return (digits.astype(self.dtype) * self._weight_array).sum(
+            axis=1, dtype=self.dtype
+        )
+
     def combination_index(self, rows: np.ndarray) -> np.ndarray:
         """Row-major position of each full value combination (a ``(k, d)``
         value array) in the ``Π c_i`` combination grid."""
@@ -125,7 +153,11 @@ class PatternLattice:
         ``codes[rows[t]]``, grouped by row in attribute order (the order
         of :meth:`Pattern.parents`).
         """
-        digits = self.digits(codes)
+        return self._parents(codes, self.digits(codes))
+
+    def _parents(
+        self, codes: np.ndarray, digits: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         rows, attributes = np.nonzero(digits)
         step = digits[rows, attributes].astype(self.dtype)
         return rows, codes[rows] - step * self._weight_array[attributes]
@@ -141,8 +173,13 @@ class PatternLattice:
         specializes every attribute right of its right-most deterministic
         digit.
         """
-        last = _rightmost(self.digits(codes) != 0)
-        for attribute in range(self.d):
+        return self._rule1_children(codes, self.digits(codes), range(self.d))
+
+    def _rule1_children(
+        self, codes: np.ndarray, digits: np.ndarray, attributes: Iterable[int]
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        last = _rightmost(digits != 0)
+        for attribute in attributes:
             rows = np.flatnonzero(last < attribute)
             if len(rows):
                 yield attribute, rows, self.family(codes[rows], attribute)
@@ -183,6 +220,212 @@ def index_of(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def contains(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Whether each query is in ``sorted_codes`` (same shape as queries)."""
     return index_of(sorted_codes, queries) >= 0
+
+
+class GroupCounter:
+    """Coverage of lattice patterns by grouping the unique rows.
+
+    The patterns that fix the same attribute subset ``S`` share one
+    group-by of the unique rows on ``S``: every row and pattern is keyed
+    in ``S``'s own mixed radix (``Π_{i∈S} c_i`` keys) and multiplicities
+    are summed per key — by one ``bincount`` over many subsets while the
+    key spaces are small, else by one sort and two ``searchsorted`` calls
+    per subset.  ``rows``/``multiplicities`` are a dataset's
+    :meth:`~repro.data.Dataset.unique_rows`.
+    """
+
+    def __init__(
+        self, lattice: PatternLattice, rows: np.ndarray, multiplicities: np.ndarray
+    ) -> None:
+        self._cardinalities = np.asarray(lattice.cardinalities, dtype=np.int64)
+        columns = np.asarray(rows, dtype=np.int64).reshape(-1, lattice.d)
+        self._columns = np.ascontiguousarray(columns.T)
+        self._weights = np.asarray(multiplicities, dtype=np.int64)
+        # Bit i of a subset's key is attribute i (Python ints past 63).
+        self._bits = np.array(
+            [1 << i for i in range(lattice.d)],
+            dtype=np.int64 if lattice.d < 64 else object,
+        )
+
+    def __call__(self, digits: np.ndarray) -> np.ndarray:
+        """The coverage of each row of a ``(k, d)`` digit matrix."""
+        counts = np.zeros(len(digits), dtype=np.int64)
+        width = len(self._weights)
+        deterministic = digits != 0
+        sizes = deterministic.sum(axis=1)
+        for size in np.unique(sizes).tolist() if width else ():
+            rows = np.flatnonzero(sizes == size)
+            _, first, group = np.unique(
+                deterministic[rows] @ self._bits, return_index=True, return_inverse=True
+            )
+            subsets = np.nonzero(deterministic[rows[first]])[1]
+            subsets = subsets.reshape(len(first), size)
+            values = digits[rows[:, np.newaxis], subsets[group]] - 1
+            slots = np.prod(self._cardinalities[subsets], axis=1, dtype=float)
+            small = slots <= _BINCOUNT_SLOTS_PER_ROW * width + _BINCOUNT_MIN_SLOTS
+            order = np.argsort(group, kind="stable")
+            bounds = np.r_[0, np.cumsum(np.bincount(group))]
+            for subset in np.flatnonzero(~small).tolist():
+                members = order[bounds[subset] : bounds[subset + 1]]
+                counts[rows[members]] = self._sorted(subsets[subset], values[members])
+            # The small subsets, in passes of a bounded number of row keys.
+            small = np.flatnonzero(small)
+            step = max(1, _PASS_ENTRIES // (width + _BINCOUNT_MIN_SLOTS))
+            for start in range(0, len(small), step):
+                ids = small[start : start + step]
+                local = np.full(len(subsets), -1)
+                local[ids] = np.arange(len(ids))
+                members = np.flatnonzero(local[group] >= 0)
+                counts[rows[members]] = self._tally(
+                    subsets[ids], values[members], local[group[members]]
+                )
+        return counts
+
+    def _tally(
+        self, subsets: np.ndarray, values: np.ndarray, local: np.ndarray
+    ) -> np.ndarray:
+        """One ``bincount`` over same-size subsets, each keyed into its own
+        slot range of one table; ``values[r]`` belongs to ``subsets[local[r]]``."""
+        cards = self._cardinalities[subsets]
+        slots = cards.prod(axis=1)
+        base = np.cumsum(slots) - slots
+        row_keys = np.zeros((len(subsets), len(self._weights)), dtype=np.int64)
+        keys = np.zeros(len(values), dtype=np.int64)
+        for j in range(subsets.shape[1]):
+            row_keys *= cards[:, j, None]
+            row_keys += self._columns[subsets[:, j]]
+            keys = keys * cards[local, j] + values[:, j]
+        row_keys += base[:, None]
+        table = np.bincount(
+            row_keys.ravel(),
+            weights=np.tile(self._weights, len(subsets)),
+            minlength=int(slots.sum()),
+        )
+        return table[keys + base[local]].astype(np.int64)
+
+    def _sorted(self, subset: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """One subset: sort the row keys, then two binary searches per
+        pattern over the cumulative multiplicities."""
+        cards = self._cardinalities[subset].tolist()
+        # Python-int keys where the subset's key space passes int64.
+        big = np.prod(cards, dtype=float) >= 2.0**62
+        row_keys = np.zeros(len(self._weights), dtype=object if big else np.int64)
+        keys = np.zeros(len(values), dtype=row_keys.dtype)
+        for j, cardinality in enumerate(cards):
+            row_keys = row_keys * cardinality + self._columns[subset[j]]
+            keys = keys * cardinality + values[:, j]
+        order = np.argsort(row_keys, kind="stable")
+        cumulative = np.r_[0, np.cumsum(self._weights[order])]
+        row_keys = row_keys[order]
+        high = np.searchsorted(row_keys, keys, side="right")
+        return cumulative[high] - cumulative[np.searchsorted(row_keys, keys)]
+
+
+@dataclass(frozen=True)
+class LevelWalk:
+    """What one :func:`walk_levels` run counted or certified.
+
+    ``codes[r]`` is a candidate, ``counts[r]`` its coverage (or the bound
+    that certified it uncovered) and ``min_parent[r]`` its smallest parent
+    count (:data:`UNBOUNDED` for the root); ``stats.pruned`` includes the
+    certified candidates.
+    """
+
+    lattice: PatternLattice
+    threshold: int
+    codes: np.ndarray
+    counts: np.ndarray
+    min_parent: np.ndarray
+    stats: SearchStats
+
+    def mups(self) -> List[Pattern]:
+        """The MUPs, sorted: the candidates below the threshold (every
+        parent of a candidate is covered)."""
+        below = self.codes[self.counts < self.threshold]
+        return self.lattice.decode(np.sort(below))
+
+
+def walk_levels(
+    lattice: PatternLattice,
+    count: Callable[[np.ndarray], np.ndarray],
+    threshold: int,
+    max_level: Optional[int] = None,
+    attributes: Optional[Sequence[int]] = None,
+    bound: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> LevelWalk:
+    """PATTERN-BREAKER's level-wise traversal (§III-C, Algorithm 1).
+
+    Level by level from the root: prune every candidate with a parent that
+    was uncovered or pruned, count the rest with ``count`` (a ``(k, d)``
+    digit matrix in, coverages out, e.g. a :class:`GroupCounter`), and
+    break the covered ones into their Rule-1 children over ``attributes``
+    (default all; Theorem 3: each node is generated once) until
+    ``max_level``.  ``bound`` maps a level's digit matrix to upper bounds
+    on coverage (:data:`UNBOUNDED` where none is known): a candidate
+    bounded below τ is certified uncovered without being counted.  The
+    root is always counted.
+    """
+    watch = Stopwatch()
+    active = range(lattice.d) if attributes is None else attributes
+    depth = len(active) if max_level is None else min(max_level, len(active))
+    stats = SearchStats()
+    codes = lattice.root()
+    digits = np.zeros((1, lattice.d), dtype=np.int64)
+    floor = np.full(1, UNBOUNDED)
+    found = [(codes[:0], floor[:0], floor[:0])]
+    for level in range(depth + 1):
+        if not len(codes):
+            break
+        stats.nodes_generated += len(codes)
+        if level:
+            # Each candidate has `level` parents; one missing from the
+            # covered codes was uncovered or pruned.
+            _, parents = lattice._parents(codes, digits)
+            position = index_of(covered_codes, parents).reshape(-1, level)
+            alive = (position >= 0).all(axis=1)
+            stats.pruned += len(codes) - int(alive.sum())
+            codes, digits = codes[alive], digits[alive]
+            floor = covered_counts[position[alive]].min(axis=1)
+        counts = np.full(len(codes), UNBOUNDED)
+        if bound is not None and level:
+            counts = np.array(bound(digits), dtype=np.int64)
+        counted = counts >= threshold
+        counts[counted] = count(digits[counted])
+        stats.coverage_evaluations += int(counted.sum())
+        stats.pruned += len(codes) - int(counted.sum())
+        found.append((codes, counts, floor))
+
+        covered = counts >= threshold
+        codes, digits = codes[covered], digits[covered]
+        order = np.argsort(codes)
+        covered_codes, covered_counts = codes[order], counts[covered][order]
+        if level == depth:
+            break
+        children = [(codes[:0], digits[:0])]
+        for attribute, rows, family in lattice._rule1_children(codes, digits, active):
+            block = np.repeat(digits[rows], family.shape[1], axis=0)
+            block[:, attribute] = np.tile(np.arange(1, family.shape[1] + 1), len(rows))
+            children.append((family.ravel(), block))
+        codes = np.concatenate([c for c, _ in children])
+        digits = np.concatenate([d for _, d in children])
+
+    stats.seconds = watch.elapsed()
+    codes, counts, floors = (np.concatenate(column) for column in zip(*found))
+    return LevelWalk(lattice, threshold, codes, counts, floors, stats)
+
+
+def walk_dataset(
+    dataset: Dataset,
+    threshold: int,
+    max_level: Optional[int] = None,
+    attributes: Optional[Sequence[int]] = None,
+    bound: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> LevelWalk:
+    """:func:`walk_levels` over a dataset's pattern space, counted by a
+    :class:`GroupCounter` over its unique rows."""
+    lattice = PatternLattice(PatternSpace.for_dataset(dataset))
+    count = GroupCounter(lattice, *dataset.unique_rows())
+    return walk_levels(lattice, count, threshold, max_level, attributes, bound)
 
 
 def _rightmost(flags: np.ndarray) -> np.ndarray:

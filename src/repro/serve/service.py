@@ -23,7 +23,11 @@ import asyncio
 import numbers
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.hierarchy import HierarchyStack, find_mups_hierarchical
+from repro.analysis.hierarchy import (
+    HierarchyStack,
+    find_mups_hierarchical,
+    parse_hierarchy_spec,
+)
 from repro.analysis.sweep import (
     SweepResult,
     parse_tau_range,
@@ -37,7 +41,6 @@ from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
-from repro.data.hierarchy import AttributeHierarchy
 from repro.exceptions import ReproError, ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import CoverageBatcher
@@ -557,50 +560,13 @@ class CoverageService:
     def _parse_hierarchies(
         self, hierarchies: Any, dataset: Dataset
     ) -> tuple:
-        """Wire chains → validated stack plus a hashable cache-key form.
-
-        Format: ``{"attr": [level, ...]}`` where each level maps the
-        attribute's base codes to group codes — a plain integer list or
-        ``{"groups": [...], "labels": [...]}``.
-        """
-        if not isinstance(hierarchies, dict) or not hierarchies:
-            raise ServeError(
-                "bad_request",
-                "hierarchies must be a non-empty object mapping attribute "
-                "names to lists of levels",
-            )
-        chains = {}
-        canonical = []
+        """Wire chains → validated stack plus a hashable cache-key form
+        (format: :func:`~repro.analysis.hierarchy.parse_hierarchy_spec`)."""
         try:
-            for name, levels in sorted(hierarchies.items()):
-                if not isinstance(levels, (list, tuple)):
-                    raise ServeError(
-                        "bad_request",
-                        f"hierarchy chain for {name!r} must be a list",
-                    )
-                chain = []
-                key_levels = []
-                for level in levels:
-                    if isinstance(level, dict):
-                        groups = level.get("groups")
-                        labels = level.get("labels")
-                    else:
-                        groups, labels = level, None
-                    hierarchy = AttributeHierarchy.of(name, groups, labels)
-                    chain.append(hierarchy)
-                    key_levels.append(
-                        (hierarchy.groups, hierarchy.group_labels)
-                    )
-                chains[name] = chain
-                canonical.append((name, tuple(key_levels)))
-            stack = HierarchyStack.of(dataset, chains)
+            stack = parse_hierarchy_spec(dataset, hierarchies)
         except ReproError as error:
             raise ServeError("bad_request", str(error)) from error
-        except (TypeError, ValueError) as error:
-            raise ServeError(
-                "bad_request", f"malformed hierarchy spec: {error}"
-            ) from error
-        return stack, tuple(canonical)
+        return stack, tuple(sorted(stack.chains.items()))
 
     def _run_hierarchy(
         self,

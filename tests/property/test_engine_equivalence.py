@@ -8,7 +8,7 @@ whatever the ``auto`` planner emits for the generated dataset — with
 the hot-mask cache both enabled and disabled, must give
 bit-identical answers on every query family: point coverage, batched
 ``count_many`` / ``coverage_many``, sibling families from
-``restrict_children`` and ``restrict_children_many``, and whole
+``restrict_children``, and whole
 ``find_mups`` runs across all five identification algorithms.  The dense
 engine is the reference; everything else is compared against it.
 
@@ -27,7 +27,6 @@ from hypothesis import given, settings
 
 from repro.core.engine import (
     AUTO,
-    CoverageEngine,
     DenseBoolEngine,
     EngineConfig,
     PackedBitsetEngine,
@@ -188,57 +187,6 @@ def test_restrict_children_identical(case, cache_size):
                 # The sibling family partitions the parent's matches.
                 counts = engine.count_many(family)
                 assert int(counts.sum()) == engine.coverage(pattern), engine.name
-
-
-@given(dataset_and_patterns(), st.sampled_from([0, 16]))
-@settings(max_examples=25, deadline=None)
-def test_restrict_children_many_concatenates_families(case, cache_size):
-    """The batched op is exactly the per-mask families, mask-major, on
-    every engine — for no masks, one mask and many."""
-    dataset, patterns = case
-    with engine_matrix(dataset, cache_size) as engines:
-        for engine in engines:
-            masks = [engine.match_mask(p) for p in patterns]
-            for attribute in range(dataset.d):
-                for batch in (masks[:0], masks[:1], masks):
-                    many = engine.restrict_children_many(batch, attribute)
-                    expected = [
-                        child
-                        for mask in batch
-                        for child in engine.restrict_children(mask, attribute)
-                    ]
-                    assert len(many) == len(expected), engine.name
-                    assert len(many) == (
-                        len(batch) * dataset.cardinalities[attribute]
-                    )
-                    for child, want in zip(many, expected):
-                        assert np.array_equal(
-                            engine.mask_to_bool(child), engine.mask_to_bool(want)
-                        ), engine.name
-                    assert list(engine.count_many(many)) == list(
-                        engine.count_many(expected)
-                    ), engine.name
-
-
-@given(dataset_and_patterns(), st.sampled_from([0, 16]))
-@settings(max_examples=25, deadline=None)
-def test_base_restrict_children_many_matches_overrides(case, cache_size):
-    """The base-class loop that ``register_engine`` backends inherit gives
-    the same families as every built-in backend's batched override."""
-    dataset, patterns = case
-    with engine_matrix(dataset, cache_size) as engines:
-        for engine in engines:
-            masks = [engine.match_mask(p) for p in patterns]
-            for attribute in range(dataset.d):
-                looped = CoverageEngine.restrict_children_many(
-                    engine, masks, attribute
-                )
-                batched = engine.restrict_children_many(masks, attribute)
-                assert len(looped) == len(batched), engine.name
-                for a, b in zip(looped, batched):
-                    assert np.array_equal(
-                        engine.mask_to_bool(a), engine.mask_to_bool(b)
-                    ), engine.name
 
 
 @given(datasets(max_d=3, max_card=3, max_n=25), st.sampled_from([0, 1024]))

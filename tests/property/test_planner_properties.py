@@ -58,21 +58,19 @@ def auto_requests(draw):
     )
 
 
-@given(workload_stats(), auto_requests(), st.booleans())
+@given(workload_stats(), auto_requests())
 @settings(max_examples=200, deadline=None)
-def test_plans_are_deterministic_for_a_fixed_stats_snapshot(
-    stats, requested, hierarchy
-):
-    first = plan_engine(stats, requested, hierarchy=hierarchy)
-    second = plan_engine(stats, requested, hierarchy=hierarchy)
+def test_plans_are_deterministic_for_a_fixed_stats_snapshot(stats, requested):
+    first = plan_engine(stats, requested)
+    second = plan_engine(stats, requested)
     assert first == second
     assert first.rationale == second.rationale
 
 
-@given(workload_stats(), auto_requests(), st.booleans())
+@given(workload_stats(), auto_requests())
 @settings(max_examples=200, deadline=None)
-def test_every_emitted_plan_is_concrete_and_valid(stats, requested, hierarchy):
-    plan = plan_engine(stats, requested, hierarchy=hierarchy)
+def test_every_emitted_plan_is_concrete_and_valid(stats, requested):
+    plan = plan_engine(stats, requested)
     config = plan.config
     assert config.backend != AUTO
     config.validate()  # must never raise

@@ -96,9 +96,9 @@ def test_mup_sets_identical_across_engines_under_budget(tmp_path, algorithm):
             assert stats["evictions"] > 0
             assert stats["loads"] > SHARDS
         else:
-            # PATTERN-COMBINER works bottom-up from the aggregated unique
-            # rows and never queries the engine.
-            assert algorithm == "pattern_combiner"
+            # PATTERN-COMBINER and PATTERN-BREAKER count from the
+            # aggregated unique rows and never query the engine.
+            assert algorithm in ("pattern_combiner", "pattern_breaker")
     finally:
         out_of_core.close()
         owner.close()

@@ -184,22 +184,18 @@ class TestFindMupsHierarchical:
         with pytest.raises(DataError):
             result.at_level(9)
 
-    def test_warm_oracle_and_shared_memo(self):
+    def test_warm_oracle(self):
         dataset = make_dataset()
         stack = make_stack(dataset)
         oracle = CoverageOracle(dataset)
-        memo = {}
-        first = find_mups_hierarchical(
-            dataset, stack, threshold=5, oracle=oracle, memo=memo
-        )
-        before = oracle.evaluations
+        first = find_mups_hierarchical(dataset, stack, threshold=5, oracle=oracle)
+        # The remedies' point queries run through the warm oracle.
+        assert first.remedies and oracle.evaluations > 0
         second = find_mups_hierarchical(
-            dataset, stack, threshold=5, oracle=oracle, memo=memo
+            dataset, stack, threshold=5, oracle=oracle
         )
         assert second.at_level(0).mups == first.at_level(0).mups
-        # every base-level count was memoized by the first run
-        assert second.at_level(0).stats.coverage_evaluations == 0
-        assert oracle.evaluations == before
+        assert second.remedies == first.remedies
 
     def test_prebuilt_engine_applies_to_base_level(self):
         dataset = make_dataset()
@@ -249,6 +245,77 @@ def brute_force_remedy(dataset, stack, mup, tau):
             if best is None or key < best[0]:
                 best = (key, generalized, coverage)
     return best
+
+
+def bench_workloads():
+    """The smoke workloads of ``benchmarks/bench_hierarchy.py``."""
+    from repro.data.scenarios import scenario_dataset
+
+    dataset = scenario_dataset("zipf", 8_000, (96, 48, 16), seed=7, skew=1.8)
+    chains = {}
+    for name, cardinality in zip(dataset.schema.names, dataset.cardinalities):
+        levels = [[code // 4 for code in range(cardinality)]]
+        if cardinality >= 32:
+            levels.append([code // (cardinality // 4) for code in range(cardinality)])
+        chains[name] = [AttributeHierarchy.of(name, level) for level in levels]
+    numeric = scenario_dataset("zipf", 8_000, (6, 5, 4), seed=11, skew=1.4)
+    values = np.random.default_rng(19).lognormal(0.0, 1.0, size=numeric.n)
+    return HierarchyStack.of(dataset, chains), dataset, numeric, values
+
+
+class TestCountersOnTheBenchWorkloads:
+    """Counters recorded from the engine-counted implementation these
+    searches replaced; the level walk must reproduce them."""
+
+    def test_drill_down_counters(self):
+        stack, dataset, _, _ = bench_workloads()
+        result = find_mups_hierarchical(
+            dataset, stack, threshold=20, remedies=False
+        )
+        counters = {
+            entry.level: (
+                entry.result.stats.nodes_generated,
+                entry.result.stats.coverage_evaluations,
+                entry.result.stats.pruned,
+                len(entry.result),
+            )
+            for entry in result.levels
+        }
+        assert counters == {
+            0: (2417, 725, 1692, 972),
+            1: (341, 208, 133, 178),
+            2: (89, 72, 17, 26),
+        }
+
+    def test_bucket_sweep_counters(self):
+        """Nodes and pruned candidates per count are unchanged; evaluations
+        now count each count's own candidates."""
+        _, _, numeric, values = bench_workloads()
+        sweep = bucketize_sweep(
+            numeric, values, (2, 3, 4, 6, 8, 12, 24), threshold=8
+        )
+        counters = {
+            point.buckets: (
+                point.result.stats.nodes_generated,
+                point.result.stats.pruned,
+                len(point.result),
+            )
+            for point in sweep.points
+        }
+        assert counters == {
+            2: (576, 182, 28),
+            3: (759, 349, 42),
+            4: (942, 551, 45),
+            6: (1308, 863, 96),
+            8: (1674, 1193, 109),
+            12: (2406, 1879, 117),
+            24: (4602, 3931, 261),
+        }
+        # Every candidate is counted or certified by a coarser count.
+        for point in sweep.points:
+            stats = point.result.stats
+            assert stats.coverage_evaluations <= stats.nodes_generated
+        assert sweep.point_for(2).result.stats.coverage_evaluations == 394
 
 
 class TestGeneralizationRemedies:

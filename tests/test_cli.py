@@ -140,21 +140,6 @@ class TestSweep:
             expected = counts[str(tau)]
             assert f"{expected} maximal uncovered pattern(s) at τ={tau}" in out
 
-    def test_sweep_explain_plan_uses_sweep_shape(self, csv_file, capsys):
-        """A sweep plans like any flat search: the plan identify prints."""
-        code = main(
-            ["sweep", csv_file, "--tau-range", "2:4", "--explain-plan"]
-        )
-        assert code == 0
-        sweep_plan = capsys.readouterr().out.split("\n\n")[0]
-        code = main(
-            ["identify", csv_file, "--threshold", "2", "--explain-plan"]
-        )
-        assert code == 0
-        identify_plan = capsys.readouterr().out.split("\n\n")[0]
-        assert sweep_plan.startswith("engine plan:")
-        assert sweep_plan == identify_plan
-
     def test_sweep_requires_some_thresholds(self, csv_file, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", csv_file])
@@ -305,6 +290,37 @@ class TestEngineSelection:
     def test_compressed_options_are_usage_errors(self, csv_file, option, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["identify", csv_file, "--threshold", "5", *option])
+        assert excinfo.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--engine", "dense"],
+            ["--explain-plan"],
+            ["--shards", "2"],
+            ["--workers", "2"],
+            ["--worker-endpoints", "h1:7000"],
+            ["--delta-spill"],
+            ["--spill-dir", "spill"],
+            ["--max-resident-bytes", "1024"],
+        ],
+        ids=lambda option: option[0].lstrip("-"),
+    )
+    @pytest.mark.parametrize("command", ["sweep", "bucketsweep"])
+    def test_sweeps_take_no_engine_options(
+        self, csv_file, numeric_csv, command, option, capsys
+    ):
+        """Both sweeps count from the unique rows and build no engine."""
+        argv = {
+            "sweep": ["sweep", csv_file, "--tau-range", "2:4"],
+            "bucketsweep": [
+                "bucketsweep", numeric_csv, "--column", "price",
+                "--buckets", "2", "--threshold", "4",
+            ],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *option])
         assert excinfo.value.code == 2
         assert option[0] in capsys.readouterr().err
 
@@ -583,61 +599,7 @@ def numeric_csv(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def mid_size_csv(tmp_path):
-    """10,000 projected combinations of four 10-value attributes plus a
-    numeric column: the dense index is over the flat dense ceiling and
-    within the hierarchy one."""
-    dataset = random_categorical_dataset(
-        12_000, (10, 10, 10, 10), seed=3, skew=0.0
-    )
-    path = tmp_path / "mid.csv"
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["a", "b", "c", "d", "price"])
-        for index, row in enumerate(dataset.rows.tolist()):
-            writer.writerow(row + [index % 97])
-    spec = tmp_path / "mid.json"
-    spec.write_text('{"a": [[0, 0, 0, 0, 0, 1, 1, 1, 1, 1]]}')
-    return str(path), str(spec)
-
-
-def _explained_backend(output):
-    """The planned backend from ``--explain-plan`` output."""
-    first = output.splitlines()[0]
-    assert first.startswith("engine plan: backend=")
-    return first.split()[2]
-
-
 class TestHierarchyCommand:
-    def test_explain_plan_uses_the_hierarchy_dense_ceiling(
-        self, mid_size_csv, capsys
-    ):
-        path, spec = mid_size_csv
-        attributes = ["--attributes", "a", "b", "c", "d"]
-        flat = ["identify", path, "--threshold", "1", "--max-level", "1"]
-        assert main([*flat, *attributes, "--explain-plan"]) == 0
-        assert _explained_backend(capsys.readouterr().out) == "backend=packed"
-        code = main(
-            [
-                "hierarchy",
-                path,
-                "--threshold",
-                "1",
-                "--max-level",
-                "1",
-                "--hierarchy",
-                spec,
-                "--no-remedies",
-                "--explain-plan",
-                *attributes,
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert _explained_backend(output) == "backend=dense"
-        assert "hierarchy shape" in output
-
     def test_prints_level_table_and_remedies(self, hierarchy_setup, capsys):
         path, spec = hierarchy_setup
         code = main(
@@ -684,10 +646,21 @@ class TestHierarchyCommand:
         assert [entry["level"] for entry in body["levels"]] == [0, 1]
         assert "remedies" in body
 
-    def test_bad_spec_returns_2(self, hierarchy_setup, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"size": [[0, 0, 7]]}',
+            '{"size": 7}',
+            '{"size": [5]}',
+            '{"size": [null]}',
+            '{"size": [{"labels": ["x"]}]}',
+        ],
+        ids=["sparse-codes", "chain-int", "level-int", "level-null", "no-groups"],
+    )
+    def test_bad_spec_returns_2(self, hierarchy_setup, tmp_path, capsys, spec):
         path, _spec = hierarchy_setup
         bad = tmp_path / "bad.json"
-        bad.write_text('{"size": [[0, 0, 7]]}')
+        bad.write_text(spec)
         code = main(
             ["hierarchy", path, "--threshold", "5", "--hierarchy", str(bad)]
         )
@@ -746,32 +719,6 @@ class TestBucketSweepCommand:
         assert code == 0
         body = json.loads(capsys.readouterr().out)
         assert [point["buckets"] for point in body["points"]] == [2, 4]
-
-    def test_explain_plan_uses_the_hierarchy_dense_ceiling(
-        self, mid_size_csv, capsys
-    ):
-        path, _spec = mid_size_csv
-        code = main(
-            [
-                "bucketsweep",
-                path,
-                "--column",
-                "price",
-                "--buckets",
-                "2",
-                "4",
-                "8",
-                # τ = n: every one-value pattern is a MUP, so the search
-                # stops at level 1.
-                "--threshold",
-                "12000",
-                "--explain-plan",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert _explained_backend(output) == "backend=dense"
-        assert "hierarchy shape" in output
 
     def test_missing_column_returns_2(self, numeric_csv, capsys):
         code = main(

@@ -16,9 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.coverage import CoverageOracle
-from repro.core.engine import PackedBitsetEngine, ShardedEngine
-from repro.core.lattice import PatternLattice, contains, index_of
+from repro.core.coverage import CoverageOracle, coverage_scan
+from repro.core.lattice import (
+    UNBOUNDED,
+    GroupCounter,
+    PatternLattice,
+    contains,
+    index_of,
+    walk_levels,
+)
 from repro.core.mups import naive_mups, pattern_breaker, pattern_combiner
 from repro.core.pattern import X, Pattern
 from repro.core.pattern_graph import PatternSpace
@@ -225,6 +231,181 @@ class TestWideSpaces:
 
 
 # ----------------------------------------------------------------------
+# the group-by counter
+# ----------------------------------------------------------------------
+def random_codes(lattice, space, count, seed):
+    """``count`` random patterns of every level, as codes."""
+    rng = np.random.default_rng(seed)
+    patterns = [space.random_pattern(rng) for _ in range(count)]
+    return lattice.encode(patterns + [Pattern.root(space.d)])
+
+
+class TestGroupCounter:
+    def scanned(self, dataset, lattice, codes):
+        return [coverage_scan(dataset, p) for p in lattice.decode(codes)]
+
+    def counted(self, dataset, lattice, codes):
+        counter = GroupCounter(lattice, *dataset.unique_rows())
+        return counter(lattice.digits(codes)).tolist()
+
+    @pytest.mark.parametrize(
+        "cards,n",
+        [((3, 1, 4, 2), 200), ((1, 1, 2), 30), ((5, 3), 1), ((4, 2, 3), 0)],
+        ids=["mixed", "cardinality-1", "one-row", "empty"],
+    )
+    def test_matches_a_row_scan(self, cards, n):
+        dataset = random_categorical_dataset(n, cards, seed=n, skew=1.2)
+        space = PatternSpace.for_dataset(dataset)
+        lattice = PatternLattice(space)
+        codes = random_codes(lattice, space, 300, seed=len(cards))
+        assert lattice.dtype == np.int64
+        expected = self.scanned(dataset, lattice, codes)
+        assert self.counted(dataset, lattice, codes) == expected
+        if n == 0:
+            assert not any(expected)
+
+    def test_object_codes(self):
+        dataset = random_categorical_dataset(120, (2,) * 45, seed=5, skew=2.0)
+        space = PatternSpace.for_dataset(dataset)
+        lattice = PatternLattice(space)
+        assert lattice.dtype == object
+        codes = random_codes(lattice, space, 200, seed=1)
+        # Random patterns this wide are almost all empty; add every
+        # pattern of up to two attributes fixed at 0.
+        narrow = [
+            Pattern.root(45).with_value(a, 0).with_value(b, 0)
+            for a in range(0, 45, 4)
+            for b in range(a + 1, 45, 7)
+        ]
+        codes = np.concatenate([codes, lattice.encode(narrow)])
+        expected = self.scanned(dataset, lattice, codes)
+        assert sum(expected) > 0
+        assert self.counted(dataset, lattice, codes) == expected
+
+    def test_more_than_63_attributes(self):
+        dataset = random_categorical_dataset(40, (2,) * 70, seed=2, skew=3.0)
+        space = PatternSpace.for_dataset(dataset)
+        lattice = PatternLattice(space)
+        patterns = [
+            Pattern.root(70).with_value(a, 0).with_value(69 - a, 0)
+            for a in range(35)
+        ] + [Pattern.root(70).with_value(68, 1)]
+        codes = lattice.encode(patterns)
+        expected = self.scanned(dataset, lattice, codes)
+        assert sum(expected) > 0
+        assert self.counted(dataset, lattice, codes) == expected
+
+    def test_bincount_and_sort_branches(self, monkeypatch):
+        """Single attributes (40 slots) tally with bincount; pairs and the
+        triple (1,600 and 64,000 slots over 50 rows) sort."""
+        calls = {"_tally": 0, "_sorted": 0}
+        for name in calls:
+            original = getattr(GroupCounter, name)
+
+            def spy(self, *args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(GroupCounter, name, spy)
+        dataset = random_categorical_dataset(50, (40, 40, 40), seed=8)
+        space = PatternSpace.for_dataset(dataset)
+        lattice = PatternLattice(space)
+        rows = dataset.unique_rows()[0][:20]
+        patterns = [Pattern(row) for row in rows.tolist()]
+        patterns += [p.with_value(0, X) for p in patterns]
+        patterns += [p.with_value(1, X) for p in patterns]
+        codes = np.concatenate(
+            [lattice.encode(patterns), random_codes(lattice, space, 200, 3)]
+        )
+        expected = self.scanned(dataset, lattice, codes)
+        assert self.counted(dataset, lattice, codes) == expected
+        assert calls["_tally"] >= 2  # the root and the single attributes
+        assert calls["_sorted"] >= 4  # three pairs and the triple
+
+    def test_keys_past_int64(self):
+        """Three attributes of 2**21 values: the triple's key space passes
+        int64, so its keys are Python ints."""
+        big = 1 << 21
+        rows = [[big - 1, 0, 5], [big - 1, 0, 5], [3, big - 2, 5], [0, 0, 0]]
+        dataset = Dataset.from_rows(
+            rows, schema=Schema.of(["a", "b", "c"], [big, big, big])
+        )
+        space = PatternSpace.for_dataset(dataset)
+        lattice = PatternLattice(space)
+        patterns = [Pattern(row) for row in rows] + [
+            Pattern.of(big - 1, 0, X),
+            Pattern.of(X, 0, X),
+            Pattern.of(3, 0, 5),
+        ]
+        codes = lattice.encode(patterns)
+        assert self.counted(dataset, lattice, codes) == [2, 2, 1, 1, 2, 3, 0]
+
+
+# ----------------------------------------------------------------------
+# the walk and its bound
+# ----------------------------------------------------------------------
+class TestWalk:
+    def setup_walk(self, n=150, seed=6):
+        dataset = random_categorical_dataset(n, (3, 2, 4, 2), seed=seed, skew=1.0)
+        lattice = PatternLattice(PatternSpace.for_dataset(dataset))
+        return dataset, lattice, GroupCounter(lattice, *dataset.unique_rows())
+
+    def test_certified_candidates_are_never_counted(self):
+        dataset, lattice, counter = self.setup_walk()
+        tau = 8
+        plain = walk_levels(lattice, counter, tau)
+        counted = []
+
+        def spy(digits):
+            counted.extend(lattice.from_digits(digits).tolist())
+            return counter(digits)
+
+        def bound(digits):
+            # Exact coverage (a valid upper bound) wherever attribute 0
+            # is fixed, nothing known elsewhere.
+            exact = counter(digits)
+            return np.where(digits[:, 0] != 0, exact, UNBOUNDED)
+
+        bounded = walk_levels(lattice, spy, tau, bound=bound)
+        certified = set(bounded.codes[bounded.counts < tau].tolist()) - set(
+            counted
+        )
+        assert certified
+        assert lattice.digits(np.array(sorted(certified)))[:, 0].all()
+        assert bounded.mups() == plain.mups()
+        assert bounded.stats.nodes_generated == plain.stats.nodes_generated
+        assert bounded.stats.coverage_evaluations == len(counted)
+        assert (
+            bounded.stats.coverage_evaluations + len(certified)
+            == plain.stats.coverage_evaluations
+        )
+        assert bounded.stats.pruned == plain.stats.pruned + len(certified)
+
+    def test_the_root_is_always_counted(self):
+        dataset, lattice, counter = self.setup_walk(n=5)
+        walk = walk_levels(
+            lattice, counter, 10, bound=lambda d: np.zeros(len(d), np.int64)
+        )
+        assert walk.mups() == [Pattern.root(4)]
+        assert walk.stats.coverage_evaluations == 1
+
+    def test_min_parent_is_the_weakest_parent(self):
+        dataset, lattice, counter = self.setup_walk()
+        walk = walk_levels(lattice, counter, 1)
+        for code, floor in zip(walk.codes.tolist(), walk.min_parent.tolist()):
+            pattern = lattice.decode(np.array([code]))[0]
+            parents = [coverage_scan(dataset, q) for q in pattern.parents()]
+            assert floor == (min(parents) if parents else UNBOUNDED)
+
+    def test_attribute_subset_keeps_x_elsewhere(self):
+        dataset, lattice, counter = self.setup_walk()
+        walk = walk_levels(lattice, counter, 4, attributes=(1, 3))
+        digits = lattice.digits(walk.codes)
+        assert not digits[:, [0, 2]].any()
+        assert (digits[:, [1, 3]] != 0).any()
+
+
+# ----------------------------------------------------------------------
 # the algorithms
 # ----------------------------------------------------------------------
 def counters(stats):
@@ -313,9 +494,17 @@ def test_algorithms_match_naive_and_pattern_references(cards, n, tau, seed):
     assert combiner.as_set() == expected
     assert (expected, counters(breaker.stats)) == reference_breaker(dataset, tau)
     assert (expected, counters(combiner.stats)) == reference_combiner(dataset, tau)
-    without_masks = pattern_breaker(dataset, tau, use_masks=False)
-    assert without_masks.as_set() == expected
-    assert counters(without_masks.stats) == counters(breaker.stats)
+    # The same walk counted one pattern at a time by an oracle agrees.
+    oracle = CoverageOracle(dataset)
+    per_pattern = walk_levels(
+        PatternLattice(PatternSpace.for_dataset(dataset)),
+        lambda digits: oracle.coverage_many(
+            [Pattern(values) for values in (digits - 1).tolist()]
+        ),
+        tau,
+    )
+    assert set(per_pattern.mups()) == expected
+    assert counters(per_pattern.stats) == counters(breaker.stats)
 
 
 @pytest.mark.parametrize("n", [0, 5])
@@ -368,44 +557,3 @@ def test_golden_counters(fixture, tau, algorithm):
     fn = {"pattern_breaker": pattern_breaker, "pattern_combiner": pattern_combiner}
     result = fn[algorithm](load_fixture(fixture), tau)
     assert counters(result.stats) == GOLDEN_COUNTERS[(fixture, tau, algorithm)]
-
-
-# ----------------------------------------------------------------------
-# restrict_children_many passes
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["packed", "socket"])
-def test_small_children_passes_change_nothing(backend, monkeypatch, tmp_path):
-    """A level split into many ``restrict_children_many`` passes gives the
-    same MUPs and counters as one pass per attribute."""
-    import repro.core.engine.base as engine_base
-
-    dataset = random_categorical_dataset(400, (3, 4, 2, 3, 2), seed=9, skew=0.7)
-
-    def build():
-        if backend == "packed":
-            return PackedBitsetEngine(dataset)
-        return ShardedEngine(dataset, shards=3, workers=2, spill_dir=str(tmp_path))
-
-    engine = build()
-    try:
-        whole = pattern_breaker(dataset, 5, engine=engine)
-    finally:
-        engine.close()
-    # One family per pass.
-    monkeypatch.setattr(engine_base, "CHILDREN_PASS_BYTES", 1)
-    calls = []
-    engine = build()
-    original = engine.restrict_children_many
-
-    def spy(masks, attribute):
-        calls.append(len(masks))
-        return original(masks, attribute)
-
-    engine.restrict_children_many = spy
-    try:
-        split = pattern_breaker(dataset, 5, engine=engine)
-    finally:
-        engine.close()
-    assert max(calls) > 1  # some level really was split into passes
-    assert split.as_set() == whole.as_set()
-    assert counters(split.stats) == counters(whole.stats)

@@ -120,12 +120,6 @@ class TestLevelCaps:
 
 
 class TestAblationFlags:
-    def test_breaker_without_masks_agrees(self):
-        dataset = random_categorical_dataset(50, (2, 3, 2), seed=2, skew=0.8)
-        with_masks = pattern_breaker(dataset, 4, use_masks=True)
-        without = pattern_breaker(dataset, 4, use_masks=False)
-        assert with_masks.as_set() == without.as_set()
-
     def test_deepdiver_without_index_agrees(self):
         dataset = random_categorical_dataset(50, (2, 3, 2), seed=3, skew=0.8)
         with_index = deepdiver(dataset, 4, use_dominance_index=True)

@@ -25,11 +25,7 @@ from repro.core.engine import (
     set_available_memory_bytes,
     stats_cache_info,
 )
-from repro.core.engine.planner import (
-    DENSE_MAX_INDEX_BYTES,
-    HIERARCHY_DENSE_MULTIPLE,
-    SHARD_TARGET_BYTES,
-)
+from repro.core.engine.planner import DENSE_MAX_INDEX_BYTES, SHARD_TARGET_BYTES
 from repro.core.mups.base import find_mups
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import EngineError
@@ -73,30 +69,6 @@ class TestEscalation:
     def test_large_index_within_budget_plans_packed(self):
         plan = plan_engine(stats_for(64 << 20))
         assert plan.config == EngineConfig(backend="packed")
-
-    def test_hierarchy_raises_the_dense_ceiling(self):
-        """The identify-bluenile input (n=116,300, seven attributes): its
-        4,032,000-byte dense index is over the flat dense ceiling but
-        within HIERARCHY_DENSE_MULTIPLE times it."""
-        stats = WorkloadStats(
-            rows=116_300,
-            d=7,
-            cardinalities=(10, 4, 7, 8, 3, 3, 5),
-            projected_unique=100_800,
-            projected_packed_bytes=504_000,
-            projected_dense_bytes=4_032_000,
-            memory_budget_bytes=1 << 30,
-            cpu_count=1,
-        )
-        assert plan_engine(stats).config == EngineConfig(backend="packed")
-        plan = plan_engine(stats, hierarchy=True)
-        assert plan.config == EngineConfig(backend="dense")
-        assert any("hierarchy" in line for line in plan.rationale)
-        ceiling = DENSE_MAX_INDEX_BYTES * HIERARCHY_DENSE_MULTIPLE
-        at_ceiling = stats_for(1 << 20, dense_bytes=ceiling)
-        assert plan_engine(at_ceiling, hierarchy=True).config.backend == "dense"
-        over = stats_for(1 << 20, dense_bytes=ceiling + 1)
-        assert plan_engine(over, hierarchy=True).config.backend == "packed"
 
     def test_index_over_budget_plans_out_of_core(self):
         """Acceptance pin: projected packed bytes > memory budget selects
@@ -189,58 +161,6 @@ class TestConstraints:
         plan = plan_engine(stats_for(1 << 40), EngineConfig(backend="dense"))
         assert plan.config == EngineConfig(backend="dense")
         assert "hand-picked" in plan.rationale[0]
-
-
-class TestHierarchyShape:
-    """``hierarchy=True`` raises the dense ceiling and changes nothing
-    else: budgets, constraints and hand-picked backends still win."""
-
-    def test_tiny_index_stays_dense_with_the_hierarchy_rationale(self):
-        stats = stats_for(64, dense_bytes=512)
-        flat = plan_engine(stats)
-        plan = plan_engine(stats, hierarchy=True)
-        assert flat.config == plan.config == EngineConfig(backend="dense")
-        assert any("hierarchy shape" in line for line in plan.rationale)
-        assert not any("hierarchy" in line for line in flat.rationale)
-
-    def test_memory_budget_still_wins_over_the_raised_ceiling(self):
-        budget = 1 << 20
-        stats = stats_for(
-            budget + 1, dense_bytes=DENSE_MAX_INDEX_BYTES, budget=budget
-        )
-        plan = plan_engine(stats, hierarchy=True)
-        assert plan.config.backend == "sharded"
-        assert plan.config.spill_dir is not None
-        assert plan.config.max_resident_bytes == budget
-
-    def test_sharded_constraints_still_force_sharded(self):
-        requested = EngineConfig(backend=AUTO, shards=2)
-        plan = plan_engine(
-            stats_for(64, dense_bytes=512), requested, hierarchy=True
-        )
-        assert plan.config.backend == "sharded"
-        assert plan.config.shards == 2
-
-    def test_hand_picked_backend_is_not_replanned(self):
-        stats = stats_for(1 << 20, dense_bytes=DENSE_MAX_INDEX_BYTES + 1)
-        plan = plan_engine(stats, "packed", hierarchy=True)
-        assert plan.config == EngineConfig(backend="packed")
-        assert any("hand-picked" in line for line in plan.rationale)
-
-    def test_hierarchical_search_plans_with_the_raised_ceiling(self):
-        from repro.analysis.hierarchy import _plan_hierarchy_engine
-
-        # 10,000 projected combinations x 40 values: a 400,000-byte dense
-        # index, over the flat ceiling and within the hierarchy one.
-        dataset = random_categorical_dataset(
-            12_000, (10, 10, 10, 10), seed=3, skew=0.0
-        )
-        assert plan_engine(dataset).config.backend == "packed"
-        for spec in (None, AUTO, EngineConfig(backend=AUTO)):
-            assert _plan_hierarchy_engine(dataset, spec) == EngineConfig(
-                backend="dense"
-            )
-        assert _plan_hierarchy_engine(dataset, "packed") == "packed"
 
 
 class TestSparseDomains:

@@ -981,6 +981,29 @@ class TestHttpEndToEnd:
             )
             assert status == 400 and "hierarchies" in bad["message"]
 
+    @pytest.mark.parametrize(
+        "hierarchies",
+        [{"A2": 7}, {"A2": [5]}, {"A2": [None]}, {"A2": [{"labels": ["x"]}]}],
+        ids=["chain-int", "level-int", "level-null", "no-groups"],
+    )
+    def test_malformed_hierarchy_spec_is_400(self, hierarchies):
+        dataset = make_random_dataset(57, n=60)
+        with BackgroundServer(service_config()) as server:
+            _, reg = http_call(
+                server, "POST", "/datasets",
+                {"rows": dataset.rows.tolist()},
+            )
+            status, body = http_call(
+                server, "POST", "/hierarchy",
+                {
+                    "dataset": reg["dataset"],
+                    "hierarchies": hierarchies,
+                    "threshold": 4,
+                },
+            )
+            assert status == 400
+            assert body["code"] == "bad_request"
+
     def test_error_statuses(self, example1_dataset):
         with BackgroundServer(service_config()) as server:
             status, body = http_call(

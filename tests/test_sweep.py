@@ -93,28 +93,13 @@ def test_empty_dataset_root_is_the_only_mup():
 def test_sweep_amortizes_coverage_work(dataset):
     """One sweep counts each pattern once; independent runs re-count per τ."""
     thresholds = [2, 3, 5, 8]
-    memo = {}
-    sweep = sweep_mups(dataset, thresholds, memo=memo)
-    # Each distinct pattern is evaluated exactly once.
-    assert sweep.stats.coverage_evaluations == len(memo)
+    sweep = sweep_mups(dataset, thresholds)
     independent = 0
     for tau in thresholds:
         oracle = CoverageOracle(dataset)
         find_mups(dataset, threshold=tau, oracle=oracle)
         independent += oracle.evaluations
     assert sweep.stats.coverage_evaluations < independent
-
-
-def test_memo_reuse_across_sweeps(dataset):
-    memo = {}
-    first = sweep_mups(dataset, [2, 6], memo=memo)
-    assert first.stats.coverage_evaluations == len(memo)
-    again = sweep_mups(dataset, [2, 6], memo=memo)
-    assert again.stats.coverage_evaluations == 0
-    assert again.mups_at(4).mups == first.mups_at(4).mups
-    # A projected sweep shares the same table (patterns embed with X).
-    projected = sweep_mups(dataset, [2, 6], attributes=[0, 1], memo=memo)
-    assert projected.stats.coverage_evaluations == 0
 
 
 def test_projection_matches_projected_dataset(dataset):
