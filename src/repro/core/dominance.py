@@ -1,22 +1,39 @@
 """MUP dominance index (Definition 9, Appendix B).
 
-DEEPDIVER issues two queries against the set of MUPs discovered so far:
+DEEPDIVER asks two questions of the set of MUPs discovered so far:
 
 * does pattern ``P`` **dominate** some MUP (``P`` is a proper ancestor)?
 * is ``P`` **dominated by** some MUP (``P`` is a proper descendant)?
 
 Appendix B answers both with inverted indices: one bit vector per attribute
 value plus one per-attribute vector for MUPs carrying ``X`` there, combined
-with bitwise AND/OR and an early stop as soon as a surviving word is seen.
+with bitwise AND/OR and an early stop as soon as no surviving word is left.
 Columns are MUPs, packed 64 per ``uint64`` word so a query over tens of
-thousands of MUPs costs a few hundred word operations.  Strictness
-(a pattern never dominates itself) is enforced by clearing the pattern's
-own column before testing for survivors.
+thousands of MUPs costs a few hundred word operations.  The index keeps
+the OR already applied, as two tables with one row per attribute digit
+(``X`` is digit 0 and value ``v`` digit ``v + 1``, the encoding of
+:mod:`repro.core.lattice`):
+
+* ``covers`` row ``(i, g)``: the MUPs whose element ``i`` covers digit
+  ``g`` — ``X`` or the same value;
+* ``covered`` row ``(i, g)``: the MUPs whose element ``i`` digit ``g``
+  covers — every MUP for ``X``, else the same value.
+
+A MUP covers ``P`` when its column survives the AND of ``P``'s ``covers``
+rows, and ``P`` covers it when its column survives the AND of ``P``'s
+``covered`` rows.  Both hold only for ``P``'s own column, so dropping the
+columns that survive both makes the answers strict.
+
+:meth:`MupDominanceIndex.family_flags` answers both questions for all the
+Rule-1 children of one pattern in one 2-D pass, and
+:meth:`MupDominanceIndex.flags_since` for one pattern against the MUPs
+added after a given one.  :class:`MupScan` answers the same questions by
+the linear scans below, for the Appendix B ablation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +41,8 @@ from repro.core.pattern import Pattern, X
 from repro.exceptions import PatternError
 
 _INITIAL_WORDS = 8  # 512 MUP columns
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+Flags = Tuple[np.ndarray, np.ndarray]
 
 
 class MupDominanceIndex:
@@ -34,19 +52,30 @@ class MupDominanceIndex:
         self._cardinalities = tuple(int(c) for c in cardinalities)
         if not self._cardinalities:
             raise PatternError("need at least one attribute")
+        d = len(self._cardinalities)
+        sizes = np.array(self._cardinalities, dtype=np.int64)
+        # Table row of attribute i's digit g: _offsets[i] + g.
+        self._offsets = np.r_[0, np.cumsum(sizes + 1)[:-1]]
+        # Each row's attribute and digit, for add().
+        self._row_attribute = np.repeat(np.arange(d), sizes + 1)
+        self._row_digit = np.arange(int((sizes + 1).sum())) - self._offsets[
+            self._row_attribute
+        ]
+        # The Rule-1 children of the root, in (attribute, value) order:
+        # child j's table row per attribute, and its one value row.  A
+        # pattern that is X from attribute s on has the children from
+        # _family_start[s] on, with the same rows from column s on.
+        attribute = np.repeat(np.arange(d), sizes)
+        value_rows = np.arange(int(sizes.sum())) + attribute + 1
+        self._family_rows = np.tile(self._offsets, (len(value_rows), 1))
+        self._family_rows[np.arange(len(value_rows)), attribute] = value_rows
+        self._value_rows = value_rows
+        self._family_start = np.r_[0, np.cumsum(sizes)].tolist()
         self._size = 0
         self._words = _INITIAL_WORDS
-        # _value_bits[i][v] — packed columns; bit m set iff MUP m has value
-        # v at attribute i.  Row index c_i holds the X vector.
-        self._value_bits: List[np.ndarray] = [
-            np.zeros((c + 1, self._words), dtype=np.uint64)
-            for c in self._cardinalities
-        ]
-        # All columns added so far (the query starting mask).
-        self._full = np.zeros(self._words, dtype=np.uint64)
-        # Preallocated scratch buffers so queries allocate nothing.
-        self._mask = np.zeros(self._words, dtype=np.uint64)
-        self._tmp = np.zeros(self._words, dtype=np.uint64)
+        # _bits[row, 0]: the covers table; _bits[row, 1]: covered, whose X
+        # rows hold every column added so far.
+        self._bits = np.zeros((len(self._row_digit), 2, self._words), np.uint64)
         self._mups: List[Pattern] = []
         self._column_of: Dict[Pattern, int] = {}
 
@@ -65,23 +94,25 @@ class MupDominanceIndex:
 
     def _grow(self) -> None:
         self._words *= 2
-        for i, bits in enumerate(self._value_bits):
-            grown = np.zeros((bits.shape[0], self._words), dtype=np.uint64)
-            grown[:, : bits.shape[1]] = bits
-            self._value_bits[i] = grown
-        full = np.zeros(self._words, dtype=np.uint64)
-        full[: len(self._full)] = self._full
-        self._full = full
-        self._mask = np.zeros(self._words, dtype=np.uint64)
-        self._tmp = np.zeros(self._words, dtype=np.uint64)
+        grown = np.zeros(self._bits.shape[:-1] + (self._words,), dtype=np.uint64)
+        grown[..., : self._bits.shape[-1]] = self._bits
+        self._bits = grown
+
+    def _digits(self, pattern: Pattern) -> np.ndarray:
+        """The pattern's digits, validated against the index's schema."""
+        if len(pattern) != len(self._cardinalities):
+            raise PatternError(
+                f"pattern of length {len(pattern)} in a "
+                f"{len(self._cardinalities)}-attribute index"
+            )
+        for i, value in enumerate(pattern):
+            if value != X and not 0 <= value < self._cardinalities[i]:
+                raise PatternError(f"value {value} out of range for attribute {i}")
+        return np.array(pattern.values, dtype=np.int64) + 1
 
     def add(self, mup: Pattern) -> None:
         """Register a newly discovered MUP (idempotent for duplicates)."""
-        if len(mup) != len(self._cardinalities):
-            raise PatternError(
-                f"pattern of length {len(mup)} in a "
-                f"{len(self._cardinalities)}-attribute index"
-            )
+        digits = self._digits(mup)
         if mup in self._column_of:
             return
         if self._size == self._words * 64:
@@ -89,12 +120,12 @@ class MupDominanceIndex:
         column = self._size
         word, bit = divmod(column, 64)
         flag = np.uint64(1 << bit)
-        for i, value in enumerate(mup):
-            if value != X and not 0 <= value < self._cardinalities[i]:
-                raise PatternError(f"value {value} out of range for attribute {i}")
-            row = self._cardinalities[i] if value == X else value
-            self._value_bits[i][row, word] |= flag
-        self._full[word] |= flag
+        own = digits[self._row_attribute]
+        covers = (own == 0) | (own == self._row_digit)
+        self._bits[covers, 0, word] |= flag
+        # Its own digit rows, and every X row, of `covered`.
+        rows = np.concatenate((self._offsets, self._offsets + digits))
+        self._bits[rows, 1, word] |= flag
         self._mups.append(mup)
         self._column_of[mup] = column
         self._size += 1
@@ -106,8 +137,9 @@ class MupDominanceIndex:
     # ------------------------------------------------------------------
     # queries (Appendix B)
     # ------------------------------------------------------------------
-    def _without_self(self, mask: np.ndarray, pattern: Pattern) -> np.ndarray:
-        """Clear the pattern's own column so dominance stays strict."""
+    def _start_mask(self, pattern: Pattern) -> np.ndarray:
+        """All columns but the pattern's own, so dominance stays strict."""
+        mask = self._bits[0, 1].copy()
         column = self._column_of.get(pattern)
         if column is not None:
             word, bit = divmod(column, 64)
@@ -121,13 +153,12 @@ class MupDominanceIndex:
         ``pattern``; a surviving column is a MUP agreeing with ``pattern``
         everywhere ``pattern`` is deterministic, i.e. dominated by it.
         """
+        rows = self._offsets + self._digits(pattern)
         if self._size == 0:
             return False
-        mask = self._mask
-        np.copyto(mask, self._full)
-        self._without_self(mask, pattern)
+        mask = self._start_mask(pattern)
         for index in pattern.deterministic_indices():
-            np.bitwise_and(mask, self._value_bits[index][pattern[index]], out=mask)
+            np.bitwise_and(mask, self._bits[rows[index], 1], out=mask)
             if not mask.any():
                 return False
         return bool(mask.any())
@@ -137,27 +168,111 @@ class MupDominanceIndex:
 
         For ``X`` elements of ``pattern`` the MUP must have ``X`` too; for
         deterministic elements the MUP may carry the same value or ``X``
-        (bitwise OR of the two vectors, per Appendix B).
+        (the OR of the two vectors, per Appendix B, kept in ``covers``).
         """
+        rows = self._offsets + self._digits(pattern)
         if self._size == 0:
             return False
-        mask = self._mask
-        np.copyto(mask, self._full)
-        self._without_self(mask, pattern)
-        for index, value in enumerate(pattern):
-            x_row = self._value_bits[index][self._cardinalities[index]]
-            if value == X:
-                np.bitwise_and(mask, x_row, out=mask)
-            else:
-                np.bitwise_or(self._value_bits[index][value], x_row, out=self._tmp)
-                np.bitwise_and(mask, self._tmp, out=mask)
+        mask = self._start_mask(pattern)
+        for row in rows.tolist():
+            np.bitwise_and(mask, self._bits[row, 0], out=mask)
             if not mask.any():
                 return False
         return bool(mask.any())
 
+    def family_flags(self, digits: np.ndarray, start: int) -> Flags:
+        """Strict dominance of every Rule-1 child of one pattern.
+
+        ``digits`` is the pattern's digits (``X`` = 0, value ``v`` =
+        ``v + 1``), ``X`` from attribute ``start`` on.  Its children set
+        one attribute ``a >= start`` to each value, in ``(a, value)``
+        order.  Returns ``(dominated, dominating)``: whether some stored
+        MUP strictly dominates each child, and whether each child strictly
+        dominates some stored MUP.
+
+        One pass: the attributes before ``start``, which all children
+        share, leave a few surviving words, and only those are ANDed with
+        each child's rows.
+        """
+        children = slice(self._family_start[start], None)
+        words = (self._size + 63) // 64
+        shared = self._offsets[:start] + digits[:start]
+        covers, covered = np.bitwise_and.reduce(self._bits[shared, :, :words])
+        alive = (covers | covered).nonzero()[0]
+        if not len(alive):
+            none = np.zeros(len(self._value_rows) - self._family_start[start], bool)
+            return none, none
+        rows = self._family_rows[children, start:, np.newaxis]
+        covers = covers[alive] & np.bitwise_and.reduce(
+            self._bits[rows, 0, alive], axis=1
+        )
+        # X rows of `covered` hold every column: only the value row counts.
+        covered = covered[alive] & self._bits[
+            self._value_rows[children, np.newaxis], 1, alive
+        ]
+        # A column in both is the child itself, which strictness drops.
+        return (covers & ~covered).any(axis=1), (covered & ~covers).any(axis=1)
+
+    def flags_since(self, digits: np.ndarray, since: int) -> Tuple[bool, bool]:
+        """Strict ``(dominated, dominating)`` for one pattern's digits,
+        against the MUPs added after the first ``since``."""
+        if since >= self._size:
+            return False, False
+        first, skip = divmod(since, 64)
+        words = slice(first, (self._size + 63) // 64)
+        rows = self._offsets + digits
+        covers, covered = np.bitwise_and.reduce(self._bits[rows, :, words]).tolist()
+        # Python ints from here: a few words, usually one.  Clear the
+        # columns before `since`, and the pattern's own (in both).
+        covers[0] &= -1 << skip
+        covered[0] &= -1 << skip
+        pairs = list(zip(covers, covered))
+        return any(c & ~v for c, v in pairs), any(v & ~c for c, v in pairs)
+
     def contains(self, pattern: Pattern) -> bool:
         """Exact membership test."""
         return pattern in self._column_of
+
+
+class MupScan:
+    """DEEPDIVER's dominance questions answered by linear scans.
+
+    The Appendix B ablation: same interface as
+    :class:`MupDominanceIndex`'s ``add``/``family_flags``/``flags_since``,
+    answered by :func:`dominated_by_any_scan` and
+    :func:`dominates_any_scan` over the MUP list.
+    """
+
+    def __init__(self, cardinalities: Sequence[int]) -> None:
+        self._cardinalities = tuple(int(c) for c in cardinalities)
+        self._mups: List[Pattern] = []
+
+    def __len__(self) -> int:
+        return len(self._mups)
+
+    def add(self, mup: Pattern) -> None:
+        self._mups.append(mup)
+
+    def family_flags(self, digits: np.ndarray, start: int) -> Flags:
+        values = (np.asarray(digits) - 1).tolist()
+        children = []
+        for attribute in range(start, len(values)):
+            for value in range(self._cardinalities[attribute]):
+                values[attribute] = value
+                children.append(Pattern(values))
+            values[attribute] = X
+        return (
+            np.array([dominated_by_any_scan(self._mups, c) for c in children], bool),
+            np.array([dominates_any_scan(self._mups, c) for c in children], bool),
+        )
+
+    def flags_since(self, digits: np.ndarray, since: int) -> Tuple[bool, bool]:
+        pattern = Pattern(np.asarray(digits) - 1)
+        recent = self._mups[since:]
+        return (
+            dominated_by_any_scan(recent, pattern),
+            dominates_any_scan(recent, pattern),
+        )
 
 
 def dominated_by_any_scan(mups: Sequence[Pattern], pattern: Pattern) -> bool:

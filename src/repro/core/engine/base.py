@@ -28,8 +28,8 @@ when row identities are needed).  Three backends are registered:
   shard workers attached to those files by path, reduced in shard order.
 
 The base class also layers a **hot-mask LRU cache** over ``match_mask``:
-repeated point queries (DEEPDIVER re-visits, enhancement greedy's
-repeated target queries, incremental re-runs) hit the cache
+repeated point queries (enhancement greedy's repeated target
+queries, incremental re-runs) hit the cache
 instead of re-ANDing the index.  Masks handed out are private copies, so
 callers may mutate them freely; ``cache_info`` exposes hit/miss counters
 for the benchmarks.

@@ -7,7 +7,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._util import SearchStats
 from repro.core.coverage import CoverageOracle, max_covered_level, threshold_from_rate
-from repro.core.engine import EngineSpec
+from repro.core.engine import EngineSpec, engine_name
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
 from repro.exceptions import ReproError
@@ -136,5 +136,9 @@ def find_mups(
     if oracle is not None:
         kwargs["oracle"] = oracle
     elif engine is not None:
+        if isinstance(engine, str):
+            # An unknown name is an error even for the algorithms that
+            # count from the unique rows and build no engine.
+            engine_name(engine)
         kwargs["engine"] = engine
     return ALGORITHMS[algorithm](dataset, tau, **kwargs)

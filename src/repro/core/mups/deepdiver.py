@@ -8,24 +8,41 @@ Appendix B dominance index, which prunes both the nodes they dominate
 them (ancestors: necessarily covered, so their coverage need not be
 evaluated).
 
-Two evident typos in the published pseudocode are corrected (see DESIGN.md):
-the climb stack is seeded with the uncovered node that triggered it, and a
-node that *dominates* a known MUP is treated as covered — every ancestor of
-a MUP is covered by monotonicity, so flagging it uncovered would contradict
+Two evident typos in the published pseudocode are corrected: the climb
+stack is seeded with the uncovered node that triggered it, and a node that
+*dominates* a known MUP is treated as covered — every ancestor of a MUP is
+covered by monotonicity, so flagging it uncovered would contradict
 Definition 5.
+
+Expanding a covered node is one batch, and no coverage engine is built.
+The DFS stack holds lattice codes (:mod:`repro.core.lattice`);
+``Pattern`` objects are built only for the MUPs.  One ``bincount`` over
+the node's unique rows counts all its Rule-1 children, the recursive
+partitioning of BUC (Beyer & Ramakrishnan, SIGMOD 1999): a child's rows
+are cut from its parent's only when the child is expanded in turn.  One
+2-D pass of :meth:`~repro.core.dominance.MupDominanceIndex.family_flags`
+flags the children a known MUP dominates and those dominating a known
+MUP.  The MUP set only grows, so a flagged child is pruned, or treated as
+covered, at its pop with no query; an unflagged one is checked only
+against the MUPs found since its push.  Counters are kept at pop time, in
+the parent's order, so ``SearchStats`` is that of the node-at-a-time
+Algorithm 3.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from itertools import repeat
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
-from repro.core.dominance import MupDominanceIndex
+from repro.core.dominance import MupDominanceIndex, MupScan
 from repro.core.engine import EngineSpec
-from repro.core.engine.base import Mask
+from repro.core.lattice import PatternLattice
 from repro.core.mups.base import MupResult, register_algorithm
-from repro.core.pattern import Pattern, X
+from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
 
@@ -46,91 +63,127 @@ def deepdiver(
         threshold: absolute coverage threshold ``τ``.
         max_level: do not explore below this level; returns all MUPs with
             ``ℓ(P) <= max_level`` (Figure 16's scaling mode).
-        oracle: reuse a prebuilt coverage oracle.
-        engine: coverage-engine spec (name, ``"auto"``, EngineConfig,
-            class, or instance) when no oracle is given.
-        use_dominance_index: disable only for the Appendix B ablation; a
-            linear scan over the MUP list is used instead.
+        oracle: accepted for interface parity; children are counted from
+            the aggregated unique rows, not through per-pattern queries.
+        engine: accepted for interface parity, like ``oracle``.
+        use_dominance_index: disable only for the Appendix B ablation;
+            linear scans over the MUP list answer the same questions.
     """
     space = PatternSpace.for_dataset(dataset)
-    oracle = oracle or CoverageOracle(dataset, engine=engine)
+    lattice = PatternLattice(space)
     stats = SearchStats()
     watch = Stopwatch()
-    depth = space.d if max_level is None else min(max_level, space.d)
+    d = space.d
+    depth = d if max_level is None else min(max_level, d)
+    store = (MupDominanceIndex if use_dominance_index else MupScan)(
+        space.cardinalities
+    )
+    unique, multiplicities = dataset.unique_rows()
+    # Child j of the root sets attribute attributes[j] to digit digits[j]
+    # (value + 1); a node X from attribute s on has the children from
+    # first[s] on.  keys[r, a] is slot j of the child that row r matches
+    # at attribute a, so bincount slot j counts child j.
+    sizes = np.array(space.cardinalities, dtype=np.int64)
+    first = np.r_[0, np.cumsum(sizes)].tolist()
+    attributes = np.repeat(np.arange(d), sizes).tolist()
+    digits = [v + 1 for c in space.cardinalities for v in range(c)]
+    steps = [g * lattice.weights[a] for a, g in zip(attributes, digits)]
+    keys = unique + np.asarray(first[:-1], dtype=np.int64)
+    row_weights = multiplicities.astype(float)
+    mups = []
+    found = set()
+    counts: Dict[int, int] = {}
+    stack: list = []
 
-    index = MupDominanceIndex(space.cardinalities)
-    mup_set = set()
-    coverage_cache: Dict[Pattern, int] = {}
+    def push(code: int, node: np.ndarray, rows: np.ndarray, start: int, level: int):
+        """Push a covered node's Rule-1 children, counted and flagged."""
+        tally = np.bincount(
+            keys[rows, start:].ravel(),
+            weights=np.repeat(row_weights[rows], d - start),
+            minlength=first[-1],
+        )
+        family = slice(first[start], None)
+        dominated, dominating = store.family_flags(node, start)
+        stack.extend(zip(
+            [code + step for step in steps[family]],
+            tally[family].astype(np.int64).tolist(),
+            attributes[family],
+            digits[family],
+            dominated.tolist(),
+            dominating.tolist(),
+            repeat((rows, node, level, len(mups))),
+        ))
 
-    def coverage_of(pattern: Pattern, mask: Optional[Mask] = None) -> int:
-        cached = coverage_cache.get(pattern)
-        if cached is not None:
-            return cached
-        stats.coverage_evaluations += 1
-        if mask is not None:
-            count = oracle.coverage_of_mask(mask)
-        else:
-            count = oracle.coverage(pattern)
-        coverage_cache[pattern] = count
-        return count
+    def climb(code: int, node: list) -> Tuple[int, list]:
+        """Follow uncovered parents upward until all parents are covered.
 
-    def dominated_by_mups(pattern: Pattern) -> bool:
-        stats.dominance_checks += 1
-        if use_dominance_index:
-            return index.dominated_by_any(pattern)
-        return any(m.dominates(pattern) for m in mup_set)
-
-    def dominates_mups(pattern: Pattern) -> bool:
-        stats.dominance_checks += 1
-        if use_dominance_index:
-            return index.dominates_any(pattern)
-        return any(pattern.dominates(m) for m in mup_set)
-
-    def climb_to_mup(pattern: Pattern) -> Pattern:
-        """Follow uncovered parents upward until all parents are covered."""
-        current = pattern
-        while True:
+        Every parent was popped before the node (the Rule-1 DFS pops all
+        of a node's ancestors first), so its count is cached.
+        """
+        moved = True
+        while moved:
             moved = False
-            for parent in current.parents():
-                if coverage_of(parent) < threshold:
-                    current = parent
+            for attribute, digit in enumerate(node):
+                if not digit:
+                    continue
+                parent = code - digit * lattice.weights[attribute]
+                if counts[parent] < threshold:
+                    code, node = parent, node.copy()
+                    node[attribute] = 0
                     moved = True
                     break
-            if not moved:
-                return current
+        return code, node
 
-    root = space.root()
-    stack = [(root, oracle.full_mask())]
+    # The root: popped, checked twice against no MUPs and counted.
+    total = int(multiplicities.sum())
+    counts[0] = total
+    nodes, checks, evaluations, pruned = 1, 2, 1, 0
+    if total < threshold:
+        mups.append(Pattern.root(d))
+    elif depth:
+        push(0, np.zeros(d, dtype=np.int64), np.arange(len(unique)), 0, 0)
+
     while stack:
-        pattern, mask = stack.pop()
-        stats.nodes_generated += 1
-        if dominated_by_mups(pattern):
-            stats.pruned += 1
+        code, count, attribute, digit, dominated, dominating, parent = stack.pop()
+        rows, above, level, since = parent
+        nodes += 1
+        checks += 1
+        if dominated:
+            pruned += 1
             continue
-        if dominates_mups(pattern):
+        node = above.copy()
+        node[attribute] = digit
+        if len(mups) > since:
+            dominated, late = store.flags_since(node, since)
+            if dominated:
+                pruned += 1
+                continue
+            dominating = dominating or late
+        checks += 1
+        counts[code] = count
+        if dominating:
             # Ancestors of MUPs are covered by monotonicity; skip the
             # coverage evaluation and keep expanding.
-            uncovered = False
-            stats.pruned += 1
+            pruned += 1
         else:
-            uncovered = coverage_of(pattern, mask) < threshold
-        if uncovered:
-            mup = climb_to_mup(pattern)
-            if mup not in mup_set:
-                mup_set.add(mup)
-                index.add(mup)
-            continue
-        if pattern.level >= depth:
-            continue
-        start = pattern.rightmost_deterministic() + 1
-        for attr in range(start, space.d):
-            if pattern[attr] != X:
+            evaluations += 1
+            if count < threshold:
+                code, values = climb(code, node.tolist())
+                if code not in found:
+                    found.add(code)
+                    mup = Pattern([g - 1 for g in values])
+                    store.add(mup)
+                    mups.append(mup)
                 continue
-            # One vectorized pass builds the whole sibling family's masks.
-            family = oracle.restrict_children(mask, attr)
-            for value, child_mask in enumerate(family):
-                child = pattern.with_value(attr, value)
-                stack.append((child, child_mask))
+        level += 1
+        start = attribute + 1
+        if level < depth and start < d:
+            rows = rows[keys[rows, attribute] == first[attribute] + digit - 1]
+            push(code, node, rows, start, level)
 
+    stats.nodes_generated = nodes
+    stats.dominance_checks = checks
+    stats.coverage_evaluations = evaluations
+    stats.pruned = pruned
     stats.seconds = watch.elapsed()
-    return MupResult(tuple(mup_set), threshold, stats, max_level)
+    return MupResult(tuple(mups), threshold, stats, max_level)

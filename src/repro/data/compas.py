@@ -12,8 +12,6 @@ coverage phenomena the paper reports:
   train-with-{0,20,40,60,80} experiment;
 * a binary recidivism label whose signal *differs* for minority subgroups,
   so a model trained without those rows generalizes badly onto them.
-
-See DESIGN.md §4 for the substitution rationale.
 """
 
 from __future__ import annotations

@@ -78,3 +78,44 @@ def test_every_uncovered_pattern_is_dominated_by_a_mup(case):
             assert any(m == pattern or m.dominates(pattern) for m in mups)
         else:
             assert not any(m == pattern or m.dominates(pattern) for m in mups)
+
+
+@given(
+    dataset_and_threshold(),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_deepdiver_counters_follow_the_pop_order(case, max_level, use_index):
+    """DEEPDIVER's counters obey two identities, whichever store answers
+    the dominance questions.
+
+    The Rule-1 DFS pushes a node's children in ascending attribute order
+    and pops the last one first.  Let ``Q`` be a proper ancestor of a
+    popped node ``P``.  Either ``Q`` is on ``P``'s Rule-1 path from the
+    root, or the two paths share a prefix and then ``Q``'s turns to an
+    attribute right of ``P``'s next one; either way ``Q`` comes first in
+    the pop order, if it is pushed at all.  Every node on ``Q``'s path is
+    an ancestor of ``P`` too, at a level below ``P``'s (so ``max_level``
+    does not stop it), and is expanded unless a MUP dominates it or it
+    is uncovered — and then a MUP dominates ``P``, which is pruned.  So
+    an unpruned ``P`` is popped after every one of its ancestors, and by
+    induction on the pop order:
+
+    * every parent of an uncovered unpruned node was popped and found
+      covered, so the climb never moves and reads only cached counts;
+    * each MUP is thus a popped node, found after all its ancestors were
+      popped, so no later pop dominates a known MUP.
+
+    Every unpruned pop is then counted once (``coverage_evaluations ==
+    nodes_generated - pruned``), and only the first dominance check ever
+    prunes (``dominance_checks == 2 * nodes_generated - pruned``).
+    """
+    dataset, tau = case
+    result = deepdiver(
+        dataset, tau, max_level=max_level, use_dominance_index=use_index
+    )
+    assert result.as_set() == naive_mups(dataset, tau, max_level=max_level).as_set()
+    stats = result.stats
+    assert stats.coverage_evaluations == stats.nodes_generated - stats.pruned
+    assert stats.dominance_checks == 2 * stats.nodes_generated - stats.pruned

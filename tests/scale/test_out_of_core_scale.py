@@ -96,9 +96,9 @@ def test_mup_sets_identical_across_engines_under_budget(tmp_path, algorithm):
             assert stats["evictions"] > 0
             assert stats["loads"] > SHARDS
         else:
-            # PATTERN-COMBINER and PATTERN-BREAKER count from the
-            # aggregated unique rows and never query the engine.
-            assert algorithm in ("pattern_combiner", "pattern_breaker")
+            # PATTERN-COMBINER, PATTERN-BREAKER and DEEPDIVER count from
+            # the aggregated unique rows and never query the engine.
+            assert algorithm in ("pattern_combiner", "pattern_breaker", "deepdiver")
     finally:
         out_of_core.close()
         owner.close()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.dominance import (
     MupDominanceIndex,
+    MupScan,
     dominated_by_any_scan,
     dominates_any_scan,
 )
@@ -66,6 +67,14 @@ class TestBasicQueries:
         with pytest.raises(PatternError):
             index.add(Pattern.from_string("13"))
 
+    @pytest.mark.parametrize("query", ["dominates_any", "dominated_by_any"])
+    @pytest.mark.parametrize("text", ["1X", "X", "5XX", "1X00"])
+    def test_queries_reject_patterns_outside_the_schema(self, query, text):
+        index = MupDominanceIndex([2, 2, 2])
+        index.add(Pattern.from_string("1XX"))
+        with pytest.raises(PatternError):
+            getattr(index, query)(Pattern.from_string(text))
+
 
 class TestGrowth:
     def test_capacity_doubling_preserves_queries(self):
@@ -103,3 +112,74 @@ class TestAgainstScanReference:
             probe = space.random_pattern(rng)
             assert index.dominated_by_any(probe) == dominated_by_any_scan(mups, probe)
             assert index.dominates_any(probe) == dominates_any_scan(mups, probe)
+
+
+def _family(space, pattern, start):
+    """The Rule-1 children of ``pattern`` from ``start`` on, in the
+    (attribute, value) order of ``family_flags``."""
+    return [
+        pattern.with_value(attribute, value)
+        for attribute in range(start, space.d)
+        for value in range(space.cardinalities[attribute])
+    ]
+
+
+def _digits(pattern):
+    return np.array(pattern.values) + 1
+
+
+class TestBatchedQueries:
+    """``family_flags`` and ``flags_since`` against the linear scans, on
+    stored sets that are not antichains and children that are stored."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("count", [0, 5, 40, 800])
+    def test_family_flags_match_the_scans(self, seed, count):
+        # 800 draws store more than the initial 512 columns.
+        space = PatternSpace([2, 3, 2, 4, 2, 3, 2])
+        rng = np.random.default_rng(seed)
+        mups = list(dict.fromkeys(space.random_pattern(rng) for _ in range(count)))
+        index, scan = MupDominanceIndex(space.cardinalities), MupScan(space.cardinalities)
+        for mup in mups:
+            index.add(mup)
+            scan.add(mup)
+        for _ in range(30):
+            pattern = space.random_pattern(rng)
+            start = pattern.rightmost_deterministic() + 1
+            if start == space.d:
+                continue
+            children = _family(space, pattern, start)
+            expected = (
+                [dominated_by_any_scan(mups, c) for c in children],
+                [dominates_any_scan(mups, c) for c in children],
+            )
+            for store in (index, scan):
+                dominated, dominating = store.family_flags(_digits(pattern), start)
+                assert (dominated.tolist(), dominating.tolist()) == expected
+
+    def test_stored_children_are_not_flagged_by_themselves(self):
+        index = MupDominanceIndex([2, 2, 2])
+        index.extend(map(Pattern.from_string, ["1XX", "X01"]))
+        dominated, dominating = index.family_flags(np.zeros(3, np.int64), 0)
+        # Children of the root: 0XX 1XX X0X X1X XX0 XX1.
+        assert dominated.tolist() == [False] * 6
+        assert dominating.tolist() == [False, False, True, False, False, True]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flags_since_match_the_scans(self, seed):
+        space = PatternSpace([3, 2, 4, 2])
+        rng = np.random.default_rng(seed)
+        mups = list(dict.fromkeys(space.random_pattern(rng) for _ in range(150)))
+        index, scan = MupDominanceIndex(space.cardinalities), MupScan(space.cardinalities)
+        for mup in mups:
+            index.add(mup)
+            scan.add(mup)
+        for since in sorted({0, 1, 63, 64, 65, 100, len(mups) - 1, len(mups)}):
+            for _ in range(20):
+                pattern = space.random_pattern(rng)
+                expected = (
+                    dominated_by_any_scan(mups[since:], pattern),
+                    dominates_any_scan(mups[since:], pattern),
+                )
+                assert index.flags_since(_digits(pattern), since) == expected
+                assert scan.flags_since(_digits(pattern), since) == expected

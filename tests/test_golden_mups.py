@@ -111,6 +111,28 @@ def test_algorithm_engine_matrix_reproduces_golden(
             engine.close()
 
 
+#: DEEPDIVER's (nodes_generated, coverage_evaluations, dominance_checks,
+#: pruned) per fixture and τ, recorded from the node-at-a-time search.
+DEEPDIVER_COUNTERS = {
+    ("example1", 1): (19, 19, 38, 0),
+    ("example1", 2): (19, 16, 35, 3),
+    ("skewed_small", 4): (88, 58, 146, 30),
+    ("skewed_small", 8): (88, 54, 142, 34),
+    ("sparse_wide", 3): (41, 28, 69, 13),
+}
+
+
+@pytest.mark.parametrize("fixture,tau", CASES, ids=[f"{f}-tau{t}" for f, t in CASES])
+def test_deepdiver_counters_are_pinned(fixture, tau):
+    stats = find_mups(load_fixture(fixture), threshold=tau).stats
+    assert (
+        stats.nodes_generated,
+        stats.coverage_evaluations,
+        stats.dominance_checks,
+        stats.pruned,
+    ) == DEEPDIVER_COUNTERS[fixture, tau]
+
+
 def test_fixture_files_are_consistent():
     """Every expected entry has a CSV and every CSV has an expected entry."""
     csvs = {path.stem for path in FIXTURES.glob("*.csv")}

@@ -12,7 +12,6 @@ from repro.analysis.sweep import (
     threshold_sensitivity,
 )
 from repro.analysis.thresholds import threshold_sweep
-from repro.core.coverage import CoverageOracle
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern, X
 from repro.data.airbnb import load_airbnb
@@ -94,11 +93,10 @@ def test_sweep_amortizes_coverage_work(dataset):
     """One sweep counts each pattern once; independent runs re-count per τ."""
     thresholds = [2, 3, 5, 8]
     sweep = sweep_mups(dataset, thresholds)
-    independent = 0
-    for tau in thresholds:
-        oracle = CoverageOracle(dataset)
-        find_mups(dataset, threshold=tau, oracle=oracle)
-        independent += oracle.evaluations
+    independent = sum(
+        find_mups(dataset, threshold=tau).stats.coverage_evaluations
+        for tau in thresholds
+    )
     assert sweep.stats.coverage_evaluations < independent
 
 
