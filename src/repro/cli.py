@@ -43,7 +43,6 @@ from repro.core.engine import (
     ENGINES,
     CoverageEngine,
     EngineConfig,
-    engine_name,
     plan_engine,
     resolve_engine,
 )
@@ -479,7 +478,6 @@ def _parse_rules(dataset: Dataset, texts: Sequence[str]) -> ValidationOracle:
 def _cmd_enhance(args: argparse.Namespace) -> int:
     dataset = _load_csv(args.csv, args.attributes)
     with _engine_scope(args, dataset) as engine:
-        engine_backend = engine_name(engine)
         result = find_mups(
             dataset,
             threshold=args.threshold,
@@ -490,10 +488,7 @@ def _cmd_enhance(args: argparse.Namespace) -> int:
     space = PatternSpace.for_dataset(dataset)
     targets = uncovered_at_level(result.mups, space, args.level)
     validation = _parse_rules(dataset, args.rule or [])
-    # The target index only needs the mask representation family, so the
-    # planned engine's canonical name (not the dataset-bound instance)
-    # configures it.
-    plan = greedy_cover(targets, space, validation, engine=engine_backend)
+    plan = greedy_cover(targets, space, validation)
     print(enhancement_report(dataset, plan))
     return 0
 

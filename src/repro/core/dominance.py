@@ -1,6 +1,6 @@
 """MUP dominance index (Definition 9, Appendix B).
 
-DEEPDIVER asks two questions of the set of MUPs discovered so far:
+The index answers two questions of the set of MUPs discovered so far:
 
 * does pattern ``P`` **dominate** some MUP (``P`` is a proper ancestor)?
 * is ``P`` **dominated by** some MUP (``P`` is a proper descendant)?
@@ -24,16 +24,15 @@ rows, and ``P`` covers it when its column survives the AND of ``P``'s
 ``covered`` rows.  Both hold only for ``P``'s own column, so dropping the
 columns that survive both makes the answers strict.
 
-:meth:`MupDominanceIndex.family_flags` answers both questions for all the
-Rule-1 children of one pattern in one 2-D pass, and
-:meth:`MupDominanceIndex.flags_since` for one pattern against the MUPs
-added after a given one.  :class:`MupScan` answers the same questions by
-the linear scans below, for the Appendix B ablation.
+:meth:`MupDominanceIndex.family_flags` answers the second question, the
+only one DEEPDIVER asks, for all the Rule-1 children of one pattern in
+one 2-D pass.  :class:`MupScan` answers it by the linear scan below, for
+the Appendix B ablation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -41,8 +40,6 @@ from repro.core.pattern import Pattern, X
 from repro.exceptions import PatternError
 
 _INITIAL_WORDS = 8  # 512 MUP columns
-
-Flags = Tuple[np.ndarray, np.ndarray]
 
 
 class MupDominanceIndex:
@@ -180,15 +177,14 @@ class MupDominanceIndex:
                 return False
         return bool(mask.any())
 
-    def family_flags(self, digits: np.ndarray, start: int) -> Flags:
-        """Strict dominance of every Rule-1 child of one pattern.
+    def family_flags(self, digits: np.ndarray, start: int) -> np.ndarray:
+        """Whether some stored MUP strictly dominates each Rule-1 child of
+        one pattern.
 
         ``digits`` is the pattern's digits (``X`` = 0, value ``v`` =
         ``v + 1``), ``X`` from attribute ``start`` on.  Its children set
         one attribute ``a >= start`` to each value, in ``(a, value)``
-        order.  Returns ``(dominated, dominating)``: whether some stored
-        MUP strictly dominates each child, and whether each child strictly
-        dominates some stored MUP.
+        order.
 
         One pass: the attributes before ``start``, which all children
         share, leave a few surviving words, and only those are ANDed with
@@ -198,10 +194,9 @@ class MupDominanceIndex:
         words = (self._size + 63) // 64
         shared = self._offsets[:start] + digits[:start]
         covers, covered = np.bitwise_and.reduce(self._bits[shared, :, :words])
-        alive = (covers | covered).nonzero()[0]
+        alive = covers.nonzero()[0]
         if not len(alive):
-            none = np.zeros(len(self._value_rows) - self._family_start[start], bool)
-            return none, none
+            return np.zeros(len(self._value_rows) - self._family_start[start], bool)
         rows = self._family_rows[children, start:, np.newaxis]
         covers = covers[alive] & np.bitwise_and.reduce(
             self._bits[rows, 0, alive], axis=1
@@ -211,23 +206,7 @@ class MupDominanceIndex:
             self._value_rows[children, np.newaxis], 1, alive
         ]
         # A column in both is the child itself, which strictness drops.
-        return (covers & ~covered).any(axis=1), (covered & ~covers).any(axis=1)
-
-    def flags_since(self, digits: np.ndarray, since: int) -> Tuple[bool, bool]:
-        """Strict ``(dominated, dominating)`` for one pattern's digits,
-        against the MUPs added after the first ``since``."""
-        if since >= self._size:
-            return False, False
-        first, skip = divmod(since, 64)
-        words = slice(first, (self._size + 63) // 64)
-        rows = self._offsets + digits
-        covers, covered = np.bitwise_and.reduce(self._bits[rows, :, words]).tolist()
-        # Python ints from here: a few words, usually one.  Clear the
-        # columns before `since`, and the pattern's own (in both).
-        covers[0] &= -1 << skip
-        covered[0] &= -1 << skip
-        pairs = list(zip(covers, covered))
-        return any(c & ~v for c, v in pairs), any(v & ~c for c, v in pairs)
+        return (covers & ~covered).any(axis=1)
 
     def contains(self, pattern: Pattern) -> bool:
         """Exact membership test."""
@@ -235,12 +214,11 @@ class MupDominanceIndex:
 
 
 class MupScan:
-    """DEEPDIVER's dominance questions answered by linear scans.
+    """DEEPDIVER's dominance question answered by a linear scan.
 
     The Appendix B ablation: same interface as
-    :class:`MupDominanceIndex`'s ``add``/``family_flags``/``flags_since``,
-    answered by :func:`dominated_by_any_scan` and
-    :func:`dominates_any_scan` over the MUP list.
+    :class:`MupDominanceIndex`'s ``add``/``family_flags``, answered by
+    :func:`dominated_by_any_scan` over the MUP list.
     """
 
     def __init__(self, cardinalities: Sequence[int]) -> None:
@@ -253,7 +231,7 @@ class MupScan:
     def add(self, mup: Pattern) -> None:
         self._mups.append(mup)
 
-    def family_flags(self, digits: np.ndarray, start: int) -> Flags:
+    def family_flags(self, digits: np.ndarray, start: int) -> np.ndarray:
         values = (np.asarray(digits) - 1).tolist()
         children = []
         for attribute in range(start, len(values)):
@@ -261,17 +239,8 @@ class MupScan:
                 values[attribute] = value
                 children.append(Pattern(values))
             values[attribute] = X
-        return (
-            np.array([dominated_by_any_scan(self._mups, c) for c in children], bool),
-            np.array([dominates_any_scan(self._mups, c) for c in children], bool),
-        )
-
-    def flags_since(self, digits: np.ndarray, since: int) -> Tuple[bool, bool]:
-        pattern = Pattern(np.asarray(digits) - 1)
-        recent = self._mups[since:]
-        return (
-            dominated_by_any_scan(recent, pattern),
-            dominates_any_scan(recent, pattern),
+        return np.array(
+            [dominated_by_any_scan(self._mups, c) for c in children], bool
         )
 
 

@@ -8,7 +8,9 @@ builds, per attribute value, an inverted index over the targets (a target
 survives value ``v`` on attribute ``i`` iff its element there is ``v`` or
 ``X``) and finds the best combination with a threshold-pruned DFS over the
 attribute-assignment tree (Algorithm 4), consulting the validation oracle
-before generating each child.
+before generating each child.  The index is one ``uint64`` word matrix per
+attribute, a row per value and a bit per target, so a tree node ANDs its
+mask into the matrix and popcounts all its children in one pass.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.core.enhancement.expansion import uncovered_at_level
 from repro.core.enhancement.oracle import ValidationOracle
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
-from repro.data.bitset import BitVector
+from repro.data.bitset import popcount_words
 from repro.data.dataset import Dataset
 from repro.exceptions import EnhancementError, ReproError
 
@@ -82,135 +84,85 @@ class EnhancementResult:
         return "\n".join(lines)
 
 
-class _TargetIndex:
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """A ``(k, m)`` bool matrix as ``(k, ⌈m/64⌉)`` little-endian ``uint64`` words."""
+    words = np.zeros((len(flags), -(-flags.shape[1] // 64)), dtype=np.uint64)
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    return words
+
+
+def _set_bits(words: np.ndarray, m: int) -> np.ndarray:
+    """Positions of the set bits among the first ``m`` of one word row."""
+    return np.flatnonzero(
+        np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
+    )
+
+
+def _target_index(targets: Sequence[Pattern], space: PatternSpace) -> List[np.ndarray]:
     """Inverted indices from attribute values to target patterns (§IV-B).
 
-    The per-value membership vectors live in the representation of the
-    selected coverage engine: unpacked ``bool`` ndarrays (``dense``) or
-    packed :class:`~repro.data.bitset.BitVector` words with word-level
-    popcount (``packed``).  The Algorithm-4 tree search only touches the
-    masks through :meth:`search_mask` / :meth:`restrict` / :meth:`count`,
-    so it runs unmodified on either backend.
+    Attribute ``i`` gets a ``(c_i, ⌈m/64⌉)`` ``uint64`` matrix over the
+    ``m`` targets, the word layout of the packed engine: bit ``j`` of row
+    ``v`` is set iff target ``j`` can still be hit after fixing attribute
+    ``i`` to ``v`` (its element there is ``v`` or ``X``).
     """
-
-    def __init__(
-        self,
-        targets: Sequence[Pattern],
-        space: PatternSpace,
-        engine: EngineSpec = None,
-    ) -> None:
-        self.targets = list(targets)
-        self.space = space
-        # Any bitset-family backend ("packed", "sharded", future variants)
-        # gets the packed target representation; only the dense reference
-        # keeps unpacked bool vectors.  Unnamed factory callables (valid
-        # per EngineSpec but carrying no registry name) default to packed —
-        # the choice only affects the mask representation, not results.
-        # Bad names and non-engine specs must still raise.
-        try:
-            name = engine_name(engine)
-        except ReproError:
-            if isinstance(engine, str) or not callable(engine):
-                raise
-            name = None
-        self._packed = name != "dense"
-        m = len(self.targets)
-        # vectors[i][v][j] == True iff target j can still be hit after
-        # fixing attribute i to value v (its element is v or X).
-        self.vectors: List[List] = []
-        for i, cardinality in enumerate(space.cardinalities):
-            per_value = []
-            elements = np.array([t[i] for t in self.targets], dtype=np.int64)
-            is_x = elements == X
-            for value in range(cardinality):
-                flags = np.logical_or(is_x, elements == value)
-                per_value.append(
-                    BitVector.from_bool_array(flags) if self._packed else flags
-                )
-            self.vectors.append(per_value)
-        self.m = m
-
-    # ------------------------------------------------------------------
-    # mask kernel for the Algorithm-4 search
-    # ------------------------------------------------------------------
-    def search_mask(self, remaining: np.ndarray):
-        """The un-hit-targets filter as a search mask (engine-specific)."""
-        if self._packed:
-            return BitVector.from_bool_array(remaining)
-        return remaining
-
-    def restrict(self, mask, attribute: int, value: int):
-        """``mask AND (targets still hittable with attribute == value)``."""
-        if self._packed:
-            return mask & self.vectors[attribute][value]
-        return np.logical_and(mask, self.vectors[attribute][value])
-
-    def count(self, mask) -> int:
-        """Number of targets selected by ``mask``."""
-        if self._packed:
-            return mask.count()
-        return int(mask.sum())
-
-    def hits_of(self, combination: Sequence[int]) -> np.ndarray:
-        """Boolean vector of targets hit by a full combination."""
-        if self._packed:
-            mask = BitVector(self.m, fill=True)
-            for i, value in enumerate(combination):
-                mask.iand(self.vectors[i][value])
-            return mask.to_bool_array()
-        mask = np.ones(self.m, dtype=bool)
-        for i, value in enumerate(combination):
-            np.logical_and(mask, self.vectors[i][value], out=mask)
-        return mask
+    elements = np.array(
+        [target.values for target in targets], dtype=np.int64
+    ).reshape(len(targets), space.d)
+    return [
+        _pack((column == X) | (column == np.arange(cardinality)[:, np.newaxis]))
+        for column, cardinality in zip(elements.T, space.cardinalities)
+    ]
 
 
 def _hit_count_search(
-    index: _TargetIndex,
-    filter_mask,
+    index: List[np.ndarray],
+    filter_mask: np.ndarray,
     validation: ValidationOracle,
     counters: Dict[str, int],
-) -> Tuple[int, Optional[Tuple[int, ...]]]:
+) -> Tuple[Optional[Tuple[int, ...]], Optional[np.ndarray]]:
     """Algorithm 4: best valid combination for the current filter.
 
-    Returns ``(hits, combination)``; ``combination`` is ``None`` when no
-    valid combination hits any remaining target.
+    Returns ``(combination, hits)``: the combination and the words of the
+    filtered targets it hits, or ``(None, None)`` when no valid
+    combination hits any remaining target.
     """
-    space = index.space
-    d = space.d
+    d = len(index)
     best_count = 0
-    best_combo: Optional[Tuple[int, ...]] = None
+    best: Tuple[Optional[Tuple[int, ...]], Optional[np.ndarray]] = (None, None)
 
-    def recurse(level: int, mask, prefix: List[int]) -> None:
-        nonlocal best_count, best_combo
+    def recurse(level: int, mask: np.ndarray, prefix: List[int]) -> None:
+        nonlocal best_count, best
         counters["nodes"] += 1
+        # Every value's child mask and hit count in one pass.
+        children = index[level] & mask
+        counts = popcount_words(children).sum(axis=1).tolist()
         candidates = []
-        for value in range(space.cardinalities[level]):
+        for value, count in enumerate(counts):
             prefix.append(value)
             invalid = validation.invalidates_prefix(prefix)
             prefix.pop()
-            if invalid:
-                continue
-            child_mask = index.restrict(mask, level, value)
-            count = index.count(child_mask)
-            candidates.append((count, value, child_mask))
+            if not invalid:
+                candidates.append((count, value))
         if level == d - 1:
-            for count, value, _child in candidates:
+            for count, value in candidates:
                 if count > best_count:
                     best_count = count
-                    best_combo = tuple(prefix + [value])
+                    best = tuple(prefix + [value]), children[value]
             return
         # Explore children best-first; prune once the upper bound (remaining
         # potential hits) cannot beat the best known combination.
         candidates.sort(key=lambda item: -item[0])
-        for count, value, child_mask in candidates:
+        for count, value in candidates:
             if count <= best_count:
                 break
             prefix.append(value)
-            recurse(level + 1, child_mask, prefix)
+            recurse(level + 1, children[value], prefix)
             prefix.pop()
 
     recurse(0, filter_mask, [])
-    return best_count, best_combo
+    return best
 
 
 def greedy_cover(
@@ -226,11 +178,12 @@ def greedy_cover(
             :func:`~repro.core.enhancement.expansion.uncovered_at_level`).
         space: the pattern space.
         validation: the human-configured validation oracle; defaults to
-            permissive.
-        engine: engine spec choosing the mask representation for the
-            target index (any :class:`~repro.core.engine.EngineSpec` —
-            name, ``EngineConfig``, class, instance; everything except
-            ``"dense"`` selects the packed representation).
+            permissive.  A rule on an attribute the space lacks raises
+            :class:`~repro.exceptions.ValidationError`.
+        engine: accepted for interface parity with ``find_mups``; the
+            target index reads no engine, but a value that is not an
+            :class:`~repro.core.engine.EngineSpec` still raises
+            :class:`~repro.exceptions.ReproError`.
 
     Returns:
         An :class:`EnhancementResult`; targets that no *valid* combination
@@ -240,8 +193,12 @@ def greedy_cover(
     watch = Stopwatch()
     for target in targets:
         space.validate(target)
-    index = _TargetIndex(targets, space, engine=engine)
-    remaining = np.ones(index.m, dtype=bool)
+    validation.check_space(space)
+    _check_engine_spec(engine)
+    targets = list(targets)
+    m = len(targets)
+    index = _target_index(targets, space)
+    remaining = _pack(np.ones((1, m), dtype=bool))[0]
     combos: List[Tuple[int, ...]] = []
     generalized: List[Pattern] = []
     counters = {"nodes": 0}
@@ -249,34 +206,43 @@ def greedy_cover(
 
     while remaining.any():
         iterations += 1
-        best_count, best_combo = _hit_count_search(
-            index, index.search_mask(remaining), validation, counters
-        )
-        if best_combo is None or best_count == 0:
+        best_combo, hits = _hit_count_search(index, remaining, validation, counters)
+        if best_combo is None:
             break
-        hits = np.logical_and(index.hits_of(best_combo), remaining)
         # Generalize (§IV-B implementation note): keep the combination's
         # value only where some hit target pins it; if every hit target has
         # X on an attribute, any value there hits the same set.
         general_values = list(best_combo)
-        hit_targets = [index.targets[j] for j in np.nonzero(hits)[0]]
+        hit_targets = [targets[j] for j in _set_bits(hits, m)]
         for attribute in range(space.d):
             if all(t[attribute] == X for t in hit_targets):
                 general_values[attribute] = X
         combos.append(best_combo)
         generalized.append(Pattern(general_values))
-        np.logical_and(remaining, np.logical_not(hits), out=remaining)
+        remaining &= ~hits
 
-    unhittable = tuple(index.targets[j] for j in np.nonzero(remaining)[0])
+    unhittable = tuple(targets[j] for j in _set_bits(remaining, m))
     return EnhancementResult(
         combinations=tuple(combos),
         generalized=tuple(generalized),
-        targets=index.m,
+        targets=m,
         unhittable=unhittable,
         iterations=iterations,
         nodes_visited=counters["nodes"],
         seconds=watch.elapsed(),
     )
+
+
+def _check_engine_spec(engine: EngineSpec) -> None:
+    """Raise :class:`ReproError` unless ``engine`` is an engine spec.
+
+    An unnamed factory callable is a valid spec that has no registry name.
+    """
+    try:
+        engine_name(engine)
+    except ReproError:
+        if isinstance(engine, str) or not callable(engine):
+            raise
 
 
 def enhance_coverage(
@@ -299,18 +265,17 @@ def enhance_coverage(
         validation: optional validation oracle.
         copies: how many tuples to collect per planned combination; defaults
             to ``threshold`` (enough to cover any previously empty target).
-        engine: engine spec (name, ``EngineConfig``, class, instance)
-            choosing the greedy target index's mask representation.
+        engine: accepted for interface parity, as in :func:`greedy_cover`.
 
     Returns:
         ``(result, enhanced dataset)``.
     """
-    space = PatternSpace.for_dataset(dataset)
-    targets = uncovered_at_level(mups, space, level)
-    result = greedy_cover(targets, space, validation, engine=engine)
     copies = threshold if copies is None else copies
     if copies < 1:
         raise EnhancementError(f"copies must be >= 1, got {copies}")
+    space = PatternSpace.for_dataset(dataset)
+    targets = uncovered_at_level(mups, space, level)
+    result = greedy_cover(targets, space, validation, engine=engine)
     new_rows: List[Tuple[int, ...]] = []
     for combo in result.combinations:
         new_rows.extend([combo] * copies)

@@ -209,10 +209,7 @@ def plan_hierarchical_enhancement(
     acquisition = None
     if acquired:
         acquisition = greedy_cover(
-            acquired,
-            PatternSpace.for_dataset(dataset),
-            validation=validation,
-            engine=oracle.engine,
+            acquired, PatternSpace.for_dataset(dataset), validation=validation
         )
     return HierarchicalEnhancementPlan(
         threshold=threshold,

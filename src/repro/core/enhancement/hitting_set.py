@@ -52,6 +52,7 @@ def naive_greedy_cover(
         )
     for target in targets:
         space.validate(target)
+    validation.check_space(space)
 
     universe: List[Tuple[int, ...]] = [
         combo

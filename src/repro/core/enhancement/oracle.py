@@ -147,6 +147,16 @@ class ValidationOracle:
     def add_rule(self, rule: ValidationRule) -> None:
         self._rules.append(rule)
 
+    def check_space(self, space) -> None:
+        """Raise :class:`ValidationError` for a rule naming an attribute
+        outside ``space``; the searches call this once, before they start."""
+        for rule in self._rules:
+            if rule.max_attribute >= space.d:
+                raise ValidationError(
+                    f"{rule!r} names attribute {rule.max_attribute}, but the "
+                    f"pattern space has {space.d} attributes"
+                )
+
     def is_valid(self, pattern: Pattern) -> bool:
         """Definition 11: valid iff no rule is satisfied."""
         self.queries += 1

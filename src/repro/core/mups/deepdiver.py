@@ -1,38 +1,51 @@
 """DEEPDIVER: DFS search with dominance pruning (§III-E, Algorithm 3).
 
-DEEPDIVER dives down covered Rule-1 chains until it hits an uncovered node,
-then climbs toward the root through uncovered parents until it reaches a
-node all of whose parents are covered — a MUP.  Discovered MUPs feed the
-Appendix B dominance index, which prunes both the nodes they dominate
-(descendants: cannot be MUPs, not worth expanding) and the nodes dominating
-them (ancestors: necessarily covered, so their coverage need not be
-evaluated).
+DEEPDIVER dives down covered Rule-1 chains until it hits an uncovered node.
+Discovered MUPs feed the Appendix B dominance index, which prunes the
+nodes they dominate: descendants of a MUP are uncovered but cannot be
+MUPs, and are not worth expanding.
 
-Two evident typos in the published pseudocode are corrected: the climb
-stack is seeded with the uncovered node that triggered it, and a node that
-*dominates* a known MUP is treated as covered — every ancestor of a MUP is
-covered by monotonicity, so flagging it uncovered would contradict
-Definition 5.
+Algorithm 3 also climbs from an uncovered node through uncovered parents,
+and treats a node that dominates a known MUP as covered.  In the Rule-1
+DFS neither ever acts.  The DFS pushes a node's children in ascending
+attribute order and pops the last one first.  Let ``Q`` be a proper
+ancestor of a node ``P``.  Either ``Q`` is on ``P``'s Rule-1 path from the
+root, or the two paths share a prefix and then ``Q``'s turns to an
+attribute right of ``P``'s next one, a branch explored first; either way
+``Q`` is popped before ``P`` is pushed, if ``Q`` is pushed at all.  Every
+node on ``Q``'s path is an ancestor of ``P`` at a lower level, expanded
+unless it is uncovered or pruned, and then a MUP known at ``P``'s push
+dominates ``P``, which is pruned.  By induction on the pop order:
+
+* each parent of an unpruned ``P`` was popped, unpruned and covered, so
+  an uncovered unpruned ``P`` is a MUP and the climb never moves;
+* each MUP is found after all its ancestors were popped, so no node
+  pushed later dominates a known MUP.
+
+The MUPs found between a child's push and its pop lie in its later
+siblings' subtrees, which fix an attribute the child leaves ``X`` or the
+child's own attribute to another value, so none dominates the child and
+the push-time flag is final.  A pop is thus one flag test: a flagged
+child is pruned; any other child is evaluated, and becomes a MUP if
+uncovered or is expanded if covered.
 
 Expanding a covered node is one batch, and no coverage engine is built.
-The DFS stack holds lattice codes (:mod:`repro.core.lattice`);
-``Pattern`` objects are built only for the MUPs.  One ``bincount`` over
-the node's unique rows counts all its Rule-1 children, the recursive
-partitioning of BUC (Beyer & Ramakrishnan, SIGMOD 1999): a child's rows
-are cut from its parent's only when the child is expanded in turn.  One
-2-D pass of :meth:`~repro.core.dominance.MupDominanceIndex.family_flags`
-flags the children a known MUP dominates and those dominating a known
-MUP.  The MUP set only grows, so a flagged child is pruned, or treated as
-covered, at its pop with no query; an unflagged one is checked only
-against the MUPs found since its push.  Counters are kept at pop time, in
-the parent's order, so ``SearchStats`` is that of the node-at-a-time
+The DFS stack holds each child's count, its flag and the attribute value
+it sets on its parent; ``Pattern`` objects are built only for the MUPs.  One
+``bincount`` over the node's unique rows counts all its Rule-1 children,
+the recursive partitioning of BUC (Beyer & Ramakrishnan, SIGMOD 1999): a
+child's rows are cut from its parent's only when the child is expanded in
+turn.  One 2-D pass of
+:meth:`~repro.core.dominance.MupDominanceIndex.family_flags` flags the
+children a known MUP dominates.  Counters are kept at pop time, in the
+parent's order, so ``SearchStats`` is that of the node-at-a-time
 Algorithm 3.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +53,6 @@ from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
 from repro.core.dominance import MupDominanceIndex, MupScan
 from repro.core.engine import EngineSpec
-from repro.core.lattice import PatternLattice
 from repro.core.mups.base import MupResult, register_algorithm
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
@@ -67,10 +79,9 @@ def deepdiver(
             the aggregated unique rows, not through per-pattern queries.
         engine: accepted for interface parity, like ``oracle``.
         use_dominance_index: disable only for the Appendix B ablation;
-            linear scans over the MUP list answer the same questions.
+            a linear scan over the MUP list answers the same question.
     """
     space = PatternSpace.for_dataset(dataset)
-    lattice = PatternLattice(space)
     stats = SearchStats()
     watch = Stopwatch()
     d = space.d
@@ -87,15 +98,12 @@ def deepdiver(
     first = np.r_[0, np.cumsum(sizes)].tolist()
     attributes = np.repeat(np.arange(d), sizes).tolist()
     digits = [v + 1 for c in space.cardinalities for v in range(c)]
-    steps = [g * lattice.weights[a] for a, g in zip(attributes, digits)]
     keys = unique + np.asarray(first[:-1], dtype=np.int64)
     row_weights = multiplicities.astype(float)
     mups = []
-    found = set()
-    counts: Dict[int, int] = {}
     stack: list = []
 
-    def push(code: int, node: np.ndarray, rows: np.ndarray, start: int, level: int):
+    def push(node: np.ndarray, rows: np.ndarray, start: int, level: int):
         """Push a covered node's Rule-1 children, counted and flagged."""
         tally = np.bincount(
             keys[rows, start:].ravel(),
@@ -103,87 +111,45 @@ def deepdiver(
             minlength=first[-1],
         )
         family = slice(first[start], None)
-        dominated, dominating = store.family_flags(node, start)
         stack.extend(zip(
-            [code + step for step in steps[family]],
             tally[family].astype(np.int64).tolist(),
             attributes[family],
             digits[family],
-            dominated.tolist(),
-            dominating.tolist(),
-            repeat((rows, node, level, len(mups))),
+            store.family_flags(node, start).tolist(),
+            repeat((rows, node, level)),
         ))
 
-    def climb(code: int, node: list) -> Tuple[int, list]:
-        """Follow uncovered parents upward until all parents are covered.
-
-        Every parent was popped before the node (the Rule-1 DFS pops all
-        of a node's ancestors first), so its count is cached.
-        """
-        moved = True
-        while moved:
-            moved = False
-            for attribute, digit in enumerate(node):
-                if not digit:
-                    continue
-                parent = code - digit * lattice.weights[attribute]
-                if counts[parent] < threshold:
-                    code, node = parent, node.copy()
-                    node[attribute] = 0
-                    moved = True
-                    break
-        return code, node
-
-    # The root: popped, checked twice against no MUPs and counted.
+    # Every pop takes one dominance check; an unpruned pop takes a second
+    # one and a coverage evaluation.  The root is popped unpruned.
     total = int(multiplicities.sum())
-    counts[0] = total
-    nodes, checks, evaluations, pruned = 1, 2, 1, 0
+    nodes, pruned = 1, 0
     if total < threshold:
         mups.append(Pattern.root(d))
     elif depth:
-        push(0, np.zeros(d, dtype=np.int64), np.arange(len(unique)), 0, 0)
+        push(np.zeros(d, dtype=np.int64), np.arange(len(unique)), 0, 0)
 
     while stack:
-        code, count, attribute, digit, dominated, dominating, parent = stack.pop()
-        rows, above, level, since = parent
+        count, attribute, digit, dominated, (rows, above, level) = stack.pop()
         nodes += 1
-        checks += 1
         if dominated:
             pruned += 1
             continue
         node = above.copy()
         node[attribute] = digit
-        if len(mups) > since:
-            dominated, late = store.flags_since(node, since)
-            if dominated:
-                pruned += 1
-                continue
-            dominating = dominating or late
-        checks += 1
-        counts[code] = count
-        if dominating:
-            # Ancestors of MUPs are covered by monotonicity; skip the
-            # coverage evaluation and keep expanding.
-            pruned += 1
-        else:
-            evaluations += 1
-            if count < threshold:
-                code, values = climb(code, node.tolist())
-                if code not in found:
-                    found.add(code)
-                    mup = Pattern([g - 1 for g in values])
-                    store.add(mup)
-                    mups.append(mup)
-                continue
+        if count < threshold:
+            mup = Pattern((node - 1).tolist())
+            store.add(mup)
+            mups.append(mup)
+            continue
         level += 1
         start = attribute + 1
         if level < depth and start < d:
             rows = rows[keys[rows, attribute] == first[attribute] + digit - 1]
-            push(code, node, rows, start, level)
+            push(node, rows, start, level)
 
     stats.nodes_generated = nodes
-    stats.dominance_checks = checks
-    stats.coverage_evaluations = evaluations
+    stats.dominance_checks = 2 * nodes - pruned
+    stats.coverage_evaluations = nodes - pruned
     stats.pruned = pruned
     stats.seconds = watch.elapsed()
     return MupResult(tuple(mups), threshold, stats, max_level)

@@ -1,10 +1,9 @@
-"""Dataset substrates: schema/dataset abstraction, bit vectors, bucketization,
+"""Dataset substrates: schema/dataset abstraction, bucketization,
 and seeded generators standing in for the paper's three real datasets
 (COMPAS, AirBnB, BlueNile) plus the adversarial constructions used in the
 paper's proofs.
 """
 
-from repro.data.bitset import BitVector
 from repro.data.bucketize import bucketize_equal_width, bucketize_quantiles, bucketize_thresholds
 from repro.data.dataset import Dataset, Schema
 from repro.data.hierarchy import AttributeHierarchy, Rollup, drill_down, rollup
@@ -19,7 +18,6 @@ from repro.data.bluenile import load_bluenile
 from repro.data.compas import load_compas
 
 __all__ = [
-    "BitVector",
     "Dataset",
     "Schema",
     "AttributeHierarchy",

@@ -1,25 +1,17 @@
-"""A growable bit vector with the operations Appendices A and B rely on.
+"""Counting kernels over packed ``uint64`` bit words.
 
-The coverage oracle (Appendix A) and the MUP dominance index (Appendix B)
-both reduce their queries to bitwise AND / OR / population-count over
-per-attribute-value membership vectors.  :class:`BitVector` wraps a packed
-``numpy`` ``uint64`` buffer and exposes exactly those operations, including
-the word-by-word early-stop intersection test the paper describes
-("terminating as soon as a 1 is observed in the results").
+Coverage queries (Appendix A) and GREEDY's target search (§IV-B) reduce
+to bitwise AND and population count over membership rows kept as plain
+``uint64`` word arrays: 64 bits per word, little-endian within a word,
+padding bits zero.  This module holds the counting kernels that the
+packed, sharded and out-of-core engines and GREEDY's target index share:
+a per-word popcount, and the weighted count of one word array or of each
+row of a word matrix.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 import numpy as np
-
-_WORD_BITS = 64
-
-
-def _word_count(length: int) -> int:
-    return (length + _WORD_BITS - 1) // _WORD_BITS
-
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
 
@@ -67,208 +59,3 @@ def weighted_count_rows(matrix: np.ndarray, counts) -> np.ndarray:
         return np.zeros(matrix.shape[0], dtype=np.int64)
     bits = np.unpackbits(matrix.view(np.uint8), axis=1, bitorder="little")
     return bits @ counts
-
-
-class BitVector:
-    """Fixed-length packed bit vector backed by ``numpy.uint64`` words.
-
-    Args:
-        length: number of addressable bits.
-        fill: initial value of every bit.
-    """
-
-    __slots__ = ("_length", "_words")
-
-    def __init__(self, length: int, fill: bool = False) -> None:
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        self._length = length
-        self._words = np.full(
-            _word_count(length),
-            np.uint64(0xFFFFFFFFFFFFFFFF) if fill else np.uint64(0),
-            dtype=np.uint64,
-        )
-        if fill:
-            self._mask_tail()
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_indices(cls, length: int, indices: Iterable[int]) -> "BitVector":
-        """Build a vector of ``length`` bits with the given positions set."""
-        vector = cls(length)
-        for index in indices:
-            vector.set(index)
-        return vector
-
-    @classmethod
-    def from_bool_array(cls, flags: np.ndarray) -> "BitVector":
-        """Build from a 1-D boolean ``numpy`` array."""
-        flags = np.asarray(flags, dtype=bool)
-        vector = cls(len(flags))
-        if len(flags) == 0:
-            return vector
-        packed = np.packbits(flags, bitorder="little")
-        padded = np.zeros(_word_count(len(flags)) * 8, dtype=np.uint8)
-        padded[: len(packed)] = packed
-        vector._words = padded.view(np.uint64).copy()
-        return vector
-
-    def copy(self) -> "BitVector":
-        clone = BitVector(self._length)
-        clone._words = self._words.copy()
-        return clone
-
-    # ------------------------------------------------------------------
-    # element access
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._length
-
-    def _check_index(self, index: int) -> int:
-        if index < 0 or index >= self._length:
-            raise IndexError(f"bit index {index} out of range [0, {self._length})")
-        return index
-
-    def get(self, index: int) -> bool:
-        """Return the value of bit ``index``."""
-        self._check_index(index)
-        word, offset = divmod(index, _WORD_BITS)
-        return bool((int(self._words[word]) >> offset) & 1)
-
-    def set(self, index: int, value: bool = True) -> None:
-        """Set bit ``index`` to ``value``."""
-        self._check_index(index)
-        word, offset = divmod(index, _WORD_BITS)
-        if value:
-            self._words[word] |= np.uint64(1 << offset)
-        else:
-            self._words[word] &= np.uint64(~(1 << offset) & 0xFFFFFFFFFFFFFFFF)
-
-    def _mask_tail(self) -> None:
-        """Clear the padding bits beyond ``length`` in the last word."""
-        remainder = self._length % _WORD_BITS
-        if remainder and len(self._words):
-            self._words[-1] &= np.uint64((1 << remainder) - 1)
-
-    # ------------------------------------------------------------------
-    # bulk bitwise operations
-    # ------------------------------------------------------------------
-    def _check_compatible(self, other: "BitVector") -> None:
-        if self._length != other._length:
-            raise ValueError(
-                f"bit vectors have different lengths: {self._length} vs {other._length}"
-            )
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        self._check_compatible(other)
-        result = BitVector(self._length)
-        np.bitwise_and(self._words, other._words, out=result._words)
-        return result
-
-    def __or__(self, other: "BitVector") -> "BitVector":
-        self._check_compatible(other)
-        result = BitVector(self._length)
-        np.bitwise_or(self._words, other._words, out=result._words)
-        return result
-
-    def __invert__(self) -> "BitVector":
-        result = BitVector(self._length)
-        np.bitwise_not(self._words, out=result._words)
-        result._mask_tail()
-        return result
-
-    def iand(self, other: "BitVector") -> "BitVector":
-        """In-place AND; returns self for chaining."""
-        self._check_compatible(other)
-        np.bitwise_and(self._words, other._words, out=self._words)
-        return self
-
-    def ior(self, other: "BitVector") -> "BitVector":
-        """In-place OR; returns self for chaining."""
-        self._check_compatible(other)
-        np.bitwise_or(self._words, other._words, out=self._words)
-        return self
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @property
-    def words(self) -> np.ndarray:
-        """The packed ``uint64`` words (a view — treat as read-only).
-
-        The coverage engines build their batched kernels directly on the
-        word arrays; padding bits beyond ``length`` are always zero.
-        """
-        return self._words
-
-    @classmethod
-    def from_words(cls, length: int, words: np.ndarray) -> "BitVector":
-        """Wrap an existing ``uint64`` word array (no copy; padding must be 0)."""
-        if words.shape != (_word_count(length),):
-            raise ValueError(
-                f"need {_word_count(length)} words for {length} bits, "
-                f"got shape {words.shape}"
-            )
-        vector = cls(0)
-        vector._length = length
-        vector._words = words
-        return vector
-
-    def count(self) -> int:
-        """Population count (number of set bits), word-level (no unpacking)."""
-        if self._length == 0:
-            return 0
-        return int(popcount_words(self._words).sum())
-
-    def any(self) -> bool:
-        """True if at least one bit is set (cheap word-level check)."""
-        return bool(self._words.any())
-
-    def intersects(self, other: "BitVector") -> bool:
-        """Word-by-word early-stop intersection test (Appendix B).
-
-        Stops as soon as one overlapping word is found instead of
-        materializing the full AND.
-        """
-        self._check_compatible(other)
-        a, b = self._words, other._words
-        step = 1024  # words per chunk; early exit granularity
-        for start in range(0, len(a), step):
-            if np.bitwise_and(a[start : start + step], b[start : start + step]).any():
-                return True
-        return False
-
-    def indices(self) -> Iterator[int]:
-        """Yield the positions of all set bits in increasing order."""
-        if self._length == 0:
-            return
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
-        for index in np.nonzero(bits[: self._length])[0]:
-            yield int(index)
-
-    def to_bool_array(self) -> np.ndarray:
-        """Return the bits as a boolean ``numpy`` array of ``length``."""
-        if self._length == 0:
-            return np.zeros(0, dtype=bool)
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
-        return bits[: self._length].astype(bool)
-
-    # ------------------------------------------------------------------
-    # dunder conveniences
-    # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self._length == other._length and bool(
-            np.array_equal(self._words, other._words)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - BitVector is mutable
-        raise TypeError("BitVector is mutable and unhashable")
-
-    def __repr__(self) -> str:
-        shown = "".join("1" if self.get(i) else "0" for i in range(min(self._length, 32)))
-        suffix = "..." if self._length > 32 else ""
-        return f"BitVector({self._length}, bits={shown}{suffix})"

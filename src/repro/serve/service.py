@@ -384,7 +384,7 @@ class CoverageService:
     ) -> Dict:
         space = PatternSpace.for_dataset(snapshot.dataset)
         targets = uncovered_at_level(mups, space, level)
-        plan = greedy_cover(targets, space, engine=self.config.engine)
+        plan = greedy_cover(targets, space)
         return {
             "targets": len(targets),
             "combinations": [list(map(int, combo)) for combo in plan.combinations],

@@ -488,6 +488,17 @@ class TestHierarchicalEnhancement:
         assert plan.acquisition.unhittable == ()
         assert plan.acquisition_cost > 0
 
+    @pytest.mark.parametrize("engine", ["dense", "packed"])
+    def test_acquisition_does_not_depend_on_the_engine(self, engine):
+        dataset = make_dataset()
+        result, plan = self.run_plan(step_cost=10_000.0)
+        other = plan_hierarchical_enhancement(
+            dataset, result.mups, result.remedies, 6,
+            step_cost=10_000.0, engine=engine,
+        )
+        assert other.acquisition.combinations == plan.acquisition.combinations
+        assert other.acquisition_cost == plan.acquisition_cost
+
     def test_every_mup_is_planned_exactly_once(self):
         result, plan = self.run_plan()
         planned = {r.mup for r in plan.generalizations} | set(plan.acquired)

@@ -85,6 +85,16 @@ class TestEnhance:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["dense", "packed", "sharded"])
+    def test_enhance_plan_does_not_depend_on_the_engine(
+        self, csv_file, capsys, engine
+    ):
+        args = ["enhance", csv_file, "--threshold", "5", "--level", "2"]
+        assert main(args) == 0
+        planned = capsys.readouterr().out
+        assert main(args + ["--engine", engine]) == 0
+        assert capsys.readouterr().out == planned
+
     def test_enhance_rule_unknown_attribute_returns_2(self, csv_file, capsys):
         code = main(
             ["enhance", csv_file, "--threshold", "5", "--level", "1", "--rule", "zz=1"]

@@ -21,6 +21,21 @@ def dataset():
     return random_categorical_dataset(30, (2, 3, 2), seed=3, skew=1.0)
 
 
+#: Every kind of engine spec ``greedy_cover`` accepts, built per dataset.
+GREEDY_ENGINE_SPECS = {
+    "none": lambda ds: None,
+    "dense": lambda ds: "dense",
+    "packed": lambda ds: "packed",
+    "sharded": lambda ds: "sharded",
+    "auto": lambda ds: "auto",
+    "config": lambda ds: EngineConfig(backend="sharded", shards=2),
+    "factory": lambda ds: lambda d: PackedBitsetEngine(d),
+    "class": lambda ds: PackedBitsetEngine,
+    "instance": lambda ds: DenseBoolEngine(ds),
+    "template": lambda ds: PackedBitsetEngine(ds).template(),
+}
+
+
 class TestUnknownSpecs:
     def test_unknown_name_lists_available(self, dataset):
         with pytest.raises(ReproError, match="unknown coverage engine"):
@@ -192,19 +207,32 @@ class TestBaseContract:
         assert inverse is not None
         assert np.array_equal(unique[inverse], primed.rows)
 
-    def test_greedy_accepts_unnamed_factory_spec(self, dataset):
+    @pytest.mark.parametrize("spec", sorted(GREEDY_ENGINE_SPECS))
+    def test_greedy_accepts_unnamed_factory_spec(self, dataset, spec):
+        """Every engine spec gives the same plan: GREEDY reads no engine."""
         from repro.core.enhancement.greedy import greedy_cover
         from repro.core.enhancement.oracle import ValidationOracle
         from repro.core.pattern import Pattern, X
         from repro.core.pattern_graph import PatternSpace
 
         space = PatternSpace.for_dataset(dataset)
-        targets = [Pattern.of(0, X, X), Pattern.of(X, 1, X)]
-        named = greedy_cover(targets, space, ValidationOracle([]), engine="packed")
-        factory = greedy_cover(
-            targets,
-            space,
-            ValidationOracle([]),
-            engine=lambda ds: PackedBitsetEngine(ds),
-        )
-        assert factory.combinations == named.combinations
+        targets = [
+            Pattern.of(0, X, X), Pattern.of(X, 1, X), Pattern.of(X, 2, 1),
+            Pattern.of(1, X, 0), Pattern.of(1, 0, X),
+        ]
+        engine = GREEDY_ENGINE_SPECS[spec](dataset)
+        plan = greedy_cover(targets, space, ValidationOracle([]), engine=engine)
+        assert plan.combinations == ((1, 0, 0), (0, 1, 0), (0, 2, 1))
+        assert plan.nodes_visited == 10
+
+    @pytest.mark.parametrize("engine", ["bogus", 42])
+    def test_greedy_rejects_a_non_engine_spec(self, dataset, engine):
+        from repro.core.enhancement.greedy import enhance_coverage, greedy_cover
+        from repro.core.pattern import Pattern, X
+        from repro.core.pattern_graph import PatternSpace
+
+        space = PatternSpace.for_dataset(dataset)
+        with pytest.raises(ReproError):
+            greedy_cover([Pattern.of(0, X, X)], space, engine=engine)
+        with pytest.raises(ReproError):
+            enhance_coverage(dataset, [], level=1, threshold=2, engine=engine)

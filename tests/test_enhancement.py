@@ -12,12 +12,17 @@ from repro.core.enhancement.value_count import targets_by_value_count
 from repro.core.mups import deepdiver
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
+from repro.data.bluenile import load_bluenile
 from repro.data.synthetic import random_categorical_dataset
-from repro.exceptions import EnhancementError
+from repro.exceptions import EnhancementError, ValidationError
 
 
 def _hits(combo, targets):
     return {t for t in targets if t.matches(combo)}
+
+
+def _hits_any(target, combinations):
+    return any(target.matches(c) for c in combinations)
 
 
 class TestExample2Greedy:
@@ -133,6 +138,55 @@ class TestGreedyVsNaiveRandom:
             remaining -= _hits(combo, remaining)
 
 
+class TestWordBoundaries:
+    """The target index packs 64 targets per word; plans must not depend
+    on where the word boundaries fall."""
+
+    SPACE = PatternSpace([3, 3, 3, 3, 2])
+
+    @staticmethod
+    def _replay(plan, targets, combinations):
+        """Check each pick is a best one and hits what the plan says."""
+        remaining = set(targets)
+        for combo, general in zip(plan.combinations, plan.generalized):
+            hits = _hits(combo, remaining)
+            assert len(hits) == max(len(_hits(c, remaining)) for c in combinations)
+            assert all(
+                (general[i] == X) == all(t[i] == X for t in hits)
+                for i in range(len(combo))
+            )
+            remaining -= hits
+        return remaining
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129, 200])
+    def test_picks_are_greedy_optimal_across_word_boundaries(self, m):
+        rng = np.random.default_rng(m)
+        patterns = sorted(self.SPACE.all_patterns())
+        picked = rng.choice(len(patterns), size=m, replace=False)
+        targets = [patterns[i] for i in sorted(picked)]
+        plan = greedy_cover(targets, self.SPACE)
+        assert plan.targets == m and not plan.unhittable
+        assert not self._replay(plan, targets, list(self.SPACE.all_combinations()))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_picks_with_rules_are_optimal_among_valid_combinations(self, seed):
+        rng = np.random.default_rng(seed + 500)
+        targets = sorted({self.SPACE.random_pattern(rng) for _ in range(90)})
+        rules = [
+            ValidationRule({int(a): int(rng.integers(3)), int(b): int(rng.integers(2))})
+            for a, b in (rng.choice(4, size=2, replace=False), (0, 4))
+        ]
+        oracle = ValidationOracle(rules)
+        valid = [
+            c for c in self.SPACE.all_combinations() if oracle.is_valid_values(c)
+        ]
+        plan = greedy_cover(targets, self.SPACE, oracle)
+        assert all(oracle.is_valid_values(c) for c in plan.combinations)
+        left = self._replay(plan, targets, valid)
+        unhittable = {t for t in targets if not _hits_any(t, valid)}
+        assert left == unhittable == set(plan.unhittable)
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("level", [1, 2])
     def test_enhancement_reaches_target_level(self, level):
@@ -164,11 +218,62 @@ class TestEndToEnd:
         rows = plan.rows()
         assert rows.shape == (len(plan.combinations), example2_space.d)
 
+    def test_describe_renders_picks_and_unhittable_targets(self):
+        dataset = random_categorical_dataset(
+            30, (2, 3, 2), seed=0, names=["a", "b", "c"]
+        )
+        targets = [Pattern.from_string(s) for s in ("0XX", "X1X", "12X")]
+        oracle = ValidationOracle([ValidationRule({0: 1, 1: 2})])
+        plan = greedy_cover(targets, PatternSpace.for_dataset(dataset), oracle)
+        assert plan.describe(dataset.schema).splitlines() == [
+            "Collect 1 value combination(s):",
+            "  - a=0, b=1, c=0",
+            "    (any tuple matching a=0, b=1)",
+            "  ! 1 target(s) cannot be hit by any valid combination",
+        ]
+
     def test_empty_targets_yield_empty_plan(self, example2_space):
         plan = greedy_cover([], example2_space)
         assert plan.combinations == ()
         assert plan.targets == 0
         assert plan.rows().size == 0
+
+
+class TestRulesOutsideTheSpace:
+    """A rule naming an attribute the space lacks fails before any search."""
+
+    RULE = ValidationRule({5: 1})
+    SPACE = PatternSpace((2, 2, 2))
+    TARGETS = [Pattern.from_string("1XX"), Pattern.from_string("X0X")]
+
+    def test_greedy_rejects_the_rule(self):
+        with pytest.raises(ValidationError, match="A5"):
+            greedy_cover(self.TARGETS, self.SPACE, ValidationOracle([self.RULE]))
+
+    def test_naive_rejects_the_rule(self):
+        with pytest.raises(ValidationError, match="A5"):
+            naive_greedy_cover(
+                self.TARGETS, self.SPACE, ValidationOracle([self.RULE])
+            )
+
+    @pytest.mark.parametrize("search", [greedy_cover, naive_greedy_cover])
+    def test_a_rule_on_the_last_attribute_is_accepted(self, search):
+        oracle = ValidationOracle([ValidationRule({2: 1})])
+        plan = search(self.TARGETS, self.SPACE, oracle)
+        assert all(combo[2] == 0 for combo in plan.combinations)
+        assert not plan.unhittable
+
+    def test_copies_are_checked_before_the_search(self, monkeypatch):
+        import repro.core.enhancement.greedy as greedy_module
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the greedy search ran")
+
+        monkeypatch.setattr(greedy_module, "greedy_cover", no_search)
+        dataset = random_categorical_dataset(30, (2, 2), seed=0, skew=1.0)
+        mups = deepdiver(dataset, 3).mups
+        with pytest.raises(EnhancementError, match="copies"):
+            enhance_coverage(dataset, mups, level=1, threshold=3, copies=0)
 
 
 class TestValueCountVariant:
@@ -207,3 +312,88 @@ class TestNaiveGuard:
         space = PatternSpace([10] * 8)
         with pytest.raises(EnhancementError):
             naive_greedy_cover([], space)
+
+
+def _targets_of(dataset, tau, level):
+    space = PatternSpace.for_dataset(dataset)
+    return uncovered_at_level(deepdiver(dataset, tau).mups, space, level), space
+
+
+def _example2_input():
+    targets = [
+        Pattern.from_string(s)
+        for s in ("XX01X", "1X20X", "XXXX1", "02XXX", "XX11X", "111XX")
+    ]
+    return targets, PatternSpace([2, 3, 3, 2, 2]), None
+
+
+def _random_input():
+    dataset = random_categorical_dataset(300, (3, 4, 2, 3, 2), seed=5, skew=1.0)
+    return _targets_of(dataset, 12, 2) + (None,)
+
+
+def _random_input_with_rules():
+    dataset = random_categorical_dataset(400, (4, 3, 3, 2, 3), seed=8, skew=1.2)
+    rules = [ValidationRule({0: 3, 1: 2}), ValidationRule({2: [1, 2], 4: 0})]
+    return _targets_of(dataset, 10, 2) + (ValidationOracle(rules),)
+
+
+def _bluenile_input():
+    # τ at rate 1e-3 of n = 20,000; up to 10 values per attribute.
+    return _targets_of(load_bluenile(n=20_000, seed=3), 20, 2) + (None,)
+
+
+#: GREEDY's plans, recorded from the earlier bool/``BitVector`` target
+#: index: per input, (targets, combinations, generalized, unhittable,
+#: iterations, nodes_visited, validation.queries).
+GOLDEN_PLANS = {
+    "example2": (
+        _example2_input,
+        6,
+        ["11111", "02010", "10200"],
+        ["11111", "0201X", "1X20X"],
+        [],
+        3, 19, 0,
+    ),
+    "random": (
+        _random_input,
+        25,
+        ["23121", "12121", "23010", "21020", "03000", "22010", "13000"],
+        ["23121", "12121", "23010", "21X2X", "03X0X", "22X1X", "13XXX"],
+        [],
+        7, 63, 0,
+    ),
+    "random-rules": (
+        _random_input_with_rules,
+        39,
+        ["22212", "31201", "30112", "22101", "00202", "11202", "30000", "21000"],
+        ["22212", "31201", "30112", "22101", "002X2", "112X2", "3X0X0", "21XX0"],
+        ["XX2X0", "32XXX"],
+        9, 232, 652,
+    ),
+    "bluenile": (
+        _bluenile_input,
+        22,
+        ["9000004", "8300003", "6000004", "7000004", "1000000", "2000000",
+         "3000000", "5000000", "0001004"],
+        ["90X0004", "83X00X3", "6XX0XX4", "7XX0XX4", "1XX0XXX", "2XX0XXX",
+         "3XX0XXX", "5XX0XXX", "XXX1XX4"],
+        [],
+        9, 852, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+def test_greedy_plans_are_pinned(name):
+    build, m, combinations, generalized, unhittable, iterations, nodes, queries = (
+        GOLDEN_PLANS[name]
+    )
+    targets, space, validation = build()
+    plan = greedy_cover(targets, space, validation)
+    assert plan.targets == len(targets) == m
+    assert ["".join(map(str, c)) for c in plan.combinations] == combinations
+    assert list(map(str, plan.generalized)) == generalized
+    assert list(map(str, plan.unhittable)) == unhittable
+    assert (plan.iterations, plan.nodes_visited) == (iterations, nodes)
+    assert (validation.queries if validation else 0) == queries
