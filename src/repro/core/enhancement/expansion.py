@@ -5,12 +5,26 @@ a MUP at level 2 can be "hit" by a single combination while most of its
 level-3 children stay empty.  Appendix C therefore expands every MUP of
 level ≤ λ into its descendants at *exactly* level λ; covering all of those
 covers every pattern at level ≤ λ as well.
+
+The expansion is a level walk over :class:`~repro.core.lattice.PatternLattice`
+codes (:func:`walk_descendants`): level ``k + 1`` is every child of level
+``k`` plus the MUPs at level ``k + 1``, deduplicated by ``np.unique``, so
+each level holds exactly the MUPs' descendants at that level.  Only the
+last level is decoded into :class:`~repro.core.pattern.Pattern` objects.
+:meth:`PatternSpace.descendants_at_level
+<repro.core.pattern_graph.PatternSpace.descendants_at_level>` is the
+pattern-level reference.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+import math
+import numbers
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.lattice import PatternLattice
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.exceptions import EnhancementError
@@ -30,26 +44,65 @@ def uncovered_at_level(
     ``level`` are covered.
 
     Args:
-        mups: the material MUPs of the dataset.
+        mups: the material MUPs of the dataset; all are validated against
+            ``space`` before any is expanded.
         space: the pattern space (for cardinalities).
-        level: the target λ.
-        limit: safety cap on the number of generated targets.
+        level: the target λ, an integer in ``[0, d]``.
+        limit: safety cap on the number of targets; more than ``limit``
+            distinct targets raise :class:`EnhancementError`.
 
     Returns:
         Sorted list of target patterns (deduplicated).
     """
+    level = _integer("level", level)
     if not 0 <= level <= space.d:
         raise EnhancementError(f"level {level} out of range [0, {space.d}]")
-    targets: Set[Pattern] = set()
-    for mup in mups:
-        space.validate(mup)
-        if mup.level > level:
-            continue
-        for descendant in space.descendants_at_level(mup, level):
-            targets.add(descendant)
-            if limit is not None and len(targets) > limit:
-                raise EnhancementError(
-                    f"more than {limit} targets at level {level}; "
-                    f"raise the limit or lower λ"
-                )
-    return sorted(targets)
+    limit = None if limit is None else _integer("limit", limit)
+    if limit is not None and limit < 0:
+        raise EnhancementError(f"limit must be >= 0, got {limit}")
+    mups = [space.validate(mup) for mup in mups]
+    lattice = PatternLattice(space)
+    codes = lattice.encode(mup for mup in mups if mup.level <= level)
+    for k, targets in walk_descendants(lattice, codes, level):
+        # Every level-k pattern has a level-λ descendant, and each target
+        # has C(λ, k) ancestors at level k: a wider level k proves the cap
+        # is exceeded before the walk reaches λ.
+        if limit is not None and len(targets) > limit * math.comb(level, k):
+            raise EnhancementError(
+                f"more than {limit} targets at level {level}; "
+                f"raise the limit or lower λ"
+            )
+    return lattice.decode(targets)
+
+
+def walk_descendants(
+    lattice: PatternLattice,
+    codes: np.ndarray,
+    last: int,
+    keep: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """The descendants of ``codes`` (themselves included), level by level.
+
+    ``codes`` lie at levels ≤ ``last``.  Yields ``(k, level)`` for every
+    ``k`` from the shallowest code's level to ``last`` (only ``last`` when
+    ``codes`` is empty): ``level`` is the sorted unique descendants at
+    level ``k``, every child of level ``k - 1`` plus the codes at level
+    ``k``.  ``keep`` maps a code array to a mask of the codes to keep; it
+    must keep every parent of a code it keeps, since a dropped code's
+    descendants are never generated.
+    """
+    depth = (lattice.digits(codes) != 0).sum(axis=1)
+    level = codes[:0]
+    for k in range(int(depth.min(initial=last)), last + 1):
+        level = np.concatenate([lattice.children(level), codes[depth == k]])
+        if keep is not None:
+            level = level[keep(level)]
+        level = np.unique(level)
+        yield k, level
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as a Python int: numpy integers pass, ``bool`` does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise EnhancementError(f"{name} must be an integer, got {value!r}")
+    return int(value)

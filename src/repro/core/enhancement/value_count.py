@@ -8,9 +8,13 @@ the target set is enumerated, which is what this module does.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, List
 
-from repro.core.pattern import Pattern, X
+import numpy as np
+
+from repro.core.enhancement.expansion import walk_descendants
+from repro.core.lattice import PatternLattice
+from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.exceptions import EnhancementError
 
@@ -24,44 +28,23 @@ def targets_by_value_count(
 
     The uncovered patterns are exactly the patterns covered by some MUP
     (including the MUPs themselves); specializing a pattern only shrinks its
-    value count, so the enumeration explores descendants of each MUP and
-    prunes as soon as the count drops below the bound.
+    value count, so the enumeration walks the MUPs' descendants level by
+    level (:func:`~repro.core.enhancement.expansion.walk_descendants`) and
+    drops every pattern whose count falls below the bound, with all of its
+    descendants.  Returns the targets sorted.
     """
     if min_value_count < 1:
         raise EnhancementError(
             f"min_value_count must be >= 1, got {min_value_count}"
         )
-    targets: Set[Pattern] = set()
-    for mup in mups:
-        space.validate(mup)
-        _collect(mup, space, min_value_count, targets, 0)
-    return sorted(targets)
+    mups = [space.validate(mup) for mup in mups]
+    lattice = PatternLattice(space)
+    # Value counts in the lattice dtype: Python ints where Π c_i passes int64.
+    cardinalities = np.array(lattice.cardinalities, dtype=lattice.dtype)
 
+    def keep(codes: np.ndarray) -> np.ndarray:
+        free = lattice.digits(codes) == 0
+        return np.where(free, cardinalities, 1).prod(axis=1) >= min_value_count
 
-def _collect(
-    pattern: Pattern,
-    space: PatternSpace,
-    bound: int,
-    out: Set[Pattern],
-    min_index: int,
-) -> None:
-    """DFS over descendants while the value count stays ≥ bound.
-
-    Specializing only ``X`` positions ≥ ``min_index`` (in increasing order)
-    gives each descendant a unique path, so nothing is enumerated twice;
-    value counts shrink monotonically along any path, so the bound prune
-    never cuts a qualifying descendant.
-    """
-    if space.value_count(pattern) < bound:
-        return
-    already_known = pattern in out
-    out.add(pattern)
-    if already_known:
-        # All qualifying descendants were enumerated when this pattern was
-        # first reached (from this or another MUP).
-        return
-    for index in range(min_index, space.d):
-        if pattern[index] != X:
-            continue
-        for value in range(space.cardinalities[index]):
-            _collect(pattern.with_value(index, value), space, bound, out, index + 1)
+    levels = walk_descendants(lattice, lattice.encode(mups), space.d, keep)
+    return lattice.decode(np.sort(np.concatenate([codes for _, codes in levels])))

@@ -6,10 +6,10 @@ and attribute 0 is the most significant digit.  Codes therefore sort
 exactly like :class:`~repro.core.pattern.Pattern` (``X`` before every
 value), and a lattice level — the patterns of one graph level that a
 level-wise traversal holds at once — is a code array that numpy moves as a
-whole.  Digits, parents, Rule-1 children, Rule-2 generators, sibling
-families and sorted membership are each a few vectorized passes over the
-level instead of one Python object per node; ``Pattern`` objects are built
-only for the answers (:meth:`PatternLattice.decode`).
+whole.  Digits, parents, children, Rule-1 children, Rule-2 generators,
+sibling families and sorted membership are each a few vectorized passes
+over the level instead of one Python object per node; ``Pattern`` objects
+are built only for the answers (:meth:`PatternLattice.decode`).
 
 :func:`walk_levels` is PATTERN-BREAKER's level-wise traversal (§III-C)
 over these codes, shared by PATTERN-BREAKER, the threshold sweep and the
@@ -101,7 +101,13 @@ class PatternLattice:
 
     def decode(self, codes: np.ndarray) -> List[Pattern]:
         """The patterns the codes stand for, in array order."""
-        return [Pattern(values) for values in (self.digits(codes) - 1).tolist()]
+        # Column lists, not a (k, d) matrix and k row lists: less transient
+        # memory beside the k patterns being built.
+        columns = [
+            ((codes // weight) % (cardinality + 1) - 1).tolist()
+            for weight, cardinality in zip(self.weights, self.cardinalities)
+        ]
+        return [Pattern(values) for values in zip(*columns)]
 
     def from_digits(self, digits: np.ndarray) -> np.ndarray:
         """The code of each row of a ``(k, d)`` digit matrix."""
@@ -161,6 +167,21 @@ class PatternLattice:
         rows, attributes = np.nonzero(digits)
         step = digits[rows, attributes].astype(self.dtype)
         return rows, codes[rows] - step * self._weight_array[attributes]
+
+    def children(self, codes: np.ndarray) -> np.ndarray:
+        """Every child of every code: each ``X`` digit set to each value of
+        its attribute (:meth:`PatternSpace.children`).
+
+        Grouped by attribute, then code, then value, so one code's children
+        come in :meth:`PatternSpace.children` order.
+        """
+        digits = self.digits(codes)
+        return np.concatenate(
+            [
+                self.family(codes[digits[:, attribute] == 0], attribute).ravel()
+                for attribute in range(self.d)
+            ]
+        )
 
     def rule1_children(
         self, codes: np.ndarray

@@ -5,7 +5,8 @@ child/parent generation, the Rule 1 tree (top-down, each node generated once
 by specializing only to the right of the right-most deterministic element)
 and the Rule 2 forest (bottom-up, each node generated once by X-ing out
 value-0 elements to the right of the right-most ``X``), node/edge counting,
-and descendant expansion used by coverage enhancement (Appendix C).
+and descendant expansion, the reference for coverage enhancement's
+(Appendix C).
 """
 
 from __future__ import annotations
@@ -202,7 +203,10 @@ class PatternSpace:
 
         Appendix C: replace ``level - ℓ(P)`` non-deterministic elements with
         concrete values, in all ways.  Yields ``pattern`` itself when already
-        at ``level``.
+        at ``level``.  This is the pattern-level reference and has no
+        production caller:
+        :func:`~repro.core.enhancement.expansion.uncovered_at_level` expands
+        MUPs with a level walk over lattice codes.
         """
         self.validate(pattern)
         gap = level - pattern.level

@@ -93,6 +93,19 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _as_int(value: Any, name: str) -> int:
+    """An integer request field: integers and integral floats or strings
+    pass; booleans and numbers with a fractional part do not."""
+    if not isinstance(value, bool) and (
+        not isinstance(value, float) or value.is_integer()
+    ):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ServeError("bad_request", f"{name} must be an integer, got {value!r}")
+
+
 def _parse_rows(rows: Any, dataset: Dataset) -> List[List[int]]:
     """Delivered rows, checked against the served dataset's schema."""
     if not isinstance(rows, (list, tuple)) or not rows:
@@ -270,12 +283,7 @@ class CoverageService:
     # identify / enhance
     # ------------------------------------------------------------------
     def _check_identify_args(self, threshold: Any, algorithm: str) -> int:
-        try:
-            threshold = int(threshold)
-        except (TypeError, ValueError):
-            raise ServeError(
-                "bad_request", f"threshold must be an integer, got {threshold!r}"
-            )
+        threshold = _as_int(threshold, "threshold")
         if threshold < 1:
             raise ServeError(
                 "bad_request", f"threshold must be >= 1, got {threshold}"
@@ -346,12 +354,7 @@ class CoverageService:
         """Greedy acquisition plan reaching covered level λ."""
         snapshot = self._snapshot(dataset_key)
         threshold = self._check_identify_args(threshold, algorithm)
-        try:
-            level = int(level)
-        except (TypeError, ValueError):
-            raise ServeError(
-                "bad_request", f"level must be an integer, got {level!r}"
-            )
+        level = _as_int(level, "level")
         if not 0 <= level <= snapshot.dataset.d:
             raise ServeError(
                 "bad_request",

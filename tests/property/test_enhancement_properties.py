@@ -2,16 +2,19 @@
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.core.coverage import CoverageOracle
 from repro.core.enhancement.expansion import uncovered_at_level
 from repro.core.enhancement.greedy import enhance_coverage, greedy_cover
 from repro.core.enhancement.hitting_set import naive_greedy_cover
+from repro.core.enhancement.value_count import targets_by_value_count
 from repro.core.mups import deepdiver
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
+from repro.exceptions import EnhancementError
 
 
 @st.composite
@@ -129,3 +132,61 @@ def test_expansion_matches_bruteforce(case):
         if p.level == level and oracle.coverage(p) < tau
     }
     assert targets == brute
+
+
+@st.composite
+def space_and_patterns(draw):
+    """A small space and an arbitrary pattern list: duplicates, ancestors of
+    drawn patterns, the root and patterns at every level."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    cardinalities = draw(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=d, max_size=d)
+    )
+    space = PatternSpace(cardinalities)
+    pattern = st.tuples(
+        *[st.sampled_from([X] + list(range(c))) for c in cardinalities]
+    ).map(Pattern)
+    patterns = draw(st.lists(pattern, max_size=6))
+    for drawn in list(patterns):
+        if draw(st.booleans()):
+            kept = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+            patterns.append(Pattern([v if k else X for v, k in zip(drawn, kept)]))
+    if draw(st.booleans()):
+        patterns.append(space.root())
+    if patterns and draw(st.booleans()):
+        patterns.append(draw(st.sampled_from(patterns)))
+    return space, draw(st.permutations(patterns))
+
+
+@given(space_and_patterns(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_expansion_is_the_union_of_descendants(case, data):
+    space, patterns = case
+    level = data.draw(st.integers(min_value=0, max_value=space.d))
+    expected = {
+        target
+        for pattern in patterns
+        if pattern.level <= level
+        for target in space.descendants_at_level(pattern, level)
+    }
+    assert uncovered_at_level(patterns, space, level) == sorted(expected)
+    # The limit raises iff the distinct targets exceed it.
+    assert len(uncovered_at_level(patterns, space, level, len(expected))) == len(
+        expected
+    )
+    if expected:
+        with pytest.raises(EnhancementError):
+            uncovered_at_level(patterns, space, level, len(expected) - 1)
+
+
+@given(space_and_patterns(), st.integers(min_value=1, max_value=30))
+@settings(max_examples=100, deadline=None)
+def test_value_count_targets_match_a_scan(case, bound):
+    space, patterns = case
+    expected = [
+        candidate
+        for candidate in space.all_patterns()
+        if space.value_count(candidate) >= bound
+        and any(pattern.covers(candidate) for pattern in patterns)
+    ]
+    assert targets_by_value_count(patterns, space, bound) == expected

@@ -14,7 +14,7 @@ from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.data.bluenile import load_bluenile
 from repro.data.synthetic import random_categorical_dataset
-from repro.exceptions import EnhancementError, ValidationError
+from repro.exceptions import EnhancementError, PatternError, ValidationError
 
 
 def _hits(combo, targets):
@@ -305,6 +305,23 @@ class TestValueCountVariant:
         targets = targets_by_value_count(example2_mups, example2_space, 12)
         plan = greedy_cover(targets, example2_space)
         assert not plan.unhittable
+
+    def test_every_mup_is_validated(self, example2_space):
+        # A MUP below the bound is still checked against the space.
+        with pytest.raises(PatternError):
+            targets_by_value_count([Pattern.of(0, 0, 0, 0, 7)], example2_space, 5)
+
+    def test_value_counts_past_int64(self):
+        # 45 ternary attributes: the root's value count 3**45 passes int64,
+        # so the counts are Python ints like the codes.
+        space = PatternSpace((3,) * 45)
+        mups = [space.root(), Pattern.of(*([X] * 44 + [2]))]
+        targets = targets_by_value_count(mups, space, 3**44)
+        assert len(targets) == 1 + 45 * 3
+        assert targets == sorted(
+            [space.root()] + list(space.descendants_at_level(space.root(), 1))
+        )
+        assert targets_by_value_count(mups, space, 3**45 + 1) == []
 
 
 class TestNaiveGuard:

@@ -1,14 +1,32 @@
 """Unit tests for MUP expansion to level-λ targets (Appendix C)."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.core.coverage import CoverageOracle
 from repro.core.enhancement.expansion import uncovered_at_level
+from repro.core.lattice import PatternLattice
 from repro.core.mups import deepdiver
-from repro.core.pattern import Pattern
+from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
+from repro.data.airbnb import load_airbnb
 from repro.data.synthetic import random_categorical_dataset
-from repro.exceptions import EnhancementError
+from repro.exceptions import EnhancementError, PatternError
+
+
+def reference_targets(mups, space, level):
+    """Appendix C on Pattern objects: the sorted union of the level-λ
+    descendants of every MUP at level ≤ λ."""
+    return sorted(
+        {
+            target
+            for mup in mups
+            if mup.level <= level
+            for target in space.descendants_at_level(mup, level)
+        }
+    )
 
 
 class TestExample2:
@@ -88,3 +106,87 @@ class TestSemantics:
 
     def test_empty_mups_empty_targets(self, example2_space):
         assert uncovered_at_level([], example2_space, 3) == []
+
+    def test_limit_stops_a_wide_walk_early(self, monkeypatch):
+        # The root expands into all 59,136 level-6 patterns; a level-2
+        # width of 264 > 10 * C(6, 2) already proves the cap exceeded.
+        space = PatternSpace((2,) * 12)
+        expanded = []
+        children = PatternLattice.children
+
+        def spy(lattice, codes):
+            expanded.append(len(codes))
+            return children(lattice, codes)
+
+        monkeypatch.setattr(PatternLattice, "children", spy)
+        with pytest.raises(EnhancementError, match="more than 10 targets"):
+            uncovered_at_level([space.root()], space, 6, limit=10)
+        assert expanded == [0, 1, 24]
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "level", [1.5, 2.0, True, False, "2", None], ids=repr
+    )
+    def test_level_must_be_an_integer(self, example2_space, example2_mups, level):
+        with pytest.raises(EnhancementError, match="level must be"):
+            uncovered_at_level(example2_mups, example2_space, level)
+
+    @pytest.mark.parametrize("limit", [-1, 2.5, True, "10"], ids=repr)
+    def test_limit_must_be_a_non_negative_integer(
+        self, example2_space, example2_mups, limit
+    ):
+        for mups in ([], example2_mups):
+            with pytest.raises(EnhancementError, match="limit must be"):
+                uncovered_at_level(mups, example2_space, 2, limit=limit)
+
+    def test_numpy_integers_are_accepted(self, example2_space, example2_mups):
+        expected = uncovered_at_level(example2_mups, example2_space, 2)
+        assert uncovered_at_level(
+            example2_mups, example2_space, np.int64(2), limit=np.int32(100)
+        ) == expected
+        # The cap's per-level bound is exact even past int32.
+        space = PatternSpace((2,) * 6)
+        limit = np.int32(2**31 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            targets = uncovered_at_level([space.root()], space, 3, limit=limit)
+        assert len(targets) == 20 * 8
+
+    def test_every_mup_is_validated_before_expansion(self, example2_space):
+        bad = Pattern.of(X, X, X, X, 7)
+        # Deeper than λ, or behind a MUP that alone exceeds the limit.
+        with pytest.raises(PatternError):
+            uncovered_at_level([Pattern.of(0, 0, 0, 0, 7)], example2_space, 1)
+        with pytest.raises(PatternError):
+            uncovered_at_level(
+                [example2_space.root(), bad], example2_space, 3, limit=1
+            )
+
+
+class TestAgainstReference:
+    def test_wide_space_with_object_codes(self):
+        # 45 binary attributes: Π(c_i + 1) = 3**45 > 2**63 nodes, so the
+        # walk runs on Python-int codes in object arrays.
+        space = PatternSpace((2,) * 45)
+        assert PatternLattice(space).dtype == object
+        rng = np.random.default_rng(5)
+        mups = [space.random_pattern(rng, level) for level in (1, 1, 2, 2, 3, 5)]
+        nested = mups[2].with_value(mups[2].deterministic_indices()[0], X)
+        mups += [mups[0], nested]
+        for level in (0, 1, 2):
+            targets = uncovered_at_level(mups, space, level)
+            assert targets == reference_targets(mups, space, level)
+        assert len(targets) > len(mups)
+        targets = uncovered_at_level(mups + [space.root()], space, 2)
+        assert targets == reference_targets([space.root()], space, 2)
+        assert len(targets) == 45 * 44 // 2 * 4  # the whole of level 2
+
+    def test_remedy_leg(self):
+        # The e2e remedy-airbnb enhancement: DEEPDIVER to λ = 6 at τ = 900.
+        dataset = load_airbnb(n=30_000, d=10, seed=11)
+        space = PatternSpace.for_dataset(dataset)
+        mups = deepdiver(dataset, 900, max_level=6).mups
+        targets = uncovered_at_level(mups, space, 6)
+        assert len(targets) == 12_234
+        assert targets == reference_targets(mups, space, 6)

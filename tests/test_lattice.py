@@ -127,6 +127,21 @@ class TestMoves:
             )
 
     @pytest.mark.parametrize("cards", ALL_SPACES)
+    def test_children(self, cards):
+        space = PatternSpace(cards)
+        lattice = PatternLattice(space)
+        patterns = list(space.all_patterns())
+        for pattern in patterns:
+            children = lattice.children(lattice.encode([pattern]))
+            assert lattice.decode(children) == list(space.children(pattern))
+        children = lattice.children(lattice.encode(patterns))
+        assert children.dtype == np.int64
+        assert sorted(lattice.decode(children)) == sorted(
+            child for pattern in patterns for child in space.children(pattern)
+        )
+        assert lattice.children(lattice.root()[:0]).size == 0
+
+    @pytest.mark.parametrize("cards", ALL_SPACES)
     def test_rule1_children(self, cards):
         space = PatternSpace(cards)
         lattice = PatternLattice(space)
@@ -209,6 +224,10 @@ class TestWideSpaces:
                 children[row].extend(lattice.decode(siblings))
         for pattern, expected in zip(patterns, children):
             assert space.rule1_children(pattern) == expected
+        assert lattice.children(codes).dtype == object
+        for pattern, code in zip(patterns, codes):
+            children = lattice.children(np.array([code], dtype=object))
+            assert lattice.decode(children) == list(space.children(pattern))
         generated = [[] for _ in patterns]
         for _, rows, parents in lattice.rule2_parents(codes):
             for row, parent in zip(rows.tolist(), lattice.decode(parents)):

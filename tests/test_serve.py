@@ -1045,6 +1045,13 @@ class TestHttpEndToEnd:
             ("/deliver", {"rows": [[0, 1]], "threshold": "x"}),
             ("/deliver", {"rows": [[0, 1]], "algorithm": "bogus"}),
             ("/datasets", {"rows": [[3000000000, 1]]}),
+            ("/identify", {"threshold": 5.9}),
+            ("/identify", {"threshold": True}),
+            ("/label", {"patterns": ["XX"], "threshold": 1.5}),
+            ("/deliver", {"rows": [[0, 1]], "threshold": True}),
+            ("/enhance", {"threshold": 2.5, "level": 1}),
+            ("/enhance", {"threshold": 1, "level": 2.7}),
+            ("/enhance", {"threshold": 1, "level": True}),
         ],
         ids=[
             "label-threshold",
@@ -1054,6 +1061,13 @@ class TestHttpEndToEnd:
             "deliver-threshold",
             "deliver-algorithm",
             "register-past-int32",
+            "identify-fractional-threshold",
+            "identify-boolean-threshold",
+            "label-fractional-threshold",
+            "deliver-boolean-threshold",
+            "enhance-fractional-threshold",
+            "enhance-fractional-level",
+            "enhance-boolean-level",
         ],
     )
     def test_client_errors_are_400(self, route, fields):
@@ -1071,6 +1085,24 @@ class TestHttpEndToEnd:
                 server, "POST", "/label", {"dataset": key, "patterns": ["XX"]}
             )
             assert label["total"] == len(rows)
+
+    def test_integral_strings_and_floats_are_integers(self):
+        rows = [[0, 1], [1, 0], [0, 0], [0, 0]]
+        with BackgroundServer(service_config()) as server:
+            _, reg = http_call(server, "POST", "/datasets", {"rows": rows})
+            key = reg["dataset"]
+            _, expected = http_call(
+                server, "POST", "/enhance",
+                {"dataset": key, "threshold": 1, "level": 2},
+            )
+            for threshold, level in (("1", 2.0), (1.0, "2")):
+                status, body = http_call(
+                    server, "POST", "/enhance",
+                    {"dataset": key, "threshold": threshold, "level": level},
+                )
+                assert status == 200 and body == expected
+            assert expected["threshold"] == 1 and expected["level"] == 2
+            assert expected["targets"] == 1  # 11 is the one empty cell
 
     def test_negative_content_length_is_400(self):
         with BackgroundServer(service_config()) as server:
