@@ -15,9 +15,9 @@ Two pins, one artifact (``BENCH_distributed.json``):
   attached spill directory evaluated serially and on spawn-local socket
   shard workers answering length-prefixed frames.  The pin: single-host
   socket execution stays **within 1.3x of serial wall clock** (the bound
-  that keeps per-query IPC overhead honest), and full MUP identification
-  on the socket engine returns a set bit-identical to the dense
-  reference.
+  that keeps per-query IPC overhead honest), and APRIORI's full MUP
+  identification, counted by the socket workers, returns a set
+  bit-identical to PATTERN-BREAKER's, which reads no engine.
 
 Also runnable standalone (the CI distributed smoke job):
 
@@ -33,11 +33,7 @@ import numpy as np
 import _config as config
 from _harness import emit_bench, timed
 
-from repro.core.engine import (
-    DenseBoolEngine,
-    ShardedEngine,
-    ShardStoreWriter,
-)
+from repro.core.engine import ShardedEngine, ShardStoreWriter
 from repro.core.engine.sharded import _fork_available
 from repro.core.mups.base import find_mups
 from repro.core.pattern import Pattern, X
@@ -72,7 +68,7 @@ SOCKET_SHARDS = 4
 SOCKET_WORKERS = 2
 REPS = 3
 
-#: MUP-identification cross-check: small enough for a dense reference.
+#: MUP-identification cross-check: small enough for APRIORI's item lattice.
 MUP_N = config.pick(4_000, 20_000)
 MUP_CARDINALITIES = (5, 4, 3, 3)
 MUP_THRESHOLD = 5
@@ -252,14 +248,13 @@ def run_socket_leg(root, rows, payload):
         f"(pin: <= {MAX_SOCKET_OVER_SERIAL}x)"
     )
 
-    # Full MUP identification on a socket engine, bit-identical to dense.
+    # APRIORI counts every candidate through the socket engine; its MUP
+    # set must equal PATTERN-BREAKER's, which counts the unique rows.
     mup_dataset = random_categorical_dataset(
         MUP_N, MUP_CARDINALITIES, seed=11, skew=1.4
     )
     reference = find_mups(
-        mup_dataset,
-        threshold=MUP_THRESHOLD,
-        engine=DenseBoolEngine(mup_dataset),
+        mup_dataset, threshold=MUP_THRESHOLD, algorithm="pattern_breaker"
     )
     with tempfile.TemporaryDirectory(prefix="repro-mup-", dir=root) as mup_root:
         engine = ShardedEngine(
@@ -270,26 +265,35 @@ def run_socket_leg(root, rows, payload):
         )
         try:
             result = find_mups(
-                mup_dataset, threshold=MUP_THRESHOLD, engine=engine
+                mup_dataset,
+                threshold=MUP_THRESHOLD,
+                algorithm="apriori",
+                engine=engine,
+            )
+            ops_served = sum(
+                stats["ops_served"]
+                for stats in engine._dist_pool.worker_stats()
             )
         finally:
             engine.close()
+    assert ops_served > 0, "the socket workers served no shard op"
     assert result.as_set() == reference.as_set(), (
-        "socket MUP set diverged from the dense reference"
+        "socket MUP set diverged from PATTERN-BREAKER's"
     )
     payload["mup_crosscheck"] = {
         "n": mup_dataset.n,
         "threshold": MUP_THRESHOLD,
         "mups": len(result.mups),
-        "identical_to_dense": True,
+        "socket_ops_served": ops_served,
+        "identical_to_pattern_breaker": True,
     }
     rows.append(
         (
             "mup crosscheck",
             "-",
             "-",
-            f"{len(result.mups)} MUPs",
-            "bit-identical to dense",
+            f"{len(result.mups)} MUPs, {ops_served} socket ops",
+            "apriori = pattern_breaker",
         )
     )
 

@@ -1,8 +1,9 @@
 """Auto-planner benchmark: ``auto`` vs every hand-tuned backend.
 
-Runs the smoke matrix — one workload per planner zone (dense / packed /
-out-of-core-under-budget) — and times the same batched coverage workload
-(match masks + ``count_many``) on every hand-tuned backend plus the
+Runs the smoke matrix — a tiny and a medium in-memory workload, plus the
+medium one under an out-of-core budget — and times the same batched
+coverage workload (match masks + ``count_many``) on every hand-tuned
+backend plus the
 engine the ``auto`` planner picks.  The pin: **auto stays within 1.25× of
 the best hand-tuned backend on every workload** (the planner may only pay
 planning arithmetic, never a wrong-backend penalty).  Budgeted workloads
@@ -32,7 +33,7 @@ N_MASKS = config.pick(256, 1024)
 
 
 def smoke_matrix(spill_root, full=False):
-    """The workloads, one per planner zone.
+    """The workloads: two in-memory sizes and one over-budget.
 
     Each entry: (name, dataset, requested EngineConfig, hand-tuned
     candidate configs).  Budgeted entries only admit budget-respecting
@@ -50,7 +51,6 @@ def smoke_matrix(spill_root, full=False):
     # jitter would drown the backend comparison this bench pins.
     budget = 256 << 10
     unbudgeted = [
-        EngineConfig(backend="dense", mask_cache_size=0),
         EngineConfig(backend="packed", mask_cache_size=0),
         EngineConfig(
             backend="sharded", shards=4, spill_dir=spill_root, mask_cache_size=0
@@ -136,7 +136,7 @@ def run(spill_root, full=False):
         rows,
         payload,
     )
-    # The pin: a wrong plan would show up as a large ratio on its zone.
+    # The pin: a wrong plan would show up as a large ratio on its workload.
     for name, entry in payload["workloads"].items():
         assert entry["auto_over_best_ratio"] <= MAX_AUTO_RATIO, (
             name,

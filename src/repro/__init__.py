@@ -28,7 +28,6 @@ from repro.core.pattern_graph import PatternSpace
 from repro.core.engine import (
     ENGINES,
     CoverageEngine,
-    DenseBoolEngine,
     EngineConfig,
     EnginePlan,
     PackedBitsetEngine,
@@ -73,7 +72,6 @@ __all__ = [
     "X",
     "PatternSpace",
     "CoverageEngine",
-    "DenseBoolEngine",
     "PackedBitsetEngine",
     "ShardedEngine",
     "EngineConfig",

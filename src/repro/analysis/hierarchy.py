@@ -53,7 +53,7 @@ from repro.core.coverage import CoverageOracle
 from repro.core.engine import AUTO, EngineSpec
 from repro.core.enhancement.hierarchical import GeneralizationRemedy
 from repro.core.lattice import UNBOUNDED, LevelWalk, index_of, walk_dataset
-from repro.core.mups.base import MupResult, resolve_threshold
+from repro.core.mups.base import MupResult, resolve_max_level, resolve_threshold
 from repro.core.pattern import Pattern, X
 from repro.data.bucketize import bucketize_equal_width, bucketize_quantiles
 from repro.data.dataset import Dataset, Schema
@@ -362,17 +362,17 @@ def find_mups_hierarchical(
             covered generalization.
     """
     tau = resolve_threshold(dataset, threshold, threshold_rate)
+    max_level = resolve_max_level(max_level)
     watch = Stopwatch()
     # Warm the base aggregation once: every rolled level then derives its
     # unique rows from it (see ``rollup``) instead of re-sorting n rows.
     dataset.unique_rows()
-    cap = None if max_level is None else max(0, max_level)
 
     levels: List[HierarchyLevel] = []
     bound = None
     for level in range(stack.depth, -1, -1):
         roll = stack.rollup_to(dataset, level)
-        walk = walk_dataset(roll.dataset, tau, cap, bound=bound)
+        walk = walk_dataset(roll.dataset, tau, max_level, bound=bound)
         levels.append(
             HierarchyLevel(
                 level=level,

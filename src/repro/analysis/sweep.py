@@ -42,7 +42,7 @@ from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import EngineSpec
 from repro.core.lattice import UNBOUNDED, walk_dataset
-from repro.core.mups.base import MupResult
+from repro.core.mups.base import MupResult, resolve_max_level
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
 from repro.data.sampling import bootstrap_resample
@@ -360,8 +360,7 @@ def sweep_mups(
     """
     thresholds = _normalize_thresholds(thresholds)
     attrs = _normalize_attributes(attributes, dataset.d)
-    if max_level is not None and max_level < 0:
-        raise ReproError(f"max_level must be >= 0, got {max_level}")
+    max_level = resolve_max_level(max_level)
 
     watch = Stopwatch()
     tau_min, tau_max = thresholds[0], thresholds[-1]

@@ -147,11 +147,11 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         default=AUTO,
         choices=sorted(ENGINES) + [AUTO],
         help="coverage-engine backend (default 'auto': a workload-aware "
-        "planner inspects the dataset and escalates dense -> packed -> "
-        "sharded as the projected index grows); 'dense' uses unpacked "
-        "boolean vectors (reference), 'packed' uses uint64 bitsets with "
-        "word-level popcount (8x smaller index), 'sharded' partitions the "
-        "packed index row-wise into spilled, mmap-streamed shards",
+        "planner inspects the dataset and picks packed while the projected "
+        "index fits the memory budget, else sharded); 'packed' uses "
+        "in-memory uint64 bitsets with word-level popcount, 'sharded' "
+        "partitions the packed index row-wise into spilled, mmap-streamed "
+        "shards",
     )
     parser.add_argument(
         "--explain-plan",

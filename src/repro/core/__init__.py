@@ -8,7 +8,6 @@ from repro.core.pattern_graph import PatternSpace
 from repro.core.engine import (
     ENGINES,
     CoverageEngine,
-    DenseBoolEngine,
     PackedBitsetEngine,
     resolve_engine,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "X",
     "PatternSpace",
     "CoverageEngine",
-    "DenseBoolEngine",
     "PackedBitsetEngine",
     "ENGINES",
     "resolve_engine",

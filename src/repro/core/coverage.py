@@ -6,11 +6,12 @@ unique combinations, and answers ``cov(P)`` as the AND of the deterministic
 elements' vectors weighted by the count vector — exactly the Appendix A
 design.  The vector representation is pluggable: the oracle delegates every
 mask operation to a :class:`~repro.core.engine.CoverageEngine` backend
-(``dense`` boolean ndarrays or ``packed`` uint64 bitsets), so traversal
-algorithms run unmodified on either.  Masks are engine-specific opaque
-handles; thread a parent's match mask down so a child's coverage costs a
-single vectorized AND (``restrict_mask``), or answer a whole frontier with
-the batched ``coverage_of_masks`` / ``coverage_many`` queries.
+(``packed`` ``uint64`` bitsets in memory, or their ``sharded`` spill), so
+traversal algorithms run unmodified on either.  Masks are engine-specific
+opaque handles; thread a parent's match mask down so a child's coverage
+costs a single vectorized AND (``restrict_mask``), or answer a whole
+frontier with the batched ``coverage_of_masks`` / ``coverage_many``
+queries.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class CoverageOracle:
         dataset: the dataset to index.
         engine: coverage-engine selection — a declarative
             :class:`~repro.core.engine.EngineConfig`, a registry name
-            (``"dense"`` / ``"packed"`` / ``"sharded"``, or ``"auto"`` to
-            let the workload-aware planner choose), an engine class, or a
-            prebuilt engine instance; ``None`` picks the default backend.
+            (``"packed"`` / ``"sharded"``, or ``"auto"`` to let the
+            workload-aware planner choose), an engine class, or a
+            prebuilt engine instance; ``None`` picks the default
+            backend, ``packed``.
 
     Attributes:
         evaluations: number of coverage queries answered; algorithms report

@@ -1,7 +1,7 @@
 """Pluggable coverage engines (Appendix A behind one interface).
 
-Importing this package registers every backend; select one by name
-(``"dense"`` / ``"packed"`` / ``"sharded"``) — or pass a declarative
+Importing this package registers both backends; select one by name
+(``"packed"`` / ``"sharded"``) — or pass a declarative
 :class:`~repro.core.engine.config.EngineConfig`, or the name ``"auto"``
 to let the workload-aware planner (:mod:`repro.core.engine.planner`)
 choose — anywhere an ``engine=`` argument or the CLI ``--engine`` flag is
@@ -22,7 +22,6 @@ from repro.core.engine.base import (
     register_engine,
     resolve_engine,
 )
-from repro.core.engine.dense import DenseBoolEngine
 from repro.core.engine.distributed import (
     PROTOCOL_VERSION,
     DistributedPool,
@@ -45,15 +44,12 @@ from repro.core.engine.planner import (
     EnginePlan,
     WorkloadStats,
     available_memory_bytes,
-    invalidate_stats_cache,
     plan_engine,
     set_available_memory_bytes,
-    stats_cache_info,
 )
 
 __all__ = [
     "CoverageEngine",
-    "DenseBoolEngine",
     "PackedBitsetEngine",
     "ShardedEngine",
     "MmapShardStore",
@@ -73,8 +69,6 @@ __all__ = [
     "plan_engine",
     "available_memory_bytes",
     "set_available_memory_bytes",
-    "stats_cache_info",
-    "invalidate_stats_cache",
     "AUTO",
     "BUILTIN_BACKENDS",
     "ENGINES",

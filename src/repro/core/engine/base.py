@@ -13,13 +13,11 @@ owns those vectors for one dataset and answers three families of queries:
 Masks are engine-specific opaque handles: callers obtain them from the
 engine (``full_mask``, ``match_mask``, ``restrict``…), hand them back to
 the engine, and never inspect them directly (``mask_to_bool`` converts
-when row identities are needed).  Three backends are registered:
+when row identities are needed).  Two backends are registered:
 
-* ``dense`` — :class:`~repro.core.engine.dense.DenseBoolEngine`, unpacked
-  boolean ndarrays (the reference/ablation baseline);
 * ``packed`` — :class:`~repro.core.engine.packed.PackedBitsetEngine`,
-  ``uint64`` word arrays with word-level popcount (8× smaller index,
-  word-at-a-time ANDs);
+  ``uint64`` word arrays with word-level popcount (the default, and the
+  only in-memory index);
 * ``sharded`` — :class:`~repro.core.engine.sharded.ShardedEngine`, the
   packed index partitioned row-wise into K shards that live in an
   mmap-backed spill directory
@@ -65,12 +63,12 @@ Mask = Any
 ENGINES: Dict[str, Type["CoverageEngine"]] = {}
 
 #: Registry key used when no engine is specified.
-DEFAULT_ENGINE = "dense"
+DEFAULT_ENGINE = "packed"
 
 #: Default capacity of the per-engine hot-mask LRU cache (0 disables it).
 DEFAULT_MASK_CACHE = 1024
 
-#: Byte budget for cached masks: the entry cap alone would let a dense
+#: Byte budget for cached masks: the entry cap alone would let the
 #: cache dwarf the index it fronts on wide datasets, so eviction also
 #: keeps total cached mask bytes under this ceiling.
 DEFAULT_MASK_CACHE_BYTES = 32 << 20
@@ -426,8 +424,8 @@ def resolve_engine(spec: EngineSpec, dataset: Dataset) -> CoverageEngine:
 
     Accepts an :class:`~repro.core.engine.config.EngineConfig` (the
     declarative form that carries every engine option), a registry name
-    (``"dense"`` / ``"packed"`` / ``"sharded"``, or ``"auto"`` to let the
-    planner choose), an engine class, a dataset-free
+    (``"packed"`` / ``"sharded"``, or ``"auto"`` to let the planner
+    choose), an engine class, a dataset-free
     factory callable (such as an engine's
     :meth:`~CoverageEngine.template`), an already-built instance (returned
     as-is), or ``None`` for the default.

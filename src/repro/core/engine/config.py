@@ -8,9 +8,9 @@ call site re-implemented (or forgot) the cross-field validity checks.
 :class:`EngineConfig` collapses that sprawl into one frozen, validated,
 serializable dataclass:
 
-* **one vocabulary** — a config names the backend (``"dense"`` /
-  ``"packed"`` / ``"sharded"``, or ``"auto"`` for the workload-aware
-  planner in :mod:`repro.core.engine.planner`) and carries every option a
+* **one vocabulary** — a config names the backend (``"packed"`` /
+  ``"sharded"``, or ``"auto"`` for the workload-aware planner in
+  :mod:`repro.core.engine.planner`) and carries every option a
   built-in backend accepts; unset options (``None``) defer to the
   backend's own defaults;
 * **one validator** — :meth:`validate` holds the cross-field rules the
@@ -45,7 +45,7 @@ AUTO = "auto"
 #: Backend names whose constructor options EngineConfig fully describes.
 #: (Custom registered backends keep their own kwargs and bypass the
 #: config-level option validation.)
-BUILTIN_BACKENDS = (AUTO, "dense", "packed", "sharded")
+BUILTIN_BACKENDS = (AUTO, "packed", "sharded")
 
 #: Options that only the sharded backend (or the auto planner) consumes.
 _SHARDED_ONLY = (

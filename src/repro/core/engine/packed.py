@@ -2,9 +2,10 @@
 
 One row of ``uint64`` words per attribute value over the unique value
 combinations; masks are plain ``uint64`` word arrays.  An AND moves one
-word per 64 combinations (8× less traffic than the dense baseline) and
-coverage is a word-level popcount — weighted by the multiplicity vector
-when the dataset has duplicate rows, a pure ``popcount`` when it does not.
+word per 64 combinations (8× less traffic than one ``bool`` per
+combination) and coverage is a word-level popcount — weighted by the
+multiplicity vector when the dataset has duplicate rows, a pure
+``popcount`` when it does not.
 
 Batched queries operate on the stacked ``(cardinality, words)`` matrices
 directly, so a whole sibling family or frontier level is answered by one

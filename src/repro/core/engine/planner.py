@@ -1,15 +1,11 @@
 """Workload-aware engine planning: the ``"auto"`` backend.
 
-After three PRs of backend growth (dense → packed → sharded → out-of-core)
-the right execution strategy depends on the dataset: a 60-row categorical
-table wants the zero-overhead dense vectors, a million-row index wants
-packed words, and an index bigger than RAM has to stream through the mmap
-shard store.  Hand-picking that per call does not scale to "as many
-scenarios as you can imagine"; this module makes the system pick for
-itself.
+The right execution strategy depends on the dataset: an index that fits
+in memory wants packed words, and an index bigger than RAM has to stream
+through the mmap shard store.  :func:`plan_engine` makes that choice.
 
-:func:`plan_engine` inspects **cheap, index-free statistics** of the
-workload (:class:`WorkloadStats`: row count, attribute cardinalities, the
+It inspects **cheap, index-free statistics** of the workload
+(:class:`WorkloadStats`: row count, attribute cardinalities, the
 projected distinct-combination count and packed-index bytes derived from
 them, available memory and cores — all O(d) arithmetic, no ``np.unique``
 pass) and emits an :class:`EnginePlan`: a concrete, validated
@@ -18,11 +14,10 @@ rationale (the CLI prints it under ``--explain-plan``).  The escalation
 ladder:
 
 ========================  =====================================================
-projected index           chosen backend
+projected packed index    chosen backend
 ========================  =====================================================
-dense index ≤ 256 KiB     ``dense`` — unpacked bools beat packing overhead
-packed ≤ memory budget    ``packed`` — 8× smaller index, word-level popcount
-packed > memory budget    ``sharded`` — spill + mmap streaming under
+≤ memory budget           ``packed`` — ``uint64`` words, word-level popcount
+> memory budget           ``sharded`` — spill + mmap streaming under
                           ``max_resident_bytes`` = the budget; socket
                           workers once the index dwarfs the budget
 ========================  =====================================================
@@ -33,19 +28,14 @@ force the sharded backend, and ``max_resident_bytes`` (on
 ``backend="auto"``) sets the memory budget the escalation compares
 against.  Plans are deterministic functions of ``(stats, requested
 config)``, which the property suite pins.
-
-Every future backend (network shard placement, incremental spill reuse)
-slots in behind this single decision point.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.core.engine.config import AUTO, EngineConfig
 from repro.core.engine.sharded import DEFAULT_SHARDS, _default_spill_root
@@ -53,9 +43,6 @@ from repro.data.dataset import Dataset
 from repro.exceptions import EngineError
 
 _WORD_BITS = 64
-
-#: Keep the dense reference representation while its bool index fits here.
-DENSE_MAX_INDEX_BYTES = 256 << 10
 
 #: Target bytes per shard when the planner sizes a sharded index.
 SHARD_TARGET_BYTES = 8 << 20
@@ -119,11 +106,7 @@ def available_memory_bytes() -> int:
 
 
 def set_available_memory_bytes(value: Optional[int]) -> None:
-    """Override (or, with ``None``, re-arm) the cached memory probe.
-
-    Also invalidates the memoized :meth:`WorkloadStats.of` snapshots —
-    they embed the budget derived from the probed value.
-    """
+    """Override (or, with ``None``, re-arm) the cached memory probe."""
     global _MEMORY_BYTES_CACHE, _MEMORY_BYTES_OVERRIDE
     if value is not None:
         value = int(value)
@@ -133,7 +116,6 @@ def set_available_memory_bytes(value: Optional[int]) -> None:
             )
     _MEMORY_BYTES_OVERRIDE = value
     _MEMORY_BYTES_CACHE = None
-    invalidate_stats_cache()
 
 
 def _fmt_bytes(nbytes: int) -> str:
@@ -152,8 +134,8 @@ class WorkloadStats:
 
     All projections are upper bounds derived from the schema and row
     count alone (no aggregation pass): the distinct-combination count is
-    capped by both ``rows`` and ``Π c_i``, and the index byte projections
-    follow from it and ``Σ c_i``.
+    capped by both ``rows`` and ``Π c_i``, and the index byte projection
+    follows from it and ``Σ c_i``.
 
     Attributes:
         rows: number of tuples ``n``.
@@ -163,8 +145,6 @@ class WorkloadStats:
             (``min(n, Π c_i)``).
         projected_packed_bytes: projected packed-index word bytes
             (``Σ c_i × ⌈unique/64⌉ × 8``).
-        projected_dense_bytes: projected dense bool-index bytes
-            (``Σ c_i × unique``).
         memory_budget_bytes: bytes the plan may keep resident.
         cpu_count: cores available for worker fan-out.
     """
@@ -174,7 +154,6 @@ class WorkloadStats:
     cardinalities: Tuple[int, ...]
     projected_unique: int
     projected_packed_bytes: int
-    projected_dense_bytes: int
     memory_budget_bytes: int
     cpu_count: int
 
@@ -190,28 +169,12 @@ class WorkloadStats:
     def of(
         cls, dataset: Dataset, memory_budget: Optional[int] = None
     ) -> "WorkloadStats":
-        """Collect the statistics for ``dataset`` (memoized).
+        """Collect the statistics for ``dataset``.
 
         ``memory_budget`` overrides the probed default (half the available
         physical memory); it is how an ``EngineConfig(backend="auto",
         max_resident_bytes=...)`` budget reaches the planner.
-
-        Snapshots are memoized per ``dataset.content_fingerprint()`` (plus
-        the requested budget), so
-        repeated ``--engine auto`` resolutions — incremental index
-        rebuilds, sweep loops — don't redo the arithmetic or the memory
-        probe.  :func:`stats_cache_info` exposes the hit/miss counters;
-        :func:`invalidate_stats_cache` drops entries when a dataset's
-        content changes (the incremental index calls it on delivery).
         """
-        key = (dataset.content_fingerprint(), memory_budget)
-        with _STATS_LOCK:
-            cached = _STATS_CACHE.get(key)
-            if cached is not None:
-                _STATS_COUNTERS["hits"] += 1
-                _STATS_CACHE.move_to_end(key)
-                return cached
-            _STATS_COUNTERS["misses"] += 1
         cardinalities = tuple(int(c) for c in dataset.cardinalities)
         combinations = 1
         for cardinality in cardinalities:
@@ -221,76 +184,19 @@ class WorkloadStats:
                 break
         unique = min(dataset.n, combinations)
         words = (unique + _WORD_BITS - 1) // _WORD_BITS
-        row_total = sum(cardinalities)
         if memory_budget is None:
             memory_budget = max(
                 1, int(available_memory_bytes() * MEMORY_BUDGET_FRACTION)
             )
-        stats = cls(
+        return cls(
             rows=dataset.n,
             d=dataset.d,
             cardinalities=cardinalities,
             projected_unique=unique,
-            projected_packed_bytes=row_total * words * 8,
-            projected_dense_bytes=row_total * unique,
+            projected_packed_bytes=sum(cardinalities) * words * 8,
             memory_budget_bytes=int(memory_budget),
             cpu_count=os.cpu_count() or 1,
         )
-        with _STATS_LOCK:
-            # A concurrent WorkloadStats.of may have won the race while the
-            # snapshot was being derived; keep the first-inserted instance
-            # so every caller shares one object, as memoization promises.
-            winner = _STATS_CACHE.get(key)
-            if winner is not None:
-                _STATS_CACHE.move_to_end(key)
-                return winner
-            _STATS_CACHE[key] = stats
-            while len(_STATS_CACHE) > STATS_CACHE_MAX_ENTRIES:
-                _STATS_CACHE.popitem(last=False)
-                _STATS_COUNTERS["evictions"] += 1
-        return stats
-
-
-#: The stats memo is process-global and the serving layer plans from many
-#: threads at once, so every access goes through this lock; the LRU bound
-#: keeps a long-lived server that touches many datasets from growing the
-#: memo forever.
-STATS_CACHE_MAX_ENTRIES = 256
-
-#: Memoized WorkloadStats snapshots, keyed by (content fingerprint,
-#: requested budget); the stats are frozen, so sharing one instance
-#: across planner calls is safe.  Insertion order
-#: doubles as recency (hits move_to_end) for the LRU bound above.
-_STATS_CACHE: "OrderedDict[Tuple, WorkloadStats]" = OrderedDict()
-_STATS_COUNTERS = {"hits": 0, "misses": 0, "evictions": 0}
-_STATS_LOCK = threading.Lock()
-
-
-def stats_cache_info() -> Dict[str, int]:
-    """Hit/miss/eviction counters and occupancy of the stats memo."""
-    with _STATS_LOCK:
-        return {
-            "hits": _STATS_COUNTERS["hits"],
-            "misses": _STATS_COUNTERS["misses"],
-            "evictions": _STATS_COUNTERS["evictions"],
-            "entries": len(_STATS_CACHE),
-            "max_entries": STATS_CACHE_MAX_ENTRIES,
-        }
-
-
-def invalidate_stats_cache(fingerprint: Optional[str] = None) -> None:
-    """Drop memoized stats — all of them, or one dataset fingerprint's.
-
-    Call with the old content fingerprint when a dataset's rows change
-    (the incremental index does this on every delivery) so the next auto
-    plan re-derives its projections instead of reusing stale ones.
-    """
-    with _STATS_LOCK:
-        if fingerprint is None:
-            _STATS_CACHE.clear()
-            return
-        for key in [k for k in _STATS_CACHE if k[0] == fingerprint]:
-            del _STATS_CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -316,7 +222,6 @@ class EnginePlan:
             f"cardinalities={list(stats.cardinalities)} "
             f"projected_unique={stats.projected_unique}",
             f"  projections: packed index ~{_fmt_bytes(stats.projected_packed_bytes)}, "
-            f"dense index ~{_fmt_bytes(stats.projected_dense_bytes)}, "
             f"memory budget {_fmt_bytes(stats.memory_budget_bytes)}, "
             f"cores={stats.cpu_count}",
         ]
@@ -430,21 +335,11 @@ def plan_engine(
             worker_endpoints=requested.worker_endpoints,
             delta_spill=requested.delta_spill,
         )
-    elif stats.projected_dense_bytes <= DENSE_MAX_INDEX_BYTES:
-        rationale.append(
-            f"projected dense index {_fmt_bytes(stats.projected_dense_bytes)} "
-            f"fits the dense ceiling {_fmt_bytes(DENSE_MAX_INDEX_BYTES)} -> "
-            f"dense (no packing overhead on tiny indices)"
-        )
-        config = EngineConfig(
-            backend="dense",
-            mask_cache_size=requested.mask_cache_size,
-        )
     else:
         rationale.append(
             f"projected packed index {_fmt_bytes(packed_bytes)} fits the "
-            f"memory budget {_fmt_bytes(budget)} -> packed (8x smaller than "
-            f"dense, word-level popcount)"
+            f"memory budget {_fmt_bytes(budget)} -> packed (in-memory "
+            f"uint64 words, word-level popcount)"
         )
         config = EngineConfig(
             backend="packed",

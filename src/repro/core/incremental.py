@@ -27,7 +27,7 @@ from typing import Iterable, List, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.coverage import CoverageOracle
-from repro.core.engine import CoverageEngine, EngineSpec, invalidate_stats_cache
+from repro.core.engine import CoverageEngine, EngineSpec
 from repro.core.mups.base import MupResult, find_mups
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
@@ -184,9 +184,6 @@ class IncrementalMupIndex:
             new_oracle = CoverageOracle(new_dataset, engine=self._engine_spec)
         retired = self._oracle.engine
         try:
-            # The retired dataset's planner stats are stale the moment the
-            # delivery lands; drop them so a later plan re-measures.
-            invalidate_stats_cache(self._dataset.content_fingerprint())
             self._dataset = new_dataset
             self._oracle = new_oracle
         finally:

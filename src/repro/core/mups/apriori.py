@@ -94,10 +94,12 @@ def apriori_mups(
         return result
 
     # Level 1: singletons. The empty item-set (the root pattern) has support
-    # n; when even the root is uncovered it is the only MUP.
-    if oracle.total < threshold:
+    # n; when even the root is uncovered it is the only MUP, and a level-0
+    # cap stops before the singletons either way.
+    if oracle.total < threshold or not depth:
         stats.seconds = watch.elapsed()
-        return MupResult((Pattern.root(d),), threshold, stats, max_level)
+        root = (Pattern.root(d),) if oracle.total < threshold else ()
+        return MupResult(root, threshold, stats, max_level)
 
     singletons: List[ItemSet] = [
         ((attribute, value),)

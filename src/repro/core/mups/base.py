@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from numbers import Integral
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._util import SearchStats
 from repro.core.coverage import CoverageOracle, max_covered_level, threshold_from_rate
@@ -97,6 +99,23 @@ def resolve_threshold(
     return threshold_from_rate(threshold_rate, dataset.n)
 
 
+def resolve_max_level(max_level: Any) -> Optional[int]:
+    """Normalize a level cap: ``None``, or a non-boolean integer ≥ 0.
+
+    Numpy integers are accepted; booleans, fractions, strings and negative
+    integers raise :class:`ReproError`.
+    """
+    if max_level is None:
+        return None
+    if isinstance(max_level, bool) or not isinstance(max_level, Integral):
+        raise ReproError(
+            f"max_level must be a non-negative integer, got {max_level!r}"
+        )
+    if max_level < 0:
+        raise ReproError(f"max_level must be >= 0, got {max_level}")
+    return int(max_level)
+
+
 def find_mups(
     dataset: Dataset,
     threshold: Optional[int] = None,
@@ -114,8 +133,8 @@ def find_mups(
         threshold_rate: alternatively, a rate of ``n`` (paper's sweeps).
         algorithm: one of ``naive``, ``pattern_breaker``, ``pattern_combiner``,
             ``deepdiver``, ``apriori``.
-        max_level: only look for MUPs at level ≤ this cap (supported by
-            ``pattern_breaker`` and ``deepdiver``; Figure 16).
+        max_level: only look for MUPs at level ≤ this cap (Figure 16);
+            every algorithm but ``pattern_combiner`` supports it.
         oracle: optionally reuse a prebuilt coverage oracle.
         engine: coverage-engine selection used to build the oracle — an
             :class:`~repro.core.engine.EngineConfig`, a backend name
@@ -130,8 +149,11 @@ def find_mups(
             f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
         )
     tau = resolve_threshold(dataset, threshold, threshold_rate)
+    max_level = resolve_max_level(max_level)
     kwargs = {}
     if max_level is not None:
+        if "max_level" not in inspect.signature(ALGORITHMS[algorithm]).parameters:
+            raise ReproError(f"{algorithm} does not support max_level")
         kwargs["max_level"] = max_level
     if oracle is not None:
         kwargs["oracle"] = oracle

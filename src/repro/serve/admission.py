@@ -35,16 +35,14 @@ PACKED_SCAN_BYTES_PER_SECOND = 4 << 30
 
 
 def _projected_resident_bytes(plan: EnginePlan) -> int:
-    """Resident index bytes the planned backend would hold."""
-    stats = plan.stats
-    backend = plan.config.backend
-    if backend == "dense":
-        return stats.projected_dense_bytes
-    # Packed, and sharded too: a sharded engine keeps only
-    # max_resident_bytes in RAM, but a serving process must never stream
-    # queries off disk, so the *full* packed footprint is what admission
-    # compares against the budget.
-    return stats.projected_packed_bytes
+    """Resident index bytes the planned backend would hold.
+
+    Packed, and sharded too: a sharded engine keeps only
+    max_resident_bytes in RAM, but a serving process must never stream
+    queries off disk, so the *full* packed footprint is what admission
+    compares against the budget.
+    """
+    return plan.stats.projected_packed_bytes
 
 
 def _projected_scan_seconds(plan: EnginePlan) -> float:

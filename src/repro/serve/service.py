@@ -418,19 +418,15 @@ class CoverageService:
         snapshot = self._snapshot(dataset_key)
         taus = self._parse_thresholds(thresholds)
         attrs = self._parse_attributes(attributes, snapshot.dataset)
-        try:
-            bootstrap = int(bootstrap)
-            seed = int(seed)
-            max_level = None if max_level is None else int(max_level)
-        except (TypeError, ValueError):
-            raise ServeError(
-                "bad_request",
-                "bootstrap, seed, and max_level must be integers",
-            )
-        if bootstrap < 0:
-            raise ServeError(
-                "bad_request", f"bootstrap must be >= 0, got {bootstrap}"
-            )
+        bootstrap = _as_int(bootstrap, "bootstrap")
+        seed = _as_int(seed, "seed")
+        if max_level is not None:
+            max_level = _as_int(max_level, "max_level")
+        for name, value in (("bootstrap", bootstrap), ("seed", seed)):
+            if value < 0:
+                raise ServeError(
+                    "bad_request", f"{name} must be >= 0, got {value}"
+                )
         key = (
             "sweep",
             snapshot.fingerprint,
@@ -456,19 +452,17 @@ class CoverageService:
         return body
 
     def _parse_thresholds(self, thresholds: Any) -> tuple:
-        try:
-            if isinstance(thresholds, str):
+        if isinstance(thresholds, str):
+            try:
                 return parse_tau_range(thresholds)
-            if isinstance(thresholds, int):
-                return (self._check_identify_args(thresholds, "deepdiver"),)
-            if isinstance(thresholds, (list, tuple)) and thresholds:
-                return tuple(
-                    sorted({int(t) for t in thresholds})
-                )
-        except ReproError as error:
-            raise ServeError("bad_request", str(error)) from error
-        except (TypeError, ValueError):
-            pass
+            except ReproError as error:
+                raise ServeError("bad_request", str(error)) from error
+        if isinstance(thresholds, (int, float)):
+            return (self._check_identify_args(thresholds, "deepdiver"),)
+        if isinstance(thresholds, (list, tuple)) and thresholds:
+            return tuple(
+                sorted({_as_int(t, "threshold") for t in thresholds})
+            )
         raise ServeError(
             "bad_request",
             f"thresholds must be a non-empty integer list or a "
@@ -492,13 +486,7 @@ class CoverageService:
                 except ReproError as error:
                     raise ServeError("bad_request", str(error)) from error
             else:
-                try:
-                    index = int(item)
-                except (TypeError, ValueError):
-                    raise ServeError(
-                        "bad_request",
-                        f"attribute {item!r} is neither a name nor an index",
-                    )
+                index = _as_int(item, "attribute index")
                 if not 0 <= index < dataset.d:
                     raise ServeError(
                         "bad_request",
@@ -532,11 +520,13 @@ class CoverageService:
             hierarchies, snapshot.dataset
         )
         threshold = self._check_identify_args(threshold, "deepdiver")
-        try:
-            max_level = None if max_level is None else int(max_level)
-        except (TypeError, ValueError):
-            raise ServeError("bad_request", "max_level must be an integer")
-        remedies = bool(remedies)
+        if max_level is not None:
+            max_level = _as_int(max_level, "max_level")
+        if not isinstance(remedies, bool):
+            raise ServeError(
+                "bad_request",
+                f"remedies must be a JSON boolean, got {remedies!r}",
+            )
         key = (
             "hierarchy",
             snapshot.fingerprint,

@@ -1,16 +1,17 @@
 """Cross-engine observational-equivalence property suite (hypothesis).
 
-Every registered coverage engine — ``dense``, ``packed``, ``sharded`` at
-several shard counts (spilled under the default root), the sharded engine
+Every registered coverage engine — ``packed``, ``sharded`` at several
+shard counts (spilled under the default root), the sharded engine
 spilled to a temporary directory with eviction forced by a one-shard
 resident budget, and
 whatever the ``auto`` planner emits for the generated dataset — with
-the hot-mask cache both enabled and disabled, must give
-bit-identical answers on every query family: point coverage, batched
-``count_many`` / ``coverage_many``, sibling families from
-``restrict_children``, and whole
-``find_mups`` runs across all five identification algorithms.  The dense
-engine is the reference; everything else is compared against it.
+the hot-mask cache both enabled and disabled, must answer every query
+family like two engine-free references: point coverage and batched
+``count_many`` / ``coverage_many`` like Definition 2's row scan
+(``coverage_scan``), sibling families from ``restrict_children`` like a
+numpy row match over the unique rows, and whole ``find_mups`` runs
+across all five identification algorithms like Definition 4 applied to
+every pattern (``scan_mups``).
 
 The out-of-core engine additionally carries a crash-safety property:
 re-opening a finished spill directory from its manifest
@@ -25,9 +26,10 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from engine_reference import row_match, scan_mups
+from repro.core.coverage import coverage_scan
 from repro.core.engine import (
     AUTO,
-    DenseBoolEngine,
     EngineConfig,
     PackedBitsetEngine,
     ShardedEngine,
@@ -79,7 +81,7 @@ def dataset_and_patterns(draw, max_patterns: int = 6):
 
 @contextmanager
 def engine_matrix(dataset, mask_cache_size):
-    """One engine per backend configuration under test, dense first.
+    """One engine per backend configuration under test.
 
     The matrix ends with a sharded engine spilled into a temporary
     directory and starved with ``max_resident_bytes=1`` so every
@@ -91,10 +93,7 @@ def engine_matrix(dataset, mask_cache_size):
     emit stays observationally equivalent too.
     """
     with tempfile.TemporaryDirectory(prefix="repro-equiv-") as root:
-        engines = [
-            DenseBoolEngine(dataset, mask_cache_size=mask_cache_size),
-            PackedBitsetEngine(dataset, mask_cache_size=mask_cache_size),
-        ]
+        engines = [PackedBitsetEngine(dataset, mask_cache_size=mask_cache_size)]
         for shards in SHARD_COUNTS:
             engines.append(
                 ShardedEngine(dataset, shards=shards, mask_cache_size=mask_cache_size)
@@ -134,26 +133,22 @@ def engine_matrix(dataset, mask_cache_size):
 @settings(max_examples=40, deadline=None)
 def test_point_coverage_identical(case, cache_size):
     dataset, patterns = case
-    with engine_matrix(dataset, cache_size) as (reference, *others):
+    with engine_matrix(dataset, cache_size) as engines:
         for pattern in patterns:
-            expected = reference.coverage(pattern)
-            for engine in others:
-                assert engine.coverage(pattern) == expected, engine.name
-            # Re-query so cached configurations serve the mask from the cache.
-            for engine in [reference, *others]:
-                assert engine.coverage(pattern) == expected, engine.name
+            expected = coverage_scan(dataset, pattern)
+            # The second query serves the mask from a warm cache.
+            for _ in range(2):
+                for engine in engines:
+                    assert engine.coverage(pattern) == expected, engine.name
 
 
 @given(dataset_and_patterns(), st.sampled_from([0, 1024]))
 @settings(max_examples=40, deadline=None)
 def test_count_many_identical(case, cache_size):
     dataset, patterns = case
-    with engine_matrix(dataset, cache_size) as (reference, *others):
-        expected = list(
-            reference.count_many([reference.match_mask(p) for p in patterns])
-        )
-        assert expected == [reference.coverage(p) for p in patterns]
-        for engine in others:
+    expected = [coverage_scan(dataset, p) for p in patterns]
+    with engine_matrix(dataset, cache_size) as engines:
+        for engine in engines:
             masks = [engine.match_mask(p) for p in patterns]
             assert list(engine.count_many(masks)) == expected, engine.name
             assert list(engine.coverage_many(patterns)) == expected, engine.name
@@ -163,19 +158,17 @@ def test_count_many_identical(case, cache_size):
 @settings(max_examples=30, deadline=None)
 def test_restrict_children_identical(case, cache_size):
     dataset, patterns = case
-    with engine_matrix(dataset, cache_size) as (reference, *others):
+    with engine_matrix(dataset, cache_size) as engines:
         for pattern in patterns:
             free = pattern.nondeterministic_indices()
             if not free:
                 continue
             attribute = free[-1]
             expected_family = [
-                reference.mask_to_bool(child)
-                for child in reference.restrict_children(
-                    reference.match_mask(pattern), attribute
-                )
+                row_match(dataset, pattern.with_value(attribute, value))
+                for value in range(dataset.cardinalities[attribute])
             ]
-            for engine in others:
+            for engine in engines:
                 family = engine.restrict_children(
                     engine.match_mask(pattern), attribute
                 )
@@ -186,39 +179,35 @@ def test_restrict_children_identical(case, cache_size):
                     ), engine.name
                 # The sibling family partitions the parent's matches.
                 counts = engine.count_many(family)
-                assert int(counts.sum()) == engine.coverage(pattern), engine.name
+                assert int(counts.sum()) == coverage_scan(dataset, pattern), (
+                    engine.name
+                )
 
 
 @given(datasets(max_d=3, max_card=3, max_n=25), st.sampled_from([0, 1024]))
 @settings(max_examples=15, deadline=None)
 def test_full_mup_runs_identical_across_all_algorithms(dataset, cache_size):
     assert set(ALL_ALGORITHMS) == set(ALGORITHMS), "algorithm registry drifted"
+    reference = scan_mups(dataset, 2)
     for algorithm in ALL_ALGORITHMS:
-        reference = find_mups(
-            dataset,
-            threshold=2,
-            algorithm=algorithm,
-            engine=DenseBoolEngine(dataset, mask_cache_size=cache_size),
-        )
-        with engine_matrix(dataset, cache_size) as (_, *others):
-            for engine in others:
+        with engine_matrix(dataset, cache_size) as engines:
+            for engine in engines:
                 result = find_mups(
                     dataset, threshold=2, algorithm=algorithm, engine=engine
                 )
-                assert result.as_set() == reference.as_set(), (
-                    algorithm,
-                    engine.name,
-                )
+                assert result.as_set() == reference, (algorithm, engine.name)
 
 
 @given(datasets(max_d=3, max_card=3, max_n=25))
 @settings(max_examples=15, deadline=None)
 def test_auto_planned_engine_mups_match_packed(dataset):
     """Every plan the auto planner emits builds an engine whose MUP sets
-    match the packed reference on small datasets (the planner satellite)."""
-    reference = find_mups(dataset, threshold=2, engine="packed")
+    match packed and the scanned MUPs on small datasets."""
+    reference = scan_mups(dataset, 2)
+    packed = find_mups(dataset, threshold=2, engine="packed")
+    assert packed.as_set() == reference
     result = find_mups(dataset, threshold=2, engine=AUTO)
-    assert result.as_set() == reference.as_set()
+    assert result.as_set() == reference
     # A memory-starved auto plan (escalating out-of-core) agrees too.
     with tempfile.TemporaryDirectory(prefix="repro-auto-") as root:
         starved = find_mups(
@@ -228,7 +217,7 @@ def test_auto_planned_engine_mups_match_packed(dataset):
                 backend=AUTO, spill_dir=root, max_resident_bytes=1
             ),
         )
-    assert starved.as_set() == reference.as_set()
+    assert starved.as_set() == reference
 
 
 @given(datasets(max_n=30))
@@ -237,16 +226,19 @@ def test_sharded_workers_match_serial(dataset):
     serial = ShardedEngine(dataset, shards=3, workers=None)
     pooled = ShardedEngine(dataset, shards=3, workers=2)
     try:
-        patterns = [Pattern.root(dataset.d)]
-        for value in range(dataset.cardinalities[0]):
-            patterns.append(Pattern.root(dataset.d).with_value(0, value))
-        assert list(serial.coverage_many(patterns)) == list(
-            pooled.coverage_many(patterns)
-        )
-        family_serial = serial.restrict_children(serial.full_mask(), 0)
-        family_pooled = pooled.restrict_children(pooled.full_mask(), 0)
-        for a, b in zip(family_serial, family_pooled):
-            assert np.array_equal(serial.mask_to_bool(a), pooled.mask_to_bool(b))
+        root = Pattern.root(dataset.d)
+        children = [
+            root.with_value(0, value)
+            for value in range(dataset.cardinalities[0])
+        ]
+        expected = [coverage_scan(dataset, p) for p in [root, *children]]
+        for engine in (serial, pooled):
+            assert list(engine.coverage_many([root, *children])) == expected
+            family = engine.restrict_children(engine.full_mask(), 0)
+            for child, pattern in zip(family, children):
+                assert np.array_equal(
+                    engine.mask_to_bool(child), row_match(dataset, pattern)
+                )
     finally:
         pooled.close()
 
@@ -265,6 +257,7 @@ def test_reopening_spill_directory_answers_identically(case):
         writer = ShardedEngine(dataset, shards=2, spill_dir=root)
         expected_points = [writer.coverage(p) for p in patterns]
         expected_batch = list(writer.coverage_many(patterns))
+        assert expected_points == [coverage_scan(dataset, p) for p in patterns]
         reopened = ShardedEngine.attach(
             dataset, writer.spill_path, max_resident_bytes=1
         )
@@ -289,13 +282,13 @@ def test_cached_masks_are_isolated_copies(case):
     dataset, patterns = case
     # One engine per mask representation.
     engines = [
-        DenseBoolEngine(dataset, mask_cache_size=64),
         PackedBitsetEngine(dataset, mask_cache_size=64),
         ShardedEngine(dataset, shards=SHARD_COUNTS[0], mask_cache_size=64),
     ]
     for engine in engines:
         for pattern in patterns:
             before = engine.coverage(pattern)
+            assert before == coverage_scan(dataset, pattern), engine.name
             mask = engine.match_mask(pattern)
             # Clobber the caller's copy in place (every mask is an ndarray).
             if dataset.d >= 1 and dataset.cardinalities[0] >= 1:

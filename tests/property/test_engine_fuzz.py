@@ -7,14 +7,14 @@ dataset — half the time uniform-random rows, half the time a realistic
 correlation) — plus a random sequence of ``coverage`` / ``coverage_many``
 (with and without the sweep's count-reuse memo) / ``coverage_of_masks`` /
 ``restrict_children`` / cache-churn /
-``template()``-rebuild calls, and executes the sequence in lockstep on the
-``dense`` reference and every other backend — ``packed``, ``sharded``,
-the out-of-core sharded engine (one-shard resident budget), the socket
-fan-out leg, and whatever the ``auto`` planner picks.  After every step
-the answers must be bit-identical and the
-hot-mask cache accounting (hits / misses / entries, which the shared base
-class drives identically for every backend) must agree with the
-reference.
+``template()``-rebuild calls, and executes the sequence in lockstep on
+every backend — ``packed``, ``sharded``, the out-of-core sharded engine
+(one-shard resident budget), the socket fan-out leg, and whatever the
+``auto`` planner picks.  After every step each backend's counts must
+equal Definition 2's row scan (``coverage_scan``), its masks a numpy row
+match over the unique rows, and its hot-mask cache accounting (hits /
+misses / entries, which the shared base class drives identically for
+every backend) that of every other backend.
 
 Two profiles run it: the normal suite uses a fixed-seed (derandomized)
 profile so CI is deterministic, and the ``-m slow`` job layers a deeper
@@ -33,10 +33,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.coverage import CoverageOracle
+from engine_reference import row_match
+from repro.core.coverage import CoverageOracle, coverage_scan
 from repro.core.engine import (
     AUTO,
-    DenseBoolEngine,
     EngineConfig,
     PackedBitsetEngine,
     ShardedEngine,
@@ -48,12 +48,11 @@ from repro.data.scenarios import SCENARIO_FAMILIES, scenario_dataset
 
 CORPUS_PATH = Path(__file__).parent / "engine_fuzz_corpus.json"
 
-#: Backend labels under differential test (dense is the reference).
-#: "socket" is the distributed leg: sharded with spawn-local socket
-#: workers (degrading to serial evaluation on platforms without fork,
-#: which still exercises the mode-selection path).
+#: Backend labels under differential test.  "socket" is the distributed
+#: leg: sharded with spawn-local socket workers (degrading to serial
+#: evaluation on platforms without fork, which still exercises the
+#: mode-selection path).
 BACKENDS = (
-    "dense",
     "packed",
     "sharded",
     "out-of-core",
@@ -158,7 +157,6 @@ def fuzz_cases(draw):
 # ----------------------------------------------------------------------
 def _build_engines(dataset, mask_cache_size, root):
     return {
-        "dense": DenseBoolEngine(dataset, mask_cache_size=mask_cache_size),
         "packed": PackedBitsetEngine(dataset, mask_cache_size=mask_cache_size),
         "sharded": ShardedEngine(
             dataset, shards=3, mask_cache_size=mask_cache_size
@@ -185,13 +183,13 @@ def _build_engines(dataset, mask_cache_size, root):
 
 
 def _check_cache_accounting(engines):
-    """Every backend's hot-mask cache must account like the reference.
+    """Every backend's hot-mask cache must account like packed's.
 
     The LRU lives in the shared base class, so an identical op sequence
     must produce identical hit/miss/entry counters on every backend (mask
     *bytes* legitimately differ per representation).
     """
-    reference = engines["dense"].cache_info()
+    reference = engines["packed"].cache_info()
     for name, engine in engines.items():
         info = engine.cache_info()
         assert info["hits"] == reference["hits"], name
@@ -209,64 +207,60 @@ def _apply_op(op, dataset, engines, oracles):
     kind = op[0]
     if kind == "point":
         pattern = op[1]
-        expected = oracles["dense"].coverage(pattern)
-        for name in BACKENDS[1:]:
+        expected = coverage_scan(dataset, pattern)
+        for name in BACKENDS:
             assert oracles[name].coverage(pattern) == expected, (name, pattern)
     elif kind == "many":
         batch = op[1]
-        expected = list(oracles["dense"].coverage_many(batch))
-        for name in BACKENDS[1:]:
+        expected = [coverage_scan(dataset, p) for p in batch]
+        for name in BACKENDS:
             assert list(oracles[name].coverage_many(batch)) == expected, name
     elif kind == "memo":
         # The count-reuse table the amortized threshold sweep rides: a
         # second pass over the same batch must answer from the memo alone
         # (no new oracle evaluations) with bit-identical counts, and the
-        # memoized counts must agree across every backend.
+        # memoized counts must be the scanned ones on every backend.
         batch = op[1]
-        results = {}
+        expected = [coverage_scan(dataset, p) for p in batch]
         for name in BACKENDS:
             oracle = oracles[name]
             memo = {}
             first = list(oracle.coverage_many(batch, memo=memo))
             before = oracle.evaluations
             second = list(oracle.coverage_many(batch, memo=memo))
-            assert second == first, name
+            assert first == second == expected, name
             assert oracle.evaluations == before, name
             assert set(memo) == {p.values for p in batch}, name
-            results[name] = first
-        for name in BACKENDS[1:]:
-            assert results[name] == results["dense"], name
     elif kind == "masks":
         batch = op[1]
-        reference = oracles["dense"]
-        expected = list(
-            reference.coverage_of_masks(
-                [reference.match_mask(p) for p in batch]
-            )
-        )
-        for name in BACKENDS[1:]:
+        expected = [coverage_scan(dataset, p) for p in batch]
+        for name in BACKENDS:
             oracle = oracles[name]
             masks = [oracle.match_mask(p) for p in batch]
             assert list(oracle.coverage_of_masks(masks)) == expected, name
     elif kind == "children":
+        # The attribute may be deterministic in the pattern already, so a
+        # child is the pattern's rows AND one value's rows.
         pattern, attribute = op[1], op[2]
-        reference = engines["dense"]
-        family = reference.restrict_children(
-            reference.match_mask(pattern), attribute
-        )
-        expected_bools = [reference.mask_to_bool(child) for child in family]
-        expected_counts = list(reference.count_many(family))
-        for name in BACKENDS[1:]:
+        _, weights = dataset.unique_rows()
+        parent = row_match(dataset, pattern)
+        root = Pattern.root(dataset.d)
+        expected_bools = [
+            parent & row_match(dataset, root.with_value(attribute, value))
+            for value in range(dataset.cardinalities[attribute])
+        ]
+        expected_counts = [int(weights[rows].sum()) for rows in expected_bools]
+        for name in BACKENDS:
             engine = engines[name]
-            other = engine.restrict_children(
+            family = engine.restrict_children(
                 engine.match_mask(pattern), attribute
             )
-            assert len(other) == dataset.cardinalities[attribute], name
-            for child, expected in zip(other, expected_bools):
+            assert len(family) == dataset.cardinalities[attribute], name
+            for child, expected in zip(family, expected_bools):
                 assert np.array_equal(
                     engine.mask_to_bool(child), expected
                 ), (name, pattern, attribute)
-            assert list(engine.count_many(other)) == expected_counts, name
+            assert list(engine.count_many(family)) == expected_counts, name
     elif kind == "churn":
         for engine in engines.values():
             engine.clear_mask_cache()

@@ -1,16 +1,19 @@
-"""Property-based equivalence of the coverage-engine backends (hypothesis).
+"""Property-based checks of the in-memory ``packed`` backend (hypothesis).
 
-The ``packed`` engine must be observationally identical to the ``dense``
-reference on every query family — point coverage, mask threading, batched
-frontier evaluation, and whole MUP identification runs.
+The ``packed`` engine must answer every query family — point coverage,
+mask threading, batched frontier evaluation, and whole MUP identification
+runs — like the engine-free references: Definition 2's row scan
+(``coverage_scan``), a numpy row match over the unique rows, and
+Definition 4 applied to every pattern.
 """
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core.coverage import CoverageOracle
-from repro.core.engine import DenseBoolEngine, PackedBitsetEngine, resolve_engine
+from engine_reference import row_match, scan_mups
+from repro.core.coverage import CoverageOracle, coverage_scan
+from repro.core.engine import PackedBitsetEngine, resolve_engine
 from repro.core.mups.base import find_mups
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
@@ -47,101 +50,95 @@ def dataset_and_patterns(draw, max_patterns: int = 8):
     return dataset, patterns
 
 
-def _engines(dataset):
-    return DenseBoolEngine(dataset), PackedBitsetEngine(dataset)
-
-
 @given(dataset_and_patterns())
 def test_point_coverage_identical(case):
     dataset, patterns = case
-    dense, packed = _engines(dataset)
+    packed = PackedBitsetEngine(dataset)
     for pattern in patterns:
-        assert dense.coverage(pattern) == packed.coverage(pattern)
+        assert packed.coverage(pattern) == coverage_scan(dataset, pattern)
 
 
 @given(dataset_and_patterns())
 def test_match_masks_select_same_rows(case):
     dataset, patterns = case
-    dense, packed = _engines(dataset)
+    packed = PackedBitsetEngine(dataset)
     for pattern in patterns:
-        dense_bits = dense.mask_to_bool(dense.match_mask(pattern))
         packed_bits = packed.mask_to_bool(packed.match_mask(pattern))
-        assert np.array_equal(dense_bits, packed_bits)
+        assert np.array_equal(packed_bits, row_match(dataset, pattern))
 
 
 @given(dataset_and_patterns())
 @settings(max_examples=40)
 def test_coverage_many_matches_pointwise(case):
     dataset, patterns = case
-    dense, packed = _engines(dataset)
-    batched_dense = dense.coverage_many(patterns)
-    batched_packed = packed.coverage_many(patterns)
-    pointwise = [dense.coverage(p) for p in patterns]
-    assert list(batched_dense) == pointwise
-    assert list(batched_packed) == pointwise
+    packed = PackedBitsetEngine(dataset)
+    pointwise = [coverage_scan(dataset, p) for p in patterns]
+    assert list(packed.coverage_many(patterns)) == pointwise
 
 
 @given(dataset_and_patterns())
 @settings(max_examples=40)
 def test_restrict_children_partitions_the_mask(case):
     dataset, patterns = case
-    dense, packed = _engines(dataset)
+    engine = PackedBitsetEngine(dataset)
     for pattern in patterns:
         free = pattern.nondeterministic_indices()
         if not free:
             continue
         attribute = free[0]
-        for engine in (dense, packed):
-            mask = engine.match_mask(pattern)
-            family = engine.restrict_children(mask, attribute)
-            assert len(family) == dataset.cardinalities[attribute]
-            family_counts = engine.count_many(family)
-            # The sibling family partitions the parent's matches.
-            assert int(family_counts.sum()) == engine.count(mask)
-            for value, child_mask in enumerate(family):
-                direct = engine.restrict(mask, attribute, value)
-                assert np.array_equal(
-                    engine.mask_to_bool(child_mask), engine.mask_to_bool(direct)
-                )
+        mask = engine.match_mask(pattern)
+        family = engine.restrict_children(mask, attribute)
+        assert len(family) == dataset.cardinalities[attribute]
+        family_counts = engine.count_many(family)
+        # The sibling family partitions the parent's matches.
+        assert int(family_counts.sum()) == coverage_scan(dataset, pattern)
+        for value, child_mask in enumerate(family):
+            expected = row_match(dataset, pattern.with_value(attribute, value))
+            direct = engine.restrict(mask, attribute, value)
+            assert np.array_equal(engine.mask_to_bool(child_mask), expected)
+            assert np.array_equal(engine.mask_to_bool(direct), expected)
 
 
 @given(datasets())
 @settings(max_examples=40)
 def test_mask_threading_identical_across_engines(dataset):
-    dense_oracle = CoverageOracle(dataset, engine="dense")
     packed_oracle = CoverageOracle(dataset, engine="packed")
     space = PatternSpace.for_dataset(dataset)
     rng = np.random.default_rng(7)
     for _ in range(5):
         pattern = space.random_pattern(rng)
-        for oracle in (dense_oracle, packed_oracle):
-            mask = oracle.full_mask()
-            for index in pattern.deterministic_indices():
-                mask = oracle.restrict_mask(mask, index, pattern[index])
-            assert oracle.coverage_of_mask(mask) == dense_oracle.coverage(pattern)
+        mask = packed_oracle.full_mask()
+        for index in pattern.deterministic_indices():
+            mask = packed_oracle.restrict_mask(mask, index, pattern[index])
+        assert packed_oracle.coverage_of_mask(mask) == coverage_scan(
+            dataset, pattern
+        )
 
 
 @given(datasets(max_d=3, max_card=3, max_n=25))
 @settings(max_examples=25, deadline=None)
 def test_mup_sets_identical_across_engines(dataset):
+    reference = scan_mups(dataset, 2)
     for algorithm in ("naive", "apriori", "pattern_breaker", "deepdiver"):
-        dense_result = find_mups(
-            dataset, threshold=2, algorithm=algorithm, engine="dense"
-        )
         packed_result = find_mups(
             dataset, threshold=2, algorithm=algorithm, engine="packed"
         )
-        assert dense_result.as_set() == packed_result.as_set()
+        assert packed_result.as_set() == reference
 
 
 @given(datasets())
 @settings(max_examples=30)
 def test_packed_index_is_smaller(dataset):
-    dense, packed = _engines(dataset)
-    if dense.unique_count > 8:
-        assert packed.index_nbytes < dense.index_nbytes
+    packed = PackedBitsetEngine(dataset)
+    # One uint64 word per 64 unique rows per attribute value: smaller than
+    # one bool per unique row once there are more than 8 of them.
+    words = -(-packed.unique_count // 64)
+    row_total = sum(dataset.cardinalities)
+    assert packed.index_nbytes == row_total * words * 8
+    if packed.unique_count > 8:
+        assert packed.index_nbytes < row_total * packed.unique_count
     # resolve_engine round-trips names, classes, and instances.
     assert resolve_engine("packed", dataset).name == "packed"
     assert resolve_engine(PackedBitsetEngine, dataset).name == "packed"
     assert resolve_engine(packed, dataset) is packed
-    assert resolve_engine(None, dataset).name == "dense"
+    assert resolve_engine(None, dataset).name == "packed"

@@ -8,8 +8,8 @@ Three families of guarantees:
   expansions partition it, so the coverages sum);
 * **Equivalence** — ``find_mups_hierarchical`` is bit-identical to an
   independent ``find_mups`` run on the equivalent ``rollup()`` dataset at
-  every level of the stack, on every coverage-engine backend (dense /
-  packed / sharded / auto);
+  every level of the stack, on every coverage-engine backend (packed /
+  sharded / auto);
 * **Bucket sweep** — each ``bucketize_sweep`` point matches an
   independent ``find_mups`` over ``bucketized_dataset`` at that width,
   despite the shared drill-down count memo.
@@ -35,7 +35,7 @@ from repro.data.hierarchy import AttributeHierarchy, drill_down, rollup
 from repro.data.scenarios import SCENARIO_FAMILIES, scenario_dataset
 
 #: Backends the equivalence leg sweeps (the ISSUE's required matrix).
-BACKENDS = ("dense", "packed", "sharded", "auto")
+BACKENDS = ("packed", "sharded", "auto")
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ def workload_stats(draw):
         cardinalities=cardinalities,
         projected_unique=unique,
         projected_packed_bytes=row_total * words * 8,
-        projected_dense_bytes=row_total * unique,
         memory_budget_bytes=draw(st.integers(min_value=1, max_value=1 << 42)),
         cpu_count=draw(st.integers(min_value=1, max_value=64)),
     )
@@ -91,3 +90,6 @@ def test_every_emitted_plan_is_concrete_and_valid(stats, requested):
         assert config.backend == "sharded"
         assert config.spill_dir is not None
         assert config.max_resident_bytes == budget
+    elif requested.shards is None and requested.workers is None:
+        # Within the budget and with no sharded-only knob, packed.
+        assert config.backend == "packed"

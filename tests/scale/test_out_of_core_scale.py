@@ -2,10 +2,12 @@
 
 The fixture factory synthesizes a dataset whose packed word space (the
 out-of-core index on disk) deliberately exceeds a tiny
-``max_resident_bytes``, then pins the budgeted out-of-core engine against
-the other backends: MUP sets must be identical across ``dense`` /
-``packed`` / unbudgeted ``sharded`` / out-of-core for
-**all five** identification algorithms, while the loader instrumentation
+``max_resident_bytes``, then pins the budgeted out-of-core engine and
+the other backends against engine-free references: MUP sets from
+``packed`` / unbudgeted ``sharded`` / out-of-core must equal Definition 4
+applied to every pattern (``scan_mups``) for **all five**
+identification algorithms, and counts must equal Definition 2's row scan
+(``coverage_scan``), while the loader instrumentation
 proves the engine streamed —
 resident shard bytes never exceeded the budget and shards were actually
 evicted.  This is the test that keeps "datasets bigger than memory" a
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import DenseBoolEngine, PackedBitsetEngine, ShardedEngine
+from engine_reference import scan_mups
+from repro.core.coverage import coverage_scan
+from repro.core.engine import PackedBitsetEngine, ShardedEngine
 from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.core.pattern import Pattern
 from repro.data.synthetic import random_categorical_dataset
@@ -72,13 +76,8 @@ def test_fixture_factory_overflows_the_budget(tmp_path):
 def test_mup_sets_identical_across_engines_under_budget(tmp_path, algorithm):
     dataset, owner, out_of_core, budget = make_overflow_case(tmp_path)
     try:
-        reference = find_mups(
-            dataset,
-            threshold=3,
-            algorithm=algorithm,
-            engine=DenseBoolEngine(dataset),
-        )
-        assert reference.mups, "overflow fixture must actually have MUPs"
+        reference = scan_mups(dataset, 3)
+        assert reference, "overflow fixture must actually have MUPs"
         for engine in (
             PackedBitsetEngine(dataset),
             ShardedEngine(dataset, shards=3),
@@ -87,7 +86,7 @@ def test_mup_sets_identical_across_engines_under_budget(tmp_path, algorithm):
             result = find_mups(
                 dataset, threshold=3, algorithm=algorithm, engine=engine
             )
-            assert result.as_set() == reference.as_set(), type(engine).name
+            assert result.as_set() == reference, type(engine).name
         stats = out_of_core.store.stats()
         # The loader streamed: stayed under budget and evicted shards.
         assert stats["peak_resident_bytes"] <= budget
@@ -107,19 +106,15 @@ def test_mup_sets_identical_across_engines_under_budget(tmp_path, algorithm):
 def test_point_and_batched_queries_stream_under_budget(tmp_path):
     dataset, owner, engine, budget = make_overflow_case(tmp_path, seed=29)
     try:
-        dense = DenseBoolEngine(dataset)
         patterns = [Pattern.root(dataset.d)]
         for attribute, cardinality in enumerate(dataset.cardinalities):
             for value in range(cardinality):
                 patterns.append(
                     Pattern.root(dataset.d).with_value(attribute, value)
                 )
-        assert [engine.coverage(p) for p in patterns] == [
-            dense.coverage(p) for p in patterns
-        ]
-        assert list(engine.coverage_many(patterns)) == list(
-            dense.coverage_many(patterns)
-        )
+        expected = [coverage_scan(dataset, p) for p in patterns]
+        assert [engine.coverage(p) for p in patterns] == expected
+        assert list(engine.coverage_many(patterns)) == expected
         stats = engine.store.stats()
         assert stats["peak_resident_bytes"] <= budget
         assert stats["resident_bytes"] <= budget

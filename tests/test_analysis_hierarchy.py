@@ -26,7 +26,7 @@ from repro.core.mups import find_mups
 from repro.core.pattern import Pattern, X
 from repro.data.hierarchy import AttributeHierarchy
 from repro.data.synthetic import random_categorical_dataset
-from repro.exceptions import DataError, EnhancementError, SchemaError
+from repro.exceptions import DataError, EnhancementError, ReproError, SchemaError
 
 
 def make_dataset(n=120, cardinalities=(8, 4, 3), seed=3, skew=1.4):
@@ -146,6 +146,15 @@ class TestFindMupsHierarchical:
             roll = stack.rollup_to(dataset, level)
             flat = find_mups(roll.dataset, threshold=6, max_level=1)
             assert result.at_level(level).mups == flat.mups
+
+    @pytest.mark.parametrize("cap", [-1, 1.5, True])
+    def test_bad_max_level_raises(self, cap):
+        # A negative cap used to be clamped to 0.
+        dataset = make_dataset()
+        with pytest.raises(ReproError, match="max_level"):
+            find_mups_hierarchical(
+                dataset, make_stack(dataset), threshold=6, max_level=cap
+            )
 
     def test_threshold_rate_accepted(self):
         dataset = make_dataset()
@@ -488,7 +497,7 @@ class TestHierarchicalEnhancement:
         assert plan.acquisition.unhittable == ()
         assert plan.acquisition_cost > 0
 
-    @pytest.mark.parametrize("engine", ["dense", "packed"])
+    @pytest.mark.parametrize("engine", ["packed", "sharded"])
     def test_acquisition_does_not_depend_on_the_engine(self, engine):
         dataset = make_dataset()
         result, plan = self.run_plan(step_cost=10_000.0)

@@ -47,6 +47,28 @@ class TestIdentify:
         code = main(["identify", csv_file, "--threshold", "5", "--max-level", "1"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["identify", "--threshold", "5", "--max-level", "-1"],
+            [
+                "identify", "--threshold", "5", "--max-level", "-1",
+                "--algorithm", "pattern_breaker",
+            ],
+            [
+                "identify", "--threshold", "5", "--max-level", "2",
+                "--algorithm", "pattern_combiner",
+            ],
+            ["label", "--threshold", "5", "--max-level", "-1"],
+            ["sweep", "--thresholds", "5", "--max-level", "-1"],
+        ],
+        ids=["identify", "pattern-breaker", "pattern-combiner", "label", "sweep"],
+    )
+    def test_a_bad_level_cap_exits_2(self, csv_file, capsys, args):
+        command, *flags = args
+        assert main([command, csv_file, *flags]) == 2
+        assert "max_level" in capsys.readouterr().err
+
 
 class TestLabel:
     def test_label_renders_widget(self, csv_file, capsys):
@@ -85,7 +107,7 @@ class TestEnhance:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["dense", "packed", "sharded"])
+    @pytest.mark.parametrize("engine", ["packed", "sharded"])
     def test_enhance_plan_does_not_depend_on_the_engine(
         self, csv_file, capsys, engine
     ):
@@ -306,7 +328,7 @@ class TestEngineSelection:
     @pytest.mark.parametrize(
         "option",
         [
-            ["--engine", "dense"],
+            ["--engine", "packed"],
             ["--explain-plan"],
             ["--shards", "2"],
             ["--workers", "2"],
@@ -463,7 +485,7 @@ class TestOutOfCore:
         "flags",
         [
             ["--engine", "packed", "--delta-spill"],
-            ["--engine", "dense", "--worker-endpoints", "h1:7000"],
+            ["--engine", "packed", "--worker-endpoints", "h1:7000"],
         ],
         ids=["delta-spill", "worker-endpoints"],
     )
@@ -481,7 +503,7 @@ class TestAutoPlanner:
     ):
         assert main(["identify", csv_file, "--threshold", "5"]) == 0
         auto_output = capsys.readouterr().out
-        for engine in ("dense", "packed", "sharded"):
+        for engine in ("packed", "sharded"):
             code = main(
                 ["identify", csv_file, "--threshold", "5", "--engine", engine]
             )

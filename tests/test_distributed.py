@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from engine_reference import row_match
+from repro.core.coverage import coverage_scan
 from repro.core.engine import (
-    DenseBoolEngine,
     DistributedPool,
     EngineConfig,
     MmapShardStore,
@@ -402,10 +403,9 @@ class TestDistributedPool:
         """Deterministic fault injection: SIGKILL one worker mid-session;
         the next query must resurrect it and answer identically."""
         engine = socket_engine(dataset, str(tmp_path))
-        dense = DenseBoolEngine(dataset)
         root = Pattern.root(dataset.d)
         try:
-            assert engine.coverage(root) == dense.coverage(root)
+            assert engine.coverage(root) == coverage_scan(dataset, root)
             pool = engine._dist_pool
             victim = pool.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
@@ -417,9 +417,9 @@ class TestDistributedPool:
                     break
                 time.sleep(0.05)
             probes = [root.with_value(0, v) for v in range(3)]
-            assert list(engine.coverage_many(probes)) == list(
-                dense.coverage_many(probes)
-            )
+            assert list(engine.coverage_many(probes)) == [
+                coverage_scan(dataset, p) for p in probes
+            ]
             assert pool.retry_count >= 1
             assert pool.worker_pids()[0] != victim
             # The resurrected worker re-attached the spill path on its own.
@@ -467,7 +467,6 @@ class TestDistributedPool:
             target=serve_on_socket, args=(listener,), daemon=True
         )
         thread.start()
-        dense = DenseBoolEngine(dataset)
         build = ShardedEngine(dataset, shards=2, spill_dir=str(tmp_path))
         spill = build.spill_path
         try:
@@ -480,7 +479,7 @@ class TestDistributedPool:
                 assert pool.worker_count == 1
                 pool.attach(spill, 2)
                 results = pool.run_shard_ops(spill, "count", windows)
-                assert sum(results) == dense.coverage(Pattern.root(dataset.d))
+                assert sum(results) == dataset.n
             # Closing a connected pool leaves the standing worker serving
             # (it is externally managed); a new coordinator can take over.
             follower = socket.create_connection(("127.0.0.1", port))
@@ -502,33 +501,39 @@ class TestDistributedPool:
 # ----------------------------------------------------------------------
 @needs_fork
 class TestSocketEngine:
-    def test_socket_mode_is_bit_identical_to_dense(
-        self, dataset, patterns, tmp_path
-    ):
-        dense = DenseBoolEngine(dataset)
+    def test_socket_mode_matches_the_row_scan(self, dataset, patterns, tmp_path):
         engine = socket_engine(dataset, str(tmp_path))
         try:
             assert engine.fan_out == "socket"
-            for pattern in patterns:
-                assert engine.coverage(pattern) == dense.coverage(pattern)
-            assert list(engine.coverage_many(patterns)) == list(
-                dense.coverage_many(patterns)
-            )
+            expected = [coverage_scan(dataset, p) for p in patterns]
+            for pattern, count in zip(patterns, expected):
+                assert engine.coverage(pattern) == count
+            assert list(engine.coverage_many(patterns)) == expected
             family = engine.restrict_children(engine.full_mask(), 1)
-            reference = dense.restrict_children(dense.full_mask(), 1)
-            for child, expected in zip(family, reference):
+            root = Pattern.root(dataset.d)
+            for value, child in enumerate(family):
                 assert np.array_equal(
-                    engine.mask_to_bool(child), dense.mask_to_bool(expected)
+                    engine.mask_to_bool(child),
+                    row_match(dataset, root.with_value(1, value)),
                 )
         finally:
             engine.close()
 
-    def test_socket_mup_sets_match_dense(self, dataset, tmp_path):
-        reference = find_mups(dataset, threshold=3, engine="dense")
+    @pytest.mark.parametrize("algorithm", ["apriori", "naive"])
+    def test_socket_mup_sets_match_pattern_breaker(
+        self, dataset, tmp_path, algorithm
+    ):
+        # PATTERN-BREAKER counts from the unique rows and reads no engine;
+        # APRIORI and naive count every candidate through the engine.
+        reference = find_mups(dataset, threshold=3, algorithm="pattern_breaker")
         engine = socket_engine(dataset, str(tmp_path))
         try:
-            result = find_mups(dataset, threshold=3, engine=engine)
+            result = find_mups(
+                dataset, threshold=3, algorithm=algorithm, engine=engine
+            )
             assert result.as_set() == reference.as_set()
+            served = engine._dist_pool.worker_stats()
+            assert all(stats["ops_served"] > 0 for stats in served)
         finally:
             engine.close()
 
@@ -654,12 +659,11 @@ class TestDeltaWrite:
             # attach() re-validates every shard fingerprint — including the
             # hard-linked ones — against the appended dataset.
             attached = ShardedEngine.attach(appended, str(tmp_path / "delta"))
-            dense = DenseBoolEngine(appended)
             try:
                 probes = [Pattern.root(3), Pattern.of(0, 0, 0), Pattern.of(2, X, 1)]
-                assert list(attached.coverage_many(probes)) == list(
-                    dense.coverage_many(probes)
-                )
+                assert list(attached.coverage_many(probes)) == [
+                    coverage_scan(appended, p) for p in probes
+                ]
             finally:
                 attached.close()
         finally:
@@ -674,13 +678,12 @@ class TestDeltaWrite:
         appended = dataset.append_rows(unique[:1].copy())
         successor = ShardedEngine.delta_rebuild(engine, appended)
         engine.close()
-        dense = DenseBoolEngine(appended)
         try:
             assert successor.delta_result is not None
             assert successor.delta_result.reused_shards >= 1
             assert successor.delta_spill
             root = Pattern.root(3)
-            assert successor.coverage(root) == dense.coverage(root)
+            assert successor.coverage(root) == coverage_scan(appended, root)
         finally:
             successor.close()
 
@@ -728,10 +731,9 @@ class TestManifestV1Compat:
         finally:
             store.close()
 
-    def test_v1_attach_answers_identically_to_dense(self):
+    def test_v1_attach_answers_like_the_row_scan(self):
         dataset = v1_fixture_dataset()
         engine = ShardedEngine.attach(dataset, V1_FIXTURE)
-        dense = DenseBoolEngine(dataset)
         try:
             probes = [Pattern.root(3)]
             for attribute, cardinality in enumerate(dataset.cardinalities):
@@ -739,9 +741,9 @@ class TestManifestV1Compat:
                     probes.append(
                         Pattern.root(3).with_value(attribute, value)
                     )
-            assert list(engine.coverage_many(probes)) == list(
-                dense.coverage_many(probes)
-            )
+            assert list(engine.coverage_many(probes)) == [
+                coverage_scan(dataset, p) for p in probes
+            ]
         finally:
             engine.close()
         # Attached stores never own the fixture's files.
@@ -825,12 +827,11 @@ class TestConfigValidation:
         engine = ShardedEngine(
             dataset, shards=3, workers=1, spill_dir=str(tmp_path)
         )
-        dense = DenseBoolEngine(dataset)
         try:
             assert engine.fan_out == "serial"
-            assert list(engine.coverage_many(patterns)) == list(
-                dense.coverage_many(patterns)
-            )
+            assert list(engine.coverage_many(patterns)) == [
+                coverage_scan(dataset, p) for p in patterns
+            ]
             assert engine._dist_pool is None
         finally:
             engine.close()
@@ -842,15 +843,14 @@ class TestConfigValidation:
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", None)
         engine = ShardedEngine(dataset, shards=4, workers=2)
-        dense = DenseBoolEngine(dataset)
         try:
             assert os.path.dirname(engine.spill_path) == str(tmp_path)
             assert engine.fan_out == (
                 "socket" if _fork_available() else "serial"
             )
-            assert list(engine.coverage_many(patterns)) == list(
-                dense.coverage_many(patterns)
-            )
+            assert list(engine.coverage_many(patterns)) == [
+                coverage_scan(dataset, p) for p in patterns
+            ]
         finally:
             engine.close()
         assert os.listdir(tmp_path) == []
@@ -866,16 +866,15 @@ class TestConfigValidation:
         appended = dataset.append_rows(unique[:1].copy())
         successor = ShardedEngine.delta_rebuild(engine, appended)
         engine.close()
-        dense = DenseBoolEngine(appended)
         try:
             # The successor spills beside its predecessor and reuses the
             # clean shards it hard-linked there.
             assert os.path.dirname(successor.spill_path) == str(tmp_path)
             assert successor.delta_result.reused_shards >= 1
             probes = [Pattern.root(3), Pattern.of(0, X, 1), Pattern.of(2, 1, X)]
-            assert list(successor.coverage_many(probes)) == list(
-                dense.coverage_many(probes)
-            )
+            assert list(successor.coverage_many(probes)) == [
+                coverage_scan(appended, p) for p in probes
+            ]
         finally:
             successor.close()
         assert os.listdir(tmp_path) == []

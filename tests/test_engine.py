@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.coverage import CoverageOracle
+from repro.core.coverage import CoverageOracle, coverage_scan
 from repro.core.engine import (
     DEFAULT_ENGINE,
     ENGINES,
     CoverageEngine,
-    DenseBoolEngine,
     PackedBitsetEngine,
+    ShardedEngine,
     engine_name,
     resolve_engine,
 )
@@ -31,9 +31,8 @@ def engine_of(request):
 
 class TestRegistry:
     def test_both_backends_registered(self):
-        assert ENGINES["dense"] is DenseBoolEngine
-        assert ENGINES["packed"] is PackedBitsetEngine
-        assert DEFAULT_ENGINE in ENGINES
+        assert ENGINES == {"packed": PackedBitsetEngine, "sharded": ShardedEngine}
+        assert DEFAULT_ENGINE == "packed"
 
     def test_resolve_rejects_unknown(self, example1_dataset):
         with pytest.raises(ReproError):
@@ -141,39 +140,41 @@ class TestPackedSpecifics:
             for b in ("X", 1)
             for c in ("X", 2)
         ]
-        dense = DenseBoolEngine(dataset)
         # The in-place AND runs over a copy, never over an index row.
         for pattern in patterns:
             mask = engine.match_mask(pattern)
             for i in range(dataset.d):
                 assert not np.shares_memory(mask, engine.word_matrix(i))
-            assert engine.count(mask) == dense.coverage(pattern)
+            assert engine.count(mask) == coverage_scan(dataset, pattern)
         for i, words in enumerate(before):
             assert np.array_equal(engine.word_matrix(i), words)
 
     def test_index_is_packed_smaller(self):
         rng = np.random.default_rng(0)
         dataset = Dataset.from_rows(rng.integers(0, 5, size=(2000, 4)).tolist())
-        assert Dataset.unique_rows(dataset)[0].shape[0] > 64
-        dense = DenseBoolEngine(dataset)
+        unique_count = Dataset.unique_rows(dataset)[0].shape[0]
+        assert unique_count > 64
         packed = PackedBitsetEngine(dataset)
-        assert packed.index_nbytes < dense.index_nbytes
+        # One bit, not one bool byte, per unique row and attribute value,
+        # padded to whole uint64 words.
+        words = -(-unique_count // 64)
+        assert packed.index_nbytes == sum(dataset.cardinalities) * words * 8
+        assert packed.index_nbytes < sum(dataset.cardinalities) * unique_count
 
     def test_weighted_and_uniform_paths_agree(self):
-        # Duplicate rows exercise the weighted-count path; the dense engine
-        # is the reference.
+        # Duplicate rows exercise the weighted-count path; Definition 2's
+        # row scan is the reference.
         rows = [[0, 1], [0, 1], [1, 0], [1, 1], [0, 0], [0, 0], [0, 0]]
         dataset = Dataset.from_rows(rows)
-        dense = DenseBoolEngine(dataset)
         packed = PackedBitsetEngine(dataset)
         patterns = [
             Pattern.of(a, b)
             for a in ("X", 0, 1)
             for b in ("X", 0, 1)
         ]
-        assert list(dense.coverage_many(patterns)) == list(
-            packed.coverage_many(patterns)
-        )
+        assert list(packed.coverage_many(patterns)) == [
+            coverage_scan(dataset, p) for p in patterns
+        ]
 
 
 class TestFacadeSelection:
@@ -181,13 +182,10 @@ class TestFacadeSelection:
         for algorithm in sorted(
             ("naive", "apriori", "pattern_breaker", "pattern_combiner", "deepdiver")
         ):
-            dense = find_mups(
-                example1_dataset, threshold=1, algorithm=algorithm, engine="dense"
-            )
             packed = find_mups(
                 example1_dataset, threshold=1, algorithm=algorithm, engine="packed"
             )
-            assert dense.as_set() == packed.as_set() == {Pattern.from_string("1XX")}
+            assert packed.as_set() == {Pattern.from_string("1XX")}
 
     def test_find_mups_rejects_unknown_engine(self, example1_dataset):
         with pytest.raises(ReproError):
@@ -217,7 +215,7 @@ class TestCliEngineFlag:
 
     def test_identify_runs_on_both_engines(self, csv_file, capsys):
         outputs = []
-        for engine in ("dense", "packed"):
+        for engine in ("packed", "sharded"):
             assert (
                 main(["identify", csv_file, "--threshold", "1", "--engine", engine])
                 == 0
@@ -229,6 +227,14 @@ class TestCliEngineFlag:
     def test_unknown_engine_rejected(self, csv_file):
         with pytest.raises(SystemExit):
             main(["identify", csv_file, "--threshold", "1", "--engine", "sparse"])
+
+    def test_dense_engine_rejected(self, csv_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["identify", csv_file, "--threshold", "1", "--engine", "dense"])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice: 'dense'" in error
+        assert "'packed', 'sharded'" in error
 
     def test_help_documents_engine(self, capsys):
         with pytest.raises(SystemExit):

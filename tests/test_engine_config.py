@@ -12,7 +12,6 @@ import pytest
 from repro.cli import build_parser
 from repro.core.engine import (
     AUTO,
-    DenseBoolEngine,
     EngineConfig,
     PackedBitsetEngine,
     ShardedEngine,
@@ -31,7 +30,7 @@ def dataset():
 class TestValidation:
     """Every invalid combination raises a clear EngineError."""
 
-    @pytest.mark.parametrize("backend", ["dense", "packed"])
+    @pytest.mark.parametrize("backend", ["packed"])
     @pytest.mark.parametrize(
         "options",
         [
@@ -50,6 +49,12 @@ class TestValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(EngineError, match="unknown coverage engine"):
             EngineConfig(backend="roaring")
+
+    def test_dense_backend_is_gone(self):
+        with pytest.raises(
+            EngineError, match=r"available: \['auto', 'packed', 'sharded'\]"
+        ):
+            EngineConfig(backend="dense")
 
     def test_bad_counts_rejected(self):
         with pytest.raises(EngineError, match="shard count"):
@@ -210,8 +215,7 @@ class TestResolution:
 
     def test_templates_are_configs_for_registered_backends(self, dataset):
         for engine in (
-            DenseBoolEngine(dataset, mask_cache_size=5),
-            PackedBitsetEngine(dataset),
+            PackedBitsetEngine(dataset, mask_cache_size=5),
             ShardedEngine(dataset, shards=2, workers=2),
         ):
             template = engine.template()
@@ -224,7 +228,7 @@ class TestResolution:
     def test_unregistered_subclass_template_falls_back_to_callable(
         self, dataset
     ):
-        class Unregistered(DenseBoolEngine):
+        class Unregistered(PackedBitsetEngine):
             name = "unregistered-test"
 
         template = Unregistered(dataset).template()

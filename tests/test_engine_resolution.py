@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.coverage import coverage_scan
 from repro.core.engine import (
-    DenseBoolEngine,
     EngineConfig,
     PackedBitsetEngine,
     ShardedEngine,
@@ -24,14 +24,13 @@ def dataset():
 #: Every kind of engine spec ``greedy_cover`` accepts, built per dataset.
 GREEDY_ENGINE_SPECS = {
     "none": lambda ds: None,
-    "dense": lambda ds: "dense",
     "packed": lambda ds: "packed",
     "sharded": lambda ds: "sharded",
     "auto": lambda ds: "auto",
     "config": lambda ds: EngineConfig(backend="sharded", shards=2),
     "factory": lambda ds: lambda d: PackedBitsetEngine(d),
     "class": lambda ds: PackedBitsetEngine,
-    "instance": lambda ds: DenseBoolEngine(ds),
+    "instance": lambda ds: PackedBitsetEngine(ds),
     "template": lambda ds: PackedBitsetEngine(ds).template(),
 }
 
@@ -43,6 +42,13 @@ class TestUnknownSpecs:
         with pytest.raises(ReproError, match="sharded"):
             # The error names the available backends.
             resolve_engine("nope", dataset)
+
+    def test_dense_is_no_longer_a_backend(self, dataset):
+        listed = "available: .*'packed', 'sharded'"
+        with pytest.raises(ReproError, match=listed):
+            resolve_engine("dense", dataset)
+        with pytest.raises(ReproError, match=listed):
+            engine_name("dense")
 
     def test_unknown_name_in_engine_name(self):
         with pytest.raises(ReproError, match="unknown coverage engine"):
@@ -71,7 +77,7 @@ class TestForeignDataset:
     def test_equal_but_distinct_dataset_still_rejected(self, dataset):
         # Identity, not equality: a copy is a different index lifetime.
         clone = Dataset(dataset.schema, dataset.rows.copy())
-        engine = DenseBoolEngine(clone)
+        engine = PackedBitsetEngine(clone)
         with pytest.raises(ReproError, match="different dataset"):
             resolve_engine(engine, dataset)
 
@@ -137,26 +143,28 @@ class TestBaseContract:
         from repro.core.engine import CoverageEngine
         from repro.core.pattern import Pattern, X
 
-        class MinimalEngine(DenseBoolEngine):
+        class MinimalEngine(PackedBitsetEngine):
             name = "minimal-test"
             # Fall back to the generic chained-restrict composition.
             _compute_match_mask = CoverageEngine._compute_match_mask
 
-        reference = DenseBoolEngine(dataset)
         minimal = MinimalEngine(dataset)
         for pattern in (Pattern.root(3), Pattern.of(1, X, 1), Pattern.of(0, 2, 0)):
-            assert minimal.coverage(pattern) == reference.coverage(pattern)
+            assert minimal.coverage(pattern) == coverage_scan(dataset, pattern)
         assert minimal.total == dataset.n
 
+    def test_default_engine_is_packed(self, dataset):
+        assert isinstance(resolve_engine(None, dataset), PackedBitsetEngine)
+
     def test_engine_name_branches(self, dataset):
-        assert engine_name(None) == "dense"
+        assert engine_name(None) == "packed"
         assert engine_name("sharded") == "sharded"
         assert engine_name(PackedBitsetEngine) == "packed"
         assert engine_name(ShardedEngine(dataset, shards=2)) == "sharded"
         with pytest.raises(ReproError, match="cannot interpret"):
             engine_name(3.14)
 
-    @pytest.mark.parametrize("engine_spec", ["dense", "packed", "sharded", "auto"])
+    @pytest.mark.parametrize("engine_spec", ["packed", "sharded", "auto"])
     def test_pattern_validation_errors(self, dataset, engine_spec):
         from repro.core.pattern import Pattern, X
         from repro.exceptions import PatternError
@@ -167,7 +175,7 @@ class TestBaseContract:
         with pytest.raises(PatternError, match="out-of-range"):
             engine.coverage(Pattern.of(9, X, X))  # value beyond cardinality
 
-    @pytest.mark.parametrize("engine_spec", ["dense", "packed", "sharded", "auto"])
+    @pytest.mark.parametrize("engine_spec", ["packed", "sharded", "auto"])
     def test_empty_dataset_counts(self, engine_spec):
         from repro.core.pattern import Pattern
 
@@ -184,7 +192,6 @@ class TestBaseContract:
         configuration), not silently reset it to the default."""
         other = random_categorical_dataset(12, (2, 3, 2), seed=44)
         for engine in (
-            DenseBoolEngine(dataset, mask_cache_size=0),
             PackedBitsetEngine(dataset, mask_cache_size=7),
             ShardedEngine(dataset, shards=2, workers=2, mask_cache_size=0),
         ):

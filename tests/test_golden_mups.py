@@ -26,7 +26,6 @@ with open(FIXTURES / "expected_mups.json") as _handle:
 #: (label, engine-spec factory) — factories take the dataset and a fresh
 #: temporary directory and return the ``engine=`` argument for ``find_mups``.
 ENGINE_CONFIGS = [
-    ("dense", lambda dataset, tmp_path: "dense"),
     ("packed", lambda dataset, tmp_path: "packed"),
     (
         "packed-nocache",

@@ -6,7 +6,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineConfig
+from engine_reference import scan_mups
+from repro.core.engine import EngineConfig, PackedBitsetEngine
 from repro.core.incremental import IncrementalMupIndex
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern
@@ -150,7 +151,7 @@ class TestEngineCacheUnderMutation:
     rebuild while their cached state must not.
     """
 
-    @pytest.mark.parametrize("engine", ["dense", "packed", "sharded"])
+    @pytest.mark.parametrize("engine", ["packed", "sharded"])
     def test_add_rows_after_cached_queries(self, engine):
         dataset = random_categorical_dataset(40, (2, 2, 3), seed=13, skew=1.3)
         tau = 4
@@ -165,10 +166,7 @@ class TestEngineCacheUnderMutation:
         ]
         index.add_rows(addition)
         # Every coverage answer must reflect the new dataset, not the cache.
-        oracle_fresh = find_mups(
-            index.dataset, threshold=tau, algorithm="naive", engine="dense"
-        )
-        assert set(index.mups()) == oracle_fresh.as_set()
+        assert set(index.mups()) == scan_mups(index.dataset, tau)
         for probe in probes:
             fresh = int(
                 sum(1 for row in index.dataset.rows if probe.matches(row))
@@ -248,19 +246,17 @@ class TestShardedRebuilds:
 
 
 class FlakyEngineFactory:
-    """Builds real dense engines but raises on a chosen build number."""
+    """Builds real packed engines but raises on a chosen build number."""
 
     def __init__(self, fail_on):
         self.builds = 0
         self.fail_on = fail_on
 
     def __call__(self, dataset):
-        from repro.core.engine import DenseBoolEngine
-
         self.builds += 1
         if self.builds == self.fail_on:
             raise RuntimeError("simulated index-build failure")
-        return DenseBoolEngine(dataset)
+        return PackedBitsetEngine(dataset)
 
 
 class TestFailedRebuild:

@@ -102,7 +102,9 @@ class TestRandomCrossCheck:
 
 
 class TestLevelCaps:
-    @pytest.mark.parametrize("algorithm", ["pattern_breaker", "deepdiver", "naive"])
+    @pytest.mark.parametrize(
+        "algorithm", ["pattern_breaker", "deepdiver", "naive", "apriori"]
+    )
     def test_max_level_returns_shallow_mups_only(self, algorithm):
         dataset = random_categorical_dataset(60, (2, 2, 2, 2), seed=1, skew=1.0)
         full = naive_mups(dataset, 6).as_set()
@@ -117,6 +119,50 @@ class TestLevelCaps:
         dataset = random_categorical_dataset(30, (2, 2), seed=0)
         result = find_mups(dataset, threshold=2, algorithm="deepdiver", max_level=1)
         assert result.max_level == 1
+
+    @pytest.mark.parametrize("algorithm", ALL_NAMES)
+    @pytest.mark.parametrize(
+        "cap", [-1, 1.5, True, "1"], ids=["negative", "fraction", "boolean", "string"]
+    )
+    def test_a_bad_cap_raises_for_every_algorithm(self, algorithm, cap):
+        dataset = random_categorical_dataset(60, (2, 2, 2, 2), seed=1, skew=1.0)
+        with pytest.raises(ReproError, match="max_level"):
+            find_mups(dataset, threshold=6, algorithm=algorithm, max_level=cap)
+
+    @pytest.mark.parametrize(
+        "algorithm", ["naive", "pattern_breaker", "deepdiver", "apriori"]
+    )
+    def test_caps_give_one_answer_across_algorithms(self, algorithm):
+        from repro.data.airbnb import load_airbnb
+
+        # Uncapped, τ=400 leaves four level-1 MUPs on this input.
+        dataset = load_airbnb(n=2000, d=5, seed=1)
+        full = find_mups(dataset, threshold=400, algorithm="pattern_breaker")
+        assert [p.level for p in full] == [1, 1, 1, 1]
+        capped = find_mups(
+            dataset, threshold=400, algorithm=algorithm, max_level=0
+        )
+        assert capped.mups == ()
+        capped = find_mups(
+            dataset, threshold=400, algorithm=algorithm, max_level=np.int64(1)
+        )
+        assert capped.mups == full.mups
+        assert type(capped.max_level) is int
+        # An uncovered root is the one MUP at every cap.
+        rooted = find_mups(
+            dataset, threshold=dataset.n + 1, algorithm=algorithm, max_level=0
+        )
+        assert rooted.mups == (Pattern.root(dataset.d),)
+
+    @pytest.mark.parametrize(
+        "cap", [0, 2, np.int64(1)], ids=["zero", "two", "numpy-one"]
+    )
+    def test_pattern_combiner_takes_no_cap(self, cap):
+        dataset = random_categorical_dataset(60, (2, 2, 2, 2), seed=1, skew=1.0)
+        with pytest.raises(ReproError, match="pattern_combiner does not support"):
+            find_mups(
+                dataset, threshold=6, algorithm="pattern_combiner", max_level=cap
+            )
 
 
 class TestAblationFlags:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 import repro.core.engine.sharded as sharded_module
+from engine_reference import row_match
 from repro.core.engine import (
     EngineConfig,
     MmapShardStore,
@@ -189,26 +190,22 @@ class TestSpillLifecycle:
 
 
 class TestPointKernels:
-    def test_value_mask_and_restrict_match_dense(self, dataset, tmp_path):
-        from repro.core.engine import DenseBoolEngine
-
-        dense = DenseBoolEngine(dataset)
+    def test_value_mask_and_restrict_match_the_rows(self, dataset, tmp_path):
         engine = ShardedEngine(
             dataset, shards=3, spill_dir=str(tmp_path), max_resident_bytes=1
         )
         full = engine.full_mask()
+        root = Pattern.root(dataset.d)
         for attribute, cardinality in enumerate(dataset.cardinalities):
             for value in range(cardinality):
                 restricted = engine.restrict(full, attribute, value)
-                expected = dense.restrict(dense.full_mask(), attribute, value)
-                assert np.array_equal(
-                    engine.mask_to_bool(restricted), dense.mask_to_bool(expected)
-                )
+                expected = row_match(dataset, root.with_value(attribute, value))
+                assert np.array_equal(engine.mask_to_bool(restricted), expected)
                 assert np.array_equal(
                     engine.mask_to_bool(
                         np.bitwise_and(full, engine.value_mask(attribute, value))
                     ),
-                    dense.mask_to_bool(expected),
+                    expected,
                 )
         engine.close()
 

@@ -1,8 +1,8 @@
 """The workload-aware auto planner: escalation ladder and constraints.
 
 Plans are deterministic functions of ``(WorkloadStats, requested
-EngineConfig)``; these tests pin the escalation boundaries — dense →
-packed → sharded (+socket workers) — and that explicitly requested
+EngineConfig)``; these tests pin the escalation boundary — packed →
+sharded (+socket workers) — and that explicitly requested
 knobs act as constraints, including the acceptance pin that a projected
 packed index above the memory budget selects the out-of-core mode.
 """
@@ -13,27 +13,25 @@ import pytest
 
 from repro.core.engine import (
     AUTO,
-    DenseBoolEngine,
     EngineConfig,
     PackedBitsetEngine,
     ShardedEngine,
     WorkloadStats,
     available_memory_bytes,
-    invalidate_stats_cache,
     plan_engine,
     resolve_engine,
     set_available_memory_bytes,
-    stats_cache_info,
 )
-from repro.core.engine.planner import DENSE_MAX_INDEX_BYTES, SHARD_TARGET_BYTES
+from repro.core.engine.planner import SHARD_TARGET_BYTES
+from repro.core.incremental import IncrementalMupIndex
 from repro.core.mups.base import find_mups
+from repro.data.dataset import Dataset
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import EngineError
 
 
 def stats_for(
     packed_bytes,
-    dense_bytes=None,
     unique=1 << 20,
     budget=1 << 30,
     cpus=1,
@@ -46,24 +44,25 @@ def stats_for(
         cardinalities=(4, 4, 4),
         projected_unique=unique,
         projected_packed_bytes=packed_bytes,
-        projected_dense_bytes=(
-            dense_bytes if dense_bytes is not None else packed_bytes * 8
-        ),
         memory_budget_bytes=budget,
         cpu_count=cpus,
     )
 
 
 class TestEscalation:
-    def test_tiny_index_plans_dense(self):
-        plan = plan_engine(stats_for(64, dense_bytes=512))
-        assert plan.config == EngineConfig(backend="dense")
-        assert any("dense" in line for line in plan.rationale)
+    def test_tiny_index_plans_packed(self):
+        plan = plan_engine(stats_for(64))
+        assert plan.config == EngineConfig(backend="packed")
+        assert any("-> packed" in line for line in plan.rationale)
+
+    def test_bench_planner_tiny_categorical_plans_packed(self):
+        # bench_planner's tiny-categorical workload, once the dense zone.
+        tiny = random_categorical_dataset(3_000, (2, 3, 2), seed=7, skew=1.0)
+        plan = plan_engine(tiny, EngineConfig(backend=AUTO, mask_cache_size=0))
+        assert plan.config == EngineConfig(backend="packed", mask_cache_size=0)
 
     def test_mid_size_index_plans_packed(self):
-        plan = plan_engine(
-            stats_for(1 << 20, dense_bytes=DENSE_MAX_INDEX_BYTES + 1)
-        )
+        plan = plan_engine(stats_for(1 << 20))
         assert plan.config == EngineConfig(backend="packed")
 
     def test_large_index_within_budget_plans_packed(self):
@@ -107,7 +106,7 @@ class TestEscalation:
 class TestConstraints:
     def test_explicit_shards_force_sharded(self):
         plan = plan_engine(
-            stats_for(64, dense_bytes=64), EngineConfig(backend=AUTO, shards=3)
+            stats_for(64), EngineConfig(backend=AUTO, shards=3)
         )
         assert plan.config.backend == "sharded"
         assert plan.config.shards == 3
@@ -115,7 +114,7 @@ class TestConstraints:
 
     def test_explicit_workers_force_sharded(self):
         plan = plan_engine(
-            stats_for(64, dense_bytes=64), EngineConfig(backend=AUTO, workers=2)
+            stats_for(64), EngineConfig(backend=AUTO, workers=2)
         )
         assert plan.config.backend == "sharded"
         assert plan.config.workers == 2
@@ -123,7 +122,7 @@ class TestConstraints:
 
     def test_explicit_endpoints_force_sharded(self):
         plan = plan_engine(
-            stats_for(64, dense_bytes=64),
+            stats_for(64),
             EngineConfig(backend=AUTO, worker_endpoints=["h1:7000"]),
         )
         assert plan.config.backend == "sharded"
@@ -132,7 +131,7 @@ class TestConstraints:
 
     def test_explicit_spill_dir_forces_out_of_core(self, tmp_path):
         plan = plan_engine(
-            stats_for(64, dense_bytes=64),
+            stats_for(64),
             EngineConfig(backend=AUTO, spill_dir=str(tmp_path)),
         )
         assert plan.config.backend == "sharded"
@@ -142,7 +141,7 @@ class TestConstraints:
 
     def test_explicit_delta_spill_forces_sharded(self):
         plan = plan_engine(
-            stats_for(64, dense_bytes=64),
+            stats_for(64),
             EngineConfig(backend=AUTO, delta_spill=True),
         )
         assert plan.config.backend == "sharded"
@@ -152,14 +151,14 @@ class TestConstraints:
 
     def test_mask_cache_size_passes_through(self):
         plan = plan_engine(
-            stats_for(64, dense_bytes=64),
+            stats_for(64),
             EngineConfig(backend=AUTO, mask_cache_size=0),
         )
         assert plan.config.mask_cache_size == 0
 
     def test_hand_picked_backend_short_circuits(self):
-        plan = plan_engine(stats_for(1 << 40), EngineConfig(backend="dense"))
-        assert plan.config == EngineConfig(backend="dense")
+        plan = plan_engine(stats_for(1 << 40), EngineConfig(backend="packed"))
+        assert plan.config == EngineConfig(backend="packed")
         assert "hand-picked" in plan.rationale[0]
 
 
@@ -186,7 +185,6 @@ class TestSparseDomains:
             cardinalities=cardinalities,
             projected_unique=unique,
             projected_packed_bytes=sum(cardinalities) * words * 8,
-            projected_dense_bytes=sum(cardinalities) * unique,
             memory_budget_bytes=budget,
             cpu_count=2,
         )
@@ -207,11 +205,13 @@ class TestSparseDomains:
         assert lines[2].startswith("  projections: packed index ~")
         assert lines[3:] == [f"  - {line}" for line in plan.rationale]
 
-    def test_auto_mups_on_a_sparse_domain_match_dense(self):
+    def test_auto_mups_on_a_sparse_domain_match_pattern_breaker(self):
+        # APRIORI counts through the planned engine; PATTERN-BREAKER
+        # counts the unique rows.
         sparse = random_categorical_dataset(2_000, (64, 48), seed=7, skew=0.5)
-        auto = find_mups(sparse, threshold=4, engine=AUTO)
-        dense = find_mups(sparse, threshold=4, engine="dense")
-        assert auto.as_set() == dense.as_set()
+        auto = find_mups(sparse, threshold=4, algorithm="apriori", engine=AUTO)
+        reference = find_mups(sparse, threshold=4, algorithm="pattern_breaker")
+        assert auto.as_set() == reference.as_set()
 
 
 class TestStatsCollection:
@@ -228,7 +228,6 @@ class TestStatsCollection:
         stats = WorkloadStats.of(dataset)
         words = (stats.projected_unique + 63) // 64
         assert stats.projected_packed_bytes == sum((3, 3, 2)) * words * 8
-        assert stats.projected_dense_bytes == sum((3, 3, 2)) * stats.projected_unique
 
     def test_default_budget_comes_from_available_memory(self):
         dataset = random_categorical_dataset(20, (2, 2), seed=2, skew=1.0)
@@ -298,49 +297,28 @@ class TestStatsCollection:
             stats_for(64, budget=0)
 
 
-class TestStatsMemoization:
-    def test_stats_of_memoizes_per_fingerprint(self):
-        dataset = random_categorical_dataset(50, (3, 2), seed=5, skew=1.0)
-        invalidate_stats_cache(dataset.content_fingerprint())
-        before = stats_cache_info()
-        first = WorkloadStats.of(dataset)
-        second = WorkloadStats.of(dataset)
-        after = stats_cache_info()
-        assert first is second
-        assert after["misses"] == before["misses"] + 1
-        assert after["hits"] >= before["hits"] + 1
-        assert after["entries"] >= 1
+class TestStatsAreRecomputed:
+    def test_stats_of_never_fingerprints(self, monkeypatch):
+        """Stats are O(d) arithmetic: planning (and re-planning after a
+        delivery) never hashes the rows."""
 
-    def test_distinct_budgets_are_distinct_entries(self):
+        def refuse(self):
+            raise AssertionError("content_fingerprint called")
+
+        monkeypatch.setattr(Dataset, "content_fingerprint", refuse)
+        dataset = random_categorical_dataset(50, (3, 2), seed=5, skew=1.0)
+        assert WorkloadStats.of(dataset).rows == 50
+        assert plan_engine(dataset).config.backend == "packed"
+        index = IncrementalMupIndex(dataset, threshold=2, engine=AUTO)
+        index.add_rows([[0, 1]])
+        assert index.dataset.n == 51
+
+    def test_distinct_budgets_give_distinct_stats(self):
         dataset = random_categorical_dataset(50, (3, 2), seed=5, skew=1.0)
         a = WorkloadStats.of(dataset, memory_budget=1 << 20)
         b = WorkloadStats.of(dataset, memory_budget=1 << 21)
-        assert a is not b
-        assert a.memory_budget_bytes != b.memory_budget_bytes
-
-    def test_invalidate_by_fingerprint_is_selective(self):
-        import repro.core.engine.planner as planner
-
-        one = random_categorical_dataset(50, (3, 2), seed=5, skew=1.0)
-        other = random_categorical_dataset(60, (2, 2, 2), seed=6, skew=1.0)
-        WorkloadStats.of(one)
-        WorkloadStats.of(other)
-        invalidate_stats_cache(one.content_fingerprint())
-        remaining = {key[0] for key in planner._STATS_CACHE}
-        assert one.content_fingerprint() not in remaining
-        assert other.content_fingerprint() in remaining
-
-    def test_incremental_delivery_invalidates(self):
-        import repro.core.engine.planner as planner
-        from repro.core.incremental import IncrementalMupIndex
-
-        dataset = random_categorical_dataset(30, (2, 2), seed=9, skew=1.0)
-        fingerprint = dataset.content_fingerprint()
-        index = IncrementalMupIndex(dataset, threshold=2, engine=AUTO)
-        assert any(key[0] == fingerprint for key in planner._STATS_CACHE)
-        index.add_rows([[0, 1]])
-        # The pre-delivery snapshot is stale the moment rows land.
-        assert all(key[0] != fingerprint for key in planner._STATS_CACHE)
+        assert a.memory_budget_bytes == 1 << 20
+        assert b.memory_budget_bytes == 1 << 21
 
 
 class TestEndToEnd:
@@ -372,7 +350,7 @@ class TestEndToEnd:
         dataset = random_categorical_dataset(30, (2, 2, 2), seed=7, skew=1.0)
         plan = plan_engine(dataset)
         engine = plan.build(dataset)
-        assert isinstance(engine, DenseBoolEngine)
+        assert isinstance(engine, PackedBitsetEngine)
 
     def test_describe_renders_stats_and_rationale(self):
         plan = plan_engine(stats_for(1 << 30, budget=16 << 20))
@@ -380,75 +358,3 @@ class TestEndToEnd:
         assert "engine plan: backend=sharded" in text
         assert "memory budget" in text
         assert "out-of-core" in text
-
-
-class TestStatsCacheBound:
-    """Regression: the stats memo is LRU-bounded and thread-consistent.
-
-    The memo used to be an unlocked, unbounded module dict: a long-lived
-    server planning for many datasets grew it without limit, and
-    concurrent ``WorkloadStats.of`` calls raced on insert, so callers
-    could end up holding different snapshot instances for one dataset.
-    """
-
-    @staticmethod
-    def _dataset(seed, n):
-        from repro.data.synthetic import random_categorical_dataset
-
-        # Distinct row counts guarantee distinct content fingerprints.
-        return random_categorical_dataset(n, (2, 2), seed=seed, skew=1.0)
-
-    def test_lru_bound_evicts_oldest(self, monkeypatch):
-        from repro.core.engine import planner
-
-        invalidate_stats_cache()
-        monkeypatch.setattr(planner, "STATS_CACHE_MAX_ENTRIES", 3)
-        before = stats_cache_info()
-        datasets = [self._dataset(seed, n=10 + seed) for seed in range(6)]
-        snapshots = [WorkloadStats.of(ds) for ds in datasets]
-        info = stats_cache_info()
-        assert info["entries"] <= 3
-        assert info["max_entries"] == 3
-        assert info["misses"] - before["misses"] == 6
-        assert info["evictions"] - before["evictions"] >= 3
-        # The newest entries survived: re-requesting is a hit that returns
-        # the memoized instance, not a rebuild.
-        assert WorkloadStats.of(datasets[-1]) is snapshots[-1]
-        after = stats_cache_info()
-        assert after["hits"] == info["hits"] + 1
-        # The oldest was evicted: re-requesting is a fresh miss.
-        WorkloadStats.of(datasets[0])
-        assert stats_cache_info()["misses"] == after["misses"] + 1
-
-    def test_threaded_of_shares_one_snapshot(self):
-        import threading
-
-        invalidate_stats_cache()
-        dataset = self._dataset(seed=99, n=40)
-        before = stats_cache_info()
-        n_threads, iterations = 8, 25
-        barrier = threading.Barrier(n_threads)
-        results = []
-
-        def worker():
-            barrier.wait()
-            for _ in range(iterations):
-                results.append(WorkloadStats.of(dataset))
-
-        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        # Memoization promise: every caller shares the first-inserted
-        # instance, even the threads that lost the insert race.
-        assert len(results) == n_threads * iterations
-        assert all(snapshot is results[0] for snapshot in results)
-        info = stats_cache_info()
-        # Counter accuracy under contention: each call is exactly one hit
-        # or one miss, never both, never neither.
-        assert (info["hits"] - before["hits"]) + (
-            info["misses"] - before["misses"]
-        ) == n_threads * iterations
-        assert info["misses"] - before["misses"] >= 1

@@ -31,6 +31,10 @@ from repro.serve import (
 )
 
 
+#: A one-step hierarchy for attribute A2 of a two-binary-attribute dataset.
+HIERARCHY_A2 = {"hierarchies": {"A2": [[0, 0]]}, "threshold": 1}
+
+
 def make_random_dataset(seed, n=40, cardinalities=(2, 3, 2)):
     """Small seeded dataset, normalized through ``from_rows`` so its
     schema matches what registration infers from the posted rows."""
@@ -425,9 +429,9 @@ class TestAdmission:
         )
         config = EngineConfig(backend="auto")
         expected = plan_engine(dataset, config)
-        assert expected.config.backend == "dense"
+        assert expected.config.backend == "packed"
         scan_ms = (
-            expected.stats.projected_dense_bytes
+            expected.stats.projected_packed_bytes
             / PACKED_SCAN_BYTES_PER_SECOND
             * 1000
         )
@@ -438,7 +442,7 @@ class TestAdmission:
             rejects.check_budget(dataset)
         detail = excinfo.value.payload()["detail"]
         assert detail["projected_scan_ms"] == pytest.approx(scan_ms)
-        assert detail["backend"] == "dense"
+        assert detail["backend"] == "packed"
 
     def test_saturation_rejects_beyond_queue(self):
         async def scenario(service):
@@ -1052,6 +1056,20 @@ class TestHttpEndToEnd:
             ("/enhance", {"threshold": 2.5, "level": 1}),
             ("/enhance", {"threshold": 1, "level": 2.7}),
             ("/enhance", {"threshold": 1, "level": True}),
+            ("/sweep", {"thresholds": [2.7]}),
+            ("/sweep", {"thresholds": [True, 2]}),
+            ("/sweep", {"thresholds": 2.7}),
+            ("/sweep", {"thresholds": [2], "bootstrap": 1.5}),
+            ("/sweep", {"thresholds": [2], "bootstrap": True}),
+            ("/sweep", {"thresholds": [2], "bootstrap": 2, "seed": -1}),
+            ("/sweep", {"thresholds": [2], "seed": 0.5}),
+            ("/sweep", {"thresholds": [2], "max_level": 1.5}),
+            ("/sweep", {"thresholds": [2], "max_level": -1}),
+            ("/sweep", {"thresholds": [2], "attributes": [1.5]}),
+            ("/sweep", {"thresholds": [2], "attributes": [True]}),
+            ("/hierarchy", {**HIERARCHY_A2, "max_level": 1.5}),
+            ("/hierarchy", {**HIERARCHY_A2, "max_level": -1}),
+            ("/hierarchy", {**HIERARCHY_A2, "remedies": "false"}),
         ],
         ids=[
             "label-threshold",
@@ -1068,6 +1086,20 @@ class TestHttpEndToEnd:
             "enhance-fractional-threshold",
             "enhance-fractional-level",
             "enhance-boolean-level",
+            "sweep-fractional-threshold",
+            "sweep-boolean-threshold",
+            "sweep-fractional-scalar-threshold",
+            "sweep-fractional-bootstrap",
+            "sweep-boolean-bootstrap",
+            "sweep-negative-seed",
+            "sweep-fractional-seed",
+            "sweep-fractional-max-level",
+            "sweep-negative-max-level",
+            "sweep-fractional-attribute",
+            "sweep-boolean-attribute",
+            "hierarchy-fractional-max-level",
+            "hierarchy-negative-max-level",
+            "hierarchy-string-remedies",
         ],
     )
     def test_client_errors_are_400(self, route, fields):
@@ -1085,6 +1117,32 @@ class TestHttpEndToEnd:
                 server, "POST", "/label", {"dataset": key, "patterns": ["XX"]}
             )
             assert label["total"] == len(rows)
+
+    def test_sweep_and_hierarchy_fields_accept_integral_values(self):
+        rows = [[0, 1], [1, 0], [0, 0], [0, 0]]
+        with BackgroundServer(service_config()) as server:
+            _, reg = http_call(server, "POST", "/datasets", {"rows": rows})
+            key = reg["dataset"]
+            sweeps = [
+                {"thresholds": [1, 2], "bootstrap": 1, "seed": 3, "max_level": 2},
+                {"thresholds": [2.0, "1"], "bootstrap": "1", "seed": 3.0,
+                 "max_level": "2"},
+            ]
+            bodies = []
+            for fields in sweeps:
+                status, body = http_call(
+                    server, "POST", "/sweep", {"dataset": key, **fields}
+                )
+                assert status == 200, body
+                bodies.append(body)
+            assert bodies[0] == bodies[1]
+            status, body = http_call(
+                server, "POST", "/hierarchy",
+                {"dataset": key, **HIERARCHY_A2, "max_level": 2.0,
+                 "remedies": False},
+            )
+            assert status == 200, body
+            assert body["max_level"] == 2 and body["remedies"] == []
 
     def test_integral_strings_and_floats_are_integers(self):
         rows = [[0, 1], [1, 0], [0, 0], [0, 0]]

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.coverage import CoverageOracle
-from repro.core.engine import (
-    DenseBoolEngine,
-    PackedBitsetEngine,
-    ShardedEngine,
-)
+from engine_reference import row_match
+from repro.core.coverage import CoverageOracle, coverage_scan
+from repro.core.engine import PackedBitsetEngine, ShardedEngine
 from repro.core.pattern import Pattern, X
 from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import random_categorical_dataset
@@ -69,29 +66,27 @@ class TestShardStructure:
 
 class TestQueryEquivalence:
     @pytest.mark.parametrize("shards", [1, 2, 5, 70])
-    def test_matches_dense_on_every_query(self, dataset, patterns, shards):
-        dense = DenseBoolEngine(dataset)
+    def test_matches_the_row_scan_on_every_query(self, dataset, patterns, shards):
         engine = ShardedEngine(dataset, shards=shards)
-        for pattern in patterns:
-            assert engine.coverage(pattern) == dense.coverage(pattern)
+        expected = [coverage_scan(dataset, pattern) for pattern in patterns]
+        for pattern, count in zip(patterns, expected):
+            assert engine.coverage(pattern) == count
             assert np.array_equal(
                 engine.mask_to_bool(engine.match_mask(pattern)),
-                dense.mask_to_bool(dense.match_mask(pattern)),
+                row_match(dataset, pattern),
             )
-        assert list(engine.coverage_many(patterns)) == list(
-            dense.coverage_many(patterns)
-        )
+        assert list(engine.coverage_many(patterns)) == expected
 
     def test_value_mask_and_restrict(self, dataset):
-        dense = DenseBoolEngine(dataset)
         engine = ShardedEngine(dataset, shards=3)
         full = engine.full_mask()
+        root = Pattern.root(dataset.d)
         for attribute, cardinality in enumerate(dataset.cardinalities):
             for value in range(cardinality):
                 restricted = engine.restrict(full, attribute, value)
-                expected = dense.restrict(dense.full_mask(), attribute, value)
                 assert np.array_equal(
-                    engine.mask_to_bool(restricted), dense.mask_to_bool(expected)
+                    engine.mask_to_bool(restricted),
+                    row_match(dataset, root.with_value(attribute, value)),
                 )
                 via_value_mask = engine.count(
                     engine.restrict(engine.value_mask(attribute, value), attribute, value)
@@ -99,16 +94,15 @@ class TestQueryEquivalence:
                 assert via_value_mask == engine.count(restricted)
 
     def test_restrict_children_transposes_families(self, dataset):
-        dense = DenseBoolEngine(dataset)
         engine = ShardedEngine(dataset, shards=4)
-        mask = engine.match_mask(Pattern.of(X, 1, X))
-        dense_mask = dense.match_mask(Pattern.of(X, 1, X))
+        parent = Pattern.of(X, 1, X)
+        mask = engine.match_mask(parent)
         family = engine.restrict_children(mask, 2)
-        dense_family = dense.restrict_children(dense_mask, 2)
         assert len(family) == dataset.cardinalities[2]
-        for child, expected in zip(family, dense_family):
+        for value, child in enumerate(family):
             assert np.array_equal(
-                engine.mask_to_bool(child), dense.mask_to_bool(expected)
+                engine.mask_to_bool(child),
+                row_match(dataset, parent.with_value(2, value)),
             )
         assert int(engine.count_many(family).sum()) == engine.count(mask)
 
@@ -120,10 +114,10 @@ class TestQueryEquivalence:
     def test_oracle_matching_rows_roundtrip(self, dataset):
         """mask_to_bool lifts shard-local selections to global unique rows."""
         sharded = CoverageOracle(dataset, engine=ShardedEngine(dataset, shards=3))
-        dense = CoverageOracle(dataset, engine="dense")
+        unique, _ = dataset.unique_rows()
         for pattern in (Pattern.root(3), Pattern.of(1, X, X), Pattern.of(X, 0, 2)):
             got = {tuple(r) for r in sharded.matching_rows(pattern)}
-            expected = {tuple(r) for r in dense.matching_rows(pattern)}
+            expected = {tuple(r) for r in unique[row_match(dataset, pattern)]}
             assert got == expected
 
 
@@ -172,7 +166,7 @@ class TestHotMaskCache:
         # A budget smaller than one mask: the cache degrades to one entry
         # instead of thrashing or growing unbounded.
         monkeypatch.setattr(base, "DEFAULT_MASK_CACHE_BYTES", 1)
-        engine = DenseBoolEngine(dataset)
+        engine = PackedBitsetEngine(dataset)
         a, b = Pattern.of(0, X, X), Pattern.of(1, X, X)
         assert engine.coverage(a) == engine.coverage(a)
         engine.coverage(b)
@@ -181,7 +175,7 @@ class TestHotMaskCache:
         assert info["nbytes"] <= engine._mask_nbytes(engine.match_mask(a))
 
     def test_clear_resets_state(self, dataset, patterns):
-        engine = DenseBoolEngine(dataset)
+        engine = PackedBitsetEngine(dataset)
         engine.coverage_many(patterns)
         engine.clear_mask_cache()
         assert engine.cache_info()["entries"] == 0

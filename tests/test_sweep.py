@@ -64,6 +64,12 @@ def test_sweep_rejects_bad_inputs(dataset):
         sweep_mups(dataset, [2], max_level=-1)
 
 
+@pytest.mark.parametrize("cap", [-1, 1.5, True])
+def test_max_level_must_be_a_non_negative_integer(dataset, cap):
+    with pytest.raises(ReproError, match="max_level"):
+        sweep_mups(dataset, [2], max_level=cap)
+
+
 def test_mups_at_outside_range_raises(dataset):
     sweep = sweep_mups(dataset, [3, 6])
     with pytest.raises(ReproError):
