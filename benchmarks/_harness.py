@@ -51,8 +51,8 @@ def emit_bench(
     The single writer for every ``BENCH_*.json``: the table and the
     machine-readable payload land in **one** ``BENCH_<name>.json`` under
     ``benchmarks/results/`` (bench scripts must not write result files
-    themselves — two writers once produced divergent
-    ``bench_sharded.json`` / ``BENCH_sharded.json`` copies).
+    themselves — two writers once produced divergent copies of one
+    bench's results).
     """
     rows = [list(r) for r in rows]
     print()

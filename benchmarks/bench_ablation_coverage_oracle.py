@@ -8,20 +8,15 @@ over the same level walk.
 """
 
 import _config as config
-from _harness import emit, emit_bench, timed
+from _harness import emit, timed
 
 from repro.core.coverage import CoverageOracle, coverage_scan
-from repro.core.engine import ShardedEngine
 from repro.core.lattice import GroupCounter, PatternLattice, walk_levels
-from repro.core.mups import pattern_breaker
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.airbnb import load_airbnb
 
 N_QUERIES = 300
-
-#: Shard count for the sharded-engine comparison (smoke-sized split).
-SHARDS = 2
 
 
 def _query_patterns(space):
@@ -97,101 +92,3 @@ def test_ablation_oracle_benchmark(benchmark):
     patterns = _query_patterns(space)
     oracle = CoverageOracle(dataset)
     benchmark(lambda: [oracle.coverage(p) for p in patterns])
-
-
-def _hot_workload(oracle, patterns, tau):
-    """The workload the packed-vs-sharded comparison is timed on.
-
-    Point queries run twice (the second pass exercises the hot-mask cache,
-    which is what the re-visit-heavy production traffic looks like), then a
-    batched frontier pass and a full PATTERN-BREAKER traversal.
-    """
-    point = [oracle.coverage(p) for p in patterns]
-    repeat = [oracle.coverage(p) for p in patterns]
-    batched = list(oracle.coverage_many(patterns))
-    assert point == repeat == batched
-    result = pattern_breaker(oracle.dataset, tau, oracle=oracle)
-    return point, result.as_set()
-
-
-def test_ablation_sharded_engine_comparison(benchmark, tmp_path):
-    dataset = load_airbnb(n=config.AIRBNB_N, d=config.AIRBNB_D)
-    space = PatternSpace.for_dataset(dataset)
-    patterns = _query_patterns(space)
-    oracles = {
-        "packed": CoverageOracle(dataset, engine="packed"),
-        "sharded": CoverageOracle(
-            dataset,
-            engine=ShardedEngine(dataset, shards=SHARDS, spill_dir=str(tmp_path)),
-        ),
-    }
-    tau = oracles["packed"].threshold_from_rate(1e-3)
-
-    # Every engine runs the workload twice under the same protocol and is
-    # scored best-of-two, so a single noisy measurement cannot fail the
-    # tight 1.2x sharded/packed bound below.
-    answers = {}
-    seconds = {}
-    (answers["packed"], seconds["packed"]) = benchmark.pedantic(
-        timed,
-        args=(_hot_workload, oracles["packed"], patterns, tau),
-        rounds=1,
-        iterations=1,
-    )
-    _, packed_second = timed(_hot_workload, oracles["packed"], patterns, tau)
-    seconds["packed"] = min(seconds["packed"], packed_second)
-    answers["sharded"], first = timed(
-        _hot_workload, oracles["sharded"], patterns, tau
-    )
-    _, second = timed(_hot_workload, oracles["sharded"], patterns, tau)
-    seconds["sharded"] = min(first, second)
-    assert answers["packed"] == answers["sharded"]
-    # Both engines answer the point queries like Definition 2's scan.
-    assert answers["packed"][0] == [coverage_scan(dataset, p) for p in patterns]
-
-    rows = []
-    payload = {
-        "n": dataset.n,
-        "d": dataset.d,
-        "unique": oracles["packed"].unique_count,
-        "queries": N_QUERIES,
-        "tau": tau,
-        "shards": oracles["sharded"].engine.shard_count,
-        "engines": {},
-    }
-    for name, oracle in oracles.items():
-        cache = oracle.engine.cache_info()
-        rows.append(
-            (
-                name,
-                f"{seconds[name]:.3f}",
-                oracle.engine.index_nbytes,
-                f"{cache['hit_rate']:.2%}",
-            )
-        )
-        payload["engines"][name] = {
-            "seconds": seconds[name],
-            "index_nbytes": oracle.engine.index_nbytes,
-            "cache": cache,
-        }
-    payload["sharded_over_packed_time_ratio"] = (
-        seconds["sharded"] / seconds["packed"]
-    )
-    emit_bench(
-        "sharded",
-        f"packed vs sharded({SHARDS}) engines "
-        f"({N_QUERIES} queries x2 + batched + PATTERN-BREAKER, whose leg "
-        f"counts unique rows and reads no engine, n={dataset.n} "
-        f"d={dataset.d})",
-        ["engine", "seconds", "index bytes", "cache hit rate"],
-        rows,
-        payload,
-    )
-    # Repeated point queries must actually hit the hot-mask cache.
-    for oracle in oracles.values():
-        assert oracle.engine.cache_info()["hits"] >= N_QUERIES
-    oracles["sharded"].engine.close()
-    # Sharding adds per-shard dispatch and mmap streaming overhead; on the
-    # smoke workload it must stay within 1.2x of the unsharded packed
-    # engine.
-    assert seconds["sharded"] <= seconds["packed"] * 1.2

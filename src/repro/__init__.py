@@ -31,7 +31,6 @@ from repro.core.engine import (
     EngineConfig,
     EnginePlan,
     PackedBitsetEngine,
-    ShardedEngine,
     plan_engine,
     resolve_engine,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "PatternSpace",
     "CoverageEngine",
     "PackedBitsetEngine",
-    "ShardedEngine",
     "EngineConfig",
     "EnginePlan",
     "plan_engine",

@@ -10,7 +10,6 @@ Subcommands:
 * ``bucketsweep`` — τ-coverage across bucket counts for a numeric column.
 * ``demo`` — run the COMPAS walk-through on the bundled simulator.
 * ``serve`` — run the persistent HTTP/JSON coverage service.
-* ``worker`` — run a standalone shard worker for socket fan-out.
 
 CSV files are expected to contain integer-coded categorical columns; use
 ``--attributes`` to select the attributes of interest.
@@ -22,7 +21,6 @@ import argparse
 import asyncio
 import csv
 import json
-import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence
@@ -39,7 +37,6 @@ from repro.analysis.sweep import (
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import (
     AUTO,
-    DEFAULT_SHARDS,
     ENGINES,
     CoverageEngine,
     EngineConfig,
@@ -54,6 +51,24 @@ from repro.core.pattern_graph import PatternSpace
 from repro.data.compas import load_compas
 from repro.data.dataset import Dataset
 from repro.exceptions import DataError, ReproError, ValidationError
+
+
+@contextmanager
+def _csv_reader(path: str) -> Iterator:
+    """A CSV reader over ``path`` that names the line of malformed input.
+
+    A UTF-8 byte-order mark is dropped, so it never becomes part of the
+    first column's name.  A ``csv.Error`` (an over-long field, a stray
+    NUL) or a ``ValueError`` (a cell that is not a number, bytes that are
+    not UTF-8) raised while reading becomes a :class:`DataError` naming
+    the file and the line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            yield reader
+        except (csv.Error, ValueError) as error:
+            raise DataError(f"{path}, line {reader.line_num}: {error}") from error
 
 
 def _read_header(reader, path: str) -> List[str]:
@@ -78,8 +93,7 @@ def _data_rows(reader, header: List[str], path: str) -> Iterator[List[str]]:
 
 def _load_csv(path: str, attributes: Optional[Sequence[str]]) -> Dataset:
     """Read an integer-coded CSV with a header row into a Dataset."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with _csv_reader(path) as reader:
         header = _read_header(reader, path)
         rows = [
             [int(cell) for cell in row]
@@ -99,8 +113,7 @@ def _load_csv_numeric(
     Returns ``(dataset, values)``: the categorical dataset without the
     numeric column, plus the numeric column as floats.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with _csv_reader(path) as reader:
         header = _read_header(reader, path)
         if column not in header:
             raise ReproError(f"column {column!r} not in CSV header {header}")
@@ -146,66 +159,15 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--engine",
         default=AUTO,
         choices=sorted(ENGINES) + [AUTO],
-        help="coverage-engine backend (default 'auto': a workload-aware "
-        "planner inspects the dataset and picks packed while the projected "
-        "index fits the memory budget, else sharded); 'packed' uses "
-        "in-memory uint64 bitsets with word-level popcount, 'sharded' "
-        "partitions the packed index row-wise into spilled, mmap-streamed "
-        "shards",
+        help="coverage-engine backend: 'packed' keeps in-memory uint64 "
+        "bitsets with word-level popcount; the default 'auto' plans packed "
+        "and reports the projected index size under --explain-plan",
     )
     parser.add_argument(
         "--explain-plan",
         action="store_true",
         help="print the engine plan (chosen backend + rationale) before "
         "running the command",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --engine sharded (clamped to the number of "
-        f"distinct value combinations; default {DEFAULT_SHARDS})",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="spawn this many local socket workers for --engine sharded "
-        "shard fan-out; 2 or more fans out (default: evaluate shards "
-        "serially)",
-    )
-    parser.add_argument(
-        "--worker-endpoints",
-        nargs="+",
-        metavar="HOST:PORT",
-        default=None,
-        help="fan --engine sharded shards out to these standing "
-        "`repro-coverage worker` addresses instead of spawning --workers "
-        "local workers",
-    )
-    parser.add_argument(
-        "--delta-spill",
-        action="store_true",
-        default=None,
-        help="let rebuilds over appended data reuse the spill directory "
-        "via delta writes: unchanged shards are hard-linked, only dirty "
-        "shards re-serialize",
-    )
-    parser.add_argument(
-        "--spill-dir",
-        default=None,
-        help="spill root for --engine sharded: shard blocks go into a unique "
-        "subdirectory of this path and stream via mmap (removed when the "
-        "run finishes; default $TMPDIR or /var/tmp); with --engine auto "
-        "this forces the sharded backend",
-    )
-    parser.add_argument(
-        "--max-resident-bytes",
-        type=int,
-        default=None,
-        help="byte budget for resident mmap shard slices (with --engine "
-        "auto this is the planner's memory budget — the planner goes "
-        "out-of-core when the projected index exceeds it)",
     )
 
 
@@ -222,9 +184,6 @@ def _build_engine(args: argparse.Namespace, dataset: Dataset) -> CoverageEngine:
     if getattr(args, "explain_plan", False):
         print(plan.describe())
         print()
-    # Unset options stay None in the plan; the backend constructors apply
-    # their own defaults (e.g. an explicit --engine sharded without
-    # --shards builds the stock shard count).
     return resolve_engine(plan.config, dataset)
 
 
@@ -232,12 +191,7 @@ def _build_engine(args: argparse.Namespace, dataset: Dataset) -> CoverageEngine:
 def _engine_scope(
     args: argparse.Namespace, dataset: Dataset
 ) -> Iterator[CoverageEngine]:
-    """Build the CLI-selected engine and close it when the command ends.
-
-    Engines are closed explicitly so worker pools shut down and
-    out-of-core spill directories are removed when the run finishes, not
-    whenever GC gets around to it.
-    """
+    """Build the CLI-selected engine and close it when the command ends."""
     engine = _build_engine(args, dataset)
     try:
         yield engine
@@ -588,9 +542,8 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
         action="append",
         metavar="CSV",
         default=None,
-        help="register this integer-coded CSV — or an existing spill "
-        "directory, attached warm instead of rebuilt — at startup "
-        "(repeatable); the dataset key is printed before serving begins",
+        help="register this integer-coded CSV at startup (repeatable); "
+        "the dataset key is printed before serving begins",
     )
     _add_engine_options(parser)
 
@@ -609,15 +562,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = HttpServer(service)
         try:
             for path in args.preload or []:
-                if os.path.isdir(path):
-                    # A finished spill directory: attach the existing shard
-                    # files (manifest-validated) instead of rebuilding.
-                    report = await service.register_spill(path)
-                else:
-                    dataset = _load_csv(path, None)
-                    report = await service.register_dataset(
-                        dataset.rows.tolist(), names=list(dataset.schema.names)
-                    )
+                dataset = _load_csv(path, None)
+                report = await service.register_dataset(
+                    dataset.rows.tolist(), names=list(dataset.schema.names)
+                )
                 print(
                     f"preloaded {path}: dataset={report['dataset']} "
                     f"backend={report['backend']} rows={report['rows']}",
@@ -636,18 +584,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("repro serve: shutting down", file=sys.stderr)
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    # Imported here so the worker process stays lean and the other
-    # subcommands never pay for the socket stack.
-    from repro.core.engine.distributed import serve_worker
-
-    try:
-        serve_worker(args.host, args.port)
-    except KeyboardInterrupt:
-        print("repro worker: shutting down", file=sys.stderr)
     return 0
 
 
@@ -819,27 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_serve_options(serve)
     serve.set_defaults(handler=_cmd_serve)
-
-    worker = commands.add_parser(
-        "worker",
-        help="run a standalone shard worker: serves per-shard coverage "
-        "kernels over the length-prefixed socket protocol for "
-        "coordinators started with --engine sharded --worker-endpoints "
-        "HOST:PORT (prints `listening on host:port` once bound)",
-    )
-    worker.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; use 0.0.0.0 to accept "
-        "coordinators from other hosts)",
-    )
-    worker.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="port to bind (default 0: kernel-assigned, printed at startup)",
-    )
-    worker.set_defaults(handler=_cmd_worker)
 
     return parser
 

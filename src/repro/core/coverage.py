@@ -6,9 +6,9 @@ unique combinations, and answers ``cov(P)`` as the AND of the deterministic
 elements' vectors weighted by the count vector — exactly the Appendix A
 design.  The vector representation is pluggable: the oracle delegates every
 mask operation to a :class:`~repro.core.engine.CoverageEngine` backend
-(``packed`` ``uint64`` bitsets in memory, or their ``sharded`` spill), so
-traversal algorithms run unmodified on either.  Masks are engine-specific
-opaque handles; thread a parent's match mask down so a child's coverage
+(the registered one is ``packed``: ``uint64`` bitsets in memory), so
+traversal algorithms run unmodified on any registered backend.  Masks are
+engine-specific opaque handles; thread a parent's match mask down so a child's coverage
 costs a single vectorized AND (``restrict_mask``), or answer a whole
 frontier with the batched ``coverage_of_masks`` / ``coverage_many``
 queries.
@@ -45,8 +45,8 @@ class CoverageOracle:
         dataset: the dataset to index.
         engine: coverage-engine selection — a declarative
             :class:`~repro.core.engine.EngineConfig`, a registry name
-            (``"packed"`` / ``"sharded"``, or ``"auto"`` to let the
-            workload-aware planner choose), an engine class, or a
+            (``"packed"``, or ``"auto"`` to let the planner choose), an
+            engine class, or a
             prebuilt engine instance; ``None`` picks the default
             backend, ``packed``.
 

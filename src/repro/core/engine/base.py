@@ -13,17 +13,10 @@ owns those vectors for one dataset and answers three families of queries:
 Masks are engine-specific opaque handles: callers obtain them from the
 engine (``full_mask``, ``match_mask``, ``restrict``…), hand them back to
 the engine, and never inspect them directly (``mask_to_bool`` converts
-when row identities are needed).  Two backends are registered:
-
-* ``packed`` — :class:`~repro.core.engine.packed.PackedBitsetEngine`,
-  ``uint64`` word arrays with word-level popcount (the default, and the
-  only in-memory index);
-* ``sharded`` — :class:`~repro.core.engine.sharded.ShardedEngine`, the
-  packed index partitioned row-wise into K shards that live in an
-  mmap-backed spill directory
-  (:class:`~repro.core.engine.mmapped.MmapShardStore`) behind a
-  byte-budgeted LRU loader; per-shard kernels run serially or on socket
-  shard workers attached to those files by path, reduced in shard order.
+when row identities are needed).  One backend is registered:
+``packed`` — :class:`~repro.core.engine.packed.PackedBitsetEngine`,
+``uint64`` word arrays with word-level popcount.  The registry stays open
+(:func:`register_engine`) for embedders that bring their own.
 
 The base class also layers a **hot-mask LRU cache** over ``match_mask``:
 repeated point queries (enhancement greedy's repeated target
@@ -192,12 +185,12 @@ class CoverageEngine(ABC):
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release engine-held resources (worker pools, spill files…).
+        """Release engine-held resources.
 
-        A no-op for in-memory backends; the sharded engine overrides it.
-        Consumers that rebuild engines (e.g. the incremental index) close
-        the old one so spill directories and pools are reclaimed promptly
-        instead of waiting for garbage collection.
+        A no-op for the in-memory ``packed`` backend; backends that hold
+        files or pools override it.  Consumers that rebuild engines (e.g.
+        the incremental index) close the old one so such resources are
+        reclaimed promptly instead of waiting for garbage collection.
         """
 
     def __enter__(self) -> "CoverageEngine":
@@ -358,8 +351,7 @@ class CoverageEngine(ABC):
     def _template_options(self) -> Dict[str, Any]:
         """Constructor options :meth:`template` must carry onto a rebuild.
 
-        Backends with extra constructor parameters (shard count, worker
-        pool) extend this dict.
+        Backends with extra constructor parameters extend this dict.
         """
         return {"mask_cache_size": self._mask_cache_size}
 
@@ -368,7 +360,7 @@ class CoverageEngine(ABC):
 
         Consumers that re-index after the dataset changes (e.g. the
         incremental MUP index) use this to carry an engine's configuration
-        — cache capacity, shard count, worker pool — onto the new dataset,
+        — its cache capacity — onto the new dataset,
         with none of the old dataset's masks or cached state.
 
         For the registered backends the template *is* a declarative
@@ -408,9 +400,8 @@ EngineSpec = Union[
 def _build_from_config(config: Any, dataset: Dataset) -> CoverageEngine:
     """Build the engine an :class:`EngineConfig` describes.
 
-    ``"auto"`` configs are resolved through the workload-aware planner
-    first; everything else instantiates the named backend with the
-    config's set options.
+    ``"auto"`` configs are resolved through the planner first; everything
+    else instantiates the named backend with the config's set options.
     """
     if config.is_auto:
         from repro.core.engine.planner import plan_engine
@@ -424,9 +415,8 @@ def resolve_engine(spec: EngineSpec, dataset: Dataset) -> CoverageEngine:
 
     Accepts an :class:`~repro.core.engine.config.EngineConfig` (the
     declarative form that carries every engine option), a registry name
-    (``"packed"`` / ``"sharded"``, or ``"auto"`` to let the planner
-    choose), an engine class, a dataset-free
-    factory callable (such as an engine's
+    (``"packed"``, or ``"auto"`` to let the planner choose), an engine
+    class, a dataset-free factory callable (such as an engine's
     :meth:`~CoverageEngine.template`), an already-built instance (returned
     as-is), or ``None`` for the default.
     """

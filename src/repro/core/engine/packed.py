@@ -23,7 +23,6 @@ from repro.core.engine.base import (
     CoverageEngine,
     register_engine,
 )
-from repro.core.engine.mmapped import and_family
 from repro.data.bitset import weighted_count, weighted_count_rows
 from repro.data.dataset import Dataset
 
@@ -68,23 +67,19 @@ class PackedBitsetEngine(CoverageEngine):
                     packed = np.packbits(column == value, bitorder="little")
                     row_bytes[value, : len(packed)] = packed
             self._words.append(words)
-        # Multiplicities padded to the word boundary; padding bits of any
-        # mask are zero, so a plain dot gives the weighted count.
-        self._counts_padded = np.zeros(word_count * _WORD_BITS, dtype=np.int64)
-        self._counts_padded[:u] = self._counts
         # With no duplicate rows every weight is 1 and coverage is a pure
         # popcount — the fast path production data with unique keys hits.
-        uniform = u == 0 or self._counts.max(initial=1) == 1
-        self._weights = None if uniform else self._counts_padded
+        # Otherwise the multiplicities are padded to the word boundary;
+        # padding bits of any mask are zero, so a plain dot gives the
+        # weighted count.
+        self._weights = None
+        if u and self._counts.max() > 1:
+            self._weights = np.zeros(word_count * _WORD_BITS, dtype=np.int64)
+            self._weights[:u] = self._counts
 
     # ------------------------------------------------------------------
-    # packed-representation accessors (the sharded engine builds on these)
+    # packed-representation accessor
     # ------------------------------------------------------------------
-    @property
-    def counts_padded(self) -> np.ndarray:
-        """Multiplicities padded to the word boundary (do not mutate)."""
-        return self._counts_padded
-
     def word_matrix(self, attribute: int) -> np.ndarray:
         """The stacked ``(cardinality, words)`` index of one attribute
         (do not mutate)."""
@@ -107,7 +102,8 @@ class PackedBitsetEngine(CoverageEngine):
         return np.bitwise_and(mask, self._words[attribute][value])
 
     def restrict_children(self, mask: np.ndarray, attribute: int) -> List[np.ndarray]:
-        return list(and_family(mask, self._words[attribute]))
+        # One broadcast AND of the mask against every value row.
+        return list(np.bitwise_and(mask, self._words[attribute]))
 
     def count(self, mask: np.ndarray) -> int:
         return weighted_count(mask, self._weights)

@@ -32,7 +32,7 @@ from repro.core.mups.base import MupResult, find_mups
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
-from repro.exceptions import DataError, EngineError, ReproError
+from repro.exceptions import DataError, ReproError
 
 
 def _engine_template(engine: EngineSpec) -> EngineSpec:
@@ -42,10 +42,9 @@ def _engine_template(engine: EngineSpec) -> EngineSpec:
     prebuilt engine instance (bound to the initial dataset) is reduced to
     its :meth:`~repro.core.engine.CoverageEngine.template` — a declarative
     :class:`~repro.core.engine.EngineConfig` carrying the same
-    configuration (shard count, worker pool, cache capacity) onto the new
-    dataset, with none of the old dataset's masks or cached state; names,
-    configs, and classes pass through.  An ``"auto"`` spec re-plans on
-    every rebuild, so the backend escalates as deliveries grow the index.
+    configuration (the cache capacity) onto the new dataset, with none of
+    the old dataset's masks or cached state; names, configs, and classes
+    pass through.  An ``"auto"`` spec re-plans on every rebuild.
     """
     if isinstance(engine, CoverageEngine):
         return engine.template()
@@ -99,7 +98,6 @@ class IncrementalMupIndex:
         )
         self._mups: Set[Pattern] = set(initial.mups)
         self.recomputations = 0  # localized searches performed (stats)
-        self.delta_rebuilds = 0  # rebuilds served by a delta spill (stats)
 
     # ------------------------------------------------------------------
     # accessors
@@ -136,52 +134,19 @@ class IncrementalMupIndex:
         """Current coverage of a pattern."""
         return self._oracle.coverage(pattern)
 
-    def _delta_rebuild(self, new_dataset: Dataset):
-        """A delta-spilled engine over ``new_dataset``, or ``None``.
-
-        Only attempted when the retiring engine is an open sharded engine
-        built with ``delta_spill=True``: unchanged shard
-        files are hard-linked into the successor spill directory and only
-        the shards whose unique-combination slice changed re-serialize, so
-        a small delivery re-indexes in O(changed shards).  Any
-        :class:`EngineError` falls back to the from-scratch build — delta
-        reuse is an optimization, never a correctness dependency.
-        """
-        from repro.core.engine.sharded import ShardedEngine
-
-        retired = self._oracle.engine
-        if not (
-            isinstance(retired, ShardedEngine)
-            and retired.delta_spill
-            and not retired.store.closed
-        ):
-            return None
-        try:
-            return ShardedEngine.delta_rebuild(retired, new_dataset)
-        except EngineError:
-            return None
-
     def _rebuild_oracle(self, new_dataset: Dataset) -> None:
         """Re-index ``new_dataset`` and swap it in, retiring the old engine.
 
         Exception-safe: the new oracle is built *before* any state changes,
-        so a failed construction (e.g. a spill-dir write error) leaves the
-        index fully consistent on the old dataset + old oracle, still
-        answering queries.  On success the dataset and oracle swap together
-        and the retired engine is closed in a ``finally`` — worker pools
-        shut down and out-of-core spill directories are deleted instead of
-        leaking (or lingering until GC).  The engines this index builds are
-        its own: prebuilt instances are reduced to templates in
-        ``__init__``.  Engines configured with ``delta_spill=True`` rebuild
-        through :meth:`_delta_rebuild` first (clean shards hard-linked, not
-        re-serialized) and fall back to a fresh build on any engine error.
+        so a failed construction leaves the index fully consistent on the
+        old dataset + old oracle, still answering queries.  On success the
+        dataset and oracle swap together and the retired engine is closed
+        in a ``finally``, so a backend holding resources releases them
+        promptly instead of lingering until GC.  The engines this index
+        builds are its own: prebuilt instances are reduced to templates in
+        ``__init__``.
         """
-        delta_engine = self._delta_rebuild(new_dataset)
-        if delta_engine is not None:
-            new_oracle = CoverageOracle(new_dataset, engine=delta_engine)
-            self.delta_rebuilds += 1
-        else:
-            new_oracle = CoverageOracle(new_dataset, engine=self._engine_spec)
+        new_oracle = CoverageOracle(new_dataset, engine=self._engine_spec)
         retired = self._oracle.engine
         try:
             self._dataset = new_dataset

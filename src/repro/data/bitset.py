@@ -4,7 +4,7 @@ Coverage queries (Appendix A) and GREEDY's target search (§IV-B) reduce
 to bitwise AND and population count over membership rows kept as plain
 ``uint64`` word arrays: 64 bits per word, little-endian within a word,
 padding bits zero.  This module holds the counting kernels that the
-packed, sharded and out-of-core engines and GREEDY's target index share:
+packed engine and GREEDY's target index share:
 a per-word popcount, and the weighted count of one word array or of each
 row of a word matrix.
 """
@@ -35,8 +35,8 @@ def weighted_count(words: np.ndarray, counts) -> int:
     """Weighted population count of one flat ``uint64`` word array.
 
     ``counts`` is the padded per-bit multiplicity vector, or ``None`` when
-    every multiplicity is 1 (pure popcount).  The single counting kernel
-    shared by the packed, sharded, and out-of-core engines.
+    every multiplicity is 1 (pure popcount).  The packed engine's
+    single-mask counting kernel.
     """
     if words.size == 0:
         return 0

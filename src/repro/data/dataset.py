@@ -166,7 +166,6 @@ class Dataset:
                         f"[{low}, {high}] outside [0, {schema.cardinalities[i]})"
                     )
         self._unique_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._inverse_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -278,48 +277,20 @@ class Dataset:
                     np.zeros((0, self.d), dtype=np.int32),
                     np.zeros(0, dtype=np.int64),
                 )
-                self._inverse_cache = np.zeros(0, dtype=np.int64)
             else:
-                # One full-row sort serves both the aggregation and the
-                # row -> unique-index mapping.
-                unique, inverse, counts = np.unique(
-                    self._rows, axis=0, return_inverse=True, return_counts=True
+                unique, counts = np.unique(
+                    self._rows, axis=0, return_counts=True
                 )
                 self._unique_cache = (unique.astype(np.int32), counts.astype(np.int64))
-                self._inverse_cache = inverse.astype(np.int64).reshape(-1)
         return self._unique_cache
-
-    def unique_inverse(self) -> np.ndarray:
-        """Index of each row's combination in :meth:`unique_rows` order.
-
-        ``unique_rows()[0][unique_inverse()]`` reconstructs the rows; the
-        sharded engine partitions rows by slicing this index.  Cached
-        alongside :meth:`unique_rows` (one shared ``np.unique`` pass).
-        """
-        if self._inverse_cache is None:
-            if self._unique_cache is not None:
-                # The unique cache was primed externally, bypassing the
-                # shared computation; derive the mapping on its own (the
-                # priming contract guarantees the same sorted order).
-                if self.n == 0:
-                    self._inverse_cache = np.zeros(0, dtype=np.int64)
-                else:
-                    _, inverse = np.unique(
-                        self._rows, axis=0, return_inverse=True
-                    )
-                    self._inverse_cache = inverse.astype(np.int64).reshape(-1)
-            else:
-                self.unique_rows()
-        return self._inverse_cache
 
     def content_fingerprint(self) -> str:
         """Stable hex digest of the dataset's logical content.
 
         Hashes the schema cardinalities together with the (sorted) unique
         value combinations and their multiplicities, so two datasets with
-        the same rows in any order fingerprint identically.  The out-of-core
-        shard store records this in its manifest and refuses to attach a
-        spill directory to a different dataset.
+        the same rows in any order fingerprint identically.  The serving
+        registry keys its warm entries by it.
         """
         unique, counts = self.unique_rows()
         digest = hashlib.sha256()
@@ -332,7 +303,7 @@ class Dataset:
     def unique_cache_ready(self) -> bool:
         """Whether :meth:`unique_rows` is already computed (or primed).
 
-        Derived datasets (roll-ups, shards) can aggregate the parent's
+        Derived datasets (roll-ups) can aggregate the parent's
         unique rows instead of re-sorting all ``n`` rows when this is set.
         """
         return self._unique_cache is not None
@@ -340,9 +311,9 @@ class Dataset:
     def _prime_unique_cache(self, unique: np.ndarray, counts: np.ndarray) -> None:
         """Install a precomputed unique-row aggregation (trusted callers).
 
-        The sharded engine partitions the global aggregation and hands each
-        shard dataset its slice, so shard index construction skips the
-        per-shard ``np.unique`` re-sort entirely.
+        A roll-up aggregates its parent's unique rows and installs the
+        result here, so it skips the ``np.unique`` re-sort of all ``n``
+        rows.
         """
         self._unique_cache = (unique, counts)
 

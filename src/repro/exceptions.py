@@ -24,8 +24,8 @@ class PatternError(ReproError):
 
 
 class EngineError(ReproError):
-    """A coverage-engine backend cannot serve queries (bad configuration,
-    corrupted or missing spill files, use after close...)."""
+    """A coverage-engine backend cannot serve queries (unknown backend,
+    bad configuration...)."""
 
 
 class ValidationError(ReproError):

@@ -5,10 +5,10 @@ Two gates stand in front of the engines:
 * **Budget admission** — before a dataset is registered (or a heavy query
   planned), :func:`~repro.core.engine.planner.plan_engine` projects the
   resident index bytes and single-scan latency of the engine it would
-  build.  A projection over the configured memory budget (the plan would
-  have to spill) or over the latency budget is rejected up front with a
-  structured error carrying the projections — the client learns *why* and
-  by how much, instead of timing out against a thrashing server.
+  build.  A projection over the configured memory budget or over the
+  latency budget is rejected up front (HTTP 413) with a structured error
+  carrying the projections — the client learns *why* and by how much,
+  instead of timing out against a thrashing server.
 * **Concurrency admission** — heavy requests (identify / enhance /
   deliver / registration) pass through a bounded semaphore: up to
   ``max_concurrent`` run, up to ``max_queue`` wait, and beyond that the
@@ -28,20 +28,13 @@ from repro.core.engine.planner import EnginePlan, plan_engine
 from repro.data.dataset import Dataset
 from repro.exceptions import AdmissionError
 
-#: Calibrated effective scan throughput of the fused packed kernels
-#: (bytes/second), measured by benchmarks/bench_planner.py smoke runs and
+#: Effective scan throughput of the fused packed kernels (bytes/second),
 #: set conservatively so slower machines still reject in time.
 PACKED_SCAN_BYTES_PER_SECOND = 4 << 30
 
 
 def _projected_resident_bytes(plan: EnginePlan) -> int:
-    """Resident index bytes the planned backend would hold.
-
-    Packed, and sharded too: a sharded engine keeps only
-    max_resident_bytes in RAM, but a serving process must never stream
-    queries off disk, so the *full* packed footprint is what admission
-    compares against the budget.
-    """
+    """Resident index bytes the planned ``packed`` engine would hold."""
     return plan.stats.projected_packed_bytes
 
 

@@ -115,6 +115,10 @@ class HttpServer:
                 body = json.loads(raw)
             except ValueError as error:
                 raise ServeError("bad_request", f"bad JSON body: {error}")
+            except RecursionError:
+                raise ServeError(
+                    "bad_request", "bad JSON body: nested too deeply"
+                )
             if not isinstance(body, dict):
                 raise ServeError(
                     "bad_request", "JSON body must be an object"

@@ -15,11 +15,10 @@ routes through :class:`~repro.core.incremental.IncrementalMupIndex`
 (exception-safe rebuild: the new oracle is fully built before any state
 swaps) and then atomically replaces the snapshot reference, so a
 concurrent reader sees either the old index or the new one, never a
-half-applied state.  Retiring an old engine eagerly is safe for the
-in-memory backends the auto planner admits (their ``close()`` is a
-no-op); a sharded engine's ``close()`` releases its spill files, so a
-reader still holding a retired sharded snapshot gets a clear
-:class:`~repro.exceptions.EngineError` instead of an answer.
+half-applied state.  Retiring an old engine eagerly is safe: the
+``packed`` index is in memory and its ``close()`` is a no-op, so a reader
+still holding a retired snapshot keeps getting answers for the dataset it
+captured.
 """
 
 from __future__ import annotations
@@ -134,57 +133,6 @@ class EngineRegistry:
         oracle = CoverageOracle(dataset, engine=self._engine)
         nbytes = int(oracle.engine.index_nbytes)
         entry = DatasetEntry(key, Snapshot(dataset, oracle, key), nbytes)
-        with self._lock:
-            winner = self._entries.get(self._aliases.get(key, key))
-            if winner is not None:
-                self._entries.move_to_end(winner.key)
-                loser = entry
-            else:
-                self._entries[key] = entry
-                self._total_nbytes += entry.nbytes
-                self._registers += 1
-                self._evict_over_budget()
-                return entry, True
-        loser.close()
-        return winner, False
-
-    def register_spill(self, spill_path: str) -> Tuple[DatasetEntry, bool]:
-        """Warm an entry by attaching a finished spill directory.
-
-        The restart path: the directory's serialized dataset payload
-        reconstructs the logical dataset
-        (:func:`~repro.core.engine.load_spill_dataset`), the existing shard
-        files are attached in place — fingerprint-validated, never
-        re-serialized — and the entry registers like any other.  The
-        attached engine does not own the directory, so eviction or
-        shutdown releases the mmaps without deleting the files.
-        """
-        from repro.core.engine import load_spill_dataset
-        from repro.core.engine.sharded import ShardedEngine
-
-        dataset = load_spill_dataset(spill_path)
-        key = dataset.content_fingerprint()
-        with self._lock:
-            existing = self._entries.get(self._aliases.get(key, key))
-            if existing is not None:
-                self._entries.move_to_end(existing.key)
-                return existing, False
-        attach_options = dict(
-            workers=self._engine.workers,
-            max_resident_bytes=self._engine.max_resident_bytes,
-            worker_endpoints=self._engine.worker_endpoints,
-            delta_spill=bool(self._engine.delta_spill),
-        )
-        if self._engine.mask_cache_size is not None:
-            attach_options["mask_cache_size"] = self._engine.mask_cache_size
-        engine = ShardedEngine.attach(dataset, spill_path, **attach_options)
-        try:
-            oracle = CoverageOracle(dataset, engine=engine)
-            nbytes = int(engine.index_nbytes)
-            entry = DatasetEntry(key, Snapshot(dataset, oracle, key), nbytes)
-        except BaseException:
-            engine.close()
-            raise
         with self._lock:
             winner = self._entries.get(self._aliases.get(key, key))
             if winner is not None:

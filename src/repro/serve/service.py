@@ -192,34 +192,6 @@ class CoverageService:
             "plan": list(plan.rationale),
         }
 
-    async def register_spill(self, spill_path: str) -> Dict:
-        """Attach an existing spill directory as a warm dataset entry.
-
-        The warm-start path behind ``repro serve --preload <dir>``: a
-        restart re-attaches the spilled shard files (manifest- and
-        fingerprint-validated) instead of re-serializing the index.
-        """
-        loop = asyncio.get_running_loop()
-        async with self.admission.heavy():
-            try:
-                entry, created = await loop.run_in_executor(
-                    None, self.registry.register_spill, spill_path
-                )
-            except (ReproError, OSError) as error:
-                raise ServeError(
-                    "bad_request", f"cannot attach spill dir: {error}"
-                )
-        return {
-            "dataset": entry.key,
-            "fingerprint": entry.snapshot.fingerprint,
-            "created": created,
-            "rows": int(entry.snapshot.dataset.n),
-            "d": int(entry.snapshot.dataset.d),
-            "backend": type(entry.snapshot.oracle.engine).name,
-            "index_nbytes": entry.nbytes,
-            "plan": ["attached existing spill directory (warm start)"],
-        }
-
     def _snapshot(self, dataset_key: Any) -> Snapshot:
         if not isinstance(dataset_key, str):
             raise ServeError(

@@ -1,4 +1,4 @@
-"""Differential fuzz harness: random workloads in lockstep on every backend.
+"""Differential fuzz harness: random workloads in lockstep on every engine spec.
 
 The cross-engine equivalence suite checks each query family in isolation;
 this harness checks the *interleavings*.  Hypothesis generates a random
@@ -8,13 +8,11 @@ correlation) — plus a random sequence of ``coverage`` / ``coverage_many``
 (with and without the sweep's count-reuse memo) / ``coverage_of_masks`` /
 ``restrict_children`` / cache-churn /
 ``template()``-rebuild calls, and executes the sequence in lockstep on
-every backend — ``packed``, ``sharded``, the out-of-core sharded engine
-(one-shard resident budget), the socket fan-out leg, and whatever the
-``auto`` planner picks.  After every step each backend's counts must
-equal Definition 2's row scan (``coverage_scan``), its masks a numpy row
-match over the unique rows, and its hot-mask cache accounting (hits /
-misses / entries, which the shared base class drives identically for
-every backend) that of every other backend.
+``packed`` built directly and on whatever the ``auto`` planner picks.
+After every step each engine's counts must equal Definition 2's row scan
+(``coverage_scan``), its masks a numpy row match over the unique rows,
+and its hot-mask cache accounting (hits / misses / entries, which the
+shared base class drives) that of the other engine.
 
 Two profiles run it: the normal suite uses a fixed-seed (derandomized)
 profile so CI is deterministic, and the ``-m slow`` job layers a deeper
@@ -25,7 +23,6 @@ finds a new one.
 """
 
 import json
-import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -39,7 +36,6 @@ from repro.core.engine import (
     AUTO,
     EngineConfig,
     PackedBitsetEngine,
-    ShardedEngine,
     resolve_engine,
 )
 from repro.core.pattern import Pattern, X
@@ -48,17 +44,8 @@ from repro.data.scenarios import SCENARIO_FAMILIES, scenario_dataset
 
 CORPUS_PATH = Path(__file__).parent / "engine_fuzz_corpus.json"
 
-#: Backend labels under differential test.  "socket" is the distributed
-#: leg: sharded with spawn-local socket workers (degrading to serial
-#: evaluation on platforms without fork, which still exercises the
-#: mode-selection path).
-BACKENDS = (
-    "packed",
-    "sharded",
-    "out-of-core",
-    "auto",
-    "socket",
-)
+#: Engine labels under differential test.
+BACKENDS = ("packed", "auto")
 
 
 # ----------------------------------------------------------------------
@@ -155,39 +142,21 @@ def fuzz_cases(draw):
 # ----------------------------------------------------------------------
 # lockstep execution
 # ----------------------------------------------------------------------
-def _build_engines(dataset, mask_cache_size, root):
+def _build_engines(dataset, mask_cache_size):
     return {
         "packed": PackedBitsetEngine(dataset, mask_cache_size=mask_cache_size),
-        "sharded": ShardedEngine(
-            dataset, shards=3, mask_cache_size=mask_cache_size
-        ),
-        "out-of-core": ShardedEngine(
-            dataset,
-            shards=2,
-            mask_cache_size=mask_cache_size,
-            spill_dir=root,
-            max_resident_bytes=1,
-        ),
         "auto": resolve_engine(
             EngineConfig(backend=AUTO, mask_cache_size=mask_cache_size),
             dataset,
-        ),
-        "socket": ShardedEngine(
-            dataset,
-            shards=3,
-            workers=2,
-            mask_cache_size=mask_cache_size,
-            spill_dir=root,
         ),
     }
 
 
 def _check_cache_accounting(engines):
-    """Every backend's hot-mask cache must account like packed's.
+    """Every engine's hot-mask cache must account like packed's.
 
     The LRU lives in the shared base class, so an identical op sequence
-    must produce identical hit/miss/entry counters on every backend (mask
-    *bytes* legitimately differ per representation).
+    must produce identical hit/miss/entry counters on every engine.
     """
     reference = engines["packed"].cache_info()
     for name, engine in engines.items():
@@ -281,19 +250,14 @@ def _run_case(cardinalities, rows, mask_cache_size, ops):
     schema = Schema.of([f"A{i + 1}" for i in range(d)], cardinalities)
     array = np.asarray(rows, dtype=np.int32).reshape(len(rows), d)
     dataset = Dataset(schema, array)
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as root:
-        engines = _build_engines(dataset, mask_cache_size, root)
-        oracles = {
-            name: CoverageOracle(dataset, engine=engine)
-            for name, engine in engines.items()
-        }
-        try:
-            for op in ops:
-                _apply_op(op, dataset, engines, oracles)
-                _check_cache_accounting(engines)
-        finally:
-            for engine in engines.values():
-                engine.close()
+    engines = _build_engines(dataset, mask_cache_size)
+    oracles = {
+        name: CoverageOracle(dataset, engine=engine)
+        for name, engine in engines.items()
+    }
+    for op in ops:
+        _apply_op(op, dataset, engines, oracles)
+        _check_cache_accounting(engines)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ Three families of guarantees:
   expansions partition it, so the coverages sum);
 * **Equivalence** — ``find_mups_hierarchical`` is bit-identical to an
   independent ``find_mups`` run on the equivalent ``rollup()`` dataset at
-  every level of the stack, on every coverage-engine backend (packed /
-  sharded / auto);
+  every level of the stack, on every coverage-engine spec (packed /
+  auto);
 * **Bucket sweep** — each ``bucketize_sweep`` point matches an
   independent ``find_mups`` over ``bucketized_dataset`` at that width,
   despite the shared drill-down count memo.
@@ -34,8 +34,8 @@ from repro.core.pattern import Pattern, X
 from repro.data.hierarchy import AttributeHierarchy, drill_down, rollup
 from repro.data.scenarios import SCENARIO_FAMILIES, scenario_dataset
 
-#: Backends the equivalence leg sweeps (the ISSUE's required matrix).
-BACKENDS = ("packed", "sharded", "auto")
+#: Engine specs the equivalence leg sweeps.
+BACKENDS = ("packed", "auto")
 
 
 # ----------------------------------------------------------------------

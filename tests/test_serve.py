@@ -12,7 +12,9 @@ import json
 import socket
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.analysis.sweep import sweep_mups, threshold_sensitivity
 from repro.core.coverage import CoverageOracle
@@ -26,6 +28,7 @@ from repro.serve import (
     BackgroundServer,
     CoverageService,
     EngineRegistry,
+    HttpServer,
     ResultCache,
     ServeConfig,
 )
@@ -33,6 +36,9 @@ from repro.serve import (
 
 #: A one-step hierarchy for attribute A2 of a two-binary-attribute dataset.
 HIERARCHY_A2 = {"hierarchies": {"A2": [[0, 0]]}, "threshold": 1}
+
+#: A 200 KB body nested past the JSON parser's recursion limit.
+NESTED_JSON = b"[" * 100_000 + b"]" * 100_000
 
 
 def make_random_dataset(seed, n=40, cardinalities=(2, 3, 2)):
@@ -1177,6 +1183,26 @@ class TestHttpEndToEnd:
         assert response.startswith(b"HTTP/1.1 400 ")
         assert b"bad Content-Length" in response
 
+    def test_deeply_nested_json_body_is_400(self):
+        """A body nested past the JSON parser's recursion limit is a 400
+        ``bad_request``, and the server keeps answering afterwards."""
+        body = NESTED_JSON
+        with BackgroundServer(service_config()) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as client:
+                client.sendall(
+                    b"POST /label HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body
+                )
+                response = b""
+                while chunk := client.recv(4096):
+                    response += chunk
+            status, health = http_call(server, "GET", "/healthz")
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b'"code":"bad_request"' in response
+        assert status == 200 and health["status"] == "ok"
+
     def test_concurrent_clients_with_deliveries(self):
         dataset = make_random_dataset(23, n=100)
         probe = [None] * dataset.d
@@ -1217,3 +1243,64 @@ class TestHttpEndToEnd:
             for thread in threads:
                 thread.join()
         assert not failures
+
+
+@st.composite
+def request_bytes(draw):
+    """Bytes a client might send: noise, or a request head and body whose
+    pieces are each valid or malformed."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    line = draw(
+        st.sampled_from(
+            [b"POST /label HTTP/1.1", b"GET /healthz HTTP/1.1", b"GET", b""]
+        )
+        | st.binary(max_size=30)
+    )
+    body = draw(
+        st.sampled_from([b"", b"{}", b"[]", b'{"a": [1, {"b": null}]}', b"\xff"])
+        | st.binary(max_size=60)
+    )
+    length = draw(
+        st.sampled_from([b"%d" % len(body), b"-5", b"1e3", b"99999999999"])
+        | st.integers(min_value=0, max_value=100).map(b"%d".__mod__)
+    )
+    headers = draw(st.lists(st.binary(max_size=30), max_size=3))
+    head = b"\r\n".join([line, b"Content-Length: " + length, *headers])
+    return head + b"\r\n\r\n" + body
+
+
+class TestRequestFraming:
+    def test_any_bytes_parse_end_or_raise_a_framing_error(self):
+        """Fuzz: whatever bytes arrive, ``_read_request`` returns a request
+        or ``None`` at EOF, or raises ``ServeError`` or
+        ``IncompleteReadError`` — never anything else."""
+        service = CoverageService(service_config())
+        server = HttpServer(service)
+        loop = asyncio.new_event_loop()
+
+        async def read(data):
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await server._read_request(reader)
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(data=request_bytes())
+        @example(
+            data=b"POST /label HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(NESTED_JSON)
+            + NESTED_JSON
+        )
+        def check(data):
+            try:
+                request = loop.run_until_complete(read(data))
+            except (ServeError, asyncio.IncompleteReadError):
+                return
+            assert request is None or isinstance(request, tuple)
+
+        try:
+            check()
+        finally:
+            loop.close()
+            service.close()
