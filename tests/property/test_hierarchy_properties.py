@@ -9,7 +9,7 @@ Three families of guarantees:
 * **Equivalence** — ``find_mups_hierarchical`` is bit-identical to an
   independent ``find_mups`` run on the equivalent ``rollup()`` dataset at
   every level of the stack, on every coverage-engine spec (packed /
-  auto);
+  auto / packed with its cache off);
 * **Bucket sweep** — each ``bucketize_sweep`` point matches an
   independent ``find_mups`` over ``bucketized_dataset`` at that width,
   despite the shared drill-down count memo.
@@ -29,13 +29,21 @@ from repro.analysis.hierarchy import (
     bucketized_dataset,
     find_mups_hierarchical,
 )
+from repro.core.engine import EngineConfig
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern, X
 from repro.data.hierarchy import AttributeHierarchy, drill_down, rollup
 from repro.data.scenarios import SCENARIO_FAMILIES, scenario_dataset
 
-#: Engine specs the equivalence leg sweeps.
-BACKENDS = ("packed", "auto")
+#: Engine specs the equivalence leg sweeps: the backend, the planner's
+#: pick, and the backend with its mask cache disabled.
+BACKENDS = (
+    "packed",
+    "auto",
+    pytest.param(
+        EngineConfig(backend="packed", mask_cache_size=0), id="packed-nocache"
+    ),
+)
 
 
 # ----------------------------------------------------------------------

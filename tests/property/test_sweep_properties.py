@@ -4,7 +4,7 @@ Three families of guarantees:
 
 * **Equivalence** — ``sweep_mups(...).mups_at(τ)`` is bit-identical to an
   independent ``find_mups`` run at every τ in the swept range, on every
-  coverage-engine spec (packed / auto), over
+  coverage-engine spec (packed / auto / packed with its cache off), over
   scenario-generated datasets (zipf marginals, latent-factor correlation,
   planted MUPs with known ground truth);
 * **Monotonicity** — as τ grows the uncovered space only grows, so every
@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis.sweep import sweep_mups
+from repro.core.engine import EngineConfig
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern, X
 from repro.data.scenarios import (
@@ -32,8 +33,15 @@ from repro.data.scenarios import (
     zipfian_cardinalities,
 )
 
-#: Engine specs the equivalence leg sweeps.
-BACKENDS = ("packed", "auto")
+#: Engine specs the equivalence leg sweeps: the backend, the planner's
+#: pick, and the backend with its mask cache disabled.
+BACKENDS = (
+    "packed",
+    "auto",
+    pytest.param(
+        EngineConfig(backend="packed", mask_cache_size=0), id="packed-nocache"
+    ),
+)
 
 
 # ----------------------------------------------------------------------

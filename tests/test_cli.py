@@ -221,6 +221,13 @@ class TestErrors:
                 "a,b\n0,1.5\n1,x\n",
                 3,
             ),
+            (["identify"], "a" * 131_073 + ",b\n0,1\n", 1),
+            (
+                ["bucketsweep", "--column", "a", "--buckets", "2"],
+                "a,b\n0.5,1\n" + "2" * 131_073 + ",0\n",
+                3,
+            ),
+            (["label"], "a,b\n0,1\n1,y\n", 3),
         ],
         ids=[
             "empty",
@@ -232,6 +239,9 @@ class TestErrors:
             "overlong-field",
             "non-integer",
             "non-numeric",
+            "overlong-header",
+            "overlong-numeric-field",
+            "label-non-integer",
         ],
     )
     def test_malformed_csv_returns_2(
@@ -253,6 +263,15 @@ class TestErrors:
         argv = ["identify", str(path), "--threshold", "1"]
         assert main([*argv, "--attributes", "a", "b"]) == 0
         assert "maximal uncovered pattern" in capsys.readouterr().out
+
+    def test_utf8_bom_is_not_part_of_the_first_numeric_name(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffa,b\n0.5,1\n1.5,0\n2.5,1\n", encoding="utf-8")
+        argv = ["bucketsweep", str(path), "--column", "a", "--buckets", "2"]
+        assert main([*argv, "--threshold", "1"]) == 0
+        assert "bucketization sweep over 'a'" in capsys.readouterr().out
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
@@ -363,6 +382,12 @@ class TestEngineSelection:
         [
             ["--engine", "packed"],
             ["--explain-plan"],
+            ["--shards", "2"],
+            ["--workers", "2"],
+            ["--worker-endpoints", "h1:7000"],
+            ["--delta-spill"],
+            ["--spill-dir", "spill"],
+            ["--max-resident-bytes", "1024"],
         ],
         ids=lambda option: option[0].lstrip("-"),
     )
@@ -382,6 +407,7 @@ class TestEngineSelection:
             main([*argv, *option])
         assert excinfo.value.code == 2
         assert option[0] in capsys.readouterr().err
+
 
 class TestAutoPlanner:
     """The auto planner is the CLI default and honors its constraints."""

@@ -9,6 +9,7 @@ from repro.core.engine import (
     DEFAULT_ENGINE,
     ENGINES,
     CoverageEngine,
+    EngineConfig,
     PackedBitsetEngine,
     engine_name,
     resolve_engine,
@@ -19,10 +20,18 @@ from repro.data.dataset import Dataset, Schema
 from repro.exceptions import PatternError, ReproError
 
 
-@pytest.fixture(params=sorted(ENGINES) + ["auto"])
+#: Every backend, the planner's pick, and packed with its cache disabled.
+CONTRACT_SPECS = {
+    **{name: name for name in sorted(ENGINES)},
+    "auto": "auto",
+    "packed-nocache": EngineConfig(backend="packed", mask_cache_size=0),
+}
+
+
+@pytest.fixture(params=sorted(CONTRACT_SPECS))
 def engine_of(request):
     def build(dataset):
-        return resolve_engine(request.param, dataset)
+        return resolve_engine(CONTRACT_SPECS[request.param], dataset)
 
     build.name = request.param
     return build

@@ -20,12 +20,23 @@ def dataset():
     return random_categorical_dataset(30, (2, 3, 2), seed=3, skew=1.0)
 
 
+#: Engine specs every engine contract test runs on: the backend, the
+#: planner's pick, and the backend with its mask cache disabled.
+CONTRACT_SPECS = [
+    "packed",
+    "auto",
+    pytest.param(
+        EngineConfig(backend="packed", mask_cache_size=0), id="packed-nocache"
+    ),
+]
+
 #: Every kind of engine spec ``greedy_cover`` accepts, built per dataset.
 GREEDY_ENGINE_SPECS = {
     "none": lambda ds: None,
     "packed": lambda ds: "packed",
     "auto": lambda ds: "auto",
     "config": lambda ds: EngineConfig(backend="packed", mask_cache_size=0),
+    "auto-config": lambda ds: EngineConfig(backend="auto", mask_cache_size=4),
     "factory": lambda ds: lambda d: PackedBitsetEngine(d),
     "class": lambda ds: PackedBitsetEngine,
     "instance": lambda ds: PackedBitsetEngine(ds),
@@ -138,7 +149,7 @@ class TestBaseContract:
         with pytest.raises(ReproError, match="cannot interpret"):
             engine_name(3.14)
 
-    @pytest.mark.parametrize("engine_spec", ["packed", "auto"])
+    @pytest.mark.parametrize("engine_spec", CONTRACT_SPECS)
     def test_pattern_validation_errors(self, dataset, engine_spec):
         from repro.core.pattern import Pattern, X
         from repro.exceptions import PatternError
@@ -149,7 +160,7 @@ class TestBaseContract:
         with pytest.raises(PatternError, match="out-of-range"):
             engine.coverage(Pattern.of(9, X, X))  # value beyond cardinality
 
-    @pytest.mark.parametrize("engine_spec", ["packed", "auto"])
+    @pytest.mark.parametrize("engine_spec", CONTRACT_SPECS)
     def test_empty_dataset_counts(self, engine_spec):
         from repro.core.pattern import Pattern
 

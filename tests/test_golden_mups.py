@@ -2,10 +2,10 @@
 
 ``tests/fixtures/`` commits small datasets together with their expected MUP
 sets (computed by the naive reference, cross-checked against DEEPDIVER and
-the literal Definition-2 scan when the fixtures were generated).  Every
-identification algorithm on every engine configuration must reproduce each
-expected set exactly — an end-to-end tripwire for regressions anywhere in
-the pattern/coverage/engine/algorithm stack.
+the literal Definition-4 scan, ``scan_mups``, when each threshold was
+added).  Every identification algorithm on every engine configuration must
+reproduce each expected set exactly — an end-to-end tripwire for
+regressions anywhere in the pattern/coverage/engine/algorithm stack.
 """
 
 import csv
@@ -14,14 +14,40 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import EngineConfig, PackedBitsetEngine
+from repro.core.engine import (
+    EngineConfig,
+    PackedBitsetEngine,
+    resolve_engine,
+    set_available_memory_bytes,
+)
 from repro.core.mups.base import ALGORITHMS, find_mups
+from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 with open(FIXTURES / "expected_mups.json") as _handle:
     EXPECTED = json.load(_handle)
+
+
+def starved_auto(dataset):
+    """``auto`` planned with one byte of available memory: the plan that
+    once spilled out of core, and is ``packed`` like every other."""
+    set_available_memory_bytes(1)
+    try:
+        return resolve_engine("auto", dataset)
+    finally:
+        set_available_memory_bytes(None)
+
+
+def warm_engine(dataset):
+    """A packed engine whose cache already holds the mask of every
+    pattern in the space, so the search is answered from cached masks."""
+    engine = PackedBitsetEngine(dataset, mask_cache_size=256)
+    for pattern in PatternSpace.for_dataset(dataset).all_patterns():
+        engine.coverage(pattern)
+    return engine
+
 
 #: (label, engine-spec factory) — factories take the dataset and return
 #: the ``engine=`` argument for ``find_mups``.
@@ -40,6 +66,19 @@ ENGINE_CONFIGS = [
             dataset
         ),
     ),
+    # A one-mask cache evicts on every miss.
+    (
+        "packed-cache-1",
+        lambda dataset: PackedBitsetEngine(dataset, mask_cache_size=1),
+    ),
+    ("auto-starved", starved_auto),
+    # An unbuilt config that ``find_mups`` plans and builds itself.
+    (
+        "auto-config",
+        lambda dataset: EngineConfig(backend="auto", mask_cache_size=2),
+    ),
+    ("class", lambda dataset: PackedBitsetEngine),
+    ("warm", warm_engine),
 ]
 
 CASES = [
@@ -73,12 +112,17 @@ def test_algorithm_engine_matrix_reproduces_golden(algorithm, config, fixture, t
 
 
 #: DEEPDIVER's (nodes_generated, coverage_evaluations, dominance_checks,
-#: pruned) per fixture and τ, recorded from the node-at-a-time search.
+#: pruned) per fixture and τ, recorded from the node-at-a-time search
+#: (the example1 τ=3, skewed_small τ=12 and sparse_wide τ=1 entries were
+#: recorded when those thresholds were added).
 DEEPDIVER_COUNTERS = {
     ("example1", 1): (19, 19, 38, 0),
     ("example1", 2): (19, 16, 35, 3),
+    ("example1", 3): (15, 10, 25, 5),
     ("skewed_small", 4): (88, 58, 146, 30),
     ("skewed_small", 8): (88, 54, 142, 34),
+    ("skewed_small", 12): (57, 37, 94, 20),
+    ("sparse_wide", 1): (54, 37, 91, 17),
     ("sparse_wide", 3): (41, 28, 69, 13),
 }
 

@@ -32,6 +32,7 @@ from repro.serve import (
     ResultCache,
     ServeConfig,
 )
+from repro.serve.http import MAX_BODY_BYTES, MAX_HEADER_BYTES
 
 
 #: A one-step hierarchy for attribute A2 of a two-binary-attribute dataset.
@@ -1270,37 +1271,102 @@ def request_bytes(draw):
     return head + b"\r\n\r\n" + body
 
 
+def post(body, length=None):
+    """A ``POST /label`` request carrying ``body`` (and its length, or
+    ``length`` verbatim)."""
+    if length is None:
+        length = b"%d" % len(body)
+    return b"POST /label HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n" + body
+
+
+#: Malformed requests: (bytes on the wire, error code, HTTP status).
+MALFORMED_REQUESTS = {
+    "request-line": (b"GARBAGE\r\n\r\n", "bad_request", 400),
+    "negative-length": (post(b"", b"-5"), "bad_request", 400),
+    "float-length": (post(b"", b"1e3"), "bad_request", 400),
+    "over-body-limit": (
+        post(b"", b"%d" % (MAX_BODY_BYTES + 1)),
+        "payload_too_large",
+        413,
+    ),
+    "headers-over-limit": (
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * MAX_HEADER_BYTES + b"\r\n\r\n",
+        "bad_request",
+        400,
+    ),
+    "not-json": (post(b"{not json}"), "bad_request", 400),
+    "not-utf8": (post(b"\xff\xfe\xfd"), "bad_request", 400),
+    "list-root": (post(b"[]"), "bad_request", 400),
+    "null-root": (post(b"null"), "bad_request", 400),
+    "nested-past-recursion-limit": (post(NESTED_JSON), "bad_request", 400),
+}
+
+#: Well-formed requests: (bytes on the wire, parsed request).
+WELL_FORMED_REQUESTS = {
+    "eof-before-any-byte": (b"", None),
+    "no-body": (b"GET /healthz HTTP/1.1\r\n\r\n", ("GET", "/healthz", {})),
+    "object-body": (post(b'{"a": [1]}'), ("POST", "/label", {"a": [1]})),
+    "query-string-dropped": (
+        b"get /stats?verbose=1 HTTP/1.1\r\n\r\n",
+        ("GET", "/stats", {}),
+    ),
+    "header-case-ignored": (
+        b"POST /label HTTP/1.1\r\ncOnTeNt-LeNgTh: 2\r\n\r\n{}",
+        ("POST", "/label", {}),
+    ),
+}
+
+
+@pytest.fixture
+def read_request():
+    """``HttpServer._read_request`` over the given bytes, then EOF."""
+    service = CoverageService(service_config())
+    server = HttpServer(service)
+    loop = asyncio.new_event_loop()
+
+    async def read(data):
+        reader = asyncio.StreamReader(limit=MAX_HEADER_BYTES)
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await server._read_request(reader)
+
+    try:
+        yield lambda data: loop.run_until_complete(read(data))
+    finally:
+        loop.close()
+        service.close()
+
+
 class TestRequestFraming:
-    def test_any_bytes_parse_end_or_raise_a_framing_error(self):
+    @pytest.mark.parametrize("name", sorted(MALFORMED_REQUESTS))
+    def test_malformed_requests_raise_a_framing_error(self, read_request, name):
+        data, code, status = MALFORMED_REQUESTS[name]
+        with pytest.raises(ServeError) as excinfo:
+            read_request(data)
+        assert (excinfo.value.code, excinfo.value.status) == (code, status)
+
+    @pytest.mark.parametrize("name", sorted(WELL_FORMED_REQUESTS))
+    def test_well_formed_requests_parse(self, read_request, name):
+        data, expected = WELL_FORMED_REQUESTS[name]
+        assert read_request(data) == expected
+
+    def test_truncated_body_is_an_incomplete_read(self, read_request):
+        with pytest.raises(asyncio.IncompleteReadError):
+            read_request(post(b"{}", b"10"))
+
+    def test_any_bytes_parse_end_or_raise_a_framing_error(self, read_request):
         """Fuzz: whatever bytes arrive, ``_read_request`` returns a request
         or ``None`` at EOF, or raises ``ServeError`` or
         ``IncompleteReadError`` — never anything else."""
-        service = CoverageService(service_config())
-        server = HttpServer(service)
-        loop = asyncio.new_event_loop()
-
-        async def read(data):
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return await server._read_request(reader)
 
         @settings(max_examples=200, deadline=None, derandomize=True)
         @given(data=request_bytes())
-        @example(
-            data=b"POST /label HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
-            % len(NESTED_JSON)
-            + NESTED_JSON
-        )
+        @example(data=post(NESTED_JSON))
         def check(data):
             try:
-                request = loop.run_until_complete(read(data))
+                request = read_request(data)
             except (ServeError, asyncio.IncompleteReadError):
                 return
             assert request is None or isinstance(request, tuple)
 
-        try:
-            check()
-        finally:
-            loop.close()
-            service.close()
+        check()
