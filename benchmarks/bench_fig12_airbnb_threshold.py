@@ -6,6 +6,12 @@ PATTERN-BREAKER gets *faster* as the rate grows (MUPs move up the graph),
 PATTERN-COMBINER gets *slower*, the two cross near 1e-4..1e-3, and
 DEEPDIVER is as fast as the better of the two everywhere.  APRIORI is not
 competitive.
+
+Here DEEPDIVER takes PATTERN-BREAKER's time.  In the Rule-1 order the two
+visit the same nodes, so DEEPDIVER runs PATTERN-BREAKER's level walk
+(:mod:`repro.core.mups.deepdiver` has the proof).  The DFS's own strengths,
+early MUPs and a small stack, have no caller here: ``find_mups`` returns
+all MUPs at once.
 """
 
 import pytest

@@ -11,6 +11,12 @@ PATTERN-COMBINER generates at least the whole bottom level and more nodes
 than either other algorithm.  Here PATTERN-COMBINER walks its levels as
 integer-code arrays, so that fixed cost is cheap per node and its seconds
 no longer rank last (the table still prints them).
+
+Here DEEPDIVER takes PATTERN-BREAKER's time.  In the Rule-1 order the two
+visit the same nodes, so DEEPDIVER runs PATTERN-BREAKER's level walk
+(:mod:`repro.core.mups.deepdiver` has the proof).  The DFS's own strengths,
+early MUPs and a small stack, have no caller here: ``find_mups`` returns
+all MUPs at once.
 """
 
 import pytest

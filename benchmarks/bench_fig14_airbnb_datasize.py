@@ -5,6 +5,12 @@ three algorithms are only mildly affected by n — the work is driven by the
 number of patterns, not tuples; PATTERN-COMBINER touches the raw data only
 for the bottom level, and the inverted indices bound the effect for the
 other two.
+
+Here DEEPDIVER takes PATTERN-BREAKER's time.  In the Rule-1 order the two
+visit the same nodes, so DEEPDIVER runs PATTERN-BREAKER's level walk
+(:mod:`repro.core.mups.deepdiver` has the proof).  The DFS's own strengths,
+early MUPs and a small stack, have no caller here: ``find_mups`` returns
+all MUPs at once.
 """
 
 import pytest

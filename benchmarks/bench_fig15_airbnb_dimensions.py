@@ -3,6 +3,12 @@
 Paper setting: n=1M, τ rate 0.1%, d projected from 5 to 17.  Paper shape:
 the pattern graph — and with it the number of MUPs and the runtime — grows
 exponentially in d, yet all algorithms finish in reasonable time.
+
+Here DEEPDIVER takes PATTERN-BREAKER's time.  In the Rule-1 order the two
+visit the same nodes, so DEEPDIVER runs PATTERN-BREAKER's level walk
+(:mod:`repro.core.mups.deepdiver` has the proof).  The DFS's own strengths,
+early MUPs and a small stack, have no caller here: ``find_mups`` returns
+all MUPs at once.
 """
 
 import pytest

@@ -5,6 +5,13 @@ depth capped at max ℓ ∈ {2, 4, 6, 8}.  Paper shape: with a level cap the
 search scales to 35 attributes (level-2 MUPs in ~10s in the paper's Java),
 and lower caps are strictly cheaper — the dangerous shallow MUPs stay
 findable even when the full graph is hopeless.
+
+Here the capped DEEPDIVER is PATTERN-BREAKER's level walk stopped at the
+cap.  In the Rule-1 order the two searches visit the same nodes
+(:mod:`repro.core.mups.deepdiver` has the proof), so the shape holds for
+the same reason: the walk never generates a level below the cap.  The
+DFS's own strengths, early MUPs and a small stack, have no caller here:
+``find_mups`` returns all MUPs at once.
 """
 
 import pytest

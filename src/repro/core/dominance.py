@@ -24,10 +24,11 @@ rows, and ``P`` covers it when its column survives the AND of ``P``'s
 ``covered`` rows.  Both hold only for ``P``'s own column, so dropping the
 columns that survive both makes the answers strict.
 
-:meth:`MupDominanceIndex.family_flags` answers the second question, the
-only one DEEPDIVER asks, for all the Rule-1 children of one pattern in
-one 2-D pass.  :class:`MupScan` answers it by the linear scan below, for
-the Appendix B ablation.
+No search queries the index: in the Rule-1 order DEEPDIVER's dominance
+question is "has an uncovered parent", which PATTERN-BREAKER's level walk
+answers (see :mod:`repro.core.mups.deepdiver`).  The index stays a public
+structure over a set of MUPs, and the linear scans below are its
+reference and the Appendix B ablation's baseline.
 """
 
 from __future__ import annotations
@@ -58,16 +59,6 @@ class MupDominanceIndex:
         self._row_digit = np.arange(int((sizes + 1).sum())) - self._offsets[
             self._row_attribute
         ]
-        # The Rule-1 children of the root, in (attribute, value) order:
-        # child j's table row per attribute, and its one value row.  A
-        # pattern that is X from attribute s on has the children from
-        # _family_start[s] on, with the same rows from column s on.
-        attribute = np.repeat(np.arange(d), sizes)
-        value_rows = np.arange(int(sizes.sum())) + attribute + 1
-        self._family_rows = np.tile(self._offsets, (len(value_rows), 1))
-        self._family_rows[np.arange(len(value_rows)), attribute] = value_rows
-        self._value_rows = value_rows
-        self._family_start = np.r_[0, np.cumsum(sizes)].tolist()
         self._size = 0
         self._words = _INITIAL_WORDS
         # _bits[row, 0]: the covers table; _bits[row, 1]: covered, whose X
@@ -177,71 +168,9 @@ class MupDominanceIndex:
                 return False
         return bool(mask.any())
 
-    def family_flags(self, digits: np.ndarray, start: int) -> np.ndarray:
-        """Whether some stored MUP strictly dominates each Rule-1 child of
-        one pattern.
-
-        ``digits`` is the pattern's digits (``X`` = 0, value ``v`` =
-        ``v + 1``), ``X`` from attribute ``start`` on.  Its children set
-        one attribute ``a >= start`` to each value, in ``(a, value)``
-        order.
-
-        One pass: the attributes before ``start``, which all children
-        share, leave a few surviving words, and only those are ANDed with
-        each child's rows.
-        """
-        children = slice(self._family_start[start], None)
-        words = (self._size + 63) // 64
-        shared = self._offsets[:start] + digits[:start]
-        covers, covered = np.bitwise_and.reduce(self._bits[shared, :, :words])
-        alive = covers.nonzero()[0]
-        if not len(alive):
-            return np.zeros(len(self._value_rows) - self._family_start[start], bool)
-        rows = self._family_rows[children, start:, np.newaxis]
-        covers = covers[alive] & np.bitwise_and.reduce(
-            self._bits[rows, 0, alive], axis=1
-        )
-        # X rows of `covered` hold every column: only the value row counts.
-        covered = covered[alive] & self._bits[
-            self._value_rows[children, np.newaxis], 1, alive
-        ]
-        # A column in both is the child itself, which strictness drops.
-        return (covers & ~covered).any(axis=1)
-
     def contains(self, pattern: Pattern) -> bool:
         """Exact membership test."""
         return pattern in self._column_of
-
-
-class MupScan:
-    """DEEPDIVER's dominance question answered by a linear scan.
-
-    The Appendix B ablation: same interface as
-    :class:`MupDominanceIndex`'s ``add``/``family_flags``, answered by
-    :func:`dominated_by_any_scan` over the MUP list.
-    """
-
-    def __init__(self, cardinalities: Sequence[int]) -> None:
-        self._cardinalities = tuple(int(c) for c in cardinalities)
-        self._mups: List[Pattern] = []
-
-    def __len__(self) -> int:
-        return len(self._mups)
-
-    def add(self, mup: Pattern) -> None:
-        self._mups.append(mup)
-
-    def family_flags(self, digits: np.ndarray, start: int) -> np.ndarray:
-        values = (np.asarray(digits) - 1).tolist()
-        children = []
-        for attribute in range(start, len(values)):
-            for value in range(self._cardinalities[attribute]):
-                values[attribute] = value
-                children.append(Pattern(values))
-            values[attribute] = X
-        return np.array(
-            [dominated_by_any_scan(self._mups, c) for c in children], bool
-        )
 
 
 def dominated_by_any_scan(mups: Sequence[Pattern], pattern: Pattern) -> bool:

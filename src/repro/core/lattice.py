@@ -12,8 +12,9 @@ over the level instead of one Python object per node; ``Pattern`` objects
 are built only for the answers (:meth:`PatternLattice.decode`).
 
 :func:`walk_levels` is PATTERN-BREAKER's level-wise traversal (§III-C)
-over these codes, shared by PATTERN-BREAKER, the threshold sweep and the
-hierarchy searches, and :class:`GroupCounter` counts its levels: the
+over these codes, shared by PATTERN-BREAKER, DEEPDIVER, the threshold
+sweep and the hierarchy searches, and :class:`GroupCounter` counts its
+levels, a bounded chunk of whole attribute subsets at a time: the
 candidates of a level that fix the same attribute subset ``S`` are all
 counted by one group-by of the unique rows on ``S``, the group-by behind
 iceberg-cube computation (Beyer & Ramakrishnan, SIGMOD 1999), with no
@@ -36,7 +37,7 @@ import numpy as np
 from repro._util import SearchStats, Stopwatch
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, combination_index
 
 #: Spaces with at least this many nodes code patterns as Python ints.
 _INT64_NODES = 2**63
@@ -50,7 +51,12 @@ _BINCOUNT_SLOTS_PER_ROW = 4
 _BINCOUNT_MIN_SLOTS = 256
 
 #: Most row keys one ``bincount`` pass builds over several subsets.
-_PASS_ENTRIES = 1 << 21
+_PASS_ENTRIES = 1 << 19
+
+#: :func:`walk_levels` prunes and counts a level in chunks of whole
+#: attribute subsets, at most this many candidates each unless one subset
+#: alone holds more.
+_CHUNK_CANDIDATES = 1 << 15
 
 
 class PatternLattice:
@@ -118,10 +124,7 @@ class PatternLattice:
     def combination_index(self, rows: np.ndarray) -> np.ndarray:
         """Row-major position of each full value combination (a ``(k, d)``
         value array) in the ``Π c_i`` combination grid."""
-        index = np.zeros(len(rows), dtype=np.int64)
-        for i, cardinality in enumerate(self.cardinalities):
-            index = index * cardinality + rows[:, i]
-        return index
+        return combination_index(rows, self.cardinalities)
 
     def combination_codes(self, index: np.ndarray) -> np.ndarray:
         """Codes of the full value combinations at grid positions ``index``.
@@ -262,11 +265,7 @@ class GroupCounter:
         columns = np.asarray(rows, dtype=np.int64).reshape(-1, lattice.d)
         self._columns = np.ascontiguousarray(columns.T)
         self._weights = np.asarray(multiplicities, dtype=np.int64)
-        # Bit i of a subset's key is attribute i (Python ints past 63).
-        self._bits = np.array(
-            [1 << i for i in range(lattice.d)],
-            dtype=np.int64 if lattice.d < 64 else object,
-        )
+        self._bits = _subset_bits(lattice.d)
 
     def __call__(self, digits: np.ndarray) -> np.ndarray:
         """The coverage of each row of a ``(k, d)`` digit matrix."""
@@ -378,57 +377,73 @@ def walk_levels(
 
     Level by level from the root: prune every candidate with a parent that
     was uncovered or pruned, count the rest with ``count`` (a ``(k, d)``
-    digit matrix in, coverages out, e.g. a :class:`GroupCounter`), and
-    break the covered ones into their Rule-1 children over ``attributes``
-    (default all; Theorem 3: each node is generated once) until
-    ``max_level``.  ``bound`` maps a level's digit matrix to upper bounds
-    on coverage (:data:`UNBOUNDED` where none is known): a candidate
-    bounded below τ is certified uncovered without being counted.  The
-    root is always counted.
+    ``int64`` digit matrix in, coverages out, e.g. a
+    :class:`GroupCounter`), and break the covered ones into their Rule-1
+    children over ``attributes`` (default all; Theorem 3: each node is
+    generated once) until ``max_level``.  ``bound`` maps a digit matrix to
+    upper bounds on coverage (:data:`UNBOUNDED` where none is known): a
+    candidate bounded below τ is certified uncovered without being
+    counted.  The root is always counted.
+
+    Memory stays bounded on wide levels.  A level's digits are ``int8``
+    when every digit fits, and its candidates are sorted by attribute
+    subset, then pruned, bounded and counted in chunks of whole subsets
+    (:data:`_CHUNK_CANDIDATES`): only a chunk's parents and ``int64``
+    digits exist at once, and each subset still reaches ``count`` in one
+    call per level.  Within a level, :attr:`LevelWalk.codes` come in
+    subset order.
     """
     watch = Stopwatch()
     active = range(lattice.d) if attributes is None else attributes
     depth = len(active) if max_level is None else min(max_level, len(active))
     stats = SearchStats()
+    narrow = max(lattice.cardinalities) <= np.iinfo(np.int8).max
     codes = lattice.root()
-    digits = np.zeros((1, lattice.d), dtype=np.int64)
-    floor = np.full(1, UNBOUNDED)
-    found = [(codes[:0], floor[:0], floor[:0])]
+    digits = np.zeros((1, lattice.d), dtype=np.int8 if narrow else np.int64)
+    found = [(codes[:0], np.zeros(0, np.int64), np.zeros(0, np.int64))]
     for level in range(depth + 1):
         if not len(codes):
             break
         stats.nodes_generated += len(codes)
-        if level:
-            # Each candidate has `level` parents; one missing from the
-            # covered codes was uncovered or pruned.
-            _, parents = lattice._parents(codes, digits)
-            position = index_of(covered_codes, parents).reshape(-1, level)
-            alive = (position >= 0).all(axis=1)
-            stats.pruned += len(codes) - int(alive.sum())
-            codes, digits = codes[alive], digits[alive]
-            floor = covered_counts[position[alive]].min(axis=1)
-        counts = np.full(len(codes), UNBOUNDED)
-        if bound is not None and level:
-            counts = np.array(bound(digits), dtype=np.int64)
-        counted = counts >= threshold
-        counts[counted] = count(digits[counted])
-        stats.coverage_evaluations += int(counted.sum())
-        stats.pruned += len(codes) - int(counted.sum())
-        found.append((codes, counts, floor))
+        order, cuts = _subset_chunks(digits)
+        codes, digits = codes[order], digits[order]
+        del order
+        kept = []
+        for start, stop in zip(cuts, cuts[1:]):
+            chunk, chunk_digits = codes[start:stop], digits[start:stop]
+            wide = chunk_digits.astype(np.int64)
+            floor = np.full(len(chunk), UNBOUNDED)
+            if level:
+                # Each candidate has `level` parents; one missing from the
+                # covered codes was uncovered or pruned.  The parent arrays,
+                # `level` times the chunk, are dropped before counting.
+                parents = lattice._parents(chunk, wide)[1]
+                position = index_of(covered_codes, parents).reshape(-1, level)
+                del parents
+                alive = (position >= 0).all(axis=1)
+                stats.pruned += len(chunk) - int(alive.sum())
+                chunk, chunk_digits, wide = chunk[alive], chunk_digits[alive], wide[alive]
+                floor = covered_counts[position[alive]].min(axis=1)
+                del position
+            counts = np.full(len(chunk), UNBOUNDED)
+            if bound is not None and level:
+                counts = np.array(bound(wide), dtype=np.int64)
+            counted = counts >= threshold
+            counts[counted] = count(wide[counted])
+            stats.coverage_evaluations += int(counted.sum())
+            stats.pruned += len(chunk) - int(counted.sum())
+            found.append((chunk, counts, floor))
+            covered = counts >= threshold
+            kept.append((chunk[covered], counts[covered], chunk_digits[covered]))
 
-        covered = counts >= threshold
-        codes, digits = codes[covered], digits[covered]
+        codes, counts, digits = (np.concatenate(column) for column in zip(*kept))
+        del kept
         order = np.argsort(codes)
-        covered_codes, covered_counts = codes[order], counts[covered][order]
+        covered_codes, covered_counts = codes[order], counts[order]
+        del order, counts
         if level == depth:
             break
-        children = [(codes[:0], digits[:0])]
-        for attribute, rows, family in lattice._rule1_children(codes, digits, active):
-            block = np.repeat(digits[rows], family.shape[1], axis=0)
-            block[:, attribute] = np.tile(np.arange(1, family.shape[1] + 1), len(rows))
-            children.append((family.ravel(), block))
-        codes = np.concatenate([c for c, _ in children])
-        digits = np.concatenate([d for _, d in children])
+        codes, digits = _rule1_level(lattice, codes, digits, active)
 
     stats.seconds = watch.elapsed()
     codes, counts, floors = (np.concatenate(column) for column in zip(*found))
@@ -447,6 +462,50 @@ def walk_dataset(
     lattice = PatternLattice(PatternSpace.for_dataset(dataset))
     count = GroupCounter(lattice, *dataset.unique_rows())
     return walk_levels(lattice, count, threshold, max_level, attributes, bound)
+
+
+def _rule1_level(
+    lattice: PatternLattice,
+    codes: np.ndarray,
+    digits: np.ndarray,
+    attributes: Iterable[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The next level of a walk: every Rule-1 child of every code over
+    ``attributes``, with its digits (of ``digits``' dtype)."""
+    children = [(codes[:0], digits[:0])]
+    for attribute, rows, family in lattice._rule1_children(codes, digits, attributes):
+        block = np.repeat(digits[rows], family.shape[1], axis=0)
+        block[:, attribute] = np.tile(np.arange(1, family.shape[1] + 1), len(rows))
+        children.append((family.ravel(), block))
+    return tuple(np.concatenate(column) for column in zip(*children))
+
+
+def _subset_bits(d: int) -> np.ndarray:
+    """Bit ``i`` of an attribute subset's key is attribute ``i`` (Python
+    ints past 63 attributes)."""
+    return np.array([1 << i for i in range(d)], dtype=np.int64 if d < 64 else object)
+
+
+def _subset_chunks(digits: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Sort a level's candidates by attribute subset and cut them into
+    chunks of whole subsets.
+
+    Returns ``(order, cuts)``: ``digits[order]`` groups the candidates by
+    subset, and chunk ``j`` is ``[cuts[j], cuts[j + 1])`` of that order,
+    at most :data:`_CHUNK_CANDIDATES` candidates unless it is one larger
+    subset.
+    """
+    keys = (digits != 0) @ _subset_bits(digits.shape[1])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    ends = np.r_[np.flatnonzero(keys[1:] != keys[:-1]) + 1, len(keys)]
+    cuts = [0]
+    while cuts[-1] < len(keys):
+        # The last subset end within reach, else the next subset whole.
+        first = np.searchsorted(ends, cuts[-1], side="right")
+        last = np.searchsorted(ends, cuts[-1] + _CHUNK_CANDIDATES, side="right") - 1
+        cuts.append(int(ends[max(first, last)]))
+    return order, cuts
 
 
 def _rightmost(flags: np.ndarray) -> np.ndarray:

@@ -21,6 +21,23 @@ from repro.exceptions import DataError, SchemaError
 #: Rows are stored as int32 codes.
 _INT32 = np.iinfo(np.int32)
 
+#: Combination grids with fewer cells than this index rows in ``int64``.
+_INT64_COMBINATIONS = 2**63
+
+
+def combination_index(rows: np.ndarray, cardinalities: Sequence[int]) -> np.ndarray:
+    """Row-major position of each row of a ``(k, d)`` value array in the
+    ``Π c_i`` combination grid, which must have fewer than ``2**63`` cells.
+
+    Attribute 0 is the most significant digit, so positions sort like the
+    rows themselves.
+    """
+    index = np.zeros(len(rows), dtype=np.int64)
+    for i, cardinality in enumerate(cardinalities):
+        index *= cardinality
+        index += rows[:, i]
+    return index
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -269,7 +286,12 @@ class Dataset:
 
         Appendix A aggregates items with the same value combination so the
         inverted indices are built over distinct combinations only.
-        Returns ``(unique (u, d) array, counts (u,) array)``; cached.
+        Returns ``(unique (u, d) array, counts (u,) array)``, rows in
+        lexicographic order; cached.
+
+        Each row is keyed by its :func:`combination_index`, so one 1-D
+        ``np.unique`` over ``int64`` keys does the work; grids of ``2**63``
+        cells or more fall back to a 2-D ``np.unique`` over the rows.
         """
         if self._unique_cache is None:
             if self.n == 0:
@@ -277,6 +299,13 @@ class Dataset:
                     np.zeros((0, self.d), dtype=np.int32),
                     np.zeros(0, dtype=np.int64),
                 )
+            elif self._schema.combination_count() < _INT64_COMBINATIONS:
+                _, first, counts = np.unique(
+                    combination_index(self._rows, self.cardinalities),
+                    return_index=True,
+                    return_counts=True,
+                )
+                self._unique_cache = (self._rows[first], counts.astype(np.int64))
             else:
                 unique, counts = np.unique(
                     self._rows, axis=0, return_counts=True

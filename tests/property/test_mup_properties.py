@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from deepdiver_reference import deepdiver_reference
 from repro.core.coverage import CoverageOracle
 from repro.core.mups import (
     apriori_mups,
@@ -83,12 +84,12 @@ def test_every_uncovered_pattern_is_dominated_by_a_mup(case):
 @given(
     dataset_and_threshold(),
     st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
-    st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
-def test_deepdiver_counters_follow_the_pop_order(case, max_level, use_index):
-    """DEEPDIVER's counters obey two identities, whichever store answers
-    the dominance questions.
+def test_deepdiver_counters_follow_the_pop_order(case, max_level):
+    """DEEPDIVER's MUPs and counters are those of Algorithm 3 run one node
+    at a time in the Rule-1 DFS order (``deepdiver_reference``), and obey
+    the DFS's two identities.
 
     The Rule-1 DFS pushes a node's children in ascending attribute order
     and pops the last one first.  Let ``Q`` be a proper ancestor of a
@@ -112,10 +113,17 @@ def test_deepdiver_counters_follow_the_pop_order(case, max_level, use_index):
     prunes (``dominance_checks == 2 * nodes_generated - pruned``).
     """
     dataset, tau = case
-    result = deepdiver(
-        dataset, tau, max_level=max_level, use_dominance_index=use_index
-    )
-    assert result.as_set() == naive_mups(dataset, tau, max_level=max_level).as_set()
+    result = deepdiver(dataset, tau, max_level=max_level)
     stats = result.stats
+    assert (
+        result.as_set(),
+        (
+            stats.nodes_generated,
+            stats.coverage_evaluations,
+            stats.dominance_checks,
+            stats.pruned,
+        ),
+    ) == deepdiver_reference(dataset, tau, max_level)
+    assert result.as_set() == naive_mups(dataset, tau, max_level=max_level).as_set()
     assert stats.coverage_evaluations == stats.nodes_generated - stats.pruned
     assert stats.dominance_checks == 2 * stats.nodes_generated - stats.pruned

@@ -5,9 +5,10 @@ AirBnB n=100,000 over 13 amenities at τ=100 reaches a level of 206,760
 candidates over 6,780 unique rows: one bool match mask per candidate
 would be a 1.4 GB stack, widened to 11 GB of ``int64`` to count it.
 Counted by grouping the unique rows on each candidate subset, the search
-must finish and return PATTERN-COMBINER's MUP set.  DEEPDIVER pops about
-a million nodes here and counts each expansion from its node's unique
-rows; it must return the same set.
+must finish and return PATTERN-COMBINER's MUP set.  DEEPDIVER runs the
+same level walk and must return the same set.  Each search's memory is
+pinned too: the walk prunes and counts its widest level (280,236
+candidates generated, 229,775 counted) in bounded chunks.
 
 Every identification algorithm, run on a prebuilt ``packed`` engine over
 a 900-row, 480-pattern space, must also return Definition 4's MUP set
@@ -16,8 +17,15 @@ a 900-row, 480-pattern space, must also return Definition 4's MUP set
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from engine_reference import scan_mups
 from repro.core.engine import PackedBitsetEngine
 from repro.core.mups import deepdiver, pattern_breaker, pattern_combiner
@@ -40,6 +48,52 @@ def test_search_matches_combiner_on_airbnb_d13(airbnb_d13, search):
     result = search(dataset, 100)
     assert len(result) == 126_306
     assert result.as_set() == combiner.as_set()
+
+
+#: Most ``ru_maxrss`` growth, past the unique rows, of one d=13 search.
+#: Unchunked, PATTERN-BREAKER's walk grew by 258 MB; chunked, either
+#: search grows by about 77 MB, a third of it while building the answer's
+#: 126,306 patterns.
+MAX_GROWTH_MB = 90
+
+_MEASURE = """
+import json, resource, sys
+from repro.core.mups.base import find_mups
+from repro.data.airbnb import load_airbnb
+
+def peak_mb():
+    scale = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 2**20
+
+dataset = load_airbnb(n=100_000, d=13, seed=11)
+dataset.unique_rows()
+before = peak_mb()
+result = find_mups(dataset, threshold=100, algorithm=sys.argv[1])
+stats = result.stats
+print(json.dumps({
+    "mups": len(result),
+    "counters": [stats.nodes_generated, stats.coverage_evaluations, stats.pruned],
+    "growth_mb": peak_mb() - before,
+}))
+"""
+
+
+@pytest.mark.parametrize("algorithm", ["deepdiver", "pattern_breaker"])
+def test_d13_search_memory_is_bounded(algorithm):
+    """Each search runs in a fresh interpreter, so its peak RSS is its
+    own; the growth over the primed dataset keeps the pin host-independent."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", _MEASURE, algorithm],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": source},
+    )
+    measured = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert measured["mups"] == 126_306
+    assert measured["counters"] == [978_975, 808_417, 170_558]
+    assert measured["growth_mb"] <= MAX_GROWTH_MB
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))

@@ -1,10 +1,19 @@
 """Unit tests for the Schema / Dataset substrate (§II)."""
 
+import csv
+import json
+from pathlib import Path
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+import repro.data.dataset as dataset_module
 from repro.data.dataset import Dataset, Schema
 from repro.exceptions import DataError, SchemaError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestSchema:
@@ -190,3 +199,103 @@ class TestDatasetOperations:
 
     def test_len(self, example1_dataset):
         assert len(example1_dataset) == 5
+
+
+@st.composite
+def rows_and_cardinalities(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    cards = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=d, max_size=d))
+    n = draw(st.integers(min_value=0, max_value=40))
+    rows = [[draw(st.integers(0, c - 1)) for c in cards] for _ in range(n)]
+    return np.asarray(rows, dtype=np.int32).reshape(n, d), cards
+
+
+def two_d_unique(dataset):
+    """The reference aggregation: a 2-D ``np.unique`` over the raw rows."""
+    if not dataset.n:
+        return np.zeros((0, dataset.d), np.int32), np.zeros(0, np.int64)
+    return np.unique(dataset.rows, axis=0, return_counts=True)
+
+
+def assert_same_aggregation(dataset):
+    unique, counts = dataset.unique_rows()
+    expected_unique, expected_counts = two_d_unique(dataset)
+    assert unique.dtype == np.int32 and counts.dtype == np.int64
+    assert np.array_equal(unique, expected_unique)
+    assert np.array_equal(counts, expected_counts)
+
+
+class TestUniqueRows:
+    """Rows are keyed by their combination index and aggregated by a 1-D
+    ``np.unique``: the rows, counts and their lexicographic order must be
+    the 2-D ``np.unique``'s."""
+
+    @given(rows_and_cardinalities())
+    @example((np.zeros((0, 3), np.int32), [2, 3, 1]))  # empty
+    @example((np.array([[1, 0, 2]], np.int32), [2, 1, 3]))  # one row
+    @example((np.zeros((6, 2), np.int32), [1, 1]))  # cardinality 1, duplicates
+    @example((np.array([[1, 2], [0, 2], [1, 2], [1, 0]], np.int32), [2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_2d_unique(self, case):
+        rows, cards = case
+        dataset = Dataset(Schema.of([f"A{i}" for i in range(len(cards))], cards), rows)
+        assert_same_aggregation(dataset)
+
+    def test_grid_just_under_int64(self):
+        """Three attributes of 2**21 - 1 values: combination indices come
+        within 2**44 of 2**63 and must not overflow."""
+        top = (1 << 21) - 2
+        rows = [[top, top, top], [top, 0, top], [0, top, 0], [top, top, top]]
+        dataset = Dataset.from_rows(rows, cardinalities=[top + 1] * 3)
+        assert dataset.schema.combination_count() < 2**63
+        assert_same_aggregation(dataset)
+        assert dataset.unique_rows()[1].tolist() == [1, 1, 2]
+
+    @pytest.mark.parametrize("d", [62, 63, 64])
+    def test_the_2d_fallback_past_int64(self, d, monkeypatch):
+        """2**63 binary combinations or more cannot be keyed in int64."""
+        keyed = []
+        original = dataset_module.combination_index
+
+        def spy(rows, cardinalities):
+            keyed.append(len(rows))
+            return original(rows, cardinalities)
+
+        monkeypatch.setattr(dataset_module, "combination_index", spy)
+        rng = np.random.default_rng(d)
+        rows = rng.integers(0, 2, size=(300, d))
+        rows[150:] = rows[:150]  # every row at least twice
+        dataset = Dataset(Schema.binary(d), rows)
+        assert_same_aggregation(dataset)
+        assert dataset.unique_rows()[1].min() >= 2
+        assert keyed == ([300] if d < 63 else [])
+
+    @pytest.mark.parametrize(
+        "name,fingerprint",
+        [
+            (
+                "example1",
+                "e67c40aa63c7e057c7c049580e5a3cddbd0f46b7fcff6b347ae345f1c940d760",
+            ),
+            (
+                "skewed_small",
+                "556b78f55472d58a7d2b52058ce22a8458074e45cd48160497a30ab082498811",
+            ),
+            (
+                "sparse_wide",
+                "b462d6377385f3cff364471a3ed6680627a73e0ce60e3c63d59f1a0599d774ab",
+            ),
+        ],
+    )
+    def test_content_fingerprints_are_unchanged(self, name, fingerprint):
+        """Recorded with the 2-D ``np.unique`` aggregation: serve's
+        registry keys and any stored fingerprint must stay valid."""
+        entry = json.loads((FIXTURES / "expected_mups.json").read_text())[name]
+        with open(FIXTURES / f"{name}.csv", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader)
+            rows = [[int(cell) for cell in row] for row in reader if row]
+        dataset = Dataset.from_rows(
+            rows, schema=Schema.of(header, entry["cardinalities"])
+        )
+        assert dataset.content_fingerprint() == fingerprint

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.dominance import (
     MupDominanceIndex,
-    MupScan,
     dominated_by_any_scan,
     dominates_any_scan,
 )
@@ -78,19 +77,21 @@ class TestBasicQueries:
 
 class TestGrowth:
     def test_capacity_doubling_preserves_queries(self):
-        # Push past the initial capacity of 64 to exercise _grow().
-        space = PatternSpace([3, 3, 3, 3])
+        # Push past the initial capacity of 512 columns to exercise _grow()
+        # twice.
+        space = PatternSpace([3, 3, 3, 3, 3])
         rng = np.random.default_rng(5)
         patterns = []
         index = MupDominanceIndex(space.cardinalities)
         seen = set()
-        while len(patterns) < 200:
+        while len(patterns) < 1_000:
             pattern = space.random_pattern(rng)
             if pattern in seen:
                 continue
             seen.add(pattern)
             patterns.append(pattern)
             index.add(pattern)
+        assert len(index) == 1_000
         probe_rng = np.random.default_rng(6)
         for _ in range(300):
             probe = space.random_pattern(probe_rng)
@@ -112,50 +113,3 @@ class TestAgainstScanReference:
             probe = space.random_pattern(rng)
             assert index.dominated_by_any(probe) == dominated_by_any_scan(mups, probe)
             assert index.dominates_any(probe) == dominates_any_scan(mups, probe)
-
-
-def _family(space, pattern, start):
-    """The Rule-1 children of ``pattern`` from ``start`` on, in the
-    (attribute, value) order of ``family_flags``."""
-    return [
-        pattern.with_value(attribute, value)
-        for attribute in range(start, space.d)
-        for value in range(space.cardinalities[attribute])
-    ]
-
-
-def _digits(pattern):
-    return np.array(pattern.values) + 1
-
-
-class TestBatchedQueries:
-    """``family_flags`` against the linear scan, on stored sets that are
-    not antichains and children that are stored."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("count", [0, 5, 40, 800])
-    def test_family_flags_match_the_scans(self, seed, count):
-        # 800 draws store more than the initial 512 columns.
-        space = PatternSpace([2, 3, 2, 4, 2, 3, 2])
-        rng = np.random.default_rng(seed)
-        mups = list(dict.fromkeys(space.random_pattern(rng) for _ in range(count)))
-        index, scan = MupDominanceIndex(space.cardinalities), MupScan(space.cardinalities)
-        for mup in mups:
-            index.add(mup)
-            scan.add(mup)
-        for _ in range(30):
-            pattern = space.random_pattern(rng)
-            start = pattern.rightmost_deterministic() + 1
-            if start == space.d:
-                continue
-            children = _family(space, pattern, start)
-            expected = [dominated_by_any_scan(mups, c) for c in children]
-            for store in (index, scan):
-                assert store.family_flags(_digits(pattern), start).tolist() == expected
-
-    def test_stored_children_are_not_flagged_by_themselves(self):
-        index = MupDominanceIndex([2, 2, 2])
-        index.extend(map(Pattern.from_string, ["10X", "X1X"]))
-        dominated = index.family_flags(_digits(Pattern.from_string("1XX")), 1)
-        # Children of 1XX: 10X 11X 1X0 1X1; X1X dominates 11X only.
-        assert dominated.tolist() == [False, True, False, False]

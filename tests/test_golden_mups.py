@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from deepdiver_reference import deepdiver_reference
 from repro.core.engine import (
     EngineConfig,
     PackedBitsetEngine,
@@ -127,15 +128,33 @@ DEEPDIVER_COUNTERS = {
 }
 
 
-@pytest.mark.parametrize("fixture,tau", CASES, ids=[f"{f}-tau{t}" for f, t in CASES])
-def test_deepdiver_counters_are_pinned(fixture, tau):
-    stats = find_mups(load_fixture(fixture), threshold=tau).stats
-    assert (
+def counters(stats):
+    return (
         stats.nodes_generated,
         stats.coverage_evaluations,
         stats.dominance_checks,
         stats.pruned,
-    ) == DEEPDIVER_COUNTERS[fixture, tau]
+    )
+
+
+@pytest.mark.parametrize("fixture,tau", CASES, ids=[f"{f}-tau{t}" for f, t in CASES])
+def test_deepdiver_counters_are_pinned(fixture, tau):
+    stats = find_mups(load_fixture(fixture), threshold=tau).stats
+    assert counters(stats) == DEEPDIVER_COUNTERS[fixture, tau]
+
+
+@pytest.mark.parametrize("max_level", [None, 1, 2], ids=["all", "cap1", "cap2"])
+@pytest.mark.parametrize("fixture,tau", CASES, ids=[f"{f}-tau{t}" for f, t in CASES])
+def test_deepdiver_matches_the_node_at_a_time_reference(fixture, tau, max_level):
+    """The level walk's MUPs and counters are those of Algorithm 3 run one
+    node at a time in the Rule-1 DFS order."""
+    dataset = load_fixture(fixture)
+    result = find_mups(
+        dataset, threshold=tau, algorithm="deepdiver", max_level=max_level
+    )
+    assert (result.as_set(), counters(result.stats)) == deepdiver_reference(
+        dataset, tau, max_level
+    )
 
 
 def test_fixture_files_are_consistent():

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.lattice as lattice_module
 from repro.core.coverage import CoverageOracle, coverage_scan
 from repro.core.lattice import (
     UNBOUNDED,
@@ -341,6 +342,26 @@ class TestGroupCounter:
         assert calls["_tally"] >= 2  # the root and the single attributes
         assert calls["_sorted"] >= 4  # three pairs and the triple
 
+    def test_one_subset_per_pass(self, monkeypatch):
+        """With one row key per pass, every small subset is tallied alone."""
+        calls = []
+        original = GroupCounter._tally
+
+        def spy(self, subsets, values, local):
+            calls.append(len(subsets))
+            return original(self, subsets, values, local)
+
+        monkeypatch.setattr(GroupCounter, "_tally", spy)
+        monkeypatch.setattr(lattice_module, "_PASS_ENTRIES", 1)
+        dataset = random_categorical_dataset(200, (3, 1, 4, 2), seed=200, skew=1.2)
+        space = PatternSpace.for_dataset(dataset)
+        lattice = PatternLattice(space)
+        codes = random_codes(lattice, space, 300, seed=4)
+        assert self.counted(dataset, lattice, codes) == self.scanned(
+            dataset, lattice, codes
+        )
+        assert len(calls) > 4 and set(calls) == {1}
+
     def test_keys_past_int64(self):
         """Three attributes of 2**21 values: the triple's key space passes
         int64, so its keys are Python ints."""
@@ -422,6 +443,109 @@ class TestWalk:
         digits = lattice.digits(walk.codes)
         assert not digits[:, [0, 2]].any()
         assert (digits[:, [1, 3]] != 0).any()
+
+
+# ----------------------------------------------------------------------
+# the walk in bounded chunks
+# ----------------------------------------------------------------------
+def by_code(walk):
+    """A walk's (code, count, min parent) rows, in code order."""
+    order = np.argsort(walk.codes)
+    return (
+        walk.codes[order].tolist(),
+        walk.counts[order].tolist(),
+        walk.min_parent[order].tolist(),
+    )
+
+
+def subset_keys(digits):
+    return [frozenset(np.flatnonzero(row).tolist()) for row in digits]
+
+
+class TestChunkedWalk:
+    """A level is pruned and counted in chunks of whole attribute subsets;
+    the chunk size must not show in the answer."""
+
+    @pytest.mark.parametrize("limit", [1, 3, 8, 1 << 15])
+    def test_chunks_are_whole_subsets(self, limit, monkeypatch):
+        monkeypatch.setattr(lattice_module, "_CHUNK_CANDIDATES", limit)
+        rng = np.random.default_rng(limit)
+        digits = rng.integers(0, 3, size=(200, 5)).astype(np.int8)
+        digits[rng.random(200) < 0.3] = 0  # one large subset: the root's
+        order, cuts = lattice_module._subset_chunks(digits)
+        assert sorted(order.tolist()) == list(range(200))
+        assert cuts[0] == 0 and cuts[-1] == 200
+        keys = subset_keys(digits[order])
+        chunks = [keys[a:b] for a, b in zip(cuts, cuts[1:])]
+        assert all(chunks)
+        seen = set()
+        for chunk in chunks:
+            subsets = set(chunk)
+            assert not subsets & seen, "a subset was split across chunks"
+            seen |= subsets
+            assert len(chunk) <= limit or len(subsets) == 1
+        if limit >= 200:
+            assert len(chunks) == 1
+
+    @pytest.mark.parametrize("limit", [1, 2, 7, 40])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"max_level": 2}, {"attributes": (0, 2, 3)}, {"bound": True}],
+        ids=["plain", "capped", "attributes", "bound"],
+    )
+    def test_chunk_size_does_not_show(self, limit, options, monkeypatch):
+        dataset = random_categorical_dataset(300, (3, 2, 4, 2, 3), seed=9, skew=1.1)
+        lattice = PatternLattice(PatternSpace.for_dataset(dataset))
+        counter = GroupCounter(lattice, *dataset.unique_rows())
+        options = dict(options)
+        if options.pop("bound", False):
+            options["bound"] = lambda digits: np.where(
+                digits[:, 1] != 0, counter(digits), UNBOUNDED
+            )
+        whole = walk_levels(lattice, counter, 9, **options)
+        calls = []
+
+        def spy(digits):
+            assert digits.dtype == np.int64
+            calls.append(set(subset_keys(digits)))
+            return counter(digits)
+
+        monkeypatch.setattr(lattice_module, "_CHUNK_CANDIDATES", limit)
+        chunked = walk_levels(lattice, spy, 9, **options)
+        assert by_code(chunked) == by_code(whole)
+        assert chunked.mups() == whole.mups()
+        whole.stats.seconds = chunked.stats.seconds = 0.0
+        assert chunked.stats == whole.stats
+        # Each subset reaches the counter in one call per level (a level's
+        # candidates all fix the same number of attributes).
+        counted = [subset for call in calls for subset in call]
+        assert len(counted) == len(set(counted))
+        if limit == 1:
+            assert all(len(call) == 1 for call in calls)
+
+    @pytest.mark.parametrize("cardinality", [127, 128, 200])
+    def test_wide_digits(self, cardinality, monkeypatch):
+        """Digits are ``int8`` up to 127 values; past that the walk keeps
+        ``int64`` ones and answers the same."""
+        monkeypatch.setattr(lattice_module, "_CHUNK_CANDIDATES", 16)
+        dataset = random_categorical_dataset(1_500, (cardinality, 3, 2), seed=3)
+        assert dataset.rows[:, 0].max() == cardinality - 1
+        result = pattern_breaker(dataset, 3)
+        mups, stats = reference_breaker(dataset, 3)
+        assert result.as_set() == mups == naive_mups(dataset, 3).as_set()
+        assert counters(result.stats) == stats
+        assert any(p[0] == cardinality - 1 for p in mups)
+
+    def test_object_codes_and_subset_keys(self, monkeypatch):
+        """66 binary attributes: codes and subset keys are Python ints."""
+        monkeypatch.setattr(lattice_module, "_CHUNK_CANDIDATES", 64)
+        dataset = random_categorical_dataset(80, (2,) * 66, seed=7, skew=2.0)
+        assert PatternLattice(PatternSpace.for_dataset(dataset)).dtype == object
+        result = pattern_breaker(dataset, 12, max_level=2)
+        mups, stats = reference_breaker(dataset, 12, max_level=2)
+        assert mups and result.as_set() == mups
+        assert counters(result.stats) == stats
+        assert stats[2] > 0
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 Every algorithm is checked against Example 1's known answer, against the
 naive ground truth on randomized data, and for its specific contract
-(level caps, ablation flags, guards).
+(level caps, the node-at-a-time DEEPDIVER reference, guards).
 """
 
 import numpy as np
 import pytest
 
+from deepdiver_reference import deepdiver_reference
 from repro.core.coverage import CoverageOracle
+from repro.core.lattice import PatternLattice
 from repro.core.mups import (
     ALGORITHMS,
     apriori_mups,
@@ -20,6 +22,7 @@ from repro.core.mups import (
 )
 from repro.core.mups.base import resolve_threshold
 from repro.core.pattern import Pattern
+from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import ReproError
@@ -165,14 +168,26 @@ class TestLevelCaps:
             )
 
 
-class TestAblationFlags:
-    def test_deepdiver_without_index_agrees(self):
-        dataset = random_categorical_dataset(50, (2, 3, 2), seed=3, skew=0.8)
-        with_index = deepdiver(dataset, 4, use_dominance_index=True)
-        without = deepdiver(dataset, 4, use_dominance_index=False)
-        assert with_index.as_set() == without.as_set()
-        with_index.stats.seconds = without.stats.seconds = 0.0
-        assert with_index.stats == without.stats
+class TestNodeAtATimeReference:
+    def test_deepdiver_matches_the_reference_on_object_codes(self):
+        """48 binary attributes code patterns as Python ints; capped at
+        level 2, the level walk still returns the DFS's MUPs and
+        counters."""
+        dataset = random_categorical_dataset(300, (2,) * 48, seed=4, skew=2.0)
+        assert PatternLattice(PatternSpace.for_dataset(dataset)).dtype == object
+        result = deepdiver(dataset, 40, max_level=2)
+        mups, expected = deepdiver_reference(dataset, 40, max_level=2)
+        # More MUPs than the dominance index's first 512 columns.
+        assert len(mups) > 512
+        assert result.as_set() == mups
+        stats = result.stats
+        assert (
+            stats.nodes_generated,
+            stats.coverage_evaluations,
+            stats.dominance_checks,
+            stats.pruned,
+        ) == expected
+        assert stats.pruned > 0
 
 
 class TestGuards:
