@@ -5,13 +5,16 @@ paper's example: ``{gender=Male, isPregnant=True}``).  A
 :class:`ValidationRule` is a conjunction of per-attribute value sets; a
 pattern *satisfies* a rule when every clause holds.  The
 :class:`ValidationOracle` declares a combination valid when it satisfies
-**none** of its rules, and is consulted by the GREEDY tree search before
-generating each child so only valid combinations are ever proposed.
+**none** of its rules.  GREEDY's tree search consults it before generating
+each child, and GREEDY's combination grid classifies every combination at
+once, so only valid combinations are ever proposed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.pattern import Pattern
 from repro.exceptions import ValidationError
@@ -94,6 +97,11 @@ class ValidationOracle:
 
     ``is_valid`` returns True when the pattern/combination satisfies none of
     the rules.
+
+    ``queries`` counts the questions asked: one per :meth:`is_valid`,
+    :meth:`is_valid_values` or :meth:`invalidates_prefix` call (Algorithm
+    4 asks one per child it considers), and one per combination that
+    :meth:`valid_combinations` classifies (``Π c_i`` per call).
     """
 
     def __init__(self, rules: Iterable[ValidationRule] = ()) -> None:
@@ -166,6 +174,27 @@ class ValidationOracle:
         """Validity of a full value combination."""
         self.queries += 1
         return not any(rule.satisfied_by_values(values) for rule in self._rules)
+
+    def valid_combinations(self, cardinalities: Sequence[int]) -> np.ndarray:
+        """Definition 11 for every value combination of a space at once.
+
+        Returns a flat ``bool`` array over the ``Π c_i`` combinations in
+        combination-index order (attribute 0 the most significant digit),
+        True where the combination satisfies no rule.  Every rule must name
+        attributes of the space (:meth:`check_space`).
+        """
+        shape = tuple(cardinalities)
+        valid = np.ones(shape, dtype=bool)
+        for rule in self._rules:
+            satisfied = np.ones((1,) * len(shape), dtype=bool)
+            for attribute, values in rule.clauses:
+                axis = [1] * len(shape)
+                axis[attribute] = shape[attribute]
+                member = np.isin(np.arange(shape[attribute]), sorted(values))
+                satisfied = satisfied & member.reshape(axis)
+            valid &= ~satisfied
+        self.queries += valid.size
+        return valid.reshape(-1)
 
     def invalidates_prefix(self, prefix: Sequence[int]) -> bool:
         """True when every extension of ``prefix`` is invalid.

@@ -19,7 +19,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.pattern import Pattern, X
-from repro.data.dataset import Dataset, Schema
+from repro.data.dataset import (
+    _INT64_COMBINATIONS,
+    Dataset,
+    Schema,
+    combination_index,
+)
 from repro.exceptions import DataError, SchemaError
 
 
@@ -215,16 +220,28 @@ def rollup(dataset: Dataset, hierarchies: Iterable[AttributeHierarchy]) -> Rollu
         # aggregation follows from the base one: map the u unique base rows
         # (u ≪ n) through the group maps and re-aggregate those instead of
         # re-sorting all n rows — engine builds over the rolled dataset
-        # then skip their full unique pass.
+        # then skip their full unique pass.  As in ``unique_rows``, each row
+        # is keyed by its combination index (a 1-D ``np.unique``), with the
+        # 2-D unique as the fallback for grids of 2**63 cells or more.
         base_unique, base_counts = dataset.unique_rows()
         mapped = base_unique.copy()
         for index, hierarchy in by_index.items():
             mapping = np.asarray(hierarchy.groups, dtype=np.int32)
             mapped[:, index] = mapping[mapped[:, index]]
-        unique, inverse = np.unique(mapped, axis=0, return_inverse=True)
-        counts = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(counts, inverse.reshape(-1), base_counts)
-        coarse._prime_unique_cache(unique.astype(np.int32), counts)
+        if schema.combination_count() < _INT64_COMBINATIONS:
+            _, first, inverse = np.unique(
+                combination_index(mapped, cardinalities),
+                return_index=True,
+                return_inverse=True,
+            )
+            unique = mapped[first]
+        else:
+            unique, inverse = np.unique(mapped, axis=0, return_inverse=True)
+        # Weighted counts are float64, exact below 2**53 rows.
+        counts = np.bincount(
+            inverse.reshape(-1), weights=base_counts, minlength=len(unique)
+        )
+        coarse._prime_unique_cache(unique.astype(np.int32), counts.astype(np.int64))
     return Rollup(coarse, by_index)
 
 

@@ -3,12 +3,14 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+import repro.core.enhancement.greedy as greedy_module
 from repro.core.coverage import CoverageOracle
 from repro.core.enhancement.expansion import uncovered_at_level
 from repro.core.enhancement.greedy import enhance_coverage, greedy_cover
 from repro.core.enhancement.hitting_set import naive_greedy_cover
+from repro.core.enhancement.oracle import ValidationOracle, ValidationRule
 from repro.core.enhancement.value_count import targets_by_value_count
 from repro.core.mups import deepdiver
 from repro.core.pattern import Pattern, X
@@ -88,6 +90,92 @@ def test_each_pick_is_greedy_maximal(case):
         )
         assert len(hits) == best
         remaining -= hits
+
+
+@st.composite
+def greedy_inputs(draw):
+    """A space of 1–6 attributes with cardinalities 1–4, up to 40 targets
+    (possibly none, possibly repeated) and 0–2 random validation rules,
+    plus, sometimes, a rule that forbids every combination, which leaves
+    every target unhittable."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    cardinalities = draw(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=d, max_size=d)
+    )
+    pattern = st.tuples(
+        *[st.sampled_from([X] + list(range(c))) for c in cardinalities]
+    ).map(Pattern)
+    targets = draw(st.lists(pattern, max_size=40))
+    clause = st.integers(min_value=0, max_value=d - 1).flatmap(
+        lambda a: st.tuples(
+            st.just(a),
+            st.sets(
+                st.integers(min_value=0, max_value=cardinalities[a]), min_size=1
+            ),
+        )
+    )
+    rules = draw(
+        st.lists(
+            st.lists(clause, min_size=1, max_size=3, unique_by=lambda c: c[0]).map(
+                ValidationRule
+            ),
+            max_size=2,
+        )
+    )
+    if draw(st.booleans()):
+        attribute = draw(st.integers(min_value=0, max_value=d - 1))
+        rules.append(ValidationRule({attribute: range(cardinalities[attribute])}))
+    return PatternSpace(cardinalities), targets, rules
+
+
+def _plans_on_both_paths(case):
+    space, targets, rules = case
+    plans = {}
+    for path in ("algorithm4", "grid"):
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "algorithm4":
+                patch.setattr(greedy_module, "_GRID_BYTES", 0)
+            plans[path] = greedy_cover(targets, space, ValidationOracle(rules))
+    tree, grid = plans["algorithm4"], plans["grid"]
+    assert grid.nodes_visited == (space.combination_count() if targets else 0)
+    assert (
+        grid.combinations,
+        grid.generalized,
+        grid.unhittable,
+        grid.iterations,
+        grid.targets,
+    ) == (
+        tree.combinations,
+        tree.generalized,
+        tree.unhittable,
+        tree.iterations,
+        tree.targets,
+    )
+
+
+_NO_TARGETS = (PatternSpace((3, 2)), [], [])
+_ALL_UNHITTABLE = (
+    PatternSpace((2, 3)),
+    [Pattern.of(0, X), Pattern.of(X, 2), Pattern.of(1, 1)],
+    [ValidationRule({1: [0, 1, 2]})],
+)
+
+
+@given(greedy_inputs())
+@example(_NO_TARGETS)
+@example(_ALL_UNHITTABLE)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_grid_and_algorithm4_plan_alike(case):
+    """Normal-suite profile: fixed seed, deterministic in CI."""
+    _plans_on_both_paths(case)
+
+
+@pytest.mark.slow
+@given(greedy_inputs())
+@settings(max_examples=1000, deadline=None)
+def test_grid_and_algorithm4_plan_alike_deep(case):
+    """Slow-job profile: a deeper randomized sweep over the same inputs."""
+    _plans_on_both_paths(case)
 
 
 @st.composite

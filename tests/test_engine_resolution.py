@@ -200,7 +200,8 @@ class TestBaseContract:
         engine = GREEDY_ENGINE_SPECS[spec](dataset)
         plan = greedy_cover(targets, space, ValidationOracle([]), engine=engine)
         assert plan.combinations == ((1, 0, 0), (0, 1, 0), (0, 2, 1))
-        assert plan.nodes_visited == 10
+        # The 2 · 3 · 2 combination grid's cells.
+        assert plan.nodes_visited == 12
 
     @pytest.mark.parametrize("engine", ["bogus", 42])
     def test_greedy_rejects_a_non_engine_spec(self, dataset, engine):

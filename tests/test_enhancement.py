@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.enhancement.greedy as greedy_module
 from repro.core.coverage import CoverageOracle
 from repro.core.enhancement.expansion import uncovered_at_level
 from repro.core.enhancement.greedy import enhance_coverage, greedy_cover
@@ -15,6 +16,14 @@ from repro.core.pattern_graph import PatternSpace
 from repro.data.bluenile import load_bluenile
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import EnhancementError, PatternError, ValidationError
+
+
+@pytest.fixture(params=["algorithm4", "grid"])
+def search_path(request, monkeypatch):
+    """Run GREEDY on each path: a grid cap of 0 forces Algorithm 4."""
+    if request.param == "algorithm4":
+        monkeypatch.setattr(greedy_module, "_GRID_BYTES", 0)
+    return request.param
 
 
 def _hits(combo, targets):
@@ -232,11 +241,60 @@ class TestEndToEnd:
             "  ! 1 target(s) cannot be hit by any valid combination",
         ]
 
+    def test_targets_may_come_from_a_generator(
+        self, example2_space, example2_level2_targets
+    ):
+        plan = greedy_cover(iter(example2_level2_targets), example2_space)
+        expected = greedy_cover(example2_level2_targets, example2_space)
+        assert plan.targets == len(example2_level2_targets)
+        assert plan.combinations == expected.combinations
+
     def test_empty_targets_yield_empty_plan(self, example2_space):
         plan = greedy_cover([], example2_space)
         assert plan.combinations == ()
         assert plan.targets == 0
         assert plan.rows().size == 0
+
+
+class TestTargetErrors:
+    """A target that does not fit the space raises ``space.validate``'s
+    error for the first such target in input order, on either path."""
+
+    SPACE = PatternSpace((2, 3, 2))
+
+    CASES = {
+        "short": (["1X0", "1X"], "pattern 1X has length 2, expected 3"),
+        "long": (["X1X", "0X1X"], "pattern 0X1X has length 4, expected 3"),
+        "value": (
+            ["1X0", "X3X"],
+            "pattern X3X has value 3 at attribute 1 with cardinality 3",
+        ),
+        "value-first-attribute": (
+            ["2XX"],
+            "pattern 2XX has value 2 at attribute 0 with cardinality 2",
+        ),
+        "value-before-length": (
+            ["0X0", "X15", "1X", "X9X"],
+            "pattern X15 has value 5 at attribute 2 with cardinality 2",
+        ),
+        "length-before-value": (
+            ["0X0", "1X", "X15", "X9X"],
+            "pattern 1X has length 2, expected 3",
+        ),
+        "first-is-short": (["1X", "X9X"], "pattern 1X has length 2, expected 3"),
+        "first-is-out-of-range": (
+            ["X9X", "1X"],
+            "pattern X9X has value 9 at attribute 1 with cardinality 3",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_first_bad_target_is_named(self, search_path, case):
+        targets, message = self.CASES[case]
+        patterns = [Pattern.from_string(text) for text in targets]
+        with pytest.raises(PatternError) as raised:
+            greedy_cover(patterns, self.SPACE)
+        assert str(raised.value) == message
 
 
 class TestRulesOutsideTheSpace:
@@ -362,7 +420,7 @@ def _bluenile_input():
 
 #: GREEDY's plans, recorded from the earlier bool/``BitVector`` target
 #: index: per input, (targets, combinations, generalized, unhittable,
-#: iterations, nodes_visited, validation.queries).
+#: iterations, and Algorithm 4's nodes_visited and validation.queries).
 GOLDEN_PLANS = {
     "example2": (
         _example2_input,
@@ -401,11 +459,24 @@ GOLDEN_PLANS = {
 }
 
 
+#: The grid's counters per input: (nodes_visited, validation.queries), the
+#: Π c_i cells scored and, under a validation oracle, the Π c_i
+#: combinations it classified.
+GRID_COUNTERS = {
+    "example2": (72, 0),
+    "random": (144, 0),
+    "random-rules": (216, 216),
+    "bluenile": (100_800, 0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
-def test_greedy_plans_are_pinned(name):
+def test_greedy_plans_are_pinned(name, search_path):
     build, m, combinations, generalized, unhittable, iterations, nodes, queries = (
         GOLDEN_PLANS[name]
     )
+    if search_path == "grid":
+        nodes, queries = GRID_COUNTERS[name]
     targets, space, validation = build()
     plan = greedy_cover(targets, space, validation)
     assert plan.targets == len(targets) == m

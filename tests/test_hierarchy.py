@@ -1,5 +1,9 @@
 """Unit tests for attribute hierarchies and roll-ups (§II)."""
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,10 @@ from repro.core.mups import find_mups
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset, Schema
 from repro.data.hierarchy import AttributeHierarchy, drill_down, rollup
+from repro.data.scenarios import scenario_dataset
 from repro.exceptions import DataError, SchemaError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 STATE_SCHEMA = Schema.of(
     ["state", "sex"],
@@ -130,6 +137,61 @@ class TestRollup:
     def test_unknown_attribute_rejected(self):
         with pytest.raises(SchemaError):
             rollup(make_dataset(), [AttributeHierarchy.of("zipcode", [0, 0, 1, 1])])
+
+
+def _golden_dataset(name):
+    entry = json.loads((FIXTURES / "expected_mups.json").read_text())[name]
+    with open(FIXTURES / f"{name}.csv", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        rows = [[int(cell) for cell in row] for row in reader if row]
+    return Dataset.from_rows(rows, schema=Schema.of(header, entry["cardinalities"]))
+
+
+def _wide_dataset():
+    # 66 binary attributes and one of cardinality 4: the rolled grid has
+    # 2**67 cells, past the int64 combination index.
+    rng = np.random.default_rng(7)
+    rows = np.column_stack(
+        [rng.integers(0, 4, 300), rng.integers(0, 2, (300, 66))]
+    ).astype(np.int32)
+    return Dataset(Schema.of([f"a{i}" for i in range(67)], [4] + [2] * 66), rows)
+
+
+ROLLED_INPUTS = {
+    "example1": lambda: _golden_dataset("example1"),
+    "skewed_small": lambda: _golden_dataset("skewed_small"),
+    "sparse_wide": lambda: _golden_dataset("sparse_wide"),
+    "zipf-scenario": lambda: scenario_dataset("zipf", 2_000, (12, 6, 5, 3), seed=4),
+    "int64-fallback": _wide_dataset,
+}
+
+
+class TestRolledUniqueRows:
+    """The roll-up installs its aggregation of the parent's unique rows;
+    it must equal a fresh aggregation of the rolled rows."""
+
+    @pytest.mark.parametrize("name", sorted(ROLLED_INPUTS))
+    def test_installed_rows_and_counts_equal_a_fresh_aggregation(self, name):
+        dataset = ROLLED_INPUTS[name]()
+        dataset.unique_rows()
+        # Halve every attribute the grid can halve.
+        hierarchies = [
+            AttributeHierarchy.of(attribute, [v // 2 for v in range(cardinality)])
+            for attribute, cardinality in zip(
+                dataset.schema.names, dataset.cardinalities
+            )
+            if cardinality > 1
+        ]
+        coarse = rollup(dataset, hierarchies).dataset
+        assert coarse.unique_cache_ready
+        unique, counts = coarse.unique_rows()
+        fresh = Dataset(coarse.schema, coarse.rows, validate=False)
+        fresh_unique, fresh_counts = fresh.unique_rows()
+        assert unique.dtype == fresh_unique.dtype and counts.dtype == fresh_counts.dtype
+        assert unique.tolist() == fresh_unique.tolist()
+        assert counts.tolist() == fresh_counts.tolist()
+        assert counts.sum() == dataset.n
 
 
 class TestDrillDown:
