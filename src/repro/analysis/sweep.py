@@ -14,16 +14,35 @@ minimum parent coverage classifies *every* τ at once; the per-pattern
 interval endpoints are the τ* breakpoints where the pattern enters and
 leaves the MUP frontier.
 
-The traversal is PATTERN-BREAKER's level walk
-(:func:`~repro.core.lattice.walk_dataset`, each pattern generated once
-from its rightmost-deterministic parent) pruned with the *smallest*
-queried threshold: a pattern whose coverage falls below ``τ_min`` is
-uncovered at every queried τ, so no descendant can have all parents
-covered at any of them.  Each level is counted by grouping the unique
-rows, and the walk records every candidate's coverage and minimum parent
-count; ``Pattern`` objects are built only for the frontier.  An
-attribute-subset projection walks only those attributes (a projected
-pattern is a full-width pattern with ``X`` elsewhere).
+Both ends of every interval are read from one of two structures, chosen
+from the cardinalities and the level cap alone:
+
+* **The coverage cube** (:class:`~repro.core.lattice.CoverageCube`, the
+  data cube of Gray et al., ICDE 1996) when the swept space has at most
+  ``_CUBE_CELLS`` patterns and, under a level cap, at most
+  ``_CELLS_PER_CAPPED_PATTERN`` times as many as lie within the cap: one
+  cell per pattern holding its coverage and its smallest parent count,
+  built from the unique rows in 2d numpy passes.  The frontier is the cells whose interval meets
+  ``[τ_min, τ_max]`` (and whose level is within the cap, when one is
+  given), in ascending code order, which is pattern order.
+* **PATTERN-BREAKER's level walk** (:func:`~repro.core.lattice.walk_dataset`,
+  each pattern generated once from its rightmost-deterministic parent)
+  otherwise, pruned with the *smallest* queried threshold; the frontier is
+  the counted candidates whose interval meets the range.  The walk
+  computes only the iceberg part of the cube (Beyer & Ramakrishnan,
+  SIGMOD 1999), so its memory follows the data, not the space.
+
+The two frontiers are equal.  The walk counts, with its exact coverage and
+smallest parent count, every pattern whose parents all reach τ_min: such
+a pattern's ancestors reach τ_min too (coverage only falls going down), so
+each is generated from its covered Rule-1 parent and never pruned.  The
+walk drops only candidates with a parent below τ_min, and such a
+candidate's interval ends at that parent's count, below τ_min, so the
+cube's filter drops it as well.  Under a level cap both keep exactly the
+patterns of level ≤ the cap.  ``Pattern`` objects are built only for the
+frontier.  An attribute-subset projection sweeps only those attributes (a
+projected pattern is a full-width pattern with ``X`` elsewhere; the cube
+is built over the projected rows).
 
 On top of the sweep, :func:`threshold_sensitivity` builds a
 :class:`SensitivityReport`: appear/disappear diffs between consecutive
@@ -34,16 +53,18 @@ support — the fraction of resampled replicates in which each MUP survives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import SearchStats, Stopwatch
+from repro._util import SearchStats, Stopwatch, product_int
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import EngineSpec
-from repro.core.lattice import UNBOUNDED, walk_dataset
-from repro.core.mups.base import MupResult, resolve_max_level
+from repro.core.lattice import UNBOUNDED, CoverageCube, PatternLattice, walk_dataset
+from repro.core.mups.base import MupResult, check_threshold, resolve_max_level
 from repro.core.pattern import Pattern
+from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
 from repro.data.sampling import bootstrap_resample
 from repro.exceptions import ReproError
@@ -57,6 +78,20 @@ __all__ = [
     "threshold_sensitivity",
     "parse_tau_range",
 ]
+
+#: Largest swept space, in patterns, that ``sweep_mups`` reads from a
+#: :class:`~repro.core.lattice.CoverageCube` (16 bytes a cell: 16 MiB plus
+#: one pass's temporaries); larger spaces are walked.  A speed crossover:
+#: the cube costs every cell and the walk what the data holds, and on
+#: sparse data the walk was faster from 1.4M cells up.
+_CUBE_CELLS = 1 << 20
+
+#: Under a level cap the walk visits at most the patterns within the cap,
+#: each costing it about as much as this many cube cells, so the cube is
+#: read only when it has at most this many cells per such pattern.  On the
+#: measured inputs the walk won at every ratio from 153 up, and the cube at
+#: all but one (a sparse input, by 8%) from 121 down.
+_CELLS_PER_CAPPED_PATTERN = 128
 
 
 # ----------------------------------------------------------------------
@@ -115,6 +150,10 @@ class SweepResult:
         frontier: the retained :class:`SweepPoint` rows, sorted by pattern.
         stats: traversal counters (coverage evaluations are *distinct*
             patterns counted — the amortized work, not #thresholds × work).
+            On the walk they are the walk's; read from the cube,
+            ``nodes_generated = coverage_evaluations =`` the cube's cells
+            (every pattern of the swept space, whatever the level cap) and
+            ``pruned = 0``.
         d: dataset dimensionality (for Definition 6 reporting).
         attributes: the attribute subset swept, ``None`` = all.
         max_level: the level cap, when one was applied.
@@ -131,7 +170,9 @@ class SweepResult:
         object.__setattr__(
             self,
             "frontier",
-            tuple(sorted(self.frontier, key=lambda p: p.pattern)),
+            # Pattern order is the order of the values tuples, which
+            # compare without a Python-level __lt__ call per pair.
+            tuple(sorted(self.frontier, key=attrgetter("pattern.values"))),
         )
 
     @property
@@ -148,7 +189,7 @@ class SweepResult:
         Bit-identical to running :func:`~repro.core.mups.find_mups` at the
         same τ: the frontier intervals are a lossless classification.
         """
-        threshold = int(threshold)
+        threshold = check_threshold(threshold)
         if not self.tau_min <= threshold <= self.tau_max:
             raise ReproError(
                 f"threshold {threshold} outside the swept range "
@@ -232,7 +273,7 @@ class SensitivityReport:
 
     def stable_mups(self, threshold: int, min_support: float = 1.0) -> Tuple[Pattern, ...]:
         """Base MUPs at ``threshold`` with bootstrap support ≥ ``min_support``."""
-        table = self.support.get(int(threshold))
+        table = self.support.get(check_threshold(threshold))
         if table is None:
             raise ReproError(
                 f"no bootstrap support recorded for threshold {threshold}"
@@ -306,11 +347,9 @@ def parse_tau_range(text: str) -> Tuple[int, ...]:
 
 
 def _normalize_thresholds(thresholds: Sequence[int]) -> Tuple[int, ...]:
-    values = sorted({int(t) for t in thresholds})
+    values = sorted({check_threshold(t) for t in thresholds})
     if not values:
         raise ReproError("need at least one threshold")
-    if values[0] < 1:
-        raise ReproError(f"thresholds must be >= 1, got {values[0]}")
     return tuple(values)
 
 
@@ -364,24 +403,38 @@ def sweep_mups(
 
     watch = Stopwatch()
     tau_min, tau_max = thresholds[0], thresholds[-1]
-    # Pruning with τ_min keeps exactly the candidates whose MUP interval
-    # can meet the swept range, plus the parent counts their intervals
-    # need: a parent below τ_min is uncovered at every queried τ.
-    walk = walk_dataset(dataset, tau_min, max_level, attributes=attrs)
-    # Keep a candidate iff its MUP interval [cov + 1, min parent count]
-    # meets [τ_min, τ_max] (the root's is unbounded above); code order is
-    # pattern order.
-    keep = np.maximum(walk.counts + 1, tau_min) <= np.minimum(walk.min_parent, tau_max)
-    keep = np.flatnonzero(keep)[np.argsort(walk.codes[keep])]
+    lattice = PatternLattice(PatternSpace.for_dataset(dataset))
+    swept = list(range(dataset.d) if attrs is None else attrs)
+    cardinalities = [lattice.cardinalities[a] for a in swept]
+    # Python ints: 45 binary attributes already pass 2**63 cells.
+    cells = product_int(c + 1 for c in cardinalities)
+    if cells <= _CUBE_CELLS and (
+        max_level is None
+        or cells
+        <= _CELLS_PER_CAPPED_PATTERN * _patterns_within(cardinalities, max_level)
+    ):
+        codes, counts, floors, stats = _read_cube(
+            dataset, lattice, swept, tau_min, tau_max, max_level
+        )
+    else:
+        # Pruning with τ_min keeps exactly the candidates whose MUP
+        # interval can meet the swept range, plus the parent counts their
+        # intervals need: a parent below τ_min is uncovered at every
+        # queried τ.
+        walk = walk_dataset(dataset, tau_min, max_level, attributes=attrs)
+        keep = np.flatnonzero(
+            _meets_range(walk.counts, walk.min_parent, tau_min, tau_max)
+        )
+        keep = keep[np.argsort(walk.codes[keep])]
+        codes, counts, floors = walk.codes[keep], walk.counts[keep], walk.min_parent[keep]
+        stats = walk.stats
+    # Ascending codes are pattern order.
     frontier = tuple(
         SweepPoint(pattern, coverage, None if floor == UNBOUNDED else floor)
         for pattern, coverage, floor in zip(
-            walk.lattice.decode(walk.codes[keep]),
-            walk.counts[keep].tolist(),
-            walk.min_parent[keep].tolist(),
+            lattice.decode(codes), counts.tolist(), floors.tolist()
         )
     )
-    stats = walk.stats
     stats.seconds = watch.elapsed()
     return SweepResult(
         thresholds=thresholds,
@@ -391,6 +444,61 @@ def sweep_mups(
         attributes=attrs,
         max_level=max_level,
     )
+
+
+def _patterns_within(cardinalities: Sequence[int], max_level: int) -> int:
+    """How many patterns over ``cardinalities`` have level ≤ ``max_level``.
+
+    ``widths[k]`` counts the patterns of level ``k`` over the attributes
+    seen so far; each attribute adds its ``c`` values to every pattern of
+    one level lower.
+    """
+    widths = [1]
+    for cardinality in cardinalities:
+        widths = [a + cardinality * b for a, b in zip(widths + [0], [0] + widths)]
+    return sum(widths[: max_level + 1])
+
+
+def _meets_range(
+    counts: np.ndarray, floors: np.ndarray, tau_min: int, tau_max: int
+) -> np.ndarray:
+    """Whether each MUP interval ``[count + 1, floor]`` meets
+    ``[tau_min, tau_max]``: ``max(count + 1, τ_min) ≤ min(floor, τ_max)``,
+    as three comparisons since ``τ_min ≤ τ_max``."""
+    return (counts < floors) & (counts < tau_max) & (floors >= tau_min)
+
+
+def _read_cube(
+    dataset: Dataset,
+    lattice: PatternLattice,
+    swept: Sequence[int],
+    tau_min: int,
+    tau_max: int,
+    max_level: Optional[int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, SearchStats]:
+    """The frontier read from a :class:`~repro.core.lattice.CoverageCube`
+    over the swept attributes: ascending ``lattice`` codes with their
+    coverages and smallest parent counts, and the cube's counters."""
+    rows, multiplicities = dataset.unique_rows()
+    cube_lattice = lattice
+    if len(swept) < lattice.d:
+        cube_lattice = PatternLattice(
+            PatternSpace([lattice.cardinalities[a] for a in swept])
+        )
+        rows = rows[:, swept]
+    cube = CoverageCube(cube_lattice, rows, multiplicities)
+    keep = _meets_range(cube.counts, cube.floors, tau_min, tau_max)
+    if max_level is not None:
+        keep &= cube.levels() <= max_level
+    cells = np.flatnonzero(keep)
+    codes = cells
+    if cube_lattice is not lattice:
+        # A projected pattern is a full-width one with X elsewhere.
+        digits = np.zeros((len(cells), lattice.d), dtype=np.int64)
+        digits[:, swept] = cube_lattice.digits(cells)
+        codes = lattice.from_digits(digits)
+    stats = SearchStats(nodes_generated=cube.size, coverage_evaluations=cube.size)
+    return codes, cube.counts[cells], cube.floors[cells], stats
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +528,10 @@ def threshold_sensitivity(
             resampling pass).
         seed: base seed; replicate ``b`` uses the derived stream
             ``[seed, b]``, so reports are deterministic in ``seed``.
-        sweep: optionally reuse an existing base :class:`SweepResult`
-            (must match ``thresholds``/``attributes``/``max_level``).
+        sweep: optionally reuse an existing base :class:`SweepResult`; its
+            normalized thresholds, attributes and level cap must equal
+            ``thresholds``/``attributes``/``max_level``, else
+            :class:`ReproError`.
 
     Returns:
         A :class:`SensitivityReport`.
@@ -437,6 +547,19 @@ def threshold_sensitivity(
             oracle=oracle,
             engine=engine,
         )
+    else:
+        # The report and its bootstrap replicates must answer one analysis.
+        asked = (
+            _normalize_thresholds(thresholds),
+            _normalize_attributes(attributes, dataset.d),
+            resolve_max_level(max_level),
+        )
+        passed = (sweep.thresholds, sweep.attributes, sweep.max_level)
+        if asked != passed:
+            raise ReproError(
+                "the passed sweep covers (thresholds, attributes, max_level) "
+                f"= {passed}, but the arguments ask for {asked}"
+            )
     base_sets = {tau: sweep.mups_at(tau).as_set() for tau in sweep.thresholds}
 
     appeared: Dict[int, Tuple[Pattern, ...]] = {}

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 from repro.analysis.sweep import sweep_mups
 from repro.core.engine import EngineSpec
-from repro.core.mups.base import ALGORITHMS
+from repro.core.mups.base import ALGORITHMS, check_threshold
 from repro.data.dataset import Dataset
 from repro.exceptions import ReproError
 
@@ -51,19 +51,20 @@ def threshold_sweep(
     :func:`~repro.analysis.sweep.sweep_mups` traversal (bit-identical MUP
     sets to any registered algorithm, counted once for the whole range).
     """
-    if not thresholds:
+    taus = [check_threshold(threshold) for threshold in thresholds]
+    if not taus:
         raise ReproError("need at least one threshold")
     if algorithm not in ALGORITHMS:
         raise ReproError(
             f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
         )
-    sweep = sweep_mups(dataset, thresholds, engine=engine)
+    sweep = sweep_mups(dataset, taus, engine=engine)
     rows = []
-    for threshold in thresholds:
-        result = sweep.mups_at(int(threshold))
+    for tau in taus:
+        result = sweep.mups_at(tau)
         rows.append(
             ThresholdSweepRow(
-                threshold=int(threshold),
+                threshold=tau,
                 mup_count=len(result),
                 max_covered_level=result.max_covered_level(dataset.d),
             )

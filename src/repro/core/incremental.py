@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import CoverageEngine, EngineSpec
-from repro.core.mups.base import MupResult, find_mups
+from repro.core.mups.base import MupResult, check_threshold, find_mups
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
@@ -75,8 +75,7 @@ class IncrementalMupIndex:
         engine: EngineSpec = None,
         oracle: CoverageOracle = None,
     ) -> None:
-        if threshold < 1:
-            raise ReproError(f"threshold must be >= 1, got {threshold}")
+        threshold = check_threshold(threshold)
         self._space = PatternSpace.for_dataset(dataset)
         self._threshold = threshold
         self._dataset = dataset

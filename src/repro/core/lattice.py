@@ -13,12 +13,15 @@ are built only for the answers (:meth:`PatternLattice.decode`).
 
 :func:`walk_levels` is PATTERN-BREAKER's level-wise traversal (§III-C)
 over these codes, shared by PATTERN-BREAKER, DEEPDIVER, the threshold
-sweep and the hierarchy searches, and :class:`GroupCounter` counts its
-levels, a bounded chunk of whole attribute subsets at a time: the
-candidates of a level that fix the same attribute subset ``S`` are all
-counted by one group-by of the unique rows on ``S``, the group-by behind
-iceberg-cube computation (Beyer & Ramakrishnan, SIGMOD 1999), with no
-match mask and no engine call.
+sweep over its cube cap and the hierarchy searches, and
+:class:`GroupCounter` counts its levels, a bounded chunk of whole
+attribute subsets at a time: the candidates of a level that fix the same
+attribute subset ``S`` are all counted by one group-by of the unique rows
+on ``S``, the group-by behind iceberg-cube computation (Beyer &
+Ramakrishnan, SIGMOD 1999), with no match mask and no engine call.
+:class:`CoverageCube` is the full cube instead: every code's count and
+smallest parent count in two arrays, which the threshold sweep reads when
+the space is small enough.
 
 Codes are ``int64`` while the space has fewer than ``2**63`` nodes and
 Python ints in an ``object`` array beyond that (45 binary attributes
@@ -34,7 +37,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import SearchStats, Stopwatch
+from repro._util import SearchStats, Stopwatch, product_int
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, combination_index
@@ -108,12 +111,15 @@ class PatternLattice:
     def decode(self, codes: np.ndarray) -> List[Pattern]:
         """The patterns the codes stand for, in array order."""
         # Column lists, not a (k, d) matrix and k row lists: less transient
-        # memory beside the k patterns being built.
+        # memory beside the k patterns being built.  Floor division and
+        # modulo make every digit >= 0 and tolist() gives Python ints, so
+        # each value is a valid element and Pattern.__init__'s check is
+        # skipped.
         columns = [
             ((codes // weight) % (cardinality + 1) - 1).tolist()
             for weight, cardinality in zip(self.weights, self.cardinalities)
         ]
-        return [Pattern(values) for values in zip(*columns)]
+        return list(map(Pattern._trusted, zip(*columns)))
 
     def from_digits(self, digits: np.ndarray) -> np.ndarray:
         """The code of each row of a ``(k, d)`` digit matrix."""
@@ -339,6 +345,63 @@ class GroupCounter:
         row_keys = row_keys[order]
         high = np.searchsorted(row_keys, keys, side="right")
         return cumulative[high] - cumulative[np.searchsorted(row_keys, keys)]
+
+
+class CoverageCube:
+    """Every pattern's coverage and smallest parent count, indexed by code.
+
+    The full data cube of Gray et al. (*Data Cube*, ICDE 1996) over one
+    :class:`PatternLattice`: ``counts[code]`` is the pattern's coverage and
+    ``floors[code]`` its smallest parent count (:data:`UNBOUNDED` for the
+    root).  ``X`` is digit 0 and attribute 0 the most significant digit, so
+    the C-order flat index of a ``(c_0 + 1, …, c_{d−1} + 1)`` array is the
+    lattice code.  Built in 2d passes over that array: the rows' counts
+    fill the bottom cells, then for each attribute the ``X`` slice becomes
+    the sum of the value slices (every cell then holds its coverage), then
+    for each attribute the floors of the value slices take the minimum with
+    the ``X`` slice, the parent that X-es that attribute out.
+
+    ``rows`` are value combinations of the lattice's attributes with their
+    ``multiplicities``, and may repeat (a projection of a dataset's
+    :meth:`~repro.data.Dataset.unique_rows`): repeats are summed by one
+    weighted ``bincount``, exact while ``n < 2**53``.  The two arrays take
+    16 bytes per cell, :attr:`size` cells whatever the data holds.
+    """
+
+    def __init__(
+        self, lattice: PatternLattice, rows: np.ndarray, multiplicities: np.ndarray
+    ) -> None:
+        self.lattice = lattice
+        self.size = product_int(c + 1 for c in lattice.cardinalities)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, lattice.d)
+        counts = np.bincount(
+            lattice.from_digits(rows + 1),
+            weights=np.asarray(multiplicities, dtype=np.float64),
+            minlength=self.size,
+        ).astype(np.int64)
+        for view in self._axes(counts):
+            view[:, 0] = view[:, 1:].sum(axis=1)
+        floors = np.full(self.size, UNBOUNDED)
+        for cells, view in zip(self._axes(floors), self._axes(counts)):
+            np.minimum(cells[:, 1:], view[:, :1], out=cells[:, 1:])
+        self.counts: np.ndarray = counts
+        self.floors: np.ndarray = floors
+
+    def levels(self) -> np.ndarray:
+        """Each cell's level, its number of deterministic digits (``int8``:
+        a cube of ``d`` attributes has at least ``2**d`` cells)."""
+        levels = np.zeros(self.size, dtype=np.int8)
+        for view in self._axes(levels):
+            view[:, 1:] += 1
+        return levels
+
+    def _axes(self, cells: np.ndarray) -> Iterator[np.ndarray]:
+        """For each attribute, a ``(before, c + 1, after)`` view of a flat
+        cell array whose middle axis is that attribute's digit."""
+        before = 1
+        for cardinality, weight in zip(self.lattice.cardinalities, self.lattice.weights):
+            yield cells.reshape(before, cardinality + 1, weight)
+            before *= cardinality + 1
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._util import SearchStats
@@ -87,16 +88,41 @@ def resolve_threshold(
     threshold: Optional[int] = None,
     threshold_rate: Optional[float] = None,
 ) -> int:
-    """Normalize (absolute τ | rate) inputs into an absolute τ ≥ 1."""
+    """Normalize (absolute τ | rate) inputs into an absolute τ ≥ 1.
+
+    τ must pass :func:`check_threshold`; a rate must be a finite,
+    non-boolean real ≥ 0.  Anything else raises :class:`ReproError`.
+    """
     if (threshold is None) == (threshold_rate is None):
         raise ReproError("specify exactly one of threshold / threshold_rate")
     if threshold is not None:
-        if threshold < 1:
-            raise ReproError(f"threshold must be >= 1, got {threshold}")
-        return int(threshold)
+        return check_threshold(threshold)
+    if (
+        isinstance(threshold_rate, bool)
+        or not isinstance(threshold_rate, Real)
+        or not math.isfinite(threshold_rate)
+        or threshold_rate < 0
+    ):
+        raise ReproError(
+            f"threshold_rate must be a finite number >= 0, got {threshold_rate!r}"
+        )
     # Straight from the dataset size — no need to build an inverted index
     # just to read n.
     return threshold_from_rate(threshold_rate, dataset.n)
+
+
+def check_threshold(threshold: Any) -> int:
+    """Normalize an absolute τ: a non-boolean integer ≥ 1.
+
+    Numpy integers are accepted.  Booleans, fractions (``2.9``, and
+    ``3.0`` too), strings and integers below 1 raise :class:`ReproError`:
+    ``cov < 2.9`` is ``cov < 3``, so truncating would answer the wrong τ.
+    """
+    if isinstance(threshold, bool) or not isinstance(threshold, Integral):
+        raise ReproError(f"threshold must be an integer >= 1, got {threshold!r}")
+    if threshold < 1:
+        raise ReproError(f"threshold must be >= 1, got {threshold}")
+    return int(threshold)
 
 
 def resolve_max_level(max_level: Any) -> Optional[int]:

@@ -37,6 +37,19 @@ class Pattern:
         self._values = values
         self._hash = hash(values)
 
+    @classmethod
+    def _trusted(cls, values: Tuple[int, ...]) -> "Pattern":
+        """A pattern from a tuple of Python ints already known to be ≥ ``X``.
+
+        Skips ``__init__``'s per-element conversion and check; only
+        :meth:`~repro.core.lattice.PatternLattice.decode`, whose values are
+        digits minus one, calls it.
+        """
+        pattern = object.__new__(cls)
+        pattern._values = values
+        pattern._hash = hash(values)
+        return pattern
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------

@@ -14,6 +14,13 @@ Three families of guarantees:
   exact: the pattern is a MUP at ``appears_at`` and ``disappears_above``
   and not a MUP just outside them.
 
+The sweep reads a coverage cube when the swept space fits its private
+caps and walks the lattice otherwise.  The equivalence legs run both
+paths (a cell cap of 0 forces the walk), and a fourth family pins the two
+paths to each other: identical frontier rows and MUP sets, with and
+without an attribute subset, at every level cap from 0 to ``d`` (its cube
+leg lifts the level-cap rule, so tight caps read the cube too).
+
 The normal-suite legs run a fixed-seed (derandomized) profile; the
 ``-m slow`` job layers a deeper randomized sweep on top.
 """
@@ -22,6 +29,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import repro.analysis.sweep as sweep_module
 from repro.analysis.sweep import sweep_mups
 from repro.core.engine import EngineConfig
 from repro.core.mups import find_mups
@@ -88,6 +96,24 @@ def sweep_cases(draw):
 
 
 @st.composite
+def path_cases(draw):
+    dataset, thresholds = draw(sweep_cases())
+    d = dataset.d
+    attributes = None
+    if draw(st.booleans()):
+        attributes = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=d - 1),
+                min_size=1,
+                max_size=d,
+                unique=True,
+            )
+        )
+    max_level = draw(st.none() | st.integers(min_value=0, max_value=d))
+    return dataset, thresholds, attributes, max_level
+
+
+@st.composite
 def planted_cases(draw):
     d = draw(st.integers(min_value=2, max_value=4))
     cardinalities = tuple(
@@ -122,16 +148,62 @@ def planted_cases(draw):
 # ----------------------------------------------------------------------
 # checks
 # ----------------------------------------------------------------------
+def _walked_sweep(*args, **kwargs):
+    """``sweep_mups`` with the cube's cap at 0, so the lattice is walked."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep_module, "_CUBE_CELLS", 0)
+        return sweep_mups(*args, **kwargs)
+
+
+def _cube_sweep(*args, **kwargs):
+    """``sweep_mups`` reading the cube whatever the level cap (every
+    space drawn here is under the cell cap)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep_module, "_CELLS_PER_CAPPED_PATTERN", 10**9)
+        return sweep_mups(*args, **kwargs)
+
+
 def _check_equivalence(dataset, thresholds, backend):
-    sweep = sweep_mups(dataset, thresholds, engine=backend)
-    lo, hi = sweep.tau_min, sweep.tau_max
+    sweeps = {
+        "cube": sweep_mups(dataset, thresholds, engine=backend),
+        "walk": _walked_sweep(dataset, thresholds, engine=backend),
+    }
+    lo, hi = min(thresholds), max(thresholds)
     # Every integer τ in the closed range, not only the queried settings:
     # the frontier intervals claim to classify all of them.
     for tau in range(lo, hi + 1):
-        amortized = sweep.mups_at(tau)
         independent = find_mups(dataset, threshold=tau, engine=backend)
-        assert amortized.mups == independent.mups, (backend, tau)
-        assert amortized.threshold == independent.threshold
+        for path, sweep in sweeps.items():
+            amortized = sweep.mups_at(tau)
+            assert amortized.mups == independent.mups, (path, backend, tau)
+            assert amortized.threshold == independent.threshold
+
+
+def _check_paths_agree(dataset, thresholds, attributes, max_level):
+    cube = _cube_sweep(dataset, thresholds, attributes=attributes, max_level=max_level)
+    walk = _walked_sweep(
+        dataset, thresholds, attributes=attributes, max_level=max_level
+    )
+    swept = range(dataset.d) if attributes is None else attributes
+    cells = 1
+    for attribute in swept:
+        cells *= dataset.schema.cardinalities[attribute] + 1
+    # The cube path ran, and its counters are its cells.
+    assert (
+        cube.stats.nodes_generated,
+        cube.stats.coverage_evaluations,
+        cube.stats.pruned,
+    ) == (cells, cells, 0)
+
+    def rows(sweep):
+        return [
+            (point.pattern, point.coverage, point.min_parent_coverage)
+            for point in sweep.frontier
+        ]
+
+    assert rows(cube) == rows(walk)
+    for tau in range(cube.tau_min, cube.tau_max + 1):
+        assert cube.mups_at(tau).mups == walk.mups_at(tau).mups, tau
 
 
 def _check_nesting(dataset, thresholds):
@@ -203,6 +275,20 @@ def test_sweep_recovers_planted_mups(case):
     assert planted in find_mups(dataset, threshold=threshold)
 
 
+@given(path_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cube_and_walk_sweep_alike(case):
+    """Identical frontier rows and MUP sets on the cube and the walk."""
+    _check_paths_agree(*case)
+
+
+@pytest.mark.parametrize("attributes", [None, (0, 2), (1,)], ids=["all", "0-2", "1"])
+@pytest.mark.parametrize("max_level", [None, 0, 1, 2, 3])
+def test_cube_and_walk_sweep_alike_at_every_level_cap(attributes, max_level):
+    dataset = scenario_dataset("zipf", 80, (3, 4, 2), seed=7)
+    _check_paths_agree(dataset, [1, 3, 6, 40], attributes, max_level)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("backend", BACKENDS)
 @given(sweep_cases())
@@ -211,3 +297,11 @@ def test_sweep_matches_independent_runs_deep(backend, case):
     """Slow-job profile: a deeper randomized equivalence sweep."""
     dataset, thresholds = case
     _check_equivalence(dataset, thresholds, backend)
+
+
+@pytest.mark.slow
+@given(path_cases())
+@settings(max_examples=300, deadline=None)
+def test_cube_and_walk_sweep_alike_deep(case):
+    """Slow-job profile: a deeper randomized sweep of the two paths."""
+    _check_paths_agree(*case)

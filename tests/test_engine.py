@@ -204,7 +204,7 @@ class TestFacadeSelection:
     def test_resolve_threshold_needs_no_index(self, example1_dataset):
         assert resolve_threshold(example1_dataset, threshold_rate=0.5) == 3
         assert resolve_threshold(example1_dataset, threshold_rate=0.0) == 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError, match="threshold_rate"):
             resolve_threshold(example1_dataset, threshold_rate=-0.1)
 
     def test_mup_result_membership_cached(self, example1_dataset):

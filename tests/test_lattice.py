@@ -11,6 +11,7 @@ pattern-level versions of themselves (kept below) that reproduce the
 import csv
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,22 @@ def by_row(rows, codes, count):
     return grouped
 
 
+def check_decode(lattice, codes):
+    """``decode`` against ``Pattern.__init__`` on digits taken in Python
+    ints: equal patterns and hashes, and only Python ints as values."""
+    decoded = lattice.decode(codes)
+    assert len(decoded) == len(codes)
+    for code, pattern in zip(codes.tolist(), decoded):
+        values = [
+            (code // weight) % (cardinality + 1) - 1
+            for weight, cardinality in zip(lattice.weights, lattice.cardinalities)
+        ]
+        expected = Pattern(values)
+        assert pattern == expected and hash(pattern) == hash(expected)
+        assert pattern.values == tuple(values)
+        assert all(type(value) is int for value in pattern.values)
+
+
 # ----------------------------------------------------------------------
 # codes
 # ----------------------------------------------------------------------
@@ -83,6 +100,11 @@ class TestCodes:
         patterns = [space.random_pattern(rng) for _ in range(50)]
         decoded = lattice.decode(np.sort(lattice.encode(patterns)))
         assert decoded == sorted(patterns)
+
+    @pytest.mark.parametrize("cards", ALL_SPACES)
+    def test_decode_builds_what_the_validating_constructor_builds(self, cards):
+        space = PatternSpace(cards)
+        check_decode(PatternLattice(space), np.arange(space.node_count()))
 
     def test_digits(self):
         lattice = PatternLattice(PatternSpace((2, 3)))
@@ -236,6 +258,15 @@ class TestWideSpaces:
         for pattern, expected in zip(patterns, generated):
             assert space.rule2_parents(pattern) == expected
         assert contains(np.sort(codes), codes).all()
+
+    def test_decode_builds_what_the_validating_constructor_builds(self):
+        space = PatternSpace((2,) * 45 + (3, 1))
+        lattice = PatternLattice(space)
+        assert lattice.dtype == object
+        draw = random.Random(5).randrange
+        sample = [0, space.node_count() - 1]
+        sample += [draw(space.node_count()) for _ in range(300)]
+        check_decode(lattice, np.array(sample, dtype=object))
 
     def test_pattern_breaker_level_capped(self):
         # 45 binary attributes, mostly 0: shallow MUPs everywhere.  The

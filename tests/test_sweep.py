@@ -132,6 +132,23 @@ def test_max_level_matches_capped_run(dataset):
         assert sweep.mups_at(tau).max_level == 1
 
 
+@pytest.mark.parametrize(
+    "max_level,reads_cube",
+    [(None, True), (10, True), (4, True), (3, True), (2, False), (0, False)],
+)
+def test_the_level_cap_chooses_the_path(max_level, reads_cube):
+    """3**10 = 59,049 cells: the cube under no cap or a loose one, the walk
+    once the cap leaves over 128 cells per pattern within it (level ≤ 2:
+    201 patterns, 294 cells each; level ≤ 3: 1,161 patterns, 51 each)."""
+    dataset = load_airbnb(n=3_000, d=10)
+    sweep = sweep_mups(dataset, [3, 90], max_level=max_level)
+    assert (sweep.stats.coverage_evaluations == 3**10) == reads_cube
+    for tau in (3, 30, 90):
+        assert sweep.mups_at(tau).mups == find_mups(
+            dataset, threshold=tau, max_level=max_level
+        ).mups
+
+
 def test_sweep_point_interval():
     point = SweepPoint(Pattern.of(1, X), coverage=3, min_parent_coverage=7)
     assert point.appears_at == 4
@@ -221,6 +238,34 @@ def test_sensitivity_deterministic_in_seed(dataset):
 def test_sensitivity_rejects_negative_bootstrap(dataset):
     with pytest.raises(ReproError):
         threshold_sensitivity(dataset, [2], bootstrap=-1)
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        dict(thresholds=[3, 5]),
+        dict(thresholds=[2, 8]),
+        dict(thresholds=[2, 8], attributes=[0, 2]),
+        dict(thresholds=[2, 8], attributes=[0, 1], max_level=1),
+    ],
+    ids=["thresholds-and-attributes", "attributes", "other-attributes", "max_level"],
+)
+def test_sensitivity_rejects_a_sweep_of_another_analysis(dataset, arguments):
+    sweep = sweep_mups(dataset, [2, 8], attributes=[0, 1])
+    with pytest.raises(ReproError, match="passed sweep"):
+        threshold_sensitivity(dataset, sweep=sweep, bootstrap=2, **arguments)
+
+
+def test_sensitivity_reuses_a_matching_sweep(dataset):
+    """Arguments are compared in normalized form."""
+    sweep = sweep_mups(dataset, [2, 8], attributes=[1, 0], max_level=2)
+    reused = threshold_sensitivity(
+        dataset, [8, 2, 2], attributes=(0, 1), max_level=2, bootstrap=2, sweep=sweep
+    )
+    fresh = threshold_sensitivity(
+        dataset, [2, 8], attributes=[0, 1], max_level=2, bootstrap=2
+    )
+    assert reused.as_dict() == fresh.as_dict()
 
 
 def test_stable_mups_requires_bootstrap(dataset):
