@@ -49,6 +49,7 @@ counts only for those ancestors of the M-cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +58,7 @@ from repro._util import Stopwatch, product_int
 from repro.core.engine import EngineSpec, engine_name
 from repro.core.enhancement.expansion import uncovered_at_level
 from repro.core.enhancement.oracle import ValidationOracle
+from repro.core.mups.base import check_threshold
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.data.bitset import popcount_words
@@ -424,18 +426,23 @@ def enhance_coverage(
         mups: its material MUPs.
         level: the target maximum covered level λ.
         threshold: the coverage threshold τ (each planned combination is
-            added ``copies`` times so hit targets actually reach τ).
+            added ``copies`` times so hit targets actually reach τ), an
+            integer ≥ 1 as :func:`~repro.core.mups.base.check_threshold`
+            takes it.
         validation: optional validation oracle.
-        copies: how many tuples to collect per planned combination; defaults
-            to ``threshold`` (enough to cover any previously empty target).
+        copies: how many tuples to collect per planned combination, a
+            non-boolean integer ≥ 1; defaults to ``threshold`` (enough to
+            cover any previously empty target).
         engine: accepted for interface parity, as in :func:`greedy_cover`.
 
     Returns:
         ``(result, enhanced dataset)``.
     """
-    copies = threshold if copies is None else copies
-    if copies < 1:
-        raise EnhancementError(f"copies must be >= 1, got {copies}")
+    threshold = check_threshold(threshold)
+    if copies is None:
+        copies = threshold
+    elif isinstance(copies, bool) or not isinstance(copies, Integral) or copies < 1:
+        raise EnhancementError(f"copies must be an integer >= 1, got {copies!r}")
     space = PatternSpace.for_dataset(dataset)
     targets = uncovered_at_level(mups, space, level)
     result = greedy_cover(targets, space, validation, engine=engine)

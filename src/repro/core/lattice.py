@@ -123,28 +123,30 @@ class PatternLattice:
 
     def from_digits(self, digits: np.ndarray) -> np.ndarray:
         """The code of each row of a ``(k, d)`` digit matrix."""
-        return (digits.astype(self.dtype) * self._weight_array).sum(
-            axis=1, dtype=self.dtype
-        )
+        # One column at a time: no (k, d) temporary of the code dtype.
+        codes = np.zeros(len(digits), dtype=self.dtype)
+        for i, weight in enumerate(self.weights):
+            codes += digits[:, i].astype(self.dtype) * weight
+        return codes
 
     def combination_index(self, rows: np.ndarray) -> np.ndarray:
         """Row-major position of each full value combination (a ``(k, d)``
         value array) in the ``Π c_i`` combination grid."""
         return combination_index(rows, self.cardinalities)
 
-    def combination_codes(self, index: np.ndarray) -> np.ndarray:
-        """Codes of the full value combinations at grid positions ``index``.
+    def combination_digits(self, index: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """The ``(k, d)`` digit matrix of the full value combinations at
+        grid positions ``index``, in ``dtype`` and column-major order (each
+        attribute's digits contiguous).
 
-        Ascending positions give ascending codes.
+        Ascending positions have ascending codes.
         """
         index = np.asarray(index, dtype=np.int64)
-        codes = np.zeros(len(index), dtype=self.dtype)
+        digits = np.empty((len(index), self.d), dtype=dtype, order="F")
         for i in range(self.d - 1, -1, -1):
-            cardinality = self.cardinalities[i]
-            digit = (index % cardinality + 1).astype(self.dtype)
-            codes += digit * self.weights[i]
-            index = index // cardinality
-        return codes
+            index, value = np.divmod(index, self.cardinalities[i])
+            digits[:, i] = value + 1
+        return digits
 
     # ------------------------------------------------------------------
     # graph moves, vectorized over a level
@@ -227,7 +229,11 @@ class PatternLattice:
         coverages sum to the parent's.
         """
         digits = self.digits(codes)
-        last_x = _rightmost(digits == 0)
+        return self._rule2_parents(codes, digits, _rightmost(digits == 0))
+
+    def _rule2_parents(
+        self, codes: np.ndarray, digits: np.ndarray, last_x: np.ndarray
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         for pivot in range(self.d):
             rows = np.flatnonzero((digits[:, pivot] == 1) & (last_x < pivot))
             if len(rows):
@@ -245,11 +251,6 @@ def index_of(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
         np.searchsorted(sorted_codes, queries), len(sorted_codes) - 1
     )
     return np.where(sorted_codes[position] == queries, position, -1)
-
-
-def contains(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Whether each query is in ``sorted_codes`` (same shape as queries)."""
-    return index_of(sorted_codes, queries) >= 0
 
 
 class GroupCounter:

@@ -1,7 +1,10 @@
 """Property-based cross-checks of the MUP identification algorithms."""
 
+import importlib
+
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from deepdiver_reference import deepdiver_reference
@@ -15,14 +18,20 @@ from repro.core.mups import (
 )
 from repro.data.dataset import Dataset, Schema
 
+combiner_module = importlib.import_module("repro.core.mups.pattern_combiner")
+
 
 @st.composite
-def dataset_and_threshold(draw):
-    d = draw(st.integers(min_value=1, max_value=4))
+def dataset_and_threshold(draw, max_d=4, max_cardinality=3, max_n=30):
+    d = draw(st.integers(min_value=1, max_value=max_d))
     cardinalities = draw(
-        st.lists(st.integers(min_value=1, max_value=3), min_size=d, max_size=d)
+        st.lists(
+            st.integers(min_value=1, max_value=max_cardinality),
+            min_size=d,
+            max_size=d,
+        )
     )
-    n = draw(st.integers(min_value=0, max_value=30))
+    n = draw(st.integers(min_value=0, max_value=max_n))
     rows = [
         [draw(st.integers(min_value=0, max_value=c - 1)) for c in cardinalities]
         for _ in range(n)
@@ -42,6 +51,28 @@ def test_all_algorithms_agree(case):
     assert pattern_combiner(dataset, tau).as_set() == reference
     assert deepdiver(dataset, tau).as_set() == reference
     assert apriori_mups(dataset, tau).as_set() == reference
+
+
+@given(dataset_and_threshold(max_d=5, max_cardinality=4, max_n=48))
+@settings(max_examples=80, deadline=None)
+def test_combiner_lookup_paths_agree(case):
+    """PATTERN-COMBINER's count table and, with the table's cap at 0, its
+    binary search in sorted levels both return Definition 4's MUPs and
+    generate, count and prune the same nodes."""
+    dataset, tau = case
+    runs = []
+    for cap in (combiner_module._TABLE_BYTES, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(combiner_module, "_TABLE_BYTES", cap)
+            runs.append(pattern_combiner(dataset, tau))
+    table, searched = runs
+    assert table.as_set() == naive_mups(dataset, tau).as_set()
+    assert searched.mups == table.mups
+    counters = [
+        (s.nodes_generated, s.coverage_evaluations, s.pruned)
+        for s in (table.stats, searched.stats)
+    ]
+    assert counters[0] == counters[1]
 
 
 @given(dataset_and_threshold())

@@ -8,7 +8,9 @@ Counted by grouping the unique rows on each candidate subset, the search
 must finish and return PATTERN-COMBINER's MUP set.  DEEPDIVER runs the
 same level walk and must return the same set.  Each search's memory is
 pinned too: the walk prunes and counts its widest level (280,236
-candidates generated, 229,775 counted) in bounded chunks.
+candidates generated, 229,775 counted) in bounded chunks, and
+PATTERN-COMBINER looks its codes up in a count table of 3**13 cells
+(12.8 MB, under the table's byte cap).
 
 Every identification algorithm, run on a prebuilt ``packed`` engine over
 a 900-row, 480-pattern space, must also return Definition 4's MUP set
@@ -17,6 +19,7 @@ a 900-row, 480-pattern space, must also return Definition 4's MUP set
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -51,10 +54,19 @@ def test_search_matches_combiner_on_airbnb_d13(airbnb_d13, search):
 
 
 #: Most ``ru_maxrss`` growth, past the unique rows, of one d=13 search.
-#: Unchunked, PATTERN-BREAKER's walk grew by 258 MB; chunked, either
-#: search grows by about 77 MB, a third of it while building the answer's
-#: 126,306 patterns.
-MAX_GROWTH_MB = 90
+#: Unchunked, PATTERN-BREAKER's walk grew by 258 MB; chunked, either walk
+#: grows by about 77 MB, a third of it while building the answer's
+#: 126,306 patterns.  PATTERN-COMBINER grew by 184 MB when it searched
+#: sorted levels and re-derived their digits as ``int64``; on its count
+#: table, carrying ``int8`` digits, it grows by about 42 MB.
+MAX_GROWTH_MB = {"deepdiver": 90, "pattern_breaker": 90, "pattern_combiner": 50}
+
+#: (nodes_generated, coverage_evaluations, pruned) of each search.
+COUNTERS = {
+    "deepdiver": [978_975, 808_417, 170_558],
+    "pattern_breaker": [978_975, 808_417, 170_558],
+    "pattern_combiner": [1_201_426, 1_201_426, 289_137],
+}
 
 _MEASURE = """
 import json, resource, sys
@@ -78,7 +90,14 @@ print(json.dumps({
 """
 
 
-@pytest.mark.parametrize("algorithm", ["deepdiver", "pattern_breaker"])
+def test_d13_combiner_runs_on_the_count_table():
+    combiner = importlib.import_module("repro.core.mups.pattern_combiner")
+    assert 8 * 3**13 <= combiner._TABLE_BYTES
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["deepdiver", "pattern_breaker", "pattern_combiner"]
+)
 def test_d13_search_memory_is_bounded(algorithm):
     """Each search runs in a fresh interpreter, so its peak RSS is its
     own; the growth over the primed dataset keeps the pin host-independent."""
@@ -92,8 +111,8 @@ def test_d13_search_memory_is_bounded(algorithm):
     )
     measured = json.loads(completed.stdout.strip().splitlines()[-1])
     assert measured["mups"] == 126_306
-    assert measured["counters"] == [978_975, 808_417, 170_558]
-    assert measured["growth_mb"] <= MAX_GROWTH_MB
+    assert measured["counters"] == COUNTERS[algorithm]
+    assert measured["growth_mb"] <= MAX_GROWTH_MB[algorithm]
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))

@@ -5,7 +5,9 @@ rate a finite, non-boolean real ≥ 0.  Anything else raises ``ReproError``
 rather than being truncated: ``cov < 2.9`` means τ = 3, so running at
 ``int(2.9) = 2`` would answer the wrong question.  Each entry point gets a
 table of rejected forms and one of accepted forms; accepted forms answer
-exactly what the plain ``int`` answers.
+exactly what the plain ``int`` answers.  ``enhance_coverage`` holds the
+number of copies it collects per combination to the same rule, and raises
+``EnhancementError`` for anything but an integer ≥ 1.
 """
 
 from decimal import Decimal
@@ -16,10 +18,11 @@ import pytest
 
 from repro.analysis.sweep import sweep_mups, threshold_sensitivity
 from repro.analysis.thresholds import threshold_sweep
+from repro.core.enhancement import enhance_coverage
 from repro.core.incremental import IncrementalMupIndex
 from repro.core.mups import find_mups
 from repro.data.scenarios import scenario_dataset
-from repro.exceptions import ReproError
+from repro.exceptions import EnhancementError, ReproError
 
 NAN, INF = float("nan"), float("inf")
 
@@ -161,3 +164,47 @@ def test_incremental_index_accepts(dataset, tau):
     index = IncrementalMupIndex(dataset, threshold=tau)
     assert index.threshold == 3 and type(index.threshold) is int
     assert index.mups() == IncrementalMupIndex(dataset, threshold=3).mups()
+
+
+# ----------------------------------------------------------------------
+# enhance_coverage (τ and the copies collected per combination)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def level3_mups(dataset):
+    """MUPs at τ = 6, whose level-3 targets need 19 combinations."""
+    return find_mups(dataset, threshold=6).mups
+
+
+def _enhance(dataset, mups, **options):
+    return enhance_coverage(dataset, mups, level=3, **options)
+
+
+@pytest.mark.parametrize("tau", BAD_TAUS, ids=BAD_IDS)
+def test_enhance_coverage_rejects(dataset, level3_mups, tau):
+    with pytest.raises(ReproError, match="threshold"):
+        _enhance(dataset, level3_mups, threshold=tau)
+
+
+@pytest.mark.parametrize(
+    "copies",
+    [2.5, 2.0, np.float64(2.0), Fraction(4, 2), True, "2", NAN],
+    ids=["2.5", "2.0", "np.float64", "Fraction", "True", "str", "nan"],
+)
+def test_enhance_coverage_rejects_copies(dataset, level3_mups, copies):
+    with pytest.raises(EnhancementError, match="copies"):
+        _enhance(dataset, level3_mups, threshold=6, copies=copies)
+
+
+@pytest.mark.parametrize("tau", GOOD_TAUS, ids=GOOD_IDS)
+def test_enhance_coverage_accepts(dataset, level3_mups, tau):
+    result, enhanced = _enhance(dataset, level3_mups, threshold=tau)
+    expected, rows = _enhance(dataset, level3_mups, threshold=3)
+    assert len(result.combinations) == 19
+    assert result.combinations == expected.combinations
+    assert enhanced.n == rows.n == dataset.n + 3 * 19
+
+
+@pytest.mark.parametrize("copies", GOOD_TAUS, ids=GOOD_IDS)
+def test_enhance_coverage_accepts_copies(dataset, level3_mups, copies):
+    result, enhanced = _enhance(dataset, level3_mups, threshold=6, copies=copies)
+    assert enhanced.n == dataset.n + 3 * len(result.combinations)
