@@ -18,19 +18,20 @@ Both ends of every interval are read from one of two structures, chosen
 from the cardinalities and the level cap alone:
 
 * **The coverage cube** (:class:`~repro.core.lattice.CoverageCube`, the
-  data cube of Gray et al., ICDE 1996) when the swept space has at most
-  ``_CUBE_CELLS`` patterns and, under a level cap, at most
-  ``_CELLS_PER_CAPPED_PATTERN`` times as many as lie within the cap: one
-  cell per pattern holding its coverage and its smallest parent count,
-  built from the unique rows in 2d numpy passes.  The frontier is the cells whose interval meets
-  ``[τ_min, τ_max]`` (and whose level is within the cap, when one is
-  given), in ascending code order, which is pattern order.
-* **PATTERN-BREAKER's level walk** (:func:`~repro.core.lattice.walk_dataset`,
-  each pattern generated once from its rightmost-deterministic parent)
-  otherwise, pruned with the *smallest* queried threshold; the frontier is
-  the counted candidates whose interval meets the range.  The walk
-  computes only the iceberg part of the cube (Beyer & Ramakrishnan,
-  SIGMOD 1999), so its memory follows the data, not the space.
+  data cube of Gray et al., ICDE 1996) when the swept space passes
+  :func:`~repro.core.lattice.cube_fits`, the cell rule PATTERN-BREAKER's
+  walk uses too: one cell per pattern holding its coverage and its
+  smallest parent count, built from the unique rows in 2d numpy passes.
+  The frontier is the cells whose interval meets ``[τ_min, τ_max]`` (and
+  whose level is within the cap, when one is given), in ascending code
+  order, which is pattern order.
+* **PATTERN-BREAKER's group-by level walk**
+  (:func:`~repro.core.lattice.walk_dataset`, each pattern generated once
+  from its rightmost-deterministic parent) otherwise, pruned with the
+  *smallest* queried threshold; the frontier is the counted candidates
+  whose interval meets the range.  The walk computes only the iceberg
+  part of the cube (Beyer & Ramakrishnan, SIGMOD 1999), so its memory
+  follows the data, not the space.
 
 The two frontiers are equal.  The walk counts, with its exact coverage and
 smallest parent count, every pattern whose parents all reach τ_min: such
@@ -58,10 +59,16 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import SearchStats, Stopwatch, product_int
+from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import EngineSpec
-from repro.core.lattice import UNBOUNDED, CoverageCube, PatternLattice, walk_dataset
+from repro.core.lattice import (
+    UNBOUNDED,
+    CoverageCube,
+    PatternLattice,
+    cube_fits,
+    walk_dataset,
+)
 from repro.core.mups.base import MupResult, check_threshold, resolve_max_level
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
@@ -78,20 +85,6 @@ __all__ = [
     "threshold_sensitivity",
     "parse_tau_range",
 ]
-
-#: Largest swept space, in patterns, that ``sweep_mups`` reads from a
-#: :class:`~repro.core.lattice.CoverageCube` (16 bytes a cell: 16 MiB plus
-#: one pass's temporaries); larger spaces are walked.  A speed crossover:
-#: the cube costs every cell and the walk what the data holds, and on
-#: sparse data the walk was faster from 1.4M cells up.
-_CUBE_CELLS = 1 << 20
-
-#: Under a level cap the walk visits at most the patterns within the cap,
-#: each costing it about as much as this many cube cells, so the cube is
-#: read only when it has at most this many cells per such pattern.  On the
-#: measured inputs the walk won at every ratio from 153 up, and the cube at
-#: all but one (a sparse input, by 8%) from 121 down.
-_CELLS_PER_CAPPED_PATTERN = 128
 
 
 # ----------------------------------------------------------------------
@@ -405,14 +398,7 @@ def sweep_mups(
     tau_min, tau_max = thresholds[0], thresholds[-1]
     lattice = PatternLattice(PatternSpace.for_dataset(dataset))
     swept = list(range(dataset.d) if attrs is None else attrs)
-    cardinalities = [lattice.cardinalities[a] for a in swept]
-    # Python ints: 45 binary attributes already pass 2**63 cells.
-    cells = product_int(c + 1 for c in cardinalities)
-    if cells <= _CUBE_CELLS and (
-        max_level is None
-        or cells
-        <= _CELLS_PER_CAPPED_PATTERN * _patterns_within(cardinalities, max_level)
-    ):
+    if cube_fits([lattice.cardinalities[a] for a in swept], max_level):
         codes, counts, floors, stats = _read_cube(
             dataset, lattice, swept, tau_min, tau_max, max_level
         )
@@ -444,19 +430,6 @@ def sweep_mups(
         attributes=attrs,
         max_level=max_level,
     )
-
-
-def _patterns_within(cardinalities: Sequence[int], max_level: int) -> int:
-    """How many patterns over ``cardinalities`` have level ≤ ``max_level``.
-
-    ``widths[k]`` counts the patterns of level ``k`` over the attributes
-    seen so far; each attribute adds its ``c`` values to every pattern of
-    one level lower.
-    """
-    widths = [1]
-    for cardinality in cardinalities:
-        widths = [a + cardinality * b for a, b in zip(widths + [0], [0] + widths)]
-    return sum(widths[: max_level + 1])
 
 
 def _meets_range(

@@ -19,9 +19,18 @@ attribute subsets at a time: the candidates of a level that fix the same
 attribute subset ``S`` are all counted by one group-by of the unique rows
 on ``S``, the group-by behind iceberg-cube computation (Beyer &
 Ramakrishnan, SIGMOD 1999), with no match mask and no engine call.
-:class:`CoverageCube` is the full cube instead: every code's count and
-smallest parent count in two arrays, which the threshold sweep reads when
-the space is small enough.
+:class:`CoverageCube` is the full cube instead (Gray et al., ICDE 1996):
+every code's count and smallest parent count in two arrays.
+
+One rule, :func:`cube_fits`, says when a space is small enough for the
+cube.  Then the threshold sweep reads its answer from the cube, and
+:func:`walk_dataset` walks PATTERN-BREAKER's levels on a cube built for
+the call: a candidate survives pruning iff its smallest parent count
+reaches τ, and its count is a gather.  By induction on the level, the
+covered candidates of a level are all of its covered patterns (a covered
+pattern's parents are covered, because coverage only falls going down),
+so both walks prune, count and answer alike.  Larger spaces, attribute
+projections and bounded walks run :func:`walk_levels`.
 
 Codes are ``int64`` while the space has fewer than ``2**63`` nodes and
 Python ints in an ``object`` array beyond that (45 binary attributes
@@ -60,6 +69,22 @@ _PASS_ENTRIES = 1 << 19
 #: attribute subsets, at most this many candidates each unless one subset
 #: alone holds more.
 _CHUNK_CANDIDATES = 1 << 15
+
+#: Largest space, in patterns, read from a :class:`CoverageCube` (16 bytes
+#: a cell: 16 MiB plus one pass's temporaries); larger spaces are walked
+#: level by level and counted by group-by.  A speed crossover: the cube
+#: costs every cell and the group-by walk what the data holds.  On sparse
+#: data the group-by walk was faster from 1.4M cells up, both for the
+#: threshold sweep and for PATTERN-BREAKER's walk.
+_CUBE_CELLS = 1 << 20
+
+#: Under a level cap the group-by walk visits at most the patterns within
+#: the cap, each costing it about as much as this many cube cells, so the
+#: cube is read only when it has at most this many cells per such
+#: pattern.  On the sweep's measured inputs the walk won at every ratio
+#: from 153 up, and the cube at all but one (a sparse input, by 8%) from
+#: 121 down.
+_CELLS_PER_CAPPED_PATTERN = 128
 
 
 class PatternLattice:
@@ -405,14 +430,48 @@ class CoverageCube:
             before *= cardinality + 1
 
 
+def cube_fits(cardinalities: Sequence[int], max_level: Optional[int] = None) -> bool:
+    """Whether a space over ``cardinalities`` is read from a
+    :class:`CoverageCube` rather than walked and counted by group-by.
+
+    The rule of :func:`~repro.analysis.sweep.sweep_mups` and of
+    :func:`walk_dataset`: at most :data:`_CUBE_CELLS` cells and, under a
+    level cap, at most :data:`_CELLS_PER_CAPPED_PATTERN` cells for each
+    pattern within the cap.
+    """
+    # Python ints: 45 binary attributes already pass 2**63 cells.
+    cells = product_int(c + 1 for c in cardinalities)
+    return cells <= _CUBE_CELLS and (
+        max_level is None
+        or cells
+        <= _CELLS_PER_CAPPED_PATTERN * _patterns_within(cardinalities, max_level)
+    )
+
+
+def _patterns_within(cardinalities: Sequence[int], max_level: int) -> int:
+    """How many patterns over ``cardinalities`` have level ≤ ``max_level``.
+
+    ``widths[k]`` counts the patterns of level ``k`` over the attributes
+    seen so far; each attribute adds its ``c`` values to every pattern of
+    one level lower.
+    """
+    widths = [1]
+    for cardinality in cardinalities:
+        widths = [a + cardinality * b for a, b in zip(widths + [0], [0] + widths)]
+    return sum(widths[: max_level + 1])
+
+
 @dataclass(frozen=True)
 class LevelWalk:
-    """What one :func:`walk_levels` run counted or certified.
+    """What one level walk counted or certified.
 
     ``codes[r]`` is a candidate, ``counts[r]`` its coverage (or the bound
     that certified it uncovered) and ``min_parent[r]`` its smallest parent
     count (:data:`UNBOUNDED` for the root); ``stats.pruned`` includes the
-    certified candidates.
+    certified candidates.  Rows come level by level.  Within a level they
+    come in attribute-subset order only from :func:`walk_levels`; a walk
+    of the cube (:func:`walk_dataset`) keeps Rule-1 generation order.
+    Both walks of one space give the same rows.
     """
 
     lattice: PatternLattice
@@ -461,9 +520,7 @@ def walk_levels(
     active = range(lattice.d) if attributes is None else attributes
     depth = len(active) if max_level is None else min(max_level, len(active))
     stats = SearchStats()
-    narrow = max(lattice.cardinalities) <= np.iinfo(np.int8).max
-    codes = lattice.root()
-    digits = np.zeros((1, lattice.d), dtype=np.int8 if narrow else np.int64)
+    codes, digits = lattice.root(), _root_digits(lattice)
     found = [(codes[:0], np.zeros(0, np.int64), np.zeros(0, np.int64))]
     for level in range(depth + 1):
         if not len(codes):
@@ -521,11 +578,79 @@ def walk_dataset(
     attributes: Optional[Sequence[int]] = None,
     bound: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> LevelWalk:
-    """:func:`walk_levels` over a dataset's pattern space, counted by a
-    :class:`GroupCounter` over its unique rows."""
+    """PATTERN-BREAKER's level walk over a dataset's pattern space.
+
+    With no ``bound`` and no ``attributes``, a space that
+    :func:`cube_fits` is walked on a :class:`CoverageCube` built from the
+    unique rows for this call: a level is two gathers.  A candidate
+    survives pruning iff its floor reaches τ, and its count is the
+    cube's.  Any other walk is :func:`walk_levels`, counted by a
+    :class:`GroupCounter` over the unique rows.
+
+    Both walks give the same :class:`LevelWalk` rows and counters.  By
+    induction on the level, the group-by walk's covered codes are every
+    covered pattern of their level.  A covered pattern's parents are
+    covered too, because coverage only falls going down, so they are all
+    covered codes of the level above: the pattern is generated from its
+    Rule-1 parent, survives pruning and is counted covered.  Hence a
+    candidate's parent is missing from the covered codes iff that parent
+    is uncovered, iff the candidate's floor (its smallest parent count)
+    is below τ, and the smallest parent count the group-by walk reads is
+    the floor.  Within a level the two walks list the rows in different
+    orders (see :class:`LevelWalk`).
+    """
     lattice = PatternLattice(PatternSpace.for_dataset(dataset))
-    count = GroupCounter(lattice, *dataset.unique_rows())
+    rows, multiplicities = dataset.unique_rows()
+    unbounded = bound is None and attributes is None
+    if unbounded and cube_fits(lattice.cardinalities, max_level):
+        return _walk_cube(lattice, rows, multiplicities, threshold, max_level)
+    count = GroupCounter(lattice, rows, multiplicities)
     return walk_levels(lattice, count, threshold, max_level, attributes, bound)
+
+
+def _walk_cube(
+    lattice: PatternLattice,
+    rows: np.ndarray,
+    multiplicities: np.ndarray,
+    threshold: int,
+    max_level: Optional[int],
+) -> LevelWalk:
+    """:func:`walk_levels` over all attributes, unbounded, with each
+    level pruned and counted by gathers from a :class:`CoverageCube`
+    (see :func:`walk_dataset`).  The cube's build is timed with the walk."""
+    watch = Stopwatch()
+    cube = CoverageCube(lattice, rows, multiplicities)
+    depth = lattice.d if max_level is None else min(max_level, lattice.d)
+    stats = SearchStats()
+    codes, digits = lattice.root(), _root_digits(lattice)
+    found = []
+    for level in range(depth + 1):
+        if not len(codes):
+            break
+        stats.nodes_generated += len(codes)
+        floors = cube.floors[codes]
+        if level:
+            alive = floors >= threshold
+            stats.pruned += len(codes) - int(np.count_nonzero(alive))
+            codes, digits, floors = codes[alive], digits[alive], floors[alive]
+        counts = cube.counts[codes]
+        stats.coverage_evaluations += len(codes)
+        found.append((codes, counts, floors))
+        if level == depth:
+            break
+        covered = counts >= threshold
+        codes, digits = _rule1_level(
+            lattice, codes[covered], digits[covered], range(lattice.d)
+        )
+    stats.seconds = watch.elapsed()
+    codes, counts, floors = (np.concatenate(column) for column in zip(*found))
+    return LevelWalk(lattice, threshold, codes, counts, floors, stats)
+
+
+def _root_digits(lattice: PatternLattice) -> np.ndarray:
+    """The root's ``(1, d)`` digit row: ``int8`` when every digit fits."""
+    narrow = max(lattice.cardinalities) <= np.iinfo(np.int8).max
+    return np.zeros((1, lattice.d), dtype=np.int8 if narrow else np.int64)
 
 
 def _rule1_level(

@@ -9,8 +9,9 @@ dominates a known MUP as covered.
 
 In the Rule-1 order the DFS visits exactly PATTERN-BREAKER's nodes, so
 this module runs PATTERN-BREAKER's level walk
-(:func:`~repro.core.lattice.walk_dataset`) and reports Algorithm 3's
-counters from it.  The proof:
+(:func:`~repro.core.lattice.walk_dataset`: gathers from a coverage cube
+when the space fits one, group-by counts otherwise, with the same nodes
+and counters) and reports Algorithm 3's counters from it.  The proof:
 
 * The DFS pushes a node's children in ascending attribute order and pops
   the last one first.  Let ``Q`` be a proper ancestor of a node ``P``.

@@ -6,13 +6,19 @@ exactly once — Theorem 3).  A candidate is pruned without evaluation when
 any of its parents was uncovered or itself pruned; an evaluated candidate
 with ``cov < τ`` is a MUP (all its parents are covered by construction).
 
-The traversal is :func:`~repro.core.lattice.walk_levels` over integer-coded
-levels (via :func:`~repro.core.lattice.walk_dataset`): pruning looks every
-candidate's parents up in the previous level's sorted covered codes at
-once, Rule-1 children are generated per attribute for the whole level, and
-a :class:`~repro.core.lattice.GroupCounter` counts each level by grouping
-the unique rows on every candidate subset.  ``Pattern`` objects are built
-only for the MUPs.
+The traversal is :func:`~repro.core.lattice.walk_dataset` over
+integer-coded levels, and Rule-1 children are generated per attribute for
+the whole level.  When the space fits
+:func:`~repro.core.lattice.cube_fits`, a
+:class:`~repro.core.lattice.CoverageCube` built for the call prunes and
+counts each level by two gathers: a candidate survives iff its smallest
+parent count reaches τ.  Otherwise
+:func:`~repro.core.lattice.walk_levels` looks every candidate's parents up
+in the previous level's sorted covered codes at once, and a
+:class:`~repro.core.lattice.GroupCounter` counts each level by grouping
+the unique rows on every candidate subset.  Both give the same MUPs and
+counters (the proof is in :func:`~repro.core.lattice.walk_dataset`).
+``Pattern`` objects are built only for the MUPs.
 """
 
 from __future__ import annotations

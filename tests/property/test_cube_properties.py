@@ -11,6 +11,12 @@ pattern with ``X`` off the subset.
 The golden fixtures run with and without a subset.  A fixed-seed
 (derandomized) hypothesis profile runs in the normal suite, and the
 ``-m slow`` job layers a deeper randomized one on top.
+
+PATTERN-BREAKER's level walk (``walk_dataset``) reads the cube when the
+space fits it.  On random inputs, with and without a level cap, the walk
+on the cube and the walk that counts by group-by (the cube's cell cap
+forced to 0) must give the same rows (code, count, smallest parent
+count), MUPs and counters, under the same two profiles.
 """
 
 import csv
@@ -23,11 +29,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.coverage import coverage_scan
-from repro.core.lattice import UNBOUNDED, CoverageCube, PatternLattice
+from repro.core.lattice import UNBOUNDED, CoverageCube, PatternLattice, walk_dataset
 from repro.core.pattern import X, Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import random_categorical_dataset
+from walk_paths import by_code, counters, grouped, on_cube
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
 
@@ -112,3 +119,44 @@ def test_cube_matches_the_row_scan(case):
 def test_cube_matches_the_row_scan_deep(case):
     """Slow-job profile: a deeper randomized sweep over the same inputs."""
     check_cube(*case)
+
+
+@st.composite
+def walk_cases(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    cardinalities = tuple(
+        draw(st.lists(st.integers(min_value=1, max_value=4), min_size=d, max_size=d))
+    )
+    n = draw(st.integers(min_value=0, max_value=48))
+    dataset = random_categorical_dataset(
+        n,
+        cardinalities,
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        skew=draw(st.sampled_from([0.0, 1.0, 2.5])),
+    )
+    threshold = draw(st.integers(min_value=1, max_value=n + 2))
+    max_level = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=d)))
+    return dataset, threshold, max_level
+
+
+def check_walks(dataset, threshold, max_level):
+    cube = on_cube(walk_dataset, dataset, threshold, max_level)
+    walked = grouped(walk_dataset, dataset, threshold, max_level)
+    assert by_code(cube) == by_code(walked)
+    assert cube.mups() == walked.mups()
+    assert counters(cube.stats) == counters(walked.stats)
+
+
+@given(walk_cases())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_cube_walk_matches_the_group_by_walk(case):
+    """Normal-suite profile: fixed seed, deterministic in CI."""
+    check_walks(*case)
+
+
+@pytest.mark.slow
+@given(walk_cases())
+@settings(max_examples=500, deadline=None)
+def test_cube_walk_matches_the_group_by_walk_deep(case):
+    """Slow-job profile: a deeper randomized sweep over the same inputs."""
+    check_walks(*case)

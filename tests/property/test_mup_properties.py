@@ -17,6 +17,7 @@ from repro.core.mups import (
     pattern_combiner,
 )
 from repro.data.dataset import Dataset, Schema
+from walk_paths import on_both_walks
 
 combiner_module = importlib.import_module("repro.core.mups.pattern_combiner")
 
@@ -141,10 +142,12 @@ def test_deepdiver_counters_follow_the_pop_order(case, max_level):
 
     Every unpruned pop is then counted once (``coverage_evaluations ==
     nodes_generated - pruned``), and only the first dominance check ever
-    prunes (``dominance_checks == 2 * nodes_generated - pruned``).
+    prunes (``dominance_checks == 2 * nodes_generated - pruned``).  Both
+    of the level walk's paths, the coverage cube and the group-by count,
+    are checked.
     """
     dataset, tau = case
-    result = deepdiver(dataset, tau, max_level=max_level)
+    result = on_both_walks(deepdiver, dataset, tau, max_level=max_level)
     stats = result.stats
     assert (
         result.as_set(),

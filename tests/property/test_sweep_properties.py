@@ -29,7 +29,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import repro.analysis.sweep as sweep_module
+import repro.core.lattice as lattice_module
 from repro.analysis.sweep import sweep_mups
 from repro.core.engine import EngineConfig
 from repro.core.mups import find_mups
@@ -151,7 +151,7 @@ def planted_cases(draw):
 def _walked_sweep(*args, **kwargs):
     """``sweep_mups`` with the cube's cap at 0, so the lattice is walked."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep_module, "_CUBE_CELLS", 0)
+        patch.setattr(lattice_module, "_CUBE_CELLS", 0)
         return sweep_mups(*args, **kwargs)
 
 
@@ -159,7 +159,7 @@ def _cube_sweep(*args, **kwargs):
     """``sweep_mups`` reading the cube whatever the level cap (every
     space drawn here is under the cell cap)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep_module, "_CELLS_PER_CAPPED_PATTERN", 10**9)
+        patch.setattr(lattice_module, "_CELLS_PER_CAPPED_PATTERN", 10**9)
         return sweep_mups(*args, **kwargs)
 
 

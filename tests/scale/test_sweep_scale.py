@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.analysis.sweep as sweep_module
+import repro.core.lattice as lattice_module
 from repro.analysis.sweep import sweep_mups
 from repro.data.airbnb import load_airbnb
 
@@ -30,11 +30,11 @@ FRONTIER = 311_700
 
 
 def test_cube_sweep_matches_the_walk(monkeypatch):
-    assert CELLS <= sweep_module._CUBE_CELLS
+    assert CELLS <= lattice_module._CUBE_CELLS
     dataset = load_airbnb(n=100_000, d=12, seed=11)
     cube = sweep_mups(dataset, TAUS)
     assert cube.stats.coverage_evaluations == CELLS
-    monkeypatch.setattr(sweep_module, "_CUBE_CELLS", 0)
+    monkeypatch.setattr(lattice_module, "_CUBE_CELLS", 0)
     walk = sweep_mups(dataset, TAUS)
     assert walk.stats.coverage_evaluations < CELLS
     assert len(cube.frontier) == FRONTIER

@@ -24,6 +24,7 @@ from repro.core.engine import (
 from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
+from walk_paths import counters, on_both_walks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,7 +116,8 @@ def test_algorithm_engine_matrix_reproduces_golden(algorithm, config, fixture, t
 #: DEEPDIVER's (nodes_generated, coverage_evaluations, dominance_checks,
 #: pruned) per fixture and τ, recorded from the node-at-a-time search
 #: (the example1 τ=3, skewed_small τ=12 and sparse_wide τ=1 entries were
-#: recorded when those thresholds were added).
+#: recorded when those thresholds were added).  Both of the level walk's
+#: paths, the coverage cube and the group-by count, are checked.
 DEEPDIVER_COUNTERS = {
     ("example1", 1): (19, 19, 38, 0),
     ("example1", 2): (19, 16, 35, 3),
@@ -128,29 +130,21 @@ DEEPDIVER_COUNTERS = {
 }
 
 
-def counters(stats):
-    return (
-        stats.nodes_generated,
-        stats.coverage_evaluations,
-        stats.dominance_checks,
-        stats.pruned,
-    )
-
-
 @pytest.mark.parametrize("fixture,tau", CASES, ids=[f"{f}-tau{t}" for f, t in CASES])
 def test_deepdiver_counters_are_pinned(fixture, tau):
-    stats = find_mups(load_fixture(fixture), threshold=tau).stats
+    stats = on_both_walks(find_mups, load_fixture(fixture), threshold=tau).stats
     assert counters(stats) == DEEPDIVER_COUNTERS[fixture, tau]
 
 
 @pytest.mark.parametrize("max_level", [None, 1, 2], ids=["all", "cap1", "cap2"])
 @pytest.mark.parametrize("fixture,tau", CASES, ids=[f"{f}-tau{t}" for f, t in CASES])
 def test_deepdiver_matches_the_node_at_a_time_reference(fixture, tau, max_level):
-    """The level walk's MUPs and counters are those of Algorithm 3 run one
-    node at a time in the Rule-1 DFS order."""
+    """The level walk's MUPs and counters, on the cube and by group-by,
+    are those of Algorithm 3 run one node at a time in the Rule-1 DFS
+    order."""
     dataset = load_fixture(fixture)
-    result = find_mups(
-        dataset, threshold=tau, algorithm="deepdiver", max_level=max_level
+    result = on_both_walks(
+        find_mups, dataset, threshold=tau, algorithm="deepdiver", max_level=max_level
     )
     assert (result.as_set(), counters(result.stats)) == deepdiver_reference(
         dataset, tau, max_level

@@ -24,7 +24,9 @@ from repro.core.lattice import (
     UNBOUNDED,
     GroupCounter,
     PatternLattice,
+    cube_fits,
     index_of,
+    walk_dataset,
     walk_levels,
 )
 from repro.core.mups import naive_mups, pattern_breaker, pattern_combiner
@@ -32,6 +34,7 @@ from repro.core.pattern import X, Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import random_categorical_dataset
+from walk_paths import by_code, on_both_walks
 
 #: The module, not the function ``repro.core.mups`` re-exports under its name.
 combiner_module = importlib.import_module("repro.core.mups.pattern_combiner")
@@ -480,16 +483,6 @@ class TestWalk:
 # ----------------------------------------------------------------------
 # the walk in bounded chunks
 # ----------------------------------------------------------------------
-def by_code(walk):
-    """A walk's (code, count, min parent) rows, in code order."""
-    order = np.argsort(walk.codes)
-    return (
-        walk.codes[order].tolist(),
-        walk.counts[order].tolist(),
-        walk.min_parent[order].tolist(),
-    )
-
-
 def subset_keys(digits):
     return [frozenset(np.flatnonzero(row).tolist()) for row in digits]
 
@@ -557,12 +550,12 @@ class TestChunkedWalk:
 
     @pytest.mark.parametrize("cardinality", [127, 128, 200])
     def test_wide_digits(self, cardinality, monkeypatch):
-        """Digits are ``int8`` up to 127 values; past that the walk keeps
-        ``int64`` ones and answers the same."""
+        """Digits are ``int8`` up to 127 values; past that both walks
+        keep ``int64`` ones and answer the same."""
         monkeypatch.setattr(lattice_module, "_CHUNK_CANDIDATES", 16)
         dataset = random_categorical_dataset(1_500, (cardinality, 3, 2), seed=3)
         assert dataset.rows[:, 0].max() == cardinality - 1
-        result = pattern_breaker(dataset, 3)
+        result = on_both_walks(pattern_breaker, dataset, 3)
         mups, stats = reference_breaker(dataset, 3)
         assert result.as_set() == mups == naive_mups(dataset, 3).as_set()
         assert counters(result.stats) == stats
@@ -578,6 +571,59 @@ class TestChunkedWalk:
         assert mups and result.as_set() == mups
         assert counters(result.stats) == stats
         assert stats[2] > 0
+
+
+# ----------------------------------------------------------------------
+# the walk on the coverage cube
+# ----------------------------------------------------------------------
+def spy_counts(monkeypatch):
+    """Record which of the two count structures ``walk_dataset`` builds."""
+    made = []
+    for name in ("CoverageCube", "GroupCounter"):
+        structure = getattr(lattice_module, name)
+
+        def build(*args, structure=structure):
+            made.append(structure.__name__)
+            return structure(*args)
+
+        monkeypatch.setattr(lattice_module, name, build)
+    return made
+
+
+@pytest.mark.parametrize(
+    "cardinalities,max_level,structure",
+    [
+        ((1,) * 20, None, "CoverageCube"),
+        ((16, 61_680), None, "GroupCounter"),
+        ((1,) * 7, 0, "CoverageCube"),
+        ((2, 42), 0, "GroupCounter"),
+    ],
+    ids=["cap-cells", "cap-plus-one", "ratio-128", "ratio-129"],
+)
+def test_the_cube_rule_chooses_the_walk(cardinalities, max_level, structure, monkeypatch):
+    """At the shipped constants: 2**20 cells take the cube and 2**20 + 1
+    (17 · 61,681) the group-by walk; at level 0 one pattern lies within
+    the cap, so 128 cells take the cube and 129 (3 · 43) the group-by
+    walk."""
+    dataset = random_categorical_dataset(20, cardinalities, seed=1)
+    assert cube_fits(cardinalities, max_level) == (structure == "CoverageCube")
+    made = spy_counts(monkeypatch)
+    walk = walk_dataset(dataset, dataset.n + 1, max_level)
+    assert made == [structure]
+    assert walk.mups() == [Pattern.root(len(cardinalities))]
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"attributes": (0, 2)}, {"bound": lambda digits: np.full(len(digits), UNBOUNDED)}],
+    ids=["attributes", "bound"],
+)
+def test_projected_and_bounded_walks_group_rows(options, monkeypatch):
+    dataset = random_categorical_dataset(40, (2, 3, 2), seed=3)
+    assert cube_fits(dataset.schema.cardinalities)
+    made = spy_counts(monkeypatch)
+    walk_dataset(dataset, 3, **options)
+    assert made == ["GroupCounter"]
 
 
 # ----------------------------------------------------------------------
@@ -660,6 +706,13 @@ def combiner_paths(dataset, threshold):
     return table
 
 
+def breaker_paths(dataset, threshold, max_level=None):
+    """PATTERN-BREAKER on the coverage cube, checked against its group-by
+    walk (the cube's cell cap forced to 0): both must return the same MUP
+    list and counters."""
+    return on_both_walks(pattern_breaker, dataset, threshold, max_level)
+
+
 def test_the_table_cap_chooses_the_lookup(monkeypatch):
     dataset = random_categorical_dataset(40, (2, 3, 2), seed=3)
     cells = PatternSpace.for_dataset(dataset).node_count()
@@ -696,7 +749,7 @@ def random_cases(count=12, seed=2024):
 def test_algorithms_match_naive_and_pattern_references(cards, n, tau, seed):
     dataset = random_categorical_dataset(n, cards, seed=seed, skew=0.9)
     expected = naive_mups(dataset, tau).as_set()
-    breaker = pattern_breaker(dataset, tau)
+    breaker = breaker_paths(dataset, tau)
     combiner = combiner_paths(dataset, tau)
     assert breaker.as_set() == expected
     assert combiner.as_set() == expected
@@ -718,14 +771,14 @@ def test_algorithms_match_naive_and_pattern_references(cards, n, tau, seed):
 @pytest.mark.parametrize("n", [0, 5])
 def test_threshold_above_n_leaves_only_the_root(n):
     dataset = random_categorical_dataset(n, (2, 3), seed=1)
-    for algorithm in (pattern_breaker, combiner_paths):
+    for algorithm in (breaker_paths, combiner_paths):
         assert {str(p) for p in algorithm(dataset, n + 1)} == {"XX"}
 
 
 @pytest.mark.parametrize("max_level", [0, 1, 2, 3])
 def test_breaker_level_cap_matches_reference(max_level):
     dataset = random_categorical_dataset(80, (2, 3, 2, 2), seed=4, skew=1.0)
-    result = pattern_breaker(dataset, 6, max_level=max_level)
+    result = breaker_paths(dataset, 6, max_level=max_level)
     mups, stats = reference_breaker(dataset, 6, max_level=max_level)
     assert result.as_set() == mups
     assert counters(result.stats) == stats
@@ -733,7 +786,8 @@ def test_breaker_level_cap_matches_reference(max_level):
 
 #: (nodes_generated, coverage_evaluations, pruned) on the golden fixtures,
 #: recorded from the pattern-object implementations these replaced.
-#: PATTERN-COMBINER's are checked on both of its lookup paths.
+#: PATTERN-BREAKER's are checked on both of its walks and
+#: PATTERN-COMBINER's on both of its lookup paths.
 GOLDEN_COUNTERS = {
     ("example1", 1, "pattern_breaker"): (19, 19, 0),
     ("example1", 1, "pattern_combiner"): (13, 13, 0),
@@ -763,6 +817,6 @@ def load_fixture(name):
     ids=["-".join(map(str, key)) for key in sorted(GOLDEN_COUNTERS)],
 )
 def test_golden_counters(fixture, tau, algorithm):
-    fn = {"pattern_breaker": pattern_breaker, "pattern_combiner": combiner_paths}
+    fn = {"pattern_breaker": breaker_paths, "pattern_combiner": combiner_paths}
     result = fn[algorithm](load_fixture(fixture), tau)
     assert counters(result.stats) == GOLDEN_COUNTERS[(fixture, tau, algorithm)]
