@@ -1,12 +1,14 @@
 """Amortized threshold-sweep benchmark: one sweep vs per-τ runs.
 
-Times ``sweep_mups`` over an 8-threshold τ range against eight
-independent ``find_mups`` runs on the same dataset, then cross-checks
-that every τ's MUP set is **bit-identical** between the two strategies.
-The pin: **the amortized sweep is at least 3× faster than the
-independent runs** — the sweep pays one counting pass (each pattern
-evaluated once, classified for every τ by its coverage interval) where
-the independent runs re-count the lattice per threshold.
+Times ``sweep_mups`` over an 8-threshold τ range, with the MUP set it
+answers at every queried τ, against eight independent ``find_mups`` runs
+on the same dataset, then cross-checks that every τ's MUP set is
+**bit-identical** between the two strategies.  Both sides return the
+eight decoded MUP tuples, so both are timed for the same answers.  The
+pin: **the amortized sweep is at least 3× faster than the independent
+runs** — the sweep pays one counting pass (each pattern evaluated once,
+classified for every τ by its coverage interval) where the independent
+runs re-count the lattice per threshold.
 
 Emits the canonical ``BENCH_sweep.json`` via the shared writer.  Also
 runnable standalone (the CI sweep smoke job):
@@ -56,7 +58,8 @@ def workloads(full=False):
 
 
 def run_sweep(dataset, thresholds):
-    return sweep_mups(dataset, thresholds)
+    sweep = sweep_mups(dataset, thresholds)
+    return sweep, {tau: sweep.mups_at(tau).mups for tau in thresholds}
 
 
 def run_independent(dataset, thresholds):
@@ -65,30 +68,39 @@ def run_independent(dataset, thresholds):
     }
 
 
-def measure(fn, dataset, thresholds, reps=REPS):
-    """Median per-run seconds, calibrated like the engine benches."""
-    _, calibration = timed(fn, dataset, thresholds)
-    inner = max(1, int(MIN_MEASURE_SECONDS / max(calibration, 1e-9)) + 1)
-    samples = []
+def measure(fns, dataset, thresholds, reps=REPS):
+    """Median per-run seconds of each of ``fns``, calibrated like the
+    engine benches.
+
+    The functions take turns, one rep each, so a change in host speed
+    during the measurement reaches every side alike instead of deciding
+    their ratio.
+    """
+    inners = []
+    for fn in fns:
+        _, calibration = timed(fn, dataset, thresholds)
+        inners.append(max(1, int(MIN_MEASURE_SECONDS / max(calibration, 1e-9)) + 1))
+    samples = [[] for _ in fns]
     for _ in range(reps):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn(dataset, thresholds)
-        samples.append((time.perf_counter() - start) / inner)
-    return statistics.median(samples)
+        for fn, inner, times in zip(fns, inners, samples):
+            start = time.perf_counter()
+            for _ in range(inner):
+                fn(dataset, thresholds)
+            times.append((time.perf_counter() - start) / inner)
+    return [statistics.median(times) for times in samples]
 
 
 def run(full=False):
     rows = []
     payload = {"min_speedup": MIN_SPEEDUP, "workloads": {}}
     for name, dataset, thresholds in workloads(full):
-        sweep = run_sweep(dataset, thresholds)
+        sweep, answers = run_sweep(dataset, thresholds)
         independent = run_independent(dataset, thresholds)
         # Bit-identical answers at every τ, or the speedup is meaningless.
-        for tau in thresholds:
-            assert sweep.mups_at(tau).mups == independent[tau], (name, tau)
-        sweep_seconds = measure(run_sweep, dataset, thresholds)
-        independent_seconds = measure(run_independent, dataset, thresholds)
+        assert answers == independent, name
+        sweep_seconds, independent_seconds = measure(
+            (run_sweep, run_independent), dataset, thresholds
+        )
         speedup = independent_seconds / sweep_seconds
         payload["workloads"][name] = {
             "n": dataset.n,

@@ -9,8 +9,11 @@ covers every pattern at level ≤ λ as well.
 The expansion is a level walk over :class:`~repro.core.lattice.PatternLattice`
 codes (:func:`walk_descendants`): level ``k + 1`` is every child of level
 ``k`` plus the MUPs at level ``k + 1``, deduplicated by ``np.unique``, so
-each level holds exactly the MUPs' descendants at that level.  Only the
-last level is decoded into :class:`~repro.core.pattern.Pattern` objects.
+each level holds exactly the MUPs' descendants at that level.  The MUPs
+are checked and encoded from one element matrix
+(:func:`validated_elements`, which GREEDY builds for its targets too), and
+only the last level is decoded into :class:`~repro.core.pattern.Pattern`
+objects.
 :meth:`PatternSpace.descendants_at_level
 <repro.core.pattern_graph.PatternSpace.descendants_at_level>` is the
 pattern-level reference.
@@ -20,12 +23,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.lattice import PatternLattice
-from repro.core.pattern import Pattern
+from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.exceptions import EnhancementError
 
@@ -60,9 +64,10 @@ def uncovered_at_level(
     limit = None if limit is None else _integer("limit", limit)
     if limit is not None and limit < 0:
         raise EnhancementError(f"limit must be >= 0, got {limit}")
-    mups = [space.validate(mup) for mup in mups]
+    elements = validated_elements(list(mups), space)
     lattice = PatternLattice(space)
-    codes = lattice.encode(mup for mup in mups if mup.level <= level)
+    shallow = (elements != X).sum(axis=1) <= level
+    codes = lattice.from_digits(elements[shallow] + 1)
     for k, targets in walk_descendants(lattice, codes, level):
         # Every level-k pattern has a level-λ descendant, and each target
         # has C(λ, k) ancestors at level k: a wider level k proves the cap
@@ -73,6 +78,36 @@ def uncovered_at_level(
                 f"raise the limit or lower λ"
             )
     return lattice.decode(targets)
+
+
+def validated_elements(patterns: Sequence[Pattern], space: PatternSpace) -> np.ndarray:
+    """The patterns' elements as an ``(m, d)`` ``int64`` matrix.
+
+    Raises the :class:`~repro.exceptions.PatternError` that
+    ``space.validate`` raises for the first pattern, in input order, that
+    does not fit the space.
+    """
+    values = [pattern.values for pattern in patterns]
+    lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+    if (lengths != space.d).any():
+        first = int(np.argmax(lengths != space.d))
+        validated_elements(patterns[:first], space)  # an earlier bad value comes first
+        space.validate(patterns[first])
+    try:
+        elements = np.fromiter(
+            chain.from_iterable(values), dtype=np.int64, count=len(values) * space.d
+        ).reshape(len(values), space.d)
+    except OverflowError:
+        # A value past int64 is out of every attribute's range.
+        for pattern in patterns:
+            space.validate(pattern)
+        raise
+    out_of_range = (elements != X) & (
+        (elements < 0) | (elements >= np.asarray(space.cardinalities))
+    )
+    if out_of_range.any():
+        space.validate(patterns[int(np.argmax(out_of_range.any(axis=1)))])
+    return elements
 
 
 def walk_descendants(

@@ -196,6 +196,55 @@ class TestWordBoundaries:
         assert left == unhittable == set(plan.unhittable)
 
 
+def test_grid_picks_read_only_the_cells_they_can_pick(monkeypatch):
+    """A few targets over 10^6 combinations: each level-3 target is hit by
+    10^3 of them, so the picks, after the grid's build, popcount at most
+    20 · 10^3 grid words each, not 10^6."""
+    space = PatternSpace((10,) * 6)
+    rng = np.random.default_rng(3)
+    targets = set()
+    while len(targets) < 20:
+        targets.add(space.random_pattern(rng, 3))
+    targets = sorted(targets)
+    words = []
+    popcount = greedy_module.popcount_words
+
+    def counting(array):
+        words.append(array.size)
+        return popcount(array)
+
+    build = greedy_module._CombinationGrid.__init__
+
+    def built(self, *args):
+        build(self, *args)
+        words.clear()
+
+    monkeypatch.setattr(greedy_module, "popcount_words", counting)
+    monkeypatch.setattr(greedy_module._CombinationGrid, "__init__", built)
+    plan = greedy_cover(targets, space)
+    assert plan.nodes_visited == 10**6  # the grid's cells: it was built
+    assert plan.iterations > 1 and not plan.unhittable
+    assert sum(words) < 10**6
+    monkeypatch.setattr(greedy_module, "_GRID_BYTES", 0)
+    assert greedy_cover(targets, space).combinations == plan.combinations
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_plans_alike_one_word_row_per_pass(monkeypatch, seed):
+    """With one word row per pass, the build, the picks and the in-place
+    column drops each run over many blocks; the plan stays Algorithm 4's."""
+    space = PatternSpace([3, 3, 3, 3, 2])
+    rng = np.random.default_rng(seed + 700)
+    targets = sorted({space.random_pattern(rng, int(rng.integers(2, 5))) for _ in range(150)})
+    plans = []
+    for grid_bytes in (greedy_module._GRID_BYTES, 0):
+        monkeypatch.setattr(greedy_module, "_GRID_BYTES", grid_bytes)
+        monkeypatch.setattr(greedy_module, "_PASS_BYTES", 8)
+        plan = greedy_cover(targets, space)
+        plans.append((plan.combinations, plan.generalized, plan.unhittable))
+    assert plans[0] == plans[1]
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("level", [1, 2])
     def test_enhancement_reaches_target_level(self, level):

@@ -163,6 +163,37 @@ class TestBoundary:
                 [example2_space.root(), bad], example2_space, 3, limit=1
             )
 
+    @pytest.mark.parametrize(
+        "mups,message",
+        [
+            (["1X0", "X3X", "1X"], "pattern X3X has value 3 at attribute 1 with cardinality 3"),
+            (["0X0", "1X", "X3X"], "pattern 1X has length 2, expected 3"),
+            (["X15", "0X1X"], "pattern X15 has value 5 at attribute 2 with cardinality 2"),
+            (["0X0", "0X1X"], "pattern 0X1X has length 4, expected 3"),
+            (
+                [(0, X, 0), (1, 2**70, X)],
+                f"pattern {Pattern((1, 2**70, X))} has value {2**70} "
+                "at attribute 1 with cardinality 3",
+            ),
+        ],
+        ids=["value", "length-before-value", "value-before-length", "long", "past-int64"],
+    )
+    def test_the_first_bad_mup_is_named(self, mups, message):
+        space = PatternSpace((2, 3, 2))
+        patterns = (
+            Pattern.from_string(mup) if isinstance(mup, str) else Pattern(mup)
+            for mup in mups
+        )
+        with pytest.raises(PatternError) as raised:
+            uncovered_at_level(patterns, space, 1)
+        assert str(raised.value) == message
+
+    def test_mups_may_come_from_a_generator(self, example2_space, example2_mups):
+        expected = uncovered_at_level(example2_mups, example2_space, 3)
+        assert uncovered_at_level(
+            (mup for mup in example2_mups), example2_space, 3
+        ) == expected == reference_targets(example2_mups, example2_space, 3)
+
 
 class TestAgainstReference:
     def test_wide_space_with_object_codes(self):
