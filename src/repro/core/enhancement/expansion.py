@@ -8,12 +8,14 @@ covers every pattern at level ≤ λ as well.
 
 The expansion is a level walk over :class:`~repro.core.lattice.PatternLattice`
 codes (:func:`walk_descendants`): level ``k + 1`` is every child of level
-``k`` plus the MUPs at level ``k + 1``, deduplicated by ``np.unique``, so
-each level holds exactly the MUPs' descendants at that level.  The MUPs
-are checked and encoded from one element matrix
-(:func:`validated_elements`, which GREEDY builds for its targets too), and
-only the last level is decoded into :class:`~repro.core.pattern.Pattern`
-objects.
+``k`` plus the MUPs at level ``k + 1``, deduplicated by one sort and an
+adjacent-difference mask, so each level holds exactly the MUPs' descendants
+at that level.  The MUPs are checked and encoded from one element matrix
+(:func:`validated_elements`, which GREEDY builds for targets given as
+patterns), and the last level is returned as its codes, a
+:class:`~repro.core.lattice.PatternCodes`: GREEDY reads their digits and
+decodes only the targets it cannot hit, and any other reader decodes them
+into :class:`~repro.core.pattern.Pattern` objects on first read.
 :meth:`PatternSpace.descendants_at_level
 <repro.core.pattern_graph.PatternSpace.descendants_at_level>` is the
 pattern-level reference.
@@ -24,11 +26,11 @@ from __future__ import annotations
 import math
 import numbers
 from itertools import chain
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.lattice import PatternLattice
+from repro.core.lattice import PatternCodes, PatternLattice
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.exceptions import EnhancementError
@@ -39,7 +41,7 @@ def uncovered_at_level(
     space: PatternSpace,
     level: int,
     limit: Optional[int] = None,
-) -> List[Pattern]:
+) -> PatternCodes:
     """The set of uncovered patterns at exactly ``level`` (the paper's M_λ).
 
     Every uncovered pattern at ``level`` is a descendant of (or is) some MUP
@@ -56,7 +58,8 @@ def uncovered_at_level(
             distinct targets raise :class:`EnhancementError`.
 
     Returns:
-        Sorted list of target patterns (deduplicated).
+        The target patterns, sorted and deduplicated, as the codes of
+        ``space``'s lattice (decoded on first read).
     """
     level = _integer("level", level)
     if not 0 <= level <= space.d:
@@ -77,7 +80,7 @@ def uncovered_at_level(
                 f"more than {limit} targets at level {level}; "
                 f"raise the limit or lower λ"
             )
-    return lattice.decode(targets)
+    return PatternCodes(lattice, targets)
 
 
 def validated_elements(patterns: Sequence[Pattern], space: PatternSpace) -> np.ndarray:
@@ -132,7 +135,11 @@ def walk_descendants(
         level = np.concatenate([lattice.children(level), codes[depth == k]])
         if keep is not None:
             level = level[keep(level)]
-        level = np.unique(level)
+        # np.unique's hash path for int64 is several times slower than a
+        # sort; this is its sorted output, for int64 and object codes alike.
+        level = np.sort(level)
+        if len(level) > 1:
+            level = level[np.r_[True, level[1:] != level[:-1]]]
         yield k, level
 
 

@@ -12,6 +12,15 @@ before generating each child.  The index is one ``uint64`` word matrix per
 attribute, a row per value and a bit per target, so a tree node ANDs its
 mask into the matrix and popcounts all its children in one pass.
 
+The index is built from the targets' ``(m, d)`` lattice digit matrix (0
+for ``X``, ``v + 1`` for ``v``).  Targets that come as the
+:class:`~repro.core.lattice.PatternCodes` of the space's own lattice, as
+:func:`~repro.core.enhancement.expansion.uncovered_at_level` returns them,
+give their digits directly and are never decoded, except the unhittable
+ones; any other sequence of patterns is validated and converted.  Beside
+the index sits one ``(d, ⌈m/64⌉)`` word matrix of the targets that fix
+each attribute, so generalizing a pick is one AND with its hit words.
+
 When the universe is small, GREEDY picks from the combination grid
 instead: a word-major ``(⌈m/64⌉, Π c_i)`` ``uint64`` matrix holding each
 combination's hit mask over the targets, ANDed from the index one
@@ -62,6 +71,7 @@ from repro._util import Stopwatch, product_int
 from repro.core.engine import EngineSpec, engine_name
 from repro.core.enhancement.expansion import uncovered_at_level, validated_elements
 from repro.core.enhancement.oracle import ValidationOracle
+from repro.core.lattice import PatternCodes
 from repro.core.mups.base import check_threshold
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
@@ -155,18 +165,18 @@ def _set_bits(words: np.ndarray, m: int) -> np.ndarray:
     )
 
 
-def _target_index(elements: np.ndarray, space: PatternSpace) -> List[np.ndarray]:
+def _target_index(digits: np.ndarray, space: PatternSpace) -> List[np.ndarray]:
     """Inverted indices from attribute values to target patterns (§IV-B).
 
     Attribute ``i`` gets a ``(c_i, ⌈m/64⌉)`` ``uint64`` matrix over the
-    ``m`` targets (rows of ``elements``), the word layout of the packed
-    engine: bit ``j`` of row ``v`` is set iff target ``j`` can still be hit
-    after fixing attribute ``i`` to ``v`` (its element there is ``v`` or
-    ``X``).
+    ``m`` targets (rows of the lattice digit matrix ``digits``), the word
+    layout of the packed engine: bit ``j`` of row ``v`` is set iff target
+    ``j`` can still be hit after fixing attribute ``i`` to ``v`` (its
+    element there is ``v`` or ``X``, digit ``v + 1`` or 0).
     """
     return [
-        _pack((column == X) | (column == np.arange(cardinality)[:, np.newaxis]))
-        for column, cardinality in zip(elements.T, space.cardinalities)
+        _pack((column == 0) | (column == np.arange(1, cardinality + 1)[:, np.newaxis]))
+        for column, cardinality in zip(digits.T, space.cardinalities)
     ]
 
 
@@ -276,7 +286,7 @@ class _CombinationGrid:
                 break
             stride //= cardinality
             values = cells // stride % cardinality
-            children = np.unique(values)
+            children = np.flatnonzero(np.bincount(values, minlength=cardinality))
             counts = popcount_words(rows[children] & mask).sum(axis=1)
             # argmax takes the first highest count: the lowest value.
             value = children[np.argmax(counts)]
@@ -345,7 +355,10 @@ def greedy_cover(
 
     Args:
         targets: uncovered patterns to hit (e.g. from
-            :func:`~repro.core.enhancement.expansion.uncovered_at_level`).
+            :func:`~repro.core.enhancement.expansion.uncovered_at_level`,
+            whose codes are read without decoding when their lattice's
+            cardinalities are ``space``'s; any other sequence is validated
+            against ``space`` first).
         space: the pattern space.
         validation: the human-configured validation oracle; defaults to
             permissive.  A rule on an attribute the space lacks raises
@@ -361,12 +374,23 @@ def greedy_cover(
     """
     validation = validation or ValidationOracle.permissive()
     watch = Stopwatch()
-    targets = list(targets)
-    elements = validated_elements(targets, space)
+    coded = (
+        isinstance(targets, PatternCodes)
+        and targets.lattice.cardinalities == space.cardinalities
+    )
+    if coded:
+        # Codes of this space's lattice: in range by construction.
+        digits = targets.digits()
+    else:
+        targets = list(targets)
+        digits = validated_elements(targets, space) + 1
     validation.check_space(space)
     _check_engine_spec(engine)
-    m = len(targets)
-    index = _target_index(elements, space)
+    m = len(digits)
+    index = _target_index(digits, space)
+    # fixed[i]: the targets with a value (not X) at attribute i.
+    fixed = _pack((digits != 0).T)
+    del digits
     remaining = _pack(np.ones((1, m), dtype=bool))[0]
     grid = None
     if m and space.combination_count() * (len(remaining) + 4) * 8 <= _GRID_BYTES:
@@ -387,12 +411,16 @@ def greedy_cover(
         # Generalize (§IV-B implementation note): keep the combination's
         # value only where some hit target pins it; if every hit target has
         # X on an attribute, any value there hits the same set.
-        pinned = (elements[_set_bits(hits, m)] != X).any(axis=0)
+        pinned = (fixed & hits).any(axis=1)
         combos.append(best_combo)
         generalized.append(Pattern(np.where(pinned, best_combo, X).tolist()))
         remaining &= ~hits
 
-    unhittable = tuple(targets[j] for j in _set_bits(remaining, m))
+    unhit = _set_bits(remaining, m)
+    if coded:
+        unhittable = tuple(targets.lattice.decode(targets.codes[unhit]))
+    else:
+        unhittable = tuple(targets[j] for j in unhit)
     return EnhancementResult(
         combinations=tuple(combos),
         generalized=tuple(generalized),

@@ -8,12 +8,12 @@ the target set is enumerated, which is what this module does.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.enhancement.expansion import walk_descendants
-from repro.core.lattice import PatternLattice
+from repro.core.lattice import PatternCodes, PatternLattice
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.exceptions import EnhancementError
@@ -23,7 +23,7 @@ def targets_by_value_count(
     mups: Iterable[Pattern],
     space: PatternSpace,
     min_value_count: int,
-) -> List[Pattern]:
+) -> PatternCodes:
     """Enumerate uncovered patterns with value count ≥ ``min_value_count``.
 
     The uncovered patterns are exactly the patterns covered by some MUP
@@ -31,7 +31,8 @@ def targets_by_value_count(
     value count, so the enumeration walks the MUPs' descendants level by
     level (:func:`~repro.core.enhancement.expansion.walk_descendants`) and
     drops every pattern whose count falls below the bound, with all of its
-    descendants.  Returns the targets sorted.
+    descendants.  Returns the targets sorted, as lattice codes
+    (:class:`~repro.core.lattice.PatternCodes`, decoded on first read).
     """
     if min_value_count < 1:
         raise EnhancementError(
@@ -47,4 +48,7 @@ def targets_by_value_count(
         return np.where(free, cardinalities, 1).prod(axis=1) >= min_value_count
 
     levels = walk_descendants(lattice, lattice.encode(mups), space.d, keep)
-    return lattice.decode(np.sort(np.concatenate([codes for _, codes in levels])))
+    # Levels share no code, so the sorted union has no repeats.
+    return PatternCodes(
+        lattice, np.sort(np.concatenate([codes for _, codes in levels]))
+    )

@@ -47,9 +47,10 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import SearchStats, Stopwatch, product_int
-from repro.core.pattern import Pattern
+from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, combination_index
+from repro.exceptions import PatternError
 
 #: Spaces with at least this many nodes code patterns as Python ints.
 _INT64_NODES = 2**63
@@ -263,6 +264,103 @@ class PatternLattice:
             rows = np.flatnonzero((digits[:, pivot] == 1) & (last_x < pivot))
             if len(rows):
                 yield pivot, rows, codes[rows] - self.weights[pivot]
+
+
+class PatternCodes(Sequence[Pattern]):
+    """The sorted pattern list of ascending, unique codes of one lattice.
+
+    An immutable sequence that reads like the sorted ``List[Pattern]`` it
+    stands for: ``len``, iteration, int and slice indexing (a slice is a
+    list), membership, and ``==`` against lists.  Two ``PatternCodes`` are
+    equal when their patterns are, whatever the cardinalities of their
+    lattices; a tuple is never equal to one, as it is never equal to a
+    list.  Unhashable, like a list.
+
+    The codes are checked once, in numpy: ascending, unique and within
+    the lattice.  The patterns are decoded on first read and kept.
+    Consumers that work on codes read :attr:`codes` or :meth:`digits`
+    instead and decode nothing.
+    """
+
+    __slots__ = ("_lattice", "_codes", "_patterns")
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, lattice: PatternLattice, codes: np.ndarray) -> None:
+        codes = np.asarray(codes)
+        if codes.ndim != 1:
+            raise PatternError(f"pattern codes must be 1-D, got shape {codes.shape}")
+        if codes.dtype != lattice.dtype:
+            if len(codes) and codes.dtype.kind not in "iu":
+                raise PatternError(f"pattern codes must be integers, got {codes.dtype}")
+            codes = codes.astype(lattice.dtype)
+        if len(codes):
+            if not (codes[1:] > codes[:-1]).all():
+                raise PatternError("pattern codes must be ascending and unique")
+            size = product_int(c + 1 for c in lattice.cardinalities)
+            if codes[0] < 0 or codes[-1] >= size:
+                raise PatternError(f"pattern codes must lie in [0, {size})")
+        codes = codes.view()
+        codes.flags.writeable = False
+        self._lattice = lattice
+        self._codes = codes
+        self._patterns: Optional[List[Pattern]] = None
+
+    @property
+    def lattice(self) -> PatternLattice:
+        return self._lattice
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The ascending codes, a read-only array of the lattice's dtype."""
+        return self._codes
+
+    def digits(self) -> np.ndarray:
+        """The ``(m, d)`` digit matrix of the codes (:meth:`PatternLattice.digits`)."""
+        return self._lattice.digits(self._codes)
+
+    def _decoded(self) -> List[Pattern]:
+        if self._patterns is None:
+            self._patterns = self._lattice.decode(self._codes)
+        return self._patterns
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __iter__(self) -> Iterator[Pattern]:
+        return iter(self._decoded())
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __contains__(self, pattern: object) -> bool:
+        if not isinstance(pattern, Pattern) or len(pattern) != self._lattice.d:
+            return False
+        code = 0
+        for value, cardinality, weight in zip(
+            pattern, self._lattice.cardinalities, self._lattice.weights
+        ):
+            if not X <= value < cardinality:
+                return False
+            code += (value + 1) * weight
+        position = int(np.searchsorted(self._codes, code))
+        return position < len(self._codes) and bool(self._codes[position] == code)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PatternCodes):
+            if len(self) != len(other):
+                return False
+            if self._lattice.cardinalities == other._lattice.cardinalities:
+                return np.array_equal(self._codes, other._codes)
+            # Digits, not codes: over other cardinalities a pattern has
+            # another code.
+            return not len(self) or np.array_equal(self.digits(), other.digits())
+        if isinstance(other, list):
+            return self._decoded() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PatternCodes({self._decoded()!r})"
 
 
 def index_of(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:

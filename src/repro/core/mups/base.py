@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -34,7 +35,10 @@ class MupResult:
     max_level: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mups", tuple(sorted(self.mups)))
+        # Sorting by the value tuples compares in C, not through
+        # Pattern.__lt__; the order is the same.
+        mups = sorted(self.mups, key=operator.attrgetter("_values"))
+        object.__setattr__(self, "mups", tuple(mups))
         # Membership is queried in inner loops (incremental maintenance,
         # cross-checks); cache the set once instead of per __contains__.
         object.__setattr__(self, "_mup_set", frozenset(self.mups))

@@ -289,9 +289,12 @@ class Dataset:
         Returns ``(unique (u, d) array, counts (u,) array)``, rows in
         lexicographic order; cached.
 
-        Each row is keyed by its :func:`combination_index`, so one 1-D
-        ``np.unique`` over ``int64`` keys does the work; grids of ``2**63``
-        cells or more fall back to a 2-D ``np.unique`` over the rows.
+        Each row is keyed by its :func:`combination_index` and the keys
+        are grouped by one ``argsort`` (numpy's default quicksort, several
+        times faster on ``int64`` than the stable sort ``np.unique`` takes
+        to report first occurrences): rows with equal keys are equal, so
+        any member of a run stands for it.  Grids of ``2**63`` cells or
+        more fall back to a 2-D ``np.unique`` over the rows.
         """
         if self._unique_cache is None:
             if self.n == 0:
@@ -300,12 +303,12 @@ class Dataset:
                     np.zeros(0, dtype=np.int64),
                 )
             elif self._schema.combination_count() < _INT64_COMBINATIONS:
-                _, first, counts = np.unique(
-                    combination_index(self._rows, self.cardinalities),
-                    return_index=True,
-                    return_counts=True,
-                )
-                self._unique_cache = (self._rows[first], counts.astype(np.int64))
+                keys = combination_index(self._rows, self.cardinalities)
+                order = np.argsort(keys)
+                keys = keys[order]
+                starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+                counts = np.diff(np.r_[starts, len(keys)]).astype(np.int64)
+                self._unique_cache = (self._rows[order[starts]], counts)
             else:
                 unique, counts = np.unique(
                     self._rows, axis=0, return_counts=True

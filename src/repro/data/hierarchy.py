@@ -221,8 +221,9 @@ def rollup(dataset: Dataset, hierarchies: Iterable[AttributeHierarchy]) -> Rollu
         # (u ≪ n) through the group maps and re-aggregate those instead of
         # re-sorting all n rows — engine builds over the rolled dataset
         # then skip their full unique pass.  As in ``unique_rows``, each row
-        # is keyed by its combination index (a 1-D ``np.unique``), with the
-        # 2-D unique as the fallback for grids of 2**63 cells or more.
+        # is keyed by its combination index, here grouped by a 1-D
+        # ``np.unique`` that also returns the inverse, with the 2-D unique
+        # as the fallback for grids of 2**63 cells or more.
         base_unique, base_counts = dataset.unique_rows()
         mapped = base_unique.copy()
         for index, hierarchy in by_index.items():

@@ -12,6 +12,7 @@ from repro.core.enhancement.greedy import enhance_coverage, greedy_cover
 from repro.core.enhancement.hitting_set import naive_greedy_cover
 from repro.core.enhancement.oracle import ValidationOracle, ValidationRule
 from repro.core.enhancement.value_count import targets_by_value_count
+from repro.core.lattice import PatternCodes, PatternLattice
 from repro.core.mups import deepdiver
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
@@ -176,6 +177,65 @@ def test_grid_and_algorithm4_plan_alike(case):
 def test_grid_and_algorithm4_plan_alike_deep(case):
     """Slow-job profile: a deeper randomized sweep over the same inputs."""
     _plans_on_both_paths(case)
+
+
+def _plan_fields(plan):
+    return (
+        plan.combinations,
+        plan.generalized,
+        plan.unhittable,
+        plan.iterations,
+        plan.targets,
+        plan.nodes_visited,
+    )
+
+
+_SOME_UNHITTABLE = (
+    PatternSpace((2, 3)),
+    [Pattern.of(0, X), Pattern.of(X, 2), Pattern.of(1, 1)],
+    [ValidationRule({1: [2]})],
+)
+
+
+@given(greedy_inputs())
+@example(_NO_TARGETS)
+@example(_ALL_UNHITTABLE)
+@example(_SOME_UNHITTABLE)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_coded_targets_plan_like_their_list(case):
+    """GREEDY plans alike from the targets' codes, from their decoded list
+    and from their codes over a lattice with other cardinalities (which
+    take the validating path), on both search paths.  The codes of the
+    space's own lattice are never decoded, except the unhittable ones."""
+    space, targets, rules = case
+    lattice = PatternLattice(space)
+    codes = np.unique(lattice.encode(targets))
+    decoded = lattice.decode(codes)
+    wider = PatternLattice(PatternSpace([c + 1 for c in space.cardinalities]))
+    counted = []
+    decode = PatternLattice.decode
+
+    def spy(self, codes):
+        counted.append(len(codes))
+        return decode(self, codes)
+
+    for path in ("algorithm4", "grid"):
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "algorithm4":
+                patch.setattr(greedy_module, "_GRID_BYTES", 0)
+            patch.setattr(PatternLattice, "decode", spy)
+            counted.clear()
+            coded = greedy_cover(
+                PatternCodes(lattice, codes), space, ValidationOracle(rules)
+            )
+            assert sum(counted) == len(coded.unhittable)
+            listed = greedy_cover(decoded, space, ValidationOracle(rules))
+            other = greedy_cover(
+                PatternCodes(wider, wider.encode(decoded)),
+                space,
+                ValidationOracle(rules),
+            )
+        assert _plan_fields(coded) == _plan_fields(listed) == _plan_fields(other)
 
 
 @st.composite

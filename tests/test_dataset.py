@@ -226,9 +226,31 @@ def assert_same_aggregation(dataset):
 
 
 class TestUniqueRows:
-    """Rows are keyed by their combination index and aggregated by a 1-D
-    ``np.unique``: the rows, counts and their lexicographic order must be
-    the 2-D ``np.unique``'s."""
+    """Rows are keyed by their combination index and grouped by one
+    ``argsort`` of the keys: the rows, counts and their lexicographic order
+    must be the 2-D ``np.unique``'s."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5_000])
+    def test_matches_the_keyed_unique(self, n):
+        """Bit-identical to a 1-D ``np.unique`` of the keys that returns
+        first occurrences and counts, on duplicate-heavy rows: 5,000 rows,
+        skewed, over 24 combinations."""
+        cards = [3, 1, 4, 2]
+        rng = np.random.default_rng(n)
+        rows = np.column_stack(
+            [rng.integers(0, c, size=n) ** 2 % c for c in cards]
+        ).astype(np.int32)
+        dataset = Dataset(Schema.of([f"A{i}" for i in range(4)], cards), rows)
+        unique, counts = dataset.unique_rows()
+        _, first, expected = np.unique(
+            dataset_module.combination_index(rows, cards),
+            return_index=True,
+            return_counts=True,
+        )
+        assert unique.dtype == rows.dtype and counts.dtype == np.int64
+        assert np.array_equal(unique, rows[first])
+        assert np.array_equal(counts, expected)
+        assert counts.sum() == n
 
     @given(rows_and_cardinalities())
     @example((np.zeros((0, 3), np.int32), [2, 3, 1]))  # empty

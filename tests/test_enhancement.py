@@ -10,6 +10,7 @@ from repro.core.enhancement.greedy import enhance_coverage, greedy_cover
 from repro.core.enhancement.hitting_set import naive_greedy_cover
 from repro.core.enhancement.oracle import ValidationOracle, ValidationRule
 from repro.core.enhancement.value_count import targets_by_value_count
+from repro.core.lattice import PatternCodes, PatternLattice
 from repro.core.mups import deepdiver
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
@@ -344,6 +345,31 @@ class TestTargetErrors:
         with pytest.raises(PatternError) as raised:
             greedy_cover(patterns, self.SPACE)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "cardinalities,targets,message",
+        [
+            ((2, 4, 2), ["1X0", "X3X"], CASES["value"][1]),
+            ((3, 3, 2), ["0X1", "2XX"], CASES["value-first-attribute"][1]),
+            ((2, 10, 6), ["0X0", "X15", "X9X"], CASES["value-before-length"][1]),
+            ((2, 3), ["1X", "X2"], "pattern X2 has length 2, expected 3"),
+            ((2, 3, 2, 2), ["0X1X"], CASES["long"][1]),
+        ],
+        ids=["value", "value-first-attribute", "first-of-two", "short", "long"],
+    )
+    def test_coded_targets_of_another_space_are_named(
+        self, search_path, cardinalities, targets, message
+    ):
+        # Codes of a lattice with other cardinalities take the validating
+        # path: the error names the first bad target in code order, as it
+        # does for the decoded list.
+        lattice = PatternLattice(PatternSpace(cardinalities))
+        patterns = sorted(Pattern.from_string(text) for text in targets)
+        coded = PatternCodes(lattice, lattice.encode(patterns))
+        for given in (list(coded), coded):
+            with pytest.raises(PatternError) as raised:
+                greedy_cover(given, self.SPACE)
+            assert str(raised.value) == message
 
 
 class TestRulesOutsideTheSpace:

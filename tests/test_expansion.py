@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.coverage import CoverageOracle
-from repro.core.enhancement.expansion import uncovered_at_level
-from repro.core.lattice import PatternLattice
+from repro.core.enhancement.expansion import uncovered_at_level, walk_descendants
+from repro.core.enhancement.greedy import greedy_cover
+from repro.core.lattice import PatternCodes, PatternLattice
 from repro.core.mups import deepdiver
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
@@ -221,3 +222,46 @@ class TestAgainstReference:
         targets = uncovered_at_level(mups, space, 6)
         assert len(targets) == 12_234
         assert targets == reference_targets(mups, space, 6)
+
+    def test_remedy_leg_decodes_no_target(self, monkeypatch):
+        # The expansion hands GREEDY its targets as codes, and GREEDY reads
+        # their digits: no code reaches PatternLattice.decode, where
+        # decoding the targets once took 12,234 through it.
+        dataset = load_airbnb(n=30_000, d=10, seed=11)
+        space = PatternSpace.for_dataset(dataset)
+        mups = deepdiver(dataset, 900, max_level=6).mups
+        decoded = []
+        decode = PatternLattice.decode
+
+        def spy(lattice, codes):
+            decoded.append(len(codes))
+            return decode(lattice, codes)
+
+        monkeypatch.setattr(PatternLattice, "decode", spy)
+        targets = uncovered_at_level(mups, space, 6)
+        plan = greedy_cover(targets, space)
+        assert isinstance(targets, PatternCodes)
+        assert (plan.targets, len(plan.combinations), plan.unhittable) == (
+            12_234, 156, ()
+        )
+        assert sum(decoded) == 0
+
+
+@pytest.mark.parametrize("cards", [(2, 3, 2, 1, 3), (2,) * 45], ids=["int64", "object"])
+def test_walk_levels_are_the_unique_children_and_codes(cards):
+    # Each level is np.unique of the level above's children plus the codes
+    # at its level, in the lattice's dtype (Python ints past 2**63 nodes).
+    space = PatternSpace(cards)
+    lattice = PatternLattice(space)
+    rng = np.random.default_rng(9)
+    patterns = [space.random_pattern(rng, level) for level in (1, 1, 2, 2, 3)]
+    patterns += patterns[:2]
+    codes = lattice.encode(patterns)
+    depth = np.array([pattern.level for pattern in patterns])
+    above = codes[:0]
+    for k, level in walk_descendants(lattice, codes, 3):
+        expected = np.unique(np.concatenate([lattice.children(above), codes[depth == k]]))
+        assert level.dtype == lattice.dtype
+        assert level.tolist() == expected.tolist()
+        above = level
+    assert k == 3 and len(level)

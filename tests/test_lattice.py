@@ -23,6 +23,7 @@ from repro.core.coverage import CoverageOracle, coverage_scan
 from repro.core.lattice import (
     UNBOUNDED,
     GroupCounter,
+    PatternCodes,
     PatternLattice,
     cube_fits,
     index_of,
@@ -34,6 +35,7 @@ from repro.core.pattern import X, Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import random_categorical_dataset
+from repro.exceptions import PatternError
 from walk_paths import by_code, on_both_walks
 
 #: The module, not the function ``repro.core.mups`` re-exports under its name.
@@ -135,6 +137,147 @@ class TestCodes:
         queries = np.array([[9, 1], [5, 10]], dtype=np.int64)
         assert index_of(sorted_codes, queries).tolist() == [[2, -1], [1, -1]]
         assert (index_of(sorted_codes[:0], queries) == -1).all()
+
+
+# ----------------------------------------------------------------------
+# PatternCodes: a sorted pattern list held as codes
+# ----------------------------------------------------------------------
+class TestPatternCodes:
+    CARDS = (3, 2, 4, 2)
+
+    def sample(self, count=40, seed=1):
+        space = PatternSpace(self.CARDS)
+        lattice = PatternLattice(space)
+        rng = np.random.default_rng(seed)
+        codes = np.unique(rng.integers(0, space.node_count(), size=count))
+        return PatternCodes(lattice, codes), lattice.decode(codes)
+
+    def test_reads_like_the_sorted_list(self):
+        coded, expected = self.sample()
+        assert expected == sorted(expected) and len(coded) == len(expected) > 20
+        assert list(coded) == expected
+        assert list(reversed(coded)) == expected[::-1]
+        for index in range(-len(expected), len(expected)):
+            assert coded[index] == expected[index]
+        assert coded[np.int64(3)] == expected[3]
+        for cut in (slice(1, 5), slice(None, None, -1), slice(-3, None),
+                    slice(None, None, 2), slice(5, 1), slice(-100, 100)):
+            assert coded[cut] == expected[cut]
+            assert type(coded[cut]) is list
+        for index in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                coded[index]
+        assert coded.index(expected[7]) == 7 and coded.count(expected[7]) == 1
+
+    def test_membership(self):
+        coded, expected = self.sample()
+        space = PatternSpace(self.CARDS)
+        for pattern in space.all_patterns():
+            assert (pattern in coded) == (pattern in expected)
+        # Out of range, too short, too long, and not a pattern.
+        for other in (Pattern.of(3, X, X, X), Pattern.of(X, 2, X, X),
+                      Pattern.of(0, 0, 0), Pattern.of(0, 0, 0, 0, 0),
+                      expected[0].values, str(expected[0])):
+            assert other not in coded and other not in expected
+
+    def test_equality_with_lists_and_tuples(self):
+        coded, expected = self.sample()
+        assert coded == expected and expected == coded
+        assert not coded != expected and not expected != coded
+        shorter = expected[:-1]
+        assert coded != shorter and shorter != coded
+        assert not coded == shorter
+        changed = expected[:-1] + [expected[0]]
+        assert coded != changed and changed != coded
+        # A tuple is never equal to a list, so never to PatternCodes.
+        assert coded != tuple(expected) and tuple(expected) != coded
+        empty = PatternCodes(coded.lattice, np.zeros(0, dtype=np.int64))
+        assert empty == [] and [] == empty and empty != ()
+
+    def test_unhashable(self):
+        coded, _ = self.sample()
+        with pytest.raises(TypeError):
+            hash(coded)
+        with pytest.raises(TypeError):
+            {coded}
+
+    def test_equality_across_cardinalities(self):
+        # The same patterns have other codes over other cardinalities.
+        coded, expected = self.sample()
+        wider = PatternLattice(PatternSpace((4, 2, 5, 3)))
+        other = PatternCodes(wider, wider.encode(expected))
+        assert not np.array_equal(other.codes, coded.codes)
+        assert coded == other and other == coded
+        changed = PatternCodes(wider, wider.encode(expected[:-1] + [Pattern.of(3, X, X, X)]))
+        assert coded != changed and changed != coded
+        # Other lengths: unequal, unless both are empty (as lists are).
+        longer = PatternLattice(PatternSpace(self.CARDS + (1,)))
+        assert coded != PatternCodes(longer, longer.encode(
+            Pattern(p.values + (X,)) for p in expected
+        ))
+        assert PatternCodes(longer, []) == PatternCodes(coded.lattice, [])
+        assert PatternCodes(longer, []) != coded
+
+    def test_decodes_once_on_first_read(self, monkeypatch):
+        decoded = []
+        decode = PatternLattice.decode
+
+        def spy(lattice, codes):
+            decoded.append(len(codes))
+            return decode(lattice, codes)
+
+        monkeypatch.setattr(PatternLattice, "decode", spy)
+        coded, _ = self.sample()
+        decoded.clear()
+        assert len(coded) and coded.digits().shape == (len(coded), 4)
+        assert coded.codes.tolist() == sorted(set(coded.codes.tolist()))
+        assert coded[0] in coded and decoded == [len(coded)]
+        assert coded == list(coded) and coded[1:3] == list(coded)[1:3]
+        assert repr(coded).startswith("PatternCodes([Pattern(")
+        assert decoded == [len(coded)]
+
+    def test_codes_are_read_only(self):
+        lattice = PatternLattice(PatternSpace(self.CARDS))
+        codes = np.array([1, 4, 9], dtype=np.int64)
+        coded = PatternCodes(lattice, codes)
+        with pytest.raises(ValueError):
+            coded.codes[0] = 2
+        codes[0] = 0  # the caller's array stays writeable
+        assert coded.codes.tolist() == [0, 4, 9]
+        with pytest.raises(AttributeError):
+            coded.other = 1
+
+    @pytest.mark.parametrize(
+        "codes",
+        [[3, 2], [1, 1], [0, 4, 4, 7], [-1, 2], [0, 180], [[1, 2]], [0.0, 1.5]],
+        ids=["unsorted", "duplicate", "duplicate-inside", "negative",
+             "past-the-space", "2-d", "floats"],
+    )
+    def test_construction_rejects_bad_codes(self, codes):
+        # (3, 2, 4, 2) has 4 * 3 * 5 * 3 = 180 patterns: codes 0..179.
+        lattice = PatternLattice(PatternSpace(self.CARDS))
+        with pytest.raises(PatternError):
+            PatternCodes(lattice, np.array(codes))
+        PatternCodes(lattice, np.array([0, 179]))
+
+    def test_object_codes(self):
+        # 45 binary attributes: codes are Python ints in an object array.
+        space = PatternSpace((2,) * 45)
+        lattice = PatternLattice(space)
+        rng = np.random.default_rng(4)
+        patterns = sorted({space.random_pattern(rng) for _ in range(30)})
+        codes = lattice.encode(patterns)
+        assert codes.dtype == object and codes[-1] > 2**63
+        coded = PatternCodes(lattice, codes)
+        assert coded == patterns and patterns[-1] in coded
+        assert Pattern.of(*([X] * 44 + [2])) not in coded
+        assert np.array_equal(coded.digits(), lattice.digits(codes))
+        wider = PatternLattice(PatternSpace((3,) * 45))
+        assert coded == PatternCodes(wider, wider.encode(patterns))
+        with pytest.raises(PatternError):
+            PatternCodes(lattice, codes[::-1])
+        with pytest.raises(PatternError):
+            PatternCodes(lattice, np.array([0, 3**45], dtype=object))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,8 @@ from repro.core.mups import (
     pattern_breaker,
     pattern_combiner,
 )
-from repro.core.mups.base import resolve_threshold
+from repro._util import SearchStats
+from repro.core.mups.base import MupResult, resolve_threshold
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
@@ -227,6 +228,18 @@ class TestResultType:
         result = find_mups(example1_dataset, threshold=2, algorithm="naive")
         assert list(result.mups) == sorted(result.mups)
         assert len(list(iter(result))) == len(result)
+
+    def test_unsorted_input_with_duplicates_sorts_like_sorted(self):
+        # Sorted by the value tuples: Pattern.__lt__'s order, and every
+        # duplicate kept.
+        space = PatternSpace((3, 2, 4))
+        rng = np.random.default_rng(17)
+        patterns = [space.random_pattern(rng) for _ in range(60)]
+        patterns += patterns[::3]
+        rng.shuffle(patterns)
+        result = MupResult(mups=tuple(patterns), threshold=1, stats=SearchStats())
+        assert result.mups == tuple(sorted(patterns))
+        assert len(result) == 80 > len(result.as_set())
 
     def test_level_histogram(self):
         dataset = random_categorical_dataset(50, (2, 2, 2), seed=4, skew=1.0)
