@@ -40,7 +40,6 @@ import _config as config
 from _harness import emit_bench, random_patterns
 
 from repro.core.coverage import CoverageOracle
-from repro.core.engine import EngineConfig
 from repro.data.dataset import Dataset
 from repro.data.synthetic import random_categorical_dataset
 from repro.serve import BackgroundServer, CoverageService, ServeConfig
@@ -87,7 +86,7 @@ def _measure_qps(dataset, workload, batch_window_ms):
                 port=0,
                 batch_window_ms=batch_window_ms,
                 result_cache_size=0,
-                engine=EngineConfig(backend="auto", mask_cache_size=0),
+                mask_cache_size=0,
             )
         )
         try:
@@ -120,7 +119,6 @@ def run_qps_leg(dataset, payload):
     workload = [pool[i % N_DISTINCT] for i in range(N_REQUESTS)]
     oracle = CoverageOracle(dataset)
     expected = [oracle.coverage(p) for p in workload]
-    oracle.engine.close()
 
     unbatched_qps, unbatched_counts, _ = _measure_qps(dataset, workload, 0.0)
     batched_qps, batched_counts, batcher = _measure_qps(

@@ -25,15 +25,7 @@ Quickstart::
 
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
-from repro.core.engine import (
-    ENGINES,
-    CoverageEngine,
-    EngineConfig,
-    EnginePlan,
-    PackedBitsetEngine,
-    plan_engine,
-    resolve_engine,
-)
+from repro.core.engine import ENGINES, CoverageEngine
 from repro.core.coverage import CoverageOracle, coverage_scan, max_covered_level
 from repro.core.dominance import MupDominanceIndex
 from repro.core.mups import (
@@ -71,12 +63,7 @@ __all__ = [
     "X",
     "PatternSpace",
     "CoverageEngine",
-    "PackedBitsetEngine",
-    "EngineConfig",
-    "EnginePlan",
-    "plan_engine",
     "ENGINES",
-    "resolve_engine",
     "CoverageOracle",
     "coverage_scan",
     "max_covered_level",

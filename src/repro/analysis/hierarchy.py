@@ -49,8 +49,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import SearchStats, Stopwatch
-from repro.core.coverage import CoverageOracle
-from repro.core.engine import AUTO, EngineSpec
+from repro.core.coverage import CoverageOracle, oracle_for
+from repro.core.engine import EngineSpec, check_engine
 from repro.core.enhancement.hierarchical import GeneralizationRemedy
 from repro.core.lattice import UNBOUNDED, LevelWalk, index_of, walk_dataset
 from repro.core.mups.base import MupResult, resolve_max_level, resolve_threshold
@@ -354,15 +354,16 @@ def find_mups_hierarchical(
         stack: validated hierarchy stack.
         threshold / threshold_rate: exactly one of absolute τ or a rate.
         max_level: optional pattern-level cap applied at every stack level.
-        oracle: optional warm oracle for the base dataset, used by the
+        oracle: optional warm oracle over ``dataset`` itself, used by the
             remedies' point queries.
-        engine: engine spec for the remedies' oracle when none is given
-            (``None`` plans one, like ``"auto"``).
+        engine: engine spec for the remedies' oracle when none is given,
+            checked either way.
         remedies: also compute, per finest-level MUP, its most specific
             covered generalization.
     """
     tau = resolve_threshold(dataset, threshold, threshold_rate)
     max_level = resolve_max_level(max_level)
+    check_engine(engine, dataset)
     watch = Stopwatch()
     # Warm the base aggregation once: every rolled level then derives its
     # unique rows from it (see ``rollup``) instead of re-sorting n rows.
@@ -390,9 +391,7 @@ def find_mups_hierarchical(
     base_mups = levels[-1].result.mups
     remedy_records: Tuple[GeneralizationRemedy, ...] = ()
     if remedies and base_mups:
-        base_oracle = oracle or CoverageOracle(
-            dataset, AUTO if engine is None else engine
-        )
+        base_oracle = oracle_for(dataset, oracle, engine)
         memo: Dict[Tuple[int, ...], int] = {}
         remedy_records = tuple(
             _most_specific_covered(mup, stack, tau, base_oracle, memo)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.engine import EngineSpec
+from repro.core.engine import EngineSpec, check_engine
 from repro.core.mups.base import MupResult, find_mups
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
@@ -80,10 +80,11 @@ def coverage_label(
         headline_limit: how many of the most general MUPs to feature.
         max_level: optionally restrict the search depth (large schemas).
         result: reuse an existing MUP identification result.
-        engine: coverage-engine spec for the identification run (name,
-            ``"auto"``, :class:`~repro.core.engine.EngineConfig`, class,
-            or instance).
+        engine: coverage-engine spec for the identification run, as
+            :func:`~repro.core.mups.base.find_mups` takes it; checked
+            also when ``result`` is given.
     """
+    check_engine(engine, dataset)
     if result is None:
         result = find_mups(
             dataset,

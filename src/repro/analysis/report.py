@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro._util import format_table
-from repro.core.coverage import CoverageOracle
+from repro.core.coverage import CoverageOracle, oracle_for
 from repro.core.engine import EngineSpec
 from repro.core.enhancement.greedy import EnhancementResult
 from repro.core.mups.base import MupResult
@@ -28,9 +28,10 @@ def mup_report(
     """Tabulate a MUP identification result.
 
     Columns: the compact pattern, its level, its actual coverage, and the
-    human-readable description.
+    human-readable description.  ``oracle`` must index ``dataset`` itself;
+    with none, one is built over ``engine``.
     """
-    oracle = oracle or CoverageOracle(dataset, engine=engine)
+    oracle = oracle_for(dataset, oracle, engine)
     ranked = sorted(result.mups, key=lambda p: (p.level, p.values))
     if limit is not None:
         ranked = ranked[:limit]

@@ -82,8 +82,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import SearchStats, Stopwatch
-from repro.core.coverage import CoverageOracle
-from repro.core.engine import EngineSpec
+from repro.core.engine import EngineSpec, check_engine
 from repro.core.lattice import (
     UNBOUNDED,
     CoverageCube,
@@ -418,7 +417,6 @@ def sweep_mups(
     thresholds: Sequence[int],
     attributes: Optional[Sequence[int]] = None,
     max_level: Optional[int] = None,
-    oracle: Optional[CoverageOracle] = None,
     engine: EngineSpec = None,
 ) -> SweepResult:
     """One amortized pass classifying every τ in ``[min, max]`` at once.
@@ -431,9 +429,9 @@ def sweep_mups(
             projected onto these attributes (patterns keep full width,
             with ``X`` on the excluded attributes).
         max_level: only consider patterns at level ≤ this cap.
-        oracle: accepted for interface parity; levels are counted from the
-            aggregated unique rows, not through per-pattern queries.
-        engine: accepted for interface parity, like ``oracle``.
+        engine: checked by :func:`~repro.core.engine.check_engine` and
+            otherwise unused: levels are counted from the aggregated unique
+            rows, not through per-pattern queries.
 
     Returns:
         A :class:`SweepResult` whose ``mups_at(τ)`` is bit-identical to
@@ -442,6 +440,7 @@ def sweep_mups(
     thresholds = _normalize_thresholds(thresholds)
     attrs = _normalize_attributes(attributes, dataset.d)
     max_level = resolve_max_level(max_level)
+    check_engine(engine, dataset)
 
     watch = Stopwatch()
     tau_min, tau_max = thresholds[0], thresholds[-1]
@@ -527,8 +526,6 @@ def threshold_sensitivity(
     thresholds: Sequence[int],
     attributes: Optional[Sequence[int]] = None,
     max_level: Optional[int] = None,
-    oracle: Optional[CoverageOracle] = None,
-    engine: EngineSpec = None,
     bootstrap: int = 0,
     seed: int = 0,
     sweep: Optional[SweepResult] = None,
@@ -540,8 +537,6 @@ def threshold_sensitivity(
         thresholds: queried τ settings.
         attributes: optional attribute-subset projection.
         max_level: optional level cap.
-        oracle: optionally reuse a prebuilt oracle for the base sweep.
-        engine: engine selection when no oracle is given.
         bootstrap: number of bootstrap replicates (0 = skip the
             resampling pass).
         seed: base seed; replicate ``b`` uses the derived stream
@@ -562,8 +557,6 @@ def threshold_sensitivity(
             thresholds,
             attributes=attributes,
             max_level=max_level,
-            oracle=oracle,
-            engine=engine,
         )
     else:
         # The report and its bootstrap replicates must answer one analysis.

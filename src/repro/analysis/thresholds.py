@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.analysis.sweep import sweep_mups
-from repro.core.engine import EngineSpec
 from repro.core.mups.base import ALGORITHMS, check_threshold
 from repro.data.dataset import Dataset
 from repro.exceptions import ReproError
@@ -42,7 +41,6 @@ def threshold_sweep(
     dataset: Dataset,
     thresholds: Sequence[int],
     algorithm: str = "deepdiver",
-    engine: EngineSpec = None,
 ) -> List[ThresholdSweepRow]:
     """MUP counts across a list of thresholds, in one amortized pass.
 
@@ -58,7 +56,7 @@ def threshold_sweep(
         raise ReproError(
             f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
         )
-    sweep = sweep_mups(dataset, taus, engine=engine)
+    sweep = sweep_mups(dataset, taus)
     rows = []
     for tau in taus:
         result = sweep.mups_at(tau)

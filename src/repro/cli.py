@@ -35,14 +35,6 @@ from repro.analysis.sweep import (
     threshold_sensitivity,
 )
 from repro.core.coverage import CoverageOracle
-from repro.core.engine import (
-    AUTO,
-    ENGINES,
-    CoverageEngine,
-    EngineConfig,
-    plan_engine,
-    resolve_engine,
-)
 from repro.core.enhancement.greedy import greedy_cover
 from repro.core.enhancement.expansion import uncovered_at_level
 from repro.core.enhancement.oracle import ValidationOracle, ValidationRule
@@ -151,82 +143,33 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-level", type=int, default=None, help="level cap for the search"
     )
-    _add_engine_options(parser)
-
-
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        default=AUTO,
-        choices=sorted(ENGINES) + [AUTO],
-        help="coverage-engine backend: 'packed' keeps in-memory uint64 "
-        "bitsets with word-level popcount; the default 'auto' plans packed "
-        "and reports the projected index size under --explain-plan",
-    )
-    parser.add_argument(
-        "--explain-plan",
-        action="store_true",
-        help="print the engine plan (chosen backend + rationale) before "
-        "running the command",
-    )
-
-
-def _build_engine(args: argparse.Namespace, dataset: Dataset) -> CoverageEngine:
-    """The engine selected by the CLI flags, built against ``dataset``.
-
-    The flags are lifted into one declarative :class:`EngineConfig`
-    (whose ``validate()`` holds every cross-flag rule — programmatic
-    callers constructing configs get identical errors), planned when the
-    backend is ``auto``, and built.  ``--explain-plan`` prints the plan's
-    rationale before the command runs.
-    """
-    plan = plan_engine(dataset, EngineConfig.from_cli_args(args))
-    if getattr(args, "explain_plan", False):
-        print(plan.describe())
-        print()
-    return resolve_engine(plan.config, dataset)
-
-
-@contextmanager
-def _engine_scope(
-    args: argparse.Namespace, dataset: Dataset
-) -> Iterator[CoverageEngine]:
-    """Build the CLI-selected engine and close it when the command ends."""
-    engine = _build_engine(args, dataset)
-    try:
-        yield engine
-    finally:
-        engine.close()
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
     dataset = _load_csv(args.csv, args.attributes)
-    with _engine_scope(args, dataset) as engine:
-        # One oracle serves both the search and the report, so the inverted
-        # index is built once.
-        oracle = CoverageOracle(dataset, engine=engine)
-        result = find_mups(
-            dataset,
-            threshold=args.threshold,
-            algorithm=args.algorithm,
-            max_level=args.max_level,
-            oracle=oracle,
-        )
-        print(mup_report(dataset, result, limit=args.limit, oracle=oracle))
+    # One oracle serves both the search and the report, so the inverted
+    # index is built once.
+    oracle = CoverageOracle(dataset)
+    result = find_mups(
+        dataset,
+        threshold=args.threshold,
+        algorithm=args.algorithm,
+        max_level=args.max_level,
+        oracle=oracle,
+    )
+    print(mup_report(dataset, result, limit=args.limit, oracle=oracle))
     return 0
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
     dataset = _load_csv(args.csv, args.attributes)
-    with _engine_scope(args, dataset) as engine:
-        label = coverage_label(
-            dataset,
-            threshold=args.threshold,
-            algorithm=args.algorithm,
-            max_level=args.max_level,
-            engine=engine,
-        )
-        print(label.render())
+    label = coverage_label(
+        dataset,
+        threshold=args.threshold,
+        algorithm=args.algorithm,
+        max_level=args.max_level,
+    )
+    print(label.render())
     return 0
 
 
@@ -322,16 +265,13 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
     dataset = _load_csv(args.csv, args.attributes)
     with open(args.hierarchy) as handle:
         stack = parse_hierarchy_spec(dataset, json.load(handle))
-    with _engine_scope(args, dataset) as engine:
-        oracle = CoverageOracle(dataset, engine=engine)
-        result = find_mups_hierarchical(
-            dataset,
-            stack,
-            threshold=args.threshold,
-            max_level=args.max_level,
-            oracle=oracle,
-            remedies=not args.no_remedies,
-        )
+    result = find_mups_hierarchical(
+        dataset,
+        stack,
+        threshold=args.threshold,
+        max_level=args.max_level,
+        remedies=not args.no_remedies,
+    )
     if args.json:
         print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
         return 0
@@ -431,14 +371,12 @@ def _parse_rules(dataset: Dataset, texts: Sequence[str]) -> ValidationOracle:
 
 def _cmd_enhance(args: argparse.Namespace) -> int:
     dataset = _load_csv(args.csv, args.attributes)
-    with _engine_scope(args, dataset) as engine:
-        result = find_mups(
-            dataset,
-            threshold=args.threshold,
-            algorithm=args.algorithm,
-            max_level=args.max_level,
-            engine=engine,
-        )
+    result = find_mups(
+        dataset,
+        threshold=args.threshold,
+        algorithm=args.algorithm,
+        max_level=args.max_level,
+    )
     space = PatternSpace.for_dataset(dataset)
     targets = uncovered_at_level(result.mups, space, args.level)
     validation = _parse_rules(dataset, args.rule or [])
@@ -449,17 +387,10 @@ def _cmd_enhance(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     dataset = load_compas()
-    with _engine_scope(args, dataset) as engine:
-        oracle = CoverageOracle(dataset, engine=engine)
-        result = find_mups(
-            dataset,
-            threshold=args.threshold,
-            algorithm="deepdiver",
-            oracle=oracle,
-        )
-        print(dataset.describe())
-        print()
-        print(mup_report(dataset, result, limit=args.limit, oracle=oracle))
+    result = find_mups(dataset, threshold=args.threshold, algorithm="deepdiver")
+    print(dataset.describe())
+    print()
+    print(mup_report(dataset, result, limit=args.limit))
     return 0
 
 
@@ -505,9 +436,9 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
         "--memory-budget-bytes",
         type=int,
         default=None,
-        help="admission control: reject datasets whose planned engine "
-        "projects a larger resident index (default: the planner's probed "
-        "budget)",
+        help="admission control: reject datasets whose packed index "
+        "projects more resident bytes (default: half the available "
+        "memory)",
     )
     parser.add_argument(
         "--latency-budget-ms",
@@ -545,7 +476,6 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
         help="register this integer-coded CSV at startup (repeatable); "
         "the dataset key is printed before serving begins",
     )
-    _add_engine_options(parser)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -702,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the hierarchical result as JSON instead of tables",
     )
-    _add_engine_options(hierarchy)
     hierarchy.set_defaults(handler=_cmd_hierarchy)
 
     bucketsweep = commands.add_parser(
@@ -744,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo = commands.add_parser("demo", help="COMPAS walk-through on bundled data")
     demo.add_argument("--threshold", type=int, default=10)
     demo.add_argument("--limit", type=int, default=20)
-    _add_engine_options(demo)
     demo.set_defaults(handler=_cmd_demo)
 
     serve = commands.add_parser(

@@ -4,14 +4,12 @@ The oracle aggregates the dataset to its unique value combinations with
 multiplicities, keeps one membership vector per attribute value over those
 unique combinations, and answers ``cov(P)`` as the AND of the deterministic
 elements' vectors weighted by the count vector — exactly the Appendix A
-design.  The vector representation is pluggable: the oracle delegates every
-mask operation to a :class:`~repro.core.engine.CoverageEngine` backend
-(the registered one is ``packed``: ``uint64`` bitsets in memory), so
-traversal algorithms run unmodified on any registered backend.  Masks are
-engine-specific opaque handles; thread a parent's match mask down so a child's coverage
-costs a single vectorized AND (``restrict_mask``), or answer a whole
-frontier with the batched ``coverage_of_masks`` / ``coverage_many``
-queries.
+design.  The oracle delegates every mask operation to a
+:class:`~repro.core.engine.CoverageEngine` (``uint64`` bitsets in memory)
+and counts the queries it answers.  Thread a parent's match mask down so a
+child's coverage costs a single vectorized AND (``restrict_mask``), or
+answer a whole frontier with the batched ``coverage_of_masks`` /
+``coverage_many`` queries.
 """
 
 from __future__ import annotations
@@ -21,11 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import CoverageEngine, EngineSpec, resolve_engine
-from repro.core.engine.base import Mask
+from repro.core.engine import CoverageEngine, EngineSpec, Mask, check_engine
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
-from repro.exceptions import PatternError
+from repro.exceptions import PatternError, ReproError
 
 
 def threshold_from_rate(rate: float, n: int) -> int:
@@ -43,12 +40,10 @@ class CoverageOracle:
 
     Args:
         dataset: the dataset to index.
-        engine: coverage-engine selection — a declarative
-            :class:`~repro.core.engine.EngineConfig`, a registry name
-            (``"packed"``, or ``"auto"`` to let the planner choose), an
-            engine class, or a
-            prebuilt engine instance; ``None`` picks the default
-            backend, ``packed``.
+        engine: ``None``, ``"auto"`` or ``"packed"`` build the engine; a
+            prebuilt :class:`~repro.core.engine.CoverageEngine` over
+            ``dataset`` itself is used as given (see
+            :func:`~repro.core.engine.check_engine`).
 
     Attributes:
         evaluations: number of coverage queries answered; algorithms report
@@ -57,7 +52,8 @@ class CoverageOracle:
 
     def __init__(self, dataset: Dataset, engine: EngineSpec = None) -> None:
         self._dataset = dataset
-        self._engine = resolve_engine(engine, dataset)
+        built = check_engine(engine, dataset)
+        self._engine = CoverageEngine(dataset) if built is None else built
         self.evaluations = 0
 
     # ------------------------------------------------------------------
@@ -69,7 +65,7 @@ class CoverageOracle:
 
     @property
     def engine(self) -> CoverageEngine:
-        """The backend answering the mask queries."""
+        """The engine answering the mask queries."""
         return self._engine
 
     @property
@@ -139,7 +135,7 @@ class CoverageOracle:
 
         With a ``memo`` (a ``pattern.values -> count`` reuse table, see
         :meth:`CoverageEngine.coverage_many
-        <repro.core.engine.base.CoverageEngine.coverage_many>`), only the
+        <repro.core.engine.CoverageEngine.coverage_many>`), only the
         patterns absent from the table count as evaluations.
         """
         if memo is None:
@@ -158,6 +154,29 @@ class CoverageOracle:
         """The unique value combinations matching ``pattern`` (one per kind)."""
         selected = self._engine.mask_to_bool(self._engine.match_mask(pattern))
         return self._engine.unique_rows[selected]
+
+
+def oracle_for(
+    dataset: Dataset,
+    oracle: Optional[CoverageOracle] = None,
+    engine: EngineSpec = None,
+) -> CoverageOracle:
+    """``oracle`` if it indexes ``dataset`` itself, else a new oracle.
+
+    With no ``oracle``, one is built over ``engine``; ``engine`` is checked
+    either way.  An oracle over any other dataset object, even an equal
+    copy, raises :class:`ReproError`: its counts would answer for rows that
+    are not ``dataset``'s.
+    """
+    check_engine(engine, dataset)
+    if oracle is None:
+        return CoverageOracle(dataset, engine=engine)
+    if oracle.dataset is not dataset:
+        raise ReproError(
+            f"the oracle indexes a different dataset "
+            f"({oracle.dataset!r} vs {dataset!r})"
+        )
+    return oracle
 
 
 def coverage_scan(dataset: Dataset, pattern: Pattern) -> int:

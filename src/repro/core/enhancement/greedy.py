@@ -68,7 +68,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._util import Stopwatch, product_int
-from repro.core.engine import EngineSpec, engine_name
+from repro.core.engine import EngineSpec, check_engine
 from repro.core.enhancement.expansion import uncovered_at_level, validated_elements
 from repro.core.enhancement.oracle import ValidationOracle
 from repro.core.lattice import PatternCodes
@@ -77,7 +77,7 @@ from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.data.bitset import popcount_words
 from repro.data.dataset import Dataset
-from repro.exceptions import EnhancementError, ReproError
+from repro.exceptions import EnhancementError
 
 
 @dataclass(frozen=True)
@@ -363,10 +363,8 @@ def greedy_cover(
         validation: the human-configured validation oracle; defaults to
             permissive.  A rule on an attribute the space lacks raises
             :class:`~repro.exceptions.ValidationError`.
-        engine: accepted for interface parity with ``find_mups``; the
-            target index reads no engine, but a value that is not an
-            :class:`~repro.core.engine.EngineSpec` still raises
-            :class:`~repro.exceptions.ReproError`.
+        engine: checked by :func:`~repro.core.engine.check_engine` and
+            otherwise unused: the target index reads no engine.
 
     Returns:
         An :class:`EnhancementResult`; targets that no *valid* combination
@@ -385,7 +383,7 @@ def greedy_cover(
         targets = list(targets)
         digits = validated_elements(targets, space) + 1
     validation.check_space(space)
-    _check_engine_spec(engine)
+    check_engine(engine)
     m = len(digits)
     index = _target_index(digits, space)
     # fixed[i]: the targets with a value (not X) at attribute i.
@@ -432,18 +430,6 @@ def greedy_cover(
     )
 
 
-def _check_engine_spec(engine: EngineSpec) -> None:
-    """Raise :class:`ReproError` unless ``engine`` is an engine spec.
-
-    An unnamed factory callable is a valid spec that has no registry name.
-    """
-    try:
-        engine_name(engine)
-    except ReproError:
-        if isinstance(engine, str) or not callable(engine):
-            raise
-
-
 def enhance_coverage(
     dataset: Dataset,
     mups: Sequence[Pattern],
@@ -451,7 +437,6 @@ def enhance_coverage(
     threshold: int,
     validation: Optional[ValidationOracle] = None,
     copies: Optional[int] = None,
-    engine: EngineSpec = None,
 ) -> Tuple[EnhancementResult, Dataset]:
     """End-to-end Problem 2: plan the acquisition and apply it.
 
@@ -467,7 +452,6 @@ def enhance_coverage(
         copies: how many tuples to collect per planned combination, a
             non-boolean integer ≥ 1; defaults to ``threshold`` (enough to
             cover any previously empty target).
-        engine: accepted for interface parity, as in :func:`greedy_cover`.
 
     Returns:
         ``(result, enhanced dataset)``.
@@ -479,7 +463,7 @@ def enhance_coverage(
         raise EnhancementError(f"copies must be an integer >= 1, got {copies!r}")
     space = PatternSpace.for_dataset(dataset)
     targets = uncovered_at_level(mups, space, level)
-    result = greedy_cover(targets, space, validation, engine=engine)
+    result = greedy_cover(targets, space, validation)
     new_rows: List[Tuple[int, ...]] = []
     for combo in result.combinations:
         new_rows.extend([combo] * copies)

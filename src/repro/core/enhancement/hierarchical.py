@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.coverage import CoverageOracle
+from repro.core.coverage import CoverageOracle, oracle_for
 from repro.core.engine import EngineSpec
 from repro.core.enhancement.greedy import EnhancementResult, greedy_cover
 from repro.core.enhancement.oracle import ValidationOracle
@@ -177,7 +177,8 @@ def plan_hierarchical_enhancement(
         threshold: absolute τ.
         row_cost: cost of collecting one matching row.
         step_cost: cost of coarsening an attribute by one hierarchy level.
-        oracle: optional warm oracle for the base dataset.
+        oracle: optional warm oracle over ``dataset`` itself.
+        engine: engine spec for the oracle when none is given.
         validation: validation oracle forwarded to the greedy hitting set.
     """
     if row_cost <= 0 or step_cost <= 0:
@@ -185,8 +186,7 @@ def plan_hierarchical_enhancement(
             f"costs must be positive (row_cost={row_cost}, "
             f"step_cost={step_cost})"
         )
-    if oracle is None:
-        oracle = CoverageOracle(dataset, engine)
+    oracle = oracle_for(dataset, oracle, engine)
     by_mup: Mapping[Pattern, GeneralizationRemedy] = {
         remedy.mup: remedy for remedy in remedies
     }

@@ -26,29 +26,13 @@ from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.coverage import CoverageOracle
-from repro.core.engine import CoverageEngine, EngineSpec
+from repro.core.coverage import CoverageOracle, oracle_for
+from repro.core.engine import CoverageEngine, EngineSpec, check_engine
 from repro.core.mups.base import MupResult, check_threshold, find_mups
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
-from repro.exceptions import DataError, ReproError
-
-
-def _engine_template(engine: EngineSpec) -> EngineSpec:
-    """An engine spec reusable across rebuilt datasets.
-
-    The index rebuilds its oracle after every delivery/removal, so a
-    prebuilt engine instance (bound to the initial dataset) is reduced to
-    its :meth:`~repro.core.engine.CoverageEngine.template` — a declarative
-    :class:`~repro.core.engine.EngineConfig` carrying the same
-    configuration (the cache capacity) onto the new dataset, with none of
-    the old dataset's masks or cached state; names, configs, and classes
-    pass through.  An ``"auto"`` spec re-plans on every rebuild.
-    """
-    if isinstance(engine, CoverageEngine):
-        return engine.template()
-    return engine
+from repro.exceptions import DataError
 
 
 class IncrementalMupIndex:
@@ -58,13 +42,15 @@ class IncrementalMupIndex:
         dataset: the initial dataset.
         threshold: the coverage threshold τ (fixed for the index lifetime).
         algorithm: identification algorithm for the initial computation.
-        engine: coverage-engine backend used for every (re)built oracle.
-        oracle: an already-warm oracle over ``dataset`` to adopt instead of
-            building a fresh index (the serving layer registers datasets
-            before any threshold is known).  The index takes ownership: the
-            adopted oracle's engine is closed on the first delivery, like
-            every engine the index builds itself.  Its engine's template
-            configures the rebuilds unless ``engine`` is also given.
+        engine: engine spec for the initial oracle.  A prebuilt engine
+            must index ``dataset`` itself.
+        oracle: an already-warm oracle over ``dataset`` itself to adopt
+            instead of building a fresh index (the serving layer registers
+            datasets before any threshold is known).
+
+    Every delivery or removal rebuilds a :class:`CoverageEngine` over the
+    new dataset with the hot-mask cache capacity of the engine given in
+    ``engine``, else of the initial oracle's engine.
     """
 
     def __init__(
@@ -79,19 +65,10 @@ class IncrementalMupIndex:
         self._space = PatternSpace.for_dataset(dataset)
         self._threshold = threshold
         self._dataset = dataset
-        if oracle is not None:
-            if oracle.dataset is not dataset:
-                raise ReproError(
-                    "the adopted oracle indexes a different dataset than "
-                    "the one the index maintains"
-                )
-            self._engine_spec = _engine_template(
-                engine if engine is not None else oracle.engine
-            )
-            self._oracle = oracle
-        else:
-            self._engine_spec = _engine_template(engine)
-            self._oracle = CoverageOracle(dataset, engine=self._engine_spec)
+        given = check_engine(engine, dataset)
+        self._oracle = oracle_for(dataset, oracle, engine)
+        source = self._oracle.engine if given is None else given
+        self._mask_cache_size = source.mask_cache_size
         initial = find_mups(
             dataset, threshold=threshold, algorithm=algorithm, oracle=self._oracle
         )
@@ -134,24 +111,18 @@ class IncrementalMupIndex:
         return self._oracle.coverage(pattern)
 
     def _rebuild_oracle(self, new_dataset: Dataset) -> None:
-        """Re-index ``new_dataset`` and swap it in, retiring the old engine.
+        """Re-index ``new_dataset`` and swap it in.
 
         Exception-safe: the new oracle is built *before* any state changes,
         so a failed construction leaves the index fully consistent on the
         old dataset + old oracle, still answering queries.  On success the
-        dataset and oracle swap together and the retired engine is closed
-        in a ``finally``, so a backend holding resources releases them
-        promptly instead of lingering until GC.  The engines this index
-        builds are its own: prebuilt instances are reduced to templates in
-        ``__init__``.
+        dataset and oracle swap together.
         """
-        new_oracle = CoverageOracle(new_dataset, engine=self._engine_spec)
-        retired = self._oracle.engine
-        try:
-            self._dataset = new_dataset
-            self._oracle = new_oracle
-        finally:
-            retired.close()
+        engine = CoverageEngine(
+            new_dataset, mask_cache_size=self._mask_cache_size
+        )
+        oracle = CoverageOracle(new_dataset, engine=engine)
+        self._dataset, self._oracle = new_dataset, oracle
 
     # ------------------------------------------------------------------
     # additions

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro._util import SearchStats, Stopwatch
-from repro.core.coverage import CoverageOracle
+from repro.core.coverage import CoverageOracle, oracle_for
 from repro.core.engine import EngineSpec
 from repro.core.mups.base import MupResult, register_algorithm
 from repro.core.pattern import Pattern, X
@@ -57,12 +57,12 @@ def apriori_mups(
         dataset: dataset to assess.
         threshold: absolute support/coverage threshold ``τ``.
         max_level: optionally stop after item-sets of this size.
-        oracle: reuse a prebuilt coverage oracle (supports are pattern
-            coverages for attribute-distinct item-sets).
-        engine: coverage-engine spec (name, ``"auto"``, EngineConfig,
-            class, or instance) when no oracle is given.
+        oracle: reuse a prebuilt coverage oracle over ``dataset`` itself
+            (supports are pattern coverages for attribute-distinct
+            item-sets).
+        engine: coverage-engine spec when no oracle is given.
     """
-    oracle = oracle or CoverageOracle(dataset, engine=engine)
+    oracle = oracle_for(dataset, oracle, engine)
     d = dataset.d
     stats = SearchStats()
     watch = Stopwatch()

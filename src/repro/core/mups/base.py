@@ -10,8 +10,13 @@ from numbers import Integral, Real
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._util import SearchStats
-from repro.core.coverage import CoverageOracle, max_covered_level, threshold_from_rate
-from repro.core.engine import EngineSpec, engine_name
+from repro.core.coverage import (
+    CoverageOracle,
+    max_covered_level,
+    oracle_for,
+    threshold_from_rate,
+)
+from repro.core.engine import EngineSpec, check_engine
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
 from repro.exceptions import ReproError
@@ -157,6 +162,10 @@ def find_mups(
 ) -> MupResult:
     """Facade: identify the maximal uncovered patterns of a dataset.
 
+    Only naive and APRIORI count through an oracle, so only they receive
+    ``oracle`` and ``engine``; PATTERN-BREAKER, PATTERN-COMBINER and
+    DEEPDIVER count from the unique rows.  Both are checked either way.
+
     Args:
         dataset: the dataset to assess.
         threshold: absolute coverage threshold ``τ``.
@@ -165,11 +174,11 @@ def find_mups(
             ``deepdiver``, ``apriori``.
         max_level: only look for MUPs at level ≤ this cap (Figure 16);
             every algorithm but ``pattern_combiner`` supports it.
-        oracle: optionally reuse a prebuilt coverage oracle.
-        engine: coverage-engine selection used to build the oracle — an
-            :class:`~repro.core.engine.EngineConfig`, a backend name
-            (``"auto"`` consults the workload-aware planner), a class, or
-            an instance; ignored when ``oracle`` is given.
+        oracle: optionally reuse a prebuilt coverage oracle over
+            ``dataset`` itself; an oracle over any other dataset raises
+            :class:`ReproError`.
+        engine: engine spec for the oracle, checked by
+            :func:`~repro.core.engine.check_engine`.
 
     Returns:
         A :class:`MupResult`.
@@ -180,17 +189,16 @@ def find_mups(
         )
     tau = resolve_threshold(dataset, threshold, threshold_rate)
     max_level = resolve_max_level(max_level)
-    kwargs = {}
-    if max_level is not None:
-        if "max_level" not in inspect.signature(ALGORITHMS[algorithm]).parameters:
-            raise ReproError(f"{algorithm} does not support max_level")
-        kwargs["max_level"] = max_level
+    check_engine(engine, dataset)
     if oracle is not None:
-        kwargs["oracle"] = oracle
-    elif engine is not None:
-        if isinstance(engine, str):
-            # An unknown name is an error even for the algorithms that
-            # count from the unique rows and build no engine.
-            engine_name(engine)
-        kwargs["engine"] = engine
+        oracle_for(dataset, oracle)
+    accepted = inspect.signature(ALGORITHMS[algorithm]).parameters
+    if max_level is not None and "max_level" not in accepted:
+        raise ReproError(f"{algorithm} does not support max_level")
+    given = {"max_level": max_level, "oracle": oracle, "engine": engine}
+    kwargs = {
+        name: value
+        for name, value in given.items()
+        if value is not None and name in accepted
+    }
     return ALGORITHMS[algorithm](dataset, tau, **kwargs)

@@ -49,8 +49,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro._util import Stopwatch
-from repro.core.coverage import CoverageOracle
-from repro.core.engine import EngineSpec
 from repro.core.lattice import walk_dataset
 from repro.core.mups.base import MupResult, register_algorithm
 from repro.data.dataset import Dataset
@@ -61,8 +59,6 @@ def deepdiver(
     dataset: Dataset,
     threshold: int,
     max_level: Optional[int] = None,
-    oracle: Optional[CoverageOracle] = None,
-    engine: EngineSpec = None,
 ) -> MupResult:
     """Run DEEPDIVER.
 
@@ -71,9 +67,6 @@ def deepdiver(
         threshold: absolute coverage threshold ``τ``.
         max_level: do not explore below this level; returns all MUPs with
             ``ℓ(P) <= max_level`` (Figure 16's scaling mode).
-        oracle: accepted for interface parity; levels are counted from the
-            aggregated unique rows, not through per-pattern queries.
-        engine: accepted for interface parity, like ``oracle``.
     """
     watch = Stopwatch()
     walk = walk_dataset(dataset, threshold, max_level)

@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Optional
 
 from repro._util import SearchStats, Stopwatch
-from repro.core.coverage import CoverageOracle
+from repro.core.coverage import CoverageOracle, oracle_for
 from repro.core.engine import EngineSpec
 from repro.core.mups.base import MupResult, register_algorithm
 from repro.core.pattern_graph import PatternSpace
@@ -43,9 +43,8 @@ def naive_mups(
         dataset: dataset to assess.
         threshold: absolute coverage threshold ``τ``.
         max_level: optionally ignore MUPs deeper than this level.
-        oracle: reuse a prebuilt coverage oracle.
-        engine: coverage-engine spec (name, ``"auto"``, EngineConfig,
-            class, or instance) when no oracle is given.
+        oracle: reuse a prebuilt coverage oracle over ``dataset`` itself.
+        engine: coverage-engine spec when no oracle is given.
     """
     space = PatternSpace.for_dataset(dataset)
     if space.node_count() > _MAX_PATTERNS:
@@ -53,7 +52,7 @@ def naive_mups(
             f"naive enumeration over {space.node_count()} patterns refused; "
             f"use pattern_breaker / pattern_combiner / deepdiver"
         )
-    oracle = oracle or CoverageOracle(dataset, engine=engine)
+    oracle = oracle_for(dataset, oracle, engine)
     stats = SearchStats()
     watch = Stopwatch()
 

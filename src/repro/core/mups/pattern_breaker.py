@@ -26,8 +26,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro._util import Stopwatch
-from repro.core.coverage import CoverageOracle
-from repro.core.engine import EngineSpec
 from repro.core.lattice import walk_dataset
 from repro.core.mups.base import MupResult, register_algorithm
 from repro.data.dataset import Dataset
@@ -38,8 +36,6 @@ def pattern_breaker(
     dataset: Dataset,
     threshold: int,
     max_level: Optional[int] = None,
-    oracle: Optional[CoverageOracle] = None,
-    engine: EngineSpec = None,
 ) -> MupResult:
     """Run PATTERN-BREAKER.
 
@@ -48,9 +44,6 @@ def pattern_breaker(
         threshold: absolute coverage threshold ``τ``.
         max_level: stop after this level; returns all MUPs with
             ``ℓ(P) <= max_level``.
-        oracle: accepted for interface parity; levels are counted from the
-            aggregated unique rows, not through per-pattern queries.
-        engine: accepted for interface parity, like ``oracle``.
     """
     watch = Stopwatch()
     walk = walk_dataset(dataset, threshold, max_level)

@@ -46,13 +46,11 @@ search at every threshold.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro._util import SearchStats, Stopwatch
-from repro.core.coverage import CoverageOracle
-from repro.core.engine import EngineSpec
 from repro.core.lattice import PatternLattice, index_of
 from repro.core.mups.base import MupResult, register_algorithm
 from repro.core.pattern_graph import PatternSpace
@@ -99,19 +97,12 @@ class _SortedLevel:
 def pattern_combiner(
     dataset: Dataset,
     threshold: int,
-    oracle: Optional[CoverageOracle] = None,
-    engine: EngineSpec = None,
 ) -> MupResult:
     """Run PATTERN-COMBINER.
 
     Args:
         dataset: dataset to assess.
         threshold: absolute coverage threshold ``τ``.
-        oracle: accepted for interface parity; the bottom-up algorithm only
-            needs the aggregated unique rows, not per-pattern queries.
-        engine: accepted for interface parity, like ``oracle`` (any
-            :class:`~repro.core.engine.EngineSpec`, including an
-            ``EngineConfig`` or ``"auto"``).
     """
     space = PatternSpace.for_dataset(dataset)
     if space.combination_count() > _MAX_COMBINATIONS:

@@ -24,8 +24,8 @@ class PatternError(ReproError):
 
 
 class EngineError(ReproError):
-    """A coverage-engine backend cannot serve queries (unknown backend,
-    bad configuration...)."""
+    """A coverage engine was asked for something it cannot be (an unknown
+    engine name, an engine over another dataset, a bad cache capacity...)."""
 
 
 class ValidationError(ReproError):

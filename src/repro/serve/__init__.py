@@ -10,7 +10,7 @@ Pieces (each its own module):
 
 * :mod:`~repro.serve.registry` — warm-engine LRU registry + snapshots
 * :mod:`~repro.serve.batcher` — request coalescing onto ``coverage_many``
-* :mod:`~repro.serve.admission` — planner-driven budget + concurrency gates
+* :mod:`~repro.serve.admission` — index-size budget + concurrency gates
 * :mod:`~repro.serve.cache` — cross-request result cache
 * :mod:`~repro.serve.service` — the facade the HTTP layer dispatches into
 * :mod:`~repro.serve.http` — stdlib-only HTTP/1.1 JSON transport

@@ -1,14 +1,15 @@
-"""Admission control driven by the planner's index projections.
+"""Admission control driven by the packed index's projected size.
 
 Two gates stand in front of the engines:
 
-* **Budget admission** — before a dataset is registered (or a heavy query
-  planned), :func:`~repro.core.engine.planner.plan_engine` projects the
-  resident index bytes and single-scan latency of the engine it would
-  build.  A projection over the configured memory budget or over the
-  latency budget is rejected up front (HTTP 413) with a structured error
-  carrying the projections — the client learns *why* and by how much,
-  instead of timing out against a thrashing server.
+* **Budget admission** — before a dataset is registered, the resident
+  bytes of its packed index, ``Σ c_i · ⌈min(n, Π c_i) / 64⌉ · 8``, and the
+  time of one scan over them are projected from the schema and row count
+  alone.  A projection over the configured memory budget (by default half
+  the available memory) or over the latency budget is rejected up front
+  (HTTP 413) with a structured error carrying the projections — the client
+  learns *why* and by how much, instead of timing out against a thrashing
+  server.
 * **Concurrency admission** — heavy requests (identify / enhance /
   deliver / registration) pass through a bounded semaphore: up to
   ``max_concurrent`` run, up to ``max_queue`` wait, and beyond that the
@@ -20,11 +21,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
+import os
+import re
 import threading
 from typing import Dict, Optional
 
-from repro.core.engine.config import EngineConfig
-from repro.core.engine.planner import EnginePlan, plan_engine
+from repro.core.engine import CoverageEngine
 from repro.data.dataset import Dataset
 from repro.exceptions import AdmissionError
 
@@ -32,15 +35,54 @@ from repro.exceptions import AdmissionError
 #: set conservatively so slower machines still reject in time.
 PACKED_SCAN_BYTES_PER_SECOND = 4 << 30
 
+#: Fraction of available memory the default budget lets one index hold.
+MEMORY_BUDGET_FRACTION = 0.5
 
-def _projected_resident_bytes(plan: EnginePlan) -> int:
-    """Resident index bytes the planned ``packed`` engine would hold."""
-    return plan.stats.projected_packed_bytes
+#: Memory assumed when the platform exposes no measurement at all.
+FALLBACK_MEMORY_BYTES = 4 << 30
+
+#: The memory probe's answer, taken once per process.
+_available_memory: Optional[int] = None
 
 
-def _projected_scan_seconds(plan: EnginePlan) -> float:
-    """One full-index scan under the calibrated throughput model."""
-    return _projected_resident_bytes(plan) / PACKED_SCAN_BYTES_PER_SECOND
+def _probe_available_memory() -> int:
+    """Best-effort available physical memory (never raises).
+
+    Prefers ``MemAvailable`` from ``/proc/meminfo`` (Linux), falls back to
+    total physical memory via ``sysconf``, then to a conservative 4 GiB
+    constant on platforms exposing neither.
+    """
+    try:
+        with open("/proc/meminfo") as handle:
+            match = re.search(r"MemAvailable:\s+(\d+) kB", handle.read())
+        if match:
+            return int(match.group(1)) * 1024
+    except OSError:
+        pass
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError, AttributeError):
+        return FALLBACK_MEMORY_BYTES
+
+
+def default_memory_budget() -> int:
+    """Half the available physical memory, probed once per process."""
+    global _available_memory
+    if _available_memory is None:
+        _available_memory = _probe_available_memory()
+    return max(1, int(_available_memory * MEMORY_BUDGET_FRACTION))
+
+
+def projected_index_bytes(dataset: Dataset) -> int:
+    """Resident bytes of the dataset's packed index, from its schema.
+
+    One row of ``uint64`` words per attribute value over at most
+    ``min(n, Π c_i)`` distinct value combinations — an upper bound that
+    needs no aggregation pass.
+    """
+    cardinalities = dataset.cardinalities
+    unique = min(dataset.n, math.prod(cardinalities))
+    return sum(cardinalities) * -(-unique // 64) * 8
 
 
 class AdmissionController:
@@ -48,13 +90,11 @@ class AdmissionController:
 
     def __init__(
         self,
-        engine: EngineConfig,
         memory_budget_bytes: Optional[int],
         latency_budget_seconds: float,
         max_concurrent: int,
         max_queue: int,
     ) -> None:
-        self._engine = engine
         self._memory_budget = memory_budget_bytes
         self._latency_budget = float(latency_budget_seconds)
         self._max_concurrent = int(max_concurrent)
@@ -73,48 +113,45 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # budget admission
     # ------------------------------------------------------------------
-    def check_budget(self, dataset: Dataset) -> EnginePlan:
-        """Plan ``dataset`` and reject projections over budget.
+    def check_budget(self, dataset: Dataset) -> None:
+        """Reject ``dataset`` when its packed index projects over budget.
 
-        Returns the plan (the caller reuses it for rationale reporting) or
-        raises :class:`AdmissionError` with the projections in ``detail``.
+        Raises :class:`AdmissionError` with the projections in ``detail``.
         """
-        plan = plan_engine(dataset, self._engine)
         budget = self._memory_budget
         if budget is None:
-            budget = plan.stats.memory_budget_bytes
-        projected = _projected_resident_bytes(plan)
+            budget = default_memory_budget()
+        projected = projected_index_bytes(dataset)
         if projected > budget:
             with self._counter_lock:
                 self._rejected_budget += 1
             raise AdmissionError(
                 "over_budget",
-                f"planned engine projects {projected} resident index bytes, "
+                f"packed index projects {projected} resident bytes, "
                 f"over the {budget}-byte serving budget",
                 status=413,
                 detail={
                     "projected_bytes": int(projected),
                     "budget_bytes": int(budget),
-                    "backend": plan.config.backend,
+                    "backend": CoverageEngine.name,
                 },
             )
-        scan_seconds = _projected_scan_seconds(plan)
+        scan_seconds = projected / PACKED_SCAN_BYTES_PER_SECOND
         if scan_seconds > self._latency_budget:
             with self._counter_lock:
                 self._rejected_budget += 1
             raise AdmissionError(
                 "over_latency",
-                f"planned engine projects {scan_seconds * 1000:.1f} ms per "
+                f"packed index projects {scan_seconds * 1000:.1f} ms per "
                 f"index scan, over the {self._latency_budget * 1000:.1f} ms "
                 f"serving latency budget",
                 status=413,
                 detail={
                     "projected_scan_ms": scan_seconds * 1000,
                     "latency_budget_ms": self._latency_budget * 1000,
-                    "backend": plan.config.backend,
+                    "backend": CoverageEngine.name,
                 },
             )
-        return plan
 
     # ------------------------------------------------------------------
     # concurrency admission

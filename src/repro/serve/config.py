@@ -1,20 +1,17 @@
 """Declarative serving configuration: every ``repro serve`` knob in one object.
 
-Mirrors the role :class:`~repro.core.engine.config.EngineConfig` plays for
-the engine stack: a frozen, validated dataclass the CLI, tests, and the
-benchmark harness all construct the server from, so cross-field rules live
-in one place.  The engine the registry warms per dataset is itself an
-``EngineConfig`` (``"auto"`` by default, so the workload-aware planner
-picks the backend per registered dataset).
+A frozen, validated dataclass the CLI, tests, and the benchmark harness
+all construct the server from, so cross-field rules live in one place.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 from typing import Any, Optional
 
-from repro.core.engine.config import AUTO, EngineConfig
+from repro.core.engine import DEFAULT_MASK_CACHE
 from repro.exceptions import ServeError
 
 #: Default coalescing window: long enough to collect a concurrent burst,
@@ -42,19 +39,19 @@ class ServeConfig:
             eviction.
         registry_max_bytes: total index bytes the registry may keep warm.
         memory_budget_bytes: admission-control memory budget — requests
-            whose planned engine projects a larger resident index are
-            rejected with a structured error.  ``None`` defers to the
-            planner's probed default budget.
+            whose packed index projects more resident bytes are rejected
+            with a structured error.  ``None`` means half the available
+            memory, probed once per process.
         latency_budget_ms: admission-control latency budget — requests
-            whose planned single-scan projection exceeds it are rejected.
+            whose projected single-scan time exceeds it are rejected.
         max_concurrent: heavy requests (identify / enhance / deliver /
             dataset registration) running at once; further ones queue.
         max_queue: heavy requests allowed to wait; beyond it requests are
             rejected as saturated instead of queueing unboundedly.
         result_cache_size: entries in the cross-request result cache
             (``0`` disables it).
-        engine: the :class:`EngineConfig` the registry builds warm engines
-            from (default ``"auto"``).
+        mask_cache_size: hot-mask cache capacity of every warm engine
+            (``0`` disables it).
     """
 
     host: str = "127.0.0.1"
@@ -68,9 +65,7 @@ class ServeConfig:
     max_concurrent: int = 8
     max_queue: int = 64
     result_cache_size: int = 4096
-    engine: EngineConfig = field(
-        default_factory=lambda: EngineConfig(backend=AUTO)
-    )
+    mask_cache_size: int = DEFAULT_MASK_CACHE
 
     def __post_init__(self) -> None:
         if self.batch_window_ms < 0:
@@ -118,10 +113,15 @@ class ServeConfig:
                 "bad_config",
                 f"result_cache_size must be >= 0, got {self.result_cache_size}",
             )
-        if not isinstance(self.engine, EngineConfig):
+        if (
+            isinstance(self.mask_cache_size, bool)
+            or not isinstance(self.mask_cache_size, Integral)
+            or self.mask_cache_size < 0
+        ):
             raise ServeError(
                 "bad_config",
-                f"engine must be an EngineConfig, got {self.engine!r}",
+                f"mask_cache_size must be an integer >= 0, "
+                f"got {self.mask_cache_size!r}",
             )
 
     @property
@@ -130,7 +130,7 @@ class ServeConfig:
 
     @classmethod
     def from_cli_args(cls, args: Any) -> "ServeConfig":
-        """Lift an ``argparse`` namespace (engine flags included) into a config."""
+        """Lift an ``argparse`` namespace into a config."""
         defaults = cls()
         return cls(
             host=getattr(args, "host", None) or defaults.host,
@@ -156,14 +156,11 @@ class ServeConfig:
             result_cache_size=_or_default(
                 args, "result_cache", defaults.result_cache_size
             ),
-            engine=EngineConfig.from_cli_args(args),
         )
 
     def to_dict(self) -> dict:
         """JSON-serializable form (surfaced by the ``/stats`` endpoint)."""
-        payload = dataclasses.asdict(self)
-        payload["engine"] = self.engine.to_dict()
-        return payload
+        return dataclasses.asdict(self)
 
 
 def _or_default(args: Any, name: str, default):

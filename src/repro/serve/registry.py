@@ -2,8 +2,7 @@
 
 The registry turns the one-shot engine stack into serving state: each
 registered dataset gets a warm :class:`~repro.core.coverage.CoverageOracle`
-(planned through the configured :class:`EngineConfig`, ``"auto"`` by
-default) kept alive across requests, keyed by the dataset's
+kept alive across requests, keyed by the dataset's
 ``content_fingerprint()``.  Entries are evicted least-recently-used under
 both an entry cap and a total index-byte budget, with per-entry byte
 accounting from ``engine.index_nbytes``.
@@ -15,20 +14,19 @@ routes through :class:`~repro.core.incremental.IncrementalMupIndex`
 (exception-safe rebuild: the new oracle is fully built before any state
 swaps) and then atomically replaces the snapshot reference, so a
 concurrent reader sees either the old index or the new one, never a
-half-applied state.  Retiring an old engine eagerly is safe: the
-``packed`` index is in memory and its ``close()`` is a no-op, so a reader
-still holding a retired snapshot keeps getting answers for the dataset it
-captured.
+half-applied state.  A reader still holding a retired snapshot keeps
+getting answers for the dataset it captured: the index is in memory and
+lives as long as a snapshot refers to it.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.coverage import CoverageOracle
-from repro.core.engine.config import EngineConfig
+from repro.core.engine import CoverageEngine
 from repro.core.incremental import IncrementalMupIndex
 from repro.data.dataset import Dataset
 from repro.exceptions import ServeError
@@ -65,20 +63,17 @@ class DatasetEntry:
         self.lock = threading.Lock()
         self.nbytes = nbytes
 
-    def close(self) -> None:
-        self.snapshot.oracle.engine.close()
-
 
 class EngineRegistry:
     """Thread-safe LRU registry of warm dataset entries."""
 
     def __init__(
         self,
-        engine: EngineConfig,
+        mask_cache_size: int,
         max_entries: int,
         max_bytes: int,
     ) -> None:
-        self._engine = engine
+        self._mask_cache_size = int(mask_cache_size)
         self._max_entries = int(max_entries)
         self._max_bytes = int(max_bytes)
         self._entries: "OrderedDict[str, DatasetEntry]" = OrderedDict()
@@ -122,7 +117,7 @@ class EngineRegistry:
         Re-registering identical content returns the existing warm entry
         untouched.  The build runs outside the registry lock so other
         requests keep flowing; on a concurrent duplicate registration the
-        loser's engine is closed and the winner kept.
+        winner is kept.
         """
         key = dataset.content_fingerprint()
         with self._lock:
@@ -130,32 +125,27 @@ class EngineRegistry:
             if existing is not None:
                 self._entries.move_to_end(existing.key)
                 return existing, False
-        oracle = CoverageOracle(dataset, engine=self._engine)
+        engine = CoverageEngine(dataset, mask_cache_size=self._mask_cache_size)
+        oracle = CoverageOracle(dataset, engine=engine)
         nbytes = int(oracle.engine.index_nbytes)
         entry = DatasetEntry(key, Snapshot(dataset, oracle, key), nbytes)
         with self._lock:
             winner = self._entries.get(self._aliases.get(key, key))
             if winner is not None:
                 self._entries.move_to_end(winner.key)
-                loser = entry
-            else:
-                self._entries[key] = entry
-                self._total_nbytes += entry.nbytes
-                self._registers += 1
-                self._evict_over_budget()
-                return entry, True
-        loser.close()
-        return winner, False
+                return winner, False
+            self._entries[key] = entry
+            self._total_nbytes += entry.nbytes
+            self._registers += 1
+            self._evict_over_budget()
+            return entry, True
 
-    def _evict_over_budget(self) -> List[DatasetEntry]:
+    def _evict_over_budget(self) -> None:
         """Pop LRU entries beyond the caps (registry lock must be held).
 
         The newest entry always survives, so one oversized dataset degrades
-        the registry to a single warm engine instead of thrashing.  Evicted
-        engines close inline: admission control only admits plans whose
-        full index fits the memory budget, so ``close()`` is quick.
+        the registry to a single warm engine instead of thrashing.
         """
-        evicted: List[DatasetEntry] = []
         while len(self._entries) > 1 and (
             len(self._entries) > self._max_entries
             or self._total_nbytes > self._max_bytes
@@ -168,9 +158,6 @@ class EngineRegistry:
                 if key != entry.key
             }
             self._evictions += 1
-            entry.close()
-            evicted.append(entry)
-        return evicted
 
     # ------------------------------------------------------------------
     # deliveries (writers)
@@ -180,9 +167,9 @@ class EngineRegistry:
     ) -> IncrementalMupIndex:
         """The entry's incremental MUP index, created on first need.
 
-        Adopts the entry's warm oracle (no second index build).  One index
-        per entry: a request for a different threshold rebuilds it — the
-        serving sweet spot is many deliveries against one τ, and the
+        Adopts the snapshot's warm oracle (no second index build).  One
+        index per entry: a request for a different threshold rebuilds it —
+        the serving sweet spot is many deliveries against one τ, and the
         result cache absorbs repeated identify calls for others.
         """
         with entry.lock:
@@ -190,17 +177,11 @@ class EngineRegistry:
             if index is not None and index.threshold == int(threshold):
                 return index
             snapshot = entry.snapshot
-            adopted = (
-                snapshot.oracle
-                if index is None and snapshot.oracle.dataset is snapshot.dataset
-                else None
-            )
             index = IncrementalMupIndex(
                 snapshot.dataset,
                 threshold=int(threshold),
                 algorithm=algorithm,
-                engine=self._engine,
-                oracle=adopted,
+                oracle=snapshot.oracle,
             )
             entry.index = index
             return index
@@ -260,13 +241,11 @@ class EngineRegistry:
     # lifecycle / introspection
     # ------------------------------------------------------------------
     def close(self) -> None:
+        """Drop every entry, releasing the warm indexes."""
         with self._lock:
-            entries = list(self._entries.values())
             self._entries.clear()
             self._aliases.clear()
             self._total_nbytes = 0
-        for entry in entries:
-            entry.close()
 
     def info(self) -> Dict:
         with self._lock:

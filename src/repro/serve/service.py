@@ -140,7 +140,7 @@ class CoverageService:
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.registry = EngineRegistry(
-            config.engine,
+            config.mask_cache_size,
             max_entries=config.registry_max_entries,
             max_bytes=config.registry_max_bytes,
         )
@@ -149,7 +149,6 @@ class CoverageService:
         )
         self.cache = ResultCache(config.result_cache_size)
         self.admission = AdmissionController(
-            config.engine,
             memory_budget_bytes=config.memory_budget_bytes,
             latency_budget_seconds=config.latency_budget_ms / 1000.0,
             max_concurrent=config.max_concurrent,
@@ -174,9 +173,7 @@ class CoverageService:
             )
         except (ReproError, TypeError, ValueError) as error:
             raise ServeError("bad_request", f"bad rows payload: {error}")
-        plan = await loop.run_in_executor(
-            None, self.admission.check_budget, dataset
-        )
+        self.admission.check_budget(dataset)
         async with self.admission.heavy():
             entry, created = await loop.run_in_executor(
                 None, self.registry.register, dataset
@@ -189,7 +186,6 @@ class CoverageService:
             "d": int(entry.snapshot.dataset.d),
             "backend": type(entry.snapshot.oracle.engine).name,
             "index_nbytes": entry.nbytes,
-            "plan": list(plan.rationale),
         }
 
     def _snapshot(self, dataset_key: Any) -> Snapshot:
@@ -572,7 +568,6 @@ class CoverageService:
                 thresholds,
                 attributes=attributes,
                 max_level=max_level,
-                oracle=snapshot.oracle,
             )
             report = threshold_sensitivity(
                 snapshot.dataset,

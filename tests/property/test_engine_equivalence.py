@@ -1,8 +1,8 @@
 """Engine observational-equivalence property suite (hypothesis).
 
-The ``packed`` engine, built directly and through whatever the ``auto``
-planner emits for the generated dataset, with the hot-mask cache both
-enabled and disabled, must answer every query family like two
+The coverage engine, built directly and by an oracle given ``"auto"``,
+with the hot-mask cache both enabled and disabled, must answer every
+query family like two
 engine-free references: point coverage and batched ``count_many`` /
 ``coverage_many`` like Definition 2's row scan (``coverage_scan``),
 sibling families from ``restrict_children`` like a numpy row match over
@@ -16,14 +16,8 @@ import numpy as np
 from hypothesis import given, settings
 
 from engine_reference import row_match, scan_mups
-from repro.core.coverage import coverage_scan
-from repro.core.engine import (
-    AUTO,
-    EngineConfig,
-    PackedBitsetEngine,
-    resolve_engine,
-    set_available_memory_bytes,
-)
+from repro.core.coverage import CoverageOracle, coverage_scan
+from repro.core.engine import CoverageEngine
 from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.core.pattern import Pattern, X
 from repro.data.dataset import Dataset, Schema
@@ -62,13 +56,10 @@ def dataset_and_patterns(draw, max_patterns: int = 6):
 
 
 def engine_matrix(dataset, mask_cache_size):
-    """The packed engine, built directly and as the ``auto`` plan."""
+    """The engine built directly, and the one ``"auto"`` builds."""
     return [
-        PackedBitsetEngine(dataset, mask_cache_size=mask_cache_size),
-        resolve_engine(
-            EngineConfig(backend=AUTO, mask_cache_size=mask_cache_size),
-            dataset,
-        ),
+        CoverageEngine(dataset, mask_cache_size=mask_cache_size),
+        CoverageOracle(dataset, engine="auto").engine,
     ]
 
 
@@ -142,20 +133,12 @@ def test_full_mup_runs_identical_across_all_algorithms(dataset, cache_size):
 @given(datasets(max_d=3, max_card=3, max_n=25))
 @settings(max_examples=15, deadline=None)
 def test_auto_planned_engine_mups_match_packed(dataset):
-    """Every plan the auto planner emits builds an engine whose MUP sets
-    match packed and the scanned MUPs on small datasets."""
+    """``"auto"`` and ``"packed"`` name one engine: APRIORI's MUP sets
+    through either match the scanned MUPs on small datasets."""
     reference = scan_mups(dataset, 2)
-    packed = find_mups(dataset, threshold=2, engine="packed")
-    assert packed.as_set() == reference
-    result = find_mups(dataset, threshold=2, engine=AUTO)
-    assert result.as_set() == reference
-    # A memory-starved auto plan (still packed) agrees too.
-    try:
-        set_available_memory_bytes(1)
-        starved = find_mups(dataset, threshold=2, engine=AUTO)
-    finally:
-        set_available_memory_bytes(None)
-    assert starved.as_set() == reference
+    for engine in ("packed", "auto"):
+        result = find_mups(dataset, threshold=2, algorithm="apriori", engine=engine)
+        assert result.as_set() == reference, engine
 
 
 @given(dataset_and_patterns())
@@ -163,7 +146,7 @@ def test_auto_planned_engine_mups_match_packed(dataset):
 def test_cached_masks_are_isolated_copies(case):
     """Mutating a handed-out mask must not corrupt the cache."""
     dataset, patterns = case
-    engine = PackedBitsetEngine(dataset, mask_cache_size=64)
+    engine = CoverageEngine(dataset, mask_cache_size=64)
     for pattern in patterns:
         before = engine.coverage(pattern)
         assert before == coverage_scan(dataset, pattern)

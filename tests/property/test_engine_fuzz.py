@@ -1,18 +1,18 @@
-"""Differential fuzz harness: random workloads in lockstep on every engine spec.
+"""Differential fuzz harness: random workloads against engine-free references.
 
-The cross-engine equivalence suite checks each query family in isolation;
+The engine equivalence suite checks each query family in isolation;
 this harness checks the *interleavings*.  Hypothesis generates a random
 dataset — half the time uniform-random rows, half the time a realistic
 :mod:`repro.data.scenarios` draw (zipf marginals, latent-factor
 correlation) — plus a random sequence of ``coverage`` / ``coverage_many``
 (with and without the sweep's count-reuse memo) / ``coverage_of_masks`` /
-``restrict_children`` / cache-churn /
-``template()``-rebuild calls, and executes the sequence in lockstep on
-``packed`` built directly and on whatever the ``auto`` planner picks.
-After every step each engine's counts must equal Definition 2's row scan
-(``coverage_scan``), its masks a numpy row match over the unique rows,
-and its hot-mask cache accounting (hits / misses / entries, which the
-shared base class drives) that of the other engine.
+``restrict_children`` / cache-churn / rebuild calls, and executes it on a
+:class:`~repro.core.engine.CoverageEngine` behind an oracle.  A rebuild
+replaces the engine with a new one of the same cache capacity.  After
+every step the counts must equal Definition 2's row scan
+(``coverage_scan``), the masks a numpy row match over the unique rows,
+and the hot-mask cache accounting (hits / misses / entries / bytes) that
+of a reference LRU fed the same lookups.
 
 Two profiles run it: the normal suite uses a fixed-seed (derandomized)
 profile so CI is deterministic, and the ``-m slow`` job layers a deeper
@@ -23,6 +23,7 @@ finds a new one.
 """
 
 import json
+from collections import OrderedDict
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -32,20 +33,12 @@ from hypothesis import given, settings
 
 from engine_reference import row_match
 from repro.core.coverage import CoverageOracle, coverage_scan
-from repro.core.engine import (
-    AUTO,
-    EngineConfig,
-    PackedBitsetEngine,
-    resolve_engine,
-)
+from repro.core.engine import CoverageEngine
 from repro.core.pattern import Pattern, X
 from repro.data.dataset import Dataset, Schema
 from repro.data.scenarios import SCENARIO_FAMILIES, scenario_dataset
 
 CORPUS_PATH = Path(__file__).parent / "engine_fuzz_corpus.json"
-
-#: Engine labels under differential test.
-BACKENDS = ("packed", "auto")
 
 
 # ----------------------------------------------------------------------
@@ -140,73 +133,87 @@ def fuzz_cases(draw):
 
 
 # ----------------------------------------------------------------------
-# lockstep execution
+# execution
 # ----------------------------------------------------------------------
-def _build_engines(dataset, mask_cache_size):
-    return {
-        "packed": PackedBitsetEngine(dataset, mask_cache_size=mask_cache_size),
-        "auto": resolve_engine(
-            EngineConfig(backend=AUTO, mask_cache_size=mask_cache_size),
-            dataset,
-        ),
-    }
+class _LruModel:
+    """What the hot-mask cache must hold after each ``match_mask`` call:
+    the keys in recency order, and the hit and miss counts."""
+
+    def __init__(self, size):
+        self.size = size
+        self.keys = OrderedDict()
+        self.hits = self.misses = 0
+
+    def lookup(self, pattern):
+        if not self.size:
+            return
+        key = pattern.values
+        if key in self.keys:
+            self.hits += 1
+            self.keys.move_to_end(key)
+        else:
+            self.misses += 1
+            self.keys[key] = None
+            if len(self.keys) > self.size:
+                self.keys.popitem(last=False)
 
 
-def _check_cache_accounting(engines):
-    """Every engine's hot-mask cache must account like packed's.
+class _Lane:
+    """One engine, the oracle over it, and the model of its cache."""
 
-    The LRU lives in the shared base class, so an identical op sequence
-    must produce identical hit/miss/entry counters on every engine.
-    """
-    reference = engines["packed"].cache_info()
-    for name, engine in engines.items():
-        info = engine.cache_info()
-        assert info["hits"] == reference["hits"], name
-        assert info["misses"] == reference["misses"], name
-        assert info["entries"] == reference["entries"], name
-        assert info["max_size"] == reference["max_size"], name
-        assert 0 <= info["entries"] <= max(1, info["max_size"]), name
-        assert info["nbytes"] >= 0, name
-        total = info["hits"] + info["misses"]
-        expected_rate = (info["hits"] / total) if total else 0.0
-        assert info["hit_rate"] == pytest.approx(expected_rate), name
+    def __init__(self, dataset, mask_cache_size):
+        self.engine = CoverageEngine(dataset, mask_cache_size=mask_cache_size)
+        self.oracle = CoverageOracle(dataset, engine=self.engine)
+        self.model = _LruModel(mask_cache_size)
+
+    def check_cache(self):
+        info, model = self.engine.cache_info(), self.model
+        assert (info["hits"], info["misses"]) == (model.hits, model.misses)
+        assert info["entries"] == len(model.keys)
+        assert info["max_size"] == model.size
+        mask_bytes = self.engine.full_mask().nbytes
+        assert info["nbytes"] == len(model.keys) * mask_bytes
+        total = model.hits + model.misses
+        expected_rate = (model.hits / total) if total else 0.0
+        assert info["hit_rate"] == pytest.approx(expected_rate)
 
 
-def _apply_op(op, dataset, engines, oracles):
+def _apply_op(op, dataset, lane):
     kind = op[0]
+    oracle, model = lane.oracle, lane.model
     if kind == "point":
         pattern = op[1]
-        expected = coverage_scan(dataset, pattern)
-        for name in BACKENDS:
-            assert oracles[name].coverage(pattern) == expected, (name, pattern)
+        assert oracle.coverage(pattern) == coverage_scan(dataset, pattern), pattern
+        model.lookup(pattern)
     elif kind == "many":
         batch = op[1]
         expected = [coverage_scan(dataset, p) for p in batch]
-        for name in BACKENDS:
-            assert list(oracles[name].coverage_many(batch)) == expected, name
+        assert list(oracle.coverage_many(batch)) == expected
+        for pattern in batch:
+            model.lookup(pattern)
     elif kind == "memo":
         # The count-reuse table the amortized threshold sweep rides: a
         # second pass over the same batch must answer from the memo alone
-        # (no new oracle evaluations) with bit-identical counts, and the
-        # memoized counts must be the scanned ones on every backend.
+        # (no new oracle evaluations, no index lookups) with bit-identical
+        # counts, and the memoized counts must be the scanned ones.
         batch = op[1]
         expected = [coverage_scan(dataset, p) for p in batch]
-        for name in BACKENDS:
-            oracle = oracles[name]
-            memo = {}
-            first = list(oracle.coverage_many(batch, memo=memo))
-            before = oracle.evaluations
-            second = list(oracle.coverage_many(batch, memo=memo))
-            assert first == second == expected, name
-            assert oracle.evaluations == before, name
-            assert set(memo) == {p.values for p in batch}, name
+        memo = {}
+        first = list(oracle.coverage_many(batch, memo=memo))
+        before = oracle.evaluations
+        second = list(oracle.coverage_many(batch, memo=memo))
+        assert first == second == expected
+        assert oracle.evaluations == before
+        assert set(memo) == {p.values for p in batch}
+        for pattern in batch:
+            model.lookup(pattern)
     elif kind == "masks":
         batch = op[1]
         expected = [coverage_scan(dataset, p) for p in batch]
-        for name in BACKENDS:
-            oracle = oracles[name]
-            masks = [oracle.match_mask(p) for p in batch]
-            assert list(oracle.coverage_of_masks(masks)) == expected, name
+        masks = [oracle.match_mask(p) for p in batch]
+        assert list(oracle.coverage_of_masks(masks)) == expected
+        for pattern in batch:
+            model.lookup(pattern)
     elif kind == "children":
         # The attribute may be deterministic in the pattern already, so a
         # child is the pattern's rows AND one value's rows.
@@ -219,30 +226,23 @@ def _apply_op(op, dataset, engines, oracles):
             for value in range(dataset.cardinalities[attribute])
         ]
         expected_counts = [int(weights[rows].sum()) for rows in expected_bools]
-        for name in BACKENDS:
-            engine = engines[name]
-            family = engine.restrict_children(
-                engine.match_mask(pattern), attribute
-            )
-            assert len(family) == dataset.cardinalities[attribute], name
-            for child, expected in zip(family, expected_bools):
-                assert np.array_equal(
-                    engine.mask_to_bool(child), expected
-                ), (name, pattern, attribute)
-            assert list(engine.count_many(family)) == expected_counts, name
+        engine = lane.engine
+        family = engine.restrict_children(engine.match_mask(pattern), attribute)
+        model.lookup(pattern)
+        assert len(family) == dataset.cardinalities[attribute]
+        for child, expected in zip(family, expected_bools):
+            assert np.array_equal(
+                engine.mask_to_bool(child), expected
+            ), (pattern, attribute)
+        assert list(engine.count_many(family)) == expected_counts
     elif kind == "churn":
-        for engine in engines.values():
-            engine.clear_mask_cache()
+        lane.engine.clear_mask_cache()
+        lane.model = _LruModel(model.size)
     elif kind == "rebuild":
-        for name in BACKENDS:
-            old = engines[name]
-            template = old.template()
-            old.close()
-            rebuilt = resolve_engine(template, dataset)
-            engines[name] = rebuilt
-            oracles[name] = CoverageOracle(dataset, engine=rebuilt)
+        return _Lane(dataset, lane.engine.mask_cache_size)
     else:  # pragma: no cover - corpus hygiene
         raise AssertionError(f"unknown fuzz op {kind!r}")
+    return lane
 
 
 def _run_case(cardinalities, rows, mask_cache_size, ops):
@@ -250,14 +250,10 @@ def _run_case(cardinalities, rows, mask_cache_size, ops):
     schema = Schema.of([f"A{i + 1}" for i in range(d)], cardinalities)
     array = np.asarray(rows, dtype=np.int32).reshape(len(rows), d)
     dataset = Dataset(schema, array)
-    engines = _build_engines(dataset, mask_cache_size)
-    oracles = {
-        name: CoverageOracle(dataset, engine=engine)
-        for name, engine in engines.items()
-    }
+    lane = _Lane(dataset, mask_cache_size)
     for op in ops:
-        _apply_op(op, dataset, engines, oracles)
-        _check_cache_accounting(engines)
+        lane = _apply_op(op, dataset, lane)
+        lane.check_cache()
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from engine_reference import row_match, scan_mups
 from repro.core.coverage import CoverageOracle, coverage_scan
-from repro.core.engine import PackedBitsetEngine, resolve_engine
+from repro.core.engine import CoverageEngine
 from repro.core.mups.base import find_mups
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
@@ -53,7 +53,7 @@ def dataset_and_patterns(draw, max_patterns: int = 8):
 @given(dataset_and_patterns())
 def test_point_coverage_identical(case):
     dataset, patterns = case
-    packed = PackedBitsetEngine(dataset)
+    packed = CoverageEngine(dataset)
     for pattern in patterns:
         assert packed.coverage(pattern) == coverage_scan(dataset, pattern)
 
@@ -61,7 +61,7 @@ def test_point_coverage_identical(case):
 @given(dataset_and_patterns())
 def test_match_masks_select_same_rows(case):
     dataset, patterns = case
-    packed = PackedBitsetEngine(dataset)
+    packed = CoverageEngine(dataset)
     for pattern in patterns:
         packed_bits = packed.mask_to_bool(packed.match_mask(pattern))
         assert np.array_equal(packed_bits, row_match(dataset, pattern))
@@ -71,7 +71,7 @@ def test_match_masks_select_same_rows(case):
 @settings(max_examples=40)
 def test_coverage_many_matches_pointwise(case):
     dataset, patterns = case
-    packed = PackedBitsetEngine(dataset)
+    packed = CoverageEngine(dataset)
     pointwise = [coverage_scan(dataset, p) for p in patterns]
     assert list(packed.coverage_many(patterns)) == pointwise
 
@@ -80,7 +80,7 @@ def test_coverage_many_matches_pointwise(case):
 @settings(max_examples=40)
 def test_restrict_children_partitions_the_mask(case):
     dataset, patterns = case
-    engine = PackedBitsetEngine(dataset)
+    engine = CoverageEngine(dataset)
     for pattern in patterns:
         free = pattern.nondeterministic_indices()
         if not free:
@@ -129,7 +129,7 @@ def test_mup_sets_identical_across_engines(dataset):
 @given(datasets())
 @settings(max_examples=30)
 def test_packed_index_is_smaller(dataset):
-    packed = PackedBitsetEngine(dataset)
+    packed = CoverageEngine(dataset)
     # One uint64 word per 64 unique rows per attribute value: smaller than
     # one bool per unique row once there are more than 8 of them.
     words = -(-packed.unique_count // 64)
@@ -137,8 +137,7 @@ def test_packed_index_is_smaller(dataset):
     assert packed.index_nbytes == row_total * words * 8
     if packed.unique_count > 8:
         assert packed.index_nbytes < row_total * packed.unique_count
-    # resolve_engine round-trips names, classes, and instances.
-    assert resolve_engine("packed", dataset).name == "packed"
-    assert resolve_engine(PackedBitsetEngine, dataset).name == "packed"
-    assert resolve_engine(packed, dataset) is packed
-    assert resolve_engine(None, dataset).name == "packed"
+    # Every engine spec an oracle takes gives this engine.
+    for spec in ("packed", "auto", None):
+        assert CoverageOracle(dataset, engine=spec).engine.name == "packed"
+    assert CoverageOracle(dataset, engine=packed).engine is packed

@@ -9,7 +9,7 @@ Three families of guarantees:
 * **Equivalence** — ``find_mups_hierarchical`` is bit-identical to an
   independent ``find_mups`` run on the equivalent ``rollup()`` dataset at
   every level of the stack, on every coverage-engine spec (packed /
-  auto / packed with its cache off);
+  auto / an engine with its cache off);
 * **Bucket sweep** — each ``bucketize_sweep`` point matches an
   independent ``find_mups`` over ``bucketized_dataset`` at that width,
   despite the shared drill-down count memo.
@@ -29,21 +29,27 @@ from repro.analysis.hierarchy import (
     bucketized_dataset,
     find_mups_hierarchical,
 )
-from repro.core.engine import EngineConfig
+from repro.core.engine import CoverageEngine
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern, X
 from repro.data.hierarchy import AttributeHierarchy, drill_down, rollup
 from repro.data.scenarios import SCENARIO_FAMILIES, scenario_dataset
 
-#: Engine specs the equivalence leg sweeps: the backend, the planner's
-#: pick, and the backend with its mask cache disabled.
+#: Engine specs the equivalence leg sweeps: both names, and (built per
+#: dataset by :func:`_spec`) an engine with its mask cache disabled.
 BACKENDS = (
     "packed",
     "auto",
     pytest.param(
-        EngineConfig(backend="packed", mask_cache_size=0), id="packed-nocache"
+        lambda dataset: CoverageEngine(dataset, mask_cache_size=0),
+        id="packed-nocache",
     ),
 )
+
+
+def _spec(backend, dataset):
+    """``backend`` as an engine spec for ``dataset``."""
+    return backend(dataset) if callable(backend) else backend
 
 
 # ----------------------------------------------------------------------
@@ -197,11 +203,14 @@ def _check_round_trip(dataset, chains):
 def _check_equivalence(dataset, chains, threshold, backend):
     stack = HierarchyStack.of(dataset, chains)
     result = find_mups_hierarchical(
-        dataset, stack, threshold=threshold, engine=backend, remedies=False
+        dataset, stack, threshold=threshold, engine=_spec(backend, dataset),
+        remedies=False,
     )
     for level in range(stack.depth + 1):
         roll = stack.rollup_to(dataset, level)
-        independent = find_mups(roll.dataset, threshold=threshold, engine=backend)
+        independent = find_mups(
+            roll.dataset, threshold=threshold, engine=_spec(backend, roll.dataset)
+        )
         assert result.at_level(level).mups == independent.mups, (backend, level)
         assert result.at_level(level).threshold == independent.threshold
 

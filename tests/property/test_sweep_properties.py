@@ -4,7 +4,7 @@ Three families of guarantees:
 
 * **Equivalence** — ``sweep_mups(...).mups_at(τ)`` is bit-identical to an
   independent ``find_mups`` run at every τ in the swept range, on every
-  coverage-engine spec (packed / auto / packed with its cache off), over
+  coverage-engine spec (packed / auto / an engine with its cache off), over
   scenario-generated datasets (zipf marginals, latent-factor correlation,
   planted MUPs with known ground truth);
 * **Monotonicity** — as τ grows the uncovered space only grows, so every
@@ -31,7 +31,7 @@ from hypothesis import given, settings
 
 import repro.core.lattice as lattice_module
 from repro.analysis.sweep import sweep_mups
-from repro.core.engine import EngineConfig
+from repro.core.engine import CoverageEngine
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern, X
 from repro.data.scenarios import (
@@ -41,15 +41,21 @@ from repro.data.scenarios import (
     zipfian_cardinalities,
 )
 
-#: Engine specs the equivalence leg sweeps: the backend, the planner's
-#: pick, and the backend with its mask cache disabled.
+#: Engine specs the equivalence leg sweeps: both names, and (built per
+#: dataset by :func:`_spec`) an engine with its mask cache disabled.
 BACKENDS = (
     "packed",
     "auto",
     pytest.param(
-        EngineConfig(backend="packed", mask_cache_size=0), id="packed-nocache"
+        lambda dataset: CoverageEngine(dataset, mask_cache_size=0),
+        id="packed-nocache",
     ),
 )
+
+
+def _spec(backend, dataset):
+    """``backend`` as an engine spec for ``dataset``."""
+    return backend(dataset) if callable(backend) else backend
 
 
 # ----------------------------------------------------------------------
@@ -164,15 +170,16 @@ def _cube_sweep(*args, **kwargs):
 
 
 def _check_equivalence(dataset, thresholds, backend):
+    spec = _spec(backend, dataset)
     sweeps = {
-        "cube": sweep_mups(dataset, thresholds, engine=backend),
-        "walk": _walked_sweep(dataset, thresholds, engine=backend),
+        "cube": sweep_mups(dataset, thresholds, engine=spec),
+        "walk": _walked_sweep(dataset, thresholds, engine=spec),
     }
     lo, hi = min(thresholds), max(thresholds)
     # Every integer τ in the closed range, not only the queried settings:
     # the frontier intervals claim to classify all of them.
     for tau in range(lo, hi + 1):
-        independent = find_mups(dataset, threshold=tau, engine=backend)
+        independent = find_mups(dataset, threshold=tau, engine=spec)
         for path, sweep in sweeps.items():
             amortized = sweep.mups_at(tau)
             assert amortized.mups == independent.mups, (path, backend, tau)

@@ -36,7 +36,7 @@ import pytest
 import repro
 import repro.core.lattice as lattice_module
 from engine_reference import scan_mups
-from repro.core.engine import PackedBitsetEngine
+from repro.core.engine import CoverageEngine
 from repro.core.mups import deepdiver, pattern_breaker, pattern_combiner
 from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.data.airbnb import load_airbnb
@@ -164,6 +164,6 @@ def test_packed_mups_match_scan_for_every_algorithm(algorithm):
         dataset,
         threshold=3,
         algorithm=algorithm,
-        engine=PackedBitsetEngine(dataset),
+        engine=CoverageEngine(dataset),
     )
     assert result.as_set() == reference

@@ -17,7 +17,7 @@ from repro.analysis.hierarchy import (
     find_mups_hierarchical,
 )
 from repro.core.coverage import CoverageOracle
-from repro.core.engine import resolve_engine
+from repro.core.engine import CoverageEngine
 from repro.core.enhancement import (
     GeneralizationRemedy,
     plan_hierarchical_enhancement,
@@ -209,15 +209,12 @@ class TestFindMupsHierarchical:
     def test_prebuilt_engine_applies_to_base_level(self):
         dataset = make_dataset()
         stack = make_stack(dataset)
-        engine = resolve_engine("packed", dataset)
-        try:
-            result = find_mups_hierarchical(
-                dataset, stack, threshold=5, engine=engine, remedies=False
-            )
-            flat = find_mups(dataset, threshold=5)
-            assert result.at_level(0).mups == flat.mups
-        finally:
-            engine.close()
+        engine = CoverageEngine(dataset)
+        result = find_mups_hierarchical(
+            dataset, stack, threshold=5, engine=engine, remedies=False
+        )
+        flat = find_mups(dataset, threshold=5)
+        assert result.at_level(0).mups == flat.mups
 
     def test_as_dict_shape(self):
         dataset = make_dataset()

@@ -106,16 +106,6 @@ class TestEnhance:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["packed", "auto"])
-    def test_enhance_plan_does_not_depend_on_the_engine(
-        self, csv_file, capsys, engine
-    ):
-        args = ["enhance", csv_file, "--threshold", "5", "--level", "2"]
-        assert main(args) == 0
-        planned = capsys.readouterr().out
-        assert main(args + ["--engine", engine]) == 0
-        assert capsys.readouterr().out == planned
-
     def test_enhance_rule_unknown_attribute_returns_2(self, csv_file, capsys):
         code = main(
             ["enhance", csv_file, "--threshold", "5", "--level", "1", "--rule", "zz=1"]
@@ -329,13 +319,29 @@ class TestCsvFuzz:
 
 
 class TestEngineSelection:
-    @pytest.mark.parametrize("engine", ["packed", "auto"])
-    def test_identify_output_identical_across_engines(self, csv_file, engine, capsys):
-        assert main(["identify", csv_file, "--threshold", "5"]) == 0
-        reference = capsys.readouterr().out
-        code = main(["identify", csv_file, "--threshold", "5", "--engine", engine])
-        assert code == 0
-        assert capsys.readouterr().out == reference
+    @pytest.mark.parametrize("option", [["--engine", "packed"], ["--explain-plan"]])
+    @pytest.mark.parametrize(
+        "command", ["identify", "label", "enhance", "hierarchy", "demo", "serve"]
+    )
+    def test_engine_options_are_usage_errors(
+        self, csv_file, command, option, capsys
+    ):
+        """One engine serves every command: there is nothing to select."""
+        argv = {
+            "identify": ["identify", csv_file, "--threshold", "5"],
+            "label": ["label", csv_file, "--threshold", "5"],
+            "enhance": ["enhance", csv_file, "--threshold", "5", "--level", "1"],
+            "hierarchy": [
+                "hierarchy", csv_file, "--threshold", "5",
+                "--hierarchy", "stack.json",
+            ],
+            "demo": ["demo"],
+            "serve": ["serve"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *option])
+        assert excinfo.value.code == 2
+        assert option[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option",
@@ -408,45 +414,6 @@ class TestEngineSelection:
         assert excinfo.value.code == 2
         assert option[0] in capsys.readouterr().err
 
-
-class TestAutoPlanner:
-    """The auto planner is the CLI default and honors its constraints."""
-
-    def test_auto_is_the_default_and_matches_explicit_engines(
-        self, csv_file, capsys
-    ):
-        assert main(["identify", csv_file, "--threshold", "5"]) == 0
-        auto_output = capsys.readouterr().out
-        code = main(
-            ["identify", csv_file, "--threshold", "5", "--engine", "packed"]
-        )
-        assert code == 0
-        assert capsys.readouterr().out == auto_output
-
-    def test_explain_plan_prints_rationale(self, csv_file, capsys):
-        code = main(
-            ["identify", csv_file, "--threshold", "5", "--explain-plan"]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "engine plan:" in output
-        assert "projected" in output
-        assert "maximal uncovered pattern" in output
-
-    def test_explain_plan_reports_hand_picked_engines(self, csv_file, capsys):
-        code = main(
-            [
-                "identify",
-                csv_file,
-                "--threshold",
-                "5",
-                "--engine",
-                "packed",
-                "--explain-plan",
-            ]
-        )
-        assert code == 0
-        assert "hand-picked" in capsys.readouterr().out
 
 @pytest.fixture
 def hierarchy_setup(tmp_path):

@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core.coverage import CoverageOracle, coverage_scan, max_covered_level
+from repro.analysis.hierarchy import HierarchyStack, find_mups_hierarchical
+from repro.analysis.report import mup_report
+from repro.core.coverage import (
+    CoverageOracle,
+    coverage_scan,
+    max_covered_level,
+    oracle_for,
+)
+from repro.core.enhancement import plan_hierarchical_enhancement
+from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset, Schema
-from repro.exceptions import PatternError
+from repro.data.hierarchy import AttributeHierarchy
+from repro.exceptions import PatternError, ReproError
 
 
 class TestCoverageOracle:
@@ -131,3 +141,59 @@ class TestCoverageScan:
     def test_scan_rejects_wrong_length(self, example1_dataset):
         with pytest.raises(PatternError):
             coverage_scan(example1_dataset, Pattern.from_string("0X"))
+
+
+class TestForeignOracle:
+    """An oracle over another dataset object is rejected wherever one is
+    taken: its counts would answer for rows that are not the dataset's."""
+
+    @pytest.fixture
+    def pair(self):
+        rng = np.random.default_rng(0)
+        other = Dataset.from_rows(
+            rng.integers(0, 2, size=(200, 3)).tolist(), schema=Schema.binary(3)
+        )
+        dataset = Dataset.from_rows(
+            [[0, 0, 0]] * 200 + [[1, 1, 1]], schema=Schema.binary(3)
+        )
+        return dataset, CoverageOracle(other)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_find_mups_rejects_it(self, pair, algorithm):
+        dataset, foreign = pair
+        with pytest.raises(ReproError, match="different dataset"):
+            find_mups(dataset, threshold=5, algorithm=algorithm, oracle=foreign)
+        own = CoverageOracle(dataset)
+        result = find_mups(dataset, threshold=5, algorithm=algorithm, oracle=own)
+        assert {str(p) for p in result} == {"1XX", "X1X", "XX1"}
+
+    def test_an_equal_copy_is_another_dataset(self, pair):
+        dataset, _ = pair
+        clone = Dataset(dataset.schema, dataset.rows.copy())
+        with pytest.raises(ReproError, match="different dataset"):
+            oracle_for(dataset, CoverageOracle(clone))
+        own = CoverageOracle(dataset)
+        assert oracle_for(dataset, own) is own
+
+    def test_mup_report_rejects_it(self, pair):
+        dataset, foreign = pair
+        result = find_mups(dataset, threshold=5)
+        with pytest.raises(ReproError, match="different dataset"):
+            mup_report(dataset, result, oracle=foreign)
+        report = mup_report(dataset, result, oracle=CoverageOracle(dataset))
+        # Each MUP's row reads its level and its coverage in the dataset: 1.
+        for mup in ("1XX", "X1X", "XX1"):
+            assert f"{mup}      1      1 " in report
+
+    def test_hierarchy_remedies_reject_it(self, pair):
+        dataset, foreign = pair
+        stack = HierarchyStack.of(
+            dataset, {"A1": [AttributeHierarchy.of("A1", [0, 0])]}
+        )
+        with pytest.raises(ReproError, match="different dataset"):
+            find_mups_hierarchical(dataset, stack, threshold=5, oracle=foreign)
+        result = find_mups_hierarchical(dataset, stack, threshold=5)
+        with pytest.raises(ReproError, match="different dataset"):
+            plan_hierarchical_enhancement(
+                dataset, result.mups, result.remedies, 5, oracle=foreign
+            )

@@ -1,74 +1,262 @@
-"""Unit tests for the pluggable coverage-engine layer."""
+"""Unit tests for the coverage engine and the one check on engine specs."""
 
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.analysis.hierarchy import HierarchyStack, find_mups_hierarchical
+from repro.analysis.nutrition import coverage_label
+from repro.analysis.report import mup_report
+from repro.analysis.sweep import sweep_mups
 from repro.core.coverage import CoverageOracle, coverage_scan
 from repro.core.engine import (
-    DEFAULT_ENGINE,
+    DEFAULT_MASK_CACHE,
     ENGINES,
     CoverageEngine,
-    EngineConfig,
-    PackedBitsetEngine,
+    check_engine,
     engine_name,
-    resolve_engine,
 )
+from repro.core.enhancement import plan_hierarchical_enhancement
+from repro.core.enhancement.greedy import greedy_cover
+from repro.core.incremental import IncrementalMupIndex
+from repro.core.mups.apriori import apriori_mups
 from repro.core.mups.base import find_mups, resolve_threshold
-from repro.core.pattern import Pattern
+from repro.core.mups.naive import naive_mups
+from repro.core.pattern import Pattern, X
+from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
-from repro.exceptions import PatternError, ReproError
+from repro.data.hierarchy import AttributeHierarchy
+from repro.data.synthetic import random_categorical_dataset
+from repro.exceptions import EngineError, PatternError, ReproError
 
 
-#: Every backend, the planner's pick, and packed with its cache disabled.
+#: How each contract test builds its engine: by either name through an
+#: oracle, and directly with the mask cache disabled.
 CONTRACT_SPECS = {
-    **{name: name for name in sorted(ENGINES)},
-    "auto": "auto",
-    "packed-nocache": EngineConfig(backend="packed", mask_cache_size=0),
+    "packed": lambda dataset: CoverageOracle(dataset, engine="packed").engine,
+    "auto": lambda dataset: CoverageOracle(dataset, engine="auto").engine,
+    "packed-nocache": lambda dataset: CoverageEngine(dataset, mask_cache_size=0),
+}
+
+#: Values that are not engine specs: other names, a number, classes, a
+#: factory.
+NOT_ENGINES = {
+    "roaring": "roaring",
+    "dense": "dense",
+    "number": 42,
+    "int-class": int,
+    "engine-class": CoverageEngine,
+    "factory": lambda dataset: CoverageEngine(dataset),
 }
 
 
 @pytest.fixture(params=sorted(CONTRACT_SPECS))
 def engine_of(request):
-    def build(dataset):
-        return resolve_engine(CONTRACT_SPECS[request.param], dataset)
+    return CONTRACT_SPECS[request.param]
 
-    build.name = request.param
-    return build
+
+def _stack(dataset):
+    return HierarchyStack.of(dataset, {"A1": [AttributeHierarchy.of("A1", [0, 0])]})
+
+
+def _hierarchical(dataset, **kwargs):
+    result = find_mups_hierarchical(dataset, _stack(dataset), threshold=1, **kwargs)
+    return result.mups, result.remedies
+
+
+def _hierarchical_plan(dataset, **kwargs):
+    found = find_mups_hierarchical(dataset, _stack(dataset), threshold=1)
+    plan = plan_hierarchical_enhancement(
+        dataset, found.mups, found.remedies, 1, **kwargs
+    )
+    return plan.generalizations, plan.acquired, plan.acquisition_cost
+
+
+def _greedy(dataset, **kwargs):
+    targets = [Pattern.of(1, X, X), Pattern.of(X, 1, 1)]
+    return greedy_cover(targets, PatternSpace.for_dataset(dataset), **kwargs).combinations
+
+
+#: Every public function or class that takes ``engine=``, run over a
+#: dataset at τ = 1 with extra keyword arguments; each returns an answer
+#: that no accepted engine spec may change.
+ENTRY_POINTS = {
+    "CoverageOracle": lambda dataset, **kwargs: list(
+        CoverageOracle(dataset, **kwargs).coverage_many(
+            list(PatternSpace.for_dataset(dataset).all_patterns())
+        )
+    ),
+    "find_mups": lambda dataset, **kwargs: find_mups(
+        dataset, threshold=1, **kwargs
+    ).as_set(),
+    "naive_mups": lambda dataset, **kwargs: naive_mups(dataset, 1, **kwargs).as_set(),
+    "apriori_mups": lambda dataset, **kwargs: apriori_mups(
+        dataset, 1, **kwargs
+    ).as_set(),
+    "sweep_mups": lambda dataset, **kwargs: [
+        sweep_mups(dataset, [1, 3], **kwargs).mups_at(tau).as_set() for tau in (1, 3)
+    ],
+    "IncrementalMupIndex": lambda dataset, **kwargs: IncrementalMupIndex(
+        dataset, 1, **kwargs
+    ).mups(),
+    "mup_report": lambda dataset, **kwargs: mup_report(
+        dataset, find_mups(dataset, threshold=1), **kwargs
+    ),
+    "coverage_label": lambda dataset, **kwargs: coverage_label(dataset, 1, **kwargs),
+    "find_mups_hierarchical": _hierarchical,
+    "plan_hierarchical_enhancement": _hierarchical_plan,
+    "greedy_cover": _greedy,
+}
+
+#: The entry points that also take a prebuilt ``oracle=``.
+TAKES_ORACLE = (
+    "find_mups",
+    "naive_mups",
+    "apriori_mups",
+    "IncrementalMupIndex",
+    "mup_report",
+    "find_mups_hierarchical",
+    "plan_hierarchical_enhancement",
+)
 
 
 class TestRegistry:
     def test_packed_is_the_only_backend(self):
-        assert ENGINES == {"packed": PackedBitsetEngine}
-        assert DEFAULT_ENGINE == "packed"
+        assert ENGINES == {"packed": CoverageEngine}
+        assert CoverageEngine.name == "packed"
 
     def test_resolve_rejects_unknown(self, example1_dataset):
         with pytest.raises(ReproError):
-            resolve_engine("sparse", example1_dataset)
+            CoverageOracle(example1_dataset, engine="sparse")
         with pytest.raises(ReproError):
-            resolve_engine(42, example1_dataset)
+            CoverageOracle(example1_dataset, engine=42)
 
     def test_resolve_rejects_foreign_dataset_instance(self, example1_dataset):
         other = Dataset.from_strings(["11", "01"])
-        engine = PackedBitsetEngine(other)
+        engine = CoverageEngine(other)
         with pytest.raises(ReproError):
-            resolve_engine(engine, example1_dataset)
+            check_engine(engine, example1_dataset)
         with pytest.raises(ReproError):
             CoverageOracle(example1_dataset, engine=engine)
 
-    def test_engine_name_normalizes_specs(self):
-        assert engine_name(None) == DEFAULT_ENGINE
-        assert engine_name("packed") == "packed"
-        assert engine_name(PackedBitsetEngine) == "packed"
+    def test_engine_name_normalizes_specs(self, example1_dataset):
+        for spec in (None, "packed", "auto", CoverageEngine(example1_dataset)):
+            assert engine_name(spec) == "packed"
         with pytest.raises(ReproError):
             engine_name("sparse")
 
     def test_oracle_exposes_engine(self, example1_dataset):
         oracle = CoverageOracle(example1_dataset, engine="packed")
-        assert isinstance(oracle.engine, PackedBitsetEngine)
-        assert isinstance(
-            CoverageOracle(example1_dataset).engine, ENGINES[DEFAULT_ENGINE]
+        assert isinstance(oracle.engine, CoverageEngine)
+        assert isinstance(CoverageOracle(example1_dataset).engine, CoverageEngine)
+
+
+class TestEngineSpecs:
+    """``check_engine`` is the one check every ``engine=`` argument takes."""
+
+    @pytest.mark.parametrize("spec", NOT_ENGINES.values(), ids=NOT_ENGINES)
+    def test_non_engines_are_rejected_with_the_accepted_forms(
+        self, example1_dataset, spec
+    ):
+        accepted = r"accepted: None, 'auto', 'packed' or a CoverageEngine"
+        with pytest.raises(EngineError, match=accepted):
+            check_engine(spec)
+        with pytest.raises(EngineError, match=accepted):
+            CoverageOracle(example1_dataset, engine=spec)
+        with pytest.raises(EngineError, match=accepted):
+            engine_name(spec)
+
+    def test_an_equal_dataset_is_another_dataset(self, example1_dataset):
+        # Identity, not equality: a copy is a different index lifetime.
+        clone = Dataset(example1_dataset.schema, example1_dataset.rows.copy())
+        engine = CoverageEngine(clone)
+        with pytest.raises(EngineError, match="different dataset"):
+            check_engine(engine, example1_dataset)
+        with pytest.raises(EngineError, match="different dataset"):
+            find_mups(example1_dataset, threshold=1, engine=engine)
+        assert check_engine(engine, clone) is engine
+        assert CoverageOracle(clone, engine=engine).engine is engine
+
+    def test_names_build_the_default_engine(self, example1_dataset):
+        for spec in (None, "auto", "packed"):
+            assert check_engine(spec, example1_dataset) is None
+            engine = CoverageOracle(example1_dataset, engine=spec).engine
+            assert type(engine) is CoverageEngine
+            assert engine.mask_cache_size == DEFAULT_MASK_CACHE
+
+    @pytest.mark.parametrize("spec", ["bogus", 42, CoverageEngine])
+    def test_greedy_rejects_a_non_engine_spec(self, spec):
+        space = PatternSpace([2, 3, 2])
+        with pytest.raises(EngineError):
+            greedy_cover([Pattern.of(0, X, X)], space, engine=spec)
+
+    @pytest.mark.parametrize("spec", [None, "packed", "auto"])
+    def test_greedy_plans_alike_on_every_engine_spec(self, spec):
+        """GREEDY reads no engine, so every spec gives the same plan."""
+        space = PatternSpace([2, 3, 2])
+        targets = [
+            Pattern.of(0, X, X), Pattern.of(X, 1, X), Pattern.of(X, 2, 1),
+            Pattern.of(1, X, 0), Pattern.of(1, 0, X),
+        ]
+        plan = greedy_cover(targets, space, engine=spec)
+        assert plan.combinations == ((1, 0, 0), (0, 1, 0), (0, 2, 1))
+
+    def test_auto_mups_on_a_sparse_domain_match_pattern_breaker(self):
+        # APRIORI counts through the engine "auto" builds; PATTERN-BREAKER
+        # counts the unique rows.
+        sparse = random_categorical_dataset(2_000, (64, 48), seed=7, skew=0.5)
+        auto = find_mups(sparse, threshold=4, algorithm="apriori", engine="auto")
+        reference = find_mups(sparse, threshold=4, algorithm="pattern_breaker")
+        assert auto.as_set() == reference.as_set()
+
+
+class TestEveryEntryPoint:
+    """Every ``engine=`` argument goes through the one check: the accepted
+    forms give one answer, and anything else raises before any work."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_every_accepted_form_gives_one_answer(self, example1_dataset, entry):
+        run = ENTRY_POINTS[entry]
+        expected = run(example1_dataset)
+        for spec in (None, "auto", "packed", CoverageEngine(example1_dataset)):
+            assert run(example1_dataset, engine=spec) == expected
+
+    @pytest.mark.parametrize("spec", NOT_ENGINES.values(), ids=NOT_ENGINES)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_a_non_engine(self, example1_dataset, entry, spec):
+        accepted = r"accepted: None, 'auto', 'packed' or a CoverageEngine"
+        with pytest.raises(EngineError, match=accepted):
+            ENTRY_POINTS[entry](example1_dataset, engine=spec)
+
+    @pytest.mark.parametrize(
+        "entry", sorted(set(ENTRY_POINTS) - {"greedy_cover"})
+    )
+    def test_rejects_an_engine_over_another_dataset(self, example1_dataset, entry):
+        clone = Dataset(example1_dataset.schema, example1_dataset.rows.copy())
+        with pytest.raises(EngineError, match="different dataset"):
+            ENTRY_POINTS[entry](example1_dataset, engine=CoverageEngine(clone))
+
+    @pytest.mark.parametrize("entry", TAKES_ORACLE)
+    def test_an_oracle_does_not_excuse_a_bad_spec(self, example1_dataset, entry):
+        oracle = CoverageOracle(example1_dataset)
+        run = ENTRY_POINTS[entry]
+        with pytest.raises(EngineError, match="unknown coverage engine"):
+            run(example1_dataset, oracle=oracle, engine="bogus")
+        assert run(example1_dataset, oracle=oracle, engine="packed") == run(
+            example1_dataset
         )
+
+    def test_skipped_work_does_not_skip_the_check(self, example1_dataset):
+        result = find_mups(example1_dataset, threshold=1)
+        with pytest.raises(EngineError, match="unknown coverage engine"):
+            coverage_label(example1_dataset, 1, result=result, engine="bogus")
+        with pytest.raises(EngineError, match="unknown coverage engine"):
+            find_mups_hierarchical(
+                example1_dataset,
+                _stack(example1_dataset),
+                threshold=1,
+                remedies=False,
+                engine="bogus",
+            )
 
 
 class TestEngineContract:
@@ -81,9 +269,9 @@ class TestEngineContract:
 
     def test_pattern_validation(self, example1_dataset, engine_of):
         engine = engine_of(example1_dataset)
-        with pytest.raises(PatternError):
+        with pytest.raises(PatternError, match="length"):
             engine.coverage(Pattern.from_string("XX"))
-        with pytest.raises(PatternError):
+        with pytest.raises(PatternError, match="out-of-range"):
             engine.coverage(Pattern.of(5, "X", "X"))
 
     def test_coverage_many_empty(self, example1_dataset, engine_of):
@@ -94,9 +282,12 @@ class TestEngineContract:
     def test_empty_dataset(self, engine_of):
         dataset = Dataset(Schema.binary(2), np.zeros((0, 2), dtype=np.int32))
         engine = engine_of(dataset)
-        assert engine.coverage(Pattern.root(2)) == 0
-        assert list(engine.coverage_many([Pattern.root(2)])) == [0]
+        root = Pattern.root(2)
+        assert engine.coverage(root) == 0
+        assert list(engine.coverage_many([root, root])) == [0, 0]
         assert engine.count(engine.full_mask()) == 0
+        assert engine.count(engine.match_mask(root)) == 0
+        assert list(engine.mask_to_bool(engine.match_mask(root))) == []
 
     def test_duplicate_multiplicities_counted(self, engine_of):
         dataset = Dataset.from_strings(["00", "00", "00", "01"])
@@ -117,7 +308,7 @@ class TestEngineContract:
 
 class TestPackedSpecifics:
     def test_masks_are_word_arrays(self, example1_dataset):
-        engine = PackedBitsetEngine(example1_dataset)
+        engine = CoverageEngine(example1_dataset)
         full = engine.full_mask()
         # One word covers the few unique rows; tail bits stay clear.
         assert full.dtype == np.uint64
@@ -130,7 +321,7 @@ class TestPackedSpecifics:
     def test_full_mask_is_a_fresh_copy(self):
         # 70 unique rows: the second word carries six live bits.
         dataset = Dataset.from_rows([[a, b] for a in range(7) for b in range(10)])
-        engine = PackedBitsetEngine(dataset)
+        engine = CoverageEngine(dataset)
         full = engine.full_mask()
         assert full.tolist() == [(1 << 64) - 1, (1 << 6) - 1]
         full[:] = 0
@@ -140,7 +331,7 @@ class TestPackedSpecifics:
     def test_match_masks_leave_the_index_untouched(self):
         rng = np.random.default_rng(3)
         dataset = Dataset.from_rows(rng.integers(0, 4, size=(300, 3)).tolist())
-        engine = PackedBitsetEngine(dataset, mask_cache_size=0)
+        engine = CoverageEngine(dataset, mask_cache_size=0)
         before = [engine.word_matrix(i).copy() for i in range(dataset.d)]
         patterns = [
             Pattern.of(a, b, c)
@@ -162,7 +353,7 @@ class TestPackedSpecifics:
         dataset = Dataset.from_rows(rng.integers(0, 5, size=(2000, 4)).tolist())
         unique_count = Dataset.unique_rows(dataset)[0].shape[0]
         assert unique_count > 64
-        packed = PackedBitsetEngine(dataset)
+        packed = CoverageEngine(dataset)
         # One bit, not one bool byte, per unique row and attribute value,
         # padded to whole uint64 words.
         words = -(-unique_count // 64)
@@ -174,7 +365,7 @@ class TestPackedSpecifics:
         # row scan is the reference.
         rows = [[0, 1], [0, 1], [1, 0], [1, 1], [0, 0], [0, 0], [0, 0]]
         dataset = Dataset.from_rows(rows)
-        packed = PackedBitsetEngine(dataset)
+        packed = CoverageEngine(dataset)
         patterns = [
             Pattern.of(a, b)
             for a in ("X", 0, 1)
@@ -214,44 +405,6 @@ class TestFacadeSelection:
         assert result.as_set() is result.as_set()
 
 
-class TestCliEngineFlag:
-    @pytest.fixture
-    def csv_file(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b,c\n" + "\n".join(["0,1,0", "0,0,1", "0,0,0", "0,1,1"]))
-        return str(path)
-
-    def test_identify_runs_on_both_engines(self, csv_file, capsys):
-        outputs = []
-        for engine in ("packed", "auto"):
-            assert (
-                main(["identify", csv_file, "--threshold", "1", "--engine", engine])
-                == 0
-            )
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert "1XX" in outputs[0]
-
-    def test_unknown_engine_rejected(self, csv_file):
-        with pytest.raises(SystemExit):
-            main(["identify", csv_file, "--threshold", "1", "--engine", "sparse"])
-
-    def test_dense_engine_rejected(self, csv_file, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["identify", csv_file, "--threshold", "1", "--engine", "dense"])
-        assert excinfo.value.code == 2
-        error = capsys.readouterr().err
-        assert "invalid choice: 'dense'" in error
-        assert "(choose from 'packed', 'auto')" in error
-
-    def test_help_documents_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["identify", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--engine" in help_text
-        assert "packed" in help_text
-
-
 class TestMaskCacheConcurrency:
     """Regression: the hot-mask LRU under concurrent ``match_mask`` calls.
 
@@ -265,10 +418,8 @@ class TestMaskCacheConcurrency:
         import random
         import threading
 
-        from repro.data.synthetic import random_categorical_dataset
-
         dataset = random_categorical_dataset(300, (3, 3, 2, 2), seed=5, skew=0.8)
-        engine = PackedBitsetEngine(dataset, mask_cache_size=4)
+        engine = CoverageEngine(dataset, mask_cache_size=4)
         pool = [Pattern.of(*row) for row in {tuple(r) for r in dataset.rows}]
         pool = sorted(pool, key=lambda p: p.values)[:12]
         truth = {
@@ -300,13 +451,10 @@ class TestMaskCacheConcurrency:
             thread.start()
         for thread in threads:
             thread.join()
-        try:
-            assert not errors, errors[:3]
-            info = engine.cache_info()
-            # Every coverage call is exactly one hit or one miss.
-            assert info["hits"] + info["misses"] == n_threads * iterations
-            assert info["entries"] <= 4
-            assert info["nbytes"] >= 0
-            assert 0.0 <= info["hit_rate"] <= 1.0
-        finally:
-            engine.close()
+        assert not errors, errors[:3]
+        info = engine.cache_info()
+        # Every coverage call is exactly one hit or one miss.
+        assert info["hits"] + info["misses"] == n_threads * iterations
+        assert info["entries"] <= 4
+        assert info["nbytes"] >= 0
+        assert 0.0 <= info["hit_rate"] <= 1.0

@@ -15,12 +15,8 @@ from pathlib import Path
 import pytest
 
 from deepdiver_reference import deepdiver_reference
-from repro.core.engine import (
-    EngineConfig,
-    PackedBitsetEngine,
-    resolve_engine,
-    set_available_memory_bytes,
-)
+from repro.core.coverage import CoverageOracle
+from repro.core.engine import CoverageEngine
 from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
@@ -32,55 +28,46 @@ with open(FIXTURES / "expected_mups.json") as _handle:
     EXPECTED = json.load(_handle)
 
 
-def starved_auto(dataset):
-    """``auto`` planned with one byte of available memory: the plan that
-    once spilled out of core, and is ``packed`` like every other."""
-    set_available_memory_bytes(1)
-    try:
-        return resolve_engine("auto", dataset)
-    finally:
-        set_available_memory_bytes(None)
-
-
 def warm_engine(dataset):
     """A packed engine whose cache already holds the mask of every
     pattern in the space, so the search is answered from cached masks."""
-    engine = PackedBitsetEngine(dataset, mask_cache_size=256)
+    engine = CoverageEngine(dataset, mask_cache_size=256)
     for pattern in PatternSpace.for_dataset(dataset).all_patterns():
         engine.coverage(pattern)
     return engine
 
 
-#: (label, engine-spec factory) — factories take the dataset and return
-#: the ``engine=`` argument for ``find_mups``.
+def oracle_with_engine(dataset):
+    """Both arguments at once: an oracle and the engine it counts with."""
+    engine = CoverageEngine(dataset, mask_cache_size=0)
+    return {"oracle": CoverageOracle(dataset, engine=engine), "engine": engine}
+
+
+#: (label, arguments factory) — factories take the dataset and return
+#: the ``engine=``/``oracle=`` keyword arguments for ``find_mups``.
 ENGINE_CONFIGS = [
-    ("packed", lambda dataset: "packed"),
+    ("packed", lambda dataset: {"engine": "packed"}),
     (
         "packed-nocache",
-        lambda dataset: PackedBitsetEngine(dataset, mask_cache_size=0),
+        lambda dataset: {"engine": CoverageEngine(dataset, mask_cache_size=0)},
     ),
-    # Whatever the planner picks for the fixture.
-    ("auto", lambda dataset: "auto"),
-    # Built by a declarative config.
-    (
-        "config",
-        lambda dataset: EngineConfig(backend="packed", mask_cache_size=8)(
-            dataset
-        ),
-    ),
+    ("auto", lambda dataset: {"engine": "auto"}),
+    ("none", lambda dataset: {"engine": None}),
     # A one-mask cache evicts on every miss.
     (
         "packed-cache-1",
-        lambda dataset: PackedBitsetEngine(dataset, mask_cache_size=1),
+        lambda dataset: {"engine": CoverageEngine(dataset, mask_cache_size=1)},
     ),
-    ("auto-starved", starved_auto),
-    # An unbuilt config that ``find_mups`` plans and builds itself.
+    # An eight-mask cache fills, then evicts its oldest mask on each miss.
     (
-        "auto-config",
-        lambda dataset: EngineConfig(backend="auto", mask_cache_size=2),
+        "packed-cache-8",
+        lambda dataset: {"engine": CoverageEngine(dataset, mask_cache_size=8)},
     ),
-    ("class", lambda dataset: PackedBitsetEngine),
-    ("warm", warm_engine),
+    ("warm", lambda dataset: {"engine": warm_engine(dataset)}),
+    # A prebuilt oracle over the fixture itself.
+    ("oracle", lambda dataset: {"oracle": CoverageOracle(dataset)}),
+    # An oracle together with the uncached engine it wraps.
+    ("oracle-nocache", oracle_with_engine),
 ]
 
 CASES = [
@@ -106,9 +93,9 @@ def load_fixture(name: str) -> Dataset:
 def test_algorithm_engine_matrix_reproduces_golden(algorithm, config, fixture, tau):
     dataset = load_fixture(fixture)
     expected = set(EXPECTED[fixture]["thresholds"][str(tau)])
-    _, make_engine = config
+    _, make_arguments = config
     result = find_mups(
-        dataset, threshold=tau, algorithm=algorithm, engine=make_engine(dataset)
+        dataset, threshold=tau, algorithm=algorithm, **make_arguments(dataset)
     )
     assert {str(p) for p in result.mups} == expected
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from engine_reference import scan_mups
-from repro.core.engine import PackedBitsetEngine
+import repro.core.incremental as incremental_module
+from repro.core.coverage import CoverageOracle
+from repro.core.engine import CoverageEngine
 from repro.core.incremental import IncrementalMupIndex
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import random_categorical_dataset
-from repro.exceptions import DataError, ReproError
+from repro.exceptions import DataError, EngineError, ReproError
 
 
 def scratch_mups(dataset, tau):
@@ -143,9 +145,9 @@ class TestEngineCacheUnderMutation:
 
     The index rebuilds its oracle (and therefore its engine) on every
     delivery/removal, so cached masks from the old dataset are bypassed by
-    construction; these tests pin that contract down for every backend,
-    including prebuilt instances whose configuration must survive the
-    rebuild while their cached state must not.
+    construction; these tests pin that contract down for every engine
+    spec, including prebuilt instances whose cache capacity must survive
+    the rebuild while their cached state must not.
     """
 
     @pytest.mark.parametrize("engine", ["packed", "auto"])
@@ -188,31 +190,54 @@ class TestEngineCacheUnderMutation:
 
     def test_prebuilt_instance_config_survives_rebuild(self):
         dataset = random_categorical_dataset(30, (2, 2, 2), seed=8, skew=1.0)
-        engine = PackedBitsetEngine(dataset, mask_cache_size=16)
+        engine = CoverageEngine(dataset, mask_cache_size=16)
         index = IncrementalMupIndex(dataset, threshold=2, engine=engine)
         index.add_rows([(0, 0, 0), (1, 1, 1)])
         rebuilt = index._oracle.engine
         # Same configuration on the new dataset...
-        assert isinstance(rebuilt, PackedBitsetEngine)
+        assert isinstance(rebuilt, CoverageEngine)
         assert rebuilt is not engine
         assert rebuilt.mask_cache_size == 16
         # ...with a cold cache (no state carried over from the old dataset).
         assert rebuilt.dataset is index.dataset
         assert set(index.mups()) == scratch_mups(index.dataset, 2)
 
+    def test_adopted_oracle_sets_the_rebuilt_cache(self):
+        dataset = random_categorical_dataset(30, (2, 2, 2), seed=8, skew=1.0)
+        oracle = CoverageOracle(
+            dataset, engine=CoverageEngine(dataset, mask_cache_size=0)
+        )
+        index = IncrementalMupIndex(dataset, threshold=2, oracle=oracle)
+        assert index.oracle is oracle
+        index.remove_rows([0])
+        assert index.oracle.engine.mask_cache_size == 0
+        assert set(index.mups()) == scratch_mups(index.dataset, 2)
+
+    def test_engine_over_another_dataset_is_rejected(self):
+        dataset = random_categorical_dataset(30, (2, 2, 2), seed=8, skew=1.0)
+        clone = Dataset(dataset.schema, dataset.rows.copy())
+        with pytest.raises(EngineError, match="different dataset"):
+            IncrementalMupIndex(
+                dataset, threshold=2, engine=CoverageEngine(clone)
+            )
+        with pytest.raises(ReproError, match="different dataset"):
+            IncrementalMupIndex(
+                dataset, threshold=2, oracle=CoverageOracle(clone)
+            )
+
 
 class FlakyEngineFactory:
-    """Builds real packed engines but raises on a chosen build number."""
+    """Builds real engines but raises on a chosen build number."""
 
     def __init__(self, fail_on):
         self.builds = 0
         self.fail_on = fail_on
 
-    def __call__(self, dataset):
+    def __call__(self, dataset, **options):
         self.builds += 1
         if self.builds == self.fail_on:
             raise RuntimeError("simulated index-build failure")
-        return PackedBitsetEngine(dataset)
+        return CoverageEngine(dataset, **options)
 
 
 class TestFailedRebuild:
@@ -225,11 +250,13 @@ class TestFailedRebuild:
     answering from the old state, and a later delivery still succeeds.
     """
 
-    def test_failed_add_leaves_index_consistent(self, example1_dataset):
-        factory = FlakyEngineFactory(fail_on=2)  # build 1 is __init__
-        index = IncrementalMupIndex(
-            example1_dataset, threshold=1, engine=factory
-        )
+    def test_failed_add_leaves_index_consistent(
+        self, example1_dataset, monkeypatch
+    ):
+        index = IncrementalMupIndex(example1_dataset, threshold=1)
+        # The first rebuild fails.
+        factory = FlakyEngineFactory(fail_on=1)
+        monkeypatch.setattr(incremental_module, "CoverageEngine", factory)
         before_mups = set(index.mups())
         before_n = index.dataset.n
         probe = Pattern.from_string("1XX")
@@ -244,9 +271,9 @@ class TestFailedRebuild:
         assert index.coverage(probe) == before_coverage
         assert set(index.mups()) == scratch_mups(index.dataset, 1)
 
-        # The next delivery (build 3) succeeds and repairs the MUP set.
+        # The next delivery (build 2) succeeds and repairs the MUP set.
         resolved = index.add_rows([(1, 1, 1)])
         assert resolved == [Pattern.from_string("1XX")]
         assert index.dataset.n == before_n + 1
         assert set(index.mups()) == scratch_mups(index.dataset, 1)
-        assert factory.builds == 3
+        assert factory.builds == 2

@@ -257,8 +257,8 @@ class TestResultType:
         assert isinstance(result.stats.as_dict(), dict)
 
     def test_reused_oracle(self, example1_dataset):
-        # naive counts through the oracle it is given; DEEPDIVER accepts
-        # one for interface parity and counts from the unique rows.
+        # naive counts through the oracle it is given; DEEPDIVER counts
+        # from the unique rows, once find_mups has checked the oracle.
         oracle = CoverageOracle(example1_dataset)
         result = find_mups(
             example1_dataset, threshold=1, algorithm="naive", oracle=oracle

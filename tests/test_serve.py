@@ -8,6 +8,7 @@ end-to-end pass over a real socket via :class:`BackgroundServer`.
 
 import asyncio
 import http.client
+import itertools
 import json
 import socket
 import threading
@@ -17,11 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.analysis.sweep import sweep_mups, threshold_sensitivity
+import repro.serve.admission as admission_module
 from repro.core.coverage import CoverageOracle
-from repro.core.engine import EngineConfig
+from repro.core.engine import DEFAULT_MASK_CACHE, CoverageEngine
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import AdmissionError, ServeError
 from repro.serve import (
@@ -82,7 +84,7 @@ class TestServeConfig:
     def test_defaults_validate(self):
         config = ServeConfig()
         assert config.batch_window_seconds == pytest.approx(0.002)
-        assert config.engine.backend == "auto"
+        assert config.mask_cache_size == DEFAULT_MASK_CACHE
 
     @pytest.mark.parametrize(
         "field, value",
@@ -96,7 +98,9 @@ class TestServeConfig:
             ("max_concurrent", 0),
             ("max_queue", -1),
             ("result_cache_size", -1),
-            ("engine", "packed"),
+            ("mask_cache_size", -1),
+            ("mask_cache_size", True),
+            ("mask_cache_size", 2.5),
         ],
     )
     def test_bad_values_rejected(self, field, value):
@@ -105,8 +109,8 @@ class TestServeConfig:
         assert excinfo.value.code == "bad_config"
 
     def test_to_dict_round_trips_engine(self):
-        payload = ServeConfig().to_dict()
-        assert payload["engine"]["backend"] == "auto"
+        payload = ServeConfig(mask_cache_size=0).to_dict()
+        assert payload["mask_cache_size"] == 0
         assert payload["port"] == 8642
 
 
@@ -150,7 +154,7 @@ class TestRegistry:
     def test_reregistration_returns_same_warm_entry(self):
         dataset = make_random_dataset(3)
         registry = EngineRegistry(
-            EngineConfig(backend="auto"), max_entries=4, max_bytes=1 << 30
+            DEFAULT_MASK_CACHE, max_entries=4, max_bytes=1 << 30
         )
         try:
             entry, created = registry.register(dataset)
@@ -163,7 +167,7 @@ class TestRegistry:
 
     def test_unknown_key_is_structured_404(self):
         registry = EngineRegistry(
-            EngineConfig(backend="auto"), max_entries=4, max_bytes=1 << 30
+            DEFAULT_MASK_CACHE, max_entries=4, max_bytes=1 << 30
         )
         with pytest.raises(ServeError) as excinfo:
             registry.get("missing")
@@ -172,7 +176,7 @@ class TestRegistry:
 
     def test_lru_eviction_under_entry_cap(self):
         registry = EngineRegistry(
-            EngineConfig(backend="auto"), max_entries=2, max_bytes=1 << 30
+            DEFAULT_MASK_CACHE, max_entries=2, max_bytes=1 << 30
         )
         try:
             datasets = [make_random_dataset(seed) for seed in range(5)]
@@ -192,7 +196,7 @@ class TestRegistry:
         first = make_random_dataset(1)
         second = make_random_dataset(2)
         registry = EngineRegistry(
-            EngineConfig(backend="auto"), max_entries=8, max_bytes=1
+            DEFAULT_MASK_CACHE, max_entries=8, max_bytes=1
         )
         try:
             registry.register(first)
@@ -208,7 +212,7 @@ class TestRegistry:
         """Threads hammering register/get; entry cap holds, no errors."""
         datasets = [make_random_dataset(seed, n=60) for seed in range(6)]
         registry = EngineRegistry(
-            EngineConfig(backend="auto"), max_entries=3, max_bytes=1 << 30
+            DEFAULT_MASK_CACHE, max_entries=3, max_bytes=1 << 30
         )
         errors = []
 
@@ -244,7 +248,7 @@ class TestRegistry:
     def test_delivery_swaps_snapshot_and_aliases(self):
         dataset = make_random_dataset(7)
         registry = EngineRegistry(
-            EngineConfig(backend="auto"), max_entries=4, max_bytes=1 << 30
+            DEFAULT_MASK_CACHE, max_entries=4, max_bytes=1 << 30
         )
         try:
             entry, _ = registry.register(dataset)
@@ -276,7 +280,6 @@ class TestBatching:
         workload = patterns * 25  # heavy repetition: coalescing territory
         oracle = CoverageOracle(dataset)
         expected = [oracle.coverage(p) for p in workload]
-        oracle.engine.close()
 
         async def scenario(service):
             key = await register(service, dataset)
@@ -422,34 +425,110 @@ class TestAdmission:
         assert error.payload()["detail"]["latency_budget_ms"] == 1e-9
         assert info["rejected_over_budget"] == 1
 
-    def test_scan_projection_prices_the_planned_index(self):
-        """Admission returns the plan and prices one scan of the planned
-        index at the calibrated packed throughput."""
-        from repro.core.engine import plan_engine
+    def test_scan_projection_prices_the_packed_index(self):
+        """Admission projects the packed index's bytes from the schema and
+        prices one scan of them at the calibrated packed throughput."""
         from repro.serve.admission import (
             PACKED_SCAN_BYTES_PER_SECOND,
             AdmissionController,
+            projected_index_bytes,
         )
 
         dataset = random_categorical_dataset(
             2_000, (6, 5, 4, 3), seed=3, skew=0.3
         )
-        config = EngineConfig(backend="auto")
-        expected = plan_engine(dataset, config)
-        assert expected.config.backend == "packed"
-        scan_ms = (
-            expected.stats.projected_packed_bytes
-            / PACKED_SCAN_BYTES_PER_SECOND
-            * 1000
-        )
-        admits = AdmissionController(config, None, 1.0, 1, 1)
-        assert admits.check_budget(dataset) == expected
-        rejects = AdmissionController(config, None, scan_ms / 2000, 1, 1)
+        projected = projected_index_bytes(dataset)
+        # 360 combinations < 2,000 rows: ⌈360 / 64⌉ = 6 words a value row.
+        assert projected == (6 + 5 + 4 + 3) * 6 * 8
+        scan_ms = projected / PACKED_SCAN_BYTES_PER_SECOND * 1000
+        admits = AdmissionController(None, 1.0, 1, 1)
+        assert admits.check_budget(dataset) is None
+        rejects = AdmissionController(None, scan_ms / 2000, 1, 1)
         with pytest.raises(AdmissionError) as excinfo:
             rejects.check_budget(dataset)
         detail = excinfo.value.payload()["detail"]
         assert detail["projected_scan_ms"] == pytest.approx(scan_ms)
         assert detail["backend"] == "packed"
+
+    @pytest.mark.parametrize("n", [2, 50, 729, 2_000])
+    def test_projection_follows_the_packed_layout(self, n):
+        """With min(n, Π c_i) distinct rows, the projection is the built
+        index's size exactly; duplicates only make the index smaller."""
+        from repro.serve.admission import projected_index_bytes
+
+        combinations = list(itertools.product(range(9), range(9), range(9)))
+        rows = [combinations[i % len(combinations)] for i in range(n)]
+        schema = Schema.of(["a", "b", "c"], [9, 9, 9])
+        distinct = Dataset.from_rows(rows, schema=schema)
+        projected = projected_index_bytes(distinct)
+        assert projected == CoverageEngine(distinct).index_nbytes
+        assert projected == 27 * -(-min(n, 729) // 64) * 8
+        repeated = Dataset.from_rows(rows[: n // 2] * 2, schema=schema)
+        assert projected_index_bytes(repeated) == projected
+        assert CoverageEngine(repeated).index_nbytes <= projected
+
+    def test_memory_probe_never_raises(self):
+        assert admission_module._probe_available_memory() >= 1
+        assert admission_module.default_memory_budget() >= 1
+
+    def test_memory_probe_fallbacks(self, monkeypatch):
+        import builtins
+
+        real_open = builtins.open
+
+        def no_meminfo(path, *args, **kwargs):
+            if path == "/proc/meminfo":
+                raise OSError("no procfs")
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", no_meminfo)
+        # sysconf path (total physical memory) still answers...
+        assert admission_module._probe_available_memory() >= 1
+        # ...and with sysconf gone too, the constant fallback holds.
+        monkeypatch.setattr(
+            admission_module.os,
+            "sysconf",
+            lambda name: (_ for _ in ()).throw(ValueError()),
+        )
+        assert (
+            admission_module._probe_available_memory()
+            == admission_module.FALLBACK_MEMORY_BYTES
+        )
+
+    def test_memory_probe_cached_per_process(self, monkeypatch):
+        monkeypatch.setattr(admission_module, "_available_memory", None)
+        probes = []
+
+        def probe():
+            probes.append(1)
+            return 1 << 30
+
+        monkeypatch.setattr(admission_module, "_probe_available_memory", probe)
+        assert admission_module.default_memory_budget() == 1 << 29
+        assert admission_module.default_memory_budget() == 1 << 29
+        assert len(probes) == 1
+
+    def test_default_budget_is_half_the_probed_memory(self, monkeypatch):
+        dataset = random_categorical_dataset(
+            2_000, (6, 5, 4, 3), seed=3, skew=0.3
+        )
+        projected = admission_module.projected_index_bytes(dataset)
+        monkeypatch.setattr(admission_module, "_available_memory", 2 * projected)
+        admission_module.AdmissionController(None, 1.0, 1, 1).check_budget(
+            dataset
+        )
+        monkeypatch.setattr(
+            admission_module, "_available_memory", 2 * projected - 2
+        )
+        with pytest.raises(AdmissionError) as excinfo:
+            admission_module.AdmissionController(None, 1.0, 1, 1).check_budget(
+                dataset
+            )
+        assert excinfo.value.payload()["detail"] == {
+            "projected_bytes": projected,
+            "budget_bytes": projected - 1,
+            "backend": "packed",
+        }
 
     def test_saturation_rejects_beyond_queue(self):
         async def scenario(service):
@@ -601,7 +680,7 @@ class TestService:
         stats = run_service(service_config(), scenario)
         assert stats["registry"]["entries"] == 1
         assert stats["batcher"]["requests"] == 1
-        assert stats["config"]["engine"]["backend"] == "auto"
+        assert stats["config"]["mask_cache_size"] == DEFAULT_MASK_CACHE
         assert "admission" in stats and "result_cache" in stats
 
 
@@ -933,6 +1012,7 @@ class TestHttpEndToEnd:
                 server, "POST", "/datasets", {"rows": rows}
             )
             assert status == 200 and reg["created"]
+            assert reg["backend"] == "packed" and "plan" not in reg
             key = reg["dataset"]
 
             status, label = http_call(
