@@ -3,18 +3,22 @@
 Two pins, both over high-cardinality scenarios where the hierarchy
 machinery is supposed to earn its keep:
 
-* **Drill-down search**: ``find_mups_hierarchical`` (coarsest-first,
-  coarse coverage bounds certifying fine candidates) must be at least
-  4x faster than a flat ``find_mups`` on the base dataset, after
+* **Drill-down search**: ``find_mups_hierarchical`` (PATTERN-BREAKER's
+  level walk over every stack level's rolled-up dataset) must be at
+  least 4x faster than a flat ``find_mups`` on the base dataset, after
   cross-checking that the base-level MUP set is **bit-identical**.
 * **Bucket-width sweep**: ``bucketize_sweep`` over nested bucket counts
-  of a numeric column must be at least 6x faster than independent
-  ``bucketized_dataset`` + ``find_mups`` runs per count, again after
-  checking every count's MUP set is bit-identical.
+  of a numeric column (each count rolled up from the finest) must be at
+  least 6x faster than independent ``bucketized_dataset`` + ``find_mups``
+  runs per count, again after checking every count's MUP set is
+  bit-identical.
 
-Both searches walk each level with grouped row counts; on a 2-vCPU x86
-host six smoke runs measured 5.2-5.8x and 10.1-10.4x, and full-size runs
-5.1x and 7.3x.
+The pins were set when the flat baselines (DEEPDIVER) were several times
+slower than now: six smoke runs then read 5.2-5.8x and 10.1-10.4x.  Now
+every level, every count and both baselines walk coverage cubes, and the
+drill-down answers every level of the stack where its baseline answers
+the base alone, so neither pin holds.  On a 2-vCPU x86 host five smoke runs read 0.52-0.67x
+and 1.11-1.49x, and five full-size runs 0.35-0.41x and 1.64-1.91x.
 
 Emits the canonical ``BENCH_hierarchy.json`` via the shared writer.
 Also runnable standalone (the CI hierarchy smoke job):

@@ -9,34 +9,26 @@ analysis:
 * :class:`HierarchyStack` — an ordered chain of
   :class:`~repro.data.hierarchy.AttributeHierarchy` levels per attribute
   with validated refinement (every finer level must factor through the
-  coarser one), plus the rollup / step-map plumbing the searches ride.
+  coarser one), plus the rollup plumbing the searches ride.
 * :func:`parse_hierarchy_spec` — the JSON form of a stack, shared by the
   CLI and the serving layer.
-* :func:`find_mups_hierarchical` — level-wise search that starts at the
-  coarsest rollup and drills down only into uncovered regions.  The key
-  monotone fact: rolling up only *pools* rows, so for any pattern ``P`` at
-  a finer level, ``cov_fine(P) <= cov_coarse(image(P))``.  A candidate
-  whose coarse image was recorded below τ is therefore certified uncovered
-  without being counted — and because a candidate is only generated when
-  all its (finer) parents are covered, the image's parents were covered
-  too, so the image is always in the coarser search's table.  Every level
-  runs :func:`~repro.core.lattice.walk_levels` over its rolled dataset;
-  the bound maps a level's digits into the coarser level's codes and looks
-  them up in that search's sorted code table.  The per-level MUP sets are
-  *bit-identical* to running :func:`~repro.core.mups.find_mups` on the
-  corresponding :func:`~repro.data.hierarchy.rollup` dataset; the bound
-  only removes redundant counting.  Each finest-level MUP is reported
-  alongside its most *specific covered generalization* — the "remedy by
-  generalizing" answer
+* :func:`find_mups_hierarchical` — the MUPs of every level of a stack.
+  Each level is PATTERN-BREAKER's level walk
+  (:func:`~repro.core.lattice.walk_dataset`) over its
+  :func:`~repro.data.hierarchy.rollup` dataset, whose unique rows derive
+  from the base dataset's, so it reads a coverage cube whenever the rolled
+  space fits :func:`~repro.core.lattice.cube_fits`.  Each level's MUPs and
+  counters are exactly PATTERN-BREAKER's on that rolled dataset.  Each
+  finest-level MUP is reported alongside its most *specific covered
+  generalization* — the "remedy by generalizing" answer
   (:class:`~repro.core.enhancement.GeneralizationRemedy`), found by point
   queries through one base-dataset oracle.
 * :func:`bucketize_sweep` — τ-coverage as a function of bucket count for a
   numeric column.  Nested equal-width bucketizations form a hierarchy
   chain (every coarse bucket is a union of fine ones), so the sweep
-  aggregates the finest bucketization once, counts each count's rolled
-  dataset directly, coarsest first, and bounds every count by the finest
-  coarser count it nests into.  Each count's MUP set is bit-identical to
-  independent per-count runs.
+  aggregates the finest bucketization once and walks each count's rolled
+  dataset the same way.  Each count's MUPs and counters are exactly
+  PATTERN-BREAKER's on :func:`bucketized_dataset` at that count.
 """
 
 from __future__ import annotations
@@ -44,7 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,10 +44,14 @@ from repro._util import SearchStats, Stopwatch
 from repro.core.coverage import CoverageOracle, oracle_for
 from repro.core.engine import EngineSpec, check_engine
 from repro.core.enhancement.hierarchical import GeneralizationRemedy
-from repro.core.lattice import UNBOUNDED, LevelWalk, index_of, walk_dataset
+from repro.core.lattice import walk_dataset
 from repro.core.mups.base import MupResult, resolve_max_level, resolve_threshold
 from repro.core.pattern import Pattern, X
-from repro.data.bucketize import bucketize_equal_width, bucketize_quantiles
+from repro.data.bucketize import (
+    bucketize_equal_width,
+    bucketize_quantiles,
+    check_bucket_count,
+)
 from repro.data.dataset import Dataset, Schema
 from repro.data.hierarchy import AttributeHierarchy, Rollup, rollup
 from repro.exceptions import DataError, SchemaError
@@ -89,13 +85,10 @@ class HierarchyStack:
 
     Attributes:
         chains: attribute index → cumulative base→level-``k`` maps.
-        steps: attribute index → adjacent step maps (level-``k`` codes →
-            level-``k+1`` codes), derived from the factoring.
         depth: number of levels above the base.
     """
 
     chains: Mapping[int, Tuple[AttributeHierarchy, ...]]
-    steps: Mapping[int, Tuple[AttributeHierarchy, ...]]
     depth: int
 
     @classmethod
@@ -111,7 +104,6 @@ class HierarchyStack:
         """
         schema: Schema = getattr(source, "schema", source)
         by_index: Dict[int, Tuple[AttributeHierarchy, ...]] = {}
-        steps: Dict[int, Tuple[AttributeHierarchy, ...]] = {}
         for name, chain in chains.items():
             index = schema.index_of(name)
             chain = tuple(chain)
@@ -131,16 +123,14 @@ class HierarchyStack:
                         f"{cardinality}"
                     )
             # factor_through raises SchemaError when a finer level does not
-            # refine the coarser one; its result is the adjacent step map.
-            attr_steps = [chain[0]]
+            # refine the coarser one.
             for finer, coarser in zip(chain, chain[1:]):
-                attr_steps.append(finer.factor_through(coarser))
+                finer.factor_through(coarser)
             by_index[index] = chain
-            steps[index] = tuple(attr_steps)
         if not by_index:
             raise SchemaError("a hierarchy stack needs at least one chain")
         depth = max(len(chain) for chain in by_index.values())
-        return cls(chains=by_index, steps=steps, depth=depth)
+        return cls(chains=by_index, depth=depth)
 
     def chain_length(self, index: int) -> int:
         """Hierarchy levels above the base for attribute ``index``."""
@@ -163,17 +153,6 @@ class HierarchyStack:
         if not hierarchies:
             return Rollup(dataset, {})
         return rollup(dataset, hierarchies.values())
-
-    def step_maps(self, level: int) -> Dict[int, AttributeHierarchy]:
-        """Maps from level-``level`` codes to level-``level + 1`` codes.
-
-        Attributes saturated at or below ``level`` are omitted (identity).
-        """
-        return {
-            index: attr_steps[level]
-            for index, attr_steps in self.steps.items()
-            if level < len(attr_steps)
-        }
 
 
 def parse_hierarchy_spec(source, spec: Any) -> HierarchyStack:
@@ -221,36 +200,8 @@ def _all_of(items: Any, kind: type) -> bool:
 
 
 # ----------------------------------------------------------------------
-# the coarse-to-fine bound
+# hierarchical search results
 # ----------------------------------------------------------------------
-def _coarse_bound(
-    coarse: LevelWalk, steps: Mapping[int, Sequence[int]]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Upper bounds for a finer search from a finished coarser one.
-
-    ``steps`` maps each rolled attribute's finer codes to its coarser
-    codes.  A candidate's image keeps ``X`` and maps every value through
-    its step; the image's count in ``coarse`` (or the bound that certified
-    it there) bounds the candidate's coverage from above.
-    """
-    order = np.argsort(coarse.codes)
-    codes, counts = coarse.codes[order], coarse.counts[order]
-    # Digit maps: digit 0 (X) stays 0, digit v + 1 becomes group + 1.
-    maps = {
-        index: np.r_[0, np.asarray(groups, dtype=np.int64) + 1]
-        for index, groups in steps.items()
-    }
-
-    def bound(digits: np.ndarray) -> np.ndarray:
-        image = digits.copy()
-        for index, digit_map in maps.items():
-            image[:, index] = digit_map[digits[:, index]]
-        position = index_of(codes, coarse.lattice.from_digits(image))
-        return np.where(position >= 0, counts[position], UNBOUNDED)
-
-    return bound
-
-
 def _total(stats: Sequence[SearchStats], seconds: float) -> SearchStats:
     return SearchStats(
         nodes_generated=sum(s.nodes_generated for s in stats),
@@ -260,9 +211,6 @@ def _total(stats: Sequence[SearchStats], seconds: float) -> SearchStats:
     )
 
 
-# ----------------------------------------------------------------------
-# hierarchical search results
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class HierarchyLevel:
     """One stack level: its rollup and the MUP result on it."""
@@ -293,8 +241,7 @@ class HierarchicalMupResult:
         levels: per stack level (base first), the rollup and its MUPs.
         remedies: per finest-level MUP, its most specific covered
             generalization (empty when remedies were not requested).
-        stats: aggregate traversal counters; ``pruned`` includes the
-            candidates certified uncovered by a coarser level.
+        stats: the levels' traversal counters, summed.
         max_level: the level cap forwarded to every per-level search.
     """
 
@@ -342,12 +289,10 @@ def find_mups_hierarchical(
     engine: EngineSpec = None,
     remedies: bool = True,
 ) -> HierarchicalMupResult:
-    """Identify MUPs at every level of a hierarchy stack, coarsest first.
+    """Identify MUPs at every level of a hierarchy stack.
 
-    Each level's MUP set is bit-identical to ``find_mups`` on the
-    corresponding rolled-up dataset; the coarser levels' counts only serve
-    as upper bounds that let the finer searches skip counting inside
-    regions already known to be uncovered.
+    Each level's MUPs and counters are PATTERN-BREAKER's on the
+    corresponding rolled-up dataset (:meth:`HierarchyStack.rollup_to`).
 
     Args:
         dataset: the base (finest) dataset.
@@ -370,10 +315,9 @@ def find_mups_hierarchical(
     dataset.unique_rows()
 
     levels: List[HierarchyLevel] = []
-    bound = None
-    for level in range(stack.depth, -1, -1):
+    for level in range(stack.depth + 1):
         roll = stack.rollup_to(dataset, level)
-        walk = walk_dataset(roll.dataset, tau, max_level, bound=bound)
+        walk = walk_dataset(roll.dataset, tau, max_level)
         levels.append(
             HierarchyLevel(
                 level=level,
@@ -383,12 +327,8 @@ def find_mups_hierarchical(
                 ),
             )
         )
-        if level > 0:
-            # The next (finer) level's codes map into this level's codes.
-            steps = stack.step_maps(level - 1)
-            bound = _coarse_bound(walk, {i: h.groups for i, h in steps.items()})
 
-    base_mups = levels[-1].result.mups
+    base_mups = levels[0].result.mups
     remedy_records: Tuple[GeneralizationRemedy, ...] = ()
     if remedies and base_mups:
         base_oracle = oracle_for(dataset, oracle, engine)
@@ -606,24 +546,23 @@ def bucketize_sweep(
 
     Bucket counts must *nest* (each must divide the largest) so that every
     coarse bucket is a union of fine ones.  The sweep aggregates the
-    finest bucketization once, then walks each count's rolled dataset,
-    coarsest first, bounded by the finest coarser count it nests into.
-    Each count's MUP set is bit-identical to ``find_mups`` on
-    :func:`bucketized_dataset` at that count.
+    finest bucketization once, then walks each count's rolled dataset
+    (:func:`~repro.core.lattice.walk_dataset`).  Each count's MUPs and
+    counters are PATTERN-BREAKER's on :func:`bucketized_dataset` at that
+    count.
 
     Args:
         dataset: the categorical base dataset (without the numeric column).
         values: the numeric column, one value per row.
-        bucket_counts: equal-width bucket counts to sweep (each ≥ 2, each
-            dividing the maximum).
+        bucket_counts: equal-width bucket counts to sweep (each an integer
+            ≥ 2 dividing the maximum; see
+            :func:`~repro.data.bucketize.check_bucket_count`).
         threshold / threshold_rate: exactly one of absolute τ or a rate.
         name: attribute name for the bucket column.
     """
-    counts = sorted({int(b) for b in bucket_counts})
+    counts = sorted({check_bucket_count(b) for b in bucket_counts})
     if not counts:
         raise DataError("need at least one bucket count")
-    if counts[0] < 2:
-        raise DataError(f"bucket counts must be >= 2, got {counts[0]}")
     finest = counts[-1]
     broken = [c for c in counts if finest % c != 0]
     if broken:
@@ -635,15 +574,13 @@ def bucketize_sweep(
     fine_codes, fine_labels = bucketize_equal_width(values, finest)
     fine_dataset = _append_column(dataset, name, fine_codes, fine_labels)
     fine_cardinality = len(fine_labels)  # 1 when the column is constant
-    bucket_index = fine_dataset.d - 1
     tau = resolve_threshold(fine_dataset, threshold, threshold_rate)
     watch = Stopwatch()
     # Every count's rollup derives its unique rows from this aggregation.
     fine_dataset.unique_rows()
 
     points: List[BucketSweepPoint] = []
-    walks: Dict[int, LevelWalk] = {}
-    for count in counts:  # ascending = coarsest first
+    for count in counts:
         if fine_cardinality == 1:
             groups: Tuple[int, ...] = (0,)
             labels = list(fine_labels)
@@ -652,19 +589,7 @@ def bucketize_sweep(
             _, labels = bucketize_equal_width(values, count)
         hierarchy = AttributeHierarchy(name, groups, tuple(labels))
         roll = rollup(fine_dataset, [hierarchy])
-
-        bound = None
-        # Bound against the finest previously-swept count this one nests
-        # into (counts ascending ⇒ any divisor already has a walk).
-        divisors = [c for c in walks if count % c == 0]
-        if divisors:
-            ratio = count // max(divisors)
-            bound = _coarse_bound(
-                walks[max(divisors)],
-                {bucket_index: [b // ratio for b in range(len(labels))]},
-            )
-        walk = walk_dataset(roll.dataset, tau, bound=bound)
-        walks[count] = walk
+        walk = walk_dataset(roll.dataset, tau)
         points.append(
             BucketSweepPoint(
                 buckets=count,

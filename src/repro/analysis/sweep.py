@@ -26,7 +26,8 @@ from the cardinalities and the level cap alone:
   whose level is within the cap, when one is given), in ascending code
   order, which is pattern order.
 * **PATTERN-BREAKER's group-by level walk**
-  (:func:`~repro.core.lattice.walk_dataset`, each pattern generated once
+  (:func:`~repro.core.lattice.walk_levels` over a
+  :class:`~repro.core.lattice.GroupCounter`, each pattern generated once
   from its rightmost-deterministic parent) otherwise, pruned with the
   *smallest* queried threshold; the frontier is the counted candidates
   whose interval meets the range.  The walk computes only the iceberg
@@ -41,8 +42,8 @@ walk drops only candidates with a parent below τ_min, and such a
 candidate's interval ends at that parent's count, below τ_min, so the
 cube's filter drops it as well.  Under a level cap both keep exactly the
 patterns of level ≤ the cap.  An attribute-subset projection sweeps only
-those attributes (a projected pattern is a full-width pattern with ``X``
-elsewhere; the cube is built over the projected rows).
+those attributes: both paths read the unique rows projected onto them,
+and a projected pattern is the full-width pattern with ``X`` elsewhere.
 
 A :class:`SweepResult` keeps the frontier as it was found: ascending
 lattice codes (pattern order) with their ``int64`` coverages and smallest
@@ -86,9 +87,10 @@ from repro.core.engine import EngineSpec, check_engine
 from repro.core.lattice import (
     UNBOUNDED,
     CoverageCube,
+    GroupCounter,
     PatternLattice,
     cube_fits,
-    walk_dataset,
+    walk_levels,
 )
 from repro.core.mups.base import MupResult, check_threshold, resolve_max_level
 from repro.core.pattern import Pattern
@@ -445,23 +447,36 @@ def sweep_mups(
     watch = Stopwatch()
     tau_min, tau_max = thresholds[0], thresholds[-1]
     lattice = PatternLattice(PatternSpace.for_dataset(dataset))
-    swept = list(range(dataset.d) if attrs is None else attrs)
-    if cube_fits([lattice.cardinalities[a] for a in swept], max_level):
-        codes, counts, floors, stats = _read_cube(
-            dataset, lattice, swept, tau_min, tau_max, max_level
+    rows, multiplicities = dataset.unique_rows()
+    swept, swept_lattice = list(range(dataset.d) if attrs is None else attrs), lattice
+    if len(swept) < dataset.d:
+        swept_lattice = PatternLattice(
+            PatternSpace([lattice.cardinalities[a] for a in swept])
         )
+        rows = rows[:, swept]
+    if cube_fits(swept_lattice.cardinalities, max_level):
+        cube = CoverageCube(swept_lattice, rows, multiplicities)
+        keep = _meets_range(cube.counts, cube.floors, tau_min, tau_max)
+        if max_level is not None:
+            keep &= cube.levels() <= max_level
+        codes = np.flatnonzero(keep)
+        counts, floors = cube.counts[codes], cube.floors[codes]
+        stats = SearchStats(nodes_generated=cube.size, coverage_evaluations=cube.size)
     else:
         # Pruning with τ_min keeps exactly the candidates whose MUP
         # interval can meet the swept range, plus the parent counts their
         # intervals need: a parent below τ_min is uncovered at every
         # queried τ.
-        walk = walk_dataset(dataset, tau_min, max_level, attributes=attrs)
+        count = GroupCounter(swept_lattice, rows, multiplicities)
+        walk = walk_levels(swept_lattice, count, tau_min, max_level)
         keep = np.flatnonzero(
             _meets_range(walk.counts, walk.min_parent, tau_min, tau_max)
         )
         keep = keep[np.argsort(walk.codes[keep])]
         codes, counts, floors = walk.codes[keep], walk.counts[keep], walk.min_parent[keep]
         stats = walk.stats
+    if swept_lattice is not lattice:
+        codes = _widen(codes, swept_lattice, lattice, swept)
     stats.seconds = watch.elapsed()
     return SweepResult(
         thresholds=thresholds,
@@ -485,37 +500,28 @@ def _meets_range(
     return (counts < floors) & (counts < tau_max) & (floors >= tau_min)
 
 
-def _read_cube(
-    dataset: Dataset,
+def _widen(
+    codes: np.ndarray,
+    swept_lattice: PatternLattice,
     lattice: PatternLattice,
     swept: Sequence[int],
-    tau_min: int,
-    tau_max: int,
-    max_level: Optional[int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, SearchStats]:
-    """The frontier read from a :class:`~repro.core.lattice.CoverageCube`
-    over the swept attributes: ascending ``lattice`` codes with their
-    coverages and smallest parent counts, and the cube's counters."""
-    rows, multiplicities = dataset.unique_rows()
-    cube_lattice = lattice
-    if len(swept) < lattice.d:
-        cube_lattice = PatternLattice(
-            PatternSpace([lattice.cardinalities[a] for a in swept])
-        )
-        rows = rows[:, swept]
-    cube = CoverageCube(cube_lattice, rows, multiplicities)
-    keep = _meets_range(cube.counts, cube.floors, tau_min, tau_max)
-    if max_level is not None:
-        keep &= cube.levels() <= max_level
-    cells = np.flatnonzero(keep)
-    codes = cells
-    if cube_lattice is not lattice:
-        # A projected pattern is a full-width one with X elsewhere.
-        digits = np.zeros((len(cells), lattice.d), dtype=np.int64)
-        digits[:, swept] = cube_lattice.digits(cells)
-        codes = lattice.from_digits(digits)
-    stats = SearchStats(nodes_generated=cube.size, coverage_evaluations=cube.size)
-    return codes, cube.counts[cells], cube.floors[cells], stats
+) -> np.ndarray:
+    """The ``lattice`` codes of ``swept_lattice`` codes over the ascending
+    attributes ``swept``: the same digits there and ``X`` elsewhere, so
+    ascending codes stay ascending.
+
+    Within a run of consecutive swept attributes, the two lattices' place
+    values differ by one factor, so each run costs one division, one
+    modulo and one multiplication over the codes.
+    """
+    codes = codes.astype(lattice.dtype)
+    wide = np.zeros(len(codes), dtype=lattice.dtype)
+    starts = [0] + [j for j in range(1, len(swept)) if swept[j] != swept[j - 1] + 1]
+    for first, stop in zip(starts, starts[1:] + [len(swept)]):
+        low = swept_lattice.weights[stop - 1]
+        span = swept_lattice.weights[first] * (swept_lattice.cardinalities[first] + 1) // low
+        wide += codes // low % span * lattice.weights[swept[stop - 1]]
+    return wide
 
 
 # ----------------------------------------------------------------------

@@ -276,7 +276,7 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
         print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
         return 0
     rows = []
-    for entry in reversed(result.levels):  # coarsest first, like the search
+    for entry in reversed(result.levels):  # coarsest first
         mup_result = entry.result
         rows.append(
             [
@@ -324,8 +324,7 @@ def _cmd_bucketsweep(args: argparse.Namespace) -> int:
         return 0
     print(
         f"bucketization sweep over {args.column!r}, τ={result.threshold} "
-        f"(coarsest count first, each bounded by a coarser count it "
-        f"nests into):"
+        f"(each count rolled up from the finest one):"
     )
     rows = [
         [
@@ -595,9 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     hierarchy = commands.add_parser(
         "hierarchy",
-        help="hierarchical MUP search over a stack of attribute "
-        "generalization hierarchies: coarsest rollup first, drilling down "
-        "only into uncovered regions, with per-MUP generalization remedies",
+        help="MUPs at every level of a stack of attribute generalization "
+        "hierarchies, each level searched on its rollup, with per-MUP "
+        "generalization remedies",
     )
     hierarchy.add_argument("csv", help="path to an integer-coded CSV file")
     hierarchy.add_argument(
@@ -638,8 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bucketsweep",
         help="τ-coverage as a function of equal-width bucket count for a "
         "numeric column: each count is counted from the finest "
-        "bucketization's rows, coarsest first, bounded by the coarser "
-        "counts it nests into",
+        "bucketization's rows",
     )
     bucketsweep.add_argument(
         "csv", help="path to a CSV file with one numeric column"

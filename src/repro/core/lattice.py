@@ -12,8 +12,8 @@ over the level instead of one Python object per node; ``Pattern`` objects
 are built only for the answers (:meth:`PatternLattice.decode`).
 
 :func:`walk_levels` is PATTERN-BREAKER's level-wise traversal (§III-C)
-over these codes, shared by PATTERN-BREAKER, DEEPDIVER, the threshold
-sweep over its cube cap and the hierarchy searches, and
+over these codes, shared by PATTERN-BREAKER, DEEPDIVER, the hierarchy
+searches and the threshold sweep over the cube cap, and
 :class:`GroupCounter` counts its levels, a bounded chunk of whole
 attribute subsets at a time: the candidates of a level that fix the same
 attribute subset ``S`` are all counted by one group-by of the unique rows
@@ -29,8 +29,8 @@ the call: a candidate survives pruning iff its smallest parent count
 reaches τ, and its count is a gather.  By induction on the level, the
 covered candidates of a level are all of its covered patterns (a covered
 pattern's parents are covered, because coverage only falls going down),
-so both walks prune, count and answer alike.  Larger spaces, attribute
-projections and bounded walks run :func:`walk_levels`.
+so both walks prune, count and answer alike.  Larger spaces run
+:func:`walk_levels`.
 
 Codes are ``int64`` while the space has fewer than ``2**63`` nodes and
 Python ints in an ``object`` array beyond that (45 binary attributes
@@ -55,7 +55,7 @@ from repro.exceptions import PatternError
 #: Spaces with at least this many nodes code patterns as Python ints.
 _INT64_NODES = 2**63
 
-#: Minimum over no parents (the root's), and "no bound known".
+#: Minimum over no parents (the root's).
 UNBOUNDED = np.iinfo(np.int64).max
 
 #: A subset's key space is tallied with ``bincount`` up to this many slots
@@ -231,13 +231,13 @@ class PatternLattice:
         specializes every attribute right of its right-most deterministic
         digit.
         """
-        return self._rule1_children(codes, self.digits(codes), range(self.d))
+        return self._rule1_children(codes, self.digits(codes))
 
     def _rule1_children(
-        self, codes: np.ndarray, digits: np.ndarray, attributes: Iterable[int]
+        self, codes: np.ndarray, digits: np.ndarray
     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         last = _rightmost(digits != 0)
-        for attribute in attributes:
+        for attribute in range(self.d):
             rows = np.flatnonzero(last < attribute)
             if len(rows):
                 yield attribute, rows, self.family(codes[rows], attribute)
@@ -384,8 +384,9 @@ class GroupCounter:
     in ``S``'s own mixed radix (``Π_{i∈S} c_i`` keys) and multiplicities
     are summed per key — by one ``bincount`` over many subsets while the
     key spaces are small, else by one sort and two ``searchsorted`` calls
-    per subset.  ``rows``/``multiplicities`` are a dataset's
-    :meth:`~repro.data.Dataset.unique_rows`.
+    per subset.  ``rows`` are value combinations of the lattice's
+    attributes with their ``multiplicities``, and may repeat (a projection
+    of a dataset's :meth:`~repro.data.Dataset.unique_rows`).
     """
 
     def __init__(
@@ -561,15 +562,14 @@ def _patterns_within(cardinalities: Sequence[int], max_level: int) -> int:
 
 @dataclass(frozen=True)
 class LevelWalk:
-    """What one level walk counted or certified.
+    """What one level walk counted.
 
-    ``codes[r]`` is a candidate, ``counts[r]`` its coverage (or the bound
-    that certified it uncovered) and ``min_parent[r]`` its smallest parent
-    count (:data:`UNBOUNDED` for the root); ``stats.pruned`` includes the
-    certified candidates.  Rows come level by level.  Within a level they
-    come in attribute-subset order only from :func:`walk_levels`; a walk
-    of the cube (:func:`walk_dataset`) keeps Rule-1 generation order.
-    Both walks of one space give the same rows.
+    ``codes[r]`` is a candidate, ``counts[r]`` its coverage and
+    ``min_parent[r]`` its smallest parent count (:data:`UNBOUNDED` for the
+    root).  Rows come level by level.  Within a level they come in
+    attribute-subset order only from :func:`walk_levels`; a walk of the
+    cube (:func:`walk_dataset`) keeps Rule-1 generation order.  Both walks
+    of one space give the same rows.
     """
 
     lattice: PatternLattice
@@ -591,8 +591,6 @@ def walk_levels(
     count: Callable[[np.ndarray], np.ndarray],
     threshold: int,
     max_level: Optional[int] = None,
-    attributes: Optional[Sequence[int]] = None,
-    bound: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> LevelWalk:
     """PATTERN-BREAKER's level-wise traversal (§III-C, Algorithm 1).
 
@@ -600,23 +598,19 @@ def walk_levels(
     was uncovered or pruned, count the rest with ``count`` (a ``(k, d)``
     ``int64`` digit matrix in, coverages out, e.g. a
     :class:`GroupCounter`), and break the covered ones into their Rule-1
-    children over ``attributes`` (default all; Theorem 3: each node is
-    generated once) until ``max_level``.  ``bound`` maps a digit matrix to
-    upper bounds on coverage (:data:`UNBOUNDED` where none is known): a
-    candidate bounded below τ is certified uncovered without being
-    counted.  The root is always counted.
+    children (Theorem 3: each node is generated once) until
+    ``max_level``.
 
     Memory stays bounded on wide levels.  A level's digits are ``int8``
     when every digit fits, and its candidates are sorted by attribute
-    subset, then pruned, bounded and counted in chunks of whole subsets
+    subset, then pruned and counted in chunks of whole subsets
     (:data:`_CHUNK_CANDIDATES`): only a chunk's parents and ``int64``
     digits exist at once, and each subset still reaches ``count`` in one
     call per level.  Within a level, :attr:`LevelWalk.codes` come in
     subset order.
     """
     watch = Stopwatch()
-    active = range(lattice.d) if attributes is None else attributes
-    depth = len(active) if max_level is None else min(max_level, len(active))
+    depth = lattice.d if max_level is None else min(max_level, lattice.d)
     stats = SearchStats()
     codes, digits = lattice.root(), _root_digits(lattice)
     found = [(codes[:0], np.zeros(0, np.int64), np.zeros(0, np.int64))]
@@ -644,13 +638,8 @@ def walk_levels(
                 chunk, chunk_digits, wide = chunk[alive], chunk_digits[alive], wide[alive]
                 floor = covered_counts[position[alive]].min(axis=1)
                 del position
-            counts = np.full(len(chunk), UNBOUNDED)
-            if bound is not None and level:
-                counts = np.array(bound(wide), dtype=np.int64)
-            counted = counts >= threshold
-            counts[counted] = count(wide[counted])
-            stats.coverage_evaluations += int(counted.sum())
-            stats.pruned += len(chunk) - int(counted.sum())
+            counts = np.asarray(count(wide), dtype=np.int64)
+            stats.coverage_evaluations += len(chunk)
             found.append((chunk, counts, floor))
             covered = counts >= threshold
             kept.append((chunk[covered], counts[covered], chunk_digits[covered]))
@@ -662,7 +651,7 @@ def walk_levels(
         del order, counts
         if level == depth:
             break
-        codes, digits = _rule1_level(lattice, codes, digits, active)
+        codes, digits = _rule1_level(lattice, codes, digits)
 
     stats.seconds = watch.elapsed()
     codes, counts, floors = (np.concatenate(column) for column in zip(*found))
@@ -670,20 +659,15 @@ def walk_levels(
 
 
 def walk_dataset(
-    dataset: Dataset,
-    threshold: int,
-    max_level: Optional[int] = None,
-    attributes: Optional[Sequence[int]] = None,
-    bound: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    dataset: Dataset, threshold: int, max_level: Optional[int] = None
 ) -> LevelWalk:
     """PATTERN-BREAKER's level walk over a dataset's pattern space.
 
-    With no ``bound`` and no ``attributes``, a space that
-    :func:`cube_fits` is walked on a :class:`CoverageCube` built from the
-    unique rows for this call: a level is two gathers.  A candidate
-    survives pruning iff its floor reaches τ, and its count is the
-    cube's.  Any other walk is :func:`walk_levels`, counted by a
-    :class:`GroupCounter` over the unique rows.
+    A space that :func:`cube_fits` is walked on a :class:`CoverageCube`
+    built from the unique rows for this call: a level is two gathers.  A
+    candidate survives pruning iff its floor reaches τ, and its count is
+    the cube's.  A larger space is walked by :func:`walk_levels`, counted
+    by a :class:`GroupCounter` over the unique rows.
 
     Both walks give the same :class:`LevelWalk` rows and counters.  By
     induction on the level, the group-by walk's covered codes are every
@@ -699,11 +683,10 @@ def walk_dataset(
     """
     lattice = PatternLattice(PatternSpace.for_dataset(dataset))
     rows, multiplicities = dataset.unique_rows()
-    unbounded = bound is None and attributes is None
-    if unbounded and cube_fits(lattice.cardinalities, max_level):
+    if cube_fits(lattice.cardinalities, max_level):
         return _walk_cube(lattice, rows, multiplicities, threshold, max_level)
     count = GroupCounter(lattice, rows, multiplicities)
-    return walk_levels(lattice, count, threshold, max_level, attributes, bound)
+    return walk_levels(lattice, count, threshold, max_level)
 
 
 def _walk_cube(
@@ -713,9 +696,9 @@ def _walk_cube(
     threshold: int,
     max_level: Optional[int],
 ) -> LevelWalk:
-    """:func:`walk_levels` over all attributes, unbounded, with each
-    level pruned and counted by gathers from a :class:`CoverageCube`
-    (see :func:`walk_dataset`).  The cube's build is timed with the walk."""
+    """:func:`walk_levels` with each level pruned and counted by gathers
+    from a :class:`CoverageCube` (see :func:`walk_dataset`).  The cube's
+    build is timed with the walk."""
     watch = Stopwatch()
     cube = CoverageCube(lattice, rows, multiplicities)
     depth = lattice.d if max_level is None else min(max_level, lattice.d)
@@ -737,9 +720,7 @@ def _walk_cube(
         if level == depth:
             break
         covered = counts >= threshold
-        codes, digits = _rule1_level(
-            lattice, codes[covered], digits[covered], range(lattice.d)
-        )
+        codes, digits = _rule1_level(lattice, codes[covered], digits[covered])
     stats.seconds = watch.elapsed()
     codes, counts, floors = (np.concatenate(column) for column in zip(*found))
     return LevelWalk(lattice, threshold, codes, counts, floors, stats)
@@ -752,15 +733,12 @@ def _root_digits(lattice: PatternLattice) -> np.ndarray:
 
 
 def _rule1_level(
-    lattice: PatternLattice,
-    codes: np.ndarray,
-    digits: np.ndarray,
-    attributes: Iterable[int],
+    lattice: PatternLattice, codes: np.ndarray, digits: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The next level of a walk: every Rule-1 child of every code over
-    ``attributes``, with its digits (of ``digits``' dtype)."""
+    """The next level of a walk: every Rule-1 child of every code, with
+    its digits (of ``digits``' dtype)."""
     children = [(codes[:0], digits[:0])]
-    for attribute, rows, family in lattice._rule1_children(codes, digits, attributes):
+    for attribute, rows, family in lattice._rule1_children(codes, digits):
         block = np.repeat(digits[rows], family.shape[1], axis=0)
         block[:, attribute] = np.tile(np.arange(1, family.shape[1] + 1), len(rows))
         children.append((family.ravel(), block))

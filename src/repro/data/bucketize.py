@@ -6,18 +6,34 @@ plus human-readable bucket labels, ready to slot into a :class:`Schema`.
 
 All three bucketizers reject non-finite inputs (NaN, ±inf): NaN sorts after
 every float, so ``np.searchsorted`` would silently drop NaN rows into the top
-bucket and corrupt every coverage count downstream.  Bucket labels are
-half-open ``[a,b)`` except the last, which is closed ``[a,b]`` because the
-column maximum is included in it.
+bucket and corrupt every coverage count downstream.  A bucket count is
+checked by :func:`check_bucket_count`.  Bucket labels are half-open
+``[a,b)`` except the last, which is closed ``[a,b]`` because the column
+maximum is included in it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import DataError
+
+
+def check_bucket_count(buckets: Any) -> int:
+    """Normalize a bucket count: a non-boolean integer ≥ 2.
+
+    Numpy integers are accepted.  Booleans, fractions (``4.7``, and
+    ``4.0`` too), strings and integers below 2 raise :class:`DataError`:
+    truncating ``4.7`` would bucketize at a count nobody asked for.
+    """
+    if isinstance(buckets, bool) or not isinstance(buckets, Integral):
+        raise DataError(f"bucket count must be an integer >= 2, got {buckets!r}")
+    if buckets < 2:
+        raise DataError(f"bucket count must be >= 2, got {buckets}")
+    return int(buckets)
 
 
 def _finite_column(values: Sequence[float]) -> np.ndarray:
@@ -99,8 +115,7 @@ def bucketize_equal_width(
     result would otherwise claim provably-empty values and inflate the
     pattern lattice.
     """
-    if buckets < 2:
-        raise DataError(f"need at least 2 buckets, got {buckets}")
+    buckets = check_bucket_count(buckets)
     array = _finite_column(values)
     low, high = float(array.min()), float(array.max())
     if low == high:
@@ -117,8 +132,7 @@ def bucketize_quantiles(
     values: Sequence[float], buckets: int
 ) -> Tuple[np.ndarray, List[str]]:
     """Bucketize into ``buckets`` (approximately) equal-population buckets."""
-    if buckets < 2:
-        raise DataError(f"need at least 2 buckets, got {buckets}")
+    buckets = check_bucket_count(buckets)
     array = _finite_column(values)
     quantiles = np.quantile(array, np.linspace(0, 1, buckets + 1))
     # Collapse duplicate edges (heavy ties) so codes stay dense.

@@ -130,8 +130,8 @@ class AttributeHierarchy:
         Both maps must share the same (base) domain, and ``coarser`` must be
         a true coarsening of ``self``: whenever two base codes share a group
         under ``self``, they must also share one under ``coarser``.  The
-        returned hierarchy maps ``self``'s group codes onto ``coarser``'s —
-        exactly the adjacent-level step a hierarchy stack drills through.
+        returned hierarchy maps ``self``'s group codes onto ``coarser``'s;
+        a hierarchy stack calls this to check that its levels refine.
         """
         if len(coarser.groups) != len(self.groups):
             raise SchemaError(

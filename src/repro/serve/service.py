@@ -477,9 +477,9 @@ class CoverageService:
     ) -> Dict:
         """Hierarchical MUP search over a stack of generalization chains.
 
-        Coarsest rollup first, drilling down only into uncovered regions;
-        each finest-level MUP is reported with its most specific covered
-        generalization.  Cached per content fingerprint like ``/sweep`` —
+        Every level is searched on its rollup, and its ``stats`` are flat
+        PATTERN-BREAKER's counters there; each finest-level MUP is
+        reported with its most specific covered generalization.  Cached per content fingerprint like ``/sweep`` —
         the key embeds the chains, τ, and the level cap, so deliveries
         make stale results unreachable and reclaimable.
         """

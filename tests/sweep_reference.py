@@ -1,10 +1,11 @@
 """The threshold sweep with an eager frontier: the reference for the readers
 of :class:`repro.analysis.sweep.SweepResult`.
 
-``reference_sweep`` finds the frontier the way ``sweep_mups`` does, from a
-coverage cube when the swept space passes ``cube_fits`` and from
-PATTERN-BREAKER's level walk otherwise, and then decodes every frontier
-row into a :class:`SweepPoint` up front.  ``ReferenceSweep`` answers each
+``reference_sweep`` finds the frontier of the projected dataset
+(``dataset.project``) from a coverage cube when its space passes
+``cube_fits`` and from PATTERN-BREAKER's level walk otherwise, widens the
+codes to full width, and then decodes every frontier row into a
+:class:`SweepPoint` up front.  ``ReferenceSweep`` answers each
 reader by scanning those points one at a time (``SweepPoint.is_mup_at``),
 and ``reference_sensitivity`` diffs and bootstraps pattern sets.  The
 shipped result keeps the frontier as code arrays and answers the same
@@ -89,29 +90,22 @@ def reference_sweep(
     tau_min, tau_max = thresholds[0], thresholds[-1]
     lattice = PatternLattice(PatternSpace.for_dataset(dataset))
     swept = sorted(set(range(dataset.d) if attributes is None else attributes))
-    if cube_fits([lattice.cardinalities[a] for a in swept], max_level):
-        rows, multiplicities = dataset.unique_rows()
-        cube_lattice = PatternLattice(
-            PatternSpace([lattice.cardinalities[a] for a in swept])
-        )
-        cube = CoverageCube(cube_lattice, rows[:, swept], multiplicities)
+    projected = dataset.project(swept)
+    swept_lattice = PatternLattice(PatternSpace.for_dataset(projected))
+    if cube_fits(swept_lattice.cardinalities, max_level):
+        cube = CoverageCube(swept_lattice, *projected.unique_rows())
         keep = _meets_range(cube.counts, cube.floors, tau_min, tau_max)
         if max_level is not None:
             keep &= cube.levels() <= max_level
         cells = np.flatnonzero(keep)
-        digits = np.zeros((len(cells), lattice.d), dtype=np.int64)
-        digits[:, swept] = cube_lattice.digits(cells)
-        codes = lattice.from_digits(digits)
         counts, floors = cube.counts[cells], cube.floors[cells]
     else:
-        walk = walk_dataset(
-            dataset,
-            tau_min,
-            max_level,
-            attributes=None if attributes is None else swept,
-        )
+        walk = walk_dataset(projected, tau_min, max_level)
         keep = _meets_range(walk.counts, walk.min_parent, tau_min, tau_max)
-        codes, counts, floors = walk.codes[keep], walk.counts[keep], walk.min_parent[keep]
+        cells, counts, floors = walk.codes[keep], walk.counts[keep], walk.min_parent[keep]
+    digits = np.zeros((len(cells), lattice.d), dtype=np.int64)
+    digits[:, swept] = swept_lattice.digits(cells)
+    codes = lattice.from_digits(digits)
     frontier = tuple(
         SweepPoint(pattern, coverage, None if floor == UNBOUNDED else floor)
         for pattern, coverage, floor in zip(

@@ -1,14 +1,15 @@
 """Unit tests for the hierarchical MUP analysis layer.
 
-Covers the stack validation, the coarse-to-fine search (including its
-equivalence to flat ``find_mups`` on every rollup), the generalization
-remedies, the bucketization sweep, and the generalize-vs-acquire cost
-model.
+Covers the stack validation, the search over every level (including its
+equivalence to flat ``find_mups`` on every rollup, counters included), the
+generalization remedies, the bucketization sweep, and the
+generalize-vs-acquire cost model.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.lattice as lattice_module
 from repro.analysis.hierarchy import (
     BucketSweepResult,
     HierarchyStack,
@@ -22,11 +23,13 @@ from repro.core.enhancement import (
     GeneralizationRemedy,
     plan_hierarchical_enhancement,
 )
+from repro.core.lattice import cube_fits
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern, X
 from repro.data.hierarchy import AttributeHierarchy
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import DataError, EnhancementError, ReproError, SchemaError
+from walk_paths import counters, grouped, on_cube, spy_counts
 
 
 def make_dataset(n=120, cardinalities=(8, 4, 3), seed=3, skew=1.4):
@@ -67,16 +70,6 @@ class TestHierarchyStack:
         # coarsest map.
         assert level2[1].groups == (0, 0, 1, 1)
         assert level2[0].groups == (0, 0, 0, 0, 1, 1, 1, 1)
-
-    def test_step_maps_translate_adjacent_levels(self):
-        stack = make_stack(make_dataset())
-        steps0 = stack.step_maps(0)
-        assert steps0[0].groups == (0, 0, 1, 1, 2, 2, 3, 3)
-        steps1 = stack.step_maps(1)
-        # level-1 codes (4 groups) -> level-2 codes (2 groups); attr 1 is
-        # saturated past level 1 so it is omitted (identity).
-        assert steps1[0].groups == (0, 0, 1, 1)
-        assert 1 not in steps1
 
     def test_refinement_must_factor(self):
         dataset = make_dataset(cardinalities=(4, 3))
@@ -161,19 +154,6 @@ class TestFindMupsHierarchical:
         stack = make_stack(dataset)
         result = find_mups_hierarchical(dataset, stack, threshold_rate=0.05)
         assert result.threshold >= 1
-
-    def test_coarse_bounds_skip_fine_counting(self):
-        dataset = make_dataset()
-        stack = make_stack(dataset)
-        tau = 9
-        hier = find_mups_hierarchical(
-            dataset, stack, threshold=tau, remedies=False
-        )
-        # The base level alone, run flat, costs this many evaluations:
-        flat = find_mups(dataset, threshold=tau, algorithm="apriori")
-        assert hier.stats.pruned > 0
-        base_evals = hier.at_level(0).stats.coverage_evaluations
-        assert base_evals < flat.stats.coverage_evaluations
 
     def test_tiny_dataset_root_mup_everywhere(self):
         dataset = make_dataset(n=5)
@@ -269,59 +249,79 @@ def bench_workloads():
     return HierarchyStack.of(dataset, chains), dataset, numeric, values
 
 
+#: The bucket counts of ``benchmarks/bench_hierarchy.py``'s sweep.
+BENCH_BUCKET_COUNTS = (2, 3, 4, 6, 8, 12, 24)
+
+
+def searched(result):
+    """A MUP result's counters and MUP count."""
+    return counters(result.stats), len(result)
+
+
 class TestCountersOnTheBenchWorkloads:
-    """Counters recorded from the engine-counted implementation these
-    searches replaced; the level walk must reproduce them."""
+    """Every stack level and every bucket count is flat PATTERN-BREAKER on
+    its rolled-up dataset: the same MUPs and counters, on the cube and by
+    group-by."""
 
-    def test_drill_down_counters(self):
+    @pytest.mark.parametrize("walk", [on_cube, grouped], ids=["cube", "grouped"])
+    def test_drill_down_counters(self, walk):
         stack, dataset, _, _ = bench_workloads()
-        result = find_mups_hierarchical(
-            dataset, stack, threshold=20, remedies=False
+        result = walk(
+            find_mups_hierarchical, dataset, stack, threshold=20, remedies=False
         )
-        counters = {
-            entry.level: (
-                entry.result.stats.nodes_generated,
-                entry.result.stats.coverage_evaluations,
-                entry.result.stats.pruned,
-                len(entry.result),
+        assert [entry.level for entry in result.levels] == [0, 1, 2]
+        for entry in result.levels:
+            flat = find_mups(
+                stack.rollup_to(dataset, entry.level).dataset,
+                threshold=20,
+                algorithm="pattern_breaker",
             )
-            for entry in result.levels
-        }
-        assert counters == {
-            0: (2417, 725, 1692, 972),
-            1: (341, 208, 133, 178),
-            2: (89, 72, 17, 26),
-        }
+            assert entry.result.mups == flat.mups, entry.level
+            assert searched(entry.result) == searched(flat), entry.level
 
-    def test_bucket_sweep_counters(self):
-        """Nodes and pruned candidates per count are unchanged; evaluations
-        now count each count's own candidates."""
+    @pytest.mark.parametrize("walk", [on_cube, grouped], ids=["cube", "grouped"])
+    def test_bucket_sweep_counters(self, walk):
         _, _, numeric, values = bench_workloads()
-        sweep = bucketize_sweep(
-            numeric, values, (2, 3, 4, 6, 8, 12, 24), threshold=8
+        sweep = walk(
+            bucketize_sweep, numeric, values, BENCH_BUCKET_COUNTS, threshold=8
         )
-        counters = {
-            point.buckets: (
-                point.result.stats.nodes_generated,
-                point.result.stats.pruned,
-                len(point.result),
-            )
-            for point in sweep.points
-        }
-        assert counters == {
-            2: (576, 182, 28),
-            3: (759, 349, 42),
-            4: (942, 551, 45),
-            6: (1308, 863, 96),
-            8: (1674, 1193, 109),
-            12: (2406, 1879, 117),
-            24: (4602, 3931, 261),
-        }
-        # Every candidate is counted or certified by a coarser count.
+        assert [point.buckets for point in sweep.points] == list(BENCH_BUCKET_COUNTS)
         for point in sweep.points:
-            stats = point.result.stats
-            assert stats.coverage_evaluations <= stats.nodes_generated
-        assert sweep.point_for(2).result.stats.coverage_evaluations == 394
+            flat = find_mups(
+                bucketized_dataset(numeric, values, point.buckets),
+                threshold=8,
+                algorithm="pattern_breaker",
+            )
+            assert point.result.mups == flat.mups, point.buckets
+            assert searched(point.result) == searched(flat), point.buckets
+
+    @pytest.mark.parametrize(
+        "cells,grouped_walks",
+        [(lattice_module._CUBE_CELLS, 0), (2_000, 3)],
+        ids=["shipped-cap", "cap-2000"],
+    )
+    def test_each_level_and_count_reads_a_cube_when_it_fits(
+        self, cells, grouped_walks, monkeypatch
+    ):
+        """``cube_fits`` alone picks each walk.  Under the shipped cap every
+        rolled space fits; under a cap of 2,000 cells the base level
+        (80,801 cells) and the 12- and 24-bucket counts (2,730 and 5,250)
+        are counted by group-by."""
+        stack, dataset, numeric, values = bench_workloads()
+        spaces = [
+            stack.rollup_to(dataset, level).dataset.cardinalities
+            for level in range(stack.depth + 1)
+        ] + [numeric.cardinalities + (count,) for count in BENCH_BUCKET_COUNTS]
+        monkeypatch.setattr(lattice_module, "_CUBE_CELLS", cells)
+        expected = [
+            "CoverageCube" if cube_fits(space) else "GroupCounter"
+            for space in spaces
+        ]
+        assert expected.count("GroupCounter") == grouped_walks
+        made = spy_counts(monkeypatch)
+        find_mups_hierarchical(dataset, stack, threshold=20, remedies=False)
+        bucketize_sweep(numeric, values, BENCH_BUCKET_COUNTS, threshold=8)
+        assert sorted(made) == sorted(expected)
 
 
 class TestGeneralizationRemedies:
@@ -365,21 +365,6 @@ class TestBucketizeSweep:
             )
             assert point.result.mups == independent.mups
 
-    def test_counts_shared_downward(self):
-        dataset = make_dataset(cardinalities=(5, 3))
-        rng = np.random.default_rng(12)
-        values = rng.normal(size=dataset.n)
-        sweep = bucketize_sweep(dataset, values, [2, 4, 8], threshold=4)
-        independent_evals = 0
-        for point in sweep.points:
-            flat = find_mups(
-                bucketized_dataset(dataset, values, point.buckets),
-                threshold=4,
-                algorithm="apriori",
-            )
-            independent_evals += flat.stats.coverage_evaluations
-        assert sweep.stats.coverage_evaluations < independent_evals
-
     def test_non_nesting_counts_rejected(self):
         dataset = make_dataset(cardinalities=(3, 2))
         with pytest.raises(DataError, match="nest"):
@@ -394,6 +379,25 @@ class TestBucketizeSweep:
         dataset = make_dataset(cardinalities=(3, 2))
         with pytest.raises(DataError, match="at least one"):
             bucketize_sweep(dataset, np.arange(dataset.n), [], threshold=2)
+
+    @pytest.mark.parametrize(
+        "counts", [[4.7, 8], [2, 4.0], [True, 2], [2, "4"]], ids=str
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        """4.7 used to be truncated, so [4.7, 8] swept 4 and 8."""
+        dataset = make_dataset(cardinalities=(3, 2))
+        with pytest.raises(DataError, match="bucket count must be an integer"):
+            bucketize_sweep(dataset, np.arange(dataset.n), counts, threshold=2)
+
+    def test_numpy_integer_counts_accepted(self):
+        dataset = make_dataset(cardinalities=(3, 2))
+        values = np.arange(dataset.n, dtype=float)
+        sweep = bucketize_sweep(dataset, values, np.array([2, 4]), threshold=3)
+        plain = bucketize_sweep(dataset, values, [2, 4], threshold=3)
+        assert [type(p.buckets) for p in sweep.points] == [int, int]
+        assert [p.result.mups for p in sweep.points] == [
+            p.result.mups for p in plain.points
+        ]
 
     def test_constant_column_collapses_every_count(self):
         dataset = make_dataset(cardinalities=(3, 2))
@@ -437,6 +441,15 @@ class TestBucketizedDataset:
             dataset, rng.normal(size=dataset.n), 4, method="quantiles"
         )
         assert extended.cardinalities[-1] <= 4
+
+    @pytest.mark.parametrize("method", ["equal_width", "quantiles"])
+    @pytest.mark.parametrize("buckets", [4.7, 4.0, True, 1])
+    def test_bad_bucket_count_rejected(self, method, buckets):
+        dataset = make_dataset(cardinalities=(3, 2))
+        with pytest.raises(DataError, match="bucket count must be"):
+            bucketized_dataset(
+                dataset, np.arange(dataset.n, dtype=float), buckets, method=method
+            )
 
     def test_unknown_method_rejected(self):
         dataset = make_dataset(cardinalities=(3, 2))

@@ -2,8 +2,8 @@
 
 The regression classes pin the numeric-attribute bugfixes: non-finite
 rejection (NaN used to sort into the top bucket silently), strictly
-ascending thresholds, single-bucket constant columns, and the closed
-last-bucket label.
+ascending thresholds, single-bucket constant columns, the closed
+last-bucket label, and integer bucket counts.
 """
 
 import numpy as np
@@ -141,3 +141,26 @@ class TestNonFiniteRejection:
     def test_error_names_the_offending_row(self):
         with pytest.raises(DataError, match="row 1"):
             bucketize_equal_width([1.0, float("nan"), 3.0], 2)
+
+
+class TestBucketCounts:
+    """A bucket count is a non-boolean integer >= 2, numpy integers
+    included.  A fraction such as 4.7 (or 4.0) used to raise a plain
+    ``TypeError`` from deep inside numpy."""
+
+    @pytest.mark.parametrize("bucketize", [bucketize_equal_width, bucketize_quantiles])
+    @pytest.mark.parametrize(
+        "buckets", [4.7, 4.0, True, "4", None, 1, 0, -3, np.float64(4.0)], ids=repr
+    )
+    def test_bad_counts_raise_data_error(self, bucketize, buckets):
+        with pytest.raises(DataError, match="bucket count must be"):
+            bucketize([0.0, 1.0, 2.0, 3.0, 4.0], buckets)
+
+    @pytest.mark.parametrize("bucketize", [bucketize_equal_width, bucketize_quantiles])
+    @pytest.mark.parametrize("buckets", [np.int64(4), np.int32(4), np.uint8(4)])
+    def test_numpy_integers_accepted(self, bucketize, buckets):
+        values = [0.0, 1.0, 2.0, 3.0, 4.0]
+        codes, labels = bucketize(values, buckets)
+        expected_codes, expected_labels = bucketize(values, 4)
+        assert codes.tolist() == expected_codes.tolist()
+        assert labels == expected_labels

@@ -36,7 +36,7 @@ from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import PatternError
-from walk_paths import by_code, on_both_walks
+from walk_paths import by_code, on_both_walks, spy_counts
 
 #: The module, not the function ``repro.core.mups`` re-exports under its name.
 combiner_module = importlib.import_module("repro.core.mups.pattern_combiner")
@@ -560,7 +560,7 @@ class TestGroupCounter:
 
 
 # ----------------------------------------------------------------------
-# the walk and its bound
+# the walk
 # ----------------------------------------------------------------------
 class TestWalk:
     def setup_walk(self, n=150, seed=6):
@@ -568,42 +568,10 @@ class TestWalk:
         lattice = PatternLattice(PatternSpace.for_dataset(dataset))
         return dataset, lattice, GroupCounter(lattice, *dataset.unique_rows())
 
-    def test_certified_candidates_are_never_counted(self):
-        dataset, lattice, counter = self.setup_walk()
-        tau = 8
-        plain = walk_levels(lattice, counter, tau)
-        counted = []
-
-        def spy(digits):
-            counted.extend(lattice.from_digits(digits).tolist())
-            return counter(digits)
-
-        def bound(digits):
-            # Exact coverage (a valid upper bound) wherever attribute 0
-            # is fixed, nothing known elsewhere.
-            exact = counter(digits)
-            return np.where(digits[:, 0] != 0, exact, UNBOUNDED)
-
-        bounded = walk_levels(lattice, spy, tau, bound=bound)
-        certified = set(bounded.codes[bounded.counts < tau].tolist()) - set(
-            counted
-        )
-        assert certified
-        assert lattice.digits(np.array(sorted(certified)))[:, 0].all()
-        assert bounded.mups() == plain.mups()
-        assert bounded.stats.nodes_generated == plain.stats.nodes_generated
-        assert bounded.stats.coverage_evaluations == len(counted)
-        assert (
-            bounded.stats.coverage_evaluations + len(certified)
-            == plain.stats.coverage_evaluations
-        )
-        assert bounded.stats.pruned == plain.stats.pruned + len(certified)
-
     def test_the_root_is_always_counted(self):
+        """An uncovered root is counted and ends the walk."""
         dataset, lattice, counter = self.setup_walk(n=5)
-        walk = walk_levels(
-            lattice, counter, 10, bound=lambda d: np.zeros(len(d), np.int64)
-        )
+        walk = walk_levels(lattice, counter, 10)
         assert walk.mups() == [Pattern.root(4)]
         assert walk.stats.coverage_evaluations == 1
 
@@ -614,13 +582,6 @@ class TestWalk:
             pattern = lattice.decode(np.array([code]))[0]
             parents = [coverage_scan(dataset, q) for q in pattern.parents()]
             assert floor == (min(parents) if parents else UNBOUNDED)
-
-    def test_attribute_subset_keeps_x_elsewhere(self):
-        dataset, lattice, counter = self.setup_walk()
-        walk = walk_levels(lattice, counter, 4, attributes=(1, 3))
-        digits = lattice.digits(walk.codes)
-        assert not digits[:, [0, 2]].any()
-        assert (digits[:, [1, 3]] != 0).any()
 
 
 # ----------------------------------------------------------------------
@@ -657,19 +618,12 @@ class TestChunkedWalk:
 
     @pytest.mark.parametrize("limit", [1, 2, 7, 40])
     @pytest.mark.parametrize(
-        "options",
-        [{}, {"max_level": 2}, {"attributes": (0, 2, 3)}, {"bound": True}],
-        ids=["plain", "capped", "attributes", "bound"],
+        "options", [{}, {"max_level": 2}], ids=["plain", "capped"]
     )
     def test_chunk_size_does_not_show(self, limit, options, monkeypatch):
         dataset = random_categorical_dataset(300, (3, 2, 4, 2, 3), seed=9, skew=1.1)
         lattice = PatternLattice(PatternSpace.for_dataset(dataset))
         counter = GroupCounter(lattice, *dataset.unique_rows())
-        options = dict(options)
-        if options.pop("bound", False):
-            options["bound"] = lambda digits: np.where(
-                digits[:, 1] != 0, counter(digits), UNBOUNDED
-            )
         whole = walk_levels(lattice, counter, 9, **options)
         calls = []
 
@@ -719,20 +673,6 @@ class TestChunkedWalk:
 # ----------------------------------------------------------------------
 # the walk on the coverage cube
 # ----------------------------------------------------------------------
-def spy_counts(monkeypatch):
-    """Record which of the two count structures ``walk_dataset`` builds."""
-    made = []
-    for name in ("CoverageCube", "GroupCounter"):
-        structure = getattr(lattice_module, name)
-
-        def build(*args, structure=structure):
-            made.append(structure.__name__)
-            return structure(*args)
-
-        monkeypatch.setattr(lattice_module, name, build)
-    return made
-
-
 @pytest.mark.parametrize(
     "cardinalities,max_level,structure",
     [
@@ -754,19 +694,6 @@ def test_the_cube_rule_chooses_the_walk(cardinalities, max_level, structure, mon
     walk = walk_dataset(dataset, dataset.n + 1, max_level)
     assert made == [structure]
     assert walk.mups() == [Pattern.root(len(cardinalities))]
-
-
-@pytest.mark.parametrize(
-    "options",
-    [{"attributes": (0, 2)}, {"bound": lambda digits: np.full(len(digits), UNBOUNDED)}],
-    ids=["attributes", "bound"],
-)
-def test_projected_and_bounded_walks_group_rows(options, monkeypatch):
-    dataset = random_categorical_dataset(40, (2, 3, 2), seed=3)
-    assert cube_fits(dataset.schema.cardinalities)
-    made = spy_counts(monkeypatch)
-    walk_dataset(dataset, 3, **options)
-    assert made == ["GroupCounter"]
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.core.lattice as lattice_module
 from repro.analysis.sweep import (
     SweepPoint,
     parse_tau_range,
@@ -19,6 +21,7 @@ from repro.data.compas import load_compas
 from repro.data.dataset import Dataset, Schema
 from repro.data.sampling import bootstrap_resample
 from repro.data.scenarios import planted_mup_dataset, scenario_dataset
+from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import ReproError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,6 +125,48 @@ def test_projection_matches_projected_dataset(dataset):
                 values[a] = pattern[j]
             embedded.append(Pattern(values))
         assert sweep.mups_at(tau).mups == tuple(sorted(embedded))
+
+
+def test_projection_widens_into_object_codes():
+    """45 binary attributes code patterns as Python ints; a projection onto
+    four of them (three runs of consecutive attributes) widens into them."""
+    wide = random_categorical_dataset(200, (2,) * 45, seed=3, skew=1.5)
+    attrs = [0, 5, 6, 44]
+    sweep = sweep_mups(wide, [3, 20], attributes=attrs)
+    assert sweep._lattice.dtype == object and len(sweep._codes)
+    flat = sweep_mups(wide.project(attrs), [3, 20])
+    assert sweep._lattice.digits(sweep._codes)[:, attrs].tolist() == (
+        flat._lattice.digits(flat._codes).tolist()
+    )
+    assert sweep.mup_counts() == flat.mup_counts()
+
+
+@pytest.mark.parametrize("max_level", [None, 2], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("path", ["cube", "walk"])
+def test_projected_sweep_is_the_projected_dataset_widened(path, max_level, monkeypatch):
+    """On the cube, and walked in chunks of at most two candidates with the
+    cube's cell cap at 0: a projected sweep keeps ``X`` outside the swept
+    attributes, and its frontier and counters are those of the projected
+    dataset's sweep, with the codes widened to full width."""
+    data = random_categorical_dataset(300, (3, 2, 4, 2, 3), seed=9, skew=1.1)
+    attrs = [0, 2, 3]
+    if path == "walk":
+        monkeypatch.setattr(lattice_module, "_CUBE_CELLS", 0)
+        monkeypatch.setattr(lattice_module, "_CHUNK_CANDIDATES", 2)
+    sweep = sweep_mups(data, [9, 30], attributes=attrs, max_level=max_level)
+    flat = sweep_mups(data.project(attrs), [9, 30], max_level=max_level)
+    digits = sweep._lattice.digits(sweep._codes)
+    assert not digits[:, [1, 4]].any()
+    assert digits[:, attrs].any()
+    widened = np.zeros((len(flat._codes), data.d), dtype=np.int64)
+    widened[:, attrs] = flat._lattice.digits(flat._codes)
+    assert sweep._codes.tolist() == sweep._lattice.from_digits(widened).tolist()
+    assert sweep._counts.tolist() == flat._counts.tolist()
+    assert sweep._floors.tolist() == flat._floors.tolist()
+    sweep.stats.seconds = flat.stats.seconds = 0.0
+    assert sweep.stats == flat.stats
+    # The cube counts all 4 · 5 · 3 cells; the walk prunes.
+    assert (sweep.stats.pruned == 0) == (path == "cube")
 
 
 def test_max_level_matches_capped_run(dataset):

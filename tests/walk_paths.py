@@ -4,7 +4,8 @@
 ``cube_fits`` and groups the unique rows otherwise.  ``on_cube`` lifts the
 rule's per-pattern limit under a level cap, so every space under the cell
 cap (all that these tests draw) walks the cube; ``grouped`` sets the cell
-cap to 0, so every space is counted by group-by.
+cap to 0, so every space is counted by group-by.  ``spy_counts`` records
+which of the two count structures each walk builds.
 """
 
 from __future__ import annotations
@@ -57,3 +58,17 @@ def on_both_walks(search, *args, **kwargs):
     assert forced.mups == cube.mups
     assert counters(forced.stats) == counters(cube.stats)
     return cube
+
+
+def spy_counts(monkeypatch):
+    """Record which of the two count structures ``walk_dataset`` builds."""
+    made = []
+    for name in ("CoverageCube", "GroupCounter"):
+        structure = getattr(lattice_module, name)
+
+        def build(*args, structure=structure):
+            made.append(structure.__name__)
+            return structure(*args)
+
+        monkeypatch.setattr(lattice_module, name, build)
+    return made
