@@ -7,7 +7,7 @@ as raw query throughput, over the MUPs of the AirBnB workload.
 
 No search queries the index: in the Rule-1 order DEEPDIVER's question is
 "has an uncovered parent", and it runs PATTERN-BREAKER's level walk, which
-answers that with one lookup per level (:mod:`repro.core.mups.deepdiver`
+answers that with one lookup per level (:mod:`repro.core.mups.diver`
 has the proof).  An end-to-end DEEPDIVER with and without the index would
 time the same walk twice, so this bench has no such leg.
 """

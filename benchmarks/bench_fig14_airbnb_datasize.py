@@ -8,7 +8,7 @@ other two.
 
 Here DEEPDIVER takes PATTERN-BREAKER's time.  In the Rule-1 order the two
 visit the same nodes, so DEEPDIVER runs PATTERN-BREAKER's level walk
-(:mod:`repro.core.mups.deepdiver` has the proof).  The DFS's own strengths,
+(:mod:`repro.core.mups.diver` has the proof).  The DFS's own strengths,
 early MUPs and a small stack, have no caller here: ``find_mups`` returns
 all MUPs at once.
 """

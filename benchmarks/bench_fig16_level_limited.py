@@ -8,7 +8,7 @@ findable even when the full graph is hopeless.
 
 Here the capped DEEPDIVER is PATTERN-BREAKER's level walk stopped at the
 cap.  In the Rule-1 order the two searches visit the same nodes
-(:mod:`repro.core.mups.deepdiver` has the proof), so the shape holds for
+(:mod:`repro.core.mups.diver` has the proof), so the shape holds for
 the same reason: the walk never generates a level below the cap.  The
 DFS's own strengths, early MUPs and a small stack, have no caller here:
 ``find_mups`` returns all MUPs at once.

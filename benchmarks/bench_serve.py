@@ -74,10 +74,8 @@ def _measure_qps(dataset, workload, batch_window_ms):
     """Median QPS over reps for one service mode; returns (qps, counts).
 
     Drives the service's query path — the batcher against the registered
-    snapshot — with one request per workload pattern.  The engine's
-    hot-mask cache is disabled so the unbatched baseline pays each query's
-    real engine cost instead of a mask-cache hit (the cache layer has its
-    own tests; this leg pins coalescing).
+    snapshot — with one request per workload pattern.  The result cache is
+    disabled, so the unbatched baseline pays each query's engine cost.
     """
 
     async def _run():
@@ -86,7 +84,6 @@ def _measure_qps(dataset, workload, batch_window_ms):
                 port=0,
                 batch_window_ms=batch_window_ms,
                 result_cache_size=0,
-                mask_cache_size=0,
             )
         )
         try:

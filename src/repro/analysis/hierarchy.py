@@ -51,6 +51,7 @@ from repro.data.bucketize import (
     bucketize_equal_width,
     bucketize_quantiles,
     check_bucket_count,
+    equal_width_labels,
 )
 from repro.data.dataset import Dataset, Schema
 from repro.data.hierarchy import AttributeHierarchy, Rollup, rollup
@@ -360,8 +361,9 @@ def _most_specific_covered(
     States are per-attribute climb counts; each step coarsens one
     deterministic attribute by one hierarchy level (one past the chain top
     widens it to ``X``).  Coverage of a mixed-level generalization is the
-    pooled coverage of its base-level drill-down, counted through the
-    oracle with the search's count memo.  The all-``X`` state is
+    pooled coverage of its base-level drill-down; ``memo`` keeps the
+    search's counts by pattern values, so the oracle counts each base
+    pattern once.  The all-``X`` state is
     reachable, so the search fails only when the dataset itself is smaller
     than τ.
     """
@@ -378,7 +380,10 @@ def _most_specific_covered(
         seen.add(levels)
         if steps > 0:
             generalized, expansions = _generalized_pattern(mup, stack, levels)
-            coverage = int(sum(oracle.coverage_many(expansions, memo=memo)))
+            missing = [p for p in expansions if p.values not in memo]
+            for pattern, count in zip(missing, oracle.coverage_many(missing)):
+                memo[pattern.values] = int(count)
+            coverage = sum(memo[p.values] for p in expansions)
             if coverage >= threshold:
                 return GeneralizationRemedy(
                     mup=mup,
@@ -571,9 +576,12 @@ def bucketize_sweep(
             f"divide the largest count {finest}"
         )
 
+    # The column is bucketized once, at the finest count; coarser counts
+    # roll its codes up and take their labels from the column's range.
     fine_codes, fine_labels = bucketize_equal_width(values, finest)
     fine_dataset = _append_column(dataset, name, fine_codes, fine_labels)
-    fine_cardinality = len(fine_labels)  # 1 when the column is constant
+    column = np.asarray(values, dtype=float)
+    low, high = float(column.min()), float(column.max())
     tau = resolve_threshold(fine_dataset, threshold, threshold_rate)
     watch = Stopwatch()
     # Every count's rollup derives its unique rows from this aggregation.
@@ -581,12 +589,11 @@ def bucketize_sweep(
 
     points: List[BucketSweepPoint] = []
     for count in counts:
-        if fine_cardinality == 1:
+        labels = equal_width_labels(low, high, count)
+        if len(fine_labels) == 1:  # a constant column
             groups: Tuple[int, ...] = (0,)
-            labels = list(fine_labels)
         else:
             groups = tuple(f * count // finest for f in range(finest))
-            _, labels = bucketize_equal_width(values, count)
         hierarchy = AttributeHierarchy(name, groups, tuple(labels))
         roll = rollup(fine_dataset, [hierarchy])
         walk = walk_dataset(roll.dataset, tau)

@@ -6,16 +6,17 @@ unique combinations, and answers ``cov(P)`` as the AND of the deterministic
 elements' vectors weighted by the count vector — exactly the Appendix A
 design.  The oracle delegates every mask operation to a
 :class:`~repro.core.engine.CoverageEngine` (``uint64`` bitsets in memory)
-and counts the queries it answers.  Thread a parent's match mask down so a
-child's coverage costs a single vectorized AND (``restrict_mask``), or
-answer a whole frontier with the batched ``coverage_of_masks`` /
-``coverage_many`` queries.
+and counts the queries it answers.  Naive, APRIORI, the incremental
+index, the hierarchy remedies, the reports and the serving layer count
+through it, a whole frontier per batched ``coverage_many`` call;
+PATTERN-BREAKER, PATTERN-COMBINER, DEEPDIVER and the sweeps count from the
+unique rows and read no oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +47,7 @@ class CoverageOracle:
             :func:`~repro.core.engine.check_engine`).
 
     Attributes:
-        evaluations: number of coverage queries answered; algorithms report
-            this in their :class:`~repro._util.SearchStats`.
+        evaluations: number of patterns and masks this oracle has counted.
     """
 
     def __init__(self, dataset: Dataset, engine: EngineSpec = None) -> None:
@@ -87,7 +87,7 @@ class CoverageOracle:
         return threshold_from_rate(rate, self._dataset.n)
 
     # ------------------------------------------------------------------
-    # mask plumbing (incremental evaluation for graph traversals)
+    # mask plumbing
     # ------------------------------------------------------------------
     def full_mask(self) -> Mask:
         """Mask matching every unique combination (the root pattern)."""
@@ -126,25 +126,10 @@ class CoverageOracle:
         """Definition 2: number of tuples of ``D`` matching ``pattern``."""
         return self.coverage_of_mask(self.match_mask(pattern))
 
-    def coverage_many(
-        self,
-        patterns: Sequence[Pattern],
-        memo: Optional[Dict[Tuple[int, ...], int]] = None,
-    ) -> np.ndarray:
-        """Batched :meth:`coverage` — a whole pattern-graph level at once.
-
-        With a ``memo`` (a ``pattern.values -> count`` reuse table, see
-        :meth:`CoverageEngine.coverage_many
-        <repro.core.engine.CoverageEngine.coverage_many>`), only the
-        patterns absent from the table count as evaluations.
-        """
-        if memo is None:
-            self.evaluations += len(patterns)
-        else:
-            self.evaluations += sum(
-                1 for p in patterns if p.values not in memo
-            )
-        return self._engine.coverage_many(patterns, memo=memo)
+    def coverage_many(self, patterns: Sequence[Pattern]) -> np.ndarray:
+        """Batched :meth:`coverage` — a whole pattern-graph level at once."""
+        self.evaluations += len(patterns)
+        return self._engine.coverage_many(patterns)
 
     def is_covered(self, pattern: Pattern, threshold: int) -> bool:
         """Definition 3: ``cov(P) >= τ``."""

@@ -26,7 +26,7 @@ columns that survive both makes the answers strict.
 
 No search queries the index: in the Rule-1 order DEEPDIVER's dominance
 question is "has an uncovered parent", which PATTERN-BREAKER's level walk
-answers (see :mod:`repro.core.mups.deepdiver`).  The index stays a public
+answers (see :mod:`repro.core.mups.diver`).  The index stays a public
 structure over a set of MUPs, and the linear scans below are its
 reference and the Appendix B ablation's baseline.
 """

@@ -17,10 +17,9 @@ three families of queries:
   answer a whole frontier in one vectorized pass over the stacked
   ``(cardinality, words)`` matrices.
 
-A **hot-mask LRU cache** sits over ``match_mask``: repeated point queries
-(the serving layer's, incremental re-runs) hit the cache instead of
-re-ANDing the index.  Masks handed out are private copies, so callers may
-mutate them freely; ``cache_info`` exposes hit/miss counters.
+The engine caches nothing: every ``match_mask`` ANDs into a fresh buffer,
+so callers may mutate the masks they get, and threads may share one
+engine.
 
 Wherever an ``engine=`` argument is accepted, :func:`check_engine` is the
 one check: ``None``, ``"auto"`` and ``"packed"`` all name this engine, and
@@ -30,10 +29,7 @@ very dataset object asked about.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from numbers import Integral
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,14 +40,6 @@ from repro.exceptions import EngineError, PatternError
 
 #: A mask: ``uint64`` words over the unique value combinations.
 Mask = np.ndarray
-
-#: Default capacity of the hot-mask LRU cache (0 disables it).
-DEFAULT_MASK_CACHE = 1024
-
-#: Byte budget for cached masks: the entry cap alone would let the
-#: cache dwarf the index it fronts on wide datasets, so eviction also
-#: keeps total cached mask bytes under this ceiling.
-DEFAULT_MASK_CACHE_BYTES = 32 << 20
 
 _WORD_BITS = 64
 
@@ -71,27 +59,12 @@ class CoverageEngine:
 
     Args:
         dataset: the dataset to index.
-        mask_cache_size: capacity of the hot-mask cache, a non-boolean
-            integer ``>= 0`` (``0`` disables caching); anything else
-            raises :class:`EngineError`.
     """
 
     #: The backend name reported by the serving layer and the tracer.
     name = "packed"
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        mask_cache_size: int = DEFAULT_MASK_CACHE,
-    ) -> None:
-        if (
-            isinstance(mask_cache_size, bool)
-            or not isinstance(mask_cache_size, Integral)
-            or mask_cache_size < 0
-        ):
-            raise EngineError(
-                f"mask_cache_size must be an integer >= 0, got {mask_cache_size!r}"
-            )
+    def __init__(self, dataset: Dataset) -> None:
         self._dataset = dataset
         unique, counts = dataset.unique_rows()
         self._unique = unique
@@ -119,17 +92,6 @@ class CoverageEngine:
         if u and counts.max() > 1:
             self._weights = np.zeros(word_count * _WORD_BITS, dtype=np.int64)
             self._weights[:u] = counts
-        self._mask_cache: "OrderedDict[Tuple[int, ...], Mask]" = OrderedDict()
-        self._mask_cache_size = int(mask_cache_size)
-        self._mask_cache_nbytes = 0
-        # Serializes every cache mutation: the serving layer answers
-        # concurrent requests on one warm engine, and unsynchronized
-        # insert/evict corrupts the byte accounting (and can evict the
-        # entry just handed out mid-copy).  match_mask keeps a lock-free
-        # fast path when caching is disabled.
-        self._mask_cache_lock = threading.Lock()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ------------------------------------------------------------------
     # accessors
@@ -208,138 +170,31 @@ class CoverageEngine:
         )
         return bits[: self.unique_count].astype(bool)
 
-    # ------------------------------------------------------------------
-    # hot-mask LRU cache
-    # ------------------------------------------------------------------
-    @property
-    def mask_cache_size(self) -> int:
-        """Capacity of the hot-mask cache (0 = caching disabled)."""
-        return self._mask_cache_size
-
-    def cache_info(self) -> Dict[str, float]:
-        """Hit/miss counters and occupancy of the hot-mask cache.
-
-        Counter values are ints; ``hit_rate`` is a float in ``[0, 1]``.
-        """
-        with self._mask_cache_lock:
-            total = self.cache_hits + self.cache_misses
-            return {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "entries": len(self._mask_cache),
-                "nbytes": self._mask_cache_nbytes,
-                "max_size": self._mask_cache_size,
-                "hit_rate": (self.cache_hits / total) if total else 0.0,
-            }
-
-    def clear_mask_cache(self) -> None:
-        """Drop every cached mask and reset the hit/miss counters."""
-        with self._mask_cache_lock:
-            self._mask_cache.clear()
-            self._mask_cache_nbytes = 0
-            self.cache_hits = 0
-            self.cache_misses = 0
-
     @staticmethod
     def _mask_nbytes(mask: Mask) -> int:
-        """Heap size of one cached mask."""
+        """Bytes one mask spans."""
         return int(mask.nbytes)
 
     # ------------------------------------------------------------------
     # pattern-level queries
     # ------------------------------------------------------------------
-    def _compute_match_mask(self, pattern: Pattern) -> Mask:
+    def match_mask(self, pattern: Pattern) -> Mask:
+        """Mask over unique combinations matching ``pattern``, in a fresh
+        buffer the caller owns."""
+        self._check_pattern(pattern)
         # AND in place over one fresh buffer, never over an index row.
         mask = self.full_mask()
         for index in pattern.deterministic_indices():
             np.bitwise_and(mask, self._words[index][pattern[index]], out=mask)
         return mask
 
-    def match_mask(self, pattern: Pattern) -> Mask:
-        """Mask over unique combinations matching ``pattern`` (cached).
-
-        The cache is keyed by the canonical pattern values; the engine keeps
-        its own copy of every cached mask and hands out fresh copies, so
-        callers may mutate the returned mask.
-        """
-        self._check_pattern(pattern)
-        if not self._mask_cache_size:
-            # Lock-free fast path: with caching disabled there is no shared
-            # mutable state to guard.
-            return self._compute_match_mask(pattern)
-        key = pattern.values
-        with self._mask_cache_lock:
-            cached = self._mask_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                self._mask_cache.move_to_end(key)
-                # Copy while holding the lock: a concurrent miss could
-                # otherwise evict the entry just handed out.
-                return cached.copy()
-            self.cache_misses += 1
-        # The index scan runs outside the lock so concurrent misses compute
-        # in parallel; losing that race just means inserting a value the
-        # winner already cached.
-        mask = self._compute_match_mask(pattern)
-        with self._mask_cache_lock:
-            if key not in self._mask_cache:
-                self._mask_cache[key] = mask.copy()
-                self._mask_cache_nbytes += self._mask_nbytes(mask)
-            # Evict by entry count and by byte budget (always keeping the
-            # newest entry, so one huge mask degrades to a 1-entry cache
-            # instead of thrashing).
-            while len(self._mask_cache) > 1 and (
-                len(self._mask_cache) > self._mask_cache_size
-                or self._mask_cache_nbytes > DEFAULT_MASK_CACHE_BYTES
-            ):
-                _, evicted = self._mask_cache.popitem(last=False)
-                self._mask_cache_nbytes -= self._mask_nbytes(evicted)
-        return mask
-
     def coverage(self, pattern: Pattern) -> int:
         """Definition 2: number of tuples matching ``pattern``."""
         return self.count(self.match_mask(pattern))
 
-    def coverage_many(
-        self,
-        patterns: Sequence[Pattern],
-        memo: Optional[Dict[Tuple[int, ...], int]] = None,
-    ) -> np.ndarray:
-        """Coverage of many patterns, counted in one batched pass.
-
-        Args:
-            patterns: the frontier to count.
-            memo: optional count-reuse table mapping ``pattern.values`` to
-                a previously computed coverage count.  Patterns present in
-                it skip the index scan entirely and fresh counts are added
-                back, so callers that evaluate overlapping frontiers (the
-                hierarchy remedies' drill-downs) pay for each distinct
-                pattern once.  Coverage counts are a pure function of the
-                dataset, never of τ, which is what makes the table safe to
-                share across calls and (for one dataset) across engines.
-        """
-        if not patterns:
-            return np.zeros(0, dtype=np.int64)
-        if memo is None:
-            return self.count_many([self.match_mask(p) for p in patterns])
-        out = np.empty(len(patterns), dtype=np.int64)
-        missing: List[Pattern] = []
-        positions: List[int] = []
-        for index, pattern in enumerate(patterns):
-            cached = memo.get(pattern.values)
-            if cached is None:
-                missing.append(pattern)
-                positions.append(index)
-            else:
-                out[index] = cached
-        if missing:
-            counts = self.count_many(
-                [self.match_mask(p) for p in missing]
-            )
-            for position, pattern, count in zip(positions, missing, counts):
-                out[position] = count
-                memo[pattern.values] = int(count)
-        return out
+    def coverage_many(self, patterns: Sequence[Pattern]) -> np.ndarray:
+        """Coverage of many patterns, counted in one batched pass."""
+        return self.count_many([self.match_mask(p) for p in patterns])
 
 
 #: The backend registry the tracer instruments: one engine.

@@ -27,7 +27,7 @@ from typing import Iterable, List, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.coverage import CoverageOracle, oracle_for
-from repro.core.engine import CoverageEngine, EngineSpec, check_engine
+from repro.core.engine import EngineSpec
 from repro.core.mups.base import MupResult, check_threshold, find_mups
 from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
@@ -48,9 +48,8 @@ class IncrementalMupIndex:
             instead of building a fresh index (the serving layer registers
             datasets before any threshold is known).
 
-    Every delivery or removal rebuilds a :class:`CoverageEngine` over the
-    new dataset with the hot-mask cache capacity of the engine given in
-    ``engine``, else of the initial oracle's engine.
+    Every delivery or removal builds a new :class:`CoverageOracle` over
+    the new dataset.
     """
 
     def __init__(
@@ -65,10 +64,7 @@ class IncrementalMupIndex:
         self._space = PatternSpace.for_dataset(dataset)
         self._threshold = threshold
         self._dataset = dataset
-        given = check_engine(engine, dataset)
         self._oracle = oracle_for(dataset, oracle, engine)
-        source = self._oracle.engine if given is None else given
-        self._mask_cache_size = source.mask_cache_size
         initial = find_mups(
             dataset, threshold=threshold, algorithm=algorithm, oracle=self._oracle
         )
@@ -118,10 +114,7 @@ class IncrementalMupIndex:
         old dataset + old oracle, still answering queries.  On success the
         dataset and oracle swap together.
         """
-        engine = CoverageEngine(
-            new_dataset, mask_cache_size=self._mask_cache_size
-        )
-        oracle = CoverageOracle(new_dataset, engine=engine)
+        oracle = CoverageOracle(new_dataset)
         self._dataset, self._oracle = new_dataset, oracle
 
     # ------------------------------------------------------------------

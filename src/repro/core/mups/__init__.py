@@ -2,9 +2,9 @@
 
 from repro.core.mups.base import MupResult, find_mups, ALGORITHMS
 from repro.core.mups.naive import naive_mups
-from repro.core.mups.pattern_breaker import pattern_breaker
-from repro.core.mups.pattern_combiner import pattern_combiner
-from repro.core.mups.deepdiver import deepdiver
+from repro.core.mups.breaker import pattern_breaker
+from repro.core.mups.combiner import pattern_combiner
+from repro.core.mups.diver import deepdiver
 from repro.core.mups.apriori import apriori_mups
 
 __all__ = [

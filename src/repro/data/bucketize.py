@@ -62,6 +62,23 @@ def _interval_labels(edges: Sequence[float]) -> List[str]:
     return labels
 
 
+def _equal_width(
+    low: float, high: float, buckets: int
+) -> Tuple[Optional[np.ndarray], List[str]]:
+    """Edges and labels of ``buckets`` equal-width intervals over
+    ``[low, high]``; a constant range is one bucket with no edges."""
+    if low == high:
+        return None, [f"[{low:g},{high:g}]"]
+    edges = np.linspace(low, high, buckets + 1)
+    return edges, _interval_labels(edges)
+
+
+def equal_width_labels(low: float, high: float, buckets: int) -> List[str]:
+    """The labels :func:`bucketize_equal_width` gives ``buckets`` buckets
+    of a column whose values span ``[low, high]``."""
+    return _equal_width(low, high, check_bucket_count(buckets))[1]
+
+
 def bucketize_thresholds(
     values: Sequence[float],
     thresholds: Sequence[float],
@@ -117,15 +134,14 @@ def bucketize_equal_width(
     """
     buckets = check_bucket_count(buckets)
     array = _finite_column(values)
-    low, high = float(array.min()), float(array.max())
-    if low == high:
+    edges, labels = _equal_width(float(array.min()), float(array.max()), buckets)
+    if edges is None:
         # Degenerate constant column: one real bucket, cardinality 1.
-        return np.zeros(len(array), dtype=np.int32), [f"[{low:g},{high:g}]"]
-    edges = np.linspace(low, high, buckets + 1)
+        return np.zeros(len(array), dtype=np.int32), labels
     codes = np.clip(
         np.searchsorted(edges, array, side="right") - 1, 0, buckets - 1
     ).astype(np.int32)
-    return codes, _interval_labels(edges)
+    return codes, labels
 
 
 def bucketize_quantiles(

@@ -1,11 +1,12 @@
 """Cross-request result cache for the serving layer.
 
-Layered *above* the per-engine hot-mask LRU: the engine cache saves the
-index scan for a repeated pattern, this cache saves the whole request —
-coverage counts, MUP sets, enhancement plans — across clients.  Keys embed
-the snapshot's content fingerprint, so a delivery naturally orphans every
-stale entry (the new snapshot has a new fingerprint); :meth:`invalidate`
-reclaims the orphans' space eagerly instead of waiting for LRU churn.
+The serving layer's one cache: it saves the whole request — coverage
+counts, MUP sets, enhancement plans — across clients, and the batcher's
+in-flight deduplication catches repeats that arrive before the first
+answer is cached.  Keys embed the snapshot's content fingerprint, so a
+delivery naturally orphans every stale entry (the new snapshot has a new
+fingerprint); :meth:`invalidate` reclaims the orphans' space eagerly
+instead of waiting for LRU churn.
 
 Thread-safe: requests resolve cache hits on the event loop while heavy
 work (and the benchmark harness) probes it from worker threads.

@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Any, Optional
 
-from repro.core.engine import DEFAULT_MASK_CACHE
 from repro.exceptions import ServeError
 
 #: Default coalescing window: long enough to collect a concurrent burst,
@@ -50,8 +48,6 @@ class ServeConfig:
             rejected as saturated instead of queueing unboundedly.
         result_cache_size: entries in the cross-request result cache
             (``0`` disables it).
-        mask_cache_size: hot-mask cache capacity of every warm engine
-            (``0`` disables it).
     """
 
     host: str = "127.0.0.1"
@@ -65,7 +61,6 @@ class ServeConfig:
     max_concurrent: int = 8
     max_queue: int = 64
     result_cache_size: int = 4096
-    mask_cache_size: int = DEFAULT_MASK_CACHE
 
     def __post_init__(self) -> None:
         if self.batch_window_ms < 0:
@@ -112,16 +107,6 @@ class ServeConfig:
             raise ServeError(
                 "bad_config",
                 f"result_cache_size must be >= 0, got {self.result_cache_size}",
-            )
-        if (
-            isinstance(self.mask_cache_size, bool)
-            or not isinstance(self.mask_cache_size, Integral)
-            or self.mask_cache_size < 0
-        ):
-            raise ServeError(
-                "bad_config",
-                f"mask_cache_size must be an integer >= 0, "
-                f"got {self.mask_cache_size!r}",
             )
 
     @property

@@ -26,7 +26,6 @@ from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.coverage import CoverageOracle
-from repro.core.engine import CoverageEngine
 from repro.core.incremental import IncrementalMupIndex
 from repro.data.dataset import Dataset
 from repro.exceptions import ServeError
@@ -67,13 +66,7 @@ class DatasetEntry:
 class EngineRegistry:
     """Thread-safe LRU registry of warm dataset entries."""
 
-    def __init__(
-        self,
-        mask_cache_size: int,
-        max_entries: int,
-        max_bytes: int,
-    ) -> None:
-        self._mask_cache_size = int(mask_cache_size)
+    def __init__(self, max_entries: int, max_bytes: int) -> None:
         self._max_entries = int(max_entries)
         self._max_bytes = int(max_bytes)
         self._entries: "OrderedDict[str, DatasetEntry]" = OrderedDict()
@@ -125,8 +118,7 @@ class EngineRegistry:
             if existing is not None:
                 self._entries.move_to_end(existing.key)
                 return existing, False
-        engine = CoverageEngine(dataset, mask_cache_size=self._mask_cache_size)
-        oracle = CoverageOracle(dataset, engine=engine)
+        oracle = CoverageOracle(dataset)
         nbytes = int(oracle.engine.index_nbytes)
         entry = DatasetEntry(key, Snapshot(dataset, oracle, key), nbytes)
         with self._lock:

@@ -140,7 +140,6 @@ class CoverageService:
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.registry = EngineRegistry(
-            config.mask_cache_size,
             max_entries=config.registry_max_entries,
             max_bytes=config.registry_max_bytes,
         )

@@ -1,5 +1,5 @@
 """DEEPDIVER one node at a time: the reference for
-:func:`repro.core.mups.deepdiver`.
+:func:`repro.core.mups.diver.deepdiver`.
 
 Algorithm 3 (§III-E) in the Rule-1 DFS order.  Pop a node and prune it
 when a known MUP dominates it (Appendix B's index).  Otherwise, treat it

@@ -5,25 +5,25 @@ this harness checks the *interleavings*.  Hypothesis generates a random
 dataset — half the time uniform-random rows, half the time a realistic
 :mod:`repro.data.scenarios` draw (zipf marginals, latent-factor
 correlation) — plus a random sequence of ``coverage`` / ``coverage_many``
-(with and without the sweep's count-reuse memo) / ``coverage_of_masks`` /
-``restrict_children`` / cache-churn / rebuild calls, and executes it on a
-:class:`~repro.core.engine.CoverageEngine` behind an oracle.  A rebuild
-replaces the engine with a new one of the same cache capacity.  After
-every step the counts must equal Definition 2's row scan
+/ ``coverage_of_masks`` / ``restrict_children`` / rebuild calls, and
+executes it on a :class:`~repro.core.engine.CoverageEngine` behind an
+oracle.  A rebuild replaces the engine and the oracle with new ones.
+After every step the counts must equal Definition 2's row scan
 (``coverage_scan``), the masks a numpy row match over the unique rows,
-and the hot-mask cache accounting (hits / misses / entries / bytes) that
-of a reference LRU fed the same lookups.
+and the oracle's ``evaluations`` the number of patterns and masks it
+was asked to count.
 
 Two profiles run it: the normal suite uses a fixed-seed (derandomized)
 profile so CI is deterministic, and the ``-m slow`` job layers a deeper
 randomized sweep on top (``test_engine_fuzz_deep``).  Past
 counterexamples live in ``engine_fuzz_corpus.json`` next to this file and
 replay on every run — append a shrunk case there whenever the fuzzer
-finds a new one.
+finds a new one.  Older corpus entries carry a ``mask_cache_size``, which
+the replay ignores, and ``churn`` ops, which it replays as a point query
+on the root pattern.
 """
 
 import json
-from collections import OrderedDict
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -95,25 +95,14 @@ def fuzz_cases(draw):
             ]
             for _ in range(n)
         ]
-    mask_cache_size = draw(st.sampled_from([0, 2, 64]))
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         kind = draw(
-            st.sampled_from(
-                [
-                    "point",
-                    "many",
-                    "masks",
-                    "memo",
-                    "children",
-                    "churn",
-                    "rebuild",
-                ]
-            )
+            st.sampled_from(["point", "many", "masks", "children", "rebuild"])
         )
         if kind == "point":
             ops.append(("point", draw(_patterns(cardinalities))))
-        elif kind in ("many", "masks", "memo"):
+        elif kind in ("many", "masks"):
             batch = [
                 draw(_patterns(cardinalities))
                 for _ in range(draw(st.integers(min_value=0, max_value=4)))
@@ -129,91 +118,43 @@ def fuzz_cases(draw):
             )
         else:
             ops.append((kind,))
-    return cardinalities, rows, mask_cache_size, ops
+    return cardinalities, rows, ops
 
 
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-class _LruModel:
-    """What the hot-mask cache must hold after each ``match_mask`` call:
-    the keys in recency order, and the hit and miss counts."""
-
-    def __init__(self, size):
-        self.size = size
-        self.keys = OrderedDict()
-        self.hits = self.misses = 0
-
-    def lookup(self, pattern):
-        if not self.size:
-            return
-        key = pattern.values
-        if key in self.keys:
-            self.hits += 1
-            self.keys.move_to_end(key)
-        else:
-            self.misses += 1
-            self.keys[key] = None
-            if len(self.keys) > self.size:
-                self.keys.popitem(last=False)
-
-
 class _Lane:
-    """One engine, the oracle over it, and the model of its cache."""
+    """One engine, the oracle over it, and the count the oracle must
+    report as its ``evaluations``."""
 
-    def __init__(self, dataset, mask_cache_size):
-        self.engine = CoverageEngine(dataset, mask_cache_size=mask_cache_size)
+    def __init__(self, dataset):
+        self.engine = CoverageEngine(dataset)
         self.oracle = CoverageOracle(dataset, engine=self.engine)
-        self.model = _LruModel(mask_cache_size)
+        self.evaluations = 0
 
-    def check_cache(self):
-        info, model = self.engine.cache_info(), self.model
-        assert (info["hits"], info["misses"]) == (model.hits, model.misses)
-        assert info["entries"] == len(model.keys)
-        assert info["max_size"] == model.size
-        mask_bytes = self.engine.full_mask().nbytes
-        assert info["nbytes"] == len(model.keys) * mask_bytes
-        total = model.hits + model.misses
-        expected_rate = (model.hits / total) if total else 0.0
-        assert info["hit_rate"] == pytest.approx(expected_rate)
+    def check_evaluations(self):
+        assert self.oracle.evaluations == self.evaluations
 
 
 def _apply_op(op, dataset, lane):
     kind = op[0]
-    oracle, model = lane.oracle, lane.model
+    oracle = lane.oracle
     if kind == "point":
         pattern = op[1]
         assert oracle.coverage(pattern) == coverage_scan(dataset, pattern), pattern
-        model.lookup(pattern)
+        lane.evaluations += 1
     elif kind == "many":
         batch = op[1]
         expected = [coverage_scan(dataset, p) for p in batch]
         assert list(oracle.coverage_many(batch)) == expected
-        for pattern in batch:
-            model.lookup(pattern)
-    elif kind == "memo":
-        # The count-reuse table the amortized threshold sweep rides: a
-        # second pass over the same batch must answer from the memo alone
-        # (no new oracle evaluations, no index lookups) with bit-identical
-        # counts, and the memoized counts must be the scanned ones.
-        batch = op[1]
-        expected = [coverage_scan(dataset, p) for p in batch]
-        memo = {}
-        first = list(oracle.coverage_many(batch, memo=memo))
-        before = oracle.evaluations
-        second = list(oracle.coverage_many(batch, memo=memo))
-        assert first == second == expected
-        assert oracle.evaluations == before
-        assert set(memo) == {p.values for p in batch}
-        for pattern in batch:
-            model.lookup(pattern)
+        lane.evaluations += len(batch)
     elif kind == "masks":
         batch = op[1]
         expected = [coverage_scan(dataset, p) for p in batch]
         masks = [oracle.match_mask(p) for p in batch]
         assert list(oracle.coverage_of_masks(masks)) == expected
-        for pattern in batch:
-            model.lookup(pattern)
+        lane.evaluations += len(batch)
     elif kind == "children":
         # The attribute may be deterministic in the pattern already, so a
         # child is the pattern's rows AND one value's rows.
@@ -228,32 +169,28 @@ def _apply_op(op, dataset, lane):
         expected_counts = [int(weights[rows].sum()) for rows in expected_bools]
         engine = lane.engine
         family = engine.restrict_children(engine.match_mask(pattern), attribute)
-        model.lookup(pattern)
         assert len(family) == dataset.cardinalities[attribute]
         for child, expected in zip(family, expected_bools):
             assert np.array_equal(
                 engine.mask_to_bool(child), expected
             ), (pattern, attribute)
         assert list(engine.count_many(family)) == expected_counts
-    elif kind == "churn":
-        lane.engine.clear_mask_cache()
-        lane.model = _LruModel(model.size)
     elif kind == "rebuild":
-        return _Lane(dataset, lane.engine.mask_cache_size)
+        return _Lane(dataset)
     else:  # pragma: no cover - corpus hygiene
         raise AssertionError(f"unknown fuzz op {kind!r}")
     return lane
 
 
-def _run_case(cardinalities, rows, mask_cache_size, ops):
+def _run_case(cardinalities, rows, ops):
     d = len(cardinalities)
     schema = Schema.of([f"A{i + 1}" for i in range(d)], cardinalities)
     array = np.asarray(rows, dtype=np.int32).reshape(len(rows), d)
     dataset = Dataset(schema, array)
-    lane = _Lane(dataset, mask_cache_size)
+    lane = _Lane(dataset)
     for op in ops:
         lane = _apply_op(op, dataset, lane)
-        lane.check_cache()
+        lane.check_evaluations()
 
 
 # ----------------------------------------------------------------------
@@ -283,11 +220,13 @@ def _parse_pattern(values):
     return Pattern([X if value == "X" else int(value) for value in values])
 
 
-def _parse_op(entry):
+def _parse_op(entry, d):
     kind = entry[0]
     if kind == "point":
         return ("point", _parse_pattern(entry[1]))
-    if kind in ("many", "masks", "memo"):
+    if kind == "churn":
+        return ("point", Pattern.root(d))
+    if kind in ("many", "masks"):
         return (kind, [_parse_pattern(values) for values in entry[1]])
     if kind == "children":
         return ("children", _parse_pattern(entry[1]), int(entry[2]))
@@ -302,9 +241,9 @@ CORPUS = _load_corpus()
 )
 def test_engine_fuzz_corpus_replays(case):
     """Seed-corpus regression: every past counterexample replays green."""
+    d = len(case["cardinalities"])
     _run_case(
         case["cardinalities"],
         case["rows"],
-        case["mask_cache_size"],
-        [_parse_op(entry) for entry in case["ops"]],
+        [_parse_op(entry, d) for entry in case["ops"]],
     )

@@ -9,10 +9,9 @@ Three families of guarantees:
 * **Equivalence** — ``find_mups_hierarchical`` is bit-identical to an
   independent ``find_mups`` run on the equivalent ``rollup()`` dataset at
   every level of the stack, on every coverage-engine spec (packed /
-  auto / an engine with its cache off);
+  auto / a prebuilt engine);
 * **Bucket sweep** — each ``bucketize_sweep`` point matches an
-  independent ``find_mups`` over ``bucketized_dataset`` at that width,
-  despite the shared drill-down count memo.
+  independent ``find_mups`` over ``bucketized_dataset`` at that width.
 
 The normal-suite legs run a fixed-seed (derandomized) profile; the
 ``-m slow`` job layers a deeper randomized sweep on top.
@@ -36,14 +35,11 @@ from repro.data.hierarchy import AttributeHierarchy, drill_down, rollup
 from repro.data.scenarios import SCENARIO_FAMILIES, scenario_dataset
 
 #: Engine specs the equivalence leg sweeps: both names, and (built per
-#: dataset by :func:`_spec`) an engine with its mask cache disabled.
+#: dataset by :func:`_spec`) a prebuilt engine.
 BACKENDS = (
     "packed",
     "auto",
-    pytest.param(
-        lambda dataset: CoverageEngine(dataset, mask_cache_size=0),
-        id="packed-nocache",
-    ),
+    pytest.param(lambda dataset: CoverageEngine(dataset), id="prebuilt"),
 )
 
 

@@ -19,7 +19,7 @@ from repro.core.mups import (
 from repro.data.dataset import Dataset, Schema
 from walk_paths import on_both_walks
 
-combiner_module = importlib.import_module("repro.core.mups.pattern_combiner")
+combiner_module = importlib.import_module("repro.core.mups.combiner")
 
 
 @st.composite

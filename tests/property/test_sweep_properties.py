@@ -4,7 +4,7 @@ Three families of guarantees:
 
 * **Equivalence** — ``sweep_mups(...).mups_at(τ)`` is bit-identical to an
   independent ``find_mups`` run at every τ in the swept range, on every
-  coverage-engine spec (packed / auto / an engine with its cache off), over
+  coverage-engine spec (packed / auto / a prebuilt engine), over
   scenario-generated datasets (zipf marginals, latent-factor correlation,
   planted MUPs with known ground truth);
 * **Monotonicity** — as τ grows the uncovered space only grows, so every
@@ -42,14 +42,11 @@ from repro.data.scenarios import (
 )
 
 #: Engine specs the equivalence leg sweeps: both names, and (built per
-#: dataset by :func:`_spec`) an engine with its mask cache disabled.
+#: dataset by :func:`_spec`) a prebuilt engine.
 BACKENDS = (
     "packed",
     "auto",
-    pytest.param(
-        lambda dataset: CoverageEngine(dataset, mask_cache_size=0),
-        id="packed-nocache",
-    ),
+    pytest.param(lambda dataset: CoverageEngine(dataset), id="prebuilt"),
 )
 
 

@@ -123,7 +123,7 @@ def measure(algorithm, d):
 
 
 def test_d13_combiner_runs_on_the_count_table():
-    combiner = importlib.import_module("repro.core.mups.pattern_combiner")
+    combiner = importlib.import_module("repro.core.mups.combiner")
     assert 8 * 3**13 <= combiner._TABLE_BYTES
 
 

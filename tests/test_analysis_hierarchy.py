@@ -9,6 +9,7 @@ generalize-vs-acquire cost model.
 import numpy as np
 import pytest
 
+import repro.analysis.hierarchy as hierarchy_module
 import repro.core.lattice as lattice_module
 from repro.analysis.hierarchy import (
     BucketSweepResult,
@@ -26,6 +27,7 @@ from repro.core.enhancement import (
 from repro.core.lattice import cube_fits
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern, X
+from repro.data.bucketize import bucketize_equal_width
 from repro.data.hierarchy import AttributeHierarchy
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import DataError, EnhancementError, ReproError, SchemaError
@@ -342,6 +344,26 @@ class TestGeneralizationRemedies:
             assert remedy.generalized == generalized
             assert remedy.coverage == coverage
 
+    def test_each_base_expansion_is_counted_at_most_once(self, monkeypatch):
+        dataset = make_dataset()
+        stack = make_stack(dataset)
+        tau = 6
+        expected = find_mups_hierarchical(dataset, stack, threshold=tau).remedies
+        asked = []
+        coverage_many = CoverageOracle.coverage_many
+
+        def spy(oracle, patterns):
+            asked.extend(pattern.values for pattern in patterns)
+            return coverage_many(oracle, patterns)
+
+        monkeypatch.setattr(CoverageOracle, "coverage_many", spy)
+        oracle = CoverageOracle(dataset)
+        result = find_mups_hierarchical(dataset, stack, threshold=tau, oracle=oracle)
+        assert asked and len(asked) == len(set(asked))
+        assert oracle.evaluations == len(asked)
+        # The same remedies as test_remedies_cover_and_are_minimal's.
+        assert result.remedies == expected
+
     def test_describe_renders_levels(self):
         dataset = make_dataset()
         stack = make_stack(dataset)
@@ -349,6 +371,20 @@ class TestGeneralizationRemedies:
         for remedy in result.remedies:
             text = remedy.describe(dataset.schema, stack)
             assert "generalize to" in text
+
+
+#: Numeric columns whose ranges the bucket labels render differently:
+#: fractions, integers, negatives, a tiny span, large magnitudes, a plain
+#: list and a constant.
+LABEL_COLUMNS = {
+    "lognormal": lambda n: np.random.default_rng(1).lognormal(0.0, 1.0, n),
+    "integers": lambda n: np.arange(n) % 17,
+    "negative": lambda n: np.random.default_rng(2).normal(-50.0, 20.0, n),
+    "tiny-span": lambda n: 1.0 + np.random.default_rng(3).random(n) * 1e-9,
+    "large": lambda n: np.random.default_rng(4).random(n) * 1e12,
+    "list": lambda n: [float(i % 7) / 3 for i in range(n)],
+    "constant": lambda n: np.full(n, 2.5),
+}
 
 
 class TestBucketizeSweep:
@@ -415,6 +451,31 @@ class TestBucketizeSweep:
         assert sweep.point_for(4).buckets == 4
         with pytest.raises(DataError):
             sweep.point_for(16)
+
+    @pytest.mark.parametrize("column", sorted(LABEL_COLUMNS))
+    def test_labels_are_the_bucketizers(self, column):
+        dataset = make_dataset(cardinalities=(3, 2))
+        values = LABEL_COLUMNS[column](dataset.n)
+        sweep = bucketize_sweep(dataset, values, [2, 3, 4, 6, 12], threshold=3)
+        for point in sweep.points:
+            _, labels = bucketize_equal_width(values, point.buckets)
+            assert list(point.labels) == labels
+            assert point.cardinality == len(labels)
+
+    def test_the_column_is_bucketized_once(self, monkeypatch):
+        calls = []
+        bucketize = hierarchy_module.bucketize_equal_width
+
+        def spy(values, buckets):
+            calls.append(buckets)
+            return bucketize(values, buckets)
+
+        monkeypatch.setattr(hierarchy_module, "bucketize_equal_width", spy)
+        dataset = make_dataset(cardinalities=(3, 2))
+        values = LABEL_COLUMNS["lognormal"](dataset.n)
+        sweep = bucketize_sweep(dataset, values, BENCH_BUCKET_COUNTS, threshold=3)
+        assert calls == [max(BENCH_BUCKET_COUNTS)]
+        assert [p.buckets for p in sweep.points] == list(BENCH_BUCKET_COUNTS)
 
     def test_nan_rejected_through_sweep(self):
         dataset = make_dataset(cardinalities=(3, 2))

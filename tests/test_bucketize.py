@@ -13,6 +13,7 @@ from repro.data.bucketize import (
     bucketize_equal_width,
     bucketize_quantiles,
     bucketize_thresholds,
+    equal_width_labels,
 )
 from repro.exceptions import DataError
 
@@ -86,6 +87,19 @@ class TestEqualWidth:
     def test_empty_column_rejected(self):
         with pytest.raises(DataError):
             bucketize_equal_width([], 2)
+
+    @pytest.mark.parametrize("buckets", [2, 3, 7, 24])
+    def test_labels_from_the_range_are_the_bucketizers(self, buckets):
+        values = np.random.default_rng(buckets).normal(-40.0, 25.0, size=500)
+        low, high = float(values.min()), float(values.max())
+        _, labels = bucketize_equal_width(values, buckets)
+        assert equal_width_labels(low, high, buckets) == labels
+        assert equal_width_labels(2.5, 2.5, buckets) == ["[2.5,2.5]"]
+
+    @pytest.mark.parametrize("buckets", [1, 2.0, True])
+    def test_labels_check_the_count(self, buckets):
+        with pytest.raises(DataError, match="bucket count"):
+            equal_width_labels(0.0, 1.0, buckets)
 
 
 class TestQuantiles:

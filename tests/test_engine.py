@@ -9,7 +9,6 @@ from repro.analysis.report import mup_report
 from repro.analysis.sweep import sweep_mups
 from repro.core.coverage import CoverageOracle, coverage_scan
 from repro.core.engine import (
-    DEFAULT_MASK_CACHE,
     ENGINES,
     CoverageEngine,
     check_engine,
@@ -30,11 +29,11 @@ from repro.exceptions import EngineError, PatternError, ReproError
 
 
 #: How each contract test builds its engine: by either name through an
-#: oracle, and directly with the mask cache disabled.
+#: oracle, and directly.
 CONTRACT_SPECS = {
     "packed": lambda dataset: CoverageOracle(dataset, engine="packed").engine,
     "auto": lambda dataset: CoverageOracle(dataset, engine="auto").engine,
-    "packed-nocache": lambda dataset: CoverageEngine(dataset, mask_cache_size=0),
+    "prebuilt": lambda dataset: CoverageEngine(dataset),
 }
 
 #: Values that are not engine specs: other names, a number, classes, a
@@ -181,7 +180,7 @@ class TestEngineSpecs:
             assert check_engine(spec, example1_dataset) is None
             engine = CoverageOracle(example1_dataset, engine=spec).engine
             assert type(engine) is CoverageEngine
-            assert engine.mask_cache_size == DEFAULT_MASK_CACHE
+            assert engine.dataset is example1_dataset
 
     @pytest.mark.parametrize("spec", ["bogus", 42, CoverageEngine])
     def test_greedy_rejects_a_non_engine_spec(self, spec):
@@ -331,7 +330,7 @@ class TestPackedSpecifics:
     def test_match_masks_leave_the_index_untouched(self):
         rng = np.random.default_rng(3)
         dataset = Dataset.from_rows(rng.integers(0, 4, size=(300, 3)).tolist())
-        engine = CoverageEngine(dataset, mask_cache_size=0)
+        engine = CoverageEngine(dataset)
         before = [engine.word_matrix(i).copy() for i in range(dataset.d)]
         patterns = [
             Pattern.of(a, b, c)
@@ -405,27 +404,21 @@ class TestFacadeSelection:
         assert result.as_set() is result.as_set()
 
 
-class TestMaskCacheConcurrency:
-    """Regression: the hot-mask LRU under concurrent ``match_mask`` calls.
+class TestConcurrentQueries:
+    """Threads sharing one engine, as the serving layer's executor threads
+    share one warm engine, get the counts a serial run gets."""
 
-    Before the cache took a lock, two threads missing on the same pattern
-    could both insert the mask (double-counting its bytes) while evictions
-    subtracted sizes that were never added — ``cache_info()["nbytes"]``
-    went negative and the counters drifted from the call count.
-    """
-
-    def test_threaded_match_mask_keeps_accounting_consistent(self):
+    def test_threaded_queries_get_the_serial_counts(self):
         import random
+        import sys
         import threading
 
         dataset = random_categorical_dataset(300, (3, 3, 2, 2), seed=5, skew=0.8)
-        engine = CoverageEngine(dataset, mask_cache_size=4)
+        engine = CoverageEngine(dataset)
         pool = [Pattern.of(*row) for row in {tuple(r) for r in dataset.rows}]
         pool = sorted(pool, key=lambda p: p.values)[:12]
-        truth = {
-            p.values: sum(1 for row in dataset.rows if p.matches(row))
-            for p in pool
-        }
+        pool += [p.with_value(0, X) for p in pool[:4]] + [Pattern.root(dataset.d)]
+        serial = {p.values: coverage_scan(dataset, p) for p in pool}
 
         n_threads, iterations = 8, 30
         barrier = threading.Barrier(n_threads)
@@ -436,25 +429,31 @@ class TestMaskCacheConcurrency:
             barrier.wait()
             for _ in range(iterations):
                 pattern = rng.choice(pool)
-                count = engine.coverage(pattern)
-                if count != truth[pattern.values]:
-                    errors.append(("count", pattern, count))
-                info = engine.cache_info()
-                if info["nbytes"] < 0:
-                    errors.append(("negative nbytes", dict(info)))
+                expected = serial[pattern.values]
+                counts = {
+                    "coverage": engine.coverage(pattern),
+                    "match_mask": engine.count(engine.match_mask(pattern)),
+                }
+                batch = rng.sample(pool, 3)
+                got = list(engine.coverage_many(batch))
+                if got != [serial[p.values] for p in batch]:
+                    errors.append(("coverage_many", batch, got))
+                for kind, count in counts.items():
+                    if count != expected:
+                        errors.append((kind, pattern, count))
 
         threads = [
             threading.Thread(target=worker, args=(seed,))
             for seed in range(n_threads)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[:3]
-        info = engine.cache_info()
-        # Every coverage call is exactly one hit or one miss.
-        assert info["hits"] + info["misses"] == n_threads * iterations
-        assert info["entries"] <= 4
-        assert info["nbytes"] >= 0
-        assert 0.0 <= info["hit_rate"] <= 1.0

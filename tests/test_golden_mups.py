@@ -9,6 +9,7 @@ regressions anywhere in the pattern/coverage/engine/algorithm stack.
 """
 
 import csv
+import inspect
 import json
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from deepdiver_reference import deepdiver_reference
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import CoverageEngine
 from repro.core.mups.base import ALGORITHMS, find_mups
+from repro.core.pattern import Pattern
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
 from walk_paths import counters, on_both_walks
@@ -28,10 +30,10 @@ with open(FIXTURES / "expected_mups.json") as _handle:
     EXPECTED = json.load(_handle)
 
 
-def warm_engine(dataset):
-    """A packed engine whose cache already holds the mask of every
-    pattern in the space, so the search is answered from cached masks."""
-    engine = CoverageEngine(dataset, mask_cache_size=256)
+def reused_engine(dataset):
+    """A packed engine that has already answered every pattern in the
+    space, so the search runs on an engine with a history."""
+    engine = CoverageEngine(dataset)
     for pattern in PatternSpace.for_dataset(dataset).all_patterns():
         engine.coverage(pattern)
     return engine
@@ -39,7 +41,7 @@ def warm_engine(dataset):
 
 def oracle_with_engine(dataset):
     """Both arguments at once: an oracle and the engine it counts with."""
-    engine = CoverageEngine(dataset, mask_cache_size=0)
+    engine = CoverageEngine(dataset)
     return {"oracle": CoverageOracle(dataset, engine=engine), "engine": engine}
 
 
@@ -47,28 +49,22 @@ def oracle_with_engine(dataset):
 #: the ``engine=``/``oracle=`` keyword arguments for ``find_mups``.
 ENGINE_CONFIGS = [
     ("packed", lambda dataset: {"engine": "packed"}),
-    (
-        "packed-nocache",
-        lambda dataset: {"engine": CoverageEngine(dataset, mask_cache_size=0)},
-    ),
+    ("prebuilt", lambda dataset: {"engine": CoverageEngine(dataset)}),
     ("auto", lambda dataset: {"engine": "auto"}),
     ("none", lambda dataset: {"engine": None}),
-    # A one-mask cache evicts on every miss.
-    (
-        "packed-cache-1",
-        lambda dataset: {"engine": CoverageEngine(dataset, mask_cache_size=1)},
-    ),
-    # An eight-mask cache fills, then evicts its oldest mask on each miss.
-    (
-        "packed-cache-8",
-        lambda dataset: {"engine": CoverageEngine(dataset, mask_cache_size=8)},
-    ),
-    ("warm", lambda dataset: {"engine": warm_engine(dataset)}),
+    ("reused", lambda dataset: {"engine": reused_engine(dataset)}),
     # A prebuilt oracle over the fixture itself.
     ("oracle", lambda dataset: {"oracle": CoverageOracle(dataset)}),
-    # An oracle together with the uncached engine it wraps.
-    ("oracle-nocache", oracle_with_engine),
+    # An oracle together with the engine it wraps.
+    ("oracle-with-engine", oracle_with_engine),
 ]
+
+#: The algorithms that take a level cap: all but PATTERN-COMBINER.
+LEVEL_CAPPED = sorted(
+    name
+    for name, algorithm in ALGORITHMS.items()
+    if "max_level" in inspect.signature(algorithm).parameters
+)
 
 CASES = [
     (fixture, int(tau))
@@ -98,6 +94,25 @@ def test_algorithm_engine_matrix_reproduces_golden(algorithm, config, fixture, t
         dataset, threshold=tau, algorithm=algorithm, **make_arguments(dataset)
     )
     assert {str(p) for p in result.mups} == expected
+
+
+@pytest.mark.parametrize("max_level", [0, 1, 2], ids=["cap0", "cap1", "cap2"])
+@pytest.mark.parametrize("algorithm", LEVEL_CAPPED)
+@pytest.mark.parametrize("fixture,tau", CASES, ids=[f"{f}-tau{t}" for f, t in CASES])
+def test_level_capped_search_reproduces_golden(algorithm, fixture, tau, max_level):
+    """A cap keeps exactly the golden MUPs of level ≤ the cap: a MUP's
+    parents are one level more general, so the cap hides none of them."""
+    dataset = load_fixture(fixture)
+    expected = {
+        text
+        for text in EXPECTED[fixture]["thresholds"][str(tau)]
+        if Pattern.from_string(text).level <= max_level
+    }
+    result = find_mups(
+        dataset, threshold=tau, algorithm=algorithm, max_level=max_level
+    )
+    assert {str(p) for p in result.mups} == expected
+    assert result.max_level == max_level
 
 
 #: DEEPDIVER's (nodes_generated, coverage_evaluations, dominance_checks,

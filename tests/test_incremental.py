@@ -140,22 +140,20 @@ class TestMixedWorkload:
         assert result.threshold == 1
 
 
-class TestEngineCacheUnderMutation:
-    """Hot-mask caches must never serve answers from a pre-update dataset.
+class TestQueriesAcrossMutation:
+    """Answers after a delivery or removal are the new dataset's.
 
-    The index rebuilds its oracle (and therefore its engine) on every
-    delivery/removal, so cached masks from the old dataset are bypassed by
-    construction; these tests pin that contract down for every engine
-    spec, including prebuilt instances whose cache capacity must survive
-    the rebuild while their cached state must not.
+    The index builds a new oracle (and so a new engine) over the new
+    dataset on every delivery and removal, for every engine spec,
+    including a prebuilt engine or an adopted oracle; an oracle handed
+    out before keeps answering for the dataset it indexes.
     """
 
     @pytest.mark.parametrize("engine", ["packed", "auto"])
-    def test_add_rows_after_cached_queries(self, engine):
+    def test_add_rows_after_queries(self, engine):
         dataset = random_categorical_dataset(40, (2, 2, 3), seed=13, skew=1.3)
         tau = 4
         index = IncrementalMupIndex(dataset, threshold=tau, engine=engine)
-        # Warm the hot-mask cache with repeated queries over the MUP set.
         probes = list(index.mups()) + [Pattern.root(dataset.d)]
         before = [index.coverage(p) for p in probes]
         assert [index.coverage(p) for p in probes] == before
@@ -164,7 +162,6 @@ class TestEngineCacheUnderMutation:
             tuple(0 if v < 0 else v for v in probes[0].values) for _ in range(tau)
         ]
         index.add_rows(addition)
-        # Every coverage answer must reflect the new dataset, not the cache.
         assert set(index.mups()) == scan_mups(index.dataset, tau)
         for probe in probes:
             fresh = int(
@@ -172,12 +169,12 @@ class TestEngineCacheUnderMutation:
             )
             assert index.coverage(probe) == fresh
 
-    def test_remove_rows_after_cached_queries(self):
+    def test_remove_rows_after_queries(self):
         dataset = random_categorical_dataset(40, (2, 3, 2), seed=21, skew=1.0)
         tau = 3
         index = IncrementalMupIndex(dataset, threshold=tau, engine="packed")
         probes = [Pattern.root(dataset.d)] + list(index.mups())
-        for _ in range(3):  # drive queries into the cache-hit path
+        for _ in range(3):
             for probe in probes:
                 index.coverage(probe)
         index.remove_rows(list(range(5)))
@@ -188,29 +185,29 @@ class TestEngineCacheUnderMutation:
             )
             assert index.coverage(probe) == fresh
 
-    def test_prebuilt_instance_config_survives_rebuild(self):
+    def test_prebuilt_engine_is_replaced_on_rebuild(self):
         dataset = random_categorical_dataset(30, (2, 2, 2), seed=8, skew=1.0)
-        engine = CoverageEngine(dataset, mask_cache_size=16)
+        engine = CoverageEngine(dataset)
         index = IncrementalMupIndex(dataset, threshold=2, engine=engine)
+        assert index.oracle.engine is engine
         index.add_rows([(0, 0, 0), (1, 1, 1)])
-        rebuilt = index._oracle.engine
-        # Same configuration on the new dataset...
+        rebuilt = index.oracle.engine
         assert isinstance(rebuilt, CoverageEngine)
         assert rebuilt is not engine
-        assert rebuilt.mask_cache_size == 16
-        # ...with a cold cache (no state carried over from the old dataset).
         assert rebuilt.dataset is index.dataset
         assert set(index.mups()) == scratch_mups(index.dataset, 2)
 
-    def test_adopted_oracle_sets_the_rebuilt_cache(self):
+    def test_adopted_oracle_keeps_answering_for_its_dataset(self):
         dataset = random_categorical_dataset(30, (2, 2, 2), seed=8, skew=1.0)
-        oracle = CoverageOracle(
-            dataset, engine=CoverageEngine(dataset, mask_cache_size=0)
-        )
+        oracle = CoverageOracle(dataset)
         index = IncrementalMupIndex(dataset, threshold=2, oracle=oracle)
         assert index.oracle is oracle
+        root = Pattern.root(dataset.d)
         index.remove_rows([0])
-        assert index.oracle.engine.mask_cache_size == 0
+        assert index.oracle is not oracle
+        assert index.oracle.dataset is index.dataset
+        assert index.coverage(root) == dataset.n - 1
+        assert oracle.coverage(root) == dataset.n
         assert set(index.mups()) == scratch_mups(index.dataset, 2)
 
     def test_engine_over_another_dataset_is_rejected(self):
@@ -226,8 +223,8 @@ class TestEngineCacheUnderMutation:
             )
 
 
-class FlakyEngineFactory:
-    """Builds real engines but raises on a chosen build number."""
+class FlakyOracleFactory:
+    """Builds real oracles but raises on a chosen build number."""
 
     def __init__(self, fail_on):
         self.builds = 0
@@ -237,7 +234,7 @@ class FlakyEngineFactory:
         self.builds += 1
         if self.builds == self.fail_on:
             raise RuntimeError("simulated index-build failure")
-        return CoverageEngine(dataset, **options)
+        return CoverageOracle(dataset, **options)
 
 
 class TestFailedRebuild:
@@ -255,8 +252,8 @@ class TestFailedRebuild:
     ):
         index = IncrementalMupIndex(example1_dataset, threshold=1)
         # The first rebuild fails.
-        factory = FlakyEngineFactory(fail_on=1)
-        monkeypatch.setattr(incremental_module, "CoverageEngine", factory)
+        factory = FlakyOracleFactory(fail_on=1)
+        monkeypatch.setattr(incremental_module, "CoverageOracle", factory)
         before_mups = set(index.mups())
         before_n = index.dataset.n
         probe = Pattern.from_string("1XX")

@@ -39,7 +39,7 @@ from repro.exceptions import PatternError
 from walk_paths import by_code, on_both_walks, spy_counts
 
 #: The module, not the function ``repro.core.mups`` re-exports under its name.
-combiner_module = importlib.import_module("repro.core.mups.pattern_combiner")
+combiner_module = importlib.import_module("repro.core.mups.combiner")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

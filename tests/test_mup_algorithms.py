@@ -5,6 +5,9 @@ naive ground truth on randomized data, and for its specific contract
 (level caps, the node-at-a-time DEEPDIVER reference, guards).
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -286,3 +289,28 @@ class TestAprioriSpecifics:
         result = apriori_mups(dataset, 3)
         reference = naive_mups(dataset, 3)
         assert result.as_set() == reference.as_set()
+
+
+class TestPackageLayout:
+    def test_every_submodule_is_the_package_attribute_of_its_name(self):
+        """No function ``repro.core.mups`` re-exports hides a submodule."""
+        import repro.core.mups as package
+
+        names = [info.name for info in pkgutil.iter_modules(package.__path__)]
+        assert {"base", "breaker", "combiner", "diver"} <= set(names)
+        for name in names:
+            module = importlib.import_module(f"repro.core.mups.{name}")
+            assert getattr(package, name) is module, name
+
+    def test_the_algorithms_keep_their_public_names(self):
+        import repro
+        import repro.core.mups.breaker as breaker
+        import repro.core.mups.combiner as combiner
+        import repro.core.mups.diver as diver
+
+        assert pattern_breaker is breaker.pattern_breaker is repro.pattern_breaker
+        assert pattern_combiner is combiner.pattern_combiner is repro.pattern_combiner
+        assert deepdiver is diver.deepdiver is repro.deepdiver
+        assert ALGORITHMS["pattern_breaker"] is pattern_breaker
+        assert ALGORITHMS["pattern_combiner"] is pattern_combiner
+        assert ALGORITHMS["deepdiver"] is deepdiver

@@ -1,4 +1,4 @@
-"""Unit tests for the packed coverage engine and the hot-mask cache."""
+"""Unit tests for the packed coverage engine."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from engine_reference import row_match
 from repro.core.coverage import CoverageOracle, coverage_scan
 from repro.core.engine import CoverageEngine
 from repro.core.pattern import Pattern, X
+from repro.data.dataset import Dataset
 from repro.data.synthetic import random_categorical_dataset
-from repro.exceptions import EngineError
 
 
 @pytest.fixture
@@ -16,8 +16,8 @@ def dataset():
     return random_categorical_dataset(70, (3, 2, 4), seed=5, skew=1.2)
 
 
-@pytest.fixture
-def patterns(dataset):
+def patterns_of(dataset):
+    """The root, every level-1 pattern, and two deeper ones."""
     space_patterns = [Pattern.root(dataset.d)]
     for i, cardinality in enumerate(dataset.cardinalities):
         for value in range(cardinality):
@@ -27,33 +27,39 @@ def patterns(dataset):
     return space_patterns
 
 
+@pytest.fixture
+def patterns(dataset):
+    return patterns_of(dataset)
+
+
+#: Datasets whose masks take each counting path: weighted counts over
+#: duplicate rows, plain popcounts over distinct rows, and masks that
+#: span more than one word.
+QUERY_DATASETS = {
+    "duplicates": lambda: random_categorical_dataset(70, (3, 2, 4), seed=5, skew=1.2),
+    "distinct": lambda: Dataset.from_rows(
+        [[a, b, c] for a in range(3) for b in range(2) for c in range(4)]
+    ),
+    "multiword": lambda: random_categorical_dataset(600, (5, 4, 6), seed=9),
+}
+
+
 class TestIndex:
     def test_index_accounting_positive(self, dataset):
         engine = CoverageEngine(dataset)
         assert engine.index_nbytes > 0
 
-    @pytest.mark.parametrize(
-        "size", [-1, True, False, 2.5, 2.0, "3", None], ids=repr
-    )
-    def test_bad_mask_cache_sizes_are_rejected(self, dataset, size):
-        with pytest.raises(EngineError, match="mask_cache_size"):
-            CoverageEngine(dataset, mask_cache_size=size)
-
-    def test_numpy_integer_mask_cache_size(self, dataset):
-        engine = CoverageEngine(dataset, mask_cache_size=np.int64(3))
-        assert engine.mask_cache_size == 3
-        assert type(engine.mask_cache_size) is int
-
 
 class TestQueryEquivalence:
-    @pytest.mark.parametrize("mask_cache_size", [1, 2, 5, 70])
-    def test_matches_the_row_scan_on_every_query(
-        self, dataset, patterns, mask_cache_size
-    ):
-        # Capacities below, near and above the query count: answers must
-        # not depend on which masks the LRU still holds.
-        engine = CoverageEngine(dataset, mask_cache_size=mask_cache_size)
+    @pytest.mark.parametrize("name", sorted(QUERY_DATASETS))
+    def test_matches_the_row_scan_on_every_query(self, name):
+        dataset = QUERY_DATASETS[name]()
+        patterns = patterns_of(dataset)
+        engine = CoverageEngine(dataset)
+        if name == "multiword":
+            assert len(engine.full_mask()) > 1
         expected = [coverage_scan(dataset, pattern) for pattern in patterns]
+        # Twice over one engine: answering once changes no later answer.
         for _ in range(2):
             for pattern, count in zip(patterns, expected):
                 assert engine.coverage(pattern) == count
@@ -107,75 +113,27 @@ class TestQueryEquivalence:
             assert got == expected
 
 
-class TestHotMaskCache:
-    def test_hits_and_misses_are_counted(self, dataset, patterns):
+class TestReturnedMasks:
+    def test_mutating_a_returned_mask_changes_no_later_answer(
+        self, dataset, patterns
+    ):
         engine = CoverageEngine(dataset)
-        engine.coverage_many(patterns)
-        info = engine.cache_info()
-        assert info["hits"] == 0
-        assert info["misses"] == len(patterns)
-        engine.coverage_many(patterns)
-        info = engine.cache_info()
-        assert info["hits"] == len(patterns)
-        assert info["misses"] == len(patterns)
-        assert 0.0 < info["hit_rate"] <= 1.0
+        counts = [engine.coverage(pattern) for pattern in patterns]
+        rows = [engine.word_matrix(i).copy() for i in range(dataset.d)]
+        for pattern in patterns:
+            engine.match_mask(pattern)[:] = 0
+            mask = engine.match_mask(pattern)
+            mask |= engine.full_mask()
+        engine.full_mask()[:] = 0
+        assert [engine.coverage(pattern) for pattern in patterns] == counts
+        assert list(engine.coverage_many(patterns)) == counts
+        for i, words in enumerate(rows):
+            assert np.array_equal(engine.word_matrix(i), words)
 
-    def test_lru_evicts_oldest(self, dataset):
-        engine = CoverageEngine(dataset, mask_cache_size=2)
-        a, b, c = Pattern.of(0, X, X), Pattern.of(1, X, X), Pattern.of(2, X, X)
-        engine.coverage(a)
-        engine.coverage(b)
-        engine.coverage(c)  # evicts a
-        assert engine.cache_info()["entries"] == 2
-        engine.coverage(a)  # miss again
-        assert engine.cache_info()["misses"] == 4
-        assert engine.cache_info()["hits"] == 0
-
-    def test_disabled_cache_never_stores(self, dataset, patterns):
-        engine = CoverageEngine(dataset, mask_cache_size=0)
-        engine.coverage_many(patterns)
-        engine.coverage_many(patterns)
-        assert engine.cache_info() == {
-            "hits": 0,
-            "misses": 0,
-            "entries": 0,
-            "nbytes": 0,
-            "max_size": 0,
-            "hit_rate": 0.0,
-        }
-
-    def test_byte_budget_bounds_the_cache(self, dataset, monkeypatch):
-        import repro.core.engine as engine_module
-
-        # A budget smaller than one mask: the cache degrades to one entry
-        # instead of thrashing or growing unbounded.
-        monkeypatch.setattr(engine_module, "DEFAULT_MASK_CACHE_BYTES", 1)
-        engine = CoverageEngine(dataset)
-        a, b = Pattern.of(0, X, X), Pattern.of(1, X, X)
-        assert engine.coverage(a) == engine.coverage(a)
-        engine.coverage(b)
-        info = engine.cache_info()
-        assert info["entries"] == 1
-        assert info["nbytes"] <= engine._mask_nbytes(engine.match_mask(a))
-
-    def test_clear_resets_state(self, dataset, patterns):
-        engine = CoverageEngine(dataset)
-        engine.coverage_many(patterns)
-        engine.clear_mask_cache()
-        assert engine.cache_info()["entries"] == 0
-        assert engine.cache_info()["misses"] == 0
-
-    def test_cached_answers_equal_uncached(self, dataset, patterns):
-        cached = CoverageEngine(dataset)
-        uncached = CoverageEngine(dataset, mask_cache_size=0)
-        first = list(cached.coverage_many(patterns))
-        second = list(cached.coverage_many(patterns))  # all hits
-        assert first == second == list(uncached.coverage_many(patterns))
-
-    def test_mutating_returned_mask_does_not_poison_cache(self, dataset):
+    def test_every_call_returns_a_fresh_buffer(self, dataset):
         engine = CoverageEngine(dataset)
         pattern = Pattern.of(X, 1, X)
-        before = engine.coverage(pattern)
-        mask = engine.match_mask(pattern)
-        mask &= engine.value_mask(0, 0)
-        assert engine.coverage(pattern) == before
+        first, second = engine.match_mask(pattern), engine.match_mask(pattern)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(engine.full_mask(), engine.full_mask())

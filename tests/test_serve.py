@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from repro.analysis.sweep import sweep_mups, threshold_sensitivity
 import repro.serve.admission as admission_module
 from repro.core.coverage import CoverageOracle
-from repro.core.engine import DEFAULT_MASK_CACHE, CoverageEngine
+from repro.core.engine import CoverageEngine
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset, Schema
@@ -84,7 +84,6 @@ class TestServeConfig:
     def test_defaults_validate(self):
         config = ServeConfig()
         assert config.batch_window_seconds == pytest.approx(0.002)
-        assert config.mask_cache_size == DEFAULT_MASK_CACHE
 
     @pytest.mark.parametrize(
         "field, value",
@@ -98,9 +97,6 @@ class TestServeConfig:
             ("max_concurrent", 0),
             ("max_queue", -1),
             ("result_cache_size", -1),
-            ("mask_cache_size", -1),
-            ("mask_cache_size", True),
-            ("mask_cache_size", 2.5),
         ],
     )
     def test_bad_values_rejected(self, field, value):
@@ -108,10 +104,12 @@ class TestServeConfig:
             ServeConfig(**{field: value})
         assert excinfo.value.code == "bad_config"
 
-    def test_to_dict_round_trips_engine(self):
-        payload = ServeConfig(mask_cache_size=0).to_dict()
-        assert payload["mask_cache_size"] == 0
+    def test_to_dict_round_trips(self):
+        config = ServeConfig(result_cache_size=0)
+        payload = config.to_dict()
+        assert payload["result_cache_size"] == 0
         assert payload["port"] == 8642
+        assert ServeConfig(**payload) == config
 
 
 # ----------------------------------------------------------------------
@@ -153,9 +151,7 @@ class TestResultCache:
 class TestRegistry:
     def test_reregistration_returns_same_warm_entry(self):
         dataset = make_random_dataset(3)
-        registry = EngineRegistry(
-            DEFAULT_MASK_CACHE, max_entries=4, max_bytes=1 << 30
-        )
+        registry = EngineRegistry(max_entries=4, max_bytes=1 << 30)
         try:
             entry, created = registry.register(dataset)
             again, created_again = registry.register(dataset)
@@ -166,18 +162,14 @@ class TestRegistry:
             registry.close()
 
     def test_unknown_key_is_structured_404(self):
-        registry = EngineRegistry(
-            DEFAULT_MASK_CACHE, max_entries=4, max_bytes=1 << 30
-        )
+        registry = EngineRegistry(max_entries=4, max_bytes=1 << 30)
         with pytest.raises(ServeError) as excinfo:
             registry.get("missing")
         assert excinfo.value.status == 404
         assert excinfo.value.code == "unknown_dataset"
 
     def test_lru_eviction_under_entry_cap(self):
-        registry = EngineRegistry(
-            DEFAULT_MASK_CACHE, max_entries=2, max_bytes=1 << 30
-        )
+        registry = EngineRegistry(max_entries=2, max_bytes=1 << 30)
         try:
             datasets = [make_random_dataset(seed) for seed in range(5)]
             keys = [registry.register(d)[0].key for d in datasets]
@@ -195,9 +187,7 @@ class TestRegistry:
     def test_byte_budget_keeps_newest(self):
         first = make_random_dataset(1)
         second = make_random_dataset(2)
-        registry = EngineRegistry(
-            DEFAULT_MASK_CACHE, max_entries=8, max_bytes=1
-        )
+        registry = EngineRegistry(max_entries=8, max_bytes=1)
         try:
             registry.register(first)
             entry, _ = registry.register(second)
@@ -211,9 +201,7 @@ class TestRegistry:
     def test_concurrent_registration_under_load(self):
         """Threads hammering register/get; entry cap holds, no errors."""
         datasets = [make_random_dataset(seed, n=60) for seed in range(6)]
-        registry = EngineRegistry(
-            DEFAULT_MASK_CACHE, max_entries=3, max_bytes=1 << 30
-        )
+        registry = EngineRegistry(max_entries=3, max_bytes=1 << 30)
         errors = []
 
         def worker(offset):
@@ -247,9 +235,7 @@ class TestRegistry:
 
     def test_delivery_swaps_snapshot_and_aliases(self):
         dataset = make_random_dataset(7)
-        registry = EngineRegistry(
-            DEFAULT_MASK_CACHE, max_entries=4, max_bytes=1 << 30
-        )
+        registry = EngineRegistry(max_entries=4, max_bytes=1 << 30)
         try:
             entry, _ = registry.register(dataset)
             old_snapshot = entry.snapshot
@@ -680,7 +666,7 @@ class TestService:
         stats = run_service(service_config(), scenario)
         assert stats["registry"]["entries"] == 1
         assert stats["batcher"]["requests"] == 1
-        assert stats["config"]["mask_cache_size"] == DEFAULT_MASK_CACHE
+        assert stats["config"] == service_config().to_dict()
         assert "admission" in stats and "result_cache" in stats
 
 
