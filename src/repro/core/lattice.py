@@ -24,12 +24,12 @@ every code's count and smallest parent count in two arrays.
 
 One rule, :func:`cube_fits`, says when a space is small enough for the
 cube.  Then the threshold sweep reads its answer from the cube, and
-:func:`walk_dataset` walks PATTERN-BREAKER's levels on a cube built for
-the call: a candidate survives pruning iff its smallest parent count
-reaches τ, and its count is a gather.  By induction on the level, the
-covered candidates of a level are all of its covered patterns (a covered
+:func:`walk_dataset` reads PATTERN-BREAKER's walk off a cube built for
+the call by whole-cube masks.  By induction on the level, the covered
+candidates of a level are all of its covered patterns (a covered
 pattern's parents are covered, because coverage only falls going down),
-so both walks prune, count and answer alike.  Larger spaces run
+so the walk generates a pattern iff its Rule-1 parent is covered and
+counts it iff its smallest parent count reaches τ.  Larger spaces run
 :func:`walk_levels`.
 
 Codes are ``int64`` while the space has fewer than ``2**63`` nodes and
@@ -564,12 +564,11 @@ def _patterns_within(cardinalities: Sequence[int], max_level: int) -> int:
 class LevelWalk:
     """What one level walk counted.
 
-    ``codes[r]`` is a candidate, ``counts[r]`` its coverage and
+    ``codes[r]`` is a counted candidate, ``counts[r]`` its coverage and
     ``min_parent[r]`` its smallest parent count (:data:`UNBOUNDED` for the
-    root).  Rows come level by level.  Within a level they come in
-    attribute-subset order only from :func:`walk_levels`; a walk of the
-    cube (:func:`walk_dataset`) keeps Rule-1 generation order.  Both walks
-    of one space give the same rows.
+    root).  :func:`walk_levels` lists the rows level by level, each level
+    in attribute-subset order; a walk of the cube (:func:`walk_dataset`)
+    lists them in code order.  Both walks of one space give the same rows.
     """
 
     lattice: PatternLattice
@@ -612,7 +611,9 @@ def walk_levels(
     watch = Stopwatch()
     depth = lattice.d if max_level is None else min(max_level, lattice.d)
     stats = SearchStats()
-    codes, digits = lattice.root(), _root_digits(lattice)
+    narrow = max(lattice.cardinalities) <= np.iinfo(np.int8).max
+    codes = lattice.root()
+    digits = np.zeros((1, lattice.d), dtype=np.int8 if narrow else np.int64)
     found = [(codes[:0], np.zeros(0, np.int64), np.zeros(0, np.int64))]
     for level in range(depth + 1):
         if not len(codes):
@@ -663,23 +664,32 @@ def walk_dataset(
 ) -> LevelWalk:
     """PATTERN-BREAKER's level walk over a dataset's pattern space.
 
-    A space that :func:`cube_fits` is walked on a :class:`CoverageCube`
-    built from the unique rows for this call: a level is two gathers.  A
-    candidate survives pruning iff its floor reaches τ, and its count is
-    the cube's.  A larger space is walked by :func:`walk_levels`, counted
-    by a :class:`GroupCounter` over the unique rows.
+    A space that :func:`cube_fits` is read off a :class:`CoverageCube`
+    built from the unique rows for this call (:func:`_walk_cube`); a
+    larger one is walked by :func:`walk_levels`, counted by a
+    :class:`GroupCounter` over the unique rows.
 
-    Both walks give the same :class:`LevelWalk` rows and counters.  By
-    induction on the level, the group-by walk's covered codes are every
-    covered pattern of their level.  A covered pattern's parents are
-    covered too, because coverage only falls going down, so they are all
-    covered codes of the level above: the pattern is generated from its
-    Rule-1 parent, survives pruning and is counted covered.  Hence a
-    candidate's parent is missing from the covered codes iff that parent
-    is uncovered, iff the candidate's floor (its smallest parent count)
-    is below τ, and the smallest parent count the group-by walk reads is
-    the floor.  Within a level the two walks list the rows in different
-    orders (see :class:`LevelWalk`).
+    Both give the same :class:`LevelWalk` rows and counters.  By induction
+    on the level, the group-by walk's covered codes are every covered
+    pattern of their level.  A covered pattern's parents are covered too,
+    because coverage only falls going down, so they are all covered codes
+    of the level above: the pattern is generated from its Rule-1 parent,
+    survives pruning and is counted covered.  Hence a candidate's parent
+    is missing from the covered codes iff that parent is uncovered, iff
+    the candidate's floor (its smallest parent count) is below τ, and the
+    smallest parent count the group-by walk reads is the floor.
+
+    So within the level cap a pattern other than the root is generated iff
+    its Rule-1 parent (its right-most deterministic digit set to ``X``) is
+    covered.  The counted patterns are the cells whose floor reaches τ,
+    since every parent of such a cell is covered, and the pruned ones are
+    the rest of the generated.  A covered pattern below the cap generates
+    ``c_i`` children at each attribute ``i`` right of its right-most
+    deterministic digit, so ``nodes_generated`` is 1 + Σ_i c_i · #{covered
+    cells below the cap whose digits from ``i`` on are all ``X``}:
+    ``Π_{j<i} (c_j + 1)`` cells for attribute ``i``, about cells / c in
+    all.  The two walks list the rows in different orders (see
+    :class:`LevelWalk`).
     """
     lattice = PatternLattice(PatternSpace.for_dataset(dataset))
     rows, multiplicities = dataset.unique_rows()
@@ -696,40 +706,30 @@ def _walk_cube(
     threshold: int,
     max_level: Optional[int],
 ) -> LevelWalk:
-    """:func:`walk_levels` with each level pruned and counted by gathers
-    from a :class:`CoverageCube` (see :func:`walk_dataset`).  The cube's
-    build is timed with the walk."""
+    """:func:`walk_levels`' rows, in code order, and counters read from a
+    :class:`CoverageCube` by whole-cube masks, with no level generated (see
+    :func:`walk_dataset`).  The cube's build is timed with the walk."""
     watch = Stopwatch()
     cube = CoverageCube(lattice, rows, multiplicities)
     depth = lattice.d if max_level is None else min(max_level, lattice.d)
-    stats = SearchStats()
-    codes, digits = lattice.root(), _root_digits(lattice)
-    found = []
-    for level in range(depth + 1):
-        if not len(codes):
-            break
-        stats.nodes_generated += len(codes)
-        floors = cube.floors[codes]
-        if level:
-            alive = floors >= threshold
-            stats.pruned += len(codes) - int(np.count_nonzero(alive))
-            codes, digits, floors = codes[alive], digits[alive], floors[alive]
-        counts = cube.counts[codes]
-        stats.coverage_evaluations += len(codes)
-        found.append((codes, counts, floors))
-        if level == depth:
-            break
-        covered = counts >= threshold
-        codes, digits = _rule1_level(lattice, codes[covered], digits[covered])
+    # Uncapped, every cell is within the cap and every slice below it.
+    levels = cube.levels() if depth < lattice.d else None
+    counted = cube.floors >= threshold
+    if levels is not None:
+        counted &= levels <= depth
+    generated = 1
+    for cardinality, counts in zip(lattice.cardinalities, cube._axes(cube.counts)):
+        # The cells whose digits from this attribute on are all X.
+        breaking = counts[:, 0, 0] >= threshold
+        if levels is not None:
+            breaking &= levels.reshape(counts.shape)[:, 0, 0] < depth
+        generated += cardinality * int(np.count_nonzero(breaking))
+    codes = np.flatnonzero(counted)
+    stats = SearchStats(generated, len(codes), pruned=generated - len(codes))
     stats.seconds = watch.elapsed()
-    codes, counts, floors = (np.concatenate(column) for column in zip(*found))
-    return LevelWalk(lattice, threshold, codes, counts, floors, stats)
-
-
-def _root_digits(lattice: PatternLattice) -> np.ndarray:
-    """The root's ``(1, d)`` digit row: ``int8`` when every digit fits."""
-    narrow = max(lattice.cardinalities) <= np.iinfo(np.int8).max
-    return np.zeros((1, lattice.d), dtype=np.int8 if narrow else np.int64)
+    return LevelWalk(
+        lattice, threshold, codes, cube.counts[codes], cube.floors[codes], stats
+    )
 
 
 def _rule1_level(

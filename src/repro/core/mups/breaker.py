@@ -6,15 +6,14 @@ exactly once — Theorem 3).  A candidate is pruned without evaluation when
 any of its parents was uncovered or itself pruned; an evaluated candidate
 with ``cov < τ`` is a MUP (all its parents are covered by construction).
 
-The traversal is :func:`~repro.core.lattice.walk_dataset` over
-integer-coded levels, and Rule-1 children are generated per attribute for
-the whole level.  When the space fits
-:func:`~repro.core.lattice.cube_fits`, a
-:class:`~repro.core.lattice.CoverageCube` built for the call prunes and
-counts each level by two gathers: a candidate survives iff its smallest
-parent count reaches τ.  Otherwise
-:func:`~repro.core.lattice.walk_levels` looks every candidate's parents up
-in the previous level's sorted covered codes at once, and a
+The traversal is :func:`~repro.core.lattice.walk_dataset` over integer
+pattern codes.  When the space fits :func:`~repro.core.lattice.cube_fits`,
+it is read off a :class:`~repro.core.lattice.CoverageCube` built for the
+call, with no level generated: the evaluated candidates are the cells
+whose smallest parent count reaches τ.  Otherwise
+:func:`~repro.core.lattice.walk_levels` generates each level's Rule-1
+children per attribute, looks every candidate's parents up in the
+previous level's sorted covered codes at once, and a
 :class:`~repro.core.lattice.GroupCounter` counts each level by grouping
 the unique rows on every candidate subset.  Both give the same MUPs and
 counters (the proof is in :func:`~repro.core.lattice.walk_dataset`).

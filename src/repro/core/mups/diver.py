@@ -9,7 +9,7 @@ dominates a known MUP as covered.
 
 In the Rule-1 order the DFS visits exactly PATTERN-BREAKER's nodes, so
 this module runs PATTERN-BREAKER's level walk
-(:func:`~repro.core.lattice.walk_dataset`: gathers from a coverage cube
+(:func:`~repro.core.lattice.walk_dataset`: masks over a coverage cube
 when the space fits one, group-by counts otherwise, with the same nodes
 and counters) and reports Algorithm 3's counters from it.  The proof:
 

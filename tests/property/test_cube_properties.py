@@ -26,7 +26,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core.coverage import coverage_scan
 from repro.core.lattice import UNBOUNDED, CoverageCube, PatternLattice, walk_dataset
@@ -147,7 +147,21 @@ def check_walks(dataset, threshold, max_level):
     assert counters(cube.stats) == counters(walked.stats)
 
 
+def walk_case(n, cardinalities, threshold, max_level=None):
+    dataset = random_categorical_dataset(n, cardinalities, seed=3, skew=1.0)
+    return dataset, threshold, max_level
+
+
 @given(walk_cases())
+# The edges of the cube walk's masks: τ > n (the root is the only MUP and
+# nothing else is generated), no rows, level caps of 0 and d,
+# cardinality-1 attributes and a single attribute.
+@example(walk_case(20, (2, 3, 2), 21))
+@example(walk_case(0, (2, 3), 1))
+@example(walk_case(40, (3, 2, 2), 2, 0))
+@example(walk_case(40, (3, 2, 2), 2, 3))
+@example(walk_case(40, (1, 3, 1, 2), 2))
+@example(walk_case(30, (4,), 3))
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_cube_walk_matches_the_group_by_walk(case):
     """Normal-suite profile: fixed seed, deterministic in CI."""

@@ -13,9 +13,10 @@ PATTERN-COMBINER looks its codes up in a count table of 3**13 cells
 (12.8 MB, under the table's byte cap).  The 3**13 = 1,594,323 cells are
 over the coverage cube's cell cap, so both walks count by group-by.
 
-Over 12 amenities the 3**12 = 531,441 cells fit the cap, and both walks
-read each level from the coverage cube instead; in a child process each
-must return PATTERN-COMBINER's MUP set, with pinned counters and memory.
+Over 12 amenities the 3**12 = 531,441 cells fit the cap, and both
+searches read their walk off the coverage cube instead; in a child
+process each must return PATTERN-COMBINER's MUP set, with pinned
+counters and memory.
 
 Every identification algorithm, run on a prebuilt ``packed`` engine over
 a 900-row, 480-pattern space, must also return Definition 4's MUP set
@@ -75,11 +76,12 @@ COUNTERS = {
 }
 
 #: Most ``ru_maxrss`` growth, past the unique rows, of one d=12 search on
-#: the coverage cube.  Either walk grows by about 19.7 MB there (the cube
-#: is 8.5 MB); counted by group-by (the cube's cap forced to 0) it grew
-#: by about 29.4 MB.  Both walks generate, count and prune the same
-#: nodes and return the same 43,575 MUPs.
-D12_MAX_GROWTH_MB = 25
+#: the coverage cube.  Either search grows by about 12.0 MB there (the
+#: cube is 8.5 MB, read by whole-cube masks with no level generated);
+#: counted by group-by (the cube's cap forced to 0) it grew by about
+#: 29.4 MB.  Both walks generate, count and prune the same nodes and
+#: return the same 43,575 MUPs.
+D12_MAX_GROWTH_MB = 16
 D12_COUNTERS = [387_085, 340_366, 46_719]
 D12_MUPS = 43_575
 

@@ -36,7 +36,7 @@ from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset, Schema
 from repro.data.synthetic import random_categorical_dataset
 from repro.exceptions import PatternError
-from walk_paths import by_code, on_both_walks, spy_counts
+from walk_paths import by_code, grouped, on_both_walks, spy_counts
 
 #: The module, not the function ``repro.core.mups`` re-exports under its name.
 combiner_module = importlib.import_module("repro.core.mups.combiner")
@@ -694,6 +694,34 @@ def test_the_cube_rule_chooses_the_walk(cardinalities, max_level, structure, mon
     walk = walk_dataset(dataset, dataset.n + 1, max_level)
     assert made == [structure]
     assert walk.mups() == [Pattern.root(len(cardinalities))]
+
+
+@pytest.mark.parametrize("max_level", [None, 2], ids=["plain", "capped"])
+def test_the_cube_walk_generates_no_level(max_level, monkeypatch):
+    """On the cube the walk's nodes, counters and rows come from
+    whole-cube masks: no level of Rule-1 children is generated, while the
+    group-by walk still generates every level."""
+    called = []
+    rule1_level = lattice_module._rule1_level
+    rule1_children = PatternLattice._rule1_children
+
+    def spy_level(*args):
+        called.append("_rule1_level")
+        return rule1_level(*args)
+
+    def spy_children(self, *args):
+        called.append("_rule1_children")
+        return rule1_children(self, *args)
+
+    monkeypatch.setattr(lattice_module, "_rule1_level", spy_level)
+    monkeypatch.setattr(PatternLattice, "_rule1_children", spy_children)
+    dataset = random_categorical_dataset(300, (3, 2, 4, 2), seed=5, skew=1.0)
+    assert cube_fits(PatternSpace.for_dataset(dataset).cardinalities, max_level)
+    cube = walk_dataset(dataset, 5, max_level)
+    assert called == []
+    walked = grouped(walk_dataset, dataset, 5, max_level)
+    assert {"_rule1_level", "_rule1_children"} <= set(called)
+    assert by_code(cube) == by_code(walked)
 
 
 # ----------------------------------------------------------------------
