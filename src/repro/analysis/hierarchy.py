@@ -323,9 +323,7 @@ def find_mups_hierarchical(
             HierarchyLevel(
                 level=level,
                 rollup=roll,
-                result=MupResult(
-                    tuple(walk.mups()), tau, walk.stats, max_level=max_level
-                ),
+                result=MupResult(walk.mups(), tau, walk.stats, max_level=max_level),
             )
         )
 
@@ -602,7 +600,7 @@ def bucketize_sweep(
                 buckets=count,
                 cardinality=len(labels),
                 labels=tuple(labels),
-                result=MupResult(tuple(walk.mups()), tau, walk.stats),
+                result=MupResult(walk.mups(), tau, walk.stats),
             )
         )
     return BucketSweepResult(

@@ -57,6 +57,9 @@ returns:
 * ``breakpoints()`` decodes the whole frontier, and ``frontier`` decodes
   it once, on first read, into :class:`SweepPoint` rows.
 
+Each row is decoded at most once over the result's life, however many
+readers return it.
+
 On top of the sweep, :func:`threshold_sensitivity` builds a
 :class:`SensitivityReport`: appear/disappear diffs between consecutive
 queried thresholds, per-pattern τ* breakpoints, and (optionally) bootstrap
@@ -67,11 +70,8 @@ patterns from that decoding.  A replicate resamples the rows, so it
 sweeps the same lattice: it is compared with the base by code and decodes
 nothing.
 
-On the remedy input (AirBnB n=30k d=10, 8 τ from 30 to 900, a 45,373-row
-frontier; medians of alternating runs, 2-vCPU x86 VM) ``sweep_mups``
-takes 3 ms and adding ``mups_at(900)`` 2 ms more, where the sweep that
-decoded its whole frontier eagerly took 0.15 s; a full ``frontier`` read
-takes 0.12 s, and ``threshold_sensitivity`` 0.13 s against 0.47 s.
+README's threshold-sweep section times each reader against the sweep that
+decoded its whole frontier up front.
 """
 
 from __future__ import annotations
@@ -218,10 +218,11 @@ class SweepResult:
                 f"[{self.tau_min}, {self.tau_max}]"
             )
         return MupResult(
-            mups=tuple(self._lattice.decode(self._codes[self._is_mup(threshold)])),
+            mups=self._patterns(np.flatnonzero(self._is_mup(threshold))),
             threshold=threshold,
             stats=self.stats,
             max_level=self.max_level,
+            ordered=True,  # ascending rows, ascending codes
         )
 
     def mup_counts(self) -> Dict[int, int]:
@@ -260,9 +261,24 @@ class SweepResult:
         for the root)."""
         floors = self._floors.tolist()
         return (
-            self._lattice.decode(self._codes),
+            self._patterns(np.arange(len(self._codes))),
             [None if floor == UNBOUNDED else floor for floor in floors],
         )
+
+    @cached_property
+    def _known(self) -> List[Optional[Pattern]]:
+        """Each frontier row's pattern, once a reader has decoded it."""
+        return [None] * len(self._codes)
+
+    def _patterns(self, rows: np.ndarray) -> List[Pattern]:
+        """The patterns of frontier ``rows``, decoding the rows no reader
+        decoded before: the τ of one range share most of their MUPs."""
+        known, rows = self._known, rows.tolist()
+        missing = [row for row in rows if known[row] is None]
+        if missing:
+            for row, pattern in zip(missing, self._lattice.decode(self._codes[missing])):
+                known[row] = pattern
+        return [known[row] for row in rows]
 
 
 @dataclass(frozen=True)

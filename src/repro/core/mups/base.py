@@ -5,9 +5,8 @@ from __future__ import annotations
 import inspect
 import math
 import operator
-from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._util import SearchStats
 from repro.core.coverage import (
@@ -17,47 +16,82 @@ from repro.core.coverage import (
     threshold_from_rate,
 )
 from repro.core.engine import EngineSpec, check_engine
+from repro.core.lattice import PatternCodes
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
 from repro.exceptions import ReproError
 
 
-@dataclass(frozen=True)
 class MupResult:
     """Output of a MUP identification run (Problem 1).
 
     Attributes:
-        mups: the maximal uncovered patterns, sorted for reproducibility.
+        mups: the maximal uncovered patterns, a tuple sorted for
+            reproducibility.  Given as
+            :class:`~repro.core.lattice.PatternCodes` (the searches that
+            walk lattice codes pass theirs), they are decoded on first
+            read, so ``len`` and ``stats`` cost nothing per MUP and a
+            result that is only counted builds no pattern.  Patterns
+            given with ``ordered=True`` are taken in the order given.
         threshold: the absolute coverage threshold ``τ`` used.
         stats: traversal counters and wall-clock time.
         max_level: the level cap, when the run was level-limited (Fig. 16);
             ``None`` means the full pattern graph was considered.
+
+    Two results are equal when all four are.
     """
 
-    mups: Tuple[Pattern, ...]
-    threshold: int
-    stats: SearchStats
-    max_level: Optional[int] = None
+    __slots__ = ("_mups", "_mup_set", "threshold", "stats", "max_level")
 
-    def __post_init__(self) -> None:
-        # Sorting by the value tuples compares in C, not through
-        # Pattern.__lt__; the order is the same.
-        mups = sorted(self.mups, key=operator.attrgetter("_values"))
-        object.__setattr__(self, "mups", tuple(mups))
-        # Membership is queried in inner loops (incremental maintenance,
-        # cross-checks); cache the set once instead of per __contains__.
-        object.__setattr__(self, "_mup_set", frozenset(self.mups))
+    def __init__(
+        self,
+        mups: Union[Sequence[Pattern], PatternCodes],
+        threshold: int,
+        stats: SearchStats,
+        max_level: Optional[int] = None,
+        *,
+        ordered: bool = False,
+    ) -> None:
+        if not isinstance(mups, PatternCodes):
+            # Sorting by the value tuples compares in C, not through
+            # Pattern.__lt__; the order is the same.
+            key = operator.attrgetter("_values")
+            mups = tuple(mups if ordered else sorted(mups, key=key))
+        self._mups, self._mup_set = mups, None
+        self.threshold, self.stats, self.max_level = threshold, stats, max_level
+
+    @property
+    def mups(self) -> Tuple[Pattern, ...]:
+        if isinstance(self._mups, PatternCodes):
+            self._mups = tuple(self._mups)
+        return self._mups
 
     def __len__(self) -> int:
-        return len(self.mups)
+        return len(self._mups)
 
     def __iter__(self):
         return iter(self.mups)
 
     def __contains__(self, pattern: Pattern) -> bool:
-        return pattern in self._mup_set
+        return pattern in self.as_set()
+
+    def _fields(self) -> tuple:
+        return self.mups, self.threshold, self.stats, self.max_level
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        mups, threshold, stats, max_level = self._fields()
+        return f"MupResult({mups=}, {threshold=}, {stats=}, {max_level=})"
 
     def as_set(self) -> frozenset:
+        # Membership is queried in inner loops (incremental maintenance,
+        # cross-checks); build the set once instead of per __contains__.
+        if self._mup_set is None:
+            self._mup_set = frozenset(self.mups)
         return self._mup_set
 
     def level_histogram(self) -> Dict[int, int]:

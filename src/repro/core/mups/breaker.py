@@ -17,7 +17,8 @@ previous level's sorted covered codes at once, and a
 :class:`~repro.core.lattice.GroupCounter` counts each level by grouping
 the unique rows on every candidate subset.  Both give the same MUPs and
 counters (the proof is in :func:`~repro.core.lattice.walk_dataset`).
-``Pattern`` objects are built only for the MUPs.
+The result holds the MUPs as codes and builds their ``Pattern`` objects
+when it is first read.
 """
 
 from __future__ import annotations
@@ -48,4 +49,4 @@ def pattern_breaker(
     walk = walk_dataset(dataset, threshold, max_level)
     found = walk.mups()
     walk.stats.seconds = watch.elapsed()
-    return MupResult(tuple(found), threshold, walk.stats, max_level)
+    return MupResult(found, threshold, walk.stats, max_level)

@@ -74,4 +74,4 @@ def deepdiver(
     stats = walk.stats
     stats.dominance_checks = 2 * stats.nodes_generated - stats.pruned
     stats.seconds = watch.elapsed()
-    return MupResult(tuple(found), threshold, stats, max_level)
+    return MupResult(found, threshold, stats, max_level)

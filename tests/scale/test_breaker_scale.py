@@ -98,6 +98,7 @@ dataset = load_airbnb(n=100_000, d=int(sys.argv[2]), seed=11)
 dataset.unique_rows()
 before = peak_mb()
 result = find_mups(dataset, threshold=100, algorithm=sys.argv[1])
+result.mups  # a result decodes its MUPs on first read; count the answer
 growth = peak_mb() - before
 stats = result.stats
 combiner = find_mups(dataset, threshold=100, algorithm="pattern_combiner")

@@ -244,6 +244,26 @@ class TestResultType:
         assert result.mups == tuple(sorted(patterns))
         assert len(result) == 80 > len(result.as_set())
 
+    @pytest.mark.parametrize("name", ["pattern_breaker", "deepdiver"])
+    def test_codes_are_decoded_once_on_first_read(self, name, monkeypatch):
+        dataset = random_categorical_dataset(400, (3, 2, 4, 2), seed=9, skew=1.2)
+        expected = naive_mups(dataset, 12).as_set()
+        calls = []
+        decode = PatternLattice.decode
+
+        def counting(self, codes):
+            calls.append(len(codes))
+            return decode(self, codes)
+
+        monkeypatch.setattr(PatternLattice, "decode", counting)
+        result = ALGORITHMS[name](dataset, 12)
+        assert len(result) > 0 and calls == []
+        assert result.as_set() == expected and Pattern.root(4) not in result
+        assert list(result) == sorted(result.mups)
+        assert calls == [len(result)]  # once, for every reader
+        eager = MupResult(result.mups[::-1], 12, result.stats, result.max_level)
+        assert result == eager and repr(result) == repr(eager)
+
     def test_level_histogram(self):
         dataset = random_categorical_dataset(50, (2, 2, 2), seed=4, skew=1.0)
         result = deepdiver(dataset, 5)

@@ -141,14 +141,25 @@ def test_readers_decode_only_what_they_return(path, decoded, monkeypatch):
     assert sum(decoded) == 0
     assert sum(sweep.mup_counts().values()) > 0
     assert sum(decoded) == 0
-    for tau in (3, 30, 90):
+    # Each frontier row is decoded once: a reader decodes only the
+    # patterns it returns that no earlier reader did.
+    seen = set()
+    for tau in (3, 30, 31, 90):
         decoded.clear()
         result = sweep.mups_at(tau)
-        assert sum(decoded) == len(result) > 0
+        assert len(result) > 0
+        assert sum(decoded) == len(result.as_set() - seen)
+        seen |= result.as_set()
+    assert len(seen) < sum(len(sweep.mups_at(tau)) for tau in (3, 30, 31, 90))
     decoded.clear()
     frontier = sweep.frontier
     assert sweep.frontier is frontier
-    assert sum(decoded) == len(frontier)
+    assert sum(decoded) == len(frontier) - len(seen)
+    decoded.clear()
+    assert sweep.mups_at(30).mups == tuple(
+        point.pattern for point in frontier if point.is_mup_at(30)
+    )
+    assert sum(decoded) == 0
 
 
 def test_equality_compares_patterns_not_codes():
