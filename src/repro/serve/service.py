@@ -287,16 +287,17 @@ class CoverageService:
             else:
                 loop = asyncio.get_running_loop()
                 async with self.admission.heavy():
-                    result = await loop.run_in_executor(
+                    # `.mups` in the executor too: a result decodes its
+                    # MUPs on first read, off the event loop.
+                    mups = await loop.run_in_executor(
                         None,
                         lambda: find_mups(
                             snapshot.dataset,
                             threshold=threshold,
                             algorithm=algorithm,
                             oracle=snapshot.oracle,
-                        ),
+                        ).mups,
                     )
-                mups = result.mups
             self.cache.put(key, mups)
         return {
             "dataset": dataset_key,

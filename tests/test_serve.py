@@ -21,6 +21,7 @@ from repro.analysis.sweep import sweep_mups, threshold_sensitivity
 import repro.serve.admission as admission_module
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import CoverageEngine
+from repro.core.lattice import PatternLattice
 from repro.core.mups import find_mups
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset, Schema
@@ -579,6 +580,28 @@ class TestService:
         assert set(first["mup_strings"]) == {str(p) for p in expected}
         assert again["mups"] == first["mups"]
         assert cache["hits"] >= 1  # second identify came from the cache
+
+    @pytest.mark.parametrize("algorithm", ["deepdiver", "pattern_breaker"])
+    def test_identify_decodes_off_the_event_loop(
+        self, example1_dataset, algorithm, monkeypatch
+    ):
+        threads = []
+        decode = PatternLattice.decode
+
+        def recording(self, codes):
+            threads.append(threading.get_ident())
+            return decode(self, codes)
+
+        monkeypatch.setattr(PatternLattice, "decode", recording)
+
+        async def scenario(service):
+            key = await register(service, example1_dataset)
+            body = await service.identify(key, 1, algorithm=algorithm)
+            return body, threading.get_ident()
+
+        body, loop_thread = run_service(service_config(), scenario)
+        assert body["mup_strings"] == ["1XX"]
+        assert threads and loop_thread not in threads
 
     def test_label_threshold_flags(self, example1_dataset):
         async def scenario(service):
