@@ -9,8 +9,9 @@ subsets get shared.  This walk-through chains the library's maintenance
 tools around the paper's core:
 
 1. assess once, persist the MUP set for review (`repro.io`);
-2. keep the MUP set current across deliveries without re-running
-   identification (`IncrementalMupIndex`);
+2. keep the MUP set current across deliveries, searching it again on
+   each new dataset, and see which MUPs a delivery resolved
+   (`IncrementalMupIndex`);
 3. compare assessments before/after an acquisition (`coverage_diff`);
 4. share a smaller dataset that provably preserves the coverage profile
    (`coverage_preserving_sample`);
@@ -57,7 +58,7 @@ def main() -> None:
     resolved = index.add_rows(delivery)
     print(
         f"after a 25-stone delivery: {len(resolved)} MUP(s) resolved, "
-        f"{len(index.mups())} remain (no full re-run needed)"
+        f"{len(index.mups())} remain"
     )
 
     # --- 3. Diff two assessments ---------------------------------------

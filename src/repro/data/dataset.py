@@ -401,17 +401,34 @@ class Dataset:
         This models the paper's data acquisition step: collected value
         combinations become new tuples of ``D``.  Label columns are not
         meaningful for acquired rows, so the result carries none.
+
+        Raises:
+            DataError: the rows are ragged, of another width, not
+                integers (floats, booleans, strings) or past ``int32``.
         """
-        addition = np.asarray(list(new_rows), dtype=np.int32)
+        try:
+            addition = np.asarray(list(new_rows))
+        except ValueError as error:
+            raise DataError(f"appended rows are ragged: {error}") from error
         if addition.size == 0:
             return Dataset(self._schema, self._rows.copy(), validate=False)
         if addition.ndim == 1:
             addition = addition.reshape(1, -1)
-        if addition.shape[1] != self.d:
+        if addition.dtype.kind not in "iu":
             raise DataError(
-                f"appended rows have {addition.shape[1]} attributes, expected {self.d}"
+                f"appended rows must hold integers, got {addition.dtype} values"
             )
-        combined = np.vstack([self._rows, addition])
+        if addition.ndim != 2 or addition.shape[1] != self.d:
+            raise DataError(
+                f"appended rows have shape {addition.shape[1:]}, "
+                f"expected ({self.d},)"
+            )
+        if addition.min() < _INT32.min or addition.max() > _INT32.max:
+            raise DataError(
+                f"row values must fit in int32, got values in "
+                f"[{addition.min()}, {addition.max()}]"
+            )
+        combined = np.vstack([self._rows, addition.astype(np.int32)])
         return Dataset(self._schema, combined)
 
     def mask(self, flags: np.ndarray) -> "Dataset":

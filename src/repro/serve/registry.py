@@ -11,8 +11,9 @@ accounting from ``engine.index_nbytes``.
 they capture ``entry.snapshot`` once — an immutable (dataset, oracle,
 fingerprint) triple — and answer the whole request from it.  A delivery
 routes through :class:`~repro.core.incremental.IncrementalMupIndex`
-(exception-safe rebuild: the new oracle is fully built before any state
-swaps) and then atomically replaces the snapshot reference, so a
+(exception-safe rebuild: the new oracle and the MUP set, searched again,
+are fully built before any state swaps) and then atomically replaces the
+snapshot reference, so a
 concurrent reader sees either the old index or the new one, never a
 half-applied state.  A reader still holding a retired snapshot keeps
 getting answers for the dataset it captured: the index is in memory and
@@ -188,8 +189,9 @@ class EngineRegistry:
         """Append ``rows`` to the entry under snapshot semantics.
 
         Routes through :class:`IncrementalMupIndex` — the index's
-        exception-safe rebuild builds the new engine *before* any state
-        changes — then atomically swaps the entry's snapshot, so readers
+        exception-safe rebuild builds the new oracle and searches the new
+        MUP set *before* any state changes — then atomically swaps the
+        entry's snapshot, so readers
         mid-request keep answering from the old index and new requests see
         the new one.  Returns the delivery report (resolved MUPs, new
         fingerprint).

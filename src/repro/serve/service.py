@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import numbers
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.hierarchy import (
@@ -41,7 +42,7 @@ from repro.core.mups.base import ALGORITHMS, find_mups
 from repro.core.pattern import Pattern, X
 from repro.core.pattern_graph import PatternSpace
 from repro.data.dataset import Dataset
-from repro.exceptions import ReproError, ServeError
+from repro.exceptions import DataError, ReproError, ServeError
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import CoverageBatcher
 from repro.serve.cache import ResultCache
@@ -90,7 +91,11 @@ def _parse_pattern(value: Any, dataset: Dataset) -> Pattern:
 
 
 def _is_int(value: Any) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return _is_int_type(type(value))
+
+
+def _is_int_type(kind: type) -> bool:
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
 
 
 def _as_int(value: Any, name: str) -> int:
@@ -127,6 +132,23 @@ def _parse_rows(rows: Any, dataset: Dataset) -> List[List[int]]:
                 f"{list(cardinalities)}",
             )
     return [[int(v) for v in row] for row in rows]
+
+
+def _registered_dataset(rows: Any, names: Optional[Sequence[str]]) -> Dataset:
+    """The dataset of registered rows, whose values must be integers by
+    ``/deliver``'s rule: booleans, floats and strings are refused, not
+    cast.  The rule reads a value's type alone, so each distinct type is
+    checked once."""
+    refused = {
+        kind.__name__
+        for kind in set(map(type, chain.from_iterable(rows)))
+        if not _is_int_type(kind)
+    }
+    if refused:
+        raise DataError(
+            f"row values must be integers, got {sorted(refused)} values"
+        )
+    return Dataset.from_rows(rows, names=names)
 
 
 def _pattern_values(pattern: Pattern) -> List[Optional[int]]:
@@ -168,7 +190,7 @@ class CoverageService:
         loop = asyncio.get_running_loop()
         try:
             dataset = await loop.run_in_executor(
-                None, lambda: Dataset.from_rows(rows, names=names)
+                None, _registered_dataset, rows, names
             )
         except (ReproError, TypeError, ValueError) as error:
             raise ServeError("bad_request", f"bad rows payload: {error}")

@@ -172,6 +172,26 @@ class TestDatasetOperations:
         with pytest.raises(DataError):
             example1_dataset.append_rows([(2, 0, 0)])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1.7, 0, 0)],
+            [(True, False, False)],
+            [("1", "0", "0")],
+            [(1, 0, 0), (1, 0)],
+            [(2**31, 0, 0)],
+            [(2**32 + 1, 0, 0)],
+            [[[1], [0], [0]]],
+        ],
+        ids=[
+            "fractional", "boolean", "string", "ragged", "past-int32",
+            "wraps-int32", "nested",
+        ],
+    )
+    def test_append_non_integer_rows_rejected(self, example1_dataset, rows):
+        with pytest.raises(DataError):
+            example1_dataset.append_rows(rows)
+
     def test_mask(self, example1_dataset):
         masked = example1_dataset.mask(example1_dataset.rows[:, 2] == 1)
         assert masked.n == 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from engine_reference import scan_mups
+from walk_paths import grouped, on_cube
 import repro.core.incremental as incremental_module
 from repro.core.coverage import CoverageOracle
 from repro.core.engine import CoverageEngine
@@ -17,6 +18,42 @@ from repro.exceptions import DataError, EngineError, ReproError
 
 def scratch_mups(dataset, tau):
     return find_mups(dataset, threshold=tau, algorithm="naive").as_set()
+
+
+def as_is(search):
+    return search()
+
+
+def seeds_on_walks(seeds):
+    """Each seed as it runs by default, then with every search of the index
+    on the coverage cube and by group-by (``tests/walk_paths.py``)."""
+    params = [pytest.param(seed, as_is, id=str(seed)) for seed in seeds]
+    for walk in (on_cube, grouped):
+        params += [
+            pytest.param(seed, walk, id=f"{walk.__name__}-{seed}")
+            for seed in seeds
+        ]
+    return params
+
+
+def add_and_check(index, rows, tau):
+    """``index.add_rows(rows)`` must return the scratch MUPs it resolved
+    and leave the index on the scratch MUP set."""
+    before = scratch_mups(index.dataset, tau)
+    resolved = index.add_rows(rows)
+    after = scratch_mups(index.dataset, tau)
+    assert resolved == sorted(before - after)
+    assert set(index.mups()) == after
+
+
+def remove_and_check(index, victims, tau):
+    """``index.remove_rows(victims)`` must return the scratch MUPs it
+    opened and leave the index on the scratch MUP set."""
+    before = scratch_mups(index.dataset, tau)
+    opened = index.remove_rows(victims)
+    after = scratch_mups(index.dataset, tau)
+    assert opened == sorted(after - before)
+    assert set(index.mups()) == after
 
 
 class TestConstruction:
@@ -45,29 +82,47 @@ class TestAdditions:
         tau = 4
         index = IncrementalMupIndex(dataset, threshold=tau)
         before = set(index.mups())
-        # Add a duplicate of an existing heavy row: nothing should resolve.
-        heavy = dataset.rows[0]
-        index.add_rows([tuple(heavy)] * 0 or [])
+        assert before
+        # A copy of a row whose combination already has τ rows matches no
+        # MUP (each pattern it matches is covered): nothing resolves.
+        unique, counts = dataset.unique_rows()
+        heavy = unique[np.flatnonzero(counts >= tau)[0]]
+        assert index.add_rows([tuple(heavy)]) == []
+        assert index.dataset.n == dataset.n + 1
         assert set(index.mups()) == before
 
     def test_empty_addition_is_noop(self, example1_dataset):
         index = IncrementalMupIndex(example1_dataset, threshold=1)
         assert index.add_rows([]) == []
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_scratch_after_random_additions(self, seed):
+    @pytest.mark.parametrize("seed, walk", seeds_on_walks(range(8)))
+    def test_matches_scratch_after_random_additions(self, seed, walk):
         rng = np.random.default_rng(seed)
         dataset = random_categorical_dataset(30, (2, 3, 2), seed=seed, skew=1.0)
         tau = int(rng.integers(1, 5))
-        index = IncrementalMupIndex(dataset, threshold=tau)
-        for _round in range(3):
-            count = int(rng.integers(1, 6))
-            rows = [
-                tuple(int(rng.integers(0, c)) for c in dataset.cardinalities)
-                for _ in range(count)
-            ]
+
+        def scenario():
+            index = IncrementalMupIndex(dataset, threshold=tau)
+            for _round in range(3):
+                count = int(rng.integers(1, 6))
+                rows = [
+                    tuple(int(rng.integers(0, c)) for c in dataset.cardinalities)
+                    for _ in range(count)
+                ]
+                add_and_check(index, rows, tau)
+
+        walk(scenario)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1.7, 0, 0)], [(1, 0, 0), (1, 0)], [(2**31, 0, 0)]],
+        ids=["fractional", "ragged", "past-int32"],
+    )
+    def test_malformed_rows_rejected(self, example1_dataset, rows):
+        index = IncrementalMupIndex(example1_dataset, threshold=1)
+        with pytest.raises(DataError):
             index.add_rows(rows)
-            assert set(index.mups()) == scratch_mups(index.dataset, tau)
+        assert index.dataset is example1_dataset
 
     def test_coverage_accessor_tracks_additions(self, example1_dataset):
         index = IncrementalMupIndex(example1_dataset, threshold=1)
@@ -77,19 +132,22 @@ class TestAdditions:
 
 
 class TestRemovals:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_scratch_after_random_removals(self, seed):
+    @pytest.mark.parametrize("seed, walk", seeds_on_walks(range(8)))
+    def test_matches_scratch_after_random_removals(self, seed, walk):
         rng = np.random.default_rng(seed + 100)
         dataset = random_categorical_dataset(40, (2, 2, 3), seed=seed, skew=0.8)
         tau = int(rng.integers(1, 5))
-        index = IncrementalMupIndex(dataset, threshold=tau)
-        for _round in range(3):
-            if index.dataset.n < 5:
-                break
-            count = int(rng.integers(1, 4))
-            victims = rng.choice(index.dataset.n, size=count, replace=False)
-            index.remove_rows(victims)
-            assert set(index.mups()) == scratch_mups(index.dataset, tau)
+
+        def scenario():
+            index = IncrementalMupIndex(dataset, threshold=tau)
+            for _round in range(3):
+                if index.dataset.n < 5:
+                    break
+                count = int(rng.integers(1, 4))
+                victims = rng.choice(index.dataset.n, size=count, replace=False)
+                remove_and_check(index, victims, tau)
+
+        walk(scenario)
 
     def test_removal_reports_new_mups(self):
         # Fully covered 2x2 data; removing one combination's rows opens a gap.
@@ -111,27 +169,41 @@ class TestRemovals:
         with pytest.raises(DataError):
             index.remove_rows([99])
 
+    @pytest.mark.parametrize(
+        "indices",
+        [[1.5], [True], ["1"], [[0, 1]], [[0], 1]],
+        ids=["fractional", "boolean", "string", "nested", "ragged"],
+    )
+    def test_malformed_indices_rejected(self, example1_dataset, indices):
+        index = IncrementalMupIndex(example1_dataset, threshold=1)
+        with pytest.raises(DataError):
+            index.remove_rows(indices)
+        assert index.dataset is example1_dataset
+
 
 class TestMixedWorkload:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_interleaved_add_remove(self, seed):
+    @pytest.mark.parametrize("seed, walk", seeds_on_walks(range(5)))
+    def test_interleaved_add_remove(self, seed, walk):
         rng = np.random.default_rng(seed + 500)
         dataset = random_categorical_dataset(35, (2, 3, 2), seed=seed, skew=1.0)
         tau = 3
-        index = IncrementalMupIndex(dataset, threshold=tau)
-        for _round in range(4):
-            if rng.uniform() < 0.5 and index.dataset.n > 10:
-                victims = rng.choice(
-                    index.dataset.n, size=int(rng.integers(1, 4)), replace=False
-                )
-                index.remove_rows(victims)
-            else:
-                rows = [
-                    tuple(int(rng.integers(0, c)) for c in dataset.cardinalities)
-                    for _ in range(int(rng.integers(1, 4)))
-                ]
-                index.add_rows(rows)
-            assert set(index.mups()) == scratch_mups(index.dataset, tau)
+
+        def scenario():
+            index = IncrementalMupIndex(dataset, threshold=tau)
+            for _round in range(4):
+                if rng.uniform() < 0.5 and index.dataset.n > 10:
+                    victims = rng.choice(
+                        index.dataset.n, size=int(rng.integers(1, 4)), replace=False
+                    )
+                    remove_and_check(index, victims, tau)
+                else:
+                    rows = [
+                        tuple(int(rng.integers(0, c)) for c in dataset.cardinalities)
+                        for _ in range(int(rng.integers(1, 4)))
+                    ]
+                    add_and_check(index, rows, tau)
+
+        walk(scenario)
 
     def test_as_result_snapshot(self, example1_dataset):
         index = IncrementalMupIndex(example1_dataset, threshold=1)
@@ -242,9 +314,9 @@ class TestFailedRebuild:
 
     The rebuild used to swap state piecemeal, so a failed oracle build
     could leave the index pointing at a retired engine or a half-updated
-    dataset.  Now the new oracle is
-    constructed before anything changes: on failure the index keeps
-    answering from the old state, and a later delivery still succeeds.
+    dataset.  Now the new oracle and MUP set are built before anything
+    changes: on failure the index keeps answering from the old state, and
+    a later delivery still succeeds.
     """
 
     def test_failed_add_leaves_index_consistent(
@@ -274,3 +346,19 @@ class TestFailedRebuild:
         assert index.dataset.n == before_n + 1
         assert set(index.mups()) == scratch_mups(index.dataset, 1)
         assert factory.builds == 2
+
+    def test_failed_search_leaves_index_consistent(
+        self, example1_dataset, monkeypatch
+    ):
+        index = IncrementalMupIndex(example1_dataset, threshold=1)
+        old_oracle, before_mups = index.oracle, set(index.mups())
+
+        def failing_search(*args, **kwargs):
+            raise RuntimeError("simulated search failure")
+
+        monkeypatch.setattr(incremental_module, "find_mups", failing_search)
+        with pytest.raises(RuntimeError, match="simulated search"):
+            index.remove_rows([0])
+        assert index.dataset is example1_dataset
+        assert index.oracle is old_oracle
+        assert set(index.mups()) == before_mups

@@ -1145,6 +1145,9 @@ class TestHttpEndToEnd:
             ("/deliver", {"rows": [[0, 1]], "threshold": "x"}),
             ("/deliver", {"rows": [[0, 1]], "algorithm": "bogus"}),
             ("/datasets", {"rows": [[3000000000, 1]]}),
+            ("/datasets", {"rows": [[1.7, 0], [0, 1]]}),
+            ("/datasets", {"rows": [[True, 0], [0, 1]]}),
+            ("/datasets", {"rows": [["1", 0], [0, 1]]}),
             ("/identify", {"threshold": 5.9}),
             ("/identify", {"threshold": True}),
             ("/label", {"patterns": ["XX"], "threshold": 1.5}),
@@ -1175,6 +1178,9 @@ class TestHttpEndToEnd:
             "deliver-threshold",
             "deliver-algorithm",
             "register-past-int32",
+            "register-fractional-value",
+            "register-boolean-value",
+            "register-string-value",
             "identify-fractional-threshold",
             "identify-boolean-threshold",
             "label-fractional-threshold",
